@@ -7,10 +7,10 @@ e.g. Cl=[12,2,2,2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import zlin
-from .arith import factor
+from .arith import factor, vp
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,10 @@ class AbelianGroupStructure:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return prod(self.divisors)
 
     def vp(self, p: int) -> int:
-        v = 0
-        n = self.order
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
+        return vp(self.order, p)
 
     def p_rank(self, p: int) -> int:
         return sum(1 for d in self.divisors if d % p == 0)
@@ -50,10 +42,7 @@ class AbelianGroupStructure:
     def p_part(self, p: int) -> "AbelianGroupStructure":
         out = []
         for d in self.divisors:
-            q = 1
-            while d % p == 0:
-                d //= p
-                q *= p
+            q = p ** vp(d, p)
             if q > 1:
                 out.append(q)
         return AbelianGroupStructure(tuple(out))

@@ -147,6 +147,17 @@ def factor(n: int, rho_cap: int = _RHO_ITER_CAP) -> Factorization:
     return Factorization(value, tuple(sorted(out.items())))
 
 
+def vp(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("vp of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
     return factor(abs(n)).omega()

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import ceil, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
-from .arith import FactorBudgetError, mv_bounds_hold, primes_in_class
+from .arith import FactorBudgetError, mv_bounds_hold, primes_in_class, vp
 from .quadclass import ClassNumberCapError
 
 _STATS = {"genus": "genus_normalized", "raw": "raw",
@@ -111,7 +111,7 @@ def cmd_quad_scan(args) -> int:
             continue
         h, N = int(harr[d]), int(om[d])
         if stat == "p_exponent":
-            hp = args.p ** pram._vp_int(h, args.p)
+            hp = args.p ** vp(h, args.p)
             s = quadclass.c_kp(hp, -d) if hp > 1 else 0.0
         elif stat == "genus_normalized":
             s = h / (2 ** (N - 1) * d ** (args.eps / 2))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import isqrt, log
+from math import isqrt, log, prod
 from pathlib import Path
 
 from .abgroup import AbelianGroupStructure
-from .arith import factor, is_squarefree
+from .arith import factor, is_squarefree, vp
 
 
 class FixtureParseError(ValueError):
@@ -408,9 +408,9 @@ def _structure_checks(g: AbelianGroupStructure, p: int, N: int,
     rk = g.p_rank(p)
     if not lo <= rk <= hi:
         errs.append(f"{what}: {p}-rank {rk} outside [{lo},{hi}]")
-    vp = g.vp(p)
-    if vp < N - 1:
-        errs.append(f"{what}: {p}-part p^{vp} smaller than the ambiguous "
+    v = g.vp(p)
+    if v < N - 1:
+        errs.append(f"{what}: {p}-part p^{v} smaller than the ambiguous "
                     f"number p^{N - 1}")
     for q, _ in factor(g.order).factors if g.order > 1 else ():
         if q == p:
@@ -447,15 +447,10 @@ def validate_fixture(fix: Fixture, cp_conductor: int | None = None) -> list[str]
     p = fix.p
     if fix.D is not None:
         # normic-scan row: internal consistency + printed statistic
-        prod = 1
-        for d in fix.hp_parts or ():
-            prod *= d
-        if prod != fix.hp:
-            errs.append(f"hp {fix.hp} != product of parts {prod}")
-        n = fix.hp
-        while n % p == 0:
-            n //= p
-        if n != 1:
+        parts = prod(fix.hp_parts or ())
+        if parts != fix.hp:
+            errs.append(f"hp {fix.hp} != product of parts {parts}")
+        if fix.hp != p ** vp(fix.hp, p):
             errs.append(f"hp {fix.hp} is not a power of {p}")
         if fix.cp is not None and not _sig_agree(
                 2 * log(fix.hp) / log(fix.D), fix.cp):
@@ -480,9 +475,9 @@ def validate_fixture(fix: Fixture, cp_conductor: int | None = None) -> list[str]
         if fix.clres.order not in (fix.clord.order, 2 * fix.clord.order):
             errs.append("restricted/ordinary orders differ by more than 2")
     if fix.ntor is not None:
-        prod = fix.tor.order if fix.tor is not None else None
-        if prod is not None and prod != fix.ntor:
-            errs.append(f"#Tor {fix.ntor} != product of structure {prod}")
+        order = fix.tor.order if fix.tor is not None else None
+        if order is not None and order != fix.ntor:
+            errs.append(f"#Tor {fix.ntor} != product of structure {order}")
         if fix.cp is not None:
             if fix.m is not None:
                 base = log(abs(fix.m)) / 2

@@ -184,7 +184,10 @@ def envelope_report(records, p: int, eps: float,
         if getattr(rec, "error", None):
             continue
         if quantity == "class_p_part":
-            d, q = rec.d, rec.hp
+            if rec.hp is None:
+                raise ValueError("class_p_part needs records of a "
+                                 "'p_exponent' scan (hp is None)")
+            d, q = abs(rec.d), rec.hp
         elif quantity == "torsion":
             d, q = abs(rec.D), p ** rec.vptor
         else:

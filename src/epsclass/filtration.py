@@ -16,7 +16,7 @@ from math import comb
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import factor
+from .arith import vp
 
 
 class FiltrationError(ValueError):
@@ -66,9 +66,7 @@ class FinitePModule:
             if any(col) and zlin.solve_lattice(L, col) is None:
                 raise FiltrationError("sigma^p is not the identity on M")
         n = module_order(self)
-        while n % self.p == 0:
-            n //= self.p
-        if n != 1:
+        if n != self.p ** vp(n, self.p):
             raise FiltrationError("presented group is not a p-group")
 
 
@@ -127,11 +125,8 @@ def _chain_to_result(p: int, N: int, orders: list[int]) -> FiltrationResult:
         q = orders[i + 1] // orders[i]
         if orders[i + 1] % orders[i]:
             raise FiltrationError("non-nested filtration")
-        v = 0
-        while q % p == 0:
-            q //= p
-            v += 1
-        if q != 1:
+        v = vp(q, p)
+        if q != p ** v:
             raise FiltrationError("quotient order is not a p-power")
         if v > N - 1:
             raise FiltrationError(
@@ -286,12 +281,7 @@ def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0,
     hist: dict[int, int] = {}
     for i in range(samples):
         M = synthesize(p, N, seed + i, **kw)
-        v = 0
-        n = module_order(M)
-        while n % p == 0:
-            n //= p
-            v += 1
-        d = v - (N - 1)
+        d = vp(module_order(M), p) - (N - 1)
         hist[d] = hist.get(d, 0) + 1
     return {"p": p, "N": N, "samples": samples,
             "histogram": {str(k): hist[k] for k in sorted(hist)}}

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log
+from math import gcd, isqrt, log, prod
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import kronecker
+from .arith import kronecker, vp
 from .quadclass import (
     BSGS_CAP,
     ClassGroupPresentation,
@@ -295,11 +295,7 @@ class ResidueUnits:
 
         # prime-to-p part in the residue field(s)
         Lrad = self._level(1)
-        A = 1
-        o = self.order
-        while o % p == 0:
-            o //= p
-            A *= p
+        A = p ** vp(self.order, p)
         q0 = self.order // A
         self._A, self._q0 = A, q0
 
@@ -435,30 +431,17 @@ def _coprime_rep(f: QuadForm, p: int) -> QuadForm:
     """SL2-equivalent form with positive first coefficient coprime to p."""
     if f.a % p and f.a > 0:
         return f
-    from math import gcd
     for x in range(1, 3 * p + 3):
         for y in range(0, 3 * p + 3):
             if gcd(x, y) != 1:
                 continue
             a2 = f.a * x * x + f.b * x * y + f.c * y * y
             if a2 > 0 and a2 % p:
-                g, u, v = _xgcd(x, y)
+                _, u, v = zlin.xgcd(x, y)
                 # matrix ((x, -v), (y, u)) has det x*u + y*v = 1
                 M = (x, -v, y, u)
                 return _transform(f, M)
     raise PramError(f"no representation coprime to {p} found for {f}")
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t
 
 
 def _transform(f: QuadForm, M) -> QuadForm:
@@ -686,31 +669,16 @@ def tor_report(D, p: int, n_max: int | None = None,
             ray = ray_class_group(d.value, p, n, cd)
             T = _drop_lines(ray.structure, p, r)
             if prev is not None:
-                inc = _vp_int(ray.order, p) - _vp_int(prev.order, p)
+                inc = vp(ray.order, p) - vp(prev.order, p)
                 if inc == r and T == prev_T:
-                    vp = _vp_int(_prod(T), p)
-                    ct = vp * log(p) / log(isqrt_float(abs(d.value)))
+                    v = vp(prod(T), p)
+                    ct = v * log(p) / log(isqrt_float(abs(d.value)))
                     return TorsionReport(d.value, p,
-                                         AbelianGroupStructure(T), vp,
+                                         AbelianGroupStructure(T), v,
                                          w_group(d.value, p), ct, n)
             prev, prev_T = ray, T
         n_max *= 2
     raise PramError(f"torsion did not stabilize for D={d.value}, p={p}")
-
-
-def _vp_int(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def ktilde_index(D, p: int) -> int:
@@ -720,7 +688,7 @@ def ktilde_index(D, p: int) -> int:
     pres = full_imaginary_presentation(d.value)
     cd = _class_data(d.value, p)
     rep = tor_report(d.value, p, class_data=cd)
-    clp = _prod(pres.structure().p_part(p).divisors)
+    clp = prod(pres.structure().p_part(p).divisors)
     num = clp * rep.w_order
     den = rep.tor_structure.order
     if num % den:
@@ -847,7 +815,7 @@ def program_vptor(D: int, p: int, n: int,
     ray = ray_class_group(D, p, n, class_data)
     divs = ray.structure.divisors
     top = divs[0] if divs else 1
-    return _vp_int(ray.order, p) - _vp_int(top, p) - (n - 1)
+    return vp(ray.order, p) - vp(top, p) - (n - 1)
 
 
 def tor_scan(lo: int, hi: int, p: int, n: int | None = None,

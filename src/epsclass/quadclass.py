@@ -22,7 +22,14 @@ import numpy as np
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import FactorBudgetError, factor, is_prime, kronecker, squarefree_core
+from .arith import (
+    FactorBudgetError,
+    factor,
+    is_prime,
+    kronecker,
+    squarefree_core,
+    vp,
+)
 from .quadforms import (
     QuadForm,
     compose,
@@ -188,8 +195,15 @@ def imaginary_presentation(D: int) -> ClassGroupPresentation:
 
 
 def narrow_presentation(D: int) -> ClassGroupPresentation:
-    """Narrow (restricted) class group of real D via cycle classes."""
+    """Narrow (restricted) class group of real D via cycle classes.
+
+    Enumerating the reduced forms costs about D/4 trial divisions, so D
+    above ENUM_CAP raises ClassNumberCapError instead of running on.
+    """
     assert D > 0 and D % 4 in (0, 1)
+    if D > ENUM_CAP:
+        raise ClassNumberCapError(
+            f"D = {D} exceeds the real enumeration cap {ENUM_CAP}")
     forms = reduced_forms_indefinite(D)
     rep_of = {}
     reps = []
@@ -394,14 +408,6 @@ class ScanRecord:
     hp: Optional[int] = None    # emitted p-power for p_exponent scans
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
                     p: int = 0, arrays=None) -> list[ScanRecord]:
     """Local-maxima candidates over fundamental D with lo <= |D| <= hi.
@@ -425,7 +431,7 @@ def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
         elif statistic == "raw":
             stat = h / d ** (eps / 2)
         elif statistic == "p_exponent":
-            hp = p ** _vp(h, p)
+            hp = p ** vp(h, p)
             if hp <= best_hp:
                 continue
             best_hp = hp
@@ -516,7 +522,7 @@ def normic_search(p: int, rho: int, q: int, a_range=None,
             out.append(ScanRecord(d.value, 0, d.ramified_count, 0.0,
                                   is_prime(d.abs), error=str(e)))
             continue
-        hp = p ** _vp(h, p)
+        hp = p ** vp(h, p)
         if hp > best_hp:
             best_hp = hp
             out.append(ScanRecord(d.value, h, d.ramified_count,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .zlin import xgcd
+
 
 @dataclass(frozen=True, order=True)
 class QuadForm:
@@ -40,21 +42,6 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, k, (k - D) // 4)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # (g, u, v): u*a + v*b = g >= 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Dirichlet composition of primitive forms, a > 0 (result not reduced).
 
@@ -70,12 +57,12 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     if a2 % a1 == 0:
         y1, d = 0, a1
     else:
-        d, u, _ = _xgcd(a2, a1)
+        d, u, _ = xgcd(a2, a1)
         y1 = u
     if s % d == 0:
         y2, x2, d1 = -1, 0, d
     else:
-        d1, u, v = _xgcd(s, d)
+        d1, u, v = xgcd(s, d)
         x2, y2 = u, -v
     v1 = a1 // d1
     v2 = a2 // d1

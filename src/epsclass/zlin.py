@@ -3,12 +3,15 @@
 Matrices are lists of rows of Python ints.  Everything here is small
 (presentations of class groups and ray class groups, at most a few dozen
 rows/columns), so Bezout pivoting with exact arithmetic is fine.
+
+Lattice bases are column echelon: `hnf_columns` returns columns whose
+first nonzero rows strictly increase, and `solve_lattice` accepts only
+such a basis, solving by integer forward substitution.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import prod
 
 
 def identity(n: int) -> list[list[int]]:
@@ -44,7 +47,7 @@ def mat_pow(A: list[list[int]], e: int) -> list[list[int]]:
     return R
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
     # returns (g, u, v) with u*a + v*b = g >= 0
     old_r, r = a, b
     old_s, s = 1, 0
@@ -73,7 +76,7 @@ def _col_bezout(A: list[list[int]], j1: int, j2: int, row: int) -> None:
         for r in A:
             r[j2] -= q * r[j1]
         return
-    g, u, v = _xgcd(a, b)
+    g, u, v = xgcd(a, b)
     p, q = a // g, b // g
     for r in A:
         x, y = r[j1], r[j2]
@@ -92,7 +95,7 @@ def _row_bezout(A: list[list[int]], i1: int, i2: int, col: int) -> None:
         q = b // a
         A[i2] = [y - q * x for x, y in zip(A[i1], A[i2])]
         return
-    g, u, v = _xgcd(a, b)
+    g, u, v = xgcd(a, b)
     p, q = a // g, b // g
     r1, r2 = A[i1], A[i2]
     A[i1] = [u * x + v * y for x, y in zip(r1, r2)]
@@ -102,8 +105,9 @@ def _row_bezout(A: list[list[int]], i1: int, i2: int, col: int) -> None:
 def hnf_columns(M: list[list[int]]) -> list[list[int]]:
     """Column-style Hermite form: basis of the column lattice of M.
 
-    Returns a matrix whose columns are a triangular basis (zero columns
-    dropped); rows are the ambient coordinates.
+    Returns a matrix whose columns are a column echelon basis: the first
+    nonzero rows of the columns strictly increase, pivots are positive,
+    and zero columns are dropped.  Rows are the ambient coordinates.
     """
     if not M:
         return []
@@ -223,39 +227,32 @@ def presentation_divisors(relations: list[list[int]], ngens: int) -> list[int]:
 
 def lattice_index(relations: list[list[int]], ngens: int) -> int:
     """Order of Z^ngens / column-lattice(relations)."""
-    out = 1
-    for d in presentation_divisors(relations, ngens):
-        out *= d
-    return out
+    return prod(presentation_divisors(relations, ngens))
 
 
 def solve_lattice(B: list[list[int]], v: list[int]) -> list[int] | None:
-    """Solve B x = v in integers (columns of B independent), else None."""
-    cols = len(B[0]) if B and B[0] else 0
-    if cols == 0:
-        return [] if all(c == 0 for c in v) else None
+    """Solve B x = v in integers, else None.
+
+    B must be column echelon, as `hnf_columns` returns it: the first
+    nonzero rows of its columns strictly increase.  Raises ValueError
+    otherwise.  Each pivot fixes one coordinate by exact division.
+    """
     rows = len(B)
-    A = [[Fraction(B[i][j]) for j in range(cols)] + [Fraction(v[i])]
-         for i in range(rows)]
-    r = 0
+    cols = len(B[0]) if B and B[0] else 0
     pivots = []
     for j in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][j]), None)
-        if piv is None:
+        r = next((i for i in range(rows) if B[i][j]), None)
+        if r is None or (pivots and r <= pivots[-1]):
+            raise ValueError("solve_lattice needs a column echelon basis")
+        pivots.append(r)
+    res = list(v)
+    x = []
+    for j, r in enumerate(pivots):
+        q, rem = divmod(res[r], B[r][j])
+        if rem:
             return None
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(rows):
-            if i != r and A[i][j]:
-                f = A[i][j] / A[r][j]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append((r, j))
-        r += 1
-    for i in range(r, rows):
-        if A[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, j in pivots:
-        x[j] = A[i][cols] / A[i][j]
-    if any(f.denominator != 1 for f in x):
-        return None
-    return [int(f) for f in x]
+        if q:
+            for i in range(r, rows):
+                res[i] -= q * B[i][j]
+        x.append(q)
+    return None if any(res) else x

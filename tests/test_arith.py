@@ -13,6 +13,7 @@ from epsclass.arith import (
     pi_class_count,
     primes_in_class,
     squarefree_core,
+    vp,
 )
 
 
@@ -144,3 +145,13 @@ def test_mv_bounds_small():
     assert r.holds
     r = mv_bounds_hold(100, 7)
     assert r.holds
+
+
+def test_vp():
+    assert vp(1, 2) == 0 and vp(-24, 2) == 3 and vp(3 ** 40 * 7, 3) == 40
+    for n in range(1, 300):
+        for p in (2, 3, 5):
+            v = vp(n, p)
+            assert n % p ** v == 0 and n % p ** (v + 1)
+    with pytest.raises(ValueError):
+        vp(0, 2)

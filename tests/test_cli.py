@@ -182,6 +182,11 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("# epsclass ") and text.endswith("3,19\n")
 
 
+def test_tor_family_beyond_enumeration_cap_exits_3(capsys):
+    code, out = run(["tor-family", "--p", "2", "--count", "10"], capsys)
+    assert code == 3 and out == ""
+
+
 def test_budget_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise ClassNumberCapError("cap")

@@ -4,7 +4,7 @@ from math import exp, inf, lgamma, log
 import pytest
 
 from epsclass import epsanalysis as ea
-from epsclass import pram
+from epsclass import pram, quadclass
 from epsclass.arith import primes_in_class
 
 
@@ -124,6 +124,20 @@ def test_envelope_report():
         assert abs(row.c_value - rec.cp) < 1e-12
     assert rep.rows[-1].running_max == rep.log_c
     assert rep.log_c == max(r.log_excess for r in rep.rows)
+
+
+def test_envelope_report_on_p_exponent_scan():
+    recs = quadclass.scan_local_maxima(10 ** 4, "p_exponent", p=2)
+    assert recs and all(r.d < 0 for r in recs)
+    rep = ea.envelope_report(recs, 2, 0.1)
+    assert len(rep.rows) == len(recs)
+    for row, rec in zip(rep.rows, recs):
+        assert row.d == -rec.d and row.quantity == rec.hp
+        assert abs(row.c_value - rec.stat) < 1e-12
+    assert rep.log_c == max(r.log_excess for r in rep.rows)
+    genus = quadclass.scan_local_maxima(10 ** 4, "genus_normalized", eps=0.1)
+    with pytest.raises(ValueError, match="p_exponent"):
+        ea.envelope_report(genus, 2, 0.1)
 
 
 def test_bound_params():

@@ -167,6 +167,13 @@ def test_bsgs_cap():
         qc.class_number_bsgs(-(10 ** 14 + 3))
 
 
+def test_narrow_enumeration_cap():
+    # m_10 of the odd-primorial family; enumerating would take ~2.5e10 steps
+    for D in (100280245065, qc.ENUM_CAP + 1):
+        with pytest.raises(qc.ClassNumberCapError):
+            qc.narrow_presentation(D)
+
+
 def test_normic_search_desk_scale():
     recs = qc.normic_search(2, 3, 2)
     assert recs

@@ -1,4 +1,9 @@
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsclass import zlin
 from epsclass.abgroup import AbelianGroupStructure
@@ -28,7 +33,6 @@ def test_smith_diagonal_random_det_invariant():
 
 
 def _det(M):
-    from fractions import Fraction
     n = len(M)
     A = [[Fraction(x) for x in row] for row in M]
     det = Fraction(1)
@@ -97,3 +101,81 @@ def test_presentation_divisors():
 def test_mat_pow():
     A = [[0, -1], [1, -1]]  # order 3
     assert zlin.mat_pow(A, 3) == zlin.identity(2)
+
+
+def _solve_fraction(B, v):
+    """Reference: Gaussian elimination over Q for any B of full column rank."""
+    cols = len(B[0]) if B and B[0] else 0
+    if cols == 0:
+        return [] if not any(v) else None
+    rows = len(B)
+    A = [[Fraction(x) for x in B[i]] + [Fraction(v[i])] for i in range(rows)]
+    r = 0
+    pivots = []
+    for j in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][j]), None)
+        if piv is None:
+            return None
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(rows):
+            if i != r and A[i][j]:
+                f = A[i][j] / A[r][j]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append((r, j))
+        r += 1
+    if any(A[i][cols] for i in range(r, rows)):
+        return None
+    x = [A[i][cols] / A[i][j] for i, j in pivots]
+    if any(f.denominator != 1 for f in x):
+        return None
+    return [int(f) for f in x]
+
+
+@st.composite
+def _small_matrix(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+@given(_small_matrix(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_lattice_matches_fraction_reference(M, data):
+    H = zlin.hnf_columns(M)
+    rows = len(M)
+    ncols = len(H[0]) if H and H[0] else 0
+    pivots = [next(i for i in range(rows) if H[i][j]) for j in range(ncols)]
+    coef = st.integers(-20, 20)
+    a = data.draw(st.lists(coef, min_size=ncols, max_size=ncols))
+    Ha = [sum(H[i][j] * a[j] for j in range(ncols)) for i in range(rows)]
+    # solvable: the unique solution comes back
+    assert zlin.solve_lattice(H, Ha) == _solve_fraction(H, Ha) == a
+    # one more at the row of a pivot above 1 gives x_j a fractional part
+    for j, r in enumerate(pivots):
+        if H[r][j] > 1:
+            v = list(Ha)
+            v[r] += 1
+            assert zlin.solve_lattice(H, v) is None
+            assert _solve_fraction(H, v) is None
+    # outside the span: a unit vector at a row that carries no pivot
+    for i in set(range(rows)) - set(pivots):
+        v = list(Ha)
+        v[i] += 1
+        assert zlin.solve_lattice(H, v) is None
+        assert _solve_fraction(H, v) is None
+    w = data.draw(st.lists(coef, min_size=rows, max_size=rows))
+    assert zlin.solve_lattice(H, w) == _solve_fraction(H, w)
+
+
+def test_solve_lattice_rejects_non_echelon_basis():
+    for B in ([[0, 1], [1, 0]],      # pivot rows decrease
+              [[1, 1], [0, 1]],      # two columns share a pivot row
+              [[1, 0], [0, 0]]):     # zero column
+        with pytest.raises(ValueError):
+            zlin.solve_lattice(B, [1, 1])
+    assert zlin.solve_lattice([[2, 0], [1, 3]], [4, 5]) == [2, 1]
+    assert zlin.solve_lattice([[2, 0], [1, 3]], [4, 4]) is None
+    assert zlin.solve_lattice([[], []], [0, 0]) == []
+    assert zlin.solve_lattice([[], []], [0, 1]) is None
