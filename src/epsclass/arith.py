@@ -212,7 +212,38 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _prime_sieve(limit: int) -> np.ndarray:
+def sqrt_mod_prime(n: int, q: int) -> int:
+    """A square root of n mod the odd prime q (Tonelli-Shanks); n must be
+    a quadratic residue mod q."""
+    n %= q
+    if q % 4 == 3:
+        return pow(n, (q + 1) // 4, q)
+    s, e = q - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    x = pow(n, (s + 1) // 2, q)
+    b = pow(n, s, q)
+    g = pow(z, s, q)
+    r = e
+    while b != 1:
+        t, m = b, 0
+        while t != 1:
+            t = t * t % q
+            m += 1
+        gs = pow(g, 1 << (r - m - 1), q)
+        x = x * gs % q
+        g = gs * gs % q
+        b = b * g % q
+        r = m
+    return x
+
+
+def prime_sieve(limit: int) -> np.ndarray:
+    """isp[n] true iff n is prime, for 0 <= n <= limit."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, isqrt(limit) + 1):
@@ -230,7 +261,7 @@ def primes_in_class(p: int, count: int) -> PrimeClassSequence:
     # grow the sieve until enough primes are found
     limit = max(1000, 4 * p * count * max(1, int(log(max(p * count, 3))) + 1))
     while True:
-        sieve = _prime_sieve(limit)
+        sieve = prime_sieve(limit)
         idx = np.flatnonzero(sieve)
         if p == 2:
             sel = idx[idx >= 3]
@@ -247,7 +278,7 @@ def pi_class_count(x: int, p: int) -> int:
     """#{l <= x prime : l = 1 mod p} (for p = 2: odd primes <= x)."""
     if x < 2:
         return 0
-    sieve = _prime_sieve(x)
+    sieve = prime_sieve(x)
     idx = np.flatnonzero(sieve)
     if p == 2:
         return int(np.count_nonzero(idx >= 3))

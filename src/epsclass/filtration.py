@@ -208,7 +208,7 @@ def order_identity_check(result: FiltrationResult) -> bool:
 def from_quadratic(D) -> tuple[FinitePModule, int]:
     """(2-part of the restricted class group with sigma = inversion, N)."""
     from . import quadclass
-    d = quadclass._as_disc(D)
+    d = quadclass.as_disc(D)
     g = (quadclass.class_group_imaginary(d) if d.value < 0
          else quadclass.narrow_class_group_real(d))
     two = g.p_part(2)

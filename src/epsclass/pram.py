@@ -16,19 +16,17 @@ from math import gcd, isqrt, log, prod
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import kronecker, vp
+from .arith import kronecker, sqrt_mod_prime, vp
 from .quadclass import (
     BSGS_CAP,
     ClassGroupPresentation,
     ClassNumberCapError,
-    _as_disc,
-    _odd_primes,
-    class_number_bsgs,
+    as_disc,
+    bsgs_presentation,
     imaginary_presentation,
     isqrt_float,
     narrow_presentation,
     ordinary_class_group_real,
-    prime_form,
     ramified_principal_form,
 )
 from .quadforms import QuadElt, QuadForm, TrackedIdeal, reduce_imaginary
@@ -39,7 +37,7 @@ class PramError(RuntimeError):
 
 
 def splitting_type(D, p: int) -> str:
-    d = _as_disc(D)
+    d = as_disc(D)
     k = kronecker(d.value, p)
     return {1: "split", -1: "inert", 0: "ramified"}[k]
 
@@ -394,7 +392,7 @@ class ResidueUnits:
 
 
 def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
-    d = _as_disc(D)
+    d = as_disc(D)
     return ResidueUnits(d.value, p, n).structure
 
 
@@ -476,16 +474,7 @@ def full_imaginary_presentation(D: int,
     """Presentation of the full imaginary class group (BSGS when viable)."""
     if -D <= 4 * 10 ** 5:
         return imaginary_presentation(D)
-    h, pres = class_number_bsgs(D, bsgs_cap)
-    for q in _odd_primes():
-        if pres.h == h:
-            return pres
-        if q > 10 ** 5:
-            raise ClassNumberCapError("structure generators exhausted")
-        f = prime_form(D, q)
-        if f is not None and f not in pres.dlog_table:
-            pres.adjoin(f)
-    return pres
+    return bsgs_presentation(D, bsgs_cap)
 
 
 @dataclass
@@ -525,7 +514,7 @@ def _class_data(D: int, p: int) -> _ClassData:
             units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
     else:
         pres = narrow_presentation(D)
-        h_ord = ordinary_class_group_real(_as_disc(D)).order
+        h_ord = ordinary_class_group_real(as_disc(D)).order
         m = _radicand(D)
         x, y, _ = fundamental_unit(m)
         if D % 4 == 0:
@@ -574,7 +563,7 @@ class RayClassGroup:
 
 def ray_class_group(D, p: int, n: int,
                     class_data: _ClassData | None = None) -> RayClassGroup:
-    d = _as_disc(D)
+    d = as_disc(D)
     cd = class_data or _class_data(d.value, p)
     if n == 0:
         st = cd.pres.structure() if d.value < 0 else \
@@ -643,7 +632,7 @@ def _default_nmax(p: int) -> int:
 
 
 def w_group(D, p: int) -> int:
-    d = _as_disc(D)
+    d = as_disc(D)
     m = _radicand(d.value)
     if p == 2:
         return 2 if m % 2 == 1 and m % 8 in (1, 7) else 1
@@ -658,7 +647,7 @@ def w_group(D, p: int) -> int:
 
 def tor_report(D, p: int, n_max: int | None = None,
                class_data: _ClassData | None = None) -> TorsionReport:
-    d = _as_disc(D)
+    d = as_disc(D)
     r = 2 if d.value < 0 else 1
     cd = class_data or _class_data(d.value, p)
     n_max = n_max or _default_nmax(p)
@@ -683,7 +672,7 @@ def tor_report(D, p: int, n_max: int | None = None,
 
 def ktilde_index(D, p: int) -> int:
     """[K~ cap H : K] = #Cl_p * #W / #T for imaginary D."""
-    d = _as_disc(D)
+    d = as_disc(D)
     assert d.value < 0
     pres = full_imaginary_presentation(d.value)
     cd = _class_data(d.value, p)
@@ -706,8 +695,7 @@ def prime_over(D: int, p: int) -> QuadForm | None:
     if st == "split":
         if p == 2:
             return QuadForm(2, 1, (1 - D) // 8)
-        from .quadclass import _sqrt_mod_prime
-        b = _sqrt_mod_prime(D % p, p)
+        b = sqrt_mod_prime(D, p)
         if (b - D) % 2:
             b += p
         return QuadForm(p, b, (b * b - D) // (4 * p))
@@ -730,7 +718,7 @@ class SClassGroup:
 
 
 def s_class_group(D, p: int) -> SClassGroup:
-    d = _as_disc(D)
+    d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
     pres = full_imaginary_presentation(d.value)
     st = splitting_type(d.value, p)
@@ -751,7 +739,7 @@ def s_class_group(D, p: int) -> SClassGroup:
 
 def reflection_check(D, p: int = 2) -> bool:
     """rk_p(T^ord) = rk_p(Cl^{S,res}) + #S - 1 (imaginary, mu_p in K)."""
-    d = _as_disc(D)
+    d = as_disc(D)
     s = s_class_group(d.value, p)
     rep = tor_report(d.value, p)
     return rep.tor_structure.p_rank(p) == \
@@ -770,7 +758,7 @@ class RankReport:
 
 
 def rank_inequalities(D, p: int) -> RankReport:
-    d = _as_disc(D)
+    d = as_disc(D)
     if d.value < 0:
         r1, r2 = 0, 1
         cl = full_imaginary_presentation(d.value).structure()

@@ -15,6 +15,7 @@ discrete-log dictionary (reused for ray class groups).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, log, pi
 from typing import Callable, Iterable, Optional
 
@@ -27,6 +28,8 @@ from .arith import (
     factor,
     is_prime,
     kronecker,
+    prime_sieve,
+    sqrt_mod_prime,
     squarefree_core,
     vp,
 )
@@ -86,7 +89,7 @@ def discriminant_from_value(D: int) -> Discriminant:
     return d
 
 
-def _as_disc(x) -> Discriminant:
+def as_disc(x) -> Discriminant:
     return x if isinstance(x, Discriminant) else discriminant_from_value(x)
 
 
@@ -252,21 +255,21 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 def class_group_imaginary(D, enum_cap: int = ENUM_CAP,
                           bsgs_cap: int = BSGS_CAP) -> AbelianGroupStructure:
-    d = _as_disc(D)
+    d = as_disc(D)
     assert d.value < 0
     if d.abs <= enum_cap:
         return imaginary_presentation(d.value).structure()
-    return _class_group_bsgs(d.value, bsgs_cap)
+    return bsgs_presentation(d.value, bsgs_cap).structure()
 
 
 def narrow_class_group_real(D) -> AbelianGroupStructure:
-    d = _as_disc(D)
+    d = as_disc(D)
     assert d.value > 0
     return narrow_presentation(d.value).structure()
 
 
 def ordinary_class_group_real(D) -> AbelianGroupStructure:
-    d = _as_disc(D)
+    d = as_disc(D)
     assert d.value > 0
     pres = narrow_presentation(d.value)
     extra = list(pres.dlog(ramified_principal_form(d.value)))
@@ -285,7 +288,7 @@ def p_part(g: AbelianGroupStructure, p: int) -> AbelianGroupStructure:
 def genus_delta(D) -> tuple[int, int]:
     """(N, Delta) with Delta = v_2(h_restricted) - (N-1); asserts the genus
     rigidity rk_2 = N - 1."""
-    d = _as_disc(D)
+    d = as_disc(D)
     g = class_group_imaginary(d) if d.value < 0 else narrow_class_group_real(d)
     N = d.ramified_count
     assert g.p_rank(2) == N - 1, (d.value, g.divisors, N)
@@ -295,7 +298,7 @@ def genus_delta(D) -> tuple[int, int]:
 def c_kp(h_p: int, D) -> float:
     if h_p == 1:
         return 0.0
-    d = _as_disc(D)
+    d = as_disc(D)
     return log(h_p) / log(isqrt_float(d.abs))
 
 
@@ -384,13 +387,8 @@ def batch_ambiguous_counts(X: int) -> np.ndarray:
     return amb
 
 
-def batch_prime(X: int) -> np.ndarray:
-    isp = np.ones(X + 1, dtype=bool)
-    isp[:2] = False
-    for p in range(2, isqrt(X) + 1):
-        if isp[p]:
-            isp[p * p:: p] = False
-    return isp
+# the batch-sieve name of arith.prime_sieve, under which perfbench traces it
+batch_prime = prime_sieve
 
 
 # ------------------------------------------------------------------- scans
@@ -465,7 +463,7 @@ def merge_maxima(shards: list[list[ScanRecord]], statistic: str) -> list[ScanRec
 
 def scan_arrays(X: int):
     return (batch_class_numbers_imaginary(X), batch_fundamental_imaginary(X),
-            batch_omega(X), batch_prime(X))
+            batch_omega(X), prime_sieve(X))
 
 
 def scan_local_maxima(max_abs_d: int, statistic: str, eps: float = 0.0,
@@ -533,56 +531,58 @@ def normic_search(p: int, rho: int, q: int, a_range=None,
 
 # ------------------------------------------------- BSGS above the enum cap
 
-def _sqrt_mod_prime(n: int, q: int) -> int:
-    # Tonelli-Shanks; q odd prime, n a QR mod q
-    n %= q
-    if q % 4 == 3:
-        return pow(n, (q + 1) // 4, q)
-    s, e = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
-    x = pow(n, (s + 1) // 2, q)
-    b = pow(n, s, q)
-    g = pow(z, s, q)
-    r = e
-    while b != 1:
-        t, m = b, 0
-        while t != 1:
-            t = t * t % q
-            m += 1
-        gs = pow(g, 1 << (r - m - 1), q)
-        x = x * gs % q
-        g = gs * gs % q
-        b = b * g % q
-        r = m
-    return x
-
-
 def prime_form(D: int, q: int) -> Optional[QuadForm]:
     """Reduced form above a split odd prime q, or None."""
     if q == 2 or kronecker(D, q) != 1:
         return None
-    b = _sqrt_mod_prime(D, q)
+    b = sqrt_mod_prime(D, q)
     if (b - D) % 2:
         b = q - b  # flip parity: q odd
     assert (b * b - D) % (4 * q) == 0
     return reduce_imaginary(QuadForm(q, b, (b * b - D) // (4 * q)))
 
 
+@lru_cache(maxsize=1)
+def _euler_table(prime_bound: int):
+    """(q, bits, lift): the primes up to prime_bound in ascending order
+    (2 first) as int64, the bits of their exponents (q - 1)/2 from the
+    lowest up, and lift[i] = -log(1 - k/q) for k = 1 (row 0) and
+    k = -1 (row 1).  Read-only: every caller shares them."""
+    q = np.flatnonzero(prime_sieve(prime_bound)).astype(np.int64)
+    e = (q - 1) // 2
+    bits = [(e >> b) & 1 == 1 for b in range(int(e[-1]).bit_length())]
+    # one Python float at a time: a list of them would raise the peak RSS
+    lift = np.array([np.fromiter((-log(1.0 - k / p) for p in map(int, q)),
+                                 float, len(q)) for k in (1, -1)])
+    for a in (q, lift, *bits):
+        a.flags.writeable = False
+    return q, bits, lift
+
+
 def _euler_estimate(D: int, prime_bound: int = 1 << 16) -> float:
-    """h(D) for D < -4 via the truncated L(1, chi_D) Euler product."""
-    isp = batch_prime(prime_bound)
-    primes = np.flatnonzero(isp)
-    acc = 0.0
-    for q in primes:
-        q = int(q)
-        k = kronecker(D, q)
-        if k:
-            acc -= log(1.0 - k / q)
+    """h(D) for D < -4 via the truncated L(1, chi_D) Euler product.
+
+    D must fit in int64; class_number_bsgs checks |D| <= BSGS_CAP < 2^63
+    before it gets here.  Legendre symbols come from Euler's criterion
+    r^((q-1)/2) mod q, with r = D mod q < 2^16 at the default bound, so
+    every product stays below 2^32.  np.add.accumulate adds the terms one
+    by one in ascending q (np.sum would add pairwise) and a term 0.0 for
+    q | D leaves the sum as it is, so the float is the same as a loop's.
+    """
+    q, bits, lift = _euler_table(prime_bound)
+    r = np.int64(D) % q
+    leg = np.ones_like(q)
+    base = r
+    for bit in bits:
+        leg = np.where(bit, leg * base % q, leg)
+        base = base * base % q
+    terms = np.where(leg == 1, lift[0], lift[1])
+    terms[r == 0] = 0.0
+    # q = 2 (exponent 0, so leg = 1): (D/2) is 0 for even D, else 1 for
+    # D = +-1 mod 8 and -1 for D = +-3 mod 8
+    if D % 8 in (3, 5):
+        terms[0] = lift[1, 0]
+    acc = np.add.accumulate(terms)[-1]
     return isqrt_float(-D) / pi * np.exp(acc)
 
 
@@ -629,6 +629,7 @@ def class_number_bsgs(D: int, bsgs_cap: int = BSGS_CAP,
     """(h, presentation of the generated subgroup) for imaginary D below
     the BSGS cap.  GRH-quality: relies on the truncated Euler product
     bracketing h within the window factor."""
+    # also keeps D inside int64 for _euler_estimate (BSGS_CAP < 2^63)
     if -D > bsgs_cap:
         raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {bsgs_cap}")
     est = _euler_estimate(D)
@@ -668,15 +669,17 @@ def _odd_primes():
         q += 2
 
 
-def _class_group_bsgs(D: int, bsgs_cap: int) -> AbelianGroupStructure:
+def bsgs_presentation(D: int,
+                      bsgs_cap: int = BSGS_CAP) -> ClassGroupPresentation:
+    """Presentation of the whole class group of imaginary D by BSGS
+    (GRH-conditional): h from class_number_bsgs, then prime forms are
+    adjoined until the generated subgroup has order h."""
     h, pres = class_number_bsgs(D, bsgs_cap)
-    # grow the generated subgroup until it fills the whole group
     for q in _odd_primes():
         if pres.h == h:
-            break
+            return pres
         if q > 10 ** 5:
             raise ClassNumberCapError("structure generators exhausted")
         f = prime_form(D, q)
         if f is not None and f not in pres.dlog_table:
             pres.adjoin(f)
-    return pres.structure()

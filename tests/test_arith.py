@@ -11,7 +11,9 @@ from epsclass.arith import (
     kronecker,
     mv_bounds_hold,
     pi_class_count,
+    prime_sieve,
     primes_in_class,
+    sqrt_mod_prime,
     squarefree_core,
     vp,
 )
@@ -114,6 +116,21 @@ def test_kronecker_special_cases():
         m = rng.randrange(1, 40)
         n = rng.randrange(1, 40)
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def test_prime_sieve_matches_is_prime():
+    isp = prime_sieve(5000)
+    assert [n for n in range(5001) if isp[n]] == \
+        [n for n in range(5001) if trial_is_prime(n)]
+
+
+def test_sqrt_mod_prime():
+    # q = 3 mod 4 takes one power, q = 1 mod 8 the full Tonelli-Shanks loop
+    for q in (3, 7, 13, 17, 41, 65521, 999999937):
+        for n in range(-40, 40):
+            if kronecker(n, q) == 1:
+                x = sqrt_mod_prime(n, q)
+                assert 0 <= x < q and (x * x - n) % q == 0, (n, q)
 
 
 def test_primes_in_class():

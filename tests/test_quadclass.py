@@ -1,10 +1,29 @@
 import random
+from math import log, pi
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
+from epsclass.arith import kronecker, prime_sieve
 from epsclass.quadforms import reduced_forms_imaginary
+
+
+def _fundamental_sample(rng, lo, hi, count):
+    """`count` fundamental D < 0 with lo <= |D| <= hi, drawn by rng."""
+    out = []
+    while len(out) < count:
+        d = rng.randrange(lo, hi + 1)
+        if d % 4 not in (0, 3):
+            continue
+        try:
+            out.append(qc.discriminant_from_value(-d).value)
+        except ValueError:
+            pass
+    return out
 
 
 def test_fundamental_discriminant():
@@ -140,19 +159,15 @@ def test_prime_disc_report():
 
 
 def test_bsgs_agrees_with_enumeration():
+    # 60 of the 80 fields lie above 4e5, where pram builds by BSGS
     rng = random.Random(4)
-    checked = 0
-    while checked < 15:
-        d = rng.randrange(10 ** 5, 3 * 10 ** 5)
-        try:
-            disc = qc.fundamental_discriminant(-d if d % 4 == 3 else -d * 4
-                                               if d % 4 in (1, 2) else 0)
-        except ValueError:
-            continue
-        h_enum = len(reduced_forms_imaginary(disc.value))
-        h_bsgs, _ = qc.class_number_bsgs(disc.value)
-        assert h_bsgs == h_enum, disc.value
-        checked += 1
+    Ds = (_fundamental_sample(rng, 10 ** 5, 4 * 10 ** 5, 20)
+          + _fundamental_sample(rng, 4 * 10 ** 5, 2 * 10 ** 6, 60))
+    for D in Ds:
+        enum = qc.imaginary_presentation(D)
+        bsgs = qc.bsgs_presentation(D)   # reaches h from class_number_bsgs
+        assert bsgs.h == enum.h, D
+        assert bsgs.structure().divisors == enum.structure().divisors, D
 
 
 def test_bsgs_structure_matches_enumeration():
@@ -209,3 +224,50 @@ def test_composition_group_laws_sampled():
         assert ab == ba
         assert reduce_imaginary(compose(ab, h)) == \
             reduce_imaginary(compose(f, reduce_imaginary(compose(g, h))))
+
+
+def _euler_estimate_loop(D, prime_bound=1 << 16):
+    # the scalar Euler product, one Kronecker symbol per prime, in order
+    primes = np.flatnonzero(prime_sieve(prime_bound))
+    acc = 0.0
+    for q in primes:
+        q = int(q)
+        k = kronecker(D, q)
+        if k:
+            acc -= log(1.0 - k / q)
+    return qc.isqrt_float(-D) / pi * np.exp(acc)
+
+
+@given(st.integers(min_value=5, max_value=10 ** 13))
+@settings(max_examples=150, deadline=None)
+def test_euler_estimate_matches_loop_bit_for_bit(d):
+    assume(d % 4 in (0, 3))
+    try:
+        D = qc.discriminant_from_value(-d).value
+    except ValueError:
+        assume(False)
+    assert qc._euler_estimate(D) == _euler_estimate_loop(D)
+
+
+@pytest.mark.parametrize("D", [
+    -8, -20, -24, -4 * 999999999989,        # even D
+    -7, -15, -999999999991,                 # D = 1 mod 8
+    -11, -19, -9999999999971,               # D = 5 mod 8
+    -3 * 65521, -4 * 65521, -8 * 65521 * 7, -65521 * 152587819,  # 65521 | D
+])
+def test_euler_estimate_matches_loop_cases(D):
+    assert qc.discriminant_from_value(D).value == D
+    assert qc._euler_estimate(D) == _euler_estimate_loop(D)
+
+
+def test_euler_window_audit():
+    # est/h on 300 fields where pram uses BSGS, against a stated margin of
+    # 1.05 well inside the BSGS window factor 1.35
+    Ds = _fundamental_sample(random.Random(11), 4 * 10 ** 5, 3 * 10 ** 6, 300)
+    ratios = [qc._euler_estimate(D) / len(reduced_forms_imaginary(D))
+              for D in Ds]
+    assert 1 / 1.05 <= min(ratios) and max(ratios) <= 1.05
+
+
+def test_one_prime_sieve():
+    assert qc.batch_prime is prime_sieve
