@@ -224,7 +224,7 @@ def cmd_reflection_check(args) -> int:
     rows = []
     bad = 0
     for d in range(3, args.max_d + 1):
-        if not pram._fundamental_neg(d):
+        if not pram.is_fundamental_neg(d):
             continue
         ok = pram.reflection_check(-d, args.p)
         bad += not ok

@@ -787,7 +787,8 @@ class TorRecord:
     error: str | None = None
 
 
-def _fundamental_neg(d: int) -> bool:
+def is_fundamental_neg(d: int) -> bool:
+    """True when -d (d > 0) is a fundamental discriminant."""
     from .arith import is_squarefree
     if d % 4 == 3:
         return is_squarefree(d)
@@ -814,7 +815,7 @@ def tor_scan(lo: int, hi: int, p: int, n: int | None = None,
     out = []
     vp_max = 0
     for d in range(lo, hi + 1):
-        if not _fundamental_neg(d):
+        if not is_fundamental_neg(d):
             continue
         D = -d
         m = _radicand(D)

@@ -74,11 +74,13 @@ def fundamental_discriminant(m: int) -> Discriminant:
     """Fundamental discriminant of Q(sqrt(m)) for squarefree m."""
     if m in (0, 1):
         raise ValueError("m must define a quadratic field")
-    core, cof = squarefree_core(m)
-    if cof != 1:
+    fac = factor(abs(m))
+    if any(e > 1 for _, e in fac.factors):
         raise ValueError(f"m = {m} is not squarefree")
-    D = m if m % 4 == 1 else 4 * m
-    return Discriminant(D, m, factor(abs(D)).omega())
+    if m % 4 == 1:
+        return Discriminant(m, m, fac.omega())
+    # D = 4m: 2 divides D even when it does not divide m
+    return Discriminant(4 * m, m, fac.omega() + m % 2)
 
 
 def discriminant_from_value(D: int) -> Discriminant:

@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
+
+import numpy as np
 
 from .zlin import xgcd
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(NamedTuple):
+    """The form a x^2 + b xy + c y^2; ordered, hashed and compared as (a, b, c)."""
     a: int
     b: int
     c: int
@@ -98,22 +101,70 @@ def reduce_imaginary(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
+# |D| up to this keeps b^2 + |D| (b^2 <= |D|/3) and every product below
+# 2^63, so the enumeration runs exactly in int64.
+ENUM_INT64_LIMIT = 2 ** 62
+# Pairs (b, a) per numpy pass, and b values per block: bounds every
+# temporary array independently of |D|.
+_ENUM_BLOCK = 1 << 14
+
+
+def _isqrt_int64(M: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(M)) of int64 values 0 <= M < 2^62."""
+    # above 2^52 float(M) may round across a square, so the float root is
+    # off by at most 1; a correctly rounded sqrt errs upwards only
+    r = np.sqrt(M).astype(np.int64)
+    r -= r * r > M
+    r += (r + 1) * (r + 1) <= M
+    return r
+
+
 def reduced_forms_imaginary(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D < 0 (one per class)."""
-    out = []
+    """All primitive reduced forms of discriminant D < 0 (one per class).
+
+    The candidates are the pairs (b, a) with b = |D| mod 2, ..., isqrt(|D|/3)
+    in steps of 2 and max(b, 1) <= a <= isqrt((b^2 + |D|)/4); a pair is a
+    form when a divides (b^2 + |D|)/4 = a c and gcd(a, b, c) = 1.  The forms
+    come out with b ascending, then a ascending, and (a, -b, c) right after
+    (a, b, c) when 0 < b < a < c.  |D| above ENUM_INT64_LIMIT = 2^62 raises
+    ValueError (int64 arithmetic would overflow; enumeration is infeasible
+    far below that anyway).
+    """
     absD = -D
+    if absD > ENUM_INT64_LIMIT:
+        raise ValueError(f"|D| = {absD} exceeds the int64 enumeration bound "
+                         f"{ENUM_INT64_LIMIT}")
     bmax = isqrt(absD // 3)
-    for b in range(absD & 1, bmax + 1, 2):
+    out: list[QuadForm] = []
+    for b0 in range(absD & 1, bmax + 1, 2 * _ENUM_BLOCK):
+        b = np.arange(b0, min(b0 + 2 * _ENUM_BLOCK, bmax + 1), 2,
+                      dtype=np.int64)
         M = (b * b + absD) // 4
-        a = max(b, 1)
-        while a * a <= M:
-            if M % a == 0:
-                c = M // a
-                if gcd(gcd(a, b), c) == 1:
-                    out.append(QuadForm(a, b, c))
-                    if 0 < b < a < c:
-                        out.append(QuadForm(a, -b, c))
-            a += 1
+        lo = np.maximum(b, 1)
+        count = _isqrt_int64(M) - lo + 1       # pairs (b[k], a) per b[k]
+        end = np.cumsum(count)                 # b[k]'s pairs are numbered
+        start = end - count                    # start[k] .. end[k] - 1
+        off = start - lo                       # pair number - a
+        total = int(end[-1])
+        for s in range(0, total, _ENUM_BLOCK):
+            e = min(s + _ENUM_BLOCK, total)
+            j0 = int(np.searchsorted(end, s, "right"))
+            j1 = int(np.searchsorted(start, e, "left"))
+            n = np.minimum(end[j0:j1], e) - np.maximum(start[j0:j1], s)
+            pos = np.arange(s, e)
+            a = pos - np.repeat(off[j0:j1], n)
+            Mk = np.repeat(M[j0:j1], n)
+            hit = np.flatnonzero(Mk % a == 0)
+            a, Mk = a[hit], Mk[hit]
+            bk = b[np.searchsorted(end, pos[hit], "right")]
+            c = Mk // a
+            keep = np.gcd(np.gcd(a, bk), c) == 1
+            a, bk, c = a[keep], bk[keep], c[keep]
+            twin = (bk > 0) & (bk < a) & (a < c)
+            rep = 1 + twin
+            a, bk, c = np.repeat(a, rep), np.repeat(bk, rep), np.repeat(c, rep)
+            bk[np.cumsum(rep)[twin] - 1] *= -1
+            out.extend(map(QuadForm, a.tolist(), bk.tolist(), c.tolist()))
     return out
 
 

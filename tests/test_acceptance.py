@@ -213,7 +213,7 @@ def test_criterion_09_torsion_groups():
         stretch = False
         checked = 0
         for d in range(3, 500):
-            if not pram._fundamental_neg(d):
+            if not pram.is_fundamental_neg(d):
                 continue
             assert pram.ktilde_index(-d, 2) >= 1   # raises if not integral
             checked += 1
@@ -227,7 +227,7 @@ def test_criterion_09_torsion_groups():
 def test_criterion_10_reflection_identity():
     checked = 0
     for d in range(3, 10 ** 4 + 1):
-        if not pram._fundamental_neg(d):
+        if not pram.is_fundamental_neg(d):
             continue
         assert pram.reflection_check(-d, 2), -d
         checked += 1

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -193,3 +194,27 @@ def test_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(quadclass, "scan_arrays", boom)
     code, _ = run(["quad-scan", "--stat", "raw", "--max-d", "50"], capsys)
     assert code == 3
+
+
+# sha256 of the full stdout; a change of any byte of these outputs fails
+GOLDEN_STDOUT = [
+    (["normic-search", "--p", "2", "--rho", "1", "--q", "3", "--max-a", "50"],
+     "6e7afa1fc414464d3aa1e3e9d3ab3116f1c6104c98061ebba0d2c4b98129bd1e"),
+    (["reflection-check", "--p", "2", "--max-d", "3000"],
+     "a9c2549388c5eb9637aab2116360095212eb5e00dc6d8ef6b2e18f7e8b84d5cf"),
+    (["tor-family", "--p", "2", "--count", "9"],
+     "8c3da413f7e7e420512d90e9c980267afaaee7c16a12b0cd9ecdaf1e9b8211a0"),
+    (["quad-maxima", "--stat", "genus", "--eps", "0.05", "--max-d", "20000"],
+     "7dddb92db559d1077be59646202d2f55400965b155410f6138c0295e3e484036"),
+    (["tor-scan", "--p", "2", "--min-d", "1000000", "--max-d", "1000200",
+      "--workers", "2"],
+     "425eb0ae2d35b4b94eda75efe2fe8727b28549eb0cb1d08c358edd0c495bb935"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[argv[0] for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(argv, digest, capsys):
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -244,7 +244,7 @@ def test_s_class_group():
 
 def test_reflection_identity_sample():
     for d in range(3, 700):
-        if pram._fundamental_neg(d):
+        if pram.is_fundamental_neg(d):
             assert pram.reflection_check(-d, 2), -d
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from epsclass import arith
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
-from epsclass.arith import kronecker, prime_sieve
+from epsclass.arith import kronecker, prime_sieve, squarefree_core
 from epsclass.quadforms import reduced_forms_imaginary
 
 
@@ -37,6 +38,36 @@ def test_fundamental_discriminant():
         qc.fundamental_discriminant(12)
     with pytest.raises(ValueError):
         qc.fundamental_discriminant(1)
+
+
+def test_fundamental_discriminant_factors_once(monkeypatch):
+    calls = []
+    real_factor = arith.factor
+
+    def counting_factor(n, *args):
+        calls.append(n)
+        return real_factor(n, *args)
+
+    monkeypatch.setattr(qc, "factor", counting_factor)
+    monkeypatch.setattr(arith, "factor", counting_factor)
+    rng = random.Random(17)
+    ms = [-1, 2, -2, 3, -3, 5, -5, 6, -7, 105, -15015, 4849845, -255255]
+    ms += [rng.choice((-1, 1)) * rng.randrange(2, 10 ** 9) for _ in range(300)]
+    checked = 0
+    for m in ms:
+        core, cof = squarefree_core(m)       # reference: factors |m| itself
+        D = m if m % 4 == 1 else 4 * m
+        omega = real_factor(abs(D)).omega()
+        calls.clear()
+        if cof != 1:
+            with pytest.raises(ValueError):
+                qc.fundamental_discriminant(m)
+        else:
+            d = qc.fundamental_discriminant(m)
+            assert d == qc.Discriminant(D, m, omega), m
+            checked += 1
+        assert calls == [abs(m)], m
+    assert checked > 150
 
 
 def test_class_group_imaginary_examples():

@@ -1,11 +1,17 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from epsclass import zlin
+from epsclass import quadforms, zlin
+from epsclass.quadclass import ENUM_CAP
 from epsclass.quadforms import (
+    ENUM_INT64_LIMIT,
     QuadElt,
     QuadForm,
     TrackedIdeal,
@@ -20,6 +26,87 @@ from epsclass.quadforms import (
     reduced_forms_indefinite,
     square,
 )
+
+
+def _reduced_forms_loop(D):
+    # the scalar enumeration: b by parity, then every a with a^2 <= M
+    out = []
+    absD = -D
+    bmax = isqrt(absD // 3)
+    for b in range(absD & 1, bmax + 1, 2):
+        M = (b * b + absD) // 4
+        a = max(b, 1)
+        while a * a <= M:
+            if M % a == 0:
+                c = M // a
+                if gcd(gcd(a, b), c) == 1:
+                    out.append(QuadForm(a, b, c))
+                    if 0 < b < a < c:
+                        out.append(QuadForm(a, -b, c))
+            a += 1
+    return out
+
+
+@given(st.integers(min_value=3, max_value=10 ** 7))
+@settings(max_examples=40, deadline=None)
+def test_reduced_forms_match_loop(d):
+    assume(d % 4 in (0, 3))           # D = -d = 0, 1 mod 4, fundamental or not
+    assert reduced_forms_imaginary(-d) == _reduced_forms_loop(-d)
+
+
+def test_reduced_forms_match_loop_cases():
+    assert reduced_forms_imaginary(-3) == [QuadForm(1, 1, 1)]
+    assert reduced_forms_imaginary(-4) == [QuadForm(1, 0, 1)]
+    for d in range(3, 3001):
+        if d % 4 in (0, 3):
+            assert reduced_forms_imaginary(-d) == _reduced_forms_loop(-d), d
+    # several pair blocks at the real block size, and |D| just below the cap
+    for D in (-999995, -(ENUM_CAP - 1), -(ENUM_CAP - 4)):
+        assert reduced_forms_imaginary(D) == _reduced_forms_loop(D), D
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_reduced_forms_across_block_boundaries(monkeypatch, block):
+    # tiny blocks put b-block and pair-block boundaries everywhere
+    monkeypatch.setattr(quadforms, "_ENUM_BLOCK", block)
+    for D in (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995):
+        assert reduced_forms_imaginary(D) == _reduced_forms_loop(D), D
+
+
+def test_isqrt_int64_exact_near_squares():
+    # above 2^52 the float square root rounds across perfect squares
+    rng = random.Random(9)
+    roots = [1, 2, 3, 2 ** 26, 2 ** 26 + 1, isqrt(2 ** 62 // 3) - 1]
+    roots += [rng.randrange(2 ** 26, isqrt(2 ** 62 // 3)) for _ in range(300)]
+    M = sorted({max(0, r * r + k) for r in roots for k in (-2, -1, 0, 1, 2)})
+    got = quadforms._isqrt_int64(np.array(M, dtype=np.int64)).tolist()
+    assert got == [isqrt(m) for m in M]
+
+
+def test_reduced_forms_int64_bound():
+    # b^2 + |D| <= 4 |D| / 3 stays below 2^63 at the bound
+    assert 4 * ENUM_INT64_LIMIT // 3 < 2 ** 63
+    with pytest.raises(ValueError):
+        reduced_forms_imaginary(-(ENUM_INT64_LIMIT + 4))
+
+
+def test_quadform_semantics():
+    rng = random.Random(3)
+    forms = [QuadForm(rng.randrange(-5, 6), rng.randrange(-5, 6),
+                      rng.randrange(-5, 6)) for _ in range(300)]
+    assert sorted(forms) == sorted(forms, key=lambda f: (f.a, f.b, f.c))
+    f, g = QuadForm(2, 1, 3), QuadForm(2, 1, 3)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != QuadForm(2, -1, 3) and f < QuadForm(2, 2, 1)
+    assert repr(f) == "(2,1,3)" and str(QuadForm(1, -1, 6)) == "(1,-1,6)"
+    with pytest.raises(AttributeError):
+        f.a = 5
+    assert f.inverse() == QuadForm(2, -1, 3)
+    assert f.disc() == -23 and QuadForm(3, 7, -2).disc() == 73
+    assert f.is_primitive() and not QuadForm(2, 2, 4).is_primitive()
+    forms = reduced_forms_imaginary(-4 * 5 * 7 * 11)
+    back = pickle.loads(pickle.dumps(forms))
+    assert back == forms and all(type(h) is QuadForm for h in back)
 
 
 def test_reduce_imaginary_basic():
