@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from . import zlin
-from .arith import factor, vp
+from .arith import vp
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,6 @@ class AbelianGroupStructure:
         return cls(())
 
     @classmethod
-    def from_cyclic_orders(cls, orders) -> "AbelianGroupStructure":
-        """Normalize an arbitrary list of cyclic orders into a chain."""
-        by_prime: dict[int, list[int]] = {}
-        for n in orders:
-            if n < 1:
-                raise ValueError("cyclic orders must be positive")
-            if n == 1:
-                continue
-            for q, e in factor(n).factors:
-                by_prime.setdefault(q, []).append(e)
-        for q in by_prime:
-            by_prime[q].sort(reverse=True)
-        length = max((len(v) for v in by_prime.values()), default=0)
-        chain = []
-        for i in range(length):
-            d = 1
-            for q, es in by_prime.items():
-                if i < len(es):
-                    d *= q ** es[i]
-            chain.append(d)
-        return cls(tuple(chain))
-
-    @classmethod
     def from_relation_matrix(cls, relations, ngens) -> "AbelianGroupStructure":
-        divs = zlin.presentation_divisors(relations, ngens)
-        return cls.from_cyclic_orders(divs)
+        divs = zlin.presentation_divisors(relations, ngens)   # d1 | d2 | ...
+        return cls(tuple(reversed(divs)))

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from math import ceil, log10
+from math import ceil, log, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
 from .arith import FactorBudgetError, mv_bounds_hold, primes_in_class, vp
@@ -112,7 +112,7 @@ def cmd_quad_scan(args) -> int:
         h, N = int(harr[d]), int(om[d])
         if stat == "p_exponent":
             hp = args.p ** vp(h, args.p)
-            s = quadclass.c_kp(hp, -d) if hp > 1 else 0.0
+            s = log(hp) / log(d ** 0.5) if hp > 1 else 0.0
         elif stat == "genus_normalized":
             s = h / (2 ** (N - 1) * d ** (args.eps / 2))
         else:

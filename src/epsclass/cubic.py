@@ -14,7 +14,7 @@ from math import isqrt, log, prod
 from pathlib import Path
 
 from .abgroup import AbelianGroupStructure
-from .arith import factor, is_squarefree, vp
+from .arith import factor, vp
 
 
 class FixtureParseError(ValueError):
@@ -50,12 +50,15 @@ def is_cubic_conductor(f: int) -> bool:
         e += 1
     if e not in (0, 2):
         return False
-    if not is_squarefree(F):
+    if any(k > 1 or q % 3 != 1 for q, k in factor(F).factors):
         return False
-    for q, _ in factor(F).factors:
-        if q % 3 != 1:
-            return False
     # at least one representation 4f = a^2 + 27 b^2
+    return next(_representations(f, e), None) is not None
+
+
+def _representations(f: int, e: int):
+    """(a, b) with a >= 0, b > 0 and 4f = a^2 + 27 b^2, b prime to 3
+    when e = v_3(f) = 2, in increasing b."""
     Y = 4 * f
     for b in range(1, isqrt(Y // 27) + 1):
         if e == 2 and b % 3 == 0:
@@ -63,22 +66,14 @@ def is_cubic_conductor(f: int) -> bool:
         A = Y - 27 * b * b
         a = isqrt(A)
         if a * a == A:
-            return True
-    return False
+            yield a, b
 
 
 def cubic_polynomials(f: int) -> list[CubicField]:
     """All cyclic cubic fields of conductor f, scanning b upward."""
     e = 2 if f % 9 == 0 else 0
     out = []
-    Y = 4 * f
-    for b in range(1, isqrt(Y // 27) + 1):
-        if e == 2 and b % 3 == 0:
-            continue
-        A = Y - 27 * b * b
-        a = isqrt(A)
-        if a * a != A:
-            continue
+    for a, b in _representations(f, e):
         if e == 0:
             if a % 3 == 1:
                 a = -a

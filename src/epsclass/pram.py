@@ -26,10 +26,9 @@ from .quadclass import (
     imaginary_presentation,
     isqrt_float,
     narrow_presentation,
-    ordinary_class_group_real,
     ramified_principal_form,
 )
-from .quadforms import QuadElt, QuadForm, TrackedIdeal, reduce_imaginary
+from .quadforms import QuadElt, QuadForm, TrackedIdeal
 
 
 class PramError(RuntimeError):
@@ -482,7 +481,7 @@ class _ClassData:
     D: int
     p: int
     pres: ClassGroupPresentation
-    h_ord: int
+    structure: AbelianGroupStructure   # ordinary class group
     alphas: list          # per generator: (word-corrected) QuadElt + norms
     norm_adjust: list     # per generator: list of (a_j, w_ij) to divide out
     units: list           # QuadElt global units (-1, eps, zeta)
@@ -502,26 +501,24 @@ def _relation_alpha(pres: ClassGroupPresentation, forms: list, i: int):
 
 
 def _class_data(D: int, p: int) -> _ClassData:
-    DD = D
-    units: list[QuadElt] = [QuadElt.integer(-1, DD)]
+    units: list[QuadElt] = [QuadElt.integer(-1, D)]
+    ram_extra = None
     if D < 0:
         pres = full_imaginary_presentation(D)
-        h_ord = pres.h
-        ram_extra = None
+        structure = pres.structure()
         if D == -3:
             units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
         if D == -4:
             units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
     else:
         pres = narrow_presentation(D)
-        h_ord = ordinary_class_group_real(as_disc(D)).order
+        structure = pres.quotient(ramified_principal_form(D))
         m = _radicand(D)
         x, y, _ = fundamental_unit(m)
         if D % 4 == 0:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 4), D))
         else:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 2), D))
-        ram_extra = None
     forms = [_coprime_rep(f, p) for f in pres.gens]
     alphas = []
     norm_adjust = []
@@ -542,7 +539,8 @@ def _class_data(D: int, p: int) -> _ClassData:
         alpha = t.reduce().principal_generator() if t is not None \
             else QuadElt.one(D)
         ram_extra = (vec, alpha, [])
-    return _ClassData(D, p, pres, h_ord, alphas, norm_adjust, units, ram_extra)
+    return _ClassData(D, p, pres, structure, alphas, norm_adjust, units,
+                      ram_extra)
 
 
 # ------------------------------------------------------- ray class groups
@@ -566,9 +564,7 @@ def ray_class_group(D, p: int, n: int,
     d = as_disc(D)
     cd = class_data or _class_data(d.value, p)
     if n == 0:
-        st = cd.pres.structure() if d.value < 0 else \
-            ordinary_class_group_real(d)
-        return RayClassGroup(d.value, p, 0, st, 1, 1)
+        return RayClassGroup(d.value, p, 0, cd.structure, 1, 1)
     G = ResidueUnits(d.value, p, n)
     R = G.ring
     ng, t = len(G.gens), len(cd.pres.gens)
@@ -603,7 +599,7 @@ def ray_class_group(D, p: int, n: int,
     urows = [[c[i] for c in g_cols + unit_cols] for i in range(ng)]
     quot = AbelianGroupStructure.from_relation_matrix(urows, ng)
     im_units = G.order // quot.order
-    if st.order * im_units != cd.h_ord * G.order:
+    if st.order * im_units != cd.structure.order * G.order:
         raise PramError(f"ray class order identity fails for D={d.value}, "
                         f"p={p}, n={n}")
     return RayClassGroup(d.value, p, n, st, im_units, G.order)
@@ -674,10 +670,9 @@ def ktilde_index(D, p: int) -> int:
     """[K~ cap H : K] = #Cl_p * #W / #T for imaginary D."""
     d = as_disc(D)
     assert d.value < 0
-    pres = full_imaginary_presentation(d.value)
     cd = _class_data(d.value, p)
     rep = tor_report(d.value, p, class_data=cd)
-    clp = prod(pres.structure().p_part(p).divisors)
+    clp = cd.structure.p_part(p).order
     num = clp * rep.w_order
     den = rep.tor_structure.order
     if num % den:
@@ -717,31 +712,24 @@ class SClassGroup:
     s_count: int
 
 
-def s_class_group(D, p: int) -> SClassGroup:
+def s_class_group(D, p: int,
+                  class_data: _ClassData | None = None) -> SClassGroup:
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
-    pres = full_imaginary_presentation(d.value)
+    cd = class_data or _class_data(d.value, p)
     st = splitting_type(d.value, p)
     if st == "inert":
-        return SClassGroup(d.value, p, pres.structure(), 1)
-    f = reduce_imaginary(prime_over(d.value, p))
-    vec = list(pres.dlog(f))
-    ngen = len(pres.gens)
-    if ngen == 0:
-        return SClassGroup(d.value, p, AbelianGroupStructure.trivial(),
-                           2 if st == "split" else 1)
-    cols = pres.relation_columns() + [vec]
-    rows = [[c[i] for c in cols] for i in range(ngen)]
-    return SClassGroup(d.value, p,
-                       AbelianGroupStructure.from_relation_matrix(rows, ngen),
+        return SClassGroup(d.value, p, cd.structure, 1)
+    return SClassGroup(d.value, p, cd.pres.quotient(prime_over(d.value, p)),
                        2 if st == "split" else 1)
 
 
 def reflection_check(D, p: int = 2) -> bool:
     """rk_p(T^ord) = rk_p(Cl^{S,res}) + #S - 1 (imaginary, mu_p in K)."""
     d = as_disc(D)
-    s = s_class_group(d.value, p)
-    rep = tor_report(d.value, p)
+    cd = _class_data(d.value, p)
+    s = s_class_group(d.value, p, cd)
+    rep = tor_report(d.value, p, class_data=cd)
     return rep.tor_structure.p_rank(p) == \
         s.structure.p_rank(p) + s.s_count - 1
 
@@ -759,14 +747,10 @@ class RankReport:
 
 def rank_inequalities(D, p: int) -> RankReport:
     d = as_disc(D)
-    if d.value < 0:
-        r1, r2 = 0, 1
-        cl = full_imaginary_presentation(d.value).structure()
-    else:
-        r1, r2 = 2, 0
-        from .quadclass import narrow_class_group_real
-        cl = narrow_class_group_real(d)
-    rep = tor_report(d.value, p)
+    r1, r2 = (0, 1) if d.value < 0 else (2, 0)
+    cd = _class_data(d.value, p)
+    cl = cd.pres.structure()   # narrow for real D
+    rep = tor_report(d.value, p, class_data=cd)
     sc = 2 if splitting_type(d.value, p) == "split" else 1
     rk_t = rep.tor_structure.p_rank(p)
     rk_cl = cl.p_rank(p)

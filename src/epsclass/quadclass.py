@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, log, pi
+from math import gcd, isqrt, log, pi, prod
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ from .arith import (
     kronecker,
     prime_sieve,
     sqrt_mod_prime,
-    squarefree_core,
     vp,
 )
 from .quadforms import (
@@ -77,10 +76,15 @@ def fundamental_discriminant(m: int) -> Discriminant:
     fac = factor(abs(m))
     if any(e > 1 for _, e in fac.factors):
         raise ValueError(f"m = {m} is not squarefree")
+    return _discriminant(m, fac.omega())
+
+
+def _discriminant(m: int, omega: int) -> Discriminant:
+    """Discriminant of Q(sqrt(m)) for squarefree m with omega(|m|) primes."""
     if m % 4 == 1:
-        return Discriminant(m, m, fac.omega())
+        return Discriminant(m, m, omega)
     # D = 4m: 2 divides D even when it does not divide m
-    return Discriminant(4 * m, m, fac.omega() + m % 2)
+    return Discriminant(4 * m, m, omega + m % 2)
 
 
 def discriminant_from_value(D: int) -> Discriminant:
@@ -133,13 +137,15 @@ class ClassGroupPresentation:
             cols.append(col)
         return cols
 
+    def quotient(self, *elements) -> AbelianGroupStructure:
+        """The group modulo the classes of elements."""
+        cols = self.relation_columns() + [self.dlog(e) for e in elements]
+        rows = [list(r) for r in zip(*cols)]
+        return AbelianGroupStructure.from_relation_matrix(rows,
+                                                          len(self.gens))
+
     def structure(self) -> AbelianGroupStructure:
-        n = len(self.gens)
-        if n == 0:
-            return AbelianGroupStructure.trivial()
-        cols = self.relation_columns()
-        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        g = AbelianGroupStructure.from_relation_matrix(rows, n)
+        g = self.quotient()
         assert g.order == self.h
         return g
 
@@ -273,14 +279,8 @@ def narrow_class_group_real(D) -> AbelianGroupStructure:
 def ordinary_class_group_real(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value > 0
-    pres = narrow_presentation(d.value)
-    extra = list(pres.dlog(ramified_principal_form(d.value)))
-    n = len(pres.gens)
-    if n == 0:
-        return AbelianGroupStructure.trivial()
-    cols = pres.relation_columns() + [extra]
-    rows = [[c[i] for c in cols] for i in range(n)]
-    return AbelianGroupStructure.from_relation_matrix(rows, n)
+    return narrow_presentation(d.value).quotient(
+        ramified_principal_form(d.value))
 
 
 def p_part(g: AbelianGroupStructure, p: int) -> AbelianGroupStructure:
@@ -504,16 +504,16 @@ def normic_search(p: int, rho: int, q: int, a_range=None,
         if B <= 0:
             continue
         try:
-            m, b = squarefree_core(B)
+            fac = factor(B)
         except FactorBudgetError:
             out.append(ScanRecord(0, 0, 0, 0.0, False, error=f"a={a}: factor budget"))
             continue
-        if gcd(a, b) > 2:
+        # B = m b^2, m squarefree: m is the product of the primes to odd powers
+        odd = [r for r, k in fac.factors if k % 2]
+        m = prod(odd)
+        if gcd(a, isqrt(B // m)) > 2:
             continue
-        try:
-            d = fundamental_discriminant(-m)
-        except ValueError:
-            continue
+        d = _discriminant(-m, len(odd))
         try:
             g = class_group_imaginary(d, enum_cap, bsgs_cap)
             h = g.order
@@ -588,38 +588,31 @@ def _euler_estimate(D: int, prime_bound: int = 1 << 16) -> float:
     return isqrt_float(-D) / pi * np.exp(acc)
 
 
-def _form_pow(f: QuadForm, e: int, ident: QuadForm) -> QuadForm:
-    r = ident
-    while e:
-        if e & 1:
-            r = reduce_imaginary(compose(r, f))
-        f = reduce_imaginary(compose(f, f))
-        e >>= 1
-    return r
-
-
-def _element_order_bsgs(g: QuadForm, bound: int, ident: QuadForm) -> int:
+def _element_order_bsgs(pres: ClassGroupPresentation, g: QuadForm,
+                        bound: int) -> int:
     s = isqrt(bound) + 1
+    ident = pres.identity
     ginv = reduce_imaginary(g.inverse())
     baby = {}
     cur = ident
     for j in range(s):
         baby.setdefault(cur, j)   # g^{-j}
         cur = reduce_imaginary(compose(cur, ginv))
-    big = _form_pow(g, s, ident)
+    big = pres.canon_pow(g, s)
     cur = big
     for i in range(1, s + 2):
         if cur in baby:
             n = i * s + baby[cur]
-            return _reduce_to_order(g, n, ident)
+            return _reduce_to_order(pres, g, n)
         cur = reduce_imaginary(compose(cur, big))
     raise ClassNumberCapError(f"no element order below {bound}")
 
 
-def _reduce_to_order(g: QuadForm, n: int, ident: QuadForm) -> int:
+def _reduce_to_order(pres: ClassGroupPresentation, g: QuadForm,
+                     n: int) -> int:
     for q, e in factor(n).factors:
         for _ in range(e):
-            if _form_pow(g, n // q, ident) == ident:
+            if pres.canon_pow(g, n // q) == pres.identity:
                 n //= q
             else:
                 break
@@ -656,7 +649,7 @@ def class_number_bsgs(D: int, bsgs_cap: int = BSGS_CAP,
         if g is None:
             raise ClassNumberCapError("generator pool exhausted")
         if hstar == 1:
-            n = _element_order_bsgs(g, hi, ident)
+            n = _element_order_bsgs(pres, g, hi)
             pres.adjoin(g, rel_order=n)
         else:
             pres.adjoin(g, limit=hi // hstar + 1)

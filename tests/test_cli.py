@@ -209,6 +209,10 @@ GOLDEN_STDOUT = [
     (["tor-scan", "--p", "2", "--min-d", "1000000", "--max-d", "1000200",
       "--workers", "2"],
      "425eb0ae2d35b4b94eda75efe2fe8727b28549eb0cb1d08c358edd0c495bb935"),
+    (["quad-scan", "--stat", "p-exponent", "--p", "3", "--max-d", "20000"],
+     "7f7ec32c579fcb14b7ed1c7da67e56ab3fc4140c9e3324724e548705ab3b42b5"),
+    (["cubic-enum", "--max-f", "3000"],
+     "82eb82b18f32f27647e07bb533353ddcb7ef009f67686e86d609f28c24d81246"),
 ]
 
 

@@ -4,7 +4,7 @@ from math import gcd, isqrt, log
 
 import pytest
 
-from epsclass import pram, zlin
+from epsclass import pram, quadclass, zlin
 from epsclass.arith import kronecker
 from epsclass.quadclass import isqrt_float
 
@@ -249,9 +249,61 @@ def test_reflection_identity_sample():
 
 
 def test_rank_inequalities():
-    for D, p in [(-15, 2), (-255, 2), (-420, 2), (229, 3), (-1155, 2)]:
+    for D, p in [(-15, 2), (-255, 2), (-420, 2), (229, 3), (-1155, 2),
+                 (105, 2)]:
         r = pram.rank_inequalities(D, p)
         assert r.upper_ok and r.lower_ok, (D, p)
+        # Cl is the narrow group for real D: for D = 105 its 2-rank is 2,
+        # the ordinary group's 1
+        cl = quadclass.class_group_imaginary(D) if D < 0 else \
+            quadclass.narrow_class_group_real(D)
+        assert r.rk_cl == cl.p_rank(p), (D, p)
+
+
+_BUILDERS = ("imaginary_presentation", "bsgs_presentation",
+             "narrow_presentation")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Names of the presentation builders called, in call order."""
+    calls = []
+    for name in _BUILDERS:
+        def wrapped(*args, _build=getattr(quadclass, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+        for mod in (quadclass, pram):
+            monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+def _ray_class_group_0(D, p):
+    return pram.ray_class_group(D, p, 0)
+
+
+@pytest.mark.parametrize("call,D,builder", [
+    (pram.reflection_check, -84, "imaginary_presentation"),
+    (pram.rank_inequalities, -84, "imaginary_presentation"),
+    (pram.rank_inequalities, 105, "narrow_presentation"),
+    (pram.rank_inequalities, 229, "narrow_presentation"),
+    (pram.ktilde_index, -84, "imaginary_presentation"),
+    (pram.ktilde_index, -400003, "bsgs_presentation"),
+    (pram.tor_report, 229, "narrow_presentation"),
+    (_ray_class_group_0, 229, "narrow_presentation"),
+])
+def test_one_presentation_build_per_call(builds, call, D, builder):
+    call(D, 2)
+    assert builds == [builder]
+
+
+def test_ray_class_group_level_zero_is_ordinary():
+    for D in (5, 12, 105, 136, 145, 221, 229, 321, 473):
+        assert pram.ray_class_group(D, 2, 0).structure == \
+            quadclass.ordinary_class_group_real(D), D
+    for D in (-84, -1155):
+        assert pram.ray_class_group(D, 2, 0).structure == \
+            quadclass.class_group_imaginary(D), D
 
 
 def test_prime_over_forms():

@@ -1,5 +1,5 @@
 import random
-from math import log, pi
+from math import gcd, isqrt, log, pi
 
 import numpy as np
 import pytest
@@ -228,6 +228,42 @@ def test_normic_search_desk_scale():
         assert r.h % r.hp == 0
     recs = qc.normic_search(3, 2, 2)
     assert any(r.hp >= 3 for r in recs if r.error is None)
+
+
+def test_normic_search_factors_each_candidate_once(monkeypatch):
+    calls = []
+    real_factor = arith.factor
+
+    def counting_factor(n, *args):
+        calls.append(n)
+        return real_factor(n, *args)
+
+    monkeypatch.setattr(qc, "factor", counting_factor)
+    monkeypatch.setattr(arith, "factor", counting_factor)
+    recs = qc.normic_search(2, 1, 3, range(1, 51))
+    # 4 * 3^2 - a^2 > 0 for a = 1..5: one factorization per B
+    assert calls == [35, 32, 27, 20, 11]
+    assert [(r.d, r.h, r.hp) for r in recs] == [(-35, 2, 2)]
+
+
+@pytest.mark.parametrize("p,rho,q", [(2, 2, 3), (2, 2, 5)])
+def test_normic_search_matches_reference(p, rho, q):
+    """Against the route that factors each candidate twice: the
+    factorization of B through squarefree_core, then that of m through
+    fundamental_discriminant."""
+    Y = 4 * q ** (p ** rho)
+    expected = []
+    for a in range(1, isqrt(Y - 1) + 1):
+        m, b = squarefree_core(Y - a * a)
+        if gcd(a, b) > 2:
+            continue
+        d = qc.fundamental_discriminant(-m)
+        h = qc.class_group_imaginary(d).order
+        hp = p ** arith.vp(h, p)
+        if hp > max((r[2] for r in expected), default=0):
+            expected.append((d.value, h, hp, d.ramified_count))
+    got = qc.normic_search(p, rho, q)
+    assert [(r.d, r.h, r.hp, r.n) for r in got] == expected
 
 
 def test_c_kp():

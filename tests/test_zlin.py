@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from epsclass import zlin
 from epsclass.abgroup import AbelianGroupStructure
+from epsclass.arith import factor
 
 
 def test_smith_diagonal_known():
@@ -96,6 +98,37 @@ def test_presentation_divisors():
     assert zlin.presentation_divisors([[4, 0], [0, 2]], 2) == [2, 4]
     got = AbelianGroupStructure.from_relation_matrix([[4, 0], [0, 2]], 2)
     assert got.divisors == (4, 2)
+
+
+def _chain_from_cyclic_orders(orders):
+    """Reference chain of a product of cyclic groups: factor every order
+    and regroup the prime powers, largest first."""
+    by_prime = {}
+    for n in orders:
+        for q, e in factor(n).factors:
+            by_prime.setdefault(q, []).append(e)
+    for es in by_prime.values():
+        es.sort(reverse=True)
+    length = max((len(v) for v in by_prime.values()), default=0)
+    return tuple(prod(q ** es[i] for q, es in by_prime.items()
+                      if i < len(es)) for i in range(length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.data())
+def test_from_relation_matrix_matches_reference(ngens, nrels, data):
+    M = [[data.draw(st.integers(-12, 12)) for _ in range(nrels)]
+         for _ in range(ngens)]
+    try:
+        divs = zlin.presentation_divisors(M, ngens)
+    except ValueError:
+        # infinite quotient (rank < ngens): the structure must refuse too
+        with pytest.raises(ValueError):
+            AbelianGroupStructure.from_relation_matrix(M, ngens)
+        return
+    got = AbelianGroupStructure.from_relation_matrix(M, ngens)
+    assert got.divisors == _chain_from_cyclic_orders(divs)
+    assert got.order == prod(divs)
 
 
 def test_mat_pow():
