@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import ceil, log, log10
@@ -235,10 +234,7 @@ def cmd_reflection_check(args) -> int:
 
 def cmd_normic_search(args) -> int:
     a_range = range(1, args.max_a + 1) if args.max_a else None
-    enum_cap = int(os.environ.get("EPSCLASS_ENUM_CAP", quadclass.ENUM_CAP))
-    bsgs_cap = int(os.environ.get("EPSCLASS_BSGS_CAP", quadclass.BSGS_CAP))
-    recs = quadclass.normic_search(args.p, args.rho, args.q, a_range,
-                                   enum_cap, bsgs_cap)
+    recs = quadclass.normic_search(args.p, args.rho, args.q, a_range)
     _emit(args, _SCAN_FIELDS, _scan_rows(recs))
     return 0
 

@@ -255,7 +255,8 @@ def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
             rel_cols.append(col)
         off += k
     rows = [[c[i] for c in rel_cols] for i in range(g)]
-    return FinitePModule.build(p, rows, sigma)
+    # a direct sum of valid blocks is valid: no need to go through build
+    return FinitePModule(p, tuple(map(tuple, rows)), tuple(map(tuple, sigma)))
 
 
 def synthesize(p: int, N: int, seed: int, max_a: int = 2,

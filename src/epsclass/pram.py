@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log, prod
+from math import gcd, log, prod
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import kronecker, sqrt_mod_prime, vp
+from .arith import is_prime, is_squarefree, kronecker, sqrt_mod_prime, vp
 from .quadclass import (
-    BSGS_CAP,
     ClassGroupPresentation,
     ClassNumberCapError,
     as_disc,
@@ -35,10 +34,8 @@ class PramError(RuntimeError):
     pass
 
 
-def splitting_type(D, p: int) -> str:
-    d = as_disc(D)
-    k = kronecker(d.value, p)
-    return {1: "split", -1: "inert", 0: "ramified"}[k]
+def splitting_type(D: int, p: int) -> str:
+    return {1: "split", -1: "inert", 0: "ramified"}[kronecker(D, p)]
 
 
 def _radicand(D: int) -> int:
@@ -397,14 +394,15 @@ def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
 
 # --------------------------------------------------- units and class data
 
-def fundamental_unit(m: int, max_steps: int = 10 ** 6):
+def fundamental_unit(m: int):
     """(x, y, norm) with eps = (x + y*sqrt(m))/2 the fundamental unit > 1."""
     if m <= 1:
         raise ValueError("need squarefree m > 1")
     D = m if m % 4 == 1 else 4 * m
     f = QuadForm(1, D % 2, ((D % 2) ** 2 - D) // 4)
     cur = TrackedIdeal.from_form(f).reduce()
-    for _ in range(max_steps):
+    # the principal cycle returns to a norm +-1 form after one period
+    while True:
         cur = cur.rho_step()
         if abs(cur.form.a) != 1 or cur.gamma.y == 0:
             continue
@@ -421,7 +419,6 @@ def fundamental_unit(m: int, max_steps: int = 10 ** 6):
         nrm = (x * x - m * y * y) // 4
         assert nrm in (1, -1), (m, x, y, nrm)
         return x, y, nrm
-    raise PramError(f"fundamental unit search exhausted for m={m}")
 
 
 def _coprime_rep(f: QuadForm, p: int) -> QuadForm:
@@ -468,12 +465,12 @@ def _tracked_pow(t: TrackedIdeal, e: int) -> TrackedIdeal:
     return result.reduce()
 
 
-def full_imaginary_presentation(D: int,
-                                bsgs_cap: int = BSGS_CAP) -> ClassGroupPresentation:
-    """Presentation of the full imaginary class group (BSGS when viable)."""
+def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
+    """Presentation of the full imaginary class group: exact enumeration
+    for |D| <= 4*10^5, GRH-conditional BSGS (up to BSGS_CAP) above it."""
     if -D <= 4 * 10 ** 5:
         return imaginary_presentation(D)
-    return bsgs_presentation(D, bsgs_cap)
+    return bsgs_presentation(D)
 
 
 @dataclass
@@ -482,65 +479,54 @@ class _ClassData:
     p: int
     pres: ClassGroupPresentation
     structure: AbelianGroupStructure   # ordinary class group
-    alphas: list          # per generator: (word-corrected) QuadElt + norms
-    norm_adjust: list     # per generator: list of (a_j, w_ij) to divide out
-    units: list           # QuadElt global units (-1, eps, zeta)
-    ram_extra: tuple | None   # real only: (word vector, QuadElt, adjust)
+    relations: list   # (column over pres.gens, QuadElt alpha, norm adjust)
+    units: list       # QuadElt global units (-1, eps, zeta)
 
 
-def _relation_alpha(pres: ClassGroupPresentation, forms: list, i: int):
-    """Generator of I_i^{o_i} * prod_j conj(I_j)^{w_ij} (tracked walk)."""
-    t = _tracked_pow(TrackedIdeal.from_form(forms[i]), pres.orders[i])
+def _lift_relation(D: int, forms: list, col: list):
+    """(alpha, adjust) with prod_j I_j^{c_j} = (alpha / prod a^e): walks
+    I_j^{c_j} for c_j > 0 and conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j}
+    for c_j < 0, recording (a_j, -c_j) in adjust."""
+    t = None
     adjust = []
-    for j, e in enumerate(pres.words[i]):
-        if e:
-            tj = _tracked_pow(TrackedIdeal.from_form(forms[j].inverse()), e)
-            t = _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
-            adjust.append((forms[j].a, e))
+    for f, c in zip(forms, col):
+        if c < 0:
+            f = f.inverse()
+            adjust.append((f.a, -c))
+        if c:
+            tj = _tracked_pow(TrackedIdeal.from_form(f), abs(c))
+            t = tj if t is None else \
+                _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
+    if t is None:
+        return QuadElt.one(D), adjust
     return t.reduce().principal_generator(), adjust
 
 
 def _class_data(D: int, p: int) -> _ClassData:
     units: list[QuadElt] = [QuadElt.integer(-1, D)]
-    ram_extra = None
     if D < 0:
         pres = full_imaginary_presentation(D)
         structure = pres.structure()
+        cols = pres.relation_columns()
         if D == -3:
             units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
         if D == -4:
             units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
     else:
         pres = narrow_presentation(D)
-        structure = pres.quotient(ramified_principal_form(D))
-        m = _radicand(D)
-        x, y, _ = fundamental_unit(m)
+        ram = ramified_principal_form(D)
+        structure = pres.quotient(ram)
+        # the ramified principal class is ordinary-trivial: one more
+        # relation, with an explicit generator
+        cols = pres.relation_columns() + [list(pres.dlog(ram))]
+        x, y, _ = fundamental_unit(_radicand(D))
         if D % 4 == 0:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 4), D))
         else:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 2), D))
     forms = [_coprime_rep(f, p) for f in pres.gens]
-    alphas = []
-    norm_adjust = []
-    for i in range(len(pres.gens)):
-        alpha, adjust = _relation_alpha(pres, forms, i)
-        alphas.append(alpha)
-        norm_adjust.append(adjust)
-    if D > 0:
-        # the ramified principal class is ordinary-trivial: lift the
-        # relation "prod I_j^{v_j} is principal" with an explicit generator
-        vec = pres.dlog(ramified_principal_form(D))
-        t = None
-        for j, e in enumerate(vec):
-            if e:
-                tj = _tracked_pow(TrackedIdeal.from_form(forms[j]), e)
-                t = tj if t is None else \
-                    _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
-        alpha = t.reduce().principal_generator() if t is not None \
-            else QuadElt.one(D)
-        ram_extra = (vec, alpha, [])
-    return _ClassData(D, p, pres, structure, alphas, norm_adjust, units,
-                      ram_extra)
+    relations = [(col, *_lift_relation(D, forms, col)) for col in cols]
+    return _ClassData(D, p, pres, structure, relations, units)
 
 
 # ------------------------------------------------------- ray class groups
@@ -574,25 +560,11 @@ def ray_class_group(D, p: int, n: int,
     cols = [c + [0] * t for c in g_cols + unit_cols]
 
     def rel_element(alpha, adjust):
-        elt = R.from_quadelt(alpha)
-        for a_j, e in adjust:
-            if e:
-                elt = R.mul(elt, R.pow(R.inv(R.from_integer(a_j)), e))
-        return elt
+        den = R.from_integer(prod(pow(a, e, R.q) for a, e in adjust))
+        return R.mul(R.from_quadelt(alpha), R.inv(den))
 
-    for i in range(t):
-        elt = rel_element(cd.alphas[i], cd.norm_adjust[i])
-        col = [-x for x in G.dlog(elt)] + [0] * t
-        col[ng + i] = cd.pres.orders[i]
-        for j, e in enumerate(cd.pres.words[i]):
-            col[ng + j] -= e
-        cols.append(col)
-    if cd.ram_extra is not None:
-        vec, alpha, adjust = cd.ram_extra
-        col = [-x for x in G.dlog(rel_element(alpha, adjust))] + [0] * t
-        for j, e in enumerate(vec):
-            col[ng + j] += e
-        cols.append(col)
+    for col, alpha, adjust in cd.relations:
+        cols.append([-x for x in G.dlog(rel_element(alpha, adjust))] + col)
     rows = [[c[i] for c in cols] for i in range(ng + t)]
     st = AbelianGroupStructure.from_relation_matrix(rows, ng + t)
     # exact order identity of the ray class sequence
@@ -623,10 +595,6 @@ def _drop_lines(st: AbelianGroupStructure, p: int, r: int) -> tuple:
     return tuple(divs[r:])
 
 
-def _default_nmax(p: int) -> int:
-    return 32 if p == 2 else (16 if p == 3 else 8)
-
-
 def w_group(D, p: int) -> int:
     d = as_disc(D)
     m = _radicand(d.value)
@@ -641,17 +609,17 @@ def w_group(D, p: int) -> int:
     return 1
 
 
-def tor_report(D, p: int, n_max: int | None = None,
+def tor_report(D, p: int,
                class_data: _ClassData | None = None) -> TorsionReport:
     d = as_disc(D)
     r = 2 if d.value < 0 else 1
     cd = class_data or _class_data(d.value, p)
-    n_max = n_max or _default_nmax(p)
+    n_max = 32 if p == 2 else (16 if p == 3 else 8)
     for attempt in range(2):
         prev = None
         prev_T = None
         for n in range(2, n_max + 1):
-            ray = ray_class_group(d.value, p, n, cd)
+            ray = ray_class_group(d, p, n, cd)
             T = _drop_lines(ray.structure, p, r)
             if prev is not None:
                 inc = vp(ray.order, p) - vp(prev.order, p)
@@ -660,7 +628,7 @@ def tor_report(D, p: int, n_max: int | None = None,
                     ct = v * log(p) / log(isqrt_float(abs(d.value)))
                     return TorsionReport(d.value, p,
                                          AbelianGroupStructure(T), v,
-                                         w_group(d.value, p), ct, n)
+                                         w_group(d, p), ct, n)
             prev, prev_T = ray, T
         n_max *= 2
     raise PramError(f"torsion did not stabilize for D={d.value}, p={p}")
@@ -671,7 +639,7 @@ def ktilde_index(D, p: int) -> int:
     d = as_disc(D)
     assert d.value < 0
     cd = _class_data(d.value, p)
-    rep = tor_report(d.value, p, class_data=cd)
+    rep = tor_report(d, p, cd)
     clp = cd.structure.p_part(p).order
     num = clp * rep.w_order
     den = rep.tor_structure.order
@@ -728,8 +696,8 @@ def reflection_check(D, p: int = 2) -> bool:
     """rk_p(T^ord) = rk_p(Cl^{S,res}) + #S - 1 (imaginary, mu_p in K)."""
     d = as_disc(D)
     cd = _class_data(d.value, p)
-    s = s_class_group(d.value, p, cd)
-    rep = tor_report(d.value, p, class_data=cd)
+    s = s_class_group(d, p, cd)
+    rep = tor_report(d, p, cd)
     return rep.tor_structure.p_rank(p) == \
         s.structure.p_rank(p) + s.s_count - 1
 
@@ -750,7 +718,7 @@ def rank_inequalities(D, p: int) -> RankReport:
     r1, r2 = (0, 1) if d.value < 0 else (2, 0)
     cd = _class_data(d.value, p)
     cl = cd.pres.structure()   # narrow for real D
-    rep = tor_report(d.value, p, class_data=cd)
+    rep = tor_report(d, p, cd)
     sc = 2 if splitting_type(d.value, p) == "split" else 1
     rk_t = rep.tor_structure.p_rank(p)
     rk_cl = cl.p_rank(p)
@@ -767,13 +735,11 @@ class TorRecord:
     m: int
     vptor: int
     cp: float
-    structure: tuple | None
     error: str | None = None
 
 
 def is_fundamental_neg(d: int) -> bool:
     """True when -d (d > 0) is a fundamental discriminant."""
-    from .arith import is_squarefree
     if d % 4 == 3:
         return is_squarefree(d)
     if d % 4 == 0:
@@ -782,22 +748,18 @@ def is_fundamental_neg(d: int) -> bool:
     return False
 
 
-def program_vptor(D: int, p: int, n: int,
-                  class_data: _ClassData | None = None) -> int:
+def program_vptor(D: int, p: int, n: int) -> int:
     """v_p(#Cl_{p^n} / largest-divisor) - (n-1), the printed statistic."""
-    ray = ray_class_group(D, p, n, class_data)
+    ray = ray_class_group(D, p, n)
     divs = ray.structure.divisors
     top = divs[0] if divs else 1
     return vp(ray.order, p) - vp(top, p) - (n - 1)
 
 
-def tor_scan(lo: int, hi: int, p: int, n: int | None = None,
-             mode: str = "imaginary") -> list[TorRecord]:
-    if mode == "family":
-        raise ValueError("use tor_family for the fixed-family walk")
+def tor_scan(lo: int, hi: int, p: int,
+             n: int | None = None) -> list[TorRecord]:
     n = n or (20 if p == 2 else 8)
-    out = []
-    vp_max = 0
+    recs = []
     for d in range(lo, hi + 1):
         if not is_fundamental_neg(d):
             continue
@@ -806,14 +768,10 @@ def tor_scan(lo: int, hi: int, p: int, n: int | None = None,
         try:
             v = program_vptor(D, p, n)
         except (PramError, ClassNumberCapError) as exc:
-            out.append(TorRecord(D, m, 0, 0.0, None, str(exc)))
+            recs.append(TorRecord(D, m, 0, 0.0, str(exc)))
             continue
-        if v > vp_max:
-            vp_max = v
-        if v >= max(vp_max, 1):
-            cp = v * log(p) / log(isqrt_float(d))
-            out.append(TorRecord(D, m, v, cp, None))
-    return out
+        recs.append(TorRecord(D, m, v, v * log(p) / log(isqrt_float(d))))
+    return merge_tor_maxima([recs])
 
 
 def merge_tor_maxima(shards: list[list[TorRecord]]) -> list[TorRecord]:
@@ -833,16 +791,15 @@ def merge_tor_maxima(shards: list[list[TorRecord]]) -> list[TorRecord]:
 
 def family_radicands(count: int) -> list[int]:
     """m_N = +/- product of the first N odd primes, sign making m = 1 mod 4."""
-    from .arith import is_prime
     out = []
-    prod = 1
+    primorial = 1
     ell = 1
     for _ in range(count):
         ell += 2
         while not is_prime(ell):
             ell += 2
-        prod *= ell
-        out.append(prod if prod % 4 == 1 else -prod)
+        primorial *= ell
+        out.append(primorial if primorial % 4 == 1 else -primorial)
     return out
 
 

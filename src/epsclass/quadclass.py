@@ -46,6 +46,7 @@ from .quadforms import (
 
 ENUM_CAP = 10 ** 7
 BSGS_CAP = 10 ** 13
+BSGS_WINDOW = 1.35   # the Euler product must bracket h within this factor
 
 
 class ClassNumberCapError(Exception):
@@ -261,13 +262,12 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 # --------------------------------------------------------------- public ops
 
-def class_group_imaginary(D, enum_cap: int = ENUM_CAP,
-                          bsgs_cap: int = BSGS_CAP) -> AbelianGroupStructure:
+def class_group_imaginary(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value < 0
-    if d.abs <= enum_cap:
+    if d.abs <= ENUM_CAP:
         return imaginary_presentation(d.value).structure()
-    return bsgs_presentation(d.value, bsgs_cap).structure()
+    return bsgs_presentation(d.value).structure()
 
 
 def narrow_class_group_real(D) -> AbelianGroupStructure:
@@ -488,9 +488,7 @@ def prime_disc_report(records: list[ScanRecord]) -> PrimeDiscReport:
 
 # ---------------------------------------------------------- normic search
 
-def normic_search(p: int, rho: int, q: int, a_range=None,
-                  enum_cap: int = ENUM_CAP,
-                  bsgs_cap: int = BSGS_CAP) -> list[ScanRecord]:
+def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
     """Search a^2 + m b^2 = 4 q^(p^rho), gcd(a, b) <= 2, for imaginary
     fields Q(sqrt(-m)) with large p-class number; emits running maxima of
     the p-part h_p."""
@@ -515,9 +513,9 @@ def normic_search(p: int, rho: int, q: int, a_range=None,
             continue
         d = _discriminant(-m, len(odd))
         try:
-            g = class_group_imaginary(d, enum_cap, bsgs_cap)
+            g = class_group_imaginary(d)
             h = g.order
-            certified = d.abs <= enum_cap
+            certified = d.abs <= ENUM_CAP
         except ClassNumberCapError as e:
             out.append(ScanRecord(d.value, 0, d.ramified_count, 0.0,
                                   is_prime(d.abs), error=str(e)))
@@ -619,17 +617,16 @@ def _reduce_to_order(pres: ClassGroupPresentation, g: QuadForm,
     return n
 
 
-def class_number_bsgs(D: int, bsgs_cap: int = BSGS_CAP,
-                      window: float = 1.35) -> tuple[int, ClassGroupPresentation]:
+def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
     """(h, presentation of the generated subgroup) for imaginary D below
     the BSGS cap.  GRH-quality: relies on the truncated Euler product
-    bracketing h within the window factor."""
+    bracketing h within the factor BSGS_WINDOW."""
     # also keeps D inside int64 for _euler_estimate (BSGS_CAP < 2^63)
-    if -D > bsgs_cap:
-        raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {bsgs_cap}")
+    if -D > BSGS_CAP:
+        raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {BSGS_CAP}")
     est = _euler_estimate(D)
-    lo = max(1, int(est / window))
-    hi = int(est * window) + 1
+    lo = max(1, int(est / BSGS_WINDOW))
+    hi = int(est * BSGS_WINDOW) + 1
     ident = reduce_imaginary(principal_form(D))
 
     def op(f, g):
@@ -657,24 +654,23 @@ def class_number_bsgs(D: int, bsgs_cap: int = BSGS_CAP,
 
 
 def _odd_primes():
-    q = 3
-    while True:
+    """The odd primes up to 10^5, the generator pool of both BSGS loops."""
+    for q in range(3, 10 ** 5, 2):
         if is_prime(q):
             yield q
-        q += 2
 
 
-def bsgs_presentation(D: int,
-                      bsgs_cap: int = BSGS_CAP) -> ClassGroupPresentation:
+def bsgs_presentation(D: int) -> ClassGroupPresentation:
     """Presentation of the whole class group of imaginary D by BSGS
     (GRH-conditional): h from class_number_bsgs, then prime forms are
     adjoined until the generated subgroup has order h."""
-    h, pres = class_number_bsgs(D, bsgs_cap)
+    h, pres = class_number_bsgs(D)
     for q in _odd_primes():
         if pres.h == h:
-            return pres
-        if q > 10 ** 5:
-            raise ClassNumberCapError("structure generators exhausted")
+            break
         f = prime_form(D, q)
         if f is not None and f not in pres.dlog_table:
             pres.adjoin(f)
+    if pres.h != h:
+        raise ClassNumberCapError("structure generators exhausted")
+    return pres

@@ -213,6 +213,8 @@ GOLDEN_STDOUT = [
      "7f7ec32c579fcb14b7ed1c7da67e56ab3fc4140c9e3324724e548705ab3b42b5"),
     (["cubic-enum", "--max-f", "3000"],
      "82eb82b18f32f27647e07bb533353ddcb7ef009f67686e86d609f28c24d81246"),
+    (["filtration-mc", "--p", "3", "--n", "4", "--samples", "100"],
+     "28f7be7c3fb331740935874e256fb4bd2473b36ba8cac83717e8a7235f85ea36"),
 ]
 
 

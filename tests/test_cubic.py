@@ -133,3 +133,21 @@ def test_all_embedded_fixtures_pass():
     rep = cb.validate_all()
     assert rep.files >= 15 and rep.rows >= 200
     assert rep.ok, rep.failures[:5]
+
+
+def test_p3_fixture_conflict_is_pinned():
+    # f1983163.txt and tor_f1983163.txt list the same 16 polynomials with
+    # the same multiset of Cl, but pair them differently on 13 rows; a new
+    # disagreement, or an edit that settles one, fails here
+    def cl_by_poly(name):
+        ff = cb.parse_fixture_file(cb.fixture_dir() / "p3" / name)
+        return {f.poly: f.cl for f in ff.fixtures if f.poly}
+    a, b = cl_by_poly("f1983163.txt"), cl_by_poly("tor_f1983163.txt")
+    assert set(a) == set(b) and len(a) == 16
+    assert sorted(map(str, a.values())) == sorted(map(str, b.values()))
+    # x^3 + x^2 - 661054 x + c, listed by c
+    assert {p[0] for p in a if a[p] != b[p]} == {
+        -206102051, -188253584, -186270421, -158506139, -146607161,
+        -140657672, -79179619, 2130064, 49725976, 97321888, 138968311,
+        186564223, 198463201}
+    assert all(p[1:] == (-661054, 1, 1) for p in a)

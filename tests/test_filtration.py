@@ -145,3 +145,12 @@ def test_mc_histogram_shape():
     rep = fl.mc_delta_histogram(3, 2, 20, seed=1)
     assert rep["samples"] == 20
     assert sum(rep["histogram"].values()) == 20
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (3, 4), (5, 3)])
+def test_synthesized_modules_pass_validation(p, N):
+    # direct_sum builds without re-validating; the checked entry point
+    # accepts each sum and returns the same module
+    for seed in range(8):
+        M = fl.synthesize(p, N, seed)
+        assert fl.FinitePModule.build(M.p, M.relations, M.sigma) == M

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, log
 
 import pytest
 
-from epsclass import pram, quadclass, zlin
+from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
 from epsclass.quadclass import isqrt_float
 
@@ -312,3 +313,31 @@ def test_prime_over_forms():
         if f is not None:
             assert f.a == p and f.disc() == D
     assert pram.prime_over(13, 2) is None
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Arguments of every arith.factor call, from any epsclass module."""
+    calls = []
+    real = arith.factor
+
+    def wrapped(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("epsclass") and getattr(mod, "factor", None) is real:
+            monkeypatch.setattr(mod, "factor", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("call,D", [
+    (pram.tor_report, -1155),
+    (pram.tor_report, 221),
+    (pram.reflection_check, -84),
+    (pram.rank_inequalities, 229),
+    (pram.ktilde_index, -84),
+])
+def test_one_factorization_per_call(factor_calls, call, D):
+    # the Discriminant validated on entry is passed on, never rebuilt
+    call(D, 2)
+    assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)]

@@ -203,9 +203,39 @@ def test_bsgs_agrees_with_enumeration():
 
 def test_bsgs_structure_matches_enumeration():
     for d in (-998771, -424708):
-        g1 = qc.class_group_imaginary(d, enum_cap=10 ** 4)
+        g1 = qc.bsgs_presentation(d).structure()
         g2 = qc.class_group_imaginary(d)
         assert g1.divisors == g2.divisors
+
+
+# every fundamental D < -4 with h = 1: the window holds 1 and 2, and no
+# prime form below 10^5 is new, so BSGS cannot tell them apart
+_CLASS_NUMBER_ONE = (-7, -8, -11, -19, -43, -67, -163)
+
+
+@given(st.integers(min_value=3, max_value=10 ** 7))
+@settings(max_examples=25, deadline=None)
+def test_bsgs_structure_matches_enumeration_property(d):
+    assume(d % 4 in (0, 3))
+    try:
+        D = qc.discriminant_from_value(-d).value
+    except ValueError:
+        assume(False)
+    if D in _CLASS_NUMBER_ONE:
+        with pytest.raises(qc.ClassNumberCapError):
+            qc.bsgs_presentation(D)
+        return
+    assert qc.bsgs_presentation(D).structure() == \
+        qc.imaginary_presentation(D).structure()
+
+
+def test_bsgs_class_number_one():
+    # a budget error where the loop used to draw prime forms forever
+    for D in _CLASS_NUMBER_ONE:
+        with pytest.raises(qc.ClassNumberCapError):
+            qc.class_number_bsgs(D)
+    for D in (-3, -4):
+        assert qc.bsgs_presentation(D).h == 1
 
 
 def test_bsgs_cap():
