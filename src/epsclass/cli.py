@@ -223,9 +223,10 @@ def cmd_reflection_check(args) -> int:
     rows = []
     bad = 0
     for d in range(3, args.max_d + 1):
-        if not pram.is_fundamental_neg(d):
+        disc = pram.is_fundamental_neg(d)
+        if disc is None:
             continue
-        ok = pram.reflection_check(-d, args.p)
+        ok = pram.reflection_check(disc, args.p)
         bad += not ok
         rows.append((-d, int(ok)))
     _emit(args, ("D", "ok"), rows, {"checked": len(rows), "failures": bad})

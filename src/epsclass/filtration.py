@@ -19,6 +19,10 @@ from .abgroup import AbelianGroupStructure
 from .arith import vp
 
 
+MAX_STEPS = 500          # filtration length before a route gives up
+MAX_BLOCK_EXPONENT = 2   # synthesize draws blocks mod p^a, 1 <= a <= this
+
+
 class FiltrationError(ValueError):
     pass
 
@@ -142,14 +146,14 @@ def _chain_to_result(p: int, N: int, orders: list[int]) -> FiltrationResult:
     return FiltrationResult(p, N, tuple(orders), tuple(t))
 
 
-def filtration(M: FinitePModule, N: int, max_steps: int = 500) -> FiltrationResult:
+def filtration(M: FinitePModule, N: int) -> FiltrationResult:
     """Direct route: M_i = ker (1-sigma)^i via matrix powers."""
     total = module_order(M)
     A = _one_minus_sigma(M)
     orders = [1]
     Ai = zlin.identity(M.ngens)
     while orders[-1] != total:
-        if len(orders) > max_steps:
+        if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         Ai = zlin.mat_mul(A, Ai)
         K = zlin.solution_lattice(Ai, M.rel_rows())
@@ -157,15 +161,14 @@ def filtration(M: FinitePModule, N: int, max_steps: int = 500) -> FiltrationResu
     return _chain_to_result(M.p, N, orders)
 
 
-def filtration_iterated(M: FinitePModule, N: int,
-                        max_steps: int = 500) -> FiltrationResult:
+def filtration_iterated(M: FinitePModule, N: int) -> FiltrationResult:
     """Iterated route: M_{i+1} is the pullback of (M/M_i)^G."""
     total = module_order(M)
     A = _one_minus_sigma(M)
     K = zlin.hnf_columns(M.rel_rows())
     orders = [1]
     while orders[-1] != total:
-        if len(orders) > max_steps:
+        if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         K = zlin.solution_lattice(A, K)
         orders.append(_sublattice_order(M, K, total))
@@ -182,18 +185,16 @@ def rank_from_t(p: int, N: int, t) -> tuple[int, int]:
     return (p - 1) * (N - 1) - s, (p - 2) * (N - 1) - s
 
 
-def pr_ranks(p: int, N: int, t, rmax: int = 0) -> list[int]:
+def pr_ranks(p: int, N: int, t) -> list[int]:
     """p^r-ranks for r = 1, 2, ... until they vanish."""
     out = []
     r = 1
     while True:
         v = sum(N - 1 - _t_at(t, i, N)
                 for i in range((r - 1) * (p - 1), r * (p - 1)))
-        if v == 0 and (not rmax or r > rmax):
+        if v == 0:
             break
         out.append(v)
-        if rmax and r >= rmax:
-            break
         r += 1
     return out
 
@@ -259,14 +260,14 @@ def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
     return FinitePModule(p, tuple(map(tuple, rows)), tuple(map(tuple, sigma)))
 
 
-def synthesize(p: int, N: int, seed: int, max_a: int = 2,
+def synthesize(p: int, N: int, seed: int,
                attempts: int = 500) -> FinitePModule:
     """Random direct sum of N-1 group-ring quotients with #M^G = p^(N-1)."""
     if N < 2:
         raise ValueError("synthesize needs N >= 2")
     rng = random.Random(seed * 1000003 + p * 1009 + N)
     for _ in range(attempts):
-        mods = [group_ring_block(p, rng.randint(1, max_a),
+        mods = [group_ring_block(p, rng.randint(1, MAX_BLOCK_EXPONENT),
                                  rng.randint(1, p))
                 for _ in range(N - 1)]
         M = direct_sum(mods)
@@ -276,12 +277,11 @@ def synthesize(p: int, N: int, seed: int, max_a: int = 2,
                           f"found in {attempts} attempts")
 
 
-def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0,
-                       **kw) -> dict:
+def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0) -> dict:
     """Monte-Carlo distribution of Delta(N) = v_p(#M) - (N-1)."""
     hist: dict[int, int] = {}
     for i in range(samples):
-        M = synthesize(p, N, seed + i, **kw)
+        M = synthesize(p, N, seed + i)
         d = vp(module_order(M), p) - (N - 1)
         hist[d] = hist.get(d, 0) + 1
     return {"p": p, "N": N, "samples": samples,

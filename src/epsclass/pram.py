@@ -3,9 +3,10 @@
 The torsion group T of the Galois group of the maximal abelian p-ramified
 pro-p-extension is read off ray class groups mod p^n: at stabilization the
 p-part of Cl_{p^n} splits into r = r_2 + 1 growing cyclic lines plus T.
-Ray class groups are presented exactly from (O/p^n)^x (generators and
-discrete logs via the p-adic logarithm) together with tracked principal
-generators of class-group relations.
+Ray class groups are presented exactly from (O/p^n)^x together with the
+exact generator of each class-group relation. (O/p^n)^x has two layers:
+(O/P^c0)^x, enumerated point by point, over the base 1 + P^c0, which the
+p-adic logarithm makes additive.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from math import gcd, log, prod
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
-from .arith import is_prime, is_squarefree, kronecker, sqrt_mod_prime, vp
+from .arith import is_prime, kronecker, sqrt_mod_prime, vp
 from .quadclass import (
     ClassGroupPresentation,
     ClassNumberCapError,
+    Discriminant,
     as_disc,
     bsgs_presentation,
+    fundamental_discriminant,
     imaginary_presentation,
     isqrt_float,
     narrow_presentation,
@@ -107,14 +110,6 @@ class ResidueRing:
             out.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
         return tuple(out)
 
-    def from_integer(self, k: int):
-        return (k % self.q, 0)
-
-
-def _hnf2(cols: list) -> list:
-    rows = [[c[i] for c in cols] for i in range(2)]
-    return zlin.hnf_columns(rows)
-
 
 def _reduce_vec(v, H):
     v = list(v)
@@ -129,16 +124,18 @@ def _reduce_vec(v, H):
 class ResidueUnits:
     """(O/p^n)^x: generators, relation matrix, and discrete logarithm.
 
-    Decomposed as Q x U: Q the prime-to-p part (tabulated in the residue
-    field), U the principal units, split into a tiny top layer and the
-    1 + P^c0 base handled additively through the p-adic logarithm.
+    Two layers: the top (O/P^c0)^x, whose classes are the unit points of
+    the box of the P^c0 lattice (|O/P^c0| points: p^2 for odd unramified
+    p, at most 16 for p = 2), enumerated into one ClassGroupPresentation;
+    and the base 1 + P^c0, handled additively through the p-adic
+    logarithm. A top relation holds mod P^c0 only, so its column carries
+    the base log of the quotient.
     """
 
     def __init__(self, D: int, p: int, n: int):
-        self.ring = R = ResidueRing(D, p, n)
+        self.ring = ResidueRing(D, p, n)
         self.D, self.p, self.n = D, p, n
         st = splitting_type(D, p)
-        self.split = st
         self.e = 2 if st == "ramified" else 1
         if st == "ramified":
             self.c0 = 3 if p == 2 else (2 if p == 3 else 1)
@@ -178,7 +175,8 @@ class ResidueUnits:
                 cols = [(s, 0), (0, s)]
             else:
                 cols = [(s * a, s * b) for a, b in self._pi_cols()]
-        return _hnf2(cols + [(q, 0), (0, q)])
+        cols += [(q, 0), (0, q)]
+        return zlin.hnf_columns([[c[i] for c in cols] for i in range(2)])
 
     def _member(self, u, H) -> bool:
         v = ((u[0] - 1) % self.ring.q, u[1] % self.ring.q)
@@ -232,7 +230,7 @@ class ResidueUnits:
         return (acc[0], acc[1])
 
     def _build(self):
-        R, p, n, q = self.ring, self.p, self.n, self.ring.q
+        R, q = self.ring, self.ring.q
         # base: 1 + P^c0, additively P^c0 / p^n O through log/exp
         Lc0 = self._level(self.c0)
         b1 = (Lc0[0][0], Lc0[1][0])
@@ -244,115 +242,50 @@ class ResidueUnits:
         base_rel = [zlin.solve_lattice(Lc0, [q, 0]),
                     zlin.solve_lattice(Lc0, [0, q])]
         assert None not in base_rel
-        self._base_gens = [g1, g2]
         self._Lc0 = Lc0
 
-        # middle layer: (1 + P^1) / (1 + P^c0)
-        L1 = self._level(1)
-        T = []
-        for c in range(2):
-            col = [Lc0[0][c], Lc0[1][c]]
-            x = zlin.solve_lattice(L1, col)
-            assert x is not None
-            T.append(x)
-        for c in ((q, 0), (0, q)):
-            x = zlin.solve_lattice(L1, list(c))
-            assert x is not None
-            T.append(x)
-        Hrel = zlin.hnf_columns([[t[i] for t in T] for i in range(2)])
+        # top: (O/P^c0)^x, the unit points of the box of Lc0
+        def canon(u):
+            return _reduce_vec(u, Lc0)
 
-        def canon_mid(u):
-            v = ((u[0] - 1) % q, u[1] % q)
-            x = zlin.solve_lattice(L1, list(v))
-            assert x is not None, "element is not a principal unit"
-            return _reduce_vec(x, Hrel)
+        def op(a, b):
+            return canon(R.mul(a, b))
 
-        def lift_mid(lab):
-            w0 = lab[0] * L1[0][0] + lab[1] * L1[0][1]
-            w1 = lab[0] * L1[1][0] + lab[1] * L1[1][1]
-            return ((1 + w0) % q, w1 % q)
+        one = canon(R.one)
+        top = ClassGroupPresentation(self.D, [], [], [], {one: ()}, one,
+                                     canon, op)
+        for i in range(Lc0[0][0]):
+            for j in range(Lc0[1][1]):
+                if R.is_unit((i, j)) and (i, j) not in top.dlog_table:
+                    top.adjoin((i, j))
+        self._top = top
 
-        def op_mid(la, lb):
-            return canon_mid(R.mul(lift_mid(la), lift_mid(lb)))
-
-        ident = canon_mid(R.one)
-        mid = ClassGroupPresentation(self.D, [], [], [], {ident: ()}, ident,
-                                     lambda x: x, op_mid)
-        for i in range(Hrel[0][0]):
-            for j in range(Hrel[1][1]):
-                lab = canon_mid(lift_mid((i, j)))
-                if lab not in mid.dlog_table:
-                    mid.adjoin(lab)
-        self._mid = mid
-        self._mid_gens = [lift_mid(lab) for lab in mid.gens]
-        self._canon_mid = canon_mid
-
-        # prime-to-p part in the residue field(s)
-        Lrad = self._level(1)
-        A = p ** vp(self.order, p)
-        q0 = self.order // A
-        self._A, self._q0 = A, q0
-
-        def canon_rad(u):
-            return _reduce_vec((u[0] % q, u[1] % q), Lrad)
-
-        self._canon_rad = canon_rad
-        if q0 > 1:
-            lam = A * pow(A, -1, q0)
-
-            def op_rad(la, lb):
-                return canon_rad(R.mul(la, lb))
-
-            identr = canon_rad(R.one)
-            pq = ClassGroupPresentation(self.D, [], [], [], {identr: ()},
-                                        identr, lambda x: x, op_rad)
-            for i in range(Lrad[0][0]):
-                for j in range(Lrad[1][1]):
-                    lab = canon_rad((i, j))
-                    if not R.is_unit(lab):
-                        continue
-                    if lab not in pq.dlog_table:
-                        pq.adjoin(lab)
-            assert pq.h == q0, (pq.h, q0)
-            self._pq = pq
-            self._q_gens = [R.pow(lab, lam) for lab in pq.gens]
-            self._mu = q0 * pow(q0, -1, A) if A > 1 else 0
-        else:
-            self._pq = None
-            self._q_gens = []
-            self._mu = 1
-
-        # assemble generators and relation columns
-        nq, nm = len(self._q_gens), len(self._mid_gens)
-        self.gens = self._q_gens + self._mid_gens + self._base_gens
-        ng = len(self.gens)
+        # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod P^c0 only,
+        # so each top column carries the base log of the quotient
+        self.gens = top.gens + [g1, g2]
         cols = []
-        if self._pq is not None:
-            for c in self._pq.relation_columns():
-                cols.append(c + [0] * (nm + 2))
-        for i, lab in enumerate(self._mid.gens):
-            o_i = self._mid.orders[i]
-            word = self._mid.words[i]
-            elt = R.pow(self._mid_gens[i], o_i)
-            for j, e in enumerate(word):
-                if e:
-                    elt = R.mul(elt, R.pow(R.inv(self._mid_gens[j]), e))
-            tail = self._dlog_base(elt)
-            col = [0] * nq + [0] * nm + [-tail[0], -tail[1]]
-            col[nq + i] = o_i
-            for j, e in enumerate(word):
-                col[nq + j] -= e
-            cols.append(col)
-        for c in range(2):
-            col = [0] * (nq + nm) + [base_rel[c][0], base_rel[c][1]]
-            cols.append(col)
+        for i, col in enumerate(top.relation_columns()):
+            g = R.pow(top.gens[i], top.orders[i])
+            tail = self._dlog_base(self._divide(g, top.words[i]))
+            cols.append(col + [-tail[0], -tail[1]])
+        nt = len(top.gens)
+        cols += [[0] * nt + list(x) for x in base_rel]
+        ng = len(self.gens)
         self.rel_rows = [[c[i] for c in cols] for i in range(ng)]
-        st = AbelianGroupStructure.from_relation_matrix(self.rel_rows, ng) \
-            if ng else AbelianGroupStructure.trivial()
+        st = AbelianGroupStructure.from_relation_matrix(self.rel_rows, ng)
         if st.order != self.order:
             raise PramError(f"residue unit group order {st.order} != "
                             f"theoretical {self.order}")
         self.structure = st
+
+    def _divide(self, u, vec):
+        """u / prod_j gens[j]^{vec_j} for vec_j >= 0."""
+        R = self.ring
+        d = R.one
+        for g, e in zip(self.gens, vec):
+            if e:
+                d = R.mul(d, R.pow(g, e))
+        return R.mul(u, R.inv(d))
 
     def _dlog_base(self, u):
         if not self._member(u, self._Lc0):
@@ -362,29 +295,11 @@ class ResidueUnits:
         assert x is not None
         return (x[0], x[1])
 
-    def _dlog_principal(self, u):
-        """Exponents over mid + base generators for u in 1 + P."""
-        lab = self._canon_mid(u)
-        vec = self._mid.dlog(lab)
-        R = self.ring
-        elt = u
-        for j, e in enumerate(vec):
-            if e:
-                elt = R.mul(elt, R.pow(R.inv(self._mid_gens[j]), e))
-        tail = self._dlog_base(elt)
-        return tuple(vec) + tail
-
     def dlog(self, u) -> tuple:
-        R = self.ring
-        if not R.is_unit(u):
+        if not self.ring.is_unit(u):
             raise PramError(f"not a unit mod p^n: {u}")
-        if self._pq is not None:
-            vq = self._pq.dlog(self._canon_rad(u))
-            xu = R.pow(u, self._mu)
-        else:
-            vq = ()
-            xu = u
-        return tuple(vq) + self._dlog_principal(xu)
+        v = self._top.dlog(u)
+        return v + self._dlog_base(self._divide(u, v))
 
 
 def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
@@ -479,27 +394,28 @@ class _ClassData:
     p: int
     pres: ClassGroupPresentation
     structure: AbelianGroupStructure   # ordinary class group
-    relations: list   # (column over pres.gens, QuadElt alpha, norm adjust)
+    relations: list   # (column c over pres.gens, alpha), prod I^c = (alpha)
     units: list       # QuadElt global units (-1, eps, zeta)
 
 
-def _lift_relation(D: int, forms: list, col: list):
-    """(alpha, adjust) with prod_j I_j^{c_j} = (alpha / prod a^e): walks
-    I_j^{c_j} for c_j > 0 and conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j}
-    for c_j < 0, recording (a_j, -c_j) in adjust."""
+def _lift_relation(D: int, forms: list, col: list) -> QuadElt:
+    """alpha with prod_j I_j^{c_j} = (alpha): walks I_j^{c_j} for c_j > 0
+    and conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j} for c_j < 0 to a
+    generator beta, then alpha = beta / prod_{c_j < 0} a_j^{-c_j}."""
     t = None
-    adjust = []
+    den = 1
     for f, c in zip(forms, col):
         if c < 0:
             f = f.inverse()
-            adjust.append((f.a, -c))
+            den *= f.a ** -c
         if c:
             tj = _tracked_pow(TrackedIdeal.from_form(f), abs(c))
             t = tj if t is None else \
                 _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
     if t is None:
-        return QuadElt.one(D), adjust
-    return t.reduce().principal_generator(), adjust
+        return QuadElt.one(D)
+    beta = t.reduce().principal_generator()
+    return beta.mul(QuadElt.integer(Fraction(1, den), D))
 
 
 def _class_data(D: int, p: int) -> _ClassData:
@@ -525,7 +441,7 @@ def _class_data(D: int, p: int) -> _ClassData:
         else:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 2), D))
     forms = [_coprime_rep(f, p) for f in pres.gens]
-    relations = [(col, *_lift_relation(D, forms, col)) for col in cols]
+    relations = [(col, _lift_relation(D, forms, col)) for col in cols]
     return _ClassData(D, p, pres, structure, relations, units)
 
 
@@ -558,13 +474,8 @@ def ray_class_group(D, p: int, n: int,
               for j in range(len(G.rel_rows[0]))]
     unit_cols = [list(G.dlog(R.from_quadelt(u))) for u in cd.units]
     cols = [c + [0] * t for c in g_cols + unit_cols]
-
-    def rel_element(alpha, adjust):
-        den = R.from_integer(prod(pow(a, e, R.q) for a, e in adjust))
-        return R.mul(R.from_quadelt(alpha), R.inv(den))
-
-    for col, alpha, adjust in cd.relations:
-        cols.append([-x for x in G.dlog(rel_element(alpha, adjust))] + col)
+    for col, alpha in cd.relations:
+        cols.append([-x for x in G.dlog(R.from_quadelt(alpha))] + col)
     rows = [[c[i] for c in cols] for i in range(ng + t)]
     st = AbelianGroupStructure.from_relation_matrix(rows, ng + t)
     # exact order identity of the ray class sequence
@@ -738,17 +649,21 @@ class TorRecord:
     error: str | None = None
 
 
-def is_fundamental_neg(d: int) -> bool:
-    """True when -d (d > 0) is a fundamental discriminant."""
+def is_fundamental_neg(d: int) -> Discriminant | None:
+    """The Discriminant -d (d > 0) when it is fundamental, else None."""
     if d % 4 == 3:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        k = d // 4
-        return k % 4 in (1, 2) and is_squarefree(k)
-    return False
+        m = -d
+    elif d % 4 == 0 and (d // 4) % 4 in (1, 2):
+        m = -(d // 4)
+    else:
+        return None
+    try:
+        return fundamental_discriminant(m)
+    except ValueError:   # m is not squarefree
+        return None
 
 
-def program_vptor(D: int, p: int, n: int) -> int:
+def program_vptor(D, p: int, n: int) -> int:
     """v_p(#Cl_{p^n} / largest-divisor) - (n-1), the printed statistic."""
     ray = ray_class_group(D, p, n)
     divs = ray.structure.divisors
@@ -761,12 +676,12 @@ def tor_scan(lo: int, hi: int, p: int,
     n = n or (20 if p == 2 else 8)
     recs = []
     for d in range(lo, hi + 1):
-        if not is_fundamental_neg(d):
+        disc = is_fundamental_neg(d)
+        if disc is None:
             continue
-        D = -d
-        m = _radicand(D)
+        D, m = disc.value, disc.radicand
         try:
-            v = program_vptor(D, p, n)
+            v = program_vptor(disc, p, n)
         except (PramError, ClassNumberCapError) as exc:
             recs.append(TorRecord(D, m, 0, 0.0, str(exc)))
             continue

@@ -469,9 +469,9 @@ def scan_arrays(X: int):
 
 
 def scan_local_maxima(max_abs_d: int, statistic: str, eps: float = 0.0,
-                      p: int = 0, min_abs_d: int = 3,
-                      arrays=None) -> list[ScanRecord]:
-    shard = scan_candidates(min_abs_d, max_abs_d, statistic, eps, p, arrays)
+                      p: int = 0, arrays=None) -> list[ScanRecord]:
+    # |D| = 3 is the smallest imaginary discriminant
+    shard = scan_candidates(3, max_abs_d, statistic, eps, p, arrays)
     return merge_maxima([shard], statistic)
 
 

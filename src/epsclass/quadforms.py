@@ -259,6 +259,9 @@ def reduced_forms_indefinite(D: int) -> list[QuadForm]:
 
 # ------------------------------------------------------- ideals with history
 
+PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up
+
+
 @dataclass(frozen=True)
 class QuadElt:
     """(x + y*sqrt(D)), x and y exact rationals."""
@@ -356,13 +359,13 @@ class TrackedIdeal:
             cur = cur.rho_step()
         raise RuntimeError("indefinite reduction stuck")
 
-    def principal_generator(self, max_steps: int = 200000) -> QuadElt:
+    def principal_generator(self) -> QuadElt:
         """Generator of the tracked ideal, assuming it is principal."""
         cur = self.reduce()
         D = self.form.disc()
         steps = 0
         while abs(cur.form.a) != 1:
-            if D < 0 or steps > max_steps:
+            if D < 0 or steps > PRINCIPAL_WALK_STEPS:
                 raise ValueError("ideal is not principal (or walk exhausted)")
             cur = cur.rho_step()
             steps += 1

@@ -215,11 +215,22 @@ GOLDEN_STDOUT = [
      "82eb82b18f32f27647e07bb533353ddcb7ef009f67686e86d609f28c24d81246"),
     (["filtration-mc", "--p", "3", "--n", "4", "--samples", "100"],
      "28f7be7c3fb331740935874e256fb4bd2473b36ba8cac83717e8a7235f85ea36"),
+    (["tor-scan", "--p", "3", "--min-d", "3", "--max-d", "3000"],
+     "b70ccbf27b26f0d3a7f1511ef95a2f441838ab187fb8e1e92bac5da6a389abf1"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
-                         ids=[argv[0] for argv, _ in GOLDEN_STDOUT])
+def _golden_ids():
+    # a command's first entry is named by the command alone, later ones
+    # by their first option too: tor-scan, tor-scan-p-3
+    ids = []
+    for argv, _ in GOLDEN_STDOUT:
+        later = "-".join(a.lstrip("-") for a in argv[:3])
+        ids.append(argv[0] if argv[0] not in ids else later)
+    return ids
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=_golden_ids())
 def test_golden_stdout(argv, digest, capsys):
     code, out = run(argv, capsys)
     assert code == 0

@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import gcd, isqrt, log, prod
 
 import pytest
 
@@ -22,7 +22,8 @@ def brute_unit_elements(D, p, n):
 @pytest.mark.parametrize("D,p,n", [
     (-15, 2, 3), (-20, 2, 3), (-4, 2, 3), (-3, 3, 2), (-7, 2, 3),
     (-24, 3, 2), (5, 5, 2), (-11, 3, 2), (8, 2, 3), (13, 2, 3),
-    (-40, 2, 4), (-84, 7, 2),
+    (-40, 2, 4), (-84, 7, 2), (-20, 2, 1), (-8, 2, 2), (5, 2, 2),
+    (-11, 5, 2), (-15, 5, 2), (-4, 2, 4),
 ])
 def test_residue_units_against_brute_force(D, p, n):
     U = pram.ResidueUnits(D, p, n)
@@ -64,6 +65,22 @@ def test_fundamental_unit():
     assert pram.fundamental_unit(105) == (82, 8, 1)     # 41+4*sqrt(105)
     assert pram.fundamental_unit(2) == (2, 2, -1)       # 1+sqrt2
     assert pram.fundamental_unit(94) == (4286590, 442128, 1)
+
+
+# ----------------------------------------------------- class-group relations
+
+@pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
+@pytest.mark.parametrize("p", [2, 3])
+def test_relation_generator_norms(D, p):
+    # prod_j I_j^{c_j} = (alpha) with N(I_j) = a_j, so |N(alpha)| is
+    # prod_j a_j^{c_j}; negative c_j pin the direction of the division
+    cd = pram._class_data(D, p)
+    forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
+    for col, alpha in cd.relations:
+        assert abs(alpha.norm()) == \
+            prod(Fraction(f.a) ** c for f, c in zip(forms, col)), col
+    if D < 0:
+        assert any(c < 0 for col, _ in cd.relations for c in col)
 
 
 # -------------------------------------------------- brute ray class oracle
@@ -341,3 +358,12 @@ def test_one_factorization_per_call(factor_calls, call, D):
     # the Discriminant validated on entry is passed on, never rebuilt
     call(D, 2)
     assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)]
+
+
+def test_tor_scan_validates_each_field_once(factor_calls):
+    # 76 candidates pass the mod-4 screen and are factored once each; the
+    # 61 fundamental ones reuse that Discriminant, and BSGS factors one
+    # element order per field
+    recs = pram.tor_scan(10 ** 6, 1000200, 2)
+    assert len(recs) == 4
+    assert len(factor_calls) == 76 + 61
