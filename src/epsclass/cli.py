@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from math import ceil, log, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
-from .arith import FactorBudgetError, mv_bounds_hold, primes_in_class, vp
+from .arith import (FactorBudgetError, is_prime, mv_bounds_hold,
+                    primes_in_class, vp)
 from .quadclass import ClassNumberCapError
 
 _STATS = {"genus": "genus_normalized", "raw": "raw",
@@ -255,6 +256,20 @@ def cmd_bounds(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _prime(text: str) -> int:
+    v = int(text)
+    if not is_prime(v):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {v}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="epsclass", description=__doc__)
     ap.add_argument("--version", action="version",
@@ -282,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=3)
         p.add_argument("--min-d", type=int, default=3)
         p.add_argument("--max-d", type=int, required=True)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("cubic-enum", cmd_cubic_enum, help="cyclic cubic fields")
     g = p.add_mutually_exclusive_group(required=True)
@@ -311,19 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("tor-scan", cmd_tor_scan, help="torsion valuation scan")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--min-d", type=int, required=True)
     p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
+    # the tabulated family, and the reflection identity (mu_p in K for
+    # every imaginary K), are p = 2 statements
     p = add("tor-family", cmd_tor_family, help="odd-primorial family torsion")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, choices=(2,), default=2)
     p.add_argument("--count", type=int, default=5)
 
     p = add("reflection-check", cmd_reflection_check,
             help="rank reflection identity")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, choices=(2,), default=2)
     p.add_argument("--max-d", type=int, required=True)
 
     p = add("normic-search", cmd_normic_search,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, log, prod
 
 from . import zlin
@@ -130,9 +131,15 @@ class ResidueUnits:
     and the base 1 + P^c0, handled additively through the p-adic
     logarithm. A top relation holds mod P^c0 only, so its column carries
     the base log of the quotient.
+
+    The group depends only on the ring O/p^n, hence only on D mod 4p^n;
+    `units_mod` builds it once per ring per process.
     """
 
     def __init__(self, D: int, p: int, n: int):
+        if not is_prime(p) or n < 1:
+            raise ValueError(f"(O/p^n)^x needs a prime p and n >= 1, "
+                             f"got p={p}, n={n}")
         self.ring = ResidueRing(D, p, n)
         self.D, self.p, self.n = D, p, n
         st = splitting_type(D, p)
@@ -261,8 +268,9 @@ class ResidueUnits:
         self._top = top
 
         # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod P^c0 only,
-        # so each top column carries the base log of the quotient
-        self.gens = top.gens + [g1, g2]
+        # so each top column carries the base log of the quotient; tuples,
+        # because one group is shared by every field of the ring
+        self.gens = (*top.gens, g1, g2)
         cols = []
         for i, col in enumerate(top.relation_columns()):
             g = R.pow(top.gens[i], top.orders[i])
@@ -271,7 +279,7 @@ class ResidueUnits:
         nt = len(top.gens)
         cols += [[0] * nt + list(x) for x in base_rel]
         ng = len(self.gens)
-        self.rel_rows = [[c[i] for c in cols] for i in range(ng)]
+        self.rel_rows = tuple(tuple(c[i] for c in cols) for i in range(ng))
         st = AbelianGroupStructure.from_relation_matrix(self.rel_rows, ng)
         if st.order != self.order:
             raise PramError(f"residue unit group order {st.order} != "
@@ -302,9 +310,29 @@ class ResidueUnits:
         return v + self._dlog_base(self._divide(u, v))
 
 
+# bounded: where 4p^n exceeds the scanned range of D, as in tor-scan
+# --p 2 (n = 20) above 10^6, every field is a ring of its own
+@lru_cache(maxsize=256)
+def _ring_units(p: int, n: int, r: int) -> ResidueUnits:
+    return ResidueUnits(r, p, n)
+
+
+def units_mod(D: int, p: int, n: int) -> ResidueUnits:
+    """(O/p^n)^x of the field of discriminant D, shared with every field
+    whose D agrees mod 4p^n.
+
+    Products in O/p^n need only s mod p^n and t (omega^2 = s + t*omega),
+    the level lattices only the uniformizer mod p^n, and the splitting
+    type only D mod 8 (p = 2) or mod p: D mod 4p^n fixes all of them.
+    The group is built from that residue, so it holds no field's own D,
+    and callers only read it.
+    """
+    return _ring_units(p, n, D % (4 * p ** n))
+
+
 def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
-    d = as_disc(D)
-    return ResidueUnits(d.value, p, n).structure
+    """Structure of (O/p^n)^x; it depends only on D mod 4p^n."""
+    return units_mod(as_disc(D).value, p, n).structure
 
 
 # --------------------------------------------------- units and class data
@@ -463,11 +491,15 @@ class RayClassGroup:
 
 def ray_class_group(D, p: int, n: int,
                     class_data: _ClassData | None = None) -> RayClassGroup:
+    """Cl_{p^n} from (O/p^n)^x, the global units and the class-group
+    relations. (O/p^n)^x comes from `units_mod`, built once per ring
+    D mod 4p^n per process and shared; the unit and relation dlogs, the
+    Smith forms and the class data are this field's own."""
     d = as_disc(D)
     cd = class_data or _class_data(d.value, p)
     if n == 0:
         return RayClassGroup(d.value, p, 0, cd.structure, 1, 1)
-    G = ResidueUnits(d.value, p, n)
+    G = units_mod(d.value, p, n)
     R = G.ring
     ng, t = len(G.gens), len(cd.pres.gens)
     g_cols = [[G.rel_rows[i][j] for i in range(ng)]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,27 @@ def test_usage_errors(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main([]) == 2
     assert cli.main(["tor-scan", "--p", "2"]) == 2   # missing range
+
+
+@pytest.mark.parametrize("argv", [
+    ["tor-scan", "--p", "1", "--min-d", "3", "--max-d", "20"],
+    ["tor-scan", "--p", "4", "--min-d", "3", "--max-d", "20"],
+    ["quad-maxima", "--max-d", "100", "--workers", "0"],
+    ["quad-maxima", "--max-d", "100", "--workers", "-1"],
+    ["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "20",
+     "--workers", "0"],
+    ["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "20",
+     "--workers", "-1"],
+    ["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "20", "--n", "0"],
+    ["tor-family", "--p", "3"],
+    ["reflection-check", "--p", "3", "--max-d", "50"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_invalid_arguments_are_usage_errors(argv, capsys):
+    # --p 1 once looped forever and --workers 0 divided by zero
+    t = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - t < 0.5
+    assert capsys.readouterr().out == ""
 
 
 def test_primes_csv(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
@@ -47,6 +49,79 @@ def test_residue_units_known_structures():
     assert str(pram.residue_units(-15, 3, 1)) == "[6]"
     # inert 3 at level 1: the residue field F_9, cyclic of order 8
     assert str(pram.residue_units(-4, 3, 1)) == "[8]"
+
+
+def _fundamental(lo, hi):
+    out = []
+    for D in range(lo, hi):
+        try:
+            out.append(quadclass.as_disc(D).value)
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.sampled_from(_fundamental(-600, 600)),
+       pn=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2),
+                           (3, 3), (5, 1), (5, 2)]),
+       k=st.integers(-30, 30), seed=st.integers(0, 10 ** 6))
+def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
+    # (O/p^n)^x is the same group with the same generators and dlog for
+    # every D in one class mod 4p^n, and the shared copy is one object
+    p, n = pn
+    q = p ** n
+    shared = pram.units_mod(D, p, n)
+    assert pram.units_mod(D + 4 * q * k, p, n) is shared
+    R = pram.ResidueRing(D, p, n)
+    rng = random.Random(seed)
+    units = [u for u in ((rng.randrange(q), rng.randrange(q))
+                         for _ in range(40)) if R.is_unit(u)][:12]
+    for own in (pram.ResidueUnits(D, p, n),
+                pram.ResidueUnits(D + 4 * q * k, p, n)):
+        assert own.gens == shared.gens
+        assert own.rel_rows == shared.rel_rows
+        assert own.structure == shared.structure
+        assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
+
+
+RAY_CASES = [(D, p, n)
+             for D in (-3, -4, -7, -8, -11, -15, -20, -23, -24, -39, -40,
+                       -56, -68, -84, -119, -219, -255, -420, -1155,
+                       5, 8, 12, 13, 21, 105, 229, 1365)
+             for p in (2, 3, 5, 7) for n in (1, 2, 3, 4, 6)]
+
+
+def test_ray_class_group_cold_and_warm_cache(monkeypatch):
+    assert len(RAY_CASES) == 540
+    data = {(D, p): pram._class_data(D, p) for D, p, _ in RAY_CASES}
+    cold = []
+    for D, p, n in RAY_CASES:
+        pram._ring_units.cache_clear()
+        cold.append(pram.ray_class_group(D, p, n, data[D, p]))
+    pram._ring_units.cache_clear()
+    warm = [pram.ray_class_group(D, p, n, data[D, p])
+            for D, p, n in RAY_CASES]
+    assert warm == cold
+    assert pram._ring_units.cache_info().hits > 0   # rings were shared
+    # and each field's own (O/p^n)^x gives the same ray class groups
+    monkeypatch.setattr(pram, "units_mod", pram.ResidueUnits)
+    own = [pram.ray_class_group(D, p, n, data[D, p])
+           for D, p, n in RAY_CASES]
+    assert own == cold
+
+
+def test_ring_cache_is_bounded():
+    info = pram._ring_units.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("p,n", [(1, 8), (4, 3), (6, 2), (0, 2), (-2, 3),
+                                 (2, 0)])
+def test_residue_units_rejects_bad_modulus(p, n):
+    # p = 1 used to loop forever in the exp series
+    with pytest.raises(ValueError):
+        pram.ResidueUnits(-3, p, n)
 
 
 def test_splitting_type():
