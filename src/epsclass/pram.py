@@ -112,6 +112,14 @@ class ResidueRing:
         return tuple(out)
 
 
+def _check_modulus(p: int, n: int = 1) -> None:
+    """ValueError unless p is prime and n >= 1: the modulus p^n of every
+    (O/p^n)^x and ray class group here."""
+    if not is_prime(p) or n < 1:
+        raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
+                         f"got p={p}, n={n}")
+
+
 def _reduce_vec(v, H):
     v = list(v)
     for i in range(2):
@@ -137,9 +145,7 @@ class ResidueUnits:
     """
 
     def __init__(self, D: int, p: int, n: int):
-        if not is_prime(p) or n < 1:
-            raise ValueError(f"(O/p^n)^x needs a prime p and n >= 1, "
-                             f"got p={p}, n={n}")
+        _check_modulus(p, n)
         self.ring = ResidueRing(D, p, n)
         self.D, self.p, self.n = D, p, n
         st = splitting_type(D, p)
@@ -447,6 +453,7 @@ def _lift_relation(D: int, forms: list, col: list) -> QuadElt:
 
 
 def _class_data(D: int, p: int) -> _ClassData:
+    _check_modulus(p)
     units: list[QuadElt] = [QuadElt.integer(-1, D)]
     if D < 0:
         pres = full_imaginary_presentation(D)
@@ -495,6 +502,7 @@ def ray_class_group(D, p: int, n: int,
     relations. (O/p^n)^x comes from `units_mod`, built once per ring
     D mod 4p^n per process and shared; the unit and relation dlogs, the
     Smith forms and the class data are this field's own."""
+    _check_modulus(p, n or 1)   # n = 0: the class group itself
     d = as_disc(D)
     cd = class_data or _class_data(d.value, p)
     if n == 0:
@@ -705,7 +713,9 @@ def program_vptor(D, p: int, n: int) -> int:
 
 def tor_scan(lo: int, hi: int, p: int,
              n: int | None = None) -> list[TorRecord]:
-    n = n or (20 if p == 2 else 8)
+    if n is None:
+        n = 20 if p == 2 else 8
+    _check_modulus(p, n)
     recs = []
     for d in range(lo, hi + 1):
         disc = is_fundamental_neg(d)

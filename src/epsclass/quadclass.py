@@ -9,7 +9,9 @@ Class-group structure comes from a staircase presentation: generators are
 adjoined greedily, each new generator g contributing one triangular
 relation g^o = (word in earlier generators); Smith form of the relation
 matrix gives the divisor chain, and the closure table doubles as a
-discrete-log dictionary (reused for ray class groups).
+discrete-log dictionary (reused for ray class groups). Building it costs
+one group operation per new class, plus one canonicalisation per
+generator: h - 1 compositions for a class group of order h.
 """
 
 from __future__ import annotations
@@ -153,27 +155,31 @@ class ClassGroupPresentation:
     def adjoin(self, e, rel_order: int | None = None,
                limit: int | None = None) -> None:
         """Add generator e: find its order o over the current closure
-        (g^o = word in earlier gens) and extend the dlog table."""
+        (e^o = word in earlier gens) and extend the dlog table.
+
+        Costs one op per new class plus one canon per generator: a single
+        walk gives e^2, ..., e^o (with rel_order = o known, it skips the
+        membership tests), and e, ..., e^(o-1) are the identity's row."""
         dlog, op = self.dlog_table, self.op
-        if rel_order is None:
-            k, cur = 1, e
-            while cur not in dlog:
-                cur = op(cur, e)
-                k += 1
-                if limit is not None and k > limit:
-                    raise ClassNumberCapError("relative order search exhausted")
-        else:
-            k, cur = rel_order, self.canon_pow(e, rel_order)
+        e = self.canon(e)
+        powers = [e]
+        while (len(powers) < rel_order if rel_order
+               else powers[-1] not in dlog):
+            if limit is not None and len(powers) >= limit:
+                raise ClassNumberCapError("relative order search exhausted")
+            powers.append(op(powers[-1], e))
+        k = len(powers)
+        word = dlog[powers.pop()]
         idx = len(self.gens)
         self.gens.append(e)
         self.orders.append(k)
-        self.words.append(dlog[cur] + (0,) * (idx - len(dlog[cur])))
-        base = list(dlog.items())
-        cur = self.identity
-        for j in range(1, k):
-            cur = op(cur, e)
+        self.words.append(word + (0,) * (idx - len(word)))
+        # the identity is the table's first key
+        _, *base = dlog.items()
+        for j, ej in enumerate(powers, 1):
+            dlog[ej] = (0,) * idx + (j,)
             for elt, vec in base:
-                dlog[op(elt, cur)] = vec + (0,) * (idx - len(vec)) + (j,)
+                dlog[op(elt, ej)] = vec + (0,) * (idx - len(vec)) + (j,)
 
     def canon_pow(self, e, n: int):
         r, f = self.identity, e

@@ -124,6 +124,29 @@ def test_residue_units_rejects_bad_modulus(p, n):
         pram.ResidueUnits(-3, p, n)
 
 
+@pytest.mark.parametrize("call,args", [
+    # an error row "no representation coprime to 1 ..." instead of raising
+    (pram.tor_scan, (20, 20, 1)),
+    (pram.tor_scan, (20, 20, 2, 0)),
+    # ZeroDivisionError in _coprime_rep
+    (pram.ray_class_group, (-20, 0, 2)),
+    (pram.ray_class_group, (-20, 2, -1)),
+    # PramError from _coprime_rep
+    (pram.program_vptor, (-20, 1, 5)),
+    (pram.tor_report, (-20, 4)),
+    (pram.reflection_check, (-20, 6)),
+    (pram.rank_inequalities, (-20, 1)),
+])
+def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
+    def no_build(D):
+        raise AssertionError("a class group was built before validation")
+
+    monkeypatch.setattr(pram, "imaginary_presentation", no_build)
+    monkeypatch.setattr(pram, "bsgs_presentation", no_build)
+    with pytest.raises(ValueError, match="prime p and n >= 1"):
+        call(*args)
+
+
 def test_splitting_type():
     assert pram.splitting_type(-15, 2) == "split"
     assert pram.splitting_type(-20, 2) == "ramified"

@@ -1,16 +1,23 @@
 import random
+from collections import Counter
 from math import gcd, isqrt, log, pi
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epsclass import arith
+from epsclass import arith, pram
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
 from epsclass.arith import kronecker, prime_sieve, squarefree_core
-from epsclass.quadforms import reduced_forms_imaginary
+from epsclass.quadforms import (
+    compose,
+    principal_form,
+    reduce_imaginary,
+    reduced_forms_imaginary,
+)
 
 
 def _fundamental_sample(rng, lo, hi, count):
@@ -368,3 +375,133 @@ def test_euler_window_audit():
 
 def test_one_prime_sieve():
     assert qc.batch_prime is prime_sieve
+
+
+# --------------------------------------- staircase adjoin against the old loop
+
+def _adjoin_reference(self, e, rel_order=None, limit=None):
+    # the adjoin before the powers of e were kept: it walks them twice and
+    # composes every identity-row entry with the identity
+    dlog, op = self.dlog_table, self.op
+    if rel_order is None:
+        k, cur = 1, e
+        while cur not in dlog:
+            cur = op(cur, e)
+            k += 1
+            if limit is not None and k > limit:
+                raise qc.ClassNumberCapError("relative order search exhausted")
+    else:
+        k, cur = rel_order, self.canon_pow(e, rel_order)
+    idx = len(self.gens)
+    self.gens.append(e)
+    self.orders.append(k)
+    self.words.append(dlog[cur] + (0,) * (idx - len(dlog[cur])))
+    base = list(dlog.items())
+    cur = self.identity
+    for j in range(1, k):
+        cur = op(cur, e)
+        for elt, vec in base:
+            dlog[op(elt, cur)] = vec + (0,) * (idx - len(vec)) + (j,)
+
+
+def _snapshot(pres):
+    return (pres.gens, pres.orders, pres.words, list(pres.dlog_table.items()))
+
+
+def _assert_matches_reference(build, *args):
+    """build(*args) gives the same presentation, dict order included, with
+    the old adjoin as with the new one."""
+    with mock.patch.object(qc.ClassGroupPresentation, "adjoin",
+                           _adjoin_reference):
+        ref = build(*args)
+    new = build(*args)
+    assert _snapshot(new) == _snapshot(ref), args
+    return new
+
+
+@given(st.integers(min_value=3, max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_imaginary_presentation_matches_reference_adjoin(d):
+    assume(d % 4 in (0, 3))
+    try:
+        D = qc.discriminant_from_value(-d).value
+    except ValueError:
+        assume(False)
+    _assert_matches_reference(qc.imaginary_presentation, D)
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(qc, name)
+
+        def call(*a):
+            counts[name] += 1
+            return fn(*a)
+        return call
+
+    with mock.patch.object(qc, "compose", counted("compose")), \
+            mock.patch.object(qc, "reduce_imaginary",
+                              counted("reduce_imaginary")):
+        pres = qc.imaginary_presentation(D)
+    # one composition per class but the identity; reductions: the
+    # principal form, every composition and one canon per generator
+    assert counts["compose"] == pres.h - 1
+    assert counts["reduce_imaginary"] == pres.h + len(pres.gens)
+
+
+@pytest.mark.parametrize("D", [-3, -4, -23, -3299, -15015, -255255])
+def test_imaginary_presentation_matches_reference_anchors(D):
+    _assert_matches_reference(qc.imaginary_presentation, D)
+
+
+def test_bsgs_presentation_matches_reference_adjoin():
+    # the first generator goes in with rel_order=, the rest with limit=
+    for D in _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
+                                 3 * 10 ** 6, 25):
+        pres = _assert_matches_reference(qc.bsgs_presentation, D)
+        assert pres.h == len(reduced_forms_imaginary(D))
+
+
+def test_narrow_presentation_matches_reference_adjoin():
+    rng = random.Random(29)
+    Ds = [5, 8, 12, 13, 21, 105, 229, 1365]
+    while len(Ds) < 20:
+        try:
+            Ds.append(qc.discriminant_from_value(rng.randrange(5, 10 ** 5))
+                      .value)
+        except ValueError:
+            pass
+    for D in Ds:
+        _assert_matches_reference(qc.narrow_presentation, D)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_residue_units_top_matches_reference_adjoin(p):
+    for D in (-3, -4, -7, -8, -15, -20, -23, -1155, 5, 8, 12, 13, 105):
+        for n in (1, 2, 4):
+            _assert_matches_reference(
+                lambda *a: pram.ResidueUnits(*a)._top, D, p, n)
+
+
+def _bare_imaginary(D):
+    """The presentation of imaginary_presentation before any generator."""
+    ident = reduce_imaginary(principal_form(D))
+    return qc.ClassGroupPresentation(
+        D, [], [], [], {ident: ()}, ident, reduce_imaginary,
+        lambda f, g: reduce_imaginary(compose(f, g)))
+
+
+@pytest.mark.parametrize("D", [-23, -3299, -15015])
+def test_adjoin_limit_boundary(D):
+    # the last generator: relative order k over the closure of the others
+    full = qc.imaginary_presentation(D)
+    *first, e = full.gens
+    k = full.orders[-1]
+    pres = _bare_imaginary(D)
+    for g in first:
+        pres.adjoin(g)
+    before = _snapshot(pres)
+    with pytest.raises(qc.ClassNumberCapError):
+        pres.adjoin(e, limit=k - 1)
+    assert _snapshot(pres) == before
+    pres.adjoin(e, limit=k)
+    assert _snapshot(pres) == _snapshot(full)
