@@ -35,10 +35,6 @@ class AbelianGroupStructure:
     def p_rank(self, p: int) -> int:
         return sum(1 for d in self.divisors if d % p == 0)
 
-    def pr_rank(self, p: int, r: int) -> int:
-        q = p ** r
-        return sum(1 for d in self.divisors if d % q == 0)
-
     def p_part(self, p: int) -> "AbelianGroupStructure":
         out = []
         for d in self.divisors:

@@ -30,12 +30,6 @@ class Factorization:
     def omega(self) -> int:
         return len(self.factors)
 
-    def radical(self) -> int:
-        r = 1
-        for q, _ in self.factors:
-            r *= q
-        return r
-
 
 @dataclass(frozen=True)
 class PrimeClassSequence:
@@ -174,10 +168,6 @@ def squarefree_core(n: int) -> tuple[int, int]:
             core *= q
         cof *= q ** (e // 2)
     return sign * core, cof
-
-
-def is_squarefree(n: int) -> bool:
-    return squarefree_core(n)[1] == 1
 
 
 def kronecker(a: int, n: int) -> int:

@@ -4,9 +4,11 @@ The torsion group T of the Galois group of the maximal abelian p-ramified
 pro-p-extension is read off ray class groups mod p^n: at stabilization the
 p-part of Cl_{p^n} splits into r = r_2 + 1 growing cyclic lines plus T.
 Ray class groups are presented exactly from (O/p^n)^x together with the
-exact generator of each class-group relation. (O/p^n)^x has two layers:
-(O/P^c0)^x, enumerated point by point, over the base 1 + P^c0, which the
-p-adic logarithm makes additive.
+image in (O/p^n)^x of the generator of each class-group relation, which
+the relation walk carries locally above p (a valuation at each prime
+above p and a unit mod p^n), never as an exact element. (O/p^n)^x has
+two layers: (O/P^c0)^x, enumerated point by point, over the base
+1 + P^c0, which the p-adic logarithm makes additive.
 """
 
 from __future__ import annotations
@@ -112,6 +114,15 @@ class ResidueRing:
         return tuple(out)
 
 
+def _uniformizer(R: ResidueRing) -> tuple:
+    """pi = x + y*omega generating the prime above a ramified p."""
+    if R.D % 4:
+        return (-1, 2)        # p odd | m, pi = sqrt(m) = 2*omega - 1
+    if R.p == 2 and R.m % 2:
+        return (1, 1)         # m = 3 mod 4, pi = 1 + sqrt(m)
+    return (0, 1)             # p | m, pi = omega = sqrt(m)
+
+
 def _check_modulus(p: int, n: int = 1) -> None:
     """ValueError unless p is prime and n >= 1: the modulus p^n of every
     (O/p^n)^x and ray class group here."""
@@ -165,17 +176,8 @@ class ResidueUnits:
 
     # -- pi-adic level lattices (columns include p^n Z^2)
     def _pi_cols(self):
-        R = self.ring
-        if R.D % 4 == 0:
-            m = R.m
-            if m % 2 == 0 and self.p == 2:
-                return [(0, 1), (m, 0)]               # pi = omega = sqrt(m)
-            if self.p == 2:
-                return [(1, 1), (m, 1)]               # pi = 1 + sqrt(m)
-            return [(0, 1), (m, 0)]                   # p odd | m, pi = sqrt(m)
-        # D odd, omega = (1+sqrt(m))/2, pi = sqrt(m) = 2*omega - 1
-        m = R.m
-        return [(-1, 2), ((m - 1) // 2, 1)]
+        pi = _uniformizer(self.ring)
+        return [pi, self.ring.mul_exact(pi, (0, 1))]
 
     def _level(self, k: int) -> list:
         q = self.ring.q
@@ -395,6 +397,162 @@ def _transform(f: QuadForm, M) -> QuadForm:
     return QuadForm(a, b, c)
 
 
+# ------------------------------------------- relation generators above p
+#
+# ray_class_group reads a relation's generator alpha only through its image
+# in (O/p^n)^x, so the relation walk carries gamma in O (x) Z_p instead of
+# exactly: a valuation at each prime above p and a unit mod p^N. Each
+# factor of the walk is an integer w or (b - sqrt(D))/(2c), and
+# (b - sqrt(D))/2 = h - omega (h = (b + t)/2) has norm ac; both are
+# split into valuations and units from exact integers, so the units stay
+# exact mod p^N however long the walk.
+
+class _SplitGamma:
+    """gamma above a split p, through O -> Z_p x Z_p, omega -> (r1, r2):
+    the components p^v1 * u1 and p^v2 * u2, units u_i mod q."""
+    __slots__ = ("k", "v1", "v2", "u1", "u2")
+
+    def __init__(self, k, v1, v2, u1, u2):
+        self.k, self.v1, self.v2, self.u1, self.u2 = k, v1, v2, u1, u2
+
+    def mul(self, o):
+        q = self.k.q
+        return _SplitGamma(self.k, self.v1 + o.v1, self.v2 + o.v2,
+                           self.u1 * o.u1 % q, self.u2 * o.u2 % q)
+
+    def scale(self, n: int):
+        k = self.k
+        e, n = _split_off(k.p, n)
+        return _SplitGamma(k, self.v1 + e, self.v2 + e,
+                           self.u1 * n % k.q, self.u2 * n % k.q)
+
+    def rho(self, b: int, c: int):
+        k = self.k
+        p, q = k.p, k.q
+        h = (b + k.t) // 2
+        z1, z2 = (h - k.r1) % q, (h - k.r2) % q
+        w1 = w2 = 0
+        # h - omega is not divisible by p, so p divides at most one
+        # component; that one is ac / (the other), exactly
+        if z1 % p == 0:
+            w1, ac = _split_off(p, (b * b - k.D) // 4)
+            z1 = ac * pow(z2, -1, q) % q
+        elif z2 % p == 0:
+            w2, ac = _split_off(p, (b * b - k.D) // 4)
+            z2 = ac * pow(z1, -1, q) % q
+        e, c = _split_off(p, c)
+        ci = pow(c, -1, q)
+        return _SplitGamma(k, self.v1 + w1 - e, self.v2 + w2 - e,
+                           self.u1 * z1 * ci % q, self.u2 * z2 * ci % q)
+
+    def unit(self) -> tuple:
+        """(x, y) = x + y*omega mod q; PramError unless a p-unit."""
+        k = self.k
+        if self.v1 or self.v2:
+            raise PramError(f"relation generator has valuations "
+                            f"({self.v1}, {self.v2}) above {k.p}")
+        y = (self.u1 - self.u2) * k.dr % k.q
+        return ((self.u1 - y * k.r1) % k.q, y)
+
+
+class _PrimeGamma:
+    """gamma above an inert or ramified p, over which one prime P lies,
+    with pi generating P locally: pi^v times a unit x + y*omega mod q."""
+    __slots__ = ("k", "v", "x", "y")
+
+    def __init__(self, k, v, x, y):
+        self.k, self.v, self.x, self.y = k, v, x, y
+
+    def _times(self, v, u):
+        x, y = self.k.ring.mul((self.x, self.y), u)
+        return _PrimeGamma(self.k, self.v + v, x, y)
+
+    def mul(self, o):
+        return self._times(o.v, (o.x, o.y))
+
+    def scale(self, n: int):
+        # p = pi^ram / eps
+        k = self.k
+        e, n = _split_off(k.p, n)
+        u = (n % k.q, 0)
+        if e:
+            u = k.ring.mul(u, k.ring.pow(k.eps_inv, e))
+        return self._times(k.ram * e, u)
+
+    def rho(self, b: int, c: int):
+        k = self.k
+        R = k.ring
+        z = ((b + k.t) // 2, -1)
+        v = 0
+        if (b * b - k.D) // 4 % k.p == 0:
+            # P | h - omega, once (p does not divide it): h - omega over
+            # pi is (h - omega) conj(pi) / N(pi), whose p-part divides
+            # exactly
+            x, y = R.mul_exact(z, k.pi_bar)
+            if x % k.pi_pk or y % k.pi_pk:
+                raise PramError(f"(b - sqrt(D))/2 not divisible by the "
+                                f"prime above {k.p}: b = {b}")
+            z, v = (x // k.pi_pk, y // k.pi_pk), 1
+            c *= k.pi_rest
+        e, c = _split_off(k.p, c)
+        u = R.mul(z, (pow(c, -1, k.q), 0))
+        if e:
+            u = R.mul(u, R.pow(k.eps, e))
+        return self._times(v - k.ram * e, u)
+
+    def unit(self) -> tuple:
+        """(x, y) = x + y*omega mod q; PramError unless a p-unit."""
+        if self.v:
+            raise PramError(f"relation generator has valuation {self.v} "
+                            f"above {self.k.p}")
+        return (self.x, self.y)
+
+
+def _split_off(p: int, n: int) -> tuple:
+    """(e, n / p^e) with p^e exactly dividing n."""
+    e = vp(n, p)
+    return e, n // p ** e
+
+
+class _LocalFrame:
+    """The constants the gamma carriers of the field D share above p,
+    units mod q = p^N; `one` starts a walk."""
+
+    def __init__(self, D: int, p: int, N: int):
+        R = ResidueRing(D, p, N)
+        self.ring, self.D, self.p, self.q, self.t = R, D, p, R.q, R.t
+        q = self.q
+        st = splitting_type(D, p)
+        if st == "split":
+            # a simple root of omega^2 = t*omega + s mod p, Newton-lifted
+            r = 0 if p == 2 else \
+                (R.t + sqrt_mod_prime(D, p)) * pow(2, -1, p) % p
+            for _ in range(N.bit_length() + 1):
+                r = (r - (r * r - R.t * r - R.s) *
+                     pow(2 * r - R.t, -1, q)) % q
+            self.r1, self.r2 = r, (R.t - r) % q
+            self.dr = pow(self.r1 - self.r2, -1, q)
+            self.one = _SplitGamma(self, 0, 0, 1, 1)
+            return
+        # pi: ResidueUnits' uniformizer (ramified), or p itself (inert)
+        pi = _uniformizer(R) if st == "ramified" else (p, 0)
+        self.ram = 2 if st == "ramified" else 1     # ramification index
+        self.pi_bar = (pi[0] + R.t * pi[1], -pi[1])
+        # N(pi) = pi_pk * pi_rest, pi_pk its p-part
+        self.pi_pk = p ** vp(R.norm(pi), p)
+        self.pi_rest = R.norm(pi) // self.pi_pk
+        pe = R.mul_exact(pi, pi) if self.ram == 2 else pi
+        self.eps = (pe[0] // p % q, pe[1] // p % q)     # pi^ram / p, a unit
+        self.eps_inv = R.inv(self.eps)
+        self.one = _PrimeGamma(self, 0, 1, 0)
+
+    def image(self, gamma, den: int) -> tuple:
+        """gamma / den mod q as (x, y) = x + y*omega, den prime to p."""
+        x, y = gamma.unit()
+        d = pow(den, -1, self.q)
+        return (x * d % self.q, y * d % self.q)
+
+
 def _tracked_pos(t: TrackedIdeal) -> TrackedIdeal:
     return t if t.form.a > 0 else t.rho_step()
 
@@ -414,6 +572,30 @@ def _tracked_pow(t: TrackedIdeal, e: int) -> TrackedIdeal:
     return result.reduce()
 
 
+def _lift_relation(forms: list, col: list, one) -> tuple:
+    """(beta, den) with prod_j I_j^{c_j} = (beta / den), beta in the
+    carrier of `one` (see TrackedIdeal): walks I_j^{c_j} for c_j > 0 and
+    conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j} for c_j < 0 to the
+    generator beta, and den = prod_{c_j < 0} a_j^{-c_j}. PramError if the
+    product is not principal."""
+    t = None
+    den = 1
+    for f, c in zip(forms, col):
+        if c < 0:
+            f = f.inverse()
+            den *= f.a ** -c
+        if c:
+            tj = _tracked_pow(TrackedIdeal.from_form(f, one), abs(c))
+            t = tj if t is None else \
+                _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
+    if t is None:
+        return one, den
+    try:
+        return t.reduce().principal_generator(), den
+    except ValueError as exc:
+        raise PramError(f"relation {col} is not principal") from exc
+
+
 def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
     """Presentation of the full imaginary class group: exact enumeration
     for |D| <= 4*10^5, GRH-conditional BSGS (up to BSGS_CAP) above it."""
@@ -422,38 +604,28 @@ def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
     return bsgs_presentation(D)
 
 
+def _top_level(p: int) -> int:
+    """The last level tor_report tries."""
+    return 64 if p == 2 else (32 if p == 3 else 16)
+
+
 @dataclass
 class _ClassData:
     D: int
     p: int
+    top: int          # relation images are taken mod p^top
     pres: ClassGroupPresentation
     structure: AbelianGroupStructure   # ordinary class group
-    relations: list   # (column c over pres.gens, alpha), prod I^c = (alpha)
+    relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
+    #                   with alpha = x + y*omega mod p^top
     units: list       # QuadElt global units (-1, eps, zeta)
 
 
-def _lift_relation(D: int, forms: list, col: list) -> QuadElt:
-    """alpha with prod_j I_j^{c_j} = (alpha): walks I_j^{c_j} for c_j > 0
-    and conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j} for c_j < 0 to a
-    generator beta, then alpha = beta / prod_{c_j < 0} a_j^{-c_j}."""
-    t = None
-    den = 1
-    for f, c in zip(forms, col):
-        if c < 0:
-            f = f.inverse()
-            den *= f.a ** -c
-        if c:
-            tj = _tracked_pow(TrackedIdeal.from_form(f), abs(c))
-            t = tj if t is None else \
-                _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
-    if t is None:
-        return QuadElt.one(D)
-    beta = t.reduce().principal_generator()
-    return beta.mul(QuadElt.integer(Fraction(1, den), D))
-
-
-def _class_data(D: int, p: int) -> _ClassData:
+def _class_data(D: int, p: int, top: int | None = None) -> _ClassData:
+    """The class group of D and its relations, their generators' images
+    mod p^top (by default every level tor_report visits)."""
     _check_modulus(p)
+    top = top or _top_level(p)
     units: list[QuadElt] = [QuadElt.integer(-1, D)]
     if D < 0:
         pres = full_imaginary_presentation(D)
@@ -476,8 +648,10 @@ def _class_data(D: int, p: int) -> _ClassData:
         else:
             units.append(QuadElt(Fraction(x, 2), Fraction(y, 2), D))
     forms = [_coprime_rep(f, p) for f in pres.gens]
-    relations = [(col, _lift_relation(D, forms, col)) for col in cols]
-    return _ClassData(D, p, pres, structure, relations, units)
+    frame = _LocalFrame(D, p, top)
+    relations = [(col, frame.image(*_lift_relation(forms, col, frame.one)))
+                 for col in cols]
+    return _ClassData(D, p, top, pres, structure, relations, units)
 
 
 # ------------------------------------------------------- ray class groups
@@ -501,10 +675,14 @@ def ray_class_group(D, p: int, n: int,
     """Cl_{p^n} from (O/p^n)^x, the global units and the class-group
     relations. (O/p^n)^x comes from `units_mod`, built once per ring
     D mod 4p^n per process and shared; the unit and relation dlogs, the
-    Smith forms and the class data are this field's own."""
+    Smith forms and the class data are this field's own; the class
+    data's relation images must reach level n."""
     _check_modulus(p, n or 1)   # n = 0: the class group itself
     d = as_disc(D)
-    cd = class_data or _class_data(d.value, p)
+    cd = class_data or _class_data(d.value, p, max(n, 1))
+    if n > cd.top:
+        raise ValueError(f"class data covers levels up to {cd.top}, "
+                         f"not {n}")
     if n == 0:
         return RayClassGroup(d.value, p, 0, cd.structure, 1, 1)
     G = units_mod(d.value, p, n)
@@ -514,8 +692,8 @@ def ray_class_group(D, p: int, n: int,
               for j in range(len(G.rel_rows[0]))]
     unit_cols = [list(G.dlog(R.from_quadelt(u))) for u in cd.units]
     cols = [c + [0] * t for c in g_cols + unit_cols]
-    for col, alpha in cd.relations:
-        cols.append([-x for x in G.dlog(R.from_quadelt(alpha))] + col)
+    for col, (x, y) in cd.relations:
+        cols.append([-e for e in G.dlog((x % R.q, y % R.q))] + col)
     rows = [[c[i] for c in cols] for i in range(ng + t)]
     st = AbelianGroupStructure.from_relation_matrix(rows, ng + t)
     # exact order identity of the ray class sequence
@@ -565,23 +743,19 @@ def tor_report(D, p: int,
     d = as_disc(D)
     r = 2 if d.value < 0 else 1
     cd = class_data or _class_data(d.value, p)
-    n_max = 32 if p == 2 else (16 if p == 3 else 8)
-    for attempt in range(2):
-        prev = None
-        prev_T = None
-        for n in range(2, n_max + 1):
-            ray = ray_class_group(d, p, n, cd)
-            T = _drop_lines(ray.structure, p, r)
-            if prev is not None:
-                inc = vp(ray.order, p) - vp(prev.order, p)
-                if inc == r and T == prev_T:
-                    v = vp(prod(T), p)
-                    ct = v * log(p) / log(isqrt_float(abs(d.value)))
-                    return TorsionReport(d.value, p,
-                                         AbelianGroupStructure(T), v,
-                                         w_group(d, p), ct, n)
-            prev, prev_T = ray, T
-        n_max *= 2
+    prev = None
+    prev_T = None
+    for n in range(2, _top_level(p) + 1):
+        ray = ray_class_group(d, p, n, cd)
+        T = _drop_lines(ray.structure, p, r)
+        if prev is not None:
+            inc = vp(ray.order, p) - vp(prev.order, p)
+            if inc == r and T == prev_T:
+                v = vp(prod(T), p)
+                ct = v * log(p) / log(isqrt_float(abs(d.value)))
+                return TorsionReport(d.value, p, AbelianGroupStructure(T),
+                                     v, w_group(d, p), ct, n)
+        prev, prev_T = ray, T
     raise PramError(f"torsion did not stabilize for D={d.value}, p={p}")
 
 
@@ -635,7 +809,7 @@ def s_class_group(D, p: int,
                   class_data: _ClassData | None = None) -> SClassGroup:
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
-    cd = class_data or _class_data(d.value, p)
+    cd = class_data or _class_data(d.value, p, 1)
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)

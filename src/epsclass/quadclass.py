@@ -289,10 +289,6 @@ def ordinary_class_group_real(D) -> AbelianGroupStructure:
         ramified_principal_form(d.value))
 
 
-def p_part(g: AbelianGroupStructure, p: int) -> AbelianGroupStructure:
-    return g.p_part(p)
-
-
 def genus_delta(D) -> tuple[int, int]:
     """(N, Delta) with Delta = v_2(h_restricted) - (N-1); asserts the genus
     rigidity rk_2 = N - 1."""

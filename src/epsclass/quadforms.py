@@ -273,9 +273,13 @@ class QuadElt:
         return QuadElt(self.x * other.x + self.y * other.y * self.D,
                        self.x * other.y + self.y * other.x, self.D)
 
-    def inv(self) -> "QuadElt":
-        n = self.x * self.x - self.y * self.y * self.D
-        return QuadElt(self.x / n, -self.y / n, self.D)
+    def scale(self, n) -> "QuadElt":
+        return QuadElt(self.x * n, self.y * n, self.D)
+
+    def rho(self, b: int, c: int) -> "QuadElt":
+        """self * (b - sqrt(D)) / (2c)."""
+        return self.mul(QuadElt(Fraction(b, 2 * c), Fraction(-1, 2 * c),
+                                self.D))
 
     def norm(self) -> Fraction:
         return self.x * self.x - self.y * self.y * self.D
@@ -293,33 +297,36 @@ class QuadElt:
 class TrackedIdeal:
     """The ideal gamma * [a, (-b + sqrt(D))/2] for the form (a, b, c).
 
-    Multiplication and reduction keep (form, gamma) exact, so a principal
-    ideal reduces to |a| = 1 with an explicit generator gamma^-1... more
-    precisely: value = gamma * ideal(form); once |form.a| = 1 the ideal
-    (value/gamma) is the maximal order and value = (gamma).
+    Multiplication and reduction keep gamma in step with the form, so once
+    a principal ideal reaches |a| = 1, ideal(form) is the maximal order and
+    the tracked ideal is (gamma).
+
+    gamma is exact (QuadElt) unless from_form is given another carrier: any
+    value with mul(other), scale(n) for an integer n, and rho(b, c), the
+    product with (b - sqrt(D)) / (2c), will do; pram carries gamma locally
+    above p that way.
     """
     form: QuadForm
     gamma: QuadElt
 
     @classmethod
-    def from_form(cls, f: QuadForm) -> "TrackedIdeal":
-        return cls(f, QuadElt.one(f.disc()))
+    def from_form(cls, f: QuadForm, one=None) -> "TrackedIdeal":
+        return cls(f, QuadElt.one(f.disc()) if one is None else one)
 
     def mul(self, other: "TrackedIdeal") -> "TrackedIdeal":
         f, g = self.form, other.form
-        D = f.disc()
         s = (f.b + g.b) // 2
         w = gcd(gcd(f.a, g.a), s)
-        h = compose(f, g)
-        gam = self.gamma.mul(other.gamma).mul(QuadElt.integer(w, D))
-        return TrackedIdeal(h, gam)
+        gam = self.gamma.mul(other.gamma)
+        if w != 1:
+            gam = gam.scale(w)
+        return TrackedIdeal(compose(f, g), gam)
 
     def rho_step(self) -> "TrackedIdeal":
         # ideal(a,b,c) = mu * ideal(c,-b,a), mu = (b - sqrt(D)) / (2c)
         a, b, c = self.form.a, self.form.b, self.form.c
         D = self.form.disc()
-        mu = QuadElt(Fraction(b, 2 * c), Fraction(-1, 2 * c), D)
-        nxt = TrackedIdeal(QuadForm(c, -b, a), self.gamma.mul(mu))
+        nxt = TrackedIdeal(QuadForm(c, -b, a), self.gamma.rho(b, c))
         if D < 0:
             return nxt._normalize_b()
         return nxt._normalize_indef(isqrt(D))
@@ -359,16 +366,21 @@ class TrackedIdeal:
             cur = cur.rho_step()
         raise RuntimeError("indefinite reduction stuck")
 
-    def principal_generator(self) -> QuadElt:
-        """Generator of the tracked ideal, assuming it is principal."""
+    def principal_generator(self):
+        """Generator of the tracked ideal, in gamma's carrier; ValueError
+        if the ideal is not principal."""
         cur = self.reduce()
-        D = self.form.disc()
+        start = cur.form
+        D = start.disc()
         steps = 0
         while abs(cur.form.a) != 1:
             if D < 0 or steps > PRINCIPAL_WALK_STEPS:
                 raise ValueError("ideal is not principal (or walk exhausted)")
             cur = cur.rho_step()
             steps += 1
+            if cur.form == start:
+                # back at the start of the reduced cycle without |a| = 1
+                raise ValueError("ideal is not principal")
         # value = gamma * ideal(form) = gamma * O = (gamma)
         return cur.gamma
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
+from epsclass.quadforms import QuadElt
 from epsclass.quadclass import isqrt_float
 
 
@@ -167,18 +168,92 @@ def test_fundamental_unit():
 
 # ----------------------------------------------------- class-group relations
 
+def _exact_relations(cd):
+    """The exact generator alpha of each relation of cd, prod I^c = (alpha):
+    the relation walk run with the exact QuadElt carrier, the reference
+    for the images pram takes from its local walk."""
+    forms = [pram._coprime_rep(f, cd.p) for f in cd.pres.gens]
+    out = []
+    for col, _ in cd.relations:
+        beta, den = pram._lift_relation(forms, col, QuadElt.one(cd.D))
+        out.append(beta.scale(Fraction(1, den)))
+    return forms, out
+
+
+def _assert_images_exact(cd, levels):
+    _, alphas = _exact_relations(cd)
+    for n in levels:
+        R = pram.ResidueRing(cd.D, cd.p, n)
+        for (col, (x, y)), alpha in zip(cd.relations, alphas):
+            assert (x % R.q, y % R.q) == R.from_quadelt(alpha), \
+                (cd.D, cd.p, n, col)
+
+
 @pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
 @pytest.mark.parametrize("p", [2, 3])
 def test_relation_generator_norms(D, p):
     # prod_j I_j^{c_j} = (alpha) with N(I_j) = a_j, so |N(alpha)| is
     # prod_j a_j^{c_j}; negative c_j pin the direction of the division
     cd = pram._class_data(D, p)
-    forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
-    for col, alpha in cd.relations:
+    forms, alphas = _exact_relations(cd)
+    for (col, _), alpha in zip(cd.relations, alphas):
         assert abs(alpha.norm()) == \
             prod(Fraction(f.a) ** c for f, c in zip(forms, col)), col
     if D < 0:
         assert any(c < 0 for col, _ in cd.relations for c in col)
+
+
+def test_relation_images_on_ray_grid():
+    # the local walk's image of each relation generator is the exact
+    # generator's, at every level of the grid and at the top level
+    levels = sorted({n for _, _, n in RAY_CASES})
+    for D, p in sorted({(D, p) for D, p, _ in RAY_CASES}):
+        cd = pram._class_data(D, p)
+        _assert_images_exact(cd, levels + [cd.top])
+    # every splitting type of every p of the grid
+    for p in (2, 3, 5, 7):
+        assert {pram.splitting_type(D, p) for D, q, _ in RAY_CASES
+                if q == p} == {"split", "inert", "ramified"}
+
+
+def test_ray_class_group_needs_images_to_its_level():
+    cd = pram._class_data(-84, 3, 4)
+    assert pram.ray_class_group(-84, 3, 4, cd).order == \
+        pram.ray_class_group(-84, 3, 4).order
+    with pytest.raises(ValueError, match="levels up to 4"):
+        pram.ray_class_group(-84, 3, 5, cd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), sign=st.sampled_from([-1, 1]),
+       p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 64))
+def test_relation_images_match_exact_lift(seed, sign, p, n):
+    rng = random.Random(seed)
+    # above |D| = 4*10^5 imaginary class groups come from BSGS
+    top = 12 * 10 ** 5 if sign < 0 else 2 * 10 ** 5
+    while True:
+        try:
+            D = quadclass.as_disc(sign * rng.randrange(5, top)).value
+            break
+        except ValueError:
+            pass
+    _assert_images_exact(pram._class_data(D, p, n), [n])
+
+
+@pytest.mark.parametrize("D,p", [(-23, 2), (-23, 5), (-23, 23), (229, 2),
+                                 (229, 3), (229, 229), (40, 2)])
+def test_local_walk_rejects_non_principal_column(D, p):
+    # one of each splitting type, both signs: the class of the generator
+    # is not trivial, so its column has no generator to give an image of
+    cd = pram._class_data(D, p, 4)
+    forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
+    assert cd.pres.orders[0] > 1
+    frame = pram._LocalFrame(D, p, 4)
+    with pytest.raises(pram.PramError, match="not principal"):
+        pram._lift_relation(forms, [1] + [0] * (len(forms) - 1), frame.one)
+    # nor is an element with a valuation above p an image
+    with pytest.raises(pram.PramError, match="valuation"):
+        frame.image(frame.one.scale(p), 1)
 
 
 # -------------------------------------------------- brute ray class oracle
@@ -456,6 +531,51 @@ def test_one_factorization_per_call(factor_calls, call, D):
     # the Discriminant validated on entry is passed on, never rebuilt
     call(D, 2)
     assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The column of every relation walk, in call order."""
+    calls = []
+    real = pram._lift_relation
+
+    def wrapped(forms, col, one):
+        calls.append(list(col))
+        return real(forms, col, one)
+    monkeypatch.setattr(pram, "_lift_relation", wrapped)
+    return calls
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """The level n of every ray_class_group call, in call order."""
+    calls = []
+    real = pram.ray_class_group
+
+    def wrapped(D, p, n, class_data=None):
+        calls.append(n)
+        return real(D, p, n, class_data)
+    monkeypatch.setattr(pram, "ray_class_group", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("D", [-1155, 221])
+def test_tor_report_walks_each_relation_once(walks, levels, monkeypatch, D):
+    want = [col for col, _ in pram._class_data(D, 2).relations]
+    assert want and walks == want
+    del walks[:]
+    rep = pram.tor_report(D, 2)
+    assert levels == list(range(2, rep.stabilized_level + 1))
+    assert walks == want
+    # a torsion that never repeats: every level up to the top, once each,
+    # and still one walk per relation
+    del walks[:], levels[:]
+    seen = iter(range(10 ** 6))
+    monkeypatch.setattr(pram, "_drop_lines", lambda st, p, r: next(seen))
+    with pytest.raises(pram.PramError, match="did not stabilize"):
+        pram.tor_report(D, 2)
+    assert levels == list(range(2, 65))
+    assert walks == want
 
 
 def test_tor_scan_validates_each_field_once(factor_calls):

@@ -112,10 +112,10 @@ def test_narrow_vs_ordinary_factor():
 
 def test_p_part():
     g = AbelianGroupStructure((39, 3, 3, 3, 3))
-    assert qc.p_part(g, 3).divisors == (3, 3, 3, 3, 3)
+    assert g.p_part(3).divisors == (3, 3, 3, 3, 3)
     g = AbelianGroupStructure((12, 2, 2, 2))
-    assert qc.p_part(g, 2).divisors == (4, 2, 2, 2)
-    assert qc.p_part(g, 7).order == 1
+    assert g.p_part(2).divisors == (4, 2, 2, 2)
+    assert g.p_part(7).order == 1
 
 
 def test_genus_delta():
@@ -342,10 +342,14 @@ def _euler_estimate_loop(D, prime_bound=1 << 16):
     return qc.isqrt_float(-D) / pi * np.exp(acc)
 
 
-@given(st.integers(min_value=5, max_value=10 ** 13))
+# d = 4k - 1 or 4k: every 5 <= d <= 10^13 with d = 0, 3 mod 4, drawn
+# directly; filtering the other residues out with assume() failed the
+# filter_too_much health check on about one run in 150
+@given(st.integers(min_value=2, max_value=10 ** 13 // 4),
+       st.sampled_from([1, 0]))
 @settings(max_examples=150, deadline=None)
-def test_euler_estimate_matches_loop_bit_for_bit(d):
-    assume(d % 4 in (0, 3))
+def test_euler_estimate_matches_loop_bit_for_bit(k, r):
+    d = 4 * k - r
     try:
         D = qc.discriminant_from_value(-d).value
     except ValueError:
