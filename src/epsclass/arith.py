@@ -145,6 +145,8 @@ def vp(n: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer n."""
     if n == 0:
         raise ValueError("vp of 0 is infinite")
+    if p < 2:
+        raise ValueError(f"vp needs p >= 2, got {p}")
     v = 0
     while n % p == 0:
         n //= p

@@ -256,11 +256,16 @@ def cmd_bounds(args) -> int:
 
 # ------------------------------------------------------------------ parsing
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _prime(text: str) -> int:
@@ -314,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="dual-route filtration of one module")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=int)
-    g.add_argument("--p", type=int)
-    p.add_argument("--n", type=int, default=3)
+    g.add_argument("--p", type=_prime)
+    p.add_argument("--n", type=_int_at_least(2), default=3)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("filtration-mc", cmd_filtration_mc,
             help="Monte-Carlo Delta histogram")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--p", type=_prime, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("tor-scan", cmd_tor_scan, help="torsion valuation scan")

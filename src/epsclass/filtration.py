@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
 from . import zlin
 from .abgroup import AbelianGroupStructure
@@ -220,8 +221,13 @@ def from_quadratic(D) -> tuple[FinitePModule, int]:
     return FinitePModule.build(2, rel, sigma), d.ramified_count
 
 
+@lru_cache(maxsize=64)   # every block for p <= 31
 def group_ring_block(p: int, a: int, b: int) -> FinitePModule:
-    """Z[x]/(x^p - 1, p^a, (x-1)^b) with sigma = multiplication by x."""
+    """Z[x]/(x^p - 1, p^a, (x-1)^b) with sigma = multiplication by x.
+
+    Built and validated once per (p, a, b); the module is frozen, so every
+    caller shares it.
+    """
     g = p
     sigma = [[1 if (i - j) % p == 1 else 0 for j in range(p)]
              for i in range(p)]
@@ -260,19 +266,27 @@ def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
     return FinitePModule(p, tuple(map(tuple, rows)), tuple(map(tuple, sigma)))
 
 
+@lru_cache(maxsize=64)
+def _block_fixed_order(p: int, a: int, b: int) -> int:
+    return fixed_subgroup(group_ring_block(p, a, b)).order
+
+
 def synthesize(p: int, N: int, seed: int,
                attempts: int = 500) -> FinitePModule:
-    """Random direct sum of N-1 group-ring quotients with #M^G = p^(N-1)."""
+    """Random direct sum of N-1 group-ring quotients with #M^G = p^(N-1).
+
+    Each attempt draws N-1 blocks (a, b).  sigma acts block by block, so
+    (+B_j)^G = +B_j^G and a draw is accepted when the cached orders #B_j^G
+    multiply to p^(N-1); only the accepted draw is summed.
+    """
     if N < 2:
         raise ValueError("synthesize needs N >= 2")
     rng = random.Random(seed * 1000003 + p * 1009 + N)
     for _ in range(attempts):
-        mods = [group_ring_block(p, rng.randint(1, MAX_BLOCK_EXPONENT),
-                                 rng.randint(1, p))
+        draw = [(rng.randint(1, MAX_BLOCK_EXPONENT), rng.randint(1, p))
                 for _ in range(N - 1)]
-        M = direct_sum(mods)
-        if fixed_subgroup(M).order == p ** (N - 1):
-            return M
+        if prod(_block_fixed_order(p, a, b) for a, b in draw) == p ** (N - 1):
+            return direct_sum([group_ring_block(p, a, b) for a, b in draw])
     raise FiltrationError(f"synthesize: no module with #M^G = {p}^{N - 1} "
                           f"found in {attempts} attempts")
 

@@ -558,18 +558,20 @@ def _tracked_pos(t: TrackedIdeal) -> TrackedIdeal:
 
 
 def _tracked_pow(t: TrackedIdeal, e: int) -> TrackedIdeal:
+    """t^e, reduced: t is reduced on entry, and each square and each
+    product once."""
     assert e >= 1
+    r = t.reduce()
     result = None
-    base = t
-    while e:
+    while True:
+        b = _tracked_pos(r)
         if e & 1:
-            result = base if result is None else \
-                _tracked_pos(result.reduce()).mul(_tracked_pos(base.reduce()))
+            result = r if result is None else \
+                _tracked_pos(result).mul(b).reduce()
         e >>= 1
-        if e:
-            b = _tracked_pos(base.reduce())
-            base = b.mul(b)
-    return result.reduce()
+        if not e:
+            return result
+        r = b.mul(b).reduce()
 
 
 def _lift_relation(forms: list, col: list, one) -> tuple:
@@ -587,11 +589,11 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
         if c:
             tj = _tracked_pow(TrackedIdeal.from_form(f, one), abs(c))
             t = tj if t is None else \
-                _tracked_pos(t.reduce()).mul(_tracked_pos(tj.reduce()))
+                _tracked_pos(t).mul(_tracked_pos(tj)).reduce()
     if t is None:
         return one, den
     try:
-        return t.reduce().principal_generator(), den
+        return t.principal_generator(), den
     except ValueError as exc:
         raise PramError(f"relation {col} is not principal") from exc
 

@@ -226,8 +226,18 @@ def presentation_divisors(relations: list[list[int]], ngens: int) -> list[int]:
 
 
 def lattice_index(relations: list[list[int]], ngens: int) -> int:
-    """Order of Z^ngens / column-lattice(relations)."""
-    return prod(presentation_divisors(relations, ngens))
+    """Order of Z^ngens / column-lattice(relations).
+
+    The product of the Hermite pivots: a column echelon basis of full rank
+    ngens has them on its diagonal.  Raises ValueError if the quotient is
+    infinite.
+    """
+    if ngens == 0:
+        return 1
+    H = hnf_columns(relations)
+    if not H or len(H[0]) < ngens:
+        raise ValueError("infinite quotient: relation rank < ngens")
+    return prod(H[i][i] for i in range(ngens))
 
 
 def solve_lattice(B: list[list[int]], v: list[int]) -> list[int] | None:

@@ -172,3 +172,7 @@ def test_vp():
             assert n % p ** v == 0 and n % p ** (v + 1)
     with pytest.raises(ValueError):
         vp(0, 2)
+    # p = 1 once looped forever and p = 0 divided by zero
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            vp(12, p)

@@ -45,9 +45,19 @@ def test_usage_errors(capsys):
     ["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "20", "--n", "0"],
     ["tor-family", "--p", "3"],
     ["reflection-check", "--p", "3", "--max-d", "50"],
+    ["filtration-mc", "--p", "1", "--n", "3"],
+    ["filtration-mc", "--p", "0", "--n", "3"],
+    ["filtration-mc", "--p", "4", "--n", "3"],
+    ["filtration-mc", "--p", "3", "--n", "1"],
+    ["filtration-mc", "--p", "3", "--n", "3", "--samples", "0"],
+    ["filtration-mc", "--p", "3", "--n", "3", "--samples", "-1"],
+    ["filtration-run", "--p", "1"],
+    ["filtration-run", "--p", "4"],
+    ["filtration-run", "--p", "3", "--n", "1"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
-    # --p 1 once looped forever and --workers 0 divided by zero
+    # --p 1 once looped forever (in tor-scan and filtration-mc) and
+    # --workers 0 divided by zero
     t = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - t < 0.5
@@ -237,6 +247,10 @@ GOLDEN_STDOUT = [
      "82eb82b18f32f27647e07bb533353ddcb7ef009f67686e86d609f28c24d81246"),
     (["filtration-mc", "--p", "3", "--n", "4", "--samples", "100"],
      "28f7be7c3fb331740935874e256fb4bd2473b36ba8cac83717e8a7235f85ea36"),
+    (["filtration-mc", "--p", "2", "--n", "5", "--samples", "100"],
+     "7099294f9dc8f1fde7ad8626862e3261e06e2d8eb6de2f3c7b3a3c6c0ceb90fc"),
+    (["filtration-mc", "--p", "5", "--n", "3", "--samples", "50"],
+     "1f6da2a2e6df702e68e5b8235b58819f729e48139505a82eb5b869aa88cffb77"),
     (["tor-scan", "--p", "3", "--min-d", "3", "--max-d", "3000"],
      "b70ccbf27b26f0d3a7f1511ef95a2f441838ab187fb8e1e92bac5da6a389abf1"),
 ]

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsclass import filtration as fl
 from epsclass import zlin
@@ -154,3 +158,52 @@ def test_synthesized_modules_pass_validation(p, N):
     for seed in range(8):
         M = fl.synthesize(p, N, seed)
         assert fl.FinitePModule.build(M.p, M.relations, M.sigma) == M
+
+
+def _synthesize_reference(p, N, seed, attempts=500):
+    # the loop before blocks were checked one by one: it sums every draw
+    # and takes the fixed subgroup of the whole sum
+    rng = random.Random(seed * 1000003 + p * 1009 + N)
+    for _ in range(attempts):
+        mods = [fl.group_ring_block(p, rng.randint(1, fl.MAX_BLOCK_EXPONENT),
+                                    rng.randint(1, p))
+                for _ in range(N - 1)]
+        M = fl.direct_sum(mods)
+        if fl.fixed_subgroup(M).order == p ** (N - 1):
+            return M
+    raise fl.FiltrationError("no module found")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_synthesize_matches_reference(p):
+    for N in (2, 3, 4, 5):
+        for seed in range(50):
+            assert fl.synthesize(p, N, seed) == \
+                _synthesize_reference(p, N, seed), (p, N, seed)
+
+
+@st.composite
+def _blocks(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    ab = st.tuples(st.integers(1, fl.MAX_BLOCK_EXPONENT), st.integers(1, p))
+    return p, draw(st.lists(ab, min_size=1, max_size=4))
+
+
+@given(_blocks())
+@settings(max_examples=60, deadline=None)
+def test_fixed_subgroup_of_sum_is_product_of_blocks(pblocks):
+    # sigma acts block by block, so (+B_j)^G = +B_j^G
+    p, ab = pblocks
+    blocks = [fl.group_ring_block(p, a, b) for a, b in ab]
+    assert fl.fixed_subgroup(fl.direct_sum(blocks)).order == \
+        prod(fl.fixed_subgroup(B).order for B in blocks)
+
+
+def test_blocks_are_shared_and_frozen():
+    B = fl.group_ring_block(3, 2, 3)
+    assert fl.group_ring_block(3, 2, 3) is B
+    assert B == fl.group_ring_block.__wrapped__(3, 2, 3)
+    assert isinstance(B.relations, tuple) and isinstance(B.sigma, tuple)
+    assert all(isinstance(r, tuple) for r in B.relations + B.sigma)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        B.p = 5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
-from epsclass.quadforms import QuadElt
+from epsclass.quadforms import QuadElt, TrackedIdeal
 from epsclass.quadclass import isqrt_float
 
 
@@ -531,6 +531,38 @@ def test_one_factorization_per_call(factor_calls, call, D):
     # the Discriminant validated on entry is passed on, never rebuilt
     call(D, 2)
     assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)]
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """A one-entry list counting TrackedIdeal.reduce calls."""
+    n = [0]
+    real = TrackedIdeal.reduce
+
+    def counted(self):
+        n[0] += 1
+        return real(self)
+    monkeypatch.setattr(TrackedIdeal, "reduce", counted)
+    return n
+
+
+def _pow_reductions(e):
+    # the entry, each square and each product
+    return 1 + (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
+@pytest.mark.parametrize("D", [-1000036, -1000011, -1155, 221])
+def test_relation_walk_reduces_each_form_once(reduce_calls, D):
+    # every power is reduced once in _tracked_pow, every product of powers
+    # once, and principal_generator reduces the end once more
+    cd = pram._class_data(D, 2)
+    forms = [pram._coprime_rep(f, 2) for f in cd.pres.gens]
+    for col, _ in cd.relations:
+        nonzero = [abs(c) for c in col if c]
+        reduce_calls[0] = 0
+        pram._lift_relation(forms, col, QuadElt.one(D))
+        assert reduce_calls[0] == \
+            sum(map(_pow_reductions, nonzero)) + len(nonzero), (D, col)
 
 
 @pytest.fixture

@@ -131,6 +131,30 @@ def test_from_relation_matrix_matches_reference(ngens, nrels, data):
     assert got.order == prod(divs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.data())
+def test_lattice_index_matches_smith(ngens, nrels, data):
+    # the Hermite diagonal and the elementary divisors give one index, and
+    # both refuse an infinite quotient
+    M = [[data.draw(st.integers(-12, 12)) for _ in range(nrels)]
+         for _ in range(ngens)]
+    try:
+        divs = zlin.presentation_divisors(M, ngens)
+    except ValueError:
+        with pytest.raises(ValueError):
+            zlin.lattice_index(M, ngens)
+        return
+    assert zlin.lattice_index(M, ngens) == prod(divs)
+
+
+def test_lattice_index_rank_deficient():
+    for M in ([[2, 4], [1, 2]], [[0, 0], [0, 0]], [[3], [0]], [[], []]):
+        with pytest.raises(ValueError):
+            zlin.lattice_index(M, 2)
+    assert zlin.lattice_index([[2, 4], [1, 3]], 2) == 2
+    assert zlin.lattice_index([], 0) == 1
+
+
 def test_mat_pow():
     A = [[0, -1], [1, -1]]  # order 3
     assert zlin.mat_pow(A, 3) == zlin.identity(2)
