@@ -7,7 +7,7 @@ e.g. Cl=[12,2,2,2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from . import zlin
 from .arith import vp

@@ -4,17 +4,16 @@ The torsion group T of the Galois group of the maximal abelian p-ramified
 pro-p-extension is read off ray class groups mod p^n: at stabilization the
 p-part of Cl_{p^n} splits into r = r_2 + 1 growing cyclic lines plus T.
 Ray class groups are presented exactly from (O/p^n)^x together with the
-image in (O/p^n)^x of the generator of each class-group relation, which
-the relation walk carries locally above p (a valuation at each prime
-above p and a unit mod p^n), never as an exact element. (O/p^n)^x has
-two layers: (O/P^c0)^x, enumerated point by point, over the base
-1 + P^c0, which the p-adic logarithm makes additive.
+images in (O/p^n)^x of the global units and of the generator of each
+class-group relation, which the cycle and relation walks carry locally
+above p (a valuation at each prime above p and a unit mod p^n), never as
+exact elements. (O/p^n)^x has two layers: (O/P^c0)^x, enumerated point by
+point, over the base 1 + P^c0, which the p-adic logarithm makes additive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log, prod
 
@@ -33,7 +32,7 @@ from .quadclass import (
     narrow_presentation,
     ramified_principal_form,
 )
-from .quadforms import QuadElt, QuadForm, TrackedIdeal
+from .quadforms import QuadForm, TrackedIdeal, principal_form
 
 
 class PramError(RuntimeError):
@@ -98,20 +97,6 @@ class ResidueRing:
         nrm = self.norm(u) % self.q
         w = pow(nrm, -1, self.q)
         return ((x + self.t * y) * w % self.q, -y * w % self.q)
-
-    def from_quadelt(self, alpha: QuadElt):
-        # alpha = x + y*sqrt(D); sqrt(D) = 2*omega (D even) or 2*omega - 1
-        if self.D % 4 == 0:
-            c0, c1 = alpha.x, 2 * alpha.y
-        else:
-            c0, c1 = alpha.x - alpha.y, 2 * alpha.y
-        out = []
-        for c in (c0, c1):
-            c = Fraction(c)
-            if c.denominator % self.p == 0:
-                raise PramError(f"element not p-integral: {alpha}")
-            out.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
-        return tuple(out)
 
 
 def _uniformizer(R: ResidueRing) -> tuple:
@@ -345,31 +330,14 @@ def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
 
 # --------------------------------------------------- units and class data
 
-def fundamental_unit(m: int):
-    """(x, y, norm) with eps = (x + y*sqrt(m))/2 the fundamental unit > 1."""
-    if m <= 1:
-        raise ValueError("need squarefree m > 1")
-    D = m if m % 4 == 1 else 4 * m
-    f = QuadForm(1, D % 2, ((D % 2) ** 2 - D) // 4)
-    cur = TrackedIdeal.from_form(f).reduce()
-    # the principal cycle returns to a norm +-1 form after one period
-    while True:
-        cur = cur.rho_step()
-        if abs(cur.form.a) != 1 or cur.gamma.y == 0:
-            continue
-        g = cur.gamma
-        # convert to (x + y*sqrt(m))/2 coordinates; the positive embedding
-        # of the first unit hit on the cycle is the fundamental one
-        if m % 4 == 1:
-            x, y = 2 * g.x, 2 * g.y
-        else:
-            x, y = 2 * g.x, 4 * g.y   # sqrt(D) = 2 sqrt(m)
-        x, y = abs(Fraction(x)), abs(Fraction(y))
-        assert x.denominator == 1 and y.denominator == 1
-        x, y = int(x), int(y)
-        nrm = (x * x - m * y * y) // 4
-        assert nrm in (1, -1), (m, x, y, nrm)
-        return x, y, nrm
+def fundamental_unit(D: int, one):
+    """+-eps^(+-1) for the fundamental unit eps of the real field D, in the
+    carrier of `one` (see TrackedIdeal): the generator at the first form
+    with |a| = 1 after the principal form on its cycle. Ray class groups
+    read only the group -1 and eps generate, whatever the sign and
+    exponent."""
+    return TrackedIdeal.from_form(principal_form(D), one).reduce() \
+        .rho_step().principal_generator()
 
 
 def _coprime_rep(f: QuadForm, p: int) -> QuadForm:
@@ -620,23 +588,24 @@ class _ClassData:
     structure: AbelianGroupStructure   # ordinary class group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
     #                   with alpha = x + y*omega mod p^top
-    units: list       # QuadElt global units (-1, eps, zeta)
+    units: list       # (x, y) mod p^top, the images of -1 and of zeta
+    #                   (D = -3, -4) or eps (D > 0)
 
 
 def _class_data(D: int, p: int, top: int | None = None) -> _ClassData:
-    """The class group of D and its relations, their generators' images
-    mod p^top (by default every level tor_report visits)."""
+    """The class group of D and its relations, their generators' and the
+    global units' images mod p^top (by default every level tor_report
+    visits)."""
     _check_modulus(p)
     top = top or _top_level(p)
-    units: list[QuadElt] = [QuadElt.integer(-1, D)]
+    frame = _LocalFrame(D, p, top)
+    units = [(-1, 0)]
     if D < 0:
         pres = full_imaginary_presentation(D)
         structure = pres.structure()
         cols = pres.relation_columns()
-        if D == -3:
-            units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
-        if D == -4:
-            units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
+        if D in (-3, -4):
+            units.append((0, 1))      # omega = (1 + sqrt(-3))/2 or i
     else:
         pres = narrow_presentation(D)
         ram = ramified_principal_form(D)
@@ -644,13 +613,8 @@ def _class_data(D: int, p: int, top: int | None = None) -> _ClassData:
         # the ramified principal class is ordinary-trivial: one more
         # relation, with an explicit generator
         cols = pres.relation_columns() + [list(pres.dlog(ram))]
-        x, y, _ = fundamental_unit(_radicand(D))
-        if D % 4 == 0:
-            units.append(QuadElt(Fraction(x, 2), Fraction(y, 4), D))
-        else:
-            units.append(QuadElt(Fraction(x, 2), Fraction(y, 2), D))
+        units.append(frame.image(fundamental_unit(D, frame.one), 1))
     forms = [_coprime_rep(f, p) for f in pres.gens]
-    frame = _LocalFrame(D, p, top)
     relations = [(col, frame.image(*_lift_relation(forms, col, frame.one)))
                  for col in cols]
     return _ClassData(D, p, top, pres, structure, relations, units)
@@ -692,7 +656,7 @@ def ray_class_group(D, p: int, n: int,
     ng, t = len(G.gens), len(cd.pres.gens)
     g_cols = [[G.rel_rows[i][j] for i in range(ng)]
               for j in range(len(G.rel_rows[0]))]
-    unit_cols = [list(G.dlog(R.from_quadelt(u))) for u in cd.units]
+    unit_cols = [list(G.dlog((x % R.q, y % R.q))) for x, y in cd.units]
     cols = [c + [0] * t for c in g_cols + unit_cols]
     for col, (x, y) in cd.relations:
         cols.append([-e for e in G.dlog((x % R.q, y % R.q))] + col)

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import zlin
 from .abgroup import AbelianGroupStructure
 from .arith import (
     FactorBudgetError,
@@ -152,19 +151,17 @@ class ClassGroupPresentation:
         assert g.order == self.h
         return g
 
-    def adjoin(self, e, rel_order: int | None = None,
-               limit: int | None = None) -> None:
+    def adjoin(self, e, limit: int | None = None) -> None:
         """Add generator e: find its order o over the current closure
         (e^o = word in earlier gens) and extend the dlog table.
 
         Costs one op per new class plus one canon per generator: a single
-        walk gives e^2, ..., e^o (with rel_order = o known, it skips the
-        membership tests), and e, ..., e^(o-1) are the identity's row."""
+        walk gives e^2, ..., e^o, and e, ..., e^(o-1) are the identity's
+        row."""
         dlog, op = self.dlog_table, self.op
         e = self.canon(e)
         powers = [e]
-        while (len(powers) < rel_order if rel_order
-               else powers[-1] not in dlog):
+        while powers[-1] not in dlog:
             if limit is not None and len(powers) >= limit:
                 raise ClassNumberCapError("relative order search exhausted")
             powers.append(op(powers[-1], e))
@@ -180,15 +177,6 @@ class ClassGroupPresentation:
             dlog[ej] = (0,) * idx + (j,)
             for elt, vec in base:
                 dlog[op(elt, ej)] = vec + (0,) * (idx - len(vec)) + (j,)
-
-    def canon_pow(self, e, n: int):
-        r, f = self.identity, e
-        while n:
-            if n & 1:
-                r = self.op(r, f)
-            f = self.op(f, f)
-            n >>= 1
-        return r
 
 
 def _staircase(pres: ClassGroupPresentation, elements: Iterable) -> None:
@@ -588,37 +576,6 @@ def _euler_estimate(D: int, prime_bound: int = 1 << 16) -> float:
     return isqrt_float(-D) / pi * np.exp(acc)
 
 
-def _element_order_bsgs(pres: ClassGroupPresentation, g: QuadForm,
-                        bound: int) -> int:
-    s = isqrt(bound) + 1
-    ident = pres.identity
-    ginv = reduce_imaginary(g.inverse())
-    baby = {}
-    cur = ident
-    for j in range(s):
-        baby.setdefault(cur, j)   # g^{-j}
-        cur = reduce_imaginary(compose(cur, ginv))
-    big = pres.canon_pow(g, s)
-    cur = big
-    for i in range(1, s + 2):
-        if cur in baby:
-            n = i * s + baby[cur]
-            return _reduce_to_order(pres, g, n)
-        cur = reduce_imaginary(compose(cur, big))
-    raise ClassNumberCapError(f"no element order below {bound}")
-
-
-def _reduce_to_order(pres: ClassGroupPresentation, g: QuadForm,
-                     n: int) -> int:
-    for q, e in factor(n).factors:
-        for _ in range(e):
-            if pres.canon_pow(g, n // q) == pres.identity:
-                n //= q
-            else:
-                break
-    return n
-
-
 def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
     """(h, presentation of the generated subgroup) for imaginary D below
     the BSGS cap.  GRH-quality: relies on the truncated Euler product
@@ -647,11 +604,7 @@ def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
                   and f not in pres.dlog_table), None)
         if g is None:
             raise ClassNumberCapError("generator pool exhausted")
-        if hstar == 1:
-            n = _element_order_bsgs(pres, g, hi)
-            pres.adjoin(g, rel_order=n)
-        else:
-            pres.adjoin(g, limit=hi // hstar + 1)
+        pres.adjoin(g, limit=hi // hstar + 1)
     raise ClassNumberCapError("BSGS failed to isolate h")
 
 

@@ -264,7 +264,9 @@ PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up
 
 @dataclass(frozen=True)
 class QuadElt:
-    """(x + y*sqrt(D)), x and y exact rationals."""
+    """(x + y*sqrt(D)), x and y exact rationals: TrackedIdeal's exact gamma
+    carrier, which only the tests walk with, as the reference for pram's
+    images mod p^n."""
     x: Fraction
     y: Fraction
     D: int
@@ -303,8 +305,9 @@ class TrackedIdeal:
 
     gamma is exact (QuadElt) unless from_form is given another carrier: any
     value with mul(other), scale(n) for an integer n, and rho(b, c), the
-    product with (b - sqrt(D)) / (2c), will do; pram carries gamma locally
-    above p that way.
+    product with (b - sqrt(D)) / (2c), will do. pram carries gamma locally
+    above p that way, for relation generators and fundamental units alike;
+    the exact carrier serves only as the tests' reference.
     """
     form: QuadForm
     gamma: QuadElt

@@ -57,3 +57,67 @@ def test_readme_examples():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def _unused_imports(source):
+    """(line, name) for each module-level import that source never uses:
+    a name it binds that no expression, string annotation or `__all__`
+    entry reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    exprs = [tree]
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [node.returns]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            notes = getattr(node.value, "elts", [])
+        exprs += [ast.parse(n.value, mode="eval") for n in notes
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    used = {n.id for e in exprs for n in ast.walk(e) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_no_unused_imports():
+    found = {p.name: _unused_imports(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unused_import_detector():
+    src = ("from __future__ import annotations\n"
+           "import numpy as np\nimport os.path\n"
+           "from fractions import Fraction\n"
+           "from math import gcd, prod\nfrom .quadforms import QuadElt\n"
+           "__all__ = ['Fraction']\n"
+           "def f(x: 'list[np.ndarray]') -> int:\n"
+           "    \"gcd of a QuadElt\"\n"
+           "    return prod(x) + os.sep\n")
+    assert _unused_imports(src) == [(5, "gcd"), (6, "QuadElt")]
+
+
+def test_only_quadforms_imports_fractions():
+    # pram's units and relation generators are images mod p^n; the exact
+    # Fraction carrier lives in quadforms as the test reference
+    found = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "fractions" in names and p.stem != "quadforms":
+                found.append((p.name, node.lineno))
+    assert found == []

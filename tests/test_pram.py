@@ -158,12 +158,77 @@ def test_splitting_type():
 
 # -------------------------------------------------------------------- units
 
+def _from_quadelt(R, alpha):
+    """The image of the exact alpha = x + y*sqrt(D) in R = O/p^n, as
+    (x, y) = x + y*omega; PramError unless alpha is p-integral."""
+    # sqrt(D) = 2*omega (D even) or 2*omega - 1
+    if R.D % 4 == 0:
+        c0, c1 = alpha.x, 2 * alpha.y
+    else:
+        c0, c1 = alpha.x - alpha.y, 2 * alpha.y
+    out = []
+    for c in (c0, c1):
+        c = Fraction(c)
+        if c.denominator % R.p == 0:
+            raise pram.PramError(f"element not p-integral: {alpha}")
+        out.append(c.numerator * pow(c.denominator, -1, R.q) % R.q)
+    return tuple(out)
+
+
+def _exact_unit(m):
+    """(x, y, norm) with eps = (x + y*sqrt(m))/2 the fundamental unit > 1,
+    from the cycle walk with the exact carrier."""
+    D = quadclass.fundamental_discriminant(m).value
+    g = pram.fundamental_unit(D, QuadElt.one(D))
+    # +-eps^(+-1) = +-(x +- y*sqrt(m))/2 for eps > 1, x, y > 0
+    x, y = abs(2 * g.x), abs(2 * g.y if m % 4 == 1 else 4 * g.y)
+    assert x.denominator == y.denominator == 1
+    x, y = int(x), int(y)
+    return x, y, (x * x - m * y * y) // 4
+
+
+def _exact_units(D):
+    """The global units of _ClassData.units, exactly: -1, then zeta
+    (D = -3, -4) or +-eps^(+-1) (D > 0)."""
+    units = [QuadElt.integer(-1, D)]
+    if D == -3:
+        units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
+    elif D == -4:
+        units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
+    elif D > 0:
+        units.append(pram.fundamental_unit(D, QuadElt.one(D)))
+    return units
+
+
 def test_fundamental_unit():
-    assert pram.fundamental_unit(5) == (1, 1, -1)       # (1+sqrt5)/2
-    assert pram.fundamental_unit(221) == (15, 1, 1)     # (15+sqrt221)/2
-    assert pram.fundamental_unit(105) == (82, 8, 1)     # 41+4*sqrt(105)
-    assert pram.fundamental_unit(2) == (2, 2, -1)       # 1+sqrt2
-    assert pram.fundamental_unit(94) == (4286590, 442128, 1)
+    assert _exact_unit(5) == (1, 1, -1)       # (1+sqrt5)/2
+    assert _exact_unit(221) == (15, 1, 1)     # (15+sqrt221)/2
+    assert _exact_unit(105) == (82, 8, 1)     # 41+4*sqrt(105)
+    assert _exact_unit(2) == (2, 2, -1)       # 1+sqrt2
+    assert _exact_unit(94) == (4286590, 442128, 1)
+
+
+def _assert_unit_image(D, p, top):
+    frame = pram._LocalFrame(D, p, top)
+    exact = pram.fundamental_unit(D, QuadElt.one(D))
+    assert exact.norm() in (1, -1) and exact.y != 0, D
+    assert frame.image(pram.fundamental_unit(D, frame.one), 1) == \
+        _from_quadelt(frame.ring, exact), (D, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_images_on_small_real_fields(p):
+    # the cycle walk's local image of eps is the exact walk's, on every
+    # real field of torsion-small's range, at the top level tor_report uses
+    for D in _fundamental(5, 2001):
+        _assert_unit_image(D, p, pram._top_level(p))
+
+
+@pytest.mark.parametrize("m", [1000003, 9999991])
+def test_unit_images_at_large_regulators(m):
+    # eps has 251 and 4,153 digits exactly
+    _assert_unit_image(quadclass.fundamental_discriminant(m).value, 2,
+                       pram._top_level(2))
 
 
 # ----------------------------------------------------- class-group relations
@@ -182,11 +247,15 @@ def _exact_relations(cd):
 
 def _assert_images_exact(cd, levels):
     _, alphas = _exact_relations(cd)
+    units = _exact_units(cd.D)
+    assert len(cd.units) == len(units)
     for n in levels:
         R = pram.ResidueRing(cd.D, cd.p, n)
         for (col, (x, y)), alpha in zip(cd.relations, alphas):
-            assert (x % R.q, y % R.q) == R.from_quadelt(alpha), \
+            assert (x % R.q, y % R.q) == _from_quadelt(R, alpha), \
                 (cd.D, cd.p, n, col)
+        for (x, y), u in zip(cd.units, units):
+            assert (x % R.q, y % R.q) == _from_quadelt(R, u), (cd.D, cd.p, n)
 
 
 @pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
@@ -612,8 +681,7 @@ def test_tor_report_walks_each_relation_once(walks, levels, monkeypatch, D):
 
 def test_tor_scan_validates_each_field_once(factor_calls):
     # 76 candidates pass the mod-4 screen and are factored once each; the
-    # 61 fundamental ones reuse that Discriminant, and BSGS factors one
-    # element order per field
+    # 61 fundamental ones reuse that Discriminant, and BSGS factors nothing
     recs = pram.tor_scan(10 ** 6, 1000200, 2)
     assert len(recs) == 4
-    assert len(factor_calls) == 76 + 61
+    assert len(factor_calls) == 76

@@ -383,19 +383,16 @@ def test_one_prime_sieve():
 
 # --------------------------------------- staircase adjoin against the old loop
 
-def _adjoin_reference(self, e, rel_order=None, limit=None):
+def _adjoin_reference(self, e, limit=None):
     # the adjoin before the powers of e were kept: it walks them twice and
     # composes every identity-row entry with the identity
     dlog, op = self.dlog_table, self.op
-    if rel_order is None:
-        k, cur = 1, e
-        while cur not in dlog:
-            cur = op(cur, e)
-            k += 1
-            if limit is not None and k > limit:
-                raise qc.ClassNumberCapError("relative order search exhausted")
-    else:
-        k, cur = rel_order, self.canon_pow(e, rel_order)
+    k, cur = 1, e
+    while cur not in dlog:
+        cur = op(cur, e)
+        k += 1
+        if limit is not None and k > limit:
+            raise qc.ClassNumberCapError("relative order search exhausted")
     idx = len(self.gens)
     self.gens.append(e)
     self.orders.append(k)
@@ -458,11 +455,27 @@ def test_imaginary_presentation_matches_reference_anchors(D):
 
 
 def test_bsgs_presentation_matches_reference_adjoin():
-    # the first generator goes in with rel_order=, the rest with limit=
+    # every generator goes in with limit=, the first one too
     for D in _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
                                  3 * 10 ** 6, 25):
         pres = _assert_matches_reference(qc.bsgs_presentation, D)
         assert pres.h == len(reduced_forms_imaginary(D))
+
+
+def test_bsgs_presentation_composes_once_per_class():
+    # one composition per class but the identity: no generator's order is
+    # searched apart from the walk that adjoins it
+    compose_calls = [0]
+
+    def counted(f, g):
+        compose_calls[0] += 1
+        return compose(f, g)
+    for D in _fundamental_sample(random.Random(31), 4 * 10 ** 5 + 1,
+                                 3 * 10 ** 6, 25):
+        compose_calls[0] = 0
+        with mock.patch.object(qc, "compose", counted):
+            pres = qc.bsgs_presentation(D)
+        assert compose_calls[0] == pres.h - 1, D
 
 
 def test_narrow_presentation_matches_reference_adjoin():
