@@ -13,11 +13,10 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from math import ceil, log, log10
+from math import ceil, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
-from .arith import (FactorBudgetError, is_prime, mv_bounds_hold,
-                    primes_in_class, vp)
+from .arith import FactorBudgetError, is_prime, mv_bounds_hold, primes_in_class
 from .quadclass import ClassNumberCapError
 
 _STATS = {"genus": "genus_normalized", "raw": "raw",
@@ -78,6 +77,13 @@ def _tor_shard(t):
     return pram.tor_scan(lo, hi, p, n)
 
 
+def _run_shards(worker, jobs, workers: int) -> list:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(worker, jobs))
+    return [worker(j) for j in jobs]
+
+
 def _scan_rows(records):
     return [(r.d, r.h, r.n, r.stat, int(r.is_prime_disc),
              str(r.structure) if r.structure else "", r.error or "")
@@ -110,13 +116,7 @@ def cmd_quad_scan(args) -> int:
         if not fund[d]:
             continue
         h, N = int(harr[d]), int(om[d])
-        if stat == "p_exponent":
-            hp = args.p ** vp(h, args.p)
-            s = log(hp) / log(d ** 0.5) if hp > 1 else 0.0
-        elif stat == "genus_normalized":
-            s = h / (2 ** (N - 1) * d ** (args.eps / 2))
-        else:
-            s = h / d ** (args.eps / 2)
+        s = quadclass.scan_statistic(stat, d, h, N, args.eps, args.p)
         rows.append((-d, h, N, s, int(bool(isp[d])), "", ""))
     _emit(args, _SCAN_FIELDS, rows)
     return 0
@@ -126,11 +126,7 @@ def cmd_quad_maxima(args) -> int:
     stat = _STATS[args.stat]
     jobs = [(lo, hi, stat, args.eps, args.p)
             for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            shards = list(ex.map(_quad_shard, jobs))
-    else:
-        shards = [_quad_shard(j) for j in jobs]
+    shards = _run_shards(_quad_shard, jobs, args.workers)
     recs = quadclass.merge_maxima(shards, stat)
     _emit(args, _SCAN_FIELDS, _scan_rows(recs))
     return 0
@@ -196,15 +192,10 @@ def cmd_filtration_mc(args) -> int:
 
 
 def cmd_tor_scan(args) -> int:
-    n = args.n or (20 if args.p == 2 else 8)
+    n = args.n or pram.scan_level(args.p)
     jobs = [(lo, hi, args.p, n)
             for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            shards = list(ex.map(_tor_shard, jobs))
-    else:
-        shards = [_tor_shard(j) for j in jobs]
-    recs = pram.merge_tor_maxima(shards)
+    recs = pram.merge_tor_maxima(_run_shards(_tor_shard, jobs, args.workers))
     rows = [(r.D, r.m, r.vptor, r.cp, r.error or "") for r in recs]
     _emit(args, ("D", "m", "vptor", "cp", "error"), rows, {"n": n})
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import isqrt, log, prod
+from math import floor, isqrt, log, log10, prod
 from pathlib import Path
 
 from .abgroup import AbelianGroupStructure
@@ -431,8 +431,7 @@ def delta_from_fixture(fix: Fixture) -> tuple[int, int]:
 def _sig_agree(got: float, want: float, sig: int = 6) -> bool:
     if want == 0:
         return got == 0
-    import math
-    scale = 10.0 ** (math.floor(math.log10(abs(want))) - sig + 1)
+    scale = 10.0 ** (floor(log10(abs(want))) - sig + 1)
     return abs(got - want) <= scale
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from . import zlin
+from . import quadclass, zlin
 from .abgroup import AbelianGroupStructure
 from .arith import vp
 
@@ -87,8 +87,11 @@ def _one_minus_sigma(M: FinitePModule) -> list[list[int]]:
 
 def _sublattice_order(M: FinitePModule, K: list[list[int]],
                       total: int) -> int:
-    """Order of K/L inside M = Z^g/L, where L <= K <= Z^g."""
-    return total // zlin.lattice_index(K, M.ngens)
+    """Order of K/L inside M = Z^g/L, where L <= K <= Z^g.
+
+    K is a Hermite basis (solution_lattice's, or hnf_columns') and has full
+    rank g since it holds L, so its index is its diagonal product."""
+    return total // prod(K[i][i] for i in range(M.ngens))
 
 
 def fixed_subgroup(M: FinitePModule) -> AbelianGroupStructure:
@@ -209,7 +212,6 @@ def order_identity_check(result: FiltrationResult) -> bool:
 
 def from_quadratic(D) -> tuple[FinitePModule, int]:
     """(2-part of the restricted class group with sigma = inversion, N)."""
-    from . import quadclass
     d = quadclass.as_disc(D)
     g = (quadclass.class_group_imaginary(d) if d.value < 0
          else quadclass.narrow_class_group_real(d))

@@ -25,9 +25,8 @@ from .quadclass import (
     ClassNumberCapError,
     Discriminant,
     as_disc,
-    bsgs_presentation,
+    full_imaginary_presentation,
     fundamental_discriminant,
-    imaginary_presentation,
     isqrt_float,
     narrow_presentation,
     ramified_principal_form,
@@ -566,14 +565,6 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
         raise PramError(f"relation {col} is not principal") from exc
 
 
-def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
-    """Presentation of the full imaginary class group: exact enumeration
-    for |D| <= 4*10^5, GRH-conditional BSGS (up to BSGS_CAP) above it."""
-    if -D <= 4 * 10 ** 5:
-        return imaginary_presentation(D)
-    return bsgs_presentation(D)
-
-
 def _top_level(p: int) -> int:
     """The last level tor_report tries."""
     return 64 if p == 2 else (32 if p == 3 else 16)
@@ -851,10 +842,15 @@ def program_vptor(D, p: int, n: int) -> int:
     return vp(ray.order, p) - vp(top, p) - (n - 1)
 
 
+def scan_level(p: int) -> int:
+    """The ray class level n that tor_scan uses by default."""
+    return 20 if p == 2 else 8
+
+
 def tor_scan(lo: int, hi: int, p: int,
              n: int | None = None) -> list[TorRecord]:
     if n is None:
-        n = 20 if p == 2 else 8
+        n = scan_level(p)
     _check_modulus(p, n)
     recs = []
     for d in range(lo, hi + 1):

@@ -185,16 +185,21 @@ def _staircase(pres: ClassGroupPresentation, elements: Iterable) -> None:
             pres.adjoin(e)
 
 
-def imaginary_presentation(D: int) -> ClassGroupPresentation:
-    assert D < 0 and D % 4 in (0, 1)
-    forms = sorted(reduced_forms_imaginary(D))
+def _trivial_imaginary(D: int) -> ClassGroupPresentation:
+    """The staircase of imaginary D before any generator."""
     ident = reduce_imaginary(principal_form(D))
 
     def op(f, g):
         return reduce_imaginary(compose(f, g))
 
-    pres = ClassGroupPresentation(D, [], [], [], {ident: ()}, ident,
+    return ClassGroupPresentation(D, [], [], [], {ident: ()}, ident,
                                   reduce_imaginary, op)
+
+
+def imaginary_presentation(D: int) -> ClassGroupPresentation:
+    assert D < 0 and D % 4 in (0, 1)
+    forms = sorted(reduced_forms_imaginary(D))
+    pres = _trivial_imaginary(D)
     _staircase(pres, forms)
     assert pres.h == len(forms)
     return pres
@@ -256,12 +261,19 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 # --------------------------------------------------------------- public ops
 
+def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
+    """Presentation of the imaginary class group of D, the one builder of
+    every command: exact enumeration for |D| <= ENUM_CAP, GRH-conditional
+    BSGS (up to BSGS_CAP) above it."""
+    if -D <= ENUM_CAP:
+        return imaginary_presentation(D)
+    return class_number_bsgs(D)[1]
+
+
 def class_group_imaginary(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value < 0
-    if d.abs <= ENUM_CAP:
-        return imaginary_presentation(d.value).structure()
-    return bsgs_presentation(d.value).structure()
+    return full_imaginary_presentation(d.value).structure()
 
 
 def narrow_class_group_real(D) -> AbelianGroupStructure:
@@ -398,6 +410,19 @@ class ScanRecord:
     hp: Optional[int] = None    # emitted p-power for p_exponent scans
 
 
+def scan_statistic(statistic: str, d: int, h: int, N: int, eps: float = 0.0,
+                   p: int = 0) -> float:
+    """The scan statistic of the field with |D| = d, class number h and
+    omega(d) = N; for p_exponent it is log h_p / log sqrt(d)."""
+    if statistic == "genus_normalized":
+        return h / (2 ** (N - 1) * d ** (eps / 2))
+    if statistic == "raw":
+        return h / d ** (eps / 2)
+    if statistic == "p_exponent":
+        return log(p ** vp(h, p)) / log(d ** 0.5)
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
 def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
                     p: int = 0, arrays=None) -> list[ScanRecord]:
     """Local-maxima candidates over fundamental D with lo <= |D| <= hi.
@@ -416,20 +441,16 @@ def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
             continue
         h = int(harr[d])
         N = int(om[d])
-        if statistic == "genus_normalized":
-            stat = h / (2 ** (N - 1) * d ** (eps / 2))
-        elif statistic == "raw":
-            stat = h / d ** (eps / 2)
-        elif statistic == "p_exponent":
+        if statistic == "p_exponent":
             hp = p ** vp(h, p)
             if hp <= best_hp:
                 continue
             best_hp = hp
-            out.append(ScanRecord(-d, h, N, log(hp) / log(d ** 0.5),
+            out.append(ScanRecord(-d, h, N,
+                                  scan_statistic(statistic, d, h, N, p=p),
                                   bool(isp[d]), hp=hp))
             continue
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
+        stat = scan_statistic(statistic, d, h, N, eps)
         if stat > best:
             best = stat
             out.append(ScanRecord(-d, h, N, stat, bool(isp[d])))
@@ -577,55 +598,33 @@ def _euler_estimate(D: int, prime_bound: int = 1 << 16) -> float:
 
 
 def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
-    """(h, presentation of the generated subgroup) for imaginary D below
-    the BSGS cap.  GRH-quality: relies on the truncated Euler product
-    bracketing h within the factor BSGS_WINDOW."""
+    """(h, presentation of the whole class group) for imaginary D below the
+    BSGS cap, by one walk over the prime forms of the odd primes below 10^5.
+
+    Prime forms are adjoined until the truncated Euler product isolates h
+    as the one multiple of the generated subgroup's order inside the
+    factor BSGS_WINDOW, then until the subgroup has order h.  GRH-quality:
+    relies on that window bracketing h.  Every adjoin at least doubles the
+    order and limit= keeps it at most 2 * hi, so the walk ends; an exhausted
+    pool (h = 1 for D < -4) raises ClassNumberCapError."""
     # also keeps D inside int64 for _euler_estimate (BSGS_CAP < 2^63)
     if -D > BSGS_CAP:
         raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {BSGS_CAP}")
     est = _euler_estimate(D)
     lo = max(1, int(est / BSGS_WINDOW))
     hi = int(est * BSGS_WINDOW) + 1
-    ident = reduce_imaginary(principal_form(D))
-
-    def op(f, g):
-        return reduce_imaginary(compose(f, g))
-
-    pres = ClassGroupPresentation(D, [], [], [], {ident: ()}, ident,
-                                  reduce_imaginary, op)
-    pool = (prime_form(D, q) for q in _odd_primes())
-    for _ in range(64):
-        hstar = pres.h
-        first = ((lo + hstar - 1) // hstar) * hstar
-        cands = list(range(first, hi + 1, hstar))
-        if len(cands) == 1:
-            return cands[0], pres
+    pres = _trivial_imaginary(D)
+    pool = (prime_form(D, q) for q in range(3, 10 ** 5, 2) if is_prime(q))
+    h = None
+    while True:
+        if h is None:
+            first = -(-lo // pres.h) * pres.h
+            if first <= hi < first + pres.h:
+                h = first
+        if pres.h == h:
+            return h, pres
         g = next((f for f in pool if f is not None
                   and f not in pres.dlog_table), None)
         if g is None:
             raise ClassNumberCapError("generator pool exhausted")
-        pres.adjoin(g, limit=hi // hstar + 1)
-    raise ClassNumberCapError("BSGS failed to isolate h")
-
-
-def _odd_primes():
-    """The odd primes up to 10^5, the generator pool of both BSGS loops."""
-    for q in range(3, 10 ** 5, 2):
-        if is_prime(q):
-            yield q
-
-
-def bsgs_presentation(D: int) -> ClassGroupPresentation:
-    """Presentation of the whole class group of imaginary D by BSGS
-    (GRH-conditional): h from class_number_bsgs, then prime forms are
-    adjoined until the generated subgroup has order h."""
-    h, pres = class_number_bsgs(D)
-    for q in _odd_primes():
-        if pres.h == h:
-            break
-        f = prime_form(D, q)
-        if f is not None and f not in pres.dlog_table:
-            pres.adjoin(f)
-    if pres.h != h:
-        raise ClassNumberCapError("structure generators exhausted")
-    return pres
+        pres.adjoin(g, limit=hi // pres.h + 1)

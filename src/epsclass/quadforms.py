@@ -303,18 +303,18 @@ class TrackedIdeal:
     a principal ideal reaches |a| = 1, ideal(form) is the maximal order and
     the tracked ideal is (gamma).
 
-    gamma is exact (QuadElt) unless from_form is given another carrier: any
+    gamma lives in the carrier of the `one` that from_form is given: any
     value with mul(other), scale(n) for an integer n, and rho(b, c), the
     product with (b - sqrt(D)) / (2c), will do. pram carries gamma locally
     above p that way, for relation generators and fundamental units alike;
-    the exact carrier serves only as the tests' reference.
+    the exact carrier QuadElt serves only as the tests' reference.
     """
     form: QuadForm
-    gamma: QuadElt
+    gamma: object
 
     @classmethod
-    def from_form(cls, f: QuadForm, one=None) -> "TrackedIdeal":
-        return cls(f, QuadElt.one(f.disc()) if one is None else one)
+    def from_form(cls, f: QuadForm, one) -> "TrackedIdeal":
+        return cls(f, one)
 
     def mul(self, other: "TrackedIdeal") -> "TrackedIdeal":
         f, g = self.form, other.form

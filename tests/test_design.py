@@ -121,3 +121,38 @@ def test_only_quadforms_imports_fractions():
             if "fractions" in names and p.stem != "quadforms":
                 found.append((p.name, node.lineno))
     assert found == []
+
+
+_IMAGINARY_BUILDERS = {"imaginary_presentation", "class_number_bsgs"}
+
+
+def _builder_calls(source):
+    """(line, name) for each call of an imaginary class-group builder, bare
+    or as an attribute, in source."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else \
+            getattr(f, "id", None)
+        if name in _IMAGINARY_BUILDERS:
+            calls.append((node.lineno, name))
+    return calls
+
+
+def test_only_quadclass_chooses_enumeration_or_bsgs():
+    # one builder, quadclass.full_imaginary_presentation, holds the one
+    # enumeration/BSGS threshold; every other module goes through it
+    found = {p.name: _builder_calls(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_builder_call_detector():
+    src = ("from .quadclass import imaginary_presentation\n"
+           "pres = imaginary_presentation(D)\n"
+           "h = quadclass.class_number_bsgs(D)[0]\n"
+           "g = quadclass.full_imaginary_presentation(D)\n")
+    assert _builder_calls(src) == [(2, "imaginary_presentation"),
+                                   (3, "class_number_bsgs")]

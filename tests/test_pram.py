@@ -142,8 +142,8 @@ def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
     def no_build(D):
         raise AssertionError("a class group was built before validation")
 
-    monkeypatch.setattr(pram, "imaginary_presentation", no_build)
-    monkeypatch.setattr(pram, "bsgs_presentation", no_build)
+    monkeypatch.setattr(quadclass, "imaginary_presentation", no_build)
+    monkeypatch.setattr(quadclass, "class_number_bsgs", no_build)
     with pytest.raises(ValueError, match="prime p and n >= 1"):
         call(*args)
 
@@ -298,8 +298,8 @@ def test_ray_class_group_needs_images_to_its_level():
        p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 64))
 def test_relation_images_match_exact_lift(seed, sign, p, n):
     rng = random.Random(seed)
-    # above |D| = 4*10^5 imaginary class groups come from BSGS
-    top = 12 * 10 ** 5 if sign < 0 else 2 * 10 ** 5
+    # above |D| = ENUM_CAP = 10^7 imaginary class groups come from BSGS
+    top = 12 * 10 ** 6 if sign < 0 else 2 * 10 ** 5
     while True:
         try:
             D = quadclass.as_disc(sign * rng.randrange(5, top)).value
@@ -520,7 +520,7 @@ def test_rank_inequalities():
         assert r.rk_cl == cl.p_rank(p), (D, p)
 
 
-_BUILDERS = ("imaginary_presentation", "bsgs_presentation",
+_BUILDERS = ("imaginary_presentation", "class_number_bsgs",
              "narrow_presentation")
 
 
@@ -534,12 +534,17 @@ def builds(monkeypatch):
             calls.append(_name)
             return _build(*args, **kwargs)
         for mod in (quadclass, pram):
-            monkeypatch.setattr(mod, name, wrapped)
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, wrapped)
     return calls
 
 
 def _ray_class_group_0(D, p):
     return pram.ray_class_group(D, p, 0)
+
+
+def _class_group(D, p):
+    return quadclass.class_group_imaginary(D)
 
 
 @pytest.mark.parametrize("call,D,builder", [
@@ -548,7 +553,12 @@ def _ray_class_group_0(D, p):
     (pram.rank_inequalities, 105, "narrow_presentation"),
     (pram.rank_inequalities, 229, "narrow_presentation"),
     (pram.ktilde_index, -84, "imaginary_presentation"),
-    (pram.ktilde_index, -400003, "bsgs_presentation"),
+    # one builder, one threshold: enumeration up to ENUM_CAP = 10^7
+    (pram.ktilde_index, -400003, "imaginary_presentation"),
+    (pram.ktilde_index, -9999995, "imaginary_presentation"),
+    (pram.ktilde_index, -10000003, "class_number_bsgs"),
+    (_class_group, -9999995, "imaginary_presentation"),
+    (_class_group, -10000003, "class_number_bsgs"),
     (pram.tor_report, 229, "narrow_presentation"),
     (_ray_class_group_0, 229, "narrow_presentation"),
 ])
@@ -681,7 +691,8 @@ def test_tor_report_walks_each_relation_once(walks, levels, monkeypatch, D):
 
 def test_tor_scan_validates_each_field_once(factor_calls):
     # 76 candidates pass the mod-4 screen and are factored once each; the
-    # 61 fundamental ones reuse that Discriminant, and BSGS factors nothing
+    # 61 fundamental ones reuse that Discriminant, and the enumeration
+    # that builds their class groups factors nothing
     recs = pram.tor_scan(10 ** 6, 1000200, 2)
     assert len(recs) == 4
     assert len(factor_calls) == 76

@@ -197,20 +197,20 @@ def test_prime_disc_report():
 
 
 def test_bsgs_agrees_with_enumeration():
-    # 60 of the 80 fields lie above 4e5, where pram builds by BSGS
     rng = random.Random(4)
     Ds = (_fundamental_sample(rng, 10 ** 5, 4 * 10 ** 5, 20)
           + _fundamental_sample(rng, 4 * 10 ** 5, 2 * 10 ** 6, 60))
     for D in Ds:
         enum = qc.imaginary_presentation(D)
-        bsgs = qc.bsgs_presentation(D)   # reaches h from class_number_bsgs
+        h, bsgs = qc.class_number_bsgs(D)
+        assert h == bsgs.h, D
         assert bsgs.h == enum.h, D
         assert bsgs.structure().divisors == enum.structure().divisors, D
 
 
 def test_bsgs_structure_matches_enumeration():
     for d in (-998771, -424708):
-        g1 = qc.bsgs_presentation(d).structure()
+        g1 = qc.class_number_bsgs(d)[1].structure()
         g2 = qc.class_group_imaginary(d)
         assert g1.divisors == g2.divisors
 
@@ -230,9 +230,9 @@ def test_bsgs_structure_matches_enumeration_property(d):
         assume(False)
     if D in _CLASS_NUMBER_ONE:
         with pytest.raises(qc.ClassNumberCapError):
-            qc.bsgs_presentation(D)
+            qc.class_number_bsgs(D)
         return
-    assert qc.bsgs_presentation(D).structure() == \
+    assert qc.class_number_bsgs(D)[1].structure() == \
         qc.imaginary_presentation(D).structure()
 
 
@@ -242,7 +242,7 @@ def test_bsgs_class_number_one():
         with pytest.raises(qc.ClassNumberCapError):
             qc.class_number_bsgs(D)
     for D in (-3, -4):
-        assert qc.bsgs_presentation(D).h == 1
+        assert qc.class_number_bsgs(D)[1].h == 1
 
 
 def test_bsgs_cap():
@@ -369,9 +369,13 @@ def test_euler_estimate_matches_loop_cases(D):
 
 
 def test_euler_window_audit():
-    # est/h on 300 fields where pram uses BSGS, against a stated margin of
-    # 1.05 well inside the BSGS window factor 1.35
-    Ds = _fundamental_sample(random.Random(11), 4 * 10 ** 5, 3 * 10 ** 6, 300)
+    # est/h on 300 fields in (4e5, 3e6] and on 100 above ENUM_CAP, where
+    # BSGS runs, against a stated margin of 1.05 well inside the BSGS
+    # window factor 1.35
+    Ds = (_fundamental_sample(random.Random(11), 4 * 10 ** 5, 3 * 10 ** 6,
+                              300)
+          + _fundamental_sample(random.Random(12), qc.ENUM_CAP + 1,
+                                3 * 10 ** 7, 100))
     ratios = [qc._euler_estimate(D) / len(reduced_forms_imaginary(D))
               for D in Ds]
     assert 1 / 1.05 <= min(ratios) and max(ratios) <= 1.05
@@ -458,7 +462,8 @@ def test_bsgs_presentation_matches_reference_adjoin():
     # every generator goes in with limit=, the first one too
     for D in _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
                                  3 * 10 ** 6, 25):
-        pres = _assert_matches_reference(qc.bsgs_presentation, D)
+        pres = _assert_matches_reference(
+            lambda D: qc.class_number_bsgs(D)[1], D)
         assert pres.h == len(reduced_forms_imaginary(D))
 
 
@@ -474,7 +479,7 @@ def test_bsgs_presentation_composes_once_per_class():
                                  3 * 10 ** 6, 25):
         compose_calls[0] = 0
         with mock.patch.object(qc, "compose", counted):
-            pres = qc.bsgs_presentation(D)
+            pres = qc.class_number_bsgs(D)[1]
         assert compose_calls[0] == pres.h - 1, D
 
 

@@ -247,7 +247,7 @@ def test_tracked_rho_preserves_lattice():
         for f in forms[:6]:
             if f.a < 0:
                 continue
-            t = TrackedIdeal.from_form(f)
+            t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
             t2 = t.rho_step()
             assert lattices_equal(lattice_of(t), lattice_of(t2))
             t3 = t2.reduce()
@@ -262,7 +262,9 @@ def test_tracked_mul_matches_lattice_product():
                              else reduced_forms_indefinite(D)) if f.a > 0]
         for _ in range(10):
             f, g = rng.choice(forms), rng.choice(forms)
-            tf, tg = TrackedIdeal.from_form(f), TrackedIdeal.from_form(g)
+            one = QuadElt.one(D)
+            tf = TrackedIdeal.from_form(f, one)
+            tg = TrackedIdeal.from_form(g, one)
             prod = tf.mul(tg)
             # explicit lattice product of the two ideals
             basis = []
@@ -278,7 +280,7 @@ def test_tracked_mul_matches_lattice_product():
 def test_principal_generator_imaginary():
     # D=-23: (2,1,3)^3 is principal; recover a generator
     f = QuadForm(2, 1, 3)
-    t = TrackedIdeal.from_form(f)
+    t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
     cube = t.mul(t).mul(t)
     gen = cube.principal_generator()
     # N(gen) = N(ideal) = 2^3
@@ -292,7 +294,7 @@ def test_principal_generator_real():
     # use D=40 (m=10): h=2, form (2, 4, -3)^2 principal
     f = QuadForm(2, 4, -3)
     assert f.disc() == 40
-    t = TrackedIdeal.from_form(f)
+    t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
     sq = t.mul(t)
     gen = sq.principal_generator()
     assert abs(gen.norm()) == 4
