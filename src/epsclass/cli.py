@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("primes", cmd_primes, help="primes l = 1 mod p in order")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--mv", action="store_true",
                    help="also verify both prime-counting inequalities")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, fn, help="imaginary class-number statistics")
         p.add_argument("--stat", choices=sorted(_STATS), default="genus")
         p.add_argument("--eps", type=float, default=0.0)
-        p.add_argument("--p", type=int, default=3)
+        p.add_argument("--p", type=_prime, default=3)
         p.add_argument("--min-d", type=int, default=3)
         p.add_argument("--max-d", type=int, required=True)
         p.add_argument("--workers", type=_positive_int, default=1)
@@ -341,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("normic-search", cmd_normic_search,
             help="a^2 + m b^2 = 4 q^(p^rho) search")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-a", type=int, default=None)
 
     p = add("bounds", cmd_bounds, help="analytic bound table")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--o1", type=float, default=0.0)
     p.add_argument("--c", type=float, default=None)

@@ -29,6 +29,7 @@ from .quadclass import (
     fundamental_discriminant,
     isqrt_float,
     narrow_presentation,
+    prime_form,
     ramified_principal_form,
 )
 from .quadforms import QuadForm, TrackedIdeal, principal_form
@@ -732,28 +733,6 @@ def ktilde_index(D, p: int) -> int:
 
 # -------------------------------------------------------- S-class groups
 
-def prime_over(D: int, p: int) -> QuadForm | None:
-    """Form (p, b, c) of a prime above p; None if p is inert."""
-    st = splitting_type(D, p)
-    if st == "inert":
-        return None
-    if st == "split":
-        if p == 2:
-            return QuadForm(2, 1, (1 - D) // 8)
-        b = sqrt_mod_prime(D, p)
-        if (b - D) % 2:
-            b += p
-        return QuadForm(p, b, (b * b - D) // (4 * p))
-    if p == 2:
-        m = _radicand(D)
-        if m % 2 == 0:
-            return QuadForm(2, 0, -m // 2)
-        return QuadForm(2, 2, (1 - m) // 2)
-    if D % 2 == 0:
-        return QuadForm(p, 2 * p, p - _radicand(D) // p)
-    return QuadForm(p, p, (p * p - D) // (4 * p))
-
-
 @dataclass
 class SClassGroup:
     D: int
@@ -770,7 +749,7 @@ def s_class_group(D, p: int,
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)
-    return SClassGroup(d.value, p, cd.pres.quotient(prime_over(d.value, p)),
+    return SClassGroup(d.value, p, cd.pres.quotient(prime_form(d.value, p)),
                        2 if st == "split" else 1)
 
 
@@ -821,7 +800,9 @@ class TorRecord:
 
 
 def is_fundamental_neg(d: int) -> Discriminant | None:
-    """The Discriminant -d (d > 0) when it is fundamental, else None."""
+    """The Discriminant -d when it is fundamental (so d >= 3), else None."""
+    if d < 3:
+        return None
     if d % 4 == 3:
         m = -d
     elif d % 4 == 0 and (d // 4) % 4 in (1, 2):

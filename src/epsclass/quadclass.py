@@ -12,13 +12,17 @@ matrix gives the divisor chain, and the closure table doubles as a
 discrete-log dictionary (reused for ray class groups). Building it costs
 one group operation per new class, plus one canonicalisation per
 generator: h - 1 compositions for a class group of order h.
+
+Imaginary generators are every reduced form up to |D| = ENUM_CAP, an
+unconditional enumeration, and above it the forms of the prime ideals of
+norm at most 6 log^2 |D|, which generate the class group under GRH
+(Bach's bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt, log, pi, prod
+from math import gcd, isqrt, log, prod
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -47,7 +51,6 @@ from .quadforms import (
 
 ENUM_CAP = 10 ** 7
 BSGS_CAP = 10 ** 13
-BSGS_WINDOW = 1.35   # the Euler product must bracket h within this factor
 
 
 class ClassNumberCapError(Exception):
@@ -151,7 +154,7 @@ class ClassGroupPresentation:
         assert g.order == self.h
         return g
 
-    def adjoin(self, e, limit: int | None = None) -> None:
+    def adjoin(self, e) -> None:
         """Add generator e: find its order o over the current closure
         (e^o = word in earlier gens) and extend the dlog table.
 
@@ -162,8 +165,6 @@ class ClassGroupPresentation:
         e = self.canon(e)
         powers = [e]
         while powers[-1] not in dlog:
-            if limit is not None and len(powers) >= limit:
-                raise ClassNumberCapError("relative order search exhausted")
             powers.append(op(powers[-1], e))
         k = len(powers)
         word = dlog[powers.pop()]
@@ -263,8 +264,9 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
     """Presentation of the imaginary class group of D, the one builder of
-    every command: exact enumeration for |D| <= ENUM_CAP, GRH-conditional
-    BSGS (up to BSGS_CAP) above it."""
+    every command: exact enumeration for |D| <= ENUM_CAP, the
+    GRH-conditional staircase over the prime forms under Bach's bound (up
+    to BSGS_CAP) above it."""
     if -D <= ENUM_CAP:
         return imaginary_presentation(D)
     return class_number_bsgs(D)[1]
@@ -540,91 +542,45 @@ def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
     return out
 
 
-# ------------------------------------------------- BSGS above the enum cap
+# --------------------------------------------- Bach's bound above the enum cap
 
 def prime_form(D: int, q: int) -> Optional[QuadForm]:
-    """Reduced form above a split odd prime q, or None."""
-    if q == 2 or kronecker(D, q) != 1:
+    """Form (q, b, c) of a prime ideal above the prime q, for split and
+    ramified q (q = 2 included); None if q is inert."""
+    k = kronecker(D, q)
+    if k == -1:
         return None
-    b = sqrt_mod_prime(D, q)
-    if (b - D) % 2:
-        b = q - b  # flip parity: q odd
-    assert (b * b - D) % (4 * q) == 0
-    return reduce_imaginary(QuadForm(q, b, (b * b - D) // (4 * q)))
-
-
-@lru_cache(maxsize=1)
-def _euler_table(prime_bound: int):
-    """(q, bits, lift): the primes up to prime_bound in ascending order
-    (2 first) as int64, the bits of their exponents (q - 1)/2 from the
-    lowest up, and lift[i] = -log(1 - k/q) for k = 1 (row 0) and
-    k = -1 (row 1).  Read-only: every caller shares them."""
-    q = np.flatnonzero(prime_sieve(prime_bound)).astype(np.int64)
-    e = (q - 1) // 2
-    bits = [(e >> b) & 1 == 1 for b in range(int(e[-1]).bit_length())]
-    # one Python float at a time: a list of them would raise the peak RSS
-    lift = np.array([np.fromiter((-log(1.0 - k / p) for p in map(int, q)),
-                                 float, len(q)) for k in (1, -1)])
-    for a in (q, lift, *bits):
-        a.flags.writeable = False
-    return q, bits, lift
-
-
-def _euler_estimate(D: int, prime_bound: int = 1 << 16) -> float:
-    """h(D) for D < -4 via the truncated L(1, chi_D) Euler product.
-
-    D must fit in int64; class_number_bsgs checks |D| <= BSGS_CAP < 2^63
-    before it gets here.  Legendre symbols come from Euler's criterion
-    r^((q-1)/2) mod q, with r = D mod q < 2^16 at the default bound, so
-    every product stays below 2^32.  np.add.accumulate adds the terms one
-    by one in ascending q (np.sum would add pairwise) and a term 0.0 for
-    q | D leaves the sum as it is, so the float is the same as a loop's.
-    """
-    q, bits, lift = _euler_table(prime_bound)
-    r = np.int64(D) % q
-    leg = np.ones_like(q)
-    base = r
-    for bit in bits:
-        leg = np.where(bit, leg * base % q, leg)
-        base = base * base % q
-    terms = np.where(leg == 1, lift[0], lift[1])
-    terms[r == 0] = 0.0
-    # q = 2 (exponent 0, so leg = 1): (D/2) is 0 for even D, else 1 for
-    # D = +-1 mod 8 and -1 for D = +-3 mod 8
-    if D % 8 in (3, 5):
-        terms[0] = lift[1, 0]
-    acc = np.add.accumulate(terms)[-1]
-    return isqrt_float(-D) / pi * np.exp(acc)
+    if k == 1:
+        if q == 2:
+            return QuadForm(2, 1, (1 - D) // 8)
+        b = sqrt_mod_prime(D, q)
+        if (b - D) % 2:
+            b += q
+        return QuadForm(q, b, (b * b - D) // (4 * q))
+    m = D // 4 if D % 4 == 0 else D
+    if q == 2:
+        if m % 2 == 0:
+            return QuadForm(2, 0, -m // 2)
+        return QuadForm(2, 2, (1 - m) // 2)
+    if D % 2 == 0:
+        return QuadForm(q, 2 * q, q - m // q)
+    return QuadForm(q, q, (q * q - D) // (4 * q))
 
 
 def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
-    """(h, presentation of the whole class group) for imaginary D below the
-    BSGS cap, by one walk over the prime forms of the odd primes below 10^5.
+    """(h, presentation of the whole class group) for fundamental imaginary
+    D up to BSGS_CAP, from the prime ideals of norm at most 6 log^2 |D|.
 
-    Prime forms are adjoined until the truncated Euler product isolates h
-    as the one multiple of the generated subgroup's order inside the
-    factor BSGS_WINDOW, then until the subgroup has order h.  GRH-quality:
-    relies on that window bracketing h.  Every adjoin at least doubles the
-    order and limit= keeps it at most 2 * hi, so the walk ends; an exhausted
-    pool (h = 1 for D < -4) raises ClassNumberCapError."""
-    # also keeps D inside int64 for _euler_estimate (BSGS_CAP < 2^63)
+    This is the GRH route, not baby-step giant-step (the name stays for
+    its callers): under GRH those prime ideals generate Cl(D) (Bach, Math.
+    Comp. 55, 1990), so the staircase over their reduced forms is the
+    whole group, with no estimate of h and no stopping rule.  It costs
+    h - 1 compositions, as enumeration does."""
     if -D > BSGS_CAP:
         raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {BSGS_CAP}")
-    est = _euler_estimate(D)
-    lo = max(1, int(est / BSGS_WINDOW))
-    hi = int(est * BSGS_WINDOW) + 1
+    bound = int(6 * log(-D) ** 2)
+    forms = (prime_form(D, q)
+             for q in np.flatnonzero(prime_sieve(bound)).tolist())
     pres = _trivial_imaginary(D)
-    pool = (prime_form(D, q) for q in range(3, 10 ** 5, 2) if is_prime(q))
-    h = None
-    while True:
-        if h is None:
-            first = -(-lo // pres.h) * pres.h
-            if first <= hi < first + pres.h:
-                h = first
-        if pres.h == h:
-            return h, pres
-        g = next((f for f in pool if f is not None
-                  and f not in pres.dlog_table), None)
-        if g is None:
-            raise ClassNumberCapError("generator pool exhausted")
-        pres.adjoin(g, limit=hi // pres.h + 1)
+    _staircase(pres, (reduce_imaginary(f) for f in forms if f is not None))
+    return pres.h, pres

@@ -54,6 +54,11 @@ def test_usage_errors(capsys):
     ["filtration-run", "--p", "1"],
     ["filtration-run", "--p", "4"],
     ["filtration-run", "--p", "3", "--n", "1"],
+    ["primes", "--p", "4", "--count", "3"],
+    ["quad-scan", "--p", "4", "--max-d", "100"],
+    ["quad-maxima", "--stat", "p-exponent", "--p", "4", "--max-d", "2000"],
+    ["normic-search", "--p", "4", "--rho", "1", "--q", "3"],
+    ["bounds", "--p", "4", "--eps", "0.1"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and
@@ -113,6 +118,16 @@ def test_tor_scan_cli(capsys):
     _, rows = rows_of(out)
     assert [(int(r[0]), int(r[2])) for r in rows] == \
         [(-1000011, 3), (-1000020, 3), (-1000036, 4), (-1000132, 5)]
+
+
+def test_tor_scan_below_three(capsys):
+    # -d < 0 was taken as the real field of discriminant d and crashed
+    code, out = run(["tor-scan", "--p", "2", "--min-d", "-20",
+                     "--max-d", "100"], capsys)
+    assert code == 0
+    _, ref = run(["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "100"],
+                 capsys)
+    assert rows_of(out)[1] == rows_of(ref)[1] != []
 
 
 def test_tor_scan_workers_deterministic(capsys):

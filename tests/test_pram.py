@@ -485,6 +485,13 @@ def test_tor_scan_emission():
     assert not any(r.error for r in recs)
 
 
+def test_tor_scan_below_three():
+    # is_fundamental_neg(-5) used to return the real discriminant 5
+    for d in range(-20, 3):
+        assert pram.is_fundamental_neg(d) is None, d
+    assert pram.tor_scan(-20, 100, 2) == pram.tor_scan(3, 100, 2) != []
+
+
 def test_merge_tor_maxima():
     a = pram.tor_scan(10 ** 6, 1000100, 2)
     b = pram.tor_scan(1000101, 1000200, 2)
@@ -578,10 +585,16 @@ def test_ray_class_group_level_zero_is_ordinary():
 
 def test_prime_over_forms():
     for D, p in [(-15, 2), (-20, 2), (-15, 3), (-11, 3), (-84, 7), (-7, 2)]:
-        f = pram.prime_over(D, p)
+        f = quadclass.prime_form(D, p)
         if f is not None:
             assert f.a == p and f.disc() == D
-    assert pram.prime_over(13, 2) is None
+    assert quadclass.prime_form(13, 2) is None
+    # split q = 2 (D = 1 mod 8), q = 2 ramified with m even and odd, odd
+    # ramified q with D even and odd, for both signs of D
+    for D, p in [(17, 2), (-24, 2), (8, 2), (12, 2), (-84, 3), (-15, 5),
+                 (-23, 23), (21, 7), (60, 5)]:
+        f = quadclass.prime_form(D, p)
+        assert f.a == p and f.disc() == D and gcd(*f) == 1, (D, p)
 
 
 @pytest.fixture

@@ -1,9 +1,8 @@
 import random
 from collections import Counter
-from math import gcd, isqrt, log, pi
+from math import gcd, isqrt
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from epsclass import arith, pram
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
-from epsclass.arith import kronecker, prime_sieve, squarefree_core
+from epsclass.arith import prime_sieve, squarefree_core
 from epsclass.quadforms import (
     compose,
     principal_form,
@@ -215,34 +214,25 @@ def test_bsgs_structure_matches_enumeration():
         assert g1.divisors == g2.divisors
 
 
-# every fundamental D < -4 with h = 1: the window holds 1 and 2, and no
-# prime form below 10^5 is new, so BSGS cannot tell them apart
-_CLASS_NUMBER_ONE = (-7, -8, -11, -19, -43, -67, -163)
-
-
-@given(st.integers(min_value=3, max_value=10 ** 7))
+# d = 4k - 1 or 4k: every 3 <= d <= 10^7 with d = 0, 3 mod 4, drawn
+# directly, so that assume() filters only the non-fundamental d
+@given(st.integers(min_value=1, max_value=10 ** 7 // 4),
+       st.sampled_from([1, 0]))
 @settings(max_examples=25, deadline=None)
-def test_bsgs_structure_matches_enumeration_property(d):
-    assume(d % 4 in (0, 3))
+def test_bsgs_structure_matches_enumeration_property(k, r):
     try:
-        D = qc.discriminant_from_value(-d).value
+        D = qc.discriminant_from_value(r - 4 * k).value
     except ValueError:
         assume(False)
-    if D in _CLASS_NUMBER_ONE:
-        with pytest.raises(qc.ClassNumberCapError):
-            qc.class_number_bsgs(D)
-        return
     assert qc.class_number_bsgs(D)[1].structure() == \
         qc.imaginary_presentation(D).structure()
 
 
 def test_bsgs_class_number_one():
-    # a budget error where the loop used to draw prime forms forever
-    for D in _CLASS_NUMBER_ONE:
-        with pytest.raises(qc.ClassNumberCapError):
-            qc.class_number_bsgs(D)
-    for D in (-3, -4):
-        assert qc.class_number_bsgs(D)[1].h == 1
+    # every fundamental D < 0 with h = 1
+    for D in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
+        h, pres = qc.class_number_bsgs(D)
+        assert (h, pres.h, pres.gens) == (1, 1, []), D
 
 
 def test_bsgs_cap():
@@ -330,64 +320,13 @@ def test_composition_group_laws_sampled():
             reduce_imaginary(compose(f, reduce_imaginary(compose(g, h))))
 
 
-def _euler_estimate_loop(D, prime_bound=1 << 16):
-    # the scalar Euler product, one Kronecker symbol per prime, in order
-    primes = np.flatnonzero(prime_sieve(prime_bound))
-    acc = 0.0
-    for q in primes:
-        q = int(q)
-        k = kronecker(D, q)
-        if k:
-            acc -= log(1.0 - k / q)
-    return qc.isqrt_float(-D) / pi * np.exp(acc)
-
-
-# d = 4k - 1 or 4k: every 5 <= d <= 10^13 with d = 0, 3 mod 4, drawn
-# directly; filtering the other residues out with assume() failed the
-# filter_too_much health check on about one run in 150
-@given(st.integers(min_value=2, max_value=10 ** 13 // 4),
-       st.sampled_from([1, 0]))
-@settings(max_examples=150, deadline=None)
-def test_euler_estimate_matches_loop_bit_for_bit(k, r):
-    d = 4 * k - r
-    try:
-        D = qc.discriminant_from_value(-d).value
-    except ValueError:
-        assume(False)
-    assert qc._euler_estimate(D) == _euler_estimate_loop(D)
-
-
-@pytest.mark.parametrize("D", [
-    -8, -20, -24, -4 * 999999999989,        # even D
-    -7, -15, -999999999991,                 # D = 1 mod 8
-    -11, -19, -9999999999971,               # D = 5 mod 8
-    -3 * 65521, -4 * 65521, -8 * 65521 * 7, -65521 * 152587819,  # 65521 | D
-])
-def test_euler_estimate_matches_loop_cases(D):
-    assert qc.discriminant_from_value(D).value == D
-    assert qc._euler_estimate(D) == _euler_estimate_loop(D)
-
-
-def test_euler_window_audit():
-    # est/h on 300 fields in (4e5, 3e6] and on 100 above ENUM_CAP, where
-    # BSGS runs, against a stated margin of 1.05 well inside the BSGS
-    # window factor 1.35
-    Ds = (_fundamental_sample(random.Random(11), 4 * 10 ** 5, 3 * 10 ** 6,
-                              300)
-          + _fundamental_sample(random.Random(12), qc.ENUM_CAP + 1,
-                                3 * 10 ** 7, 100))
-    ratios = [qc._euler_estimate(D) / len(reduced_forms_imaginary(D))
-              for D in Ds]
-    assert 1 / 1.05 <= min(ratios) and max(ratios) <= 1.05
-
-
 def test_one_prime_sieve():
     assert qc.batch_prime is prime_sieve
 
 
 # --------------------------------------- staircase adjoin against the old loop
 
-def _adjoin_reference(self, e, limit=None):
+def _adjoin_reference(self, e):
     # the adjoin before the powers of e were kept: it walks them twice and
     # composes every identity-row entry with the identity
     dlog, op = self.dlog_table, self.op
@@ -395,8 +334,6 @@ def _adjoin_reference(self, e, limit=None):
     while cur not in dlog:
         cur = op(cur, e)
         k += 1
-        if limit is not None and k > limit:
-            raise qc.ClassNumberCapError("relative order search exhausted")
     idx = len(self.gens)
     self.gens.append(e)
     self.orders.append(k)
@@ -424,12 +361,13 @@ def _assert_matches_reference(build, *args):
     return new
 
 
-@given(st.integers(min_value=3, max_value=10 ** 6))
+# d = 4k - r as in the property test above: 3 <= d <= 10^6
+@given(st.integers(min_value=1, max_value=10 ** 6 // 4),
+       st.sampled_from([1, 0]))
 @settings(max_examples=60, deadline=None)
-def test_imaginary_presentation_matches_reference_adjoin(d):
-    assume(d % 4 in (0, 3))
+def test_imaginary_presentation_matches_reference_adjoin(k, r):
     try:
-        D = qc.discriminant_from_value(-d).value
+        D = qc.discriminant_from_value(r - 4 * k).value
     except ValueError:
         assume(False)
     _assert_matches_reference(qc.imaginary_presentation, D)
@@ -459,7 +397,6 @@ def test_imaginary_presentation_matches_reference_anchors(D):
 
 
 def test_bsgs_presentation_matches_reference_adjoin():
-    # every generator goes in with limit=, the first one too
     for D in _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
                                  3 * 10 ** 6, 25):
         pres = _assert_matches_reference(
@@ -502,28 +439,3 @@ def test_residue_units_top_matches_reference_adjoin(p):
         for n in (1, 2, 4):
             _assert_matches_reference(
                 lambda *a: pram.ResidueUnits(*a)._top, D, p, n)
-
-
-def _bare_imaginary(D):
-    """The presentation of imaginary_presentation before any generator."""
-    ident = reduce_imaginary(principal_form(D))
-    return qc.ClassGroupPresentation(
-        D, [], [], [], {ident: ()}, ident, reduce_imaginary,
-        lambda f, g: reduce_imaginary(compose(f, g)))
-
-
-@pytest.mark.parametrize("D", [-23, -3299, -15015])
-def test_adjoin_limit_boundary(D):
-    # the last generator: relative order k over the closure of the others
-    full = qc.imaginary_presentation(D)
-    *first, e = full.gens
-    k = full.orders[-1]
-    pres = _bare_imaginary(D)
-    for g in first:
-        pres.adjoin(g)
-    before = _snapshot(pres)
-    with pytest.raises(qc.ClassNumberCapError):
-        pres.adjoin(e, limit=k - 1)
-    assert _snapshot(pres) == before
-    pres.adjoin(e, limit=k)
-    assert _snapshot(pres) == _snapshot(full)
