@@ -43,9 +43,6 @@ class AbelianGroupStructure:
                 out.append(q)
         return AbelianGroupStructure(tuple(out))
 
-    def exponent(self) -> int:
-        return self.divisors[0] if self.divisors else 1
-
     def __str__(self) -> str:
         return "[" + ",".join(str(d) for d in self.divisors) + "]"
 

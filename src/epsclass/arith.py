@@ -71,19 +71,19 @@ def is_prime(n: int) -> bool:
     return all(_mr_round(n, a, d, s) for a in witnesses)
 
 
-def _brent_rho(n: int, cap: int) -> int:
+def _brent_rho(n: int) -> int:
     # Brent's cycle variant; returns a nontrivial factor or raises
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
     spent = 0
-    while spent < cap:
+    while spent < _RHO_ITER_CAP:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         x = ys = y
-        while g == 1 and spent < cap:
+        while g == 1 and spent < _RHO_ITER_CAP:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -107,18 +107,18 @@ def _brent_rho(n: int, cap: int) -> int:
     raise FactorBudgetError(f"rho budget exhausted on {n}")
 
 
-def _factor_into(n: int, out: dict[int, int], rho_cap: int) -> None:
+def _factor_into(n: int, out: dict[int, int]) -> None:
     if n == 1:
         return
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    d = _brent_rho(n, rho_cap)
-    _factor_into(d, out, rho_cap)
-    _factor_into(n // d, out, rho_cap)
+    d = _brent_rho(n)
+    _factor_into(d, out)
+    _factor_into(n // d, out)
 
 
-def factor(n: int, rho_cap: int = _RHO_ITER_CAP) -> Factorization:
+def factor(n: int) -> Factorization:
     if n < 1:
         raise ValueError("factor expects a positive integer")
     value = n
@@ -137,7 +137,7 @@ def factor(n: int, rho_cap: int = _RHO_ITER_CAP) -> Factorization:
         if d * d > n:
             out[n] = out.get(n, 0) + 1
         else:
-            _factor_into(n, out, rho_cap)
+            _factor_into(n, out)
     return Factorization(value, tuple(sorted(out.items())))
 
 
@@ -152,11 +152,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return factor(abs(n)).omega()
 
 
 def squarefree_core(n: int) -> tuple[int, int]:
@@ -264,17 +259,6 @@ def primes_in_class(p: int, count: int) -> PrimeClassSequence:
             break
         limit *= 2
     return PrimeClassSequence(p, tuple(out))
-
-
-def pi_class_count(x: int, p: int) -> int:
-    """#{l <= x prime : l = 1 mod p} (for p = 2: odd primes <= x)."""
-    if x < 2:
-        return 0
-    sieve = prime_sieve(x)
-    idx = np.flatnonzero(sieve)
-    if p == 2:
-        return int(np.count_nonzero(idx >= 3))
-    return int(np.count_nonzero(idx % p == 1))
 
 
 @dataclass(frozen=True)

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("normic-search", cmd_normic_search,
             help="a^2 + m b^2 = 4 q^(p^rho) search")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--rho", type=int, required=True)
+    p.add_argument("--rho", type=_int_at_least(0), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-a", type=int, default=None)
 

@@ -23,8 +23,10 @@ class BoundParams:
     c: float | None = None
 
     def __post_init__(self):
-        assert self.eps > 0
-        assert self.c is None or 0 < self.c < 1
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.c is not None and not 0 < self.c < 1:
+            raise ValueError(f"c must lie in (0, 1), got {self.c}")
 
     @property
     def gamma_p(self) -> float:

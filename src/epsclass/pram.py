@@ -25,8 +25,8 @@ from .quadclass import (
     ClassNumberCapError,
     Discriminant,
     as_disc,
+    discriminant_from_value,
     full_imaginary_presentation,
-    fundamental_discriminant,
     isqrt_float,
     narrow_presentation,
     prime_form,
@@ -159,29 +159,6 @@ class ResidueUnits:
             self.order = (p - 1) * p ** (2 * n - 1)
         self._build()
 
-    # -- pi-adic level lattices (columns include p^n Z^2)
-    def _pi_cols(self):
-        pi = _uniformizer(self.ring)
-        return [pi, self.ring.mul_exact(pi, (0, 1))]
-
-    def _level(self, k: int) -> list:
-        q = self.ring.q
-        if self.e == 1:
-            s = self.p ** k
-            cols = [(s, 0), (0, s)]
-        else:
-            s = self.p ** (k // 2)
-            if k % 2 == 0:
-                cols = [(s, 0), (0, s)]
-            else:
-                cols = [(s * a, s * b) for a, b in self._pi_cols()]
-        cols += [(q, 0), (0, q)]
-        return zlin.hnf_columns([[c[i] for c in cols] for i in range(2)])
-
-    def _member(self, u, H) -> bool:
-        v = ((u[0] - 1) % self.ring.q, u[1] % self.ring.q)
-        return zlin.solve_lattice(H, list(v)) is not None
-
     # -- p-adic logarithm on 1 + P^c0, exact-integer series
     def _log(self, u):
         R, p, q = self.ring, self.p, self.ring.q
@@ -230,9 +207,17 @@ class ResidueUnits:
         return (acc[0], acc[1])
 
     def _build(self):
-        R, q = self.ring, self.ring.q
-        # base: 1 + P^c0, additively P^c0 / p^n O through log/exp
-        Lc0 = self._level(self.c0)
+        R, p, q = self.ring, self.p, self.ring.q
+        # base: 1 + P^c0, additively P^c0 / p^n O through log/exp; the
+        # lattice P^c0 + p^n O is p^k O, or p^k P for odd c0 = 2k + 1
+        # above a ramified p, whose columns are pi and pi * omega
+        k = self.c0 // self.e
+        cols = [(1, 0), (0, 1)]
+        if self.c0 % self.e:
+            pi = _uniformizer(R)
+            cols = [pi, R.mul_exact(pi, (0, 1))]
+        cols = [(p ** k * a, p ** k * b) for a, b in cols] + [(q, 0), (0, q)]
+        Lc0 = zlin.hnf_columns([[c[i] for c in cols] for i in range(2)])
         b1 = (Lc0[0][0], Lc0[1][0])
         b2 = (Lc0[0][1], Lc0[1][1])
         g1, g2 = self._exp(b1), self._exp(b2)
@@ -251,13 +236,9 @@ class ResidueUnits:
         def op(a, b):
             return canon(R.mul(a, b))
 
-        one = canon(R.one)
-        top = ClassGroupPresentation(self.D, [], [], [], {one: ()}, one,
-                                     canon, op)
-        for i in range(Lc0[0][0]):
-            for j in range(Lc0[1][1]):
-                if R.is_unit((i, j)) and (i, j) not in top.dlog_table:
-                    top.adjoin((i, j))
+        box = ((i, j) for i in range(Lc0[0][0]) for j in range(Lc0[1][1]))
+        top = ClassGroupPresentation.staircase(canon(R.one), canon, op,
+                                               filter(R.is_unit, box))
         self._top = top
 
         # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod P^c0 only,
@@ -271,9 +252,10 @@ class ResidueUnits:
             cols.append(col + [-tail[0], -tail[1]])
         nt = len(top.gens)
         cols += [[0] * nt + list(x) for x in base_rel]
+        self.rel_cols = tuple(map(tuple, cols))
         ng = len(self.gens)
-        self.rel_rows = tuple(tuple(c[i] for c in cols) for i in range(ng))
-        st = AbelianGroupStructure.from_relation_matrix(self.rel_rows, ng)
+        st = AbelianGroupStructure.from_relation_matrix(
+            [list(r) for r in zip(*cols)], ng)
         if st.order != self.order:
             raise PramError(f"residue unit group order {st.order} != "
                             f"theoretical {self.order}")
@@ -289,7 +271,8 @@ class ResidueUnits:
         return R.mul(u, R.inv(d))
 
     def _dlog_base(self, u):
-        if not self._member(u, self._Lc0):
+        q = self.ring.q
+        if zlin.solve_lattice(self._Lc0, [(u[0] - 1) % q, u[1] % q]) is None:
             raise PramError("element is not in the base layer")
         z = self._log(u)
         x = zlin.solve_lattice(self._Lc0, list(z))
@@ -620,8 +603,6 @@ class RayClassGroup:
     p: int
     n: int
     structure: AbelianGroupStructure
-    unit_image_order: int
-    residue_order: int
 
     @property
     def order(self) -> int:
@@ -642,26 +623,26 @@ def ray_class_group(D, p: int, n: int,
         raise ValueError(f"class data covers levels up to {cd.top}, "
                          f"not {n}")
     if n == 0:
-        return RayClassGroup(d.value, p, 0, cd.structure, 1, 1)
+        return RayClassGroup(d.value, p, 0, cd.structure)
     G = units_mod(d.value, p, n)
     R = G.ring
     ng, t = len(G.gens), len(cd.pres.gens)
-    g_cols = [[G.rel_rows[i][j] for i in range(ng)]
-              for j in range(len(G.rel_rows[0]))]
-    unit_cols = [list(G.dlog((x % R.q, y % R.q))) for x, y in cd.units]
-    cols = [c + [0] * t for c in g_cols + unit_cols]
+    # (O/p^n)^x's relations and the global units' images
+    local = [list(c) for c in G.rel_cols] + \
+        [list(G.dlog((x % R.q, y % R.q))) for x, y in cd.units]
+    cols = [c + [0] * t for c in local]
     for col, (x, y) in cd.relations:
         cols.append([-e for e in G.dlog((x % R.q, y % R.q))] + col)
     rows = [[c[i] for c in cols] for i in range(ng + t)]
     st = AbelianGroupStructure.from_relation_matrix(rows, ng + t)
     # exact order identity of the ray class sequence
-    urows = [[c[i] for c in g_cols + unit_cols] for i in range(ng)]
+    urows = [[c[i] for c in local] for i in range(ng)]
     quot = AbelianGroupStructure.from_relation_matrix(urows, ng)
     im_units = G.order // quot.order
     if st.order * im_units != cd.structure.order * G.order:
         raise PramError(f"ray class order identity fails for D={d.value}, "
                         f"p={p}, n={n}")
-    return RayClassGroup(d.value, p, n, st, im_units, G.order)
+    return RayClassGroup(d.value, p, n, st)
 
 
 # ------------------------------------------------------------- torsion T
@@ -801,17 +782,12 @@ class TorRecord:
 
 def is_fundamental_neg(d: int) -> Discriminant | None:
     """The Discriminant -d when it is fundamental (so d >= 3), else None."""
-    if d < 3:
-        return None
-    if d % 4 == 3:
-        m = -d
-    elif d % 4 == 0 and (d // 4) % 4 in (1, 2):
-        m = -(d // 4)
-    else:
+    # -d = 1 mod 4, or -d = 4m with m = 2, 3 mod 4, before any factoring
+    if d < 3 or not (d % 4 == 3 or d % 16 in (4, 8)):
         return None
     try:
-        return fundamental_discriminant(m)
-    except ValueError:   # m is not squarefree
+        return discriminant_from_value(-d)
+    except ValueError:   # not squarefree
         return None
 
 

@@ -112,16 +112,25 @@ class ClassGroupPresentation:
 
     words[i] gives gens[i]^orders[i] = prod_{j<i} gens[j]^words[i][j];
     dlog_table maps every canonical class representative to its exponent
-    vector over gens.
+    vector over gens, the identity first.
     """
-    D: int
     gens: list
     orders: list
     words: list
     dlog_table: dict
-    identity: object
     canon: Callable
     op: Callable
+
+    @classmethod
+    def staircase(cls, identity, canon: Callable, op: Callable,
+                  elements: Iterable) -> "ClassGroupPresentation":
+        """The group generated by elements, each canonical, adjoined in
+        order when not yet in the closure; identity is canonical too."""
+        pres = cls([], [], [], {identity: ()}, canon, op)
+        for e in elements:
+            if e not in pres.dlog_table:
+                pres.adjoin(e)
+        return pres
 
     @property
     def h(self) -> int:
@@ -180,28 +189,16 @@ class ClassGroupPresentation:
                 dlog[op(elt, ej)] = vec + (0,) * (idx - len(vec)) + (j,)
 
 
-def _staircase(pres: ClassGroupPresentation, elements: Iterable) -> None:
-    for e in elements:
-        if e not in pres.dlog_table:
-            pres.adjoin(e)
-
-
-def _trivial_imaginary(D: int) -> ClassGroupPresentation:
-    """The staircase of imaginary D before any generator."""
-    ident = reduce_imaginary(principal_form(D))
-
-    def op(f, g):
-        return reduce_imaginary(compose(f, g))
-
-    return ClassGroupPresentation(D, [], [], [], {ident: ()}, ident,
-                                  reduce_imaginary, op)
+def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
+    return reduce_imaginary(compose(f, g))
 
 
 def imaginary_presentation(D: int) -> ClassGroupPresentation:
     assert D < 0 and D % 4 in (0, 1)
     forms = sorted(reduced_forms_imaginary(D))
-    pres = _trivial_imaginary(D)
-    _staircase(pres, forms)
+    pres = ClassGroupPresentation.staircase(
+        reduce_imaginary(principal_form(D)), reduce_imaginary,
+        _compose_imaginary, forms)
     assert pres.h == len(forms)
     return pres
 
@@ -216,27 +213,18 @@ def narrow_presentation(D: int) -> ClassGroupPresentation:
     if D > ENUM_CAP:
         raise ClassNumberCapError(
             f"D = {D} exceeds the real enumeration cap {ENUM_CAP}")
-    forms = reduced_forms_indefinite(D)
-    rep_of = {}
-    reps = []
-    for f in sorted(forms):
-        if f in rep_of:
-            continue
-        cyc = cycle_indefinite(f)
-        r = min(cyc)
-        for g in cyc:
-            rep_of[g] = r
-        reps.append(r)
+    forms = sorted(reduced_forms_indefinite(D))
+    rep_of = {}     # reduced form -> its cycle's least form
     sqD = isqrt(D)
 
-    def canon(f):
-        f = reduce_indefinite(f)
+    def cycle_rep(f):
         if f not in rep_of:
             cyc = cycle_indefinite(f)
-            r = min(cyc)
-            for g in cyc:
-                rep_of[g] = r
+            rep_of.update(dict.fromkeys(cyc, min(cyc)))
         return rep_of[f]
+
+    def canon(f):
+        return cycle_rep(reduce_indefinite(f))
 
     def pos(f):
         return f if f.a > 0 else rho_indefinite(f, sqD)
@@ -244,10 +232,9 @@ def narrow_presentation(D: int) -> ClassGroupPresentation:
     def op(f, g):
         return canon(compose(pos(f), pos(g)))
 
-    ident = canon(principal_form(D))
-    pres = ClassGroupPresentation(D, [], [], [], {ident: ()}, ident, canon, op)
-    _staircase(pres, reps)
-    assert pres.h == len(reps)
+    pres = ClassGroupPresentation.staircase(canon(principal_form(D)), canon,
+                                            op, map(cycle_rep, forms))
+    assert pres.h == len(set(map(cycle_rep, forms)))
     return pres
 
 
@@ -326,14 +313,6 @@ def batch_squarefree(X: int) -> np.ndarray:
     return sf
 
 
-def batch_omega(X: int) -> np.ndarray:
-    om = np.zeros(X + 1, dtype=np.int8)
-    for p in range(2, X + 1):
-        if om[p] == 0:
-            om[p::p] += 1
-    return om
-
-
 def batch_fundamental_imaginary(X: int) -> np.ndarray:
     """mask[d] true iff D = -d is a fundamental discriminant, d <= X."""
     sf = batch_squarefree(X)
@@ -364,33 +343,6 @@ def batch_class_numbers_imaginary(X: int) -> np.ndarray:
                 h[start:: fa] += w
         a += 1
     return h
-
-
-def batch_ambiguous_counts(X: int) -> np.ndarray:
-    """amb[d] = number of reduced ambiguous forms of discriminant -d
-    (b = 0, b = a, or a = c); equals 2^(N-1) for fundamental -d."""
-    amb = np.zeros(X + 1, dtype=np.int32)
-    # b = 0: |D| = 4ac, c >= a
-    a = 1
-    while 4 * a * a <= X:
-        amb[4 * a * a:: 4 * a] += 1
-        a += 1
-    # b = a: |D| = 4ac - a^2, c >= a
-    a = 1
-    while 3 * a * a <= X:
-        amb[3 * a * a:: 4 * a] += 1
-        a += 1
-    # a = c, 0 < b < a: |D| = (2a-b)(2a+b) = uv, u < v < 3u, v = -u mod 4
-    u = 1
-    while u * (u + 1) <= X:
-        v0 = u + (-2 * u) % 4
-        if v0 == u:
-            v0 += 4
-        if u * v0 <= X:
-            stop = min(3 * u * u, X + 1)
-            amb[u * v0: stop: 4 * u] += 1
-        u += 1
-    return amb
 
 
 # the batch-sieve name of arith.prime_sieve, under which perfbench traces it
@@ -477,15 +429,24 @@ def merge_maxima(shards: list[list[ScanRecord]], statistic: str) -> list[ScanRec
 
 
 def scan_arrays(X: int):
-    return (batch_class_numbers_imaginary(X), batch_fundamental_imaginary(X),
-            batch_omega(X), prime_sieve(X))
+    """(h, fundamental, omega, prime) arrays indexed by |D| <= X: class
+    numbers, the fundamental-discriminant mask, the number of distinct
+    prime divisors, counted over the one prime sieve, and that sieve."""
+    h = batch_class_numbers_imaginary(X)
+    fund = batch_fundamental_imaginary(X)
+    # sieved after the mask, whose X-sized temporaries set the peak memory
+    isp = prime_sieve(X)
+    om = np.zeros(X + 1, dtype=np.int8)
+    for p in np.flatnonzero(isp):
+        om[p::p] += 1
+    return h, fund, om, isp
 
 
 def scan_local_maxima(max_abs_d: int, statistic: str, eps: float = 0.0,
                       p: int = 0, arrays=None) -> list[ScanRecord]:
-    # |D| = 3 is the smallest imaginary discriminant
-    shard = scan_candidates(3, max_abs_d, statistic, eps, p, arrays)
-    return merge_maxima([shard], statistic)
+    # |D| = 3 is the smallest imaginary discriminant; one shard's
+    # candidates are already its successive maxima
+    return scan_candidates(3, max_abs_d, statistic, eps, p, arrays)
 
 
 @dataclass
@@ -575,12 +536,17 @@ def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
     its callers): under GRH those prime ideals generate Cl(D) (Bach, Math.
     Comp. 55, 1990), so the staircase over their reduced forms is the
     whole group, with no estimate of h and no stopping rule.  It costs
-    h - 1 compositions, as enumeration does."""
+    h - 1 compositions, as enumeration does.  Bach's bound and the forms
+    of the ramified primes hold for the maximal order only, so a D that
+    is not fundamental raises ValueError."""
     if -D > BSGS_CAP:
         raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {BSGS_CAP}")
+    discriminant_from_value(D)
     bound = int(6 * log(-D) ** 2)
     forms = (prime_form(D, q)
              for q in np.flatnonzero(prime_sieve(bound)).tolist())
-    pres = _trivial_imaginary(D)
-    _staircase(pres, (reduce_imaginary(f) for f in forms if f is not None))
+    pres = ClassGroupPresentation.staircase(
+        reduce_imaginary(principal_form(D)), reduce_imaginary,
+        _compose_imaginary,
+        (reduce_imaginary(f) for f in forms if f is not None))
     return pres.h, pres

@@ -12,7 +12,6 @@ has such representatives: the sign of a alternates along a cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -29,9 +28,6 @@ class QuadForm(NamedTuple):
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
 
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
@@ -74,10 +70,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
     return QuadForm(a3, b3, c3)
-
-
-def square(f: QuadForm) -> QuadForm:
-    return compose(f, f)
 
 
 # ---------------------------------------------------------------- imaginary
@@ -263,39 +255,6 @@ PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up
 
 
 @dataclass(frozen=True)
-class QuadElt:
-    """(x + y*sqrt(D)), x and y exact rationals: TrackedIdeal's exact gamma
-    carrier, which only the tests walk with, as the reference for pram's
-    images mod p^n."""
-    x: Fraction
-    y: Fraction
-    D: int
-
-    def mul(self, other: "QuadElt") -> "QuadElt":
-        return QuadElt(self.x * other.x + self.y * other.y * self.D,
-                       self.x * other.y + self.y * other.x, self.D)
-
-    def scale(self, n) -> "QuadElt":
-        return QuadElt(self.x * n, self.y * n, self.D)
-
-    def rho(self, b: int, c: int) -> "QuadElt":
-        """self * (b - sqrt(D)) / (2c)."""
-        return self.mul(QuadElt(Fraction(b, 2 * c), Fraction(-1, 2 * c),
-                                self.D))
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.y * self.y * self.D
-
-    @classmethod
-    def one(cls, D: int) -> "QuadElt":
-        return cls(Fraction(1), Fraction(0), D)
-
-    @classmethod
-    def integer(cls, n, D: int) -> "QuadElt":
-        return cls(Fraction(n), Fraction(0), D)
-
-
-@dataclass(frozen=True)
 class TrackedIdeal:
     """The ideal gamma * [a, (-b + sqrt(D))/2] for the form (a, b, c).
 
@@ -306,8 +265,8 @@ class TrackedIdeal:
     gamma lives in the carrier of the `one` that from_form is given: any
     value with mul(other), scale(n) for an integer n, and rho(b, c), the
     product with (b - sqrt(D)) / (2c), will do. pram carries gamma locally
-    above p that way, for relation generators and fundamental units alike;
-    the exact carrier QuadElt serves only as the tests' reference.
+    above p that way (its _SplitGamma and _PrimeGamma), for relation
+    generators and fundamental units alike.
     """
     form: QuadForm
     gamma: object
@@ -387,7 +346,3 @@ class TrackedIdeal:
         # value = gamma * ideal(form) = gamma * O = (gamma)
         return cur.gamma
 
-
-def ideal_lattice(f: QuadForm) -> list[list[int]]:
-    """Columns: Z-basis of ideal(f) in coordinates (p, q), element=(p+q sqrt D)/2."""
-    return [[2 * f.a, -f.b], [0, 1]]

@@ -1,0 +1,72 @@
+"""Reference implementations that the tests check epsclass against.
+
+Neither is used by the program: the exact carrier QuadElt stands beside
+pram's images mod p^n, and the ambiguous-form count beside the genus
+2-rank of the class groups.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class QuadElt:
+    """(x + y*sqrt(D)), x and y exact rationals: an exact gamma carrier
+    for quadforms.TrackedIdeal, the reference for pram's images mod p^n."""
+    x: Fraction
+    y: Fraction
+    D: int
+
+    def mul(self, other: "QuadElt") -> "QuadElt":
+        return QuadElt(self.x * other.x + self.y * other.y * self.D,
+                       self.x * other.y + self.y * other.x, self.D)
+
+    def scale(self, n) -> "QuadElt":
+        return QuadElt(self.x * n, self.y * n, self.D)
+
+    def rho(self, b: int, c: int) -> "QuadElt":
+        """self * (b - sqrt(D)) / (2c)."""
+        return self.mul(QuadElt(Fraction(b, 2 * c), Fraction(-1, 2 * c),
+                                self.D))
+
+    def norm(self) -> Fraction:
+        return self.x * self.x - self.y * self.y * self.D
+
+    @classmethod
+    def one(cls, D: int) -> "QuadElt":
+        return cls(Fraction(1), Fraction(0), D)
+
+    @classmethod
+    def integer(cls, n, D: int) -> "QuadElt":
+        return cls(Fraction(n), Fraction(0), D)
+
+
+def batch_ambiguous_counts(X: int) -> np.ndarray:
+    """amb[d] = number of reduced ambiguous forms of discriminant -d
+    (b = 0, b = a, or a = c); equals 2^(N-1) for fundamental -d."""
+    amb = np.zeros(X + 1, dtype=np.int32)
+    # b = 0: |D| = 4ac, c >= a
+    a = 1
+    while 4 * a * a <= X:
+        amb[4 * a * a:: 4 * a] += 1
+        a += 1
+    # b = a: |D| = 4ac - a^2, c >= a
+    a = 1
+    while 3 * a * a <= X:
+        amb[3 * a * a:: 4 * a] += 1
+        a += 1
+    # a = c, 0 < b < a: |D| = (2a-b)(2a+b) = uv, u < v < 3u, v = -u mod 4
+    u = 1
+    while u * (u + 1) <= X:
+        v0 = u + (-2 * u) % 4
+        if v0 == u:
+            v0 += 4
+        if u * v0 <= X:
+            stop = min(3 * u * u, X + 1)
+            amb[u * v0: stop: 4 * u] += 1
+        u += 1
+    return amb

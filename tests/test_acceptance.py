@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from epsclass import cubic, epsanalysis, filtration, pram, quadclass
-from epsclass.arith import mv_bounds_hold
+from epsclass.arith import factor, mv_bounds_hold
 from epsclass.quadclass import ClassNumberCapError
+from oracles import batch_ambiguous_counts
 
 
 def ok(n, detail):
@@ -53,7 +54,7 @@ def test_criterion_01_class_groups_native(arrays6):
 def test_criterion_02_genus_rigidity(arrays6):
     _, fund, om, _ = arrays6
     X = 10 ** 6
-    amb = quadclass.batch_ambiguous_counts(X)
+    amb = batch_ambiguous_counts(X)
     d = np.arange(X + 1)
     f = fund[: X + 1]
     assert np.all(amb[f] == 2 ** (om[f].astype(np.int64) - 1)), \
@@ -131,8 +132,7 @@ def test_criterion_05_cubic_enumeration():
     n = 0
     for f in cubic.enumerate_conductors(10 ** 5):
         flds = cubic.cubic_polynomials(f)
-        from epsclass.arith import omega
-        assert len(flds) == 2 ** (omega(f) - 1), f
+        assert len(flds) == 2 ** (factor(f).omega() - 1), f
         for fld in flds:
             assert cubic.discriminant_filter(fld), (f, fld)
         n += len(flds)

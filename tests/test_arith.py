@@ -10,7 +10,6 @@ from epsclass.arith import (
     is_prime,
     kronecker,
     mv_bounds_hold,
-    pi_class_count,
     prime_sieve,
     primes_in_class,
     sqrt_mod_prime,
@@ -146,13 +145,6 @@ def test_primes_in_class_matches_sieve():
         direct = [q for q in range(2, seq[-1] + 1)
                   if trial_is_prime(q) and q % p == 1]
         assert list(seq) == direct
-
-
-def test_pi_class_count():
-    assert pi_class_count(37, 3) == 5
-    assert pi_class_count(2, 3) == 0
-    assert pi_class_count(100, 5) == len(
-        [q for q in range(2, 101) if trial_is_prime(q) and q % 5 == 1])
 
 
 def test_mv_bounds_small():

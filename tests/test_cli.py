@@ -58,7 +58,11 @@ def test_usage_errors(capsys):
     ["quad-scan", "--p", "4", "--max-d", "100"],
     ["quad-maxima", "--stat", "p-exponent", "--p", "4", "--max-d", "2000"],
     ["normic-search", "--p", "4", "--rho", "1", "--q", "3"],
+    ["normic-search", "--p", "2", "--rho", "-1", "--q", "3"],
     ["bounds", "--p", "4", "--eps", "0.1"],
+    ["bounds", "--p", "7", "--eps", "0"],
+    ["bounds", "--p", "7", "--eps", "-0.1"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--c", "1.5"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and

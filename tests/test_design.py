@@ -106,9 +106,9 @@ def test_unused_import_detector():
     assert _unused_imports(src) == [(5, "gcd"), (6, "QuadElt")]
 
 
-def test_only_quadforms_imports_fractions():
+def test_no_module_imports_fractions():
     # pram's units and relation generators are images mod p^n; the exact
-    # Fraction carrier lives in quadforms as the test reference
+    # Fraction carrier is the tests' reference (tests/oracles.py)
     found = []
     for p in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(p.read_text())):
@@ -118,7 +118,7 @@ def test_only_quadforms_imports_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            if "fractions" in names and p.stem != "quadforms":
+            if "fractions" in names:
                 found.append((p.name, node.lineno))
     assert found == []
 
@@ -126,9 +126,9 @@ def test_only_quadforms_imports_fractions():
 _IMAGINARY_BUILDERS = {"imaginary_presentation", "class_number_bsgs"}
 
 
-def _builder_calls(source):
-    """(line, name) for each call of an imaginary class-group builder, bare
-    or as an attribute, in source."""
+def _builder_calls(source, builders=_IMAGINARY_BUILDERS):
+    """(line, name) for each call of one of builders (by default the
+    imaginary class-group builders), bare or as an attribute, in source."""
     calls = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -136,7 +136,7 @@ def _builder_calls(source):
         f = node.func
         name = f.attr if isinstance(f, ast.Attribute) else \
             getattr(f, "id", None)
-        if name in _IMAGINARY_BUILDERS:
+        if name in builders:
             calls.append((node.lineno, name))
     return calls
 
@@ -146,6 +146,15 @@ def test_only_quadclass_chooses_enumeration_or_bsgs():
     # enumeration/BSGS threshold; every other module goes through it
     found = {p.name: _builder_calls(p.read_text())
              for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_only_the_staircase_builds_a_presentation():
+    # every presented group (enumeration, Bach's prime forms, narrow cycle
+    # classes, the top layer of (O/p^n)^x) starts in one way, from
+    # ClassGroupPresentation.staircase, whose cls(...) is not a call by name
+    found = {p.name: _builder_calls(p.read_text(), {"ClassGroupPresentation"})
+             for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
 
 

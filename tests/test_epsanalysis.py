@@ -141,8 +141,9 @@ def test_envelope_report_on_p_exponent_scan():
 
 
 def test_bound_params():
-    with pytest.raises(AssertionError):
-        ea.BoundParams(3, -0.1)
+    for eps, c in ((-0.1, None), (0.0, None), (0.1, 1.5), (0.1, 0.0)):
+        with pytest.raises(ValueError):
+            ea.BoundParams(3, eps, c=c)
     pr = ea.BoundParams(5, 0.1, c=0.5)
     assert abs(pr.eps_eff - 0.6) < 1e-15
     assert abs(pr.gamma_p - (log(2) - 1)) < 1e-15

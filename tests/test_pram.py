@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
-from epsclass.quadforms import QuadElt, TrackedIdeal
+from epsclass.quadforms import TrackedIdeal
 from epsclass.quadclass import isqrt_float
+from oracles import QuadElt
 
 
 # ------------------------------------------------------------ residue units
@@ -81,7 +82,7 @@ def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
     for own in (pram.ResidueUnits(D, p, n),
                 pram.ResidueUnits(D + 4 * q * k, p, n)):
         assert own.gens == shared.gens
-        assert own.rel_rows == shared.rel_rows
+        assert own.rel_cols == shared.rel_cols
         assert own.structure == shared.structure
         assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
 

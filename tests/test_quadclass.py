@@ -17,6 +17,7 @@ from epsclass.quadforms import (
     reduce_imaginary,
     reduced_forms_imaginary,
 )
+from oracles import batch_ambiguous_counts
 
 
 def _fundamental_sample(rng, lo, hi, count):
@@ -149,7 +150,7 @@ def test_batch_class_numbers_match_enumeration():
 def test_batch_ambiguous_is_genus_count():
     X = 20000
     _, fund, om, _ = qc.scan_arrays(X)
-    amb = qc.batch_ambiguous_counts(X)
+    amb = batch_ambiguous_counts(X)
     for d in range(3, X + 1):
         if fund[d]:
             assert amb[d] == 1 << (int(om[d]) - 1), d
@@ -233,6 +234,15 @@ def test_bsgs_class_number_one():
     for D in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
         h, pres = qc.class_number_bsgs(D)
         assert (h, pres.h, pres.gens) == (1, 1, []), D
+
+
+@pytest.mark.parametrize("D", [-12, -16, -27, -28, -60, -36, -48, -75, -99])
+def test_bsgs_rejects_non_fundamental(D):
+    # Bach's bound and the ramified prime forms hold for the maximal order
+    # only: these D once gave [2] for h = 1, [2,2] for -60 (whose group is
+    # [2]) or a presentation that failed its own order check
+    with pytest.raises(ValueError):
+        qc.class_number_bsgs(D)
 
 
 def test_bsgs_cap():
@@ -339,7 +349,7 @@ def _adjoin_reference(self, e):
     self.orders.append(k)
     self.words.append(dlog[cur] + (0,) * (idx - len(dlog[cur])))
     base = list(dlog.items())
-    cur = self.identity
+    cur = next(iter(dlog))
     for j in range(1, k):
         cur = op(cur, e)
         for elt, vec in base:
