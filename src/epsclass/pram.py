@@ -567,16 +567,19 @@ class _ClassData:
     #                   (D = -3, -4) or eps (D > 0)
 
 
-def _class_data(D: int, p: int, top: int | None = None) -> _ClassData:
+def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     """The class group of D and its relations, their generators' and the
     global units' images mod p^top (by default every level tor_report
-    visits)."""
+    visits).  D is an int or the Discriminant validated on entry, passed
+    on so that |D| is factored once."""
     _check_modulus(p)
+    d = as_disc(D)
+    D = d.value
     top = top or _top_level(p)
     frame = _LocalFrame(D, p, top)
     units = [(-1, 0)]
     if D < 0:
-        pres = full_imaginary_presentation(D)
+        pres = full_imaginary_presentation(d)
         structure = pres.structure()
         cols = pres.relation_columns()
         if D in (-3, -4):
@@ -618,7 +621,7 @@ def ray_class_group(D, p: int, n: int,
     data's relation images must reach level n."""
     _check_modulus(p, n or 1)   # n = 0: the class group itself
     d = as_disc(D)
-    cd = class_data or _class_data(d.value, p, max(n, 1))
+    cd = class_data or _class_data(d, p, max(n, 1))
     if n > cd.top:
         raise ValueError(f"class data covers levels up to {cd.top}, "
                          f"not {n}")
@@ -681,7 +684,7 @@ def tor_report(D, p: int,
                class_data: _ClassData | None = None) -> TorsionReport:
     d = as_disc(D)
     r = 2 if d.value < 0 else 1
-    cd = class_data or _class_data(d.value, p)
+    cd = class_data or _class_data(d, p)
     prev = None
     prev_T = None
     for n in range(2, _top_level(p) + 1):
@@ -702,7 +705,7 @@ def ktilde_index(D, p: int) -> int:
     """[K~ cap H : K] = #Cl_p * #W / #T for imaginary D."""
     d = as_disc(D)
     assert d.value < 0
-    cd = _class_data(d.value, p)
+    cd = _class_data(d, p)
     rep = tor_report(d, p, cd)
     clp = cd.structure.p_part(p).order
     num = clp * rep.w_order
@@ -726,7 +729,7 @@ def s_class_group(D, p: int,
                   class_data: _ClassData | None = None) -> SClassGroup:
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
-    cd = class_data or _class_data(d.value, p, 1)
+    cd = class_data or _class_data(d, p, 1)
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)
@@ -737,7 +740,7 @@ def s_class_group(D, p: int,
 def reflection_check(D, p: int = 2) -> bool:
     """rk_p(T^ord) = rk_p(Cl^{S,res}) + #S - 1 (imaginary, mu_p in K)."""
     d = as_disc(D)
-    cd = _class_data(d.value, p)
+    cd = _class_data(d, p)
     s = s_class_group(d, p, cd)
     rep = tor_report(d, p, cd)
     return rep.tor_structure.p_rank(p) == \
@@ -758,7 +761,7 @@ class RankReport:
 def rank_inequalities(D, p: int) -> RankReport:
     d = as_disc(D)
     r1, r2 = (0, 1) if d.value < 0 else (2, 0)
-    cd = _class_data(d.value, p)
+    cd = _class_data(d, p)
     cl = cd.pres.structure()   # narrow for real D
     rep = tor_report(d, p, cd)
     sc = 2 if splitting_type(d.value, p) == "split" else 1

@@ -16,7 +16,11 @@ generator: h - 1 compositions for a class group of order h.
 Imaginary generators are every reduced form up to |D| = ENUM_CAP, an
 unconditional enumeration, and above it the forms of the prime ideals of
 norm at most 6 log^2 |D|, which generate the class group under GRH
-(Bach's bound).
+(Bach's bound).  class_group_imaginary, which reads the structure only,
+needs no table of the whole group up to ENUM_CAP: the enumeration gives h
+exactly, a Sylow subgroup of prime order is cyclic, and one of order
+p^v >= p^2 gets a staircase of its own, about p^v compositions and the
+powers x^(h/p^v); none at all when h is squarefree.
 """
 
 from __future__ import annotations
@@ -193,13 +197,43 @@ def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_imaginary(compose(f, g))
 
 
-def imaginary_presentation(D: int) -> ClassGroupPresentation:
+def _pow_imaginary(f: QuadForm, k: int) -> QuadForm:
+    """f^k for k >= 1 by square-and-multiply, reduced (f itself for k = 1)."""
+    g = None
+    while True:
+        if k & 1:
+            g = f if g is None else _compose_imaginary(g, f)
+        k >>= 1
+        if not k:
+            return g
+        f = _compose_imaginary(f, f)
+
+
+def imaginary_presentation(D: int, order: Optional[int] = None,
+                           forms: Optional[list] = None
+                           ) -> ClassGroupPresentation:
+    """The subgroup of order `order` of Cl(D) that is the image of
+    x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
+    the whole group by default.
+
+    forms are D's reduced forms, sorted (enumerated when not given), so
+    h = len(forms) is exact: the staircase adjoins the (h/order)-th powers
+    of the forms that are not yet in it, and stops at the order."""
     assert D < 0 and D % 4 in (0, 1)
-    forms = sorted(reduced_forms_imaginary(D))
+    if forms is None:
+        forms = sorted(reduced_forms_imaginary(D))
+    order = order or len(forms)
+    k = len(forms) // order
     pres = ClassGroupPresentation.staircase(
         reduce_imaginary(principal_form(D)), reduce_imaginary,
-        _compose_imaginary, forms)
-    assert pres.h == len(forms)
+        _compose_imaginary, ())
+    for f in forms[1:]:             # forms[0] is the principal form
+        if pres.h == order:
+            break
+        g = _pow_imaginary(f, k)
+        if g not in pres.dlog_table:
+            pres.adjoin(g)
+    assert pres.h == order
     return pres
 
 
@@ -249,20 +283,52 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 # --------------------------------------------------------------- public ops
 
-def full_imaginary_presentation(D: int) -> ClassGroupPresentation:
+def full_imaginary_presentation(D) -> ClassGroupPresentation:
     """Presentation of the imaginary class group of D, the one builder of
     every command: exact enumeration for |D| <= ENUM_CAP, the
     GRH-conditional staircase over the prime forms under Bach's bound (up
-    to BSGS_CAP) above it."""
-    if -D <= ENUM_CAP:
-        return imaginary_presentation(D)
-    return class_number_bsgs(D)[1]
+    to BSGS_CAP) above it.  D is validated once, by as_disc."""
+    d = as_disc(D)
+    if d.abs <= ENUM_CAP:
+        return imaginary_presentation(d.value)
+    return class_number_bsgs(d)[1]
+
+
+def _square_sylow_orders(h: int) -> list[int]:
+    """p^v = p^vp(h, p) for each prime p with p^2 | h, by trial division up
+    to isqrt of the cofactor left."""
+    out, p = [], 2
+    while p * p <= h:
+        v = vp(h, p)
+        h //= p ** v
+        if v > 1:
+            out.append(p ** v)
+        p += 1
+    return out
 
 
 def class_group_imaginary(D) -> AbelianGroupStructure:
+    """Cl(D) as a divisor chain.  Up to ENUM_CAP it is read off the Sylow
+    subgroups, with h the exact number of reduced forms: one of prime order
+    p is Z/p, and one of order p^v >= p^2 is presented alone, as the image
+    of x -> x^(h/p^v) (Cohen, GTM 138, ch. 5), at about p^v compositions
+    instead of h.  Above ENUM_CAP it is the GRH presentation's structure."""
     d = as_disc(D)
     assert d.value < 0
-    return full_imaginary_presentation(d.value).structure()
+    if d.abs > ENUM_CAP:
+        return full_imaginary_presentation(d).structure()
+    forms = sorted(reduced_forms_imaginary(d.value))
+    divs, rest = [], len(forms)
+    for q in _square_sylow_orders(rest):
+        divs += imaginary_presentation(d.value, q, forms).structure().divisors
+        rest //= q
+    if rest > 1:
+        divs.append(rest)           # squarefree, so cyclic
+    diag = [[x if i == j else 0 for j in range(len(divs))]
+            for i, x in enumerate(divs)]
+    g = AbelianGroupStructure.from_relation_matrix(diag, len(divs))
+    assert g.order == len(forms)
+    return g
 
 
 def narrow_class_group_real(D) -> AbelianGroupStructure:
@@ -528,7 +594,7 @@ def prime_form(D: int, q: int) -> Optional[QuadForm]:
     return QuadForm(q, q, (q * q - D) // (4 * q))
 
 
-def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
+def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
     """(h, presentation of the whole class group) for fundamental imaginary
     D up to BSGS_CAP, from the prime ideals of norm at most 6 log^2 |D|.
 
@@ -537,11 +603,14 @@ def class_number_bsgs(D: int) -> tuple[int, ClassGroupPresentation]:
     Comp. 55, 1990), so the staircase over their reduced forms is the
     whole group, with no estimate of h and no stopping rule.  It costs
     h - 1 compositions, as enumeration does.  Bach's bound and the forms
-    of the ramified primes hold for the maximal order only, so a D that
-    is not fundamental raises ValueError."""
-    if -D > BSGS_CAP:
-        raise ClassNumberCapError(f"|D| = {-D} exceeds BSGS cap {BSGS_CAP}")
-    discriminant_from_value(D)
+    of the ramified primes hold for the maximal order only, so D is
+    validated by as_disc: an int that is not fundamental raises
+    ValueError, and a Discriminant is not factored again."""
+    value = D.value if isinstance(D, Discriminant) else D
+    if -value > BSGS_CAP:
+        raise ClassNumberCapError(
+            f"|D| = {-value} exceeds BSGS cap {BSGS_CAP}")
+    D = as_disc(D).value
     bound = int(6 * log(-D) ** 2)
     forms = (prime_form(D, q)
              for q in np.flatnonzero(prime_sieve(bound)).tolist())

@@ -166,10 +166,6 @@ def class_number_imaginary(D: int) -> int:
 
 # ---------------------------------------------------------------- indefinite
 
-def is_reduced_indefinite(f: QuadForm) -> bool:
-    return _red_ind(f.a, f.b, f.disc())
-
-
 def _red_ind(a: int, b: int, D: int) -> bool:
     # 0 < b < sqrt(D)  and  sqrt(D) - b < 2|a| < sqrt(D) + b
     if b <= 0 or b * b >= D:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests check epsclass against.
 
-Neither is used by the program: the exact carrier QuadElt stands beside
-pram's images mod p^n, and the ambiguous-form count beside the genus
-2-rank of the class groups.
+None is used by the program: the exact carrier QuadElt stands beside
+pram's images mod p^n, the ambiguous-form count beside the genus 2-rank
+of the class groups, and the reducedness test of indefinite forms beside
+their cycles.
 """
 
 from __future__ import annotations
@@ -70,3 +71,11 @@ def batch_ambiguous_counts(X: int) -> np.ndarray:
             amb[u * v0: stop: 4 * u] += 1
         u += 1
     return amb
+
+
+def is_reduced_indefinite(f) -> bool:
+    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, for the form
+    f = (a, b, c) of non-square discriminant D > 0."""
+    D, b, ta = f.disc(), f.b, 2 * abs(f.a)
+    return (0 < b and b * b < D and (ta + b) ** 2 > D
+            and (ta <= b or (ta - b) ** 2 < D))

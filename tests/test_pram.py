@@ -555,6 +555,10 @@ def _class_group(D, p):
     return quadclass.class_group_imaginary(D)
 
 
+def _program_vptor_4(D, p):
+    return pram.program_vptor(D, p, 4)
+
+
 @pytest.mark.parametrize("call,D,builder", [
     (pram.reflection_check, -84, "imaginary_presentation"),
     (pram.rank_inequalities, -84, "imaginary_presentation"),
@@ -565,7 +569,6 @@ def _class_group(D, p):
     (pram.ktilde_index, -400003, "imaginary_presentation"),
     (pram.ktilde_index, -9999995, "imaginary_presentation"),
     (pram.ktilde_index, -10000003, "class_number_bsgs"),
-    (_class_group, -9999995, "imaginary_presentation"),
     (_class_group, -10000003, "class_number_bsgs"),
     (pram.tor_report, 229, "narrow_presentation"),
     (_ray_class_group_0, 229, "narrow_presentation"),
@@ -573,6 +576,14 @@ def _class_group(D, p):
 def test_one_presentation_build_per_call(builds, call, D, builder):
     call(D, 2)
     assert builds == [builder]
+
+
+@pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 2)])
+def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
+    # below ENUM_CAP, h = 3, 96 = 2^5 * 3 and 936 = 2^3 * 3^2 * 13: one
+    # presentation per prime p with p^2 | h, and none of the whole group
+    quadclass.class_group_imaginary(D)
+    assert builds == ["imaginary_presentation"] * sylows
 
 
 def test_ray_class_group_level_zero_is_ordinary():
@@ -619,6 +630,9 @@ def factor_calls(monkeypatch):
     (pram.reflection_check, -84),
     (pram.rank_inequalities, 229),
     (pram.ktilde_index, -84),
+    # above ENUM_CAP too: the GRH route takes the validated Discriminant
+    (_class_group, -10000003),
+    (_program_vptor_4, -10000003),
 ])
 def test_one_factorization_per_call(factor_calls, call, D):
     # the Discriminant validated on entry is passed on, never rebuilt

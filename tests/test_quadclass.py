@@ -87,6 +87,66 @@ def test_class_group_imaginary_examples():
         == "[16,2,2,2,2]"
 
 
+def _assert_matches_full_staircase(D):
+    """class_group_imaginary(D) and each Sylow presentation of square order
+    against the presentation of the whole group; returns its structure."""
+    full = qc.imaginary_presentation(D).structure()
+    assert qc.class_group_imaginary(D) == full, D
+    forms = sorted(reduced_forms_imaginary(D))
+    for q in qc._square_sylow_orders(len(forms)):
+        p = min(f for f in range(2, q + 1) if q % f == 0)
+        assert qc.imaginary_presentation(D, q, forms).structure() == \
+            full.p_part(p), (D, q)
+    return full
+
+
+# d = 4k - r as in the BSGS property below: 3 <= d <= 10^6, drawn directly,
+# so that assume() filters only the non-fundamental d
+@given(st.integers(min_value=1, max_value=10 ** 6 // 4),
+       st.sampled_from([1, 0]))
+@settings(max_examples=60, deadline=None)
+def test_class_group_imaginary_matches_full_staircase(k, r):
+    try:
+        D = qc.discriminant_from_value(r - 4 * k).value
+    except ValueError:
+        assume(False)
+    _assert_matches_full_staircase(D)
+
+
+@pytest.mark.parametrize("D,want", [
+    # odd Sylow subgroups that are not cyclic
+    (-3299, "[9,3]"), (-4027, "[3,3]"), (-11199, "[20,5]"), (-63499, "[7,7]"),
+    (-3321607, "[63,3,3]"), (-1000036, "[24,4,2]"),
+    # every fundamental D < 0 with h = 1
+    (-3, "[]"), (-4, "[]"), (-7, "[]"), (-8, "[]"), (-11, "[]"), (-19, "[]"),
+    (-43, "[]"), (-67, "[]"), (-163, "[]"),
+])
+def test_class_group_imaginary_sylow_anchors(D, want):
+    assert str(_assert_matches_full_staircase(D)) == want
+
+
+def test_class_group_imaginary_composes_only_in_square_sylows():
+    # h squarefree: every Sylow subgroup has prime order, so no composition;
+    # otherwise the staircases of the Sylow subgroups of order p^v >= p^2
+    # and the powers x^(h/p^v) stay within the full staircase's h - 1
+    compose_calls = [0]
+
+    def counted(f, g):
+        compose_calls[0] += 1
+        return compose(f, g)
+    squarefree = 0
+    for D in _fundamental_sample(random.Random(37), 10 ** 5, 10 ** 6, 25):
+        compose_calls[0] = 0
+        with mock.patch.object(qc, "compose", counted):
+            h = qc.class_group_imaginary(D).order
+        if all(arith.vp(h, p) < 2 for p in range(2, isqrt(h) + 1)):
+            squarefree += 1
+            assert compose_calls[0] == 0, D
+        else:
+            assert 0 < compose_calls[0] <= h - 1, D
+    assert squarefree > 0
+
+
 def test_real_class_groups():
     d = qc.fundamental_discriminant(105)
     assert str(qc.narrow_class_group_real(d)) == "[2,2]"

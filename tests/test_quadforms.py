@@ -16,14 +16,13 @@ from epsclass.quadforms import (
     TrackedIdeal,
     compose,
     cycle_indefinite,
-    is_reduced_indefinite,
     principal_form,
     reduce_imaginary,
     reduce_indefinite,
     reduced_forms_imaginary,
     reduced_forms_indefinite,
 )
-from oracles import QuadElt
+from oracles import QuadElt, is_reduced_indefinite
 
 
 def _reduced_forms_loop(D):
