@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every imaginary K), are p = 2 statements
     p = add("tor-family", cmd_tor_family, help="odd-primorial family torsion")
     p.add_argument("--p", type=int, choices=(2,), default=2)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_positive_int, default=5)
 
     p = add("reflection-check", cmd_reflection_check,
             help="rank reflection identity")
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     except (FactorBudgetError, ClassNumberCapError) as exc:
         print(f"epsclass: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:    # a bad argument or --output
         print(f"epsclass: {exc}", file=sys.stderr)
         return 2
 

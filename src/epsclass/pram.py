@@ -30,6 +30,7 @@ from .quadclass import (
     isqrt_float,
     narrow_presentation,
     prime_form,
+    radicand_of,
     ramified_principal_form,
 )
 from .quadforms import QuadForm, TrackedIdeal, principal_form
@@ -43,10 +44,6 @@ def splitting_type(D: int, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[kronecker(D, p)]
 
 
-def _radicand(D: int) -> int:
-    return D // 4 if D % 4 == 0 else D
-
-
 # --------------------------------------------------------------- residues
 
 class ResidueRing:
@@ -55,7 +52,7 @@ class ResidueRing:
     def __init__(self, D: int, p: int, n: int):
         self.D, self.p, self.n = D, p, n
         self.q = p ** n
-        m = _radicand(D)
+        m = radicand_of(D)
         self.m = m
         if D % 4 == 0:
             self.s, self.t = m, 0          # omega = sqrt(m)
@@ -319,7 +316,7 @@ def fundamental_unit(D: int, one):
     with |a| = 1 after the principal form on its cycle. Ray class groups
     read only the group -1 and eps generate, whatever the sign and
     exponent."""
-    return TrackedIdeal.from_form(principal_form(D), one).reduce() \
+    return TrackedIdeal(principal_form(D), one).reduce() \
         .rho_step().principal_generator()
 
 
@@ -538,7 +535,7 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
             f = f.inverse()
             den *= f.a ** -c
         if c:
-            tj = _tracked_pow(TrackedIdeal.from_form(f, one), abs(c))
+            tj = _tracked_pow(TrackedIdeal(f, one), abs(c))
             t = tj if t is None else \
                 _tracked_pos(t).mul(_tracked_pos(tj)).reduce()
     if t is None:
@@ -667,8 +664,7 @@ def _drop_lines(st: AbelianGroupStructure, p: int, r: int) -> tuple:
 
 
 def w_group(D, p: int) -> int:
-    d = as_disc(D)
-    m = _radicand(d.value)
+    m = as_disc(D).radicand
     if p == 2:
         return 2 if m % 2 == 1 and m % 8 in (1, 7) else 1
     if p == 3:

@@ -13,14 +13,12 @@ discrete-log dictionary (reused for ray class groups). Building it costs
 one group operation per new class, plus one canonicalisation per
 generator: h - 1 compositions for a class group of order h.
 
-Imaginary generators are every reduced form up to |D| = ENUM_CAP, an
-unconditional enumeration, and above it the forms of the prime ideals of
-norm at most 6 log^2 |D|, which generate the class group under GRH
-(Bach's bound).  class_group_imaginary, which reads the structure only,
-needs no table of the whole group up to ENUM_CAP: the enumeration gives h
-exactly, a Sylow subgroup of prime order is cyclic, and one of order
-p^v >= p^2 gets a staircase of its own, about p^v compositions and the
-powers x^(h/p^v); none at all when h is squarefree.
+Imaginary generators are the prime forms of norm q <= a bound, q
+ascending: up to |D| = ENUM_CAP, sqrt(|D|/3), which no reduced form's a
+exceeds, so the staircase is unconditional and stops at the counted h;
+above it 6 log^2 |D| (Bach's bound), up to which they generate Cl(D)
+under GRH.  class_group_imaginary presents only the Sylow subgroups of order
+p^v >= p^2, over the powers x^(h/p^v); none when h is squarefree.
 """
 
 from __future__ import annotations
@@ -43,12 +41,12 @@ from .arith import (
 )
 from .quadforms import (
     QuadForm,
+    class_number_imaginary,
     compose,
     cycle_indefinite,
     principal_form,
     reduce_imaginary,
     reduce_indefinite,
-    reduced_forms_imaginary,
     reduced_forms_indefinite,
     rho_indefinite,
 )
@@ -96,9 +94,13 @@ def _discriminant(m: int, omega: int) -> Discriminant:
     return Discriminant(4 * m, m, omega + m % 2)
 
 
+def radicand_of(D: int) -> int:
+    """The m of Q(sqrt(m)) for fundamental D: D/4 when 4 | D, else D."""
+    return D // 4 if D % 4 == 0 else D
+
+
 def discriminant_from_value(D: int) -> Discriminant:
-    m = D if D % 4 == 1 else D // 4
-    d = fundamental_discriminant(m)
+    d = fundamental_discriminant(radicand_of(D))
     if d.value != D:
         raise ValueError(f"{D} is not a fundamental discriminant")
     return d
@@ -209,30 +211,38 @@ def _pow_imaginary(f: QuadForm, k: int) -> QuadForm:
         f = _compose_imaginary(f, f)
 
 
-def imaginary_presentation(D: int, order: Optional[int] = None,
-                           forms: Optional[list] = None
-                           ) -> ClassGroupPresentation:
-    """The subgroup of order `order` of Cl(D) that is the image of
-    x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
-    the whole group by default.
-
-    forms are D's reduced forms, sorted (enumerated when not given), so
-    h = len(forms) is exact: the staircase adjoins the (h/order)-th powers
-    of the forms that are not yet in it, and stops at the order."""
-    assert D < 0 and D % 4 in (0, 1)
-    if forms is None:
-        forms = sorted(reduced_forms_imaginary(D))
-    order = order or len(forms)
-    k = len(forms) // order
+def _prime_form_staircase(D: int, bound: int, k: int = 1,
+                          order: Optional[int] = None
+                          ) -> ClassGroupPresentation:
+    """The staircase over the k-th powers of the reduced prime forms of
+    norm q <= bound, q ascending.  It stops once it holds `order` classes;
+    with no order it walks every q."""
     pres = ClassGroupPresentation.staircase(
         reduce_imaginary(principal_form(D)), reduce_imaginary,
         _compose_imaginary, ())
-    for f in forms[1:]:             # forms[0] is the principal form
+    for q in np.flatnonzero(prime_sieve(bound)).tolist():
         if pres.h == order:
             break
-        g = _pow_imaginary(f, k)
-        if g not in pres.dlog_table:
-            pres.adjoin(g)
+        f = prime_form(D, q)
+        if f is not None:
+            g = _pow_imaginary(reduce_imaginary(f), k)
+            if g not in pres.dlog_table:
+                pres.adjoin(g)
+    return pres
+
+
+def imaginary_presentation(D, order: Optional[int] = None,
+                           h: Optional[int] = None) -> ClassGroupPresentation:
+    """The subgroup of order `order` of Cl(D) that is the image of
+    x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
+    the whole group by default, with h counted when not given.  The prime
+    forms up to sqrt(|D|/3) generate Cl(D) unconditionally; they hold for
+    the maximal order only, so D is validated by as_disc."""
+    D = as_disc(D).value
+    assert D < 0
+    h = h or class_number_imaginary(D)
+    order = order or h
+    pres = _prime_form_staircase(D, isqrt(-D // 3), h // order, order)
     assert pres.h == order
     return pres
 
@@ -285,12 +295,12 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 def full_imaginary_presentation(D) -> ClassGroupPresentation:
     """Presentation of the imaginary class group of D, the one builder of
-    every command: exact enumeration for |D| <= ENUM_CAP, the
-    GRH-conditional staircase over the prime forms under Bach's bound (up
-    to BSGS_CAP) above it.  D is validated once, by as_disc."""
+    every command: the staircase over the prime forms, exact by the
+    counted h for |D| <= ENUM_CAP and GRH-conditional under Bach's bound
+    (up to BSGS_CAP) above it.  D is validated once, by as_disc."""
     d = as_disc(D)
     if d.abs <= ENUM_CAP:
-        return imaginary_presentation(d.value)
+        return imaginary_presentation(d)
     return class_number_bsgs(d)[1]
 
 
@@ -309,25 +319,26 @@ def _square_sylow_orders(h: int) -> list[int]:
 
 def class_group_imaginary(D) -> AbelianGroupStructure:
     """Cl(D) as a divisor chain.  Up to ENUM_CAP it is read off the Sylow
-    subgroups, with h the exact number of reduced forms: one of prime order
-    p is Z/p, and one of order p^v >= p^2 is presented alone, as the image
-    of x -> x^(h/p^v) (Cohen, GTM 138, ch. 5), at about p^v compositions
-    instead of h.  Above ENUM_CAP it is the GRH presentation's structure."""
+    subgroups, with h counted once: one of prime order p is Z/p, and one of
+    order p^v >= p^2 is presented alone, as the image of x -> x^(h/p^v)
+    (Cohen, GTM 138, ch. 5), at about p^v compositions instead of h, and
+    none when h is squarefree.  Above ENUM_CAP it is the GRH
+    presentation's structure."""
     d = as_disc(D)
     assert d.value < 0
     if d.abs > ENUM_CAP:
         return full_imaginary_presentation(d).structure()
-    forms = sorted(reduced_forms_imaginary(d.value))
-    divs, rest = [], len(forms)
-    for q in _square_sylow_orders(rest):
-        divs += imaginary_presentation(d.value, q, forms).structure().divisors
+    h = class_number_imaginary(d.value)
+    divs, rest = [], h
+    for q in _square_sylow_orders(h):
+        divs += imaginary_presentation(d, q, h).structure().divisors
         rest //= q
     if rest > 1:
         divs.append(rest)           # squarefree, so cyclic
     diag = [[x if i == j else 0 for j in range(len(divs))]
             for i, x in enumerate(divs)]
     g = AbelianGroupStructure.from_relation_matrix(diag, len(divs))
-    assert g.order == len(forms)
+    assert g.order == h
     return g
 
 
@@ -584,7 +595,7 @@ def prime_form(D: int, q: int) -> Optional[QuadForm]:
         if (b - D) % 2:
             b += q
         return QuadForm(q, b, (b * b - D) // (4 * q))
-    m = D // 4 if D % 4 == 0 else D
+    m = radicand_of(D)
     if q == 2:
         if m % 2 == 0:
             return QuadForm(2, 0, -m // 2)
@@ -600,22 +611,15 @@ def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
 
     This is the GRH route, not baby-step giant-step (the name stays for
     its callers): under GRH those prime ideals generate Cl(D) (Bach, Math.
-    Comp. 55, 1990), so the staircase over their reduced forms is the
-    whole group, with no estimate of h and no stopping rule.  It costs
-    h - 1 compositions, as enumeration does.  Bach's bound and the forms
-    of the ramified primes hold for the maximal order only, so D is
-    validated by as_disc: an int that is not fundamental raises
-    ValueError, and a Discriminant is not factored again."""
+    Comp. 55, 1990), so imaginary_presentation's prime-form staircase, run
+    to this bound with no count of h, is the whole group, at h - 1
+    compositions.  Bach's bound and the ramified prime forms hold for the
+    maximal order only, so D is validated by as_disc: an int that is not
+    fundamental raises ValueError; a Discriminant is not factored again."""
     value = D.value if isinstance(D, Discriminant) else D
     if -value > BSGS_CAP:
         raise ClassNumberCapError(
             f"|D| = {-value} exceeds BSGS cap {BSGS_CAP}")
     D = as_disc(D).value
-    bound = int(6 * log(-D) ** 2)
-    forms = (prime_form(D, q)
-             for q in np.flatnonzero(prime_sieve(bound)).tolist())
-    pres = ClassGroupPresentation.staircase(
-        reduce_imaginary(principal_form(D)), reduce_imaginary,
-        _compose_imaginary,
-        (reduce_imaginary(f) for f in forms if f is not None))
+    pres = _prime_form_staircase(D, int(6 * log(-D) ** 2))
     return pres.h, pres

@@ -111,23 +111,13 @@ def _isqrt_int64(M: np.ndarray) -> np.ndarray:
     return r
 
 
-def reduced_forms_imaginary(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D < 0 (one per class).
-
-    The candidates are the pairs (b, a) with b = |D| mod 2, ..., isqrt(|D|/3)
-    in steps of 2 and max(b, 1) <= a <= isqrt((b^2 + |D|)/4); a pair is a
-    form when a divides (b^2 + |D|)/4 = a c and gcd(a, b, c) = 1.  The forms
-    come out with b ascending, then a ascending, and (a, -b, c) right after
-    (a, b, c) when 0 < b < a < c.  |D| above ENUM_INT64_LIMIT = 2^62 raises
-    ValueError (int64 arithmetic would overflow; enumeration is infeasible
-    far below that anyway).
-    """
+def _reduced_form_arrays(D: int):
+    """reduced_forms_imaginary's forms as int64 arrays a, b, c, by block."""
     absD = -D
     if absD > ENUM_INT64_LIMIT:
         raise ValueError(f"|D| = {absD} exceeds the int64 enumeration bound "
                          f"{ENUM_INT64_LIMIT}")
     bmax = isqrt(absD // 3)
-    out: list[QuadForm] = []
     for b0 in range(absD & 1, bmax + 1, 2 * _ENUM_BLOCK):
         b = np.arange(b0, min(b0 + 2 * _ENUM_BLOCK, bmax + 1), 2,
                       dtype=np.int64)
@@ -156,12 +146,26 @@ def reduced_forms_imaginary(D: int) -> list[QuadForm]:
             rep = 1 + twin
             a, bk, c = np.repeat(a, rep), np.repeat(bk, rep), np.repeat(c, rep)
             bk[np.cumsum(rep)[twin] - 1] *= -1
-            out.extend(map(QuadForm, a.tolist(), bk.tolist(), c.tolist()))
-    return out
+            yield a, bk, c
+
+
+def reduced_forms_imaginary(D: int) -> list[QuadForm]:
+    """All primitive reduced forms of discriminant D < 0 (one per class).
+
+    The candidates are the pairs (b, a) with b = |D| mod 2, ..., isqrt(|D|/3)
+    in steps of 2 and max(b, 1) <= a <= isqrt((b^2 + |D|)/4); a pair is a
+    form when a divides (b^2 + |D|)/4 = a c and gcd(a, b, c) = 1.  The forms
+    come out with b ascending, then a ascending, and (a, -b, c) right after
+    (a, b, c) when 0 < b < a < c.  |D| above ENUM_INT64_LIMIT = 2^62 raises
+    ValueError (int64 arithmetic would overflow; enumeration is infeasible
+    far below that anyway).
+    """
+    return [f for a, b, c in _reduced_form_arrays(D)
+            for f in map(QuadForm, a.tolist(), b.tolist(), c.tolist())]
 
 
 def class_number_imaginary(D: int) -> int:
-    return len(reduced_forms_imaginary(D))
+    return sum(len(a) for a, _, _ in _reduced_form_arrays(D))
 
 
 # ---------------------------------------------------------------- indefinite
@@ -258,18 +262,14 @@ class TrackedIdeal:
     a principal ideal reaches |a| = 1, ideal(form) is the maximal order and
     the tracked ideal is (gamma).
 
-    gamma lives in the carrier of the `one` that from_form is given: any
-    value with mul(other), scale(n) for an integer n, and rho(b, c), the
-    product with (b - sqrt(D)) / (2c), will do. pram carries gamma locally
-    above p that way (its _SplitGamma and _PrimeGamma), for relation
-    generators and fundamental units alike.
+    A walk starts as TrackedIdeal(f, one), and gamma stays in the carrier
+    of `one`: any value with mul(other), scale(n) for an integer n, and
+    rho(b, c), the product with (b - sqrt(D)) / (2c), will do. pram
+    carries gamma locally above p that way (its _SplitGamma and
+    _PrimeGamma), for relation generators and fundamental units alike.
     """
     form: QuadForm
     gamma: object
-
-    @classmethod
-    def from_form(cls, f: QuadForm, one) -> "TrackedIdeal":
-        return cls(f, one)
 
     def mul(self, other: "TrackedIdeal") -> "TrackedIdeal":
         f, g = self.form, other.form

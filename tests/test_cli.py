@@ -44,6 +44,8 @@ def test_usage_errors(capsys):
      "--workers", "-1"],
     ["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "20", "--n", "0"],
     ["tor-family", "--p", "3"],
+    ["tor-family", "--count", "0"],
+    ["tor-family", "--count", "-1"],
     ["reflection-check", "--p", "3", "--max-d", "50"],
     ["filtration-mc", "--p", "1", "--n", "3"],
     ["filtration-mc", "--p", "0", "--n", "3"],
@@ -71,6 +73,17 @@ def test_invalid_arguments_are_usage_errors(argv, capsys):
     assert cli.main(argv) == 2
     assert time.perf_counter() - t < 0.5
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    # once a FileNotFoundError traceback with exit code 1, which is
+    # reserved for a failed validation
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main(["bounds", "--p", "7", "--eps", "0.1",
+                     "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.count("\n") == 1 and str(path) in err
 
 
 def test_primes_csv(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epsclass import arith, pram
+from epsclass import arith, pram, quadforms
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
 from epsclass.arith import prime_sieve, squarefree_core
@@ -92,10 +92,10 @@ def _assert_matches_full_staircase(D):
     against the presentation of the whole group; returns its structure."""
     full = qc.imaginary_presentation(D).structure()
     assert qc.class_group_imaginary(D) == full, D
-    forms = sorted(reduced_forms_imaginary(D))
-    for q in qc._square_sylow_orders(len(forms)):
+    h = len(reduced_forms_imaginary(D))
+    for q in qc._square_sylow_orders(h):
         p = min(f for f in range(2, q + 1) if q % f == 0)
-        assert qc.imaginary_presentation(D, q, forms).structure() == \
+        assert qc.imaginary_presentation(D, q, h).structure() == \
             full.p_part(p), (D, q)
     return full
 
@@ -123,6 +123,18 @@ def test_class_group_imaginary_matches_full_staircase(k, r):
 ])
 def test_class_group_imaginary_sylow_anchors(D, want):
     assert str(_assert_matches_full_staircase(D)) == want
+
+
+def test_class_group_imaginary_counts_h_once(monkeypatch):
+    # h = 936 = 2^3 * 3^2 * 13: two Sylow presentations share one count
+    calls = []
+
+    def counted(D):
+        calls.append(D)
+        return quadforms.class_number_imaginary(D)
+    monkeypatch.setattr(qc, "class_number_imaginary", counted)
+    assert qc.class_group_imaginary(-9999995).order == 936
+    assert calls == [-9999995]
 
 
 def test_class_group_imaginary_composes_only_in_square_sylows():
@@ -296,13 +308,21 @@ def test_bsgs_class_number_one():
         assert (h, pres.h, pres.gens) == (1, 1, []), D
 
 
-@pytest.mark.parametrize("D", [-12, -16, -27, -28, -60, -36, -48, -75, -99])
-def test_bsgs_rejects_non_fundamental(D):
+_NON_FUNDAMENTAL = [-12, -16, -27, -28, -60, -36, -48, -75, -99]
+
+
+# ids -12, ... for the GRH route and -12-exact, ... for the exact one
+@pytest.mark.parametrize("D,build", [
+    pytest.param(D, build, id=f"{D}{suffix}")
+    for build, suffix in ((qc.class_number_bsgs, ""),
+                          (qc.imaginary_presentation, "-exact"))
+    for D in _NON_FUNDAMENTAL])
+def test_bsgs_rejects_non_fundamental(D, build):
     # Bach's bound and the ramified prime forms hold for the maximal order
     # only: these D once gave [2] for h = 1, [2,2] for -60 (whose group is
     # [2]) or a presentation that failed its own order check
     with pytest.raises(ValueError):
-        qc.class_number_bsgs(D)
+        build(D)
 
 
 def test_bsgs_cap():
@@ -451,14 +471,22 @@ def test_imaginary_presentation_matches_reference_adjoin(k, r):
             return fn(*a)
         return call
 
+    def counted_prime_form(D, q, _prime_form=qc.prime_form):
+        f = _prime_form(D, q)
+        counts["prime forms"] += f is not None
+        return f
+
     with mock.patch.object(qc, "compose", counted("compose")), \
             mock.patch.object(qc, "reduce_imaginary",
-                              counted("reduce_imaginary")):
+                              counted("reduce_imaginary")), \
+            mock.patch.object(qc, "prime_form", counted_prime_form):
         pres = qc.imaginary_presentation(D)
     # one composition per class but the identity; reductions: the
-    # principal form, every composition and one canon per generator
+    # principal form, every composition, every prime form the staircase
+    # reads and one canon per generator
     assert counts["compose"] == pres.h - 1
-    assert counts["reduce_imaginary"] == pres.h + len(pres.gens)
+    assert counts["reduce_imaginary"] == \
+        pres.h + len(pres.gens) + counts["prime forms"]
 
 
 @pytest.mark.parametrize("D", [-3, -4, -23, -3299, -15015, -255255])
@@ -472,6 +500,17 @@ def test_bsgs_presentation_matches_reference_adjoin():
         pres = _assert_matches_reference(
             lambda D: qc.class_number_bsgs(D)[1], D)
         assert pres.h == len(reduced_forms_imaginary(D))
+
+
+def test_exact_and_grh_presentations_coincide():
+    # one staircase over the prime forms in ascending order: the exact
+    # bound sqrt(|D|/3) and Bach's 6 log^2 |D| differ only in where the
+    # walk may stop, after the group is full
+    Ds = _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
+                             3 * 10 ** 6, 25)
+    for D in Ds + [-3, -4, -23, -3299, -15015, -255255]:
+        assert _snapshot(qc.imaginary_presentation(D)) == \
+            _snapshot(qc.class_number_bsgs(D)[1]), D
 
 
 def test_bsgs_presentation_composes_once_per_class():

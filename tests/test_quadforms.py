@@ -14,6 +14,7 @@ from epsclass.quadforms import (
     ENUM_INT64_LIMIT,
     QuadForm,
     TrackedIdeal,
+    class_number_imaginary,
     compose,
     cycle_indefinite,
     principal_form,
@@ -23,6 +24,13 @@ from epsclass.quadforms import (
     reduced_forms_indefinite,
 )
 from oracles import QuadElt, is_reduced_indefinite
+
+
+def _assert_matches_loop(D):
+    # the count builds no form, but counts the same ones
+    forms = _reduced_forms_loop(D)
+    assert reduced_forms_imaginary(D) == forms, D
+    assert class_number_imaginary(D) == len(forms), D
 
 
 def _reduced_forms_loop(D):
@@ -48,7 +56,7 @@ def _reduced_forms_loop(D):
 @settings(max_examples=40, deadline=None)
 def test_reduced_forms_match_loop(d):
     assume(d % 4 in (0, 3))           # D = -d = 0, 1 mod 4, fundamental or not
-    assert reduced_forms_imaginary(-d) == _reduced_forms_loop(-d)
+    _assert_matches_loop(-d)
 
 
 def test_reduced_forms_match_loop_cases():
@@ -56,10 +64,10 @@ def test_reduced_forms_match_loop_cases():
     assert reduced_forms_imaginary(-4) == [QuadForm(1, 0, 1)]
     for d in range(3, 3001):
         if d % 4 in (0, 3):
-            assert reduced_forms_imaginary(-d) == _reduced_forms_loop(-d), d
+            _assert_matches_loop(-d)
     # several pair blocks at the real block size, and |D| just below the cap
     for D in (-999995, -(ENUM_CAP - 1), -(ENUM_CAP - 4)):
-        assert reduced_forms_imaginary(D) == _reduced_forms_loop(D), D
+        _assert_matches_loop(D)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
@@ -67,7 +75,7 @@ def test_reduced_forms_across_block_boundaries(monkeypatch, block):
     # tiny blocks put b-block and pair-block boundaries everywhere
     monkeypatch.setattr(quadforms, "_ENUM_BLOCK", block)
     for D in (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995):
-        assert reduced_forms_imaginary(D) == _reduced_forms_loop(D), D
+        _assert_matches_loop(D)
 
 
 def test_isqrt_int64_exact_near_squares():
@@ -83,8 +91,10 @@ def test_isqrt_int64_exact_near_squares():
 def test_reduced_forms_int64_bound():
     # b^2 + |D| <= 4 |D| / 3 stays below 2^63 at the bound
     assert 4 * ENUM_INT64_LIMIT // 3 < 2 ** 63
-    with pytest.raises(ValueError):
-        reduced_forms_imaginary(-(ENUM_INT64_LIMIT + 4))
+    for enumerate_or_count in (reduced_forms_imaginary,
+                               class_number_imaginary):
+        with pytest.raises(ValueError):
+            enumerate_or_count(-(ENUM_INT64_LIMIT + 4))
 
 
 def test_quadform_semantics():
@@ -243,7 +253,7 @@ def test_tracked_rho_preserves_lattice():
         for f in forms[:6]:
             if f.a < 0:
                 continue
-            t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
+            t = TrackedIdeal(f, QuadElt.one(f.disc()))
             t2 = t.rho_step()
             assert lattices_equal(lattice_of(t), lattice_of(t2))
             t3 = t2.reduce()
@@ -259,8 +269,8 @@ def test_tracked_mul_matches_lattice_product():
         for _ in range(10):
             f, g = rng.choice(forms), rng.choice(forms)
             one = QuadElt.one(D)
-            tf = TrackedIdeal.from_form(f, one)
-            tg = TrackedIdeal.from_form(g, one)
+            tf = TrackedIdeal(f, one)
+            tg = TrackedIdeal(g, one)
             prod = tf.mul(tg)
             # explicit lattice product of the two ideals
             basis = []
@@ -276,7 +286,7 @@ def test_tracked_mul_matches_lattice_product():
 def test_principal_generator_imaginary():
     # D=-23: (2,1,3)^3 is principal; recover a generator
     f = QuadForm(2, 1, 3)
-    t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
+    t = TrackedIdeal(f, QuadElt.one(f.disc()))
     cube = t.mul(t).mul(t)
     gen = cube.principal_generator()
     # N(gen) = N(ideal) = 2^3
@@ -290,7 +300,7 @@ def test_principal_generator_real():
     # use D=40 (m=10): h=2, form (2, 4, -3)^2 principal
     f = QuadForm(2, 4, -3)
     assert f.disc() == 40
-    t = TrackedIdeal.from_form(f, QuadElt.one(f.disc()))
+    t = TrackedIdeal(f, QuadElt.one(f.disc()))
     sq = t.mul(t)
     gen = sq.principal_generator()
     assert abs(gen.norm()) == 4
