@@ -226,7 +226,7 @@ def cmd_reflection_check(args) -> int:
 
 
 def cmd_normic_search(args) -> int:
-    a_range = range(1, args.max_a + 1) if args.max_a else None
+    a_range = None if args.max_a is None else range(1, args.max_a + 1)
     recs = quadclass.normic_search(args.p, args.rho, args.q, a_range)
     _emit(args, _SCAN_FIELDS, _scan_rows(recs))
     return 0
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=0.0)
         p.add_argument("--p", type=_prime, default=3)
         p.add_argument("--min-d", type=int, default=3)
-        p.add_argument("--max-d", type=int, required=True)
+        p.add_argument("--max-d", type=_int_at_least(3), required=True)
         p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("cubic-enum", cmd_cubic_enum, help="cyclic cubic fields")
@@ -337,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reflection-check", cmd_reflection_check,
             help="rank reflection identity")
     p.add_argument("--p", type=int, choices=(2,), default=2)
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--max-d", type=_int_at_least(3), required=True)
 
     p = add("normic-search", cmd_normic_search,
             help="a^2 + m b^2 = 4 q^(p^rho) search")
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--rho", type=_int_at_least(0), required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-a", type=int, default=None)
+    p.add_argument("--max-a", type=_positive_int, default=None)
 
     p = add("bounds", cmd_bounds, help="analytic bound table")
     p.add_argument("--p", type=_prime, required=True)

@@ -9,6 +9,11 @@ class-group relation, which the cycle and relation walks carry locally
 above p (a valuation at each prime above p and a unit mod p^n), never as
 exact elements. (O/p^n)^x has two layers: (O/P^c0)^x, enumerated point by
 point, over the base 1 + P^c0, which the p-adic logarithm makes additive.
+
+Every result here reads p-parts only, so for imaginary D up to ENUM_CAP
+the class data present only the p-Sylow subgroup Cl_p of Cl: its
+preimage in Cl_{p^n} has index [Cl : Cl_p], prime to p, so the two share
+their p-part (Cohen, GTM 138, ch. 5).
 """
 
 from __future__ import annotations
@@ -556,8 +561,8 @@ class _ClassData:
     D: int
     p: int
     top: int          # relation images are taken mod p^top
-    pres: ClassGroupPresentation
-    structure: AbelianGroupStructure   # ordinary class group
+    pres: ClassGroupPresentation       # Cl_p or Cl, as _class_data says
+    structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
     #                   with alpha = x + y*omega mod p^top
     units: list       # (x, y) mod p^top, the images of -1 and of zeta
@@ -565,10 +570,12 @@ class _ClassData:
 
 
 def _class_data(D, p: int, top: int | None = None) -> _ClassData:
-    """The class group of D and its relations, their generators' and the
-    global units' images mod p^top (by default every level tor_report
-    visits).  D is an int or the Discriminant validated on entry, passed
-    on so that |D| is factored once."""
+    """A subgroup of index prime to p of the ordinary class group of D (the
+    p-Sylow subgroup for imaginary D up to ENUM_CAP, the whole group
+    otherwise) and its relations, their generators' and the global units'
+    images mod p^top (by default every level tor_report visits).  D is an
+    int or the Discriminant validated on entry, passed on so that |D| is
+    factored once."""
     _check_modulus(p)
     d = as_disc(D)
     D = d.value
@@ -576,7 +583,7 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     frame = _LocalFrame(D, p, top)
     units = [(-1, 0)]
     if D < 0:
-        pres = full_imaginary_presentation(d)
+        pres = full_imaginary_presentation(d, p)
         structure = pres.structure()
         cols = pres.relation_columns()
         if D in (-3, -4):
@@ -611,12 +618,13 @@ class RayClassGroup:
 
 def ray_class_group(D, p: int, n: int,
                     class_data: _ClassData | None = None) -> RayClassGroup:
-    """Cl_{p^n} from (O/p^n)^x, the global units and the class-group
-    relations. (O/p^n)^x comes from `units_mod`, built once per ring
-    D mod 4p^n per process and shared; the unit and relation dlogs, the
-    Smith forms and the class data are this field's own; the class
-    data's relation images must reach level n."""
-    _check_modulus(p, n or 1)   # n = 0: the class group itself
+    """The preimage in Cl_{p^n} of the class data's group (level 0: that
+    group), whose p-part is Cl_{p^n}'s, from (O/p^n)^x, the global units
+    and the class-group relations. (O/p^n)^x comes from `units_mod`, built
+    once per ring D mod 4p^n per process and shared; the unit and
+    relation dlogs, the Smith forms and the class data are this field's
+    own; the class data's relation images must reach level n."""
+    _check_modulus(p, n or 1)   # n = 0: the class data's group
     d = as_disc(D)
     cd = class_data or _class_data(d, p, max(n, 1))
     if n > cd.top:
@@ -723,6 +731,8 @@ class SClassGroup:
 
 def s_class_group(D, p: int,
                   class_data: _ClassData | None = None) -> SClassGroup:
+    """The class data's group modulo the primes above p, whose p-part is
+    that of the S-class group, S the primes above p."""
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
     cd = class_data or _class_data(d, p, 1)

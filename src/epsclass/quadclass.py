@@ -10,15 +10,17 @@ adjoined greedily, each new generator g contributing one triangular
 relation g^o = (word in earlier generators); Smith form of the relation
 matrix gives the divisor chain, and the closure table doubles as a
 discrete-log dictionary (reused for ray class groups). Building it costs
-one group operation per new class, plus one canonicalisation per
-generator: h - 1 compositions for a class group of order h.
+one group operation per new class: h - 1 compositions for a class group
+of order h.
 
 Imaginary generators are the prime forms of norm q <= a bound, q
 ascending: up to |D| = ENUM_CAP, sqrt(|D|/3), which no reduced form's a
 exceeds, so the staircase is unconditional and stops at the counted h;
 above it 6 log^2 |D| (Bach's bound), up to which they generate Cl(D)
 under GRH.  class_group_imaginary presents only the Sylow subgroups of order
-p^v >= p^2, over the powers x^(h/p^v); none when h is squarefree.
+p^v >= p^2, over the powers x^(h/p^v); none when h is squarefree.  pram
+reads p-parts only, so full_imaginary_presentation gives it the p-Sylow
+subgroup alone up to ENUM_CAP, whose canon projects every class onto it.
 """
 
 from __future__ import annotations
@@ -170,14 +172,12 @@ class ClassGroupPresentation:
         return g
 
     def adjoin(self, e) -> None:
-        """Add generator e: find its order o over the current closure
-        (e^o = word in earlier gens) and extend the dlog table.
+        """Add the canonical generator e: find its order o over the current
+        closure (e^o = word in earlier gens) and extend the dlog table.
 
-        Costs one op per new class plus one canon per generator: a single
-        walk gives e^2, ..., e^o, and e, ..., e^(o-1) are the identity's
-        row."""
+        Costs one op per new class: a single walk gives e^2, ..., e^o, and
+        e, ..., e^(o-1) are the identity's row."""
         dlog, op = self.dlog_table, self.op
-        e = self.canon(e)
         powers = [e]
         while powers[-1] not in dlog:
             powers.append(op(powers[-1], e))
@@ -211,15 +211,14 @@ def _pow_imaginary(f: QuadForm, k: int) -> QuadForm:
         f = _compose_imaginary(f, f)
 
 
-def _prime_form_staircase(D: int, bound: int, k: int = 1,
+def _prime_form_staircase(D: int, bound: int, canon: Callable, k: int = 1,
                           order: Optional[int] = None
                           ) -> ClassGroupPresentation:
     """The staircase over the k-th powers of the reduced prime forms of
-    norm q <= bound, q ascending.  It stops once it holds `order` classes;
-    with no order it walks every q."""
+    norm q <= bound, q ascending, each fixed by canon.  It stops once it
+    holds `order` classes; with no order it walks every q."""
     pres = ClassGroupPresentation.staircase(
-        reduce_imaginary(principal_form(D)), reduce_imaginary,
-        _compose_imaginary, ())
+        reduce_imaginary(principal_form(D)), canon, _compose_imaginary, ())
     for q in np.flatnonzero(prime_sieve(bound)).tolist():
         if pres.h == order:
             break
@@ -235,14 +234,22 @@ def imaginary_presentation(D, order: Optional[int] = None,
                            h: Optional[int] = None) -> ClassGroupPresentation:
     """The subgroup of order `order` of Cl(D) that is the image of
     x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
-    the whole group by default, with h counted when not given.  The prime
-    forms up to sqrt(|D|/3) generate Cl(D) unconditionally; they hold for
-    the maximal order only, so D is validated by as_disc."""
+    the whole group by default, with h counted when not given.  Its canon
+    is the projection x -> x^e onto it, e = 1 mod order and e = 0 mod
+    h/order, the identity on the subgroup: every class has a dlog, the
+    dlog of its projection.  The prime forms up to sqrt(|D|/3) generate
+    Cl(D) unconditionally; they hold for the maximal order only, so D is
+    validated by as_disc."""
     D = as_disc(D).value
     assert D < 0
     h = h or class_number_imaginary(D)
     order = order or h
-    pres = _prime_form_staircase(D, isqrt(-D // 3), h // order, order)
+    k = h // order
+    e = k * pow(k, -1, order) or h      # e = h for order 1
+
+    def canon(f):
+        return _pow_imaginary(reduce_imaginary(f), e)
+    pres = _prime_form_staircase(D, isqrt(-D // 3), canon, k, order)
     assert pres.h == order
     return pres
 
@@ -293,15 +300,17 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 # --------------------------------------------------------------- public ops
 
-def full_imaginary_presentation(D) -> ClassGroupPresentation:
-    """Presentation of the imaginary class group of D, the one builder of
-    every command: the staircase over the prime forms, exact by the
-    counted h for |D| <= ENUM_CAP and GRH-conditional under Bach's bound
-    (up to BSGS_CAP) above it.  D is validated once, by as_disc."""
+def full_imaginary_presentation(D, p: int) -> ClassGroupPresentation:
+    """The imaginary class data pram reads for the prime p: a presented
+    subgroup of Cl(D) of index prime to p.  Up to ENUM_CAP it is the
+    p-Sylow subgroup, exact by the counted h; above it the whole group,
+    GRH-conditional under Bach's bound (up to BSGS_CAP).  D is validated
+    once, by as_disc."""
     d = as_disc(D)
-    if d.abs <= ENUM_CAP:
-        return imaginary_presentation(d)
-    return class_number_bsgs(d)[1]
+    if d.abs > ENUM_CAP:
+        return class_number_bsgs(d)[1]
+    h = class_number_imaginary(d.value)
+    return imaginary_presentation(d, p ** vp(h, p), h)
 
 
 def _square_sylow_orders(h: int) -> list[int]:
@@ -327,7 +336,7 @@ def class_group_imaginary(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value < 0
     if d.abs > ENUM_CAP:
-        return full_imaginary_presentation(d).structure()
+        return class_number_bsgs(d)[1].structure()
     h = class_number_imaginary(d.value)
     divs, rest = [], h
     for q in _square_sylow_orders(h):
@@ -621,5 +630,5 @@ def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
         raise ClassNumberCapError(
             f"|D| = {-value} exceeds BSGS cap {BSGS_CAP}")
     D = as_disc(D).value
-    pres = _prime_form_staircase(D, int(6 * log(-D) ** 2))
+    pres = _prime_form_staircase(D, int(6 * log(-D) ** 2), reduce_imaginary)
     return pres.h, pres

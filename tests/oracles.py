@@ -2,16 +2,22 @@
 
 None is used by the program: the exact carrier QuadElt stands beside
 pram's images mod p^n, the ambiguous-form count beside the genus 2-rank
-of the class groups, and the reducedness test of indefinite forms beside
-their cycles.
+of the class groups, the reducedness test of indefinite forms beside
+their cycles, and pram's class data over the whole class group beside
+its p-Sylow data.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
+
+from epsclass import pram, quadclass
 
 
 @dataclass(frozen=True)
@@ -79,3 +85,19 @@ def is_reduced_indefinite(f) -> bool:
     D, b, ta = f.disc(), f.b, 2 * abs(f.a)
     return (0 < b and b * b < D and (ta + b) ** 2 > D
             and (ta <= b or (ta - b) ** 2 < D))
+
+
+@contextmanager
+def whole_groups():
+    """pram's imaginary class data over the whole class group, as before
+    they presented the p-Sylow subgroup alone (enumerated h only)."""
+    with mock.patch.object(pram, "full_imaginary_presentation",
+                           lambda D, p: quadclass.imaginary_presentation(D)):
+        yield
+
+
+@pytest.fixture
+def whole_group():
+    """whole_groups() for the length of a test."""
+    with whole_groups():
+        yield

@@ -61,6 +61,17 @@ def test_usage_errors(capsys):
     ["quad-maxima", "--stat", "p-exponent", "--p", "4", "--max-d", "2000"],
     ["normic-search", "--p", "4", "--rho", "1", "--q", "3"],
     ["normic-search", "--p", "2", "--rho", "-1", "--q", "3"],
+    # --max-a 0 once ran the whole default range, and -4 an empty table
+    ["normic-search", "--p", "2", "--rho", "1", "--q", "3", "--max-a", "0"],
+    ["normic-search", "--p", "2", "--rho", "1", "--q", "3", "--max-a", "-4"],
+    # a negative --max-d once leaked numpy's "negative dimensions" or
+    # exited 0; |D| >= 3 for every imaginary field
+    ["quad-scan", "--max-d", "-5"],
+    ["quad-scan", "--max-d", "2"],
+    ["quad-maxima", "--max-d", "-5"],
+    ["quad-maxima", "--max-d", "2"],
+    ["reflection-check", "--max-d", "-3"],
+    ["reflection-check", "--max-d", "2"],
     ["bounds", "--p", "4", "--eps", "0.1"],
     ["bounds", "--p", "7", "--eps", "0"],
     ["bounds", "--p", "7", "--eps", "-0.1"],

@@ -142,8 +142,8 @@ def _builder_calls(source, builders=_IMAGINARY_BUILDERS):
 
 
 def test_only_quadclass_chooses_enumeration_or_bsgs():
-    # one builder, quadclass.full_imaginary_presentation, holds the one
-    # enumeration/BSGS threshold; every other module goes through it
+    # quadclass alone holds the one enumeration/BSGS threshold; every
+    # other module goes through its public builders
     found = {p.name: _builder_calls(p.read_text())
              for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
     assert {k: v for k, v in found.items() if v} == {}
@@ -156,6 +156,22 @@ def test_only_the_staircase_builds_a_presentation():
     found = {p.name: _builder_calls(p.read_text(), {"ClassGroupPresentation"})
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _attribute_reads(source, attr):
+    """Lines of source that read `attr` as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_only_quadclass_reads_dlog_table():
+    # a presentation's callers take dlogs through dlog(), whose canon may
+    # project a class before the table is read (the p-Sylow data of pram)
+    found = {p.name: _attribute_reads(p.read_text(), "dlog_table")
+             for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert _attribute_reads("v = pres.dlog_table[f]\nw = pres.dlog(f)\n",
+                            "dlog_table") == [1]
 
 
 def test_builder_call_detector():

@@ -11,7 +11,7 @@ from epsclass import arith, pram, quadclass, zlin
 from epsclass.arith import kronecker
 from epsclass.quadforms import TrackedIdeal
 from epsclass.quadclass import isqrt_float
-from oracles import QuadElt
+from oracles import QuadElt, whole_group, whole_groups  # noqa: F401
 
 
 # ------------------------------------------------------------ residue units
@@ -259,9 +259,7 @@ def _assert_images_exact(cd, levels):
             assert (x % R.q, y % R.q) == _from_quadelt(R, u), (cd.D, cd.p, n)
 
 
-@pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
-@pytest.mark.parametrize("p", [2, 3])
-def test_relation_generator_norms(D, p):
+def _assert_relation_generator_norms(D, p):
     # prod_j I_j^{c_j} = (alpha) with N(I_j) = a_j, so |N(alpha)| is
     # prod_j a_j^{c_j}; negative c_j pin the direction of the division
     cd = pram._class_data(D, p)
@@ -271,6 +269,19 @@ def test_relation_generator_norms(D, p):
             prod(Fraction(f.a) ** c for f, c in zip(forms, col)), col
     if D < 0:
         assert any(c < 0 for col, _ in cd.relations for c in col)
+
+
+@pytest.mark.usefixtures("whole_group")
+@pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
+@pytest.mark.parametrize("p", [2, 3])
+def test_relation_generator_norms(D, p):
+    _assert_relation_generator_norms(D, p)
+
+
+@pytest.mark.parametrize("D,p", [(-356, 2), (-1271, 2), (-1055, 3)])
+def test_relation_generator_norms_on_sylow_data(D, p):
+    # p-Sylow subgroups of order 4, 8 and 9 inside h = 12, 40 and 36
+    _assert_relation_generator_norms(D, p)
 
 
 def test_relation_images_on_ray_grid():
@@ -310,11 +321,9 @@ def test_relation_images_match_exact_lift(seed, sign, p, n):
     _assert_images_exact(pram._class_data(D, p, n), [n])
 
 
-@pytest.mark.parametrize("D,p", [(-23, 2), (-23, 5), (-23, 23), (229, 2),
-                                 (229, 3), (229, 229), (40, 2)])
-def test_local_walk_rejects_non_principal_column(D, p):
-    # one of each splitting type, both signs: the class of the generator
-    # is not trivial, so its column has no generator to give an image of
+def _assert_local_walk_rejects_non_principal_column(D, p):
+    # the class of the generator is not trivial, so its column has no
+    # generator to give an image of
     cd = pram._class_data(D, p, 4)
     forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
     assert cd.pres.orders[0] > 1
@@ -324,6 +333,22 @@ def test_local_walk_rejects_non_principal_column(D, p):
     # nor is an element with a valuation above p an image
     with pytest.raises(pram.PramError, match="valuation"):
         frame.image(frame.one.scale(p), 1)
+
+
+@pytest.mark.usefixtures("whole_group")
+@pytest.mark.parametrize("D,p", [(-23, 2), (-23, 5), (-23, 23), (229, 2),
+                                 (229, 3), (229, 229), (40, 2)])
+def test_local_walk_rejects_non_principal_column(D, p):
+    # one of each splitting type, both signs
+    _assert_local_walk_rejects_non_principal_column(D, p)
+
+
+@pytest.mark.parametrize("D,p", [(-119, 2), (-339, 2), (-104, 2),
+                                 (-143, 5), (-415, 5), (-287, 7)])
+def test_local_walk_rejects_non_principal_sylow_column(D, p):
+    # split, inert and ramified p, each with a p-Sylow subgroup that is
+    # neither trivial nor the whole group
+    _assert_local_walk_rejects_non_principal_column(D, p)
 
 
 # -------------------------------------------------- brute ray class oracle
@@ -593,6 +618,9 @@ def test_ray_class_group_level_zero_is_ordinary():
     for D in (-84, -1155):
         assert pram.ray_class_group(D, 2, 0).structure == \
             quadclass.class_group_imaginary(D), D
+    # imaginary class data hold the p-Sylow subgroup alone: h(-119) = 10
+    assert pram.ray_class_group(-119, 2, 0).structure == \
+        quadclass.class_group_imaginary(-119).p_part(2)
 
 
 def test_prime_over_forms():
@@ -724,3 +752,68 @@ def test_tor_scan_validates_each_field_once(factor_calls):
     recs = pram.tor_scan(10 ** 6, 1000200, 2)
     assert len(recs) == 4
     assert len(factor_calls) == 76
+
+
+# ------------------------------------------------ p-Sylow class data
+
+def _p_outputs(D, p):
+    """Every pram result for D and p, each read off p-parts only, with a
+    PramError as its message."""
+    def s_class(D, p):
+        s = pram.s_class_group(D, p)
+        return s.structure.p_part(p), s.s_count
+    calls = [lambda: pram.program_vptor(D, p, 4),
+             lambda: pram.program_vptor(D, p, 20),
+             lambda: pram.tor_report(D, p),
+             lambda: pram.rank_inequalities(D, p),
+             lambda: s_class(D, p),
+             lambda: pram.ktilde_index(D, p)]
+    if p == 2:
+        calls.append(lambda: pram.reflection_check(D, p))
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except pram.PramError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_sylow_matches_whole_group(D, p):
+    sylow = _p_outputs(D, p)
+    with whole_groups():
+        assert sylow == _p_outputs(D, p), (D, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(3, 2 * 10 ** 6), p=st.sampled_from([2, 3, 5, 7]))
+def test_sylow_class_data_match_whole_group(x, p):
+    # the preimage of Cl_p in Cl_{p^n} has index prime to p, so every
+    # p-part pram reads is the same over Cl_p as over Cl
+    d = x
+    while pram.is_fundamental_neg(d) is None:
+        d += 1
+    _assert_sylow_matches_whole_group(-d, p)
+
+
+# h = 10, 105, 192, 27, 567 and 936: each p-Sylow is far smaller than h
+SYLOW_ANCHORS = [-119, -1000003, -1000036, -3299, -3321607, -9999995]
+
+
+@pytest.mark.parametrize("D", SYLOW_ANCHORS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sylow_class_data_match_whole_group_anchors(D, p):
+    _assert_sylow_matches_whole_group(D, p)
+
+
+@pytest.mark.parametrize("D,h", zip(SYLOW_ANCHORS,
+                                    [10, 105, 192, 27, 567, 936]))
+def test_class_data_present_the_p_sylow_subgroup(D, h):
+    assert quadclass.class_group_imaginary(D).order == h
+    for p in (2, 3, 5, 7):
+        assert pram._class_data(D, p).pres.h == p ** arith.vp(h, p), (D, p)
+
+
+def test_class_data_above_enum_cap_present_the_whole_group():
+    # the GRH presentation has index 1, prime to every p
+    assert pram._class_data(-10000003, 2).pres.h == 706

@@ -125,6 +125,24 @@ def test_class_group_imaginary_sylow_anchors(D, want):
     assert str(_assert_matches_full_staircase(D)) == want
 
 
+@pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sylow_canon_projects_every_class(D, p):
+    # canon maps every class into the p-Sylow subgroup, as a homomorphism
+    # that fixes the subgroup; for order 1 it maps all to the identity
+    forms = reduced_forms_imaginary(D)
+    h = len(forms)
+    pres = qc.imaginary_presentation(D, p ** arith.vp(h, p), h)
+    assert all(pres.canon(f) == f for f in pres.dlog_table)
+    rng = random.Random(D)
+    for f in forms:
+        g = rng.choice(forms)
+        fg = reduce_imaginary(compose(f, g))
+        assert pres.canon(fg) == pres.op(pres.canon(f), pres.canon(g))
+        assert len(pres.dlog(f)) == len(pres.gens)
+    assert len({pres.canon(f) for f in forms}) == pres.h
+
+
 def test_class_group_imaginary_counts_h_once(monkeypatch):
     # h = 936 = 2^3 * 3^2 * 13: two Sylow presentations share one count
     calls = []
@@ -482,11 +500,10 @@ def test_imaginary_presentation_matches_reference_adjoin(k, r):
             mock.patch.object(qc, "prime_form", counted_prime_form):
         pres = qc.imaginary_presentation(D)
     # one composition per class but the identity; reductions: the
-    # principal form, every composition, every prime form the staircase
-    # reads and one canon per generator
+    # principal form, every composition and every prime form the
+    # staircase reads (a generator is canonical, so adjoin keeps it)
     assert counts["compose"] == pres.h - 1
-    assert counts["reduce_imaginary"] == \
-        pres.h + len(pres.gens) + counts["prime forms"]
+    assert counts["reduce_imaginary"] == pres.h + counts["prime forms"]
 
 
 @pytest.mark.parametrize("D", [-3, -4, -23, -3299, -15015, -255255])
