@@ -54,3 +54,19 @@ class AbelianGroupStructure:
     def from_relation_matrix(cls, relations, ngens) -> "AbelianGroupStructure":
         divs = zlin.presentation_divisors(relations, ngens)   # d1 | d2 | ...
         return cls(tuple(reversed(divs)))
+
+
+def power(x, e: int, op):
+    """x^e for e >= 1 by binary powering (Cohen, GTM 138, Alg. 1.2.1),
+    with op the group's product: one op per square and per further
+    factor, no identity element, and x itself for e = 1."""
+    if e < 1:
+        raise ValueError(f"power needs e >= 1, got {e}")
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else op(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = op(x, x)

@@ -154,19 +154,6 @@ def vp(n: int, p: int) -> int:
     return v
 
 
-def squarefree_core(n: int) -> tuple[int, int]:
-    if n == 0:
-        raise ValueError("squarefree_core expects nonzero n")
-    sign = -1 if n < 0 else 1
-    core = 1
-    cof = 1
-    for q, e in factor(abs(n)).factors:
-        if e % 2:
-            core *= q
-        cof *= q ** (e // 2)
-    return sign * core, cof
-
-
 def kronecker(a: int, n: int) -> int:
     if n == 0:
         return 1 if abs(a) == 1 else 0

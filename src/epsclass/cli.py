@@ -3,7 +3,8 @@
 Every output starts with a config header (tool version plus the full
 argument set) so that a run can be reproduced byte-for-byte.  Decimals are
 printed with 20 significant digits.  Scans shard deterministically under
-``--workers``.  Exit codes: 0 ok, 1 validation failure, 2 usage, 3 budget.
+``--workers``.  Exit codes: 0 ok, 1 validation failure, 2 usage (a bad
+argument, reported on stderr before anything is printed), 3 budget.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from math import ceil, log10
+from math import ceil, isfinite, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
 from .arith import FactorBudgetError, is_prime, mv_bounds_hold, primes_in_class
@@ -259,6 +260,20 @@ def _int_at_least(lo: int):
 _positive_int = _int_at_least(1)
 
 
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
+    return v
+
+
+def _positive_float(text: str) -> float:
+    v = _finite_float(text)
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {v}")
+    return v
+
+
 def _prime(text: str) -> int:
     v = int(text)
     if not is_prime(v):
@@ -289,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("quad-maxima", cmd_quad_maxima)):
         p = add(name, fn, help="imaginary class-number statistics")
         p.add_argument("--stat", choices=sorted(_STATS), default="genus")
-        p.add_argument("--eps", type=float, default=0.0)
+        p.add_argument("--eps", type=_finite_float, default=0.0)
         p.add_argument("--p", type=_prime, default=3)
         p.add_argument("--min-d", type=int, default=3)
         p.add_argument("--max-d", type=_int_at_least(3), required=True)
@@ -297,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cubic-enum", cmd_cubic_enum, help="cyclic cubic fields")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--f", type=int)
-    g.add_argument("--max-f", type=int)
+    # 7 is the smallest cyclic cubic conductor
+    g.add_argument("--f", type=_int_at_least(7))
+    g.add_argument("--max-f", type=_int_at_least(7))
 
     p = add("cubic-validate", cmd_cubic_validate, help="validate fixtures")
     p.add_argument("--fixtures", default=None)
@@ -343,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="a^2 + m b^2 = 4 q^(p^rho) search")
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--rho", type=_int_at_least(0), required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int_at_least(2), required=True)
     p.add_argument("--max-a", type=_positive_int, default=None)
 
     p = add("bounds", cmd_bounds, help="analytic bound table")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--o1", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--cp", type=float, default=1.0,
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--o1", type=_finite_float, default=0.0)
+    p.add_argument("--c", type=_finite_float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
+    p.add_argument("--cp", type=_positive_float, default=1.0,
                    help="c_p constant for the lower bound")
     return ap
 

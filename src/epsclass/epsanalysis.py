@@ -10,7 +10,7 @@ published N0 example reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, lgamma, log
+from math import exp, inf, isfinite, lgamma, log
 
 GOLDEN = (5 ** 0.5 - 1) / 2
 
@@ -65,6 +65,8 @@ def X_of_N(N: float, params: BoundParams, Delta: float = 0.0) -> float:
     grouped = N * (-eps * h * log(N) + (Delta / N) * lp
                    + (1 - 1 / N) * lp
                    - eps * (h * gp + (p - 1) / (4 * N) * log(N) + O1 / N))
+    if not (isfinite(ungrouped) and isfinite(grouped)):
+        raise ValueError(f"X(N) leaves the float range at N = {N:g}")
     assert abs(ungrouped - grouped) <= 1e-12 * max(1.0, abs(grouped))
     return grouped
 
@@ -93,7 +95,12 @@ def find_N0(params: BoundParams) -> tuple[float, float]:
     by golden-section search."""
     p, eps, O1 = params.p, params.eps_eff, params.O1
     log_n0 = 2 * log(p) / eps - 1 - 2 * O1 / (p - 1)
-    n0 = exp(log_n0)
+    # X0 lives on N >= 1, and the bounds table's last N, 10^k for
+    # k = ceil(log10 N0) + 1, must be a float
+    n0 = exp(min(log_n0, 709.0))
+    if not 1 <= n0 <= 1e307:
+        raise ValueError(f"N0 = e^{log_n0:.6g} lies outside [1, 1e307], "
+                         f"the range of the bounds table")
     x0max = eps * (p - 1) / 2 * n0
     # numeric cross-checks: bisection on the (monotone) derivative of
     # X0(e^t) for the location, golden-section on X0 itself for the value

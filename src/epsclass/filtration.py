@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from . import quadclass, zlin
-from .abgroup import AbelianGroupStructure
+from .abgroup import AbelianGroupStructure, power
 from .arith import vp
 
 
@@ -64,7 +64,7 @@ class FinitePModule:
             if zlin.solve_lattice(L, img) is None:
                 raise FiltrationError("sigma does not preserve relations")
         # sigma^p acts as identity on M
-        sp = zlin.mat_sub(zlin.mat_pow(self.sigma_rows(), self.p),
+        sp = zlin.mat_sub(power(self.sigma_rows(), self.p, zlin.mat_mul),
                           zlin.identity(g))
         for j in range(g):
             col = [sp[i][j] for i in range(g)]

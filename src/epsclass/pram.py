@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, log, prod
 
 from . import zlin
-from .abgroup import AbelianGroupStructure
+from .abgroup import AbelianGroupStructure, power
 from .arith import is_prime, kronecker, sqrt_mod_prime, vp
 from .quadclass import (
     ClassGroupPresentation,
@@ -78,15 +78,6 @@ class ResidueRing:
         yy = y1 * y2
         return (x1 * x2 + yy * self.s, x1 * y2 + x2 * y1 + yy * self.t)
 
-    def pow(self, u, e: int):
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            e >>= 1
-        return r
-
     def norm(self, u) -> int:
         x, y = u
         return x * x + self.t * x * y - self.s * y * y
@@ -128,6 +119,29 @@ def _reduce_vec(v, H):
     return tuple(v)
 
 
+@lru_cache(maxsize=256)
+def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
+    """The p-adic log on 1 + P^c0 and exp on P^c0 mod q = p^n, as sums
+    sum_k c_k x^k / p^v_k over tables of (p^v_k, c_k), k = 1, 2, ...:
+    k = p^v_k * u_k and c_k = +-1/u_k mod q for log(1 + x), k! = p^v_k *
+    u_k and c_k = 1/u_k mod q for exp(x) - 1.  They depend only on p, n,
+    the ramification index e and c0, so rings share them."""
+    q = p ** n
+    # log terms with floor(k*c0/e) - v_p(k) >= n vanish mod p^n; past
+    # kmax that holds for every k
+    kmax = (e * (n + 2 * n.bit_length() + 6)) // c0 + 8
+    log_terms = []
+    for k in range(1, kmax + 1):
+        v, u = _split_off(p, k)
+        log_terms.append((p ** v, (-1) ** (k + 1) * pow(u, -1, q)))
+    exp_terms, fv, fu = [], 0, 1
+    for k in range(1, 4 * n + 11):
+        v, u = _split_off(p, k)
+        fv, fu = fv + v, fu * u % q
+        exp_terms.append((p ** fv, pow(fu, -1, q)))
+    return tuple(log_terms), tuple(exp_terms)
+
+
 class ResidueUnits:
     """(O/p^n)^x: generators, relation matrix, and discrete logarithm.
 
@@ -159,54 +173,32 @@ class ResidueUnits:
             self.order = (p * p - 1) * p ** (2 * (n - 1))
         else:
             self.order = (p - 1) * p ** (2 * n - 1)
+        self._log_terms, self._exp_terms = _series_terms(p, n, self.e,
+                                                         self.c0)
         self._build()
 
-    # -- p-adic logarithm on 1 + P^c0, exact-integer series
+    def _series(self, x, terms):
+        """sum_k c_k x^k / p^v_k mod q over terms (p^v_k, c_k), in exact
+        integers: PramError unless p^v_k divides x^k."""
+        R = self.ring
+        s0 = s1 = 0
+        xk = x
+        for k, (pv, c) in enumerate(terms):
+            if k:
+                xk = R.mul_exact(xk, x)
+            if xk[0] % pv or xk[1] % pv:
+                raise PramError("p-adic series lost exactness")
+            s0 += xk[0] // pv * c
+            s1 += xk[1] // pv * c
+        return (s0 % R.q, s1 % R.q)
+
     def _log(self, u):
-        R, p, q = self.ring, self.p, self.ring.q
-        w = ((u[0] - 1) % q, u[1] % q)
-        # terms with floor(k*c0/e) - v_p(k) >= n vanish mod p^n; past kmax
-        # that holds for every k
-        kmax = (self.e * (self.n + 2 * self.n.bit_length() + 6)) // self.c0 + 8
-        acc = [0, 0]
-        power = w
-        for k in range(1, kmax + 1):
-            if k > 1:
-                power = R.mul_exact(power, w)
-            kv, kk = 0, k
-            while kk % p == 0:
-                kk //= p
-                kv += 1
-            ps = p ** kv
-            if power[0] % ps or power[1] % ps:
-                raise PramError("log series lost exactness")
-            invk = pow(kk, -1, q)
-            sgn = 1 if k % 2 == 1 else -1
-            acc[0] = (acc[0] + sgn * (power[0] // ps) * invk) % q
-            acc[1] = (acc[1] + sgn * (power[1] // ps) * invk) % q
-        return (acc[0] % q, acc[1] % q)
+        q = self.ring.q
+        return self._series(((u[0] - 1) % q, u[1] % q), self._log_terms)
 
     def _exp(self, b):
-        R, p, q = self.ring, self.p, self.ring.q
-        kmax = 4 * self.n + 10
-        acc = [1 % q, 0]
-        power = b
-        fact_v, fact_u = 0, 1   # k! = p^fact_v * fact_u
-        for k in range(1, kmax + 1):
-            if k > 1:
-                power = R.mul_exact(power, b)
-            kk = k
-            while kk % p == 0:
-                kk //= p
-                fact_v += 1
-            fact_u = fact_u * kk % q
-            ps = p ** fact_v
-            if power[0] % ps or power[1] % ps:
-                raise PramError("exp series lost exactness")
-            w = pow(fact_u, -1, q)
-            acc[0] = (acc[0] + (power[0] // ps) * w) % q
-            acc[1] = (acc[1] + (power[1] // ps) * w) % q
-        return (acc[0], acc[1])
+        s0, s1 = self._series(b, self._exp_terms)
+        return ((1 + s0) % self.ring.q, s1)
 
     def _build(self):
         R, p, q = self.ring, self.p, self.ring.q
@@ -249,7 +241,7 @@ class ResidueUnits:
         self.gens = (*top.gens, g1, g2)
         cols = []
         for i, col in enumerate(top.relation_columns()):
-            g = R.pow(top.gens[i], top.orders[i])
+            g = power(top.gens[i], top.orders[i], R.mul)
             tail = self._dlog_base(self._divide(g, top.words[i]))
             cols.append(col + [-tail[0], -tail[1]])
         nt = len(top.gens)
@@ -269,7 +261,7 @@ class ResidueUnits:
         d = R.one
         for g, e in zip(self.gens, vec):
             if e:
-                d = R.mul(d, R.pow(g, e))
+                d = R.mul(d, power(g, e, R.mul))
         return R.mul(u, R.inv(d))
 
     def _dlog_base(self, u):
@@ -429,7 +421,7 @@ class _PrimeGamma:
         e, n = _split_off(k.p, n)
         u = (n % k.q, 0)
         if e:
-            u = k.ring.mul(u, k.ring.pow(k.eps_inv, e))
+            u = k.ring.mul(u, power(k.eps_inv, e, k.ring.mul))
         return self._times(k.ram * e, u)
 
     def rho(self, b: int, c: int):
@@ -450,7 +442,7 @@ class _PrimeGamma:
         e, c = _split_off(k.p, c)
         u = R.mul(z, (pow(c, -1, k.q), 0))
         if e:
-            u = R.mul(u, R.pow(k.eps, e))
+            u = R.mul(u, power(k.eps, e, R.mul))
         return self._times(v - k.ram * e, u)
 
     def unit(self) -> tuple:
@@ -510,21 +502,11 @@ def _tracked_pos(t: TrackedIdeal) -> TrackedIdeal:
     return t if t.form.a > 0 else t.rho_step()
 
 
-def _tracked_pow(t: TrackedIdeal, e: int) -> TrackedIdeal:
-    """t^e, reduced: t is reduced on entry, and each square and each
-    product once."""
-    assert e >= 1
-    r = t.reduce()
-    result = None
-    while True:
-        b = _tracked_pos(r)
-        if e & 1:
-            result = r if result is None else \
-                _tracked_pos(result).mul(b).reduce()
-        e >>= 1
-        if not e:
-            return result
-        r = b.mul(b).reduce()
+def _tracked_mul(s: TrackedIdeal, t: TrackedIdeal) -> TrackedIdeal:
+    """s * t, reduced, for reduced s and t; a square (t is s) takes s to
+    a > 0 once."""
+    a = _tracked_pos(s)
+    return a.mul(a if t is s else _tracked_pos(t)).reduce()
 
 
 def _lift_relation(forms: list, col: list, one) -> tuple:
@@ -540,9 +522,8 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
             f = f.inverse()
             den *= f.a ** -c
         if c:
-            tj = _tracked_pow(TrackedIdeal(f, one), abs(c))
-            t = tj if t is None else \
-                _tracked_pos(t).mul(_tracked_pos(tj)).reduce()
+            tj = power(TrackedIdeal(f, one).reduce(), abs(c), _tracked_mul)
+            t = tj if t is None else _tracked_mul(t, tj)
     if t is None:
         return one, den
     try:

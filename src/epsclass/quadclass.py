@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .abgroup import AbelianGroupStructure
+from .abgroup import AbelianGroupStructure, power
 from .arith import (
     FactorBudgetError,
     factor,
@@ -199,18 +199,6 @@ def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_imaginary(compose(f, g))
 
 
-def _pow_imaginary(f: QuadForm, k: int) -> QuadForm:
-    """f^k for k >= 1 by square-and-multiply, reduced (f itself for k = 1)."""
-    g = None
-    while True:
-        if k & 1:
-            g = f if g is None else _compose_imaginary(g, f)
-        k >>= 1
-        if not k:
-            return g
-        f = _compose_imaginary(f, f)
-
-
 def _prime_form_staircase(D: int, bound: int, canon: Callable, k: int = 1,
                           order: Optional[int] = None
                           ) -> ClassGroupPresentation:
@@ -224,7 +212,7 @@ def _prime_form_staircase(D: int, bound: int, canon: Callable, k: int = 1,
             break
         f = prime_form(D, q)
         if f is not None:
-            g = _pow_imaginary(reduce_imaginary(f), k)
+            g = power(reduce_imaginary(f), k, _compose_imaginary)
             if g not in pres.dlog_table:
                 pres.adjoin(g)
     return pres
@@ -248,7 +236,7 @@ def imaginary_presentation(D, order: Optional[int] = None,
     e = k * pow(k, -1, order) or h      # e = h for order 1
 
     def canon(f):
-        return _pow_imaginary(reduce_imaginary(f), e)
+        return power(reduce_imaginary(f), e, _compose_imaginary)
     pres = _prime_form_staircase(D, isqrt(-D // 3), canon, k, order)
     assert pres.h == order
     return pres

@@ -37,16 +37,6 @@ def mat_sub(A, B):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_pow(A: list[list[int]], e: int) -> list[list[int]]:
-    R = identity(len(A))
-    while e:
-        if e & 1:
-            R = mat_mul(R, A)
-        A = mat_mul(A, A)
-        e >>= 1
-    return R
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     # returns (g, u, v) with u*a + v*b = g >= 0
     old_r, r = a, b

@@ -3,8 +3,9 @@
 None is used by the program: the exact carrier QuadElt stands beside
 pram's images mod p^n, the ambiguous-form count beside the genus 2-rank
 of the class groups, the reducedness test of indefinite forms beside
-their cycles, and pram's class data over the whole class group beside
-its p-Sylow data.
+their cycles, pram's class data over the whole class group beside its
+p-Sylow data, and the squarefree core from a full factorization beside
+the discriminants quadclass reads off a factored radicand.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from epsclass import pram, quadclass
+from epsclass.arith import factor
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,20 @@ class QuadElt:
     @classmethod
     def integer(cls, n, D: int) -> "QuadElt":
         return cls(Fraction(n), Fraction(0), D)
+
+
+def squarefree_core(n: int) -> tuple[int, int]:
+    """(core, cof) with n = core * cof^2 and core squarefree, n != 0."""
+    if n == 0:
+        raise ValueError("squarefree_core expects nonzero n")
+    sign = -1 if n < 0 else 1
+    core = 1
+    cof = 1
+    for q, e in factor(abs(n)).factors:
+        if e % 2:
+            core *= q
+        cof *= q ** (e // 2)
+    return sign * core, cof
 
 
 def batch_ambiguous_counts(X: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from epsclass.arith import (
     prime_sieve,
     primes_in_class,
     sqrt_mod_prime,
-    squarefree_core,
     vp,
 )
 
@@ -74,20 +73,6 @@ def test_factor_recompose_random(n):
         assert is_prime(q)
         prod *= q ** e
     assert prod == n
-
-
-def test_squarefree_core():
-    assert squarefree_core(12) == (3, 2)
-    assert squarefree_core(49) == (1, 7)
-    assert squarefree_core(-255255) == (-255255, 1)
-    for n in range(1, 500):
-        core, cof = squarefree_core(n)
-        assert core * cof * cof == n
-        # core has no square factor
-        d = 2
-        while d * d <= abs(core):
-            assert core % (d * d) != 0
-            d += 1
 
 
 def legendre(a, p):

@@ -76,6 +76,37 @@ def test_usage_errors(capsys):
     ["bounds", "--p", "7", "--eps", "0"],
     ["bounds", "--p", "7", "--eps", "-0.1"],
     ["bounds", "--p", "7", "--eps", "0.1", "--c", "1.5"],
+    # each of these once ended in a traceback with exit 1: N0 = e^(log N0)
+    # overflowed, N0 < 1 or a nan failed find_N0's checks, a nan delta
+    # X's and --cp <= 0 Y0's
+    ["bounds", "--p", "3", "--eps", "0.001"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--o1=-1e300"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--o1=1e300"],
+    ["bounds", "--p", "7", "--eps", "1e300"],
+    ["bounds", "--p", "7", "--eps", "inf"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--o1", "nan"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--delta", "nan"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--delta=-1e308"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--c", "nan"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--cp", "0"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--cp", "-1"],
+    ["bounds", "--p", "7", "--eps", "0.1", "--cp", "inf"],
+    # a nan --eps once printed nan rows with exit 0
+    ["quad-scan", "--max-d", "10", "--eps", "nan"],
+    ["quad-maxima", "--max-d", "10", "--eps", "inf"],
+    # --q 0 and a negative --q to an odd power leaked isqrt's message, and
+    # -3 to an even power ran as q = 3
+    ["normic-search", "--p", "2", "--rho", "1", "--q", "0"],
+    ["normic-search", "--p", "2", "--q", "-3", "--rho", "1"],
+    ["normic-search", "--p", "3", "--rho", "1", "--q", "-2"],
+    ["normic-search", "--p", "3", "--rho", "1", "--q", "1"],
+    # 7 is the smallest cyclic cubic conductor: --f -7 leaked isqrt's
+    # message, and --max-f below 7 printed an empty table with exit 0
+    ["cubic-enum", "--f", "-7"],
+    ["cubic-enum", "--f", "6"],
+    ["cubic-enum", "--max-f", "0"],
+    ["cubic-enum", "--max-f", "-5"],
+    ["cubic-enum", "--max-f", "6"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and
@@ -83,7 +114,12 @@ def test_invalid_arguments_are_usage_errors(argv, capsys):
     t = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - t < 0.5
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one error line, after argparse's usage if any, and no traceback
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    assert [ln for ln in lines if ln.startswith("epsclass")] == lines[-1:]
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):

@@ -181,3 +181,38 @@ def test_builder_call_detector():
            "g = quadclass.full_imaginary_presentation(D)\n")
     assert _builder_calls(src) == [(2, "imaginary_presentation"),
                                    (3, "class_number_bsgs")]
+
+
+def _shift_assignments(source):
+    """(line, function) for each `>>=` in source, function the name of the
+    innermost def around it (None at module level)."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.AugAssign) and \
+                    isinstance(child.op, ast.RShift):
+                found.append((child.lineno, fn))
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_square_and_multiply():
+    # binary powering is written once, as abgroup.power; every group (the
+    # class groups, (O/p^n)^x, tracked ideals, sigma) passes its product
+    found = {(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
+             for _, fn in _shift_assignments(p.read_text())}
+    assert found == {("abgroup.py", "power")}
+
+
+def test_shift_assignment_detector():
+    src = ("def power(x, e, op):\n    e >>= 1\n"
+           "class R:\n    def pow(self, u, e):\n"
+           "        while e:\n            e >>= 1\n"
+           "k = 8\nk >>= 2\nk = k >> 1\nk <<= 1\n")
+    assert _shift_assignments(src) == [(2, "power"), (6, "pow"), (8, None)]

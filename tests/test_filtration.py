@@ -33,7 +33,10 @@ def brute_elements(relations):
 def brute_kernel_order(M, power):
     H, canon, reps = brute_elements(M.relations)
     g = M.ngens
-    A = zlin.mat_pow(zlin.mat_sub(zlin.identity(g), M.sigma_rows()), power)
+    B = zlin.mat_sub(zlin.identity(g), M.sigma_rows())
+    A = zlin.identity(g)
+    for _ in range(power):
+        A = zlin.mat_mul(A, B)
     count = 0
     for v in reps:
         img = [sum(A[i][k] * v[k] for k in range(g)) for i in range(g)]

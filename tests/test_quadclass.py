@@ -10,14 +10,29 @@ from hypothesis import strategies as st
 from epsclass import arith, pram, quadforms
 from epsclass import quadclass as qc
 from epsclass.abgroup import AbelianGroupStructure
-from epsclass.arith import prime_sieve, squarefree_core
+from epsclass.arith import prime_sieve
 from epsclass.quadforms import (
     compose,
     principal_form,
     reduce_imaginary,
     reduced_forms_imaginary,
 )
-from oracles import batch_ambiguous_counts
+from oracles import batch_ambiguous_counts, squarefree_core
+
+
+def test_squarefree_core():
+    # the oracle (tests/oracles.py) that the discriminant tests below read
+    assert squarefree_core(12) == (3, 2)
+    assert squarefree_core(49) == (1, 7)
+    assert squarefree_core(-255255) == (-255255, 1)
+    for n in range(1, 500):
+        core, cof = squarefree_core(n)
+        assert core * cof * cof == n
+        # core has no square factor
+        d = 2
+        while d * d <= abs(core):
+            assert core % (d * d) != 0
+            d += 1
 
 
 def _fundamental_sample(rng, lo, hi, count):

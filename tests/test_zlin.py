@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsclass import zlin
-from epsclass.abgroup import AbelianGroupStructure
+from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import factor
+from epsclass.quadforms import (
+    compose,
+    reduce_imaginary,
+    reduced_forms_imaginary,
+)
 
 
 def test_smith_diagonal_known():
@@ -157,7 +162,44 @@ def test_lattice_index_rank_deficient():
 
 def test_mat_pow():
     A = [[0, -1], [1, -1]]  # order 3
-    assert zlin.mat_pow(A, 3) == zlin.identity(2)
+    B = zlin.identity(2)
+    for _ in range(3):
+        B = zlin.mat_mul(B, A)
+    assert B == zlin.identity(2)
+
+
+_FORMS = reduced_forms_imaginary(-3299)     # Cl(-3299) = [9,3]
+
+
+def _compose_reduced(f, g):
+    return reduce_imaginary(compose(f, g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(e=st.integers(1, 60), m=st.integers(2, 10 ** 9),
+       r=st.integers(0, 10 ** 9),
+       A=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       i=st.integers(0, len(_FORMS) - 1))
+def test_power_is_repeated_product(e, m, r, A, i):
+    # power(x, e, op) against e - 1 repeated ops, in Z/m, on 2x2 integer
+    # matrices and on the reduced forms of one discriminant, with one op
+    # per square and per further factor
+    for x, op in ((r % m, lambda a, b: a * b % m),
+                  ([A[:2], A[2:]], zlin.mat_mul),
+                  (_FORMS[i], _compose_reduced)):
+        y = x
+        for _ in range(e - 1):
+            y = op(y, x)
+        calls = []
+        assert power(x, e, lambda a, b: calls.append(1) or op(a, b)) == y
+        assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
+def test_power_needs_a_positive_exponent():
+    assert power(5, 1, None) == 5
+    for e in (0, -1):
+        with pytest.raises(ValueError):
+            power(5, e, lambda a, b: a * b)
 
 
 def _solve_fraction(B, v):
