@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tor-scan", cmd_tor_scan, help="torsion valuation scan")
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--min-d", type=int, required=True)
-    p.add_argument("--max-d", type=int, required=True)
+    p.add_argument("--max-d", type=_int_at_least(3), required=True)
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -379,6 +379,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # tor-scan, quad-scan and quad-maxima: an inverted range is a usage
+        # error, not an empty table
+        if getattr(args, "min_d", 0) > getattr(args, "max_d", 0):
+            raise ValueError(f"--min-d {args.min_d} exceeds "
+                             f"--max-d {args.max_d}")
         return args.func(args)
     except (FactorBudgetError, ClassNumberCapError) as exc:
         print(f"epsclass: budget exceeded: {exc}", file=sys.stderr)

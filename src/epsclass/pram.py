@@ -300,11 +300,6 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     return _ring_units(p, n, D % (4 * p ** n))
 
 
-def residue_units(D, p: int, n: int) -> AbelianGroupStructure:
-    """Structure of (O/p^n)^x; it depends only on D mod 4p^n."""
-    return units_mod(as_disc(D).value, p, n).structure
-
-
 # --------------------------------------------------- units and class data
 
 def fundamental_unit(D: int, one):
@@ -570,7 +565,7 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
         if D in (-3, -4):
             units.append((0, 1))      # omega = (1 + sqrt(-3))/2 or i
     else:
-        pres = narrow_presentation(D)
+        pres = narrow_presentation(d)
         ram = ramified_principal_form(D)
         structure = pres.quotient(ram)
         # the ramified principal class is ordinary-trivial: one more

@@ -13,13 +13,16 @@ discrete-log dictionary (reused for ray class groups). Building it costs
 one group operation per new class: h - 1 compositions for a class group
 of order h.
 
-Imaginary generators are the prime forms of norm q <= a bound, q
-ascending: up to |D| = ENUM_CAP, sqrt(|D|/3), which no reduced form's a
-exceeds, so the staircase is unconditional and stops at the counted h;
-above it 6 log^2 |D| (Bach's bound), up to which they generate Cl(D)
-under GRH.  class_group_imaginary presents only the Sylow subgroups of order
-p^v >= p^2, over the powers x^(h/p^v); none when h is squarefree.  pram
-reads p-parts only, so full_imaginary_presentation gives it the p-Sylow
+Every class group's generators are the prime forms of norm q <= a bound, q
+ascending.  Imaginary: up to |D| = ENUM_CAP, sqrt(|D|/3), which no
+reduced form's a exceeds, so the staircase is unconditional and stops at
+the counted h; above it 6 log^2 |D| (Bach's bound), up to which they
+generate Cl(D) under GRH.  Real: sqrt(D), since every narrow class holds
+a reduced form with 0 < a < sqrt(D), so the narrow group is unconditional
+with no count of h+; ENUM_CAP bounds D, for the cycle and unit walks.
+class_group_imaginary presents only the Sylow subgroups of order p^v >=
+p^2, over the powers x^(h/p^v); none when h is squarefree.  pram reads
+p-parts only, so full_imaginary_presentation gives it the p-Sylow
 subgroup alone up to ENUM_CAP, whose canon projects every class onto it.
 """
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt, log, prod
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -49,7 +52,6 @@ from .quadforms import (
     principal_form,
     reduce_imaginary,
     reduce_indefinite,
-    reduced_forms_indefinite,
     rho_indefinite,
 )
 
@@ -131,11 +133,16 @@ class ClassGroupPresentation:
 
     @classmethod
     def staircase(cls, identity, canon: Callable, op: Callable,
-                  elements: Iterable) -> "ClassGroupPresentation":
-        """The group generated by elements, each canonical, adjoined in
-        order when not yet in the closure; identity is canonical too."""
+                  elements: Iterable, order: Optional[int] = None
+                  ) -> "ClassGroupPresentation":
+        """The group generated by elements, each canonical (never None),
+        adjoined in order when not yet in the closure; identity is
+        canonical too.  It stops once it holds `order` classes, before it
+        draws another element, so a lazy iterable computes no element
+        more; with no order it draws every one."""
         pres = cls([], [], [], {identity: ()}, canon, op)
-        for e in elements:
+        elements = iter(elements)
+        while pres.h != order and (e := next(elements, None)) is not None:
             if e not in pres.dlog_table:
                 pres.adjoin(e)
         return pres
@@ -195,27 +202,49 @@ class ClassGroupPresentation:
                 dlog[op(elt, ej)] = vec + (0,) * (idx - len(vec)) + (j,)
 
 
-def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
-    return reduce_imaginary(compose(f, g))
+def prime_form(D: int, q: int) -> Optional[QuadForm]:
+    """Form (q, b, c) of a prime ideal above the prime q, for split and
+    ramified q (q = 2 included); None if q is inert."""
+    k = kronecker(D, q)
+    if k == -1:
+        return None
+    if k == 1:
+        if q == 2:
+            return QuadForm(2, 1, (1 - D) // 8)
+        b = sqrt_mod_prime(D, q)
+        if (b - D) % 2:
+            b += q
+        return QuadForm(q, b, (b * b - D) // (4 * q))
+    m = radicand_of(D)
+    if q == 2:
+        if m % 2 == 0:
+            return QuadForm(2, 0, -m // 2)
+        return QuadForm(2, 2, (1 - m) // 2)
+    if D % 2 == 0:
+        return QuadForm(q, 2 * q, q - m // q)
+    return QuadForm(q, q, (q * q - D) // (4 * q))
 
 
-def _prime_form_staircase(D: int, bound: int, canon: Callable, k: int = 1,
-                          order: Optional[int] = None
-                          ) -> ClassGroupPresentation:
-    """The staircase over the k-th powers of the reduced prime forms of
-    norm q <= bound, q ascending, each fixed by canon.  It stops once it
-    holds `order` classes; with no order it walks every q."""
-    pres = ClassGroupPresentation.staircase(
-        reduce_imaginary(principal_form(D)), canon, _compose_imaginary, ())
+def _prime_forms(D: int, bound: int) -> Iterator[QuadForm]:
+    """prime_form(D, q) for each split or ramified prime q <= bound, q
+    ascending; lazily, so that a staircase that stops draws no more."""
     for q in np.flatnonzero(prime_sieve(bound)).tolist():
-        if pres.h == order:
-            break
         f = prime_form(D, q)
         if f is not None:
-            g = power(reduce_imaginary(f), k, _compose_imaginary)
-            if g not in pres.dlog_table:
-                pres.adjoin(g)
-    return pres
+            yield f
+
+
+def _within_cap(D, cap: int, what: str) -> Discriminant:
+    """as_disc(D), after the cap check, so that |D| above cap raises
+    ClassNumberCapError unfactored; a Discriminant is not factored again."""
+    value = D.value if isinstance(D, Discriminant) else D
+    if abs(value) > cap:
+        raise ClassNumberCapError(f"|D| = {abs(value)} exceeds {what} {cap}")
+    return as_disc(D)
+
+
+def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
+    return reduce_imaginary(compose(f, g))
 
 
 def imaginary_presentation(D, order: Optional[int] = None,
@@ -226,7 +255,8 @@ def imaginary_presentation(D, order: Optional[int] = None,
     is the projection x -> x^e onto it, e = 1 mod order and e = 0 mod
     h/order, the identity on the subgroup: every class has a dlog, the
     dlog of its projection.  The prime forms up to sqrt(|D|/3) generate
-    Cl(D) unconditionally; they hold for the maximal order only, so D is
+    Cl(D) unconditionally, so the staircase over their (h/order)-th powers
+    stops at order; they hold for the maximal order only, so D is
     validated by as_disc."""
     D = as_disc(D).value
     assert D < 0
@@ -237,33 +267,38 @@ def imaginary_presentation(D, order: Optional[int] = None,
 
     def canon(f):
         return power(reduce_imaginary(f), e, _compose_imaginary)
-    pres = _prime_form_staircase(D, isqrt(-D // 3), canon, k, order)
+    pres = ClassGroupPresentation.staircase(
+        reduce_imaginary(principal_form(D)), canon, _compose_imaginary,
+        (power(reduce_imaginary(f), k, _compose_imaginary)
+         for f in _prime_forms(D, isqrt(-D // 3))), order)
     assert pres.h == order
     return pres
 
 
-def narrow_presentation(D: int) -> ClassGroupPresentation:
-    """Narrow (restricted) class group of real D via cycle classes.
+def narrow_presentation(D) -> ClassGroupPresentation:
+    """Narrow (restricted) class group of real D: its classes are the
+    cycles of reduced forms, each named by its least form.
 
-    Enumerating the reduced forms costs about D/4 trial divisions, so D
-    above ENUM_CAP raises ClassNumberCapError instead of running on.
+    The sign of a alternates along a cycle, so every class holds a reduced
+    form with 0 < a < sqrt(D), whose ideal of norm a is a product of prime
+    ideals of norm < sqrt(D): the staircase over the prime forms up to
+    isqrt(D) is the whole group, unconditionally, with no count of h+.
+    They hold for the maximal order only, so D is validated by as_disc.
+    ENUM_CAP is the real budget, for the cycle walks here and pram's
+    fundamental-unit walk: D above it raises ClassNumberCapError, before
+    D is factored.
     """
-    assert D > 0 and D % 4 in (0, 1)
-    if D > ENUM_CAP:
-        raise ClassNumberCapError(
-            f"D = {D} exceeds the real enumeration cap {ENUM_CAP}")
-    forms = sorted(reduced_forms_indefinite(D))
+    D = _within_cap(D, ENUM_CAP, "the real budget").value
+    assert D > 0
     rep_of = {}     # reduced form -> its cycle's least form
     sqD = isqrt(D)
 
-    def cycle_rep(f):
+    def canon(f):
+        f = reduce_indefinite(f)
         if f not in rep_of:
             cyc = cycle_indefinite(f)
             rep_of.update(dict.fromkeys(cyc, min(cyc)))
         return rep_of[f]
-
-    def canon(f):
-        return cycle_rep(reduce_indefinite(f))
 
     def pos(f):
         return f if f.a > 0 else rho_indefinite(f, sqD)
@@ -271,10 +306,9 @@ def narrow_presentation(D: int) -> ClassGroupPresentation:
     def op(f, g):
         return canon(compose(pos(f), pos(g)))
 
-    pres = ClassGroupPresentation.staircase(canon(principal_form(D)), canon,
-                                            op, map(cycle_rep, forms))
-    assert pres.h == len(set(map(cycle_rep, forms)))
-    return pres
+    return ClassGroupPresentation.staircase(
+        canon(principal_form(D)), canon, op,
+        map(canon, _prime_forms(D, sqD)))
 
 
 def ramified_principal_form(D: int) -> QuadForm:
@@ -342,13 +376,13 @@ def class_group_imaginary(D) -> AbelianGroupStructure:
 def narrow_class_group_real(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value > 0
-    return narrow_presentation(d.value).structure()
+    return narrow_presentation(d).structure()
 
 
 def ordinary_class_group_real(D) -> AbelianGroupStructure:
     d = as_disc(D)
     assert d.value > 0
-    return narrow_presentation(d.value).quotient(
+    return narrow_presentation(d).quotient(
         ramified_principal_form(d.value))
 
 
@@ -579,44 +613,20 @@ def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
 
 # --------------------------------------------- Bach's bound above the enum cap
 
-def prime_form(D: int, q: int) -> Optional[QuadForm]:
-    """Form (q, b, c) of a prime ideal above the prime q, for split and
-    ramified q (q = 2 included); None if q is inert."""
-    k = kronecker(D, q)
-    if k == -1:
-        return None
-    if k == 1:
-        if q == 2:
-            return QuadForm(2, 1, (1 - D) // 8)
-        b = sqrt_mod_prime(D, q)
-        if (b - D) % 2:
-            b += q
-        return QuadForm(q, b, (b * b - D) // (4 * q))
-    m = radicand_of(D)
-    if q == 2:
-        if m % 2 == 0:
-            return QuadForm(2, 0, -m // 2)
-        return QuadForm(2, 2, (1 - m) // 2)
-    if D % 2 == 0:
-        return QuadForm(q, 2 * q, q - m // q)
-    return QuadForm(q, q, (q * q - D) // (4 * q))
-
-
 def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
     """(h, presentation of the whole class group) for fundamental imaginary
     D up to BSGS_CAP, from the prime ideals of norm at most 6 log^2 |D|.
 
     This is the GRH route, not baby-step giant-step (the name stays for
     its callers): under GRH those prime ideals generate Cl(D) (Bach, Math.
-    Comp. 55, 1990), so imaginary_presentation's prime-form staircase, run
-    to this bound with no count of h, is the whole group, at h - 1
+    Comp. 55, 1990), so the staircase over their prime forms, run to
+    this bound with no count of h, is the whole group, at h - 1
     compositions.  Bach's bound and the ramified prime forms hold for the
     maximal order only, so D is validated by as_disc: an int that is not
     fundamental raises ValueError; a Discriminant is not factored again."""
-    value = D.value if isinstance(D, Discriminant) else D
-    if -value > BSGS_CAP:
-        raise ClassNumberCapError(
-            f"|D| = {-value} exceeds BSGS cap {BSGS_CAP}")
-    D = as_disc(D).value
-    pres = _prime_form_staircase(D, int(6 * log(-D) ** 2), reduce_imaginary)
+    D = _within_cap(D, BSGS_CAP, "BSGS cap").value
+    pres = ClassGroupPresentation.staircase(
+        reduce_imaginary(principal_form(D)), reduce_imaginary,
+        _compose_imaginary,
+        map(reduce_imaginary, _prime_forms(D, int(6 * log(-D) ** 2))))
     return pres.h, pres

@@ -228,27 +228,6 @@ def cycle_indefinite(f: QuadForm) -> list[QuadForm]:
     return out
 
 
-def reduced_forms_indefinite(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D > 0 (non-square)."""
-    out = []
-    sqD = isqrt(D)
-    for b in range(1, sqD + 1):
-        if (D - b) % 2:
-            continue
-        M = (D - b * b) // 4
-        if M <= 0:
-            continue
-        lo = max(1, (sqD - b) // 2)
-        hi = (sqD + b + 1) // 2
-        for a in range(lo, hi + 1):
-            if M % a == 0 and _red_ind(a, b, D):
-                c = -(M // a)
-                if gcd(gcd(a, b), c) == 1:
-                    out.append(QuadForm(a, b, c))
-                    out.append(QuadForm(-a, b, -c))
-    return out
-
-
 # ------------------------------------------------------- ideals with history
 
 PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up

@@ -2,10 +2,12 @@
 
 None is used by the program: the exact carrier QuadElt stands beside
 pram's images mod p^n, the ambiguous-form count beside the genus 2-rank
-of the class groups, the reducedness test of indefinite forms beside
-their cycles, pram's class data over the whole class group beside its
-p-Sylow data, and the squarefree core from a full factorization beside
-the discriminants quadclass reads off a factored radicand.
+of the class groups, the reducedness test of indefinite forms and their
+enumeration by trial division beside their cycles and the narrow class
+groups built from prime forms, pram's class data over the whole class
+group beside its p-Sylow data, and the squarefree core from a full
+factorization beside the discriminants quadclass reads off a factored
+radicand.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from unittest import mock
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 
 from epsclass import pram, quadclass
 from epsclass.arith import factor
+from epsclass.quadforms import QuadForm
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,24 @@ def is_reduced_indefinite(f) -> bool:
     D, b, ta = f.disc(), f.b, 2 * abs(f.a)
     return (0 < b and b * b < D and (ta + b) ** 2 > D
             and (ta <= b or (ta - b) ** 2 < D))
+
+
+def reduced_forms_indefinite(D: int) -> list[QuadForm]:
+    """All primitive reduced forms of non-square discriminant D > 0, by
+    trial division of (D - b^2)/4 = -ac over 0 < b < sqrt(D), about D/4
+    steps: the reference for the cycles of narrow_presentation, which
+    reaches every class from the prime forms below sqrt(D)."""
+    out = []
+    sqD = isqrt(D)
+    for b in range(D % 2 or 2, sqD + 1, 2):
+        M = (D - b * b) // 4
+        for a in range(max(1, (sqD - b) // 2), (sqD + b + 1) // 2 + 1):
+            if M % a:
+                continue
+            f = QuadForm(a, b, -(M // a))
+            if is_reduced_indefinite(f) and gcd(gcd(a, b), f.c) == 1:
+                out += [f, QuadForm(-a, b, -f.c)]
+    return out
 
 
 @contextmanager

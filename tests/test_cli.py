@@ -107,6 +107,12 @@ def test_usage_errors(capsys):
     ["cubic-enum", "--max-f", "0"],
     ["cubic-enum", "--max-f", "-5"],
     ["cubic-enum", "--max-f", "6"],
+    # an inverted range once printed an empty table with exit 0
+    ["tor-scan", "--p", "2", "--min-d", "30", "--max-d", "10"],
+    ["quad-scan", "--min-d", "50", "--max-d", "10"],
+    ["quad-maxima", "--min-d", "50", "--max-d", "10"],
+    # and a --max-d below 3, which holds no imaginary field
+    ["tor-scan", "--p", "2", "--min-d", "-5", "--max-d", "2"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and

@@ -150,8 +150,8 @@ def test_only_quadclass_chooses_enumeration_or_bsgs():
 
 
 def test_only_the_staircase_builds_a_presentation():
-    # every presented group (enumeration, Bach's prime forms, narrow cycle
-    # classes, the top layer of (O/p^n)^x) starts in one way, from
+    # every presented group (the imaginary and narrow groups over prime
+    # forms, the top layer of (O/p^n)^x) starts in one way, from
     # ClassGroupPresentation.staircase, whose cls(...) is not a call by name
     found = {p.name: _builder_calls(p.read_text(), {"ClassGroupPresentation"})
              for p in sorted(PACKAGE.glob("*.py"))}
@@ -216,3 +216,77 @@ def test_shift_assignment_detector():
            "        while e:\n            e >>= 1\n"
            "k = 8\nk >>= 2\nk = k >> 1\nk <<= 1\n")
     assert _shift_assignments(src) == [(2, "power"), (6, "pow"), (8, None)]
+
+
+def _uncalled(sources):
+    """module.name for each public top-level function or class of sources
+    (module name -> source) that no other top-level statement reads: bare
+    in its own module or as imported by name, or as module.name."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    defined = {(m, node.name): node for m, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    read = set()
+    for m, tree in trees.items():
+        names, modules = {}, {}     # local name -> (module, name), module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        names[local] = (node.module, alias.name)
+                    else:
+                        modules[local] = alias.name
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    key = names.get(node.id, (m, node.id))
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.value, ast.Name) and \
+                        node.value.id in modules:
+                    key = (modules[node.value.id], node.attr)
+                else:
+                    continue
+                if defined.get(key) is not stmt:
+                    read.add(key)
+    return sorted(f"{m}.{n}" for m, n in defined if (m, n) not in read)
+
+
+# public names with no caller in src/, each with the caller that keeps it
+_CALLED_OUTSIDE_SRC = {
+    # paper quantities that only the tests compute
+    "cubic.delta_from_fixture": "Chevalley's delta and Delta of a fixture",
+    "epsanalysis.envelope_report": "the implied constants log C of a scan",
+    "epsanalysis.h_eps_threshold": "the threshold (sqrt|D|)^eps / p^(N-1)",
+    "epsanalysis.log_sqrt_disc": "log sqrt(D) of a cyclic degree-p field",
+    "epsanalysis.stirling_log_factorial": "log N! with its error bound",
+    "filtration.pr_ranks": "the p^r-ranks of a t-sequence",
+    "filtration.rank_from_t": "Gras's lemma: p-rank and delta from t",
+    "pram.ktilde_index": "the index K~ of the acceptance tests",
+    "quadclass.genus_delta": "the genus statistic of the acceptance tests",
+    "quadclass.ordinary_class_group_real": "the ordinary group of real D",
+    "quadclass.prime_disc_report": "the prime-discriminant maxima check",
+    # names that perfbench calls or traces
+    "pram.rank_inequalities": "torsion-small calls it per field",
+    "quadclass.scan_local_maxima": "classgroups calls it, layertrace traces",
+    "quadforms.reduced_forms_imaginary": "layertrace traces it",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a helper only the tests call belongs in the tests (tests/oracles.py);
+    # the list names every exception and goes stale in neither direction
+    found = _uncalled({p.stem: p.read_text()
+                       for p in sorted(PACKAGE.glob("*.py"))})
+    assert found == sorted(_CALLED_OUTSIDE_SRC)
+
+
+def test_uncalled_detector():
+    src = {"a": ("from .b import g\nfrom . import c as cc\n"
+                 "def f():\n    return f()\ndef h():\n    return g()\n"
+                 "class K:\n    pass\nh()\nx = cc.k\n"),
+           "b": "from . import a\ndef g():\n    return a.K\ndef _p():\n"
+                "    pass\n",
+           "c": "def g():\n    pass\ndef k():\n    pass\n"}
+    assert _uncalled(src) == ["a.f", "c.g"]

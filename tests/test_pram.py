@@ -47,11 +47,11 @@ def test_residue_units_against_brute_force(D, p, n):
 
 def test_residue_units_known_structures():
     # split 2: (O/8)^x = (Z/8)^x x (Z/8)^x
-    assert str(pram.residue_units(-15, 2, 3)) == "[2,2,2,2]"
+    assert str(pram.units_mod(-15, 2, 3).structure) == "[2,2,2,2]"
     # ramified 3 at level 1: order (p-1)p = 6
-    assert str(pram.residue_units(-15, 3, 1)) == "[6]"
+    assert str(pram.units_mod(-15, 3, 1).structure) == "[6]"
     # inert 3 at level 1: the residue field F_9, cyclic of order 8
-    assert str(pram.residue_units(-4, 3, 1)) == "[8]"
+    assert str(pram.units_mod(-4, 3, 1).structure) == "[8]"
 
 
 def _fundamental(lo, hi):

@@ -17,7 +17,11 @@ from epsclass.quadforms import (
     reduce_imaginary,
     reduced_forms_imaginary,
 )
-from oracles import batch_ambiguous_counts, squarefree_core
+from oracles import (
+    batch_ambiguous_counts,
+    reduced_forms_indefinite,
+    squarefree_core,
+)
 
 
 def test_squarefree_core():
@@ -204,6 +208,34 @@ def test_real_class_groups():
     assert qc.ordinary_class_group_real(d).order == 1
     d = qc.fundamental_discriminant(4849845)
     assert str(qc.narrow_class_group_real(d)) == "[4,2,2,2,2,2]"
+    assert str(qc.ordinary_class_group_real(d)) == "[4,2,2,2,2]"
+    # as the enumeration of every reduced form gave them, before the prime
+    # forms below sqrt(D) replaced it
+    for D, narrow, ordinary in ((1833820, "[2,2]", "[2]"),
+                                (1723985, "[2]", "[2]"),
+                                (1989181, "[2]", "[]")):
+        d = qc.discriminant_from_value(D)
+        assert str(qc.narrow_class_group_real(d)) == narrow, D
+        assert str(qc.ordinary_class_group_real(d)) == ordinary, D
+
+
+# D = 4k + r, so that assume() filters only the non-fundamental D
+@given(st.integers(min_value=1, max_value=10 ** 5 // 4),
+       st.sampled_from([1, 0]))
+@settings(max_examples=60, deadline=None)
+def test_narrow_class_number_counts_the_cycles(k, r):
+    # every cycle of reduced forms is one narrow class, and the staircase
+    # over the prime forms below sqrt(D) reaches each of them
+    try:
+        d = qc.discriminant_from_value(4 * k + r)
+    except ValueError:
+        assume(False)
+    forms = set(reduced_forms_indefinite(d.value))
+    cycles = 0
+    while forms:
+        forms -= set(quadforms.cycle_indefinite(forms.pop()))
+        cycles += 1
+    assert qc.narrow_presentation(d).h == cycles
 
 
 def test_narrow_vs_ordinary_factor():
@@ -344,16 +376,21 @@ def test_bsgs_class_number_one():
 _NON_FUNDAMENTAL = [-12, -16, -27, -28, -60, -36, -48, -75, -99]
 
 
-# ids -12, ... for the GRH route and -12-exact, ... for the exact one
+# ids -12, ... for the GRH route, -12-exact, ... for the exact one and
+# 20-narrow, 45-narrow for the real one
 @pytest.mark.parametrize("D,build", [
     pytest.param(D, build, id=f"{D}{suffix}")
-    for build, suffix in ((qc.class_number_bsgs, ""),
-                          (qc.imaginary_presentation, "-exact"))
-    for D in _NON_FUNDAMENTAL])
+    for build, suffix, Ds in (
+        (qc.class_number_bsgs, "", _NON_FUNDAMENTAL),
+        (qc.imaginary_presentation, "-exact", _NON_FUNDAMENTAL),
+        (qc.narrow_presentation, "-narrow", [20, 45]))
+    for D in Ds])
 def test_bsgs_rejects_non_fundamental(D, build):
     # Bach's bound and the ramified prime forms hold for the maximal order
     # only: these D once gave [2] for h = 1, [2,2] for -60 (whose group is
-    # [2]) or a presentation that failed its own order check
+    # [2]) or a presentation that failed its own order check; 20 and 45,
+    # orders of conductor 2 and 3 in Q(sqrt(5)), gave their form class
+    # groups
     with pytest.raises(ValueError):
         build(D)
 
@@ -364,7 +401,8 @@ def test_bsgs_cap():
 
 
 def test_narrow_enumeration_cap():
-    # m_10 of the odd-primorial family; enumerating would take ~2.5e10 steps
+    # m_10 of the odd-primorial family; ENUM_CAP bounds the cycle walks and
+    # pram's fundamental-unit walk, which grow with the regulator
     for D in (100280245065, qc.ENUM_CAP + 1):
         with pytest.raises(qc.ClassNumberCapError):
             qc.narrow_presentation(D)

@@ -21,9 +21,8 @@ from epsclass.quadforms import (
     reduce_imaginary,
     reduce_indefinite,
     reduced_forms_imaginary,
-    reduced_forms_indefinite,
 )
-from oracles import QuadElt, is_reduced_indefinite
+from oracles import QuadElt, is_reduced_indefinite, reduced_forms_indefinite
 
 
 def _assert_matches_loop(D):
