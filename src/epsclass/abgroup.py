@@ -52,6 +52,8 @@ class AbelianGroupStructure:
 
     @classmethod
     def from_relation_matrix(cls, relations, ngens) -> "AbelianGroupStructure":
+        """Z^ngens modulo the lattice of the relations, a list of vectors of
+        length ngens."""
         divs = zlin.presentation_divisors(relations, ngens)   # d1 | d2 | ...
         return cls(tuple(reversed(divs)))
 

@@ -1,11 +1,12 @@
 """The (1-sigma)-filtration of a finite Z_p[G]-module, G = <sigma> of
 order p.
 
-M is presented as Z^g / L (L the column lattice of `relations`) with a
-sigma matrix acting on generators.  The filtration is M_i = ker (1-sigma)^i,
-computed two independent ways (direct matrix powers vs iterated fixed-point
-pullbacks); quotient orders #(M_{i+1}/M_i) = p^(N-1-t_i) give the
-t-sequence, from which p-ranks and the exceptional exponent delta follow.
+M is presented as Z^g / L (L the lattice of the relation vectors) with
+sigma given by the images sigma(e_j) of the generators.  The filtration is
+M_i = ker (1-sigma)^i, computed two independent ways (direct matrix powers
+vs iterated fixed-point pullbacks); quotient orders #(M_{i+1}/M_i) =
+p^(N-1-t_i) give the t-sequence, from which p-ranks and the exceptional
+exponent delta follow.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ class FiltrationError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePModule:
+    """Z^g modulo the lattice of the relation vectors, with sigma given by
+    the images sigma(e_j) of the g generators: vectors of length g, which
+    zlin takes as they are.  A list of images is the transpose of a
+    matrix, but only powers of the one map sigma are multiplied, and they
+    commute."""
     p: int
-    relations: tuple      # rows (length g), columns = relations
-    sigma: tuple          # g x g action on generators
+    relations: tuple      # relation vectors, each of length g
+    sigma: tuple          # sigma(e_j) for j < g, each of length g
 
     @classmethod
     def build(cls, p, relations, sigma) -> "FinitePModule":
@@ -45,30 +51,20 @@ class FinitePModule:
     def ngens(self) -> int:
         return len(self.sigma)
 
-    def rel_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.relations]
-
-    def sigma_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.sigma]
-
     def _validate(self):
         g = self.ngens
         if g == 0:
             return
-        L = zlin.hnf_columns(self.rel_rows())
-        # sigma preserves the relation lattice
-        for j in range(len(self.relations[0])):
-            col = [self.relations[i][j] for i in range(g)]
-            img = [sum(self.sigma[i][k] * col[k] for k in range(g))
-                   for i in range(g)]
+        L = zlin.hnf_columns(self.relations)
+        # sigma preserves the relation lattice: sigma(r) = sum_k r_k sigma(e_k)
+        for img in zlin.mat_mul(self.relations, self.sigma):
             if zlin.solve_lattice(L, img) is None:
                 raise FiltrationError("sigma does not preserve relations")
         # sigma^p acts as identity on M
-        sp = zlin.mat_sub(power(self.sigma_rows(), self.p, zlin.mat_mul),
+        sp = zlin.mat_sub(power(self.sigma, self.p, zlin.mat_mul),
                           zlin.identity(g))
-        for j in range(g):
-            col = [sp[i][j] for i in range(g)]
-            if any(col) and zlin.solve_lattice(L, col) is None:
+        for v in sp:
+            if any(v) and zlin.solve_lattice(L, v) is None:
                 raise FiltrationError("sigma^p is not the identity on M")
         n = module_order(self)
         if n != self.p ** vp(n, self.p):
@@ -78,11 +74,12 @@ class FinitePModule:
 def module_order(M: FinitePModule) -> int:
     if M.ngens == 0:
         return 1
-    return zlin.lattice_index(M.rel_rows(), M.ngens)
+    return zlin.lattice_index(M.relations, M.ngens)
 
 
 def _one_minus_sigma(M: FinitePModule) -> list[list[int]]:
-    return zlin.mat_sub(zlin.identity(M.ngens), M.sigma_rows())
+    """The images (1 - sigma)(e_j)."""
+    return zlin.mat_sub(zlin.identity(M.ngens), M.sigma)
 
 
 def _sublattice_order(M: FinitePModule, K: list[list[int]],
@@ -99,16 +96,11 @@ def fixed_subgroup(M: FinitePModule) -> AbelianGroupStructure:
     g = M.ngens
     if g == 0:
         return AbelianGroupStructure.trivial()
-    K = zlin.solution_lattice(_one_minus_sigma(M), M.rel_rows())
-    # relations of K/L: express each relation column in the K basis
-    cols = []
-    for j in range(len(M.relations[0])):
-        col = [M.relations[i][j] for i in range(g)]
-        x = zlin.solve_lattice(K, col)
-        assert x is not None
-        cols.append(x)
-    rows = [[c[i] for c in cols] for i in range(g)]
-    return AbelianGroupStructure.from_relation_matrix(rows, g)
+    K = zlin.solution_lattice(_one_minus_sigma(M), M.relations)
+    # relations of K/L: each relation vector in the K basis
+    rels = [zlin.solve_lattice(K, r) for r in M.relations]
+    assert None not in rels
+    return AbelianGroupStructure.from_relation_matrix(rels, g)
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ def filtration(M: FinitePModule, N: int) -> FiltrationResult:
         if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         Ai = zlin.mat_mul(A, Ai)
-        K = zlin.solution_lattice(Ai, M.rel_rows())
+        K = zlin.solution_lattice(Ai, M.relations)
         orders.append(_sublattice_order(M, K, total))
     return _chain_to_result(M.p, N, orders)
 
@@ -169,7 +161,7 @@ def filtration_iterated(M: FinitePModule, N: int) -> FiltrationResult:
     """Iterated route: M_{i+1} is the pullback of (M/M_i)^G."""
     total = module_order(M)
     A = _one_minus_sigma(M)
-    K = zlin.hnf_columns(M.rel_rows())
+    K = zlin.hnf_columns(M.relations)
     orders = [1]
     while orders[-1] != total:
         if len(orders) > MAX_STEPS:
@@ -230,42 +222,30 @@ def group_ring_block(p: int, a: int, b: int) -> FinitePModule:
     Built and validated once per (p, a, b); the module is frozen, so every
     caller shares it.
     """
-    g = p
-    sigma = [[1 if (i - j) % p == 1 else 0 for j in range(p)]
-             for i in range(p)]
+    # sigma(x^j) = x^(j+1)
+    sigma = [[1 if (i - j) % p == 1 else 0 for i in range(p)]
+             for j in range(p)]
     # coefficients of (x-1)^b mod x^p - 1
     c = [0] * p
     for k in range(b + 1):
         c[k % p] += comb(b, k) * (-1) ** (b - k)
-    cols = []
-    for i in range(g):
-        cols.append([p ** a if i == j else 0 for j in range(g)])
-    for j in range(g):
-        cols.append([c[(i - j) % p] for i in range(g)])
-    rows = [[col[i] for col in cols] for i in range(g)]
-    return FinitePModule.build(p, rows, sigma)
+    rels = [[p ** a if i == j else 0 for i in range(p)] for j in range(p)]
+    rels += [[c[(i - j) % p] for i in range(p)] for j in range(p)]
+    return FinitePModule.build(p, rels, sigma)
 
 
 def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
     p = mods[0].p
     g = sum(m.ngens for m in mods)
-    rel_cols = []
-    sigma = [[0] * g for _ in range(g)]
+    rels, sigma = [], []
     off = 0
     for m in mods:
-        k = m.ngens
-        for i in range(k):
-            for j in range(k):
-                sigma[off + i][off + j] = m.sigma[i][j]
-        for j in range(len(m.relations[0])):
-            col = [0] * g
-            for i in range(k):
-                col[off + i] = m.relations[i][j]
-            rel_cols.append(col)
-        off += k
-    rows = [[c[i] for c in rel_cols] for i in range(g)]
+        left, right = (0,) * off, (0,) * (g - off - m.ngens)
+        rels += [left + r + right for r in m.relations]
+        sigma += [left + s + right for s in m.sigma]
+        off += m.ngens
     # a direct sum of valid blocks is valid: no need to go through build
-    return FinitePModule(p, tuple(map(tuple, rows)), tuple(map(tuple, sigma)))
+    return FinitePModule(p, tuple(rels), tuple(sigma))
 
 
 @lru_cache(maxsize=64)

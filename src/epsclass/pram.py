@@ -110,12 +110,11 @@ def _check_modulus(p: int, n: int = 1) -> None:
 
 
 def _reduce_vec(v, H):
-    v = list(v)
-    for i in range(2):
-        k = v[i] // H[i][i]
+    """v reduced into the box of the echelon basis H of a rank-2 lattice."""
+    for i, h in enumerate(H):
+        k = v[i] // h[i]
         if k:
-            for r_ in range(2):
-                v[r_] -= k * H[r_][i]
+            v = [a - k * b for a, b in zip(v, h)]
     return tuple(v)
 
 
@@ -211,9 +210,8 @@ class ResidueUnits:
             pi = _uniformizer(R)
             cols = [pi, R.mul_exact(pi, (0, 1))]
         cols = [(p ** k * a, p ** k * b) for a, b in cols] + [(q, 0), (0, q)]
-        Lc0 = zlin.hnf_columns([[c[i] for c in cols] for i in range(2)])
-        b1 = (Lc0[0][0], Lc0[1][0])
-        b2 = (Lc0[0][1], Lc0[1][1])
+        Lc0 = zlin.hnf_columns(cols)
+        b1, b2 = map(tuple, Lc0)
         g1, g2 = self._exp(b1), self._exp(b2)
         if self._log(g1) != (b1[0] % q, b1[1] % q) or \
                 self._log(g2) != (b2[0] % q, b2[1] % q):
@@ -248,8 +246,7 @@ class ResidueUnits:
         cols += [[0] * nt + list(x) for x in base_rel]
         self.rel_cols = tuple(map(tuple, cols))
         ng = len(self.gens)
-        st = AbelianGroupStructure.from_relation_matrix(
-            [list(r) for r in zip(*cols)], ng)
+        st = AbelianGroupStructure.from_relation_matrix(cols, ng)
         if st.order != self.order:
             raise PramError(f"residue unit group order {st.order} != "
                             f"theoretical {self.order}")
@@ -527,7 +524,7 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
         raise PramError(f"relation {col} is not principal") from exc
 
 
-def _top_level(p: int) -> int:
+def top_level(p: int) -> int:
     """The last level tor_report tries."""
     return 64 if p == 2 else (32 if p == 3 else 16)
 
@@ -555,7 +552,7 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     _check_modulus(p)
     d = as_disc(D)
     D = d.value
-    top = top or _top_level(p)
+    top = top or top_level(p)
     frame = _LocalFrame(D, p, top)
     units = [(-1, 0)]
     if D < 0:
@@ -598,7 +595,7 @@ def ray_class_group(D, p: int, n: int,
     group), whose p-part is Cl_{p^n}'s, from (O/p^n)^x, the global units
     and the class-group relations. (O/p^n)^x comes from `units_mod`, built
     once per ring D mod 4p^n per process and shared; the unit and
-    relation dlogs, the Smith forms and the class data are this field's
+    relation dlogs, the Smith form and the class data are this field's
     own; the class data's relation images must reach level n."""
     _check_modulus(p, n or 1)   # n = 0: the class data's group
     d = as_disc(D)
@@ -617,12 +614,10 @@ def ray_class_group(D, p: int, n: int,
     cols = [c + [0] * t for c in local]
     for col, (x, y) in cd.relations:
         cols.append([-e for e in G.dlog((x % R.q, y % R.q))] + col)
-    rows = [[c[i] for c in cols] for i in range(ng + t)]
-    st = AbelianGroupStructure.from_relation_matrix(rows, ng + t)
-    # exact order identity of the ray class sequence
-    urows = [[c[i] for c in local] for i in range(ng)]
-    quot = AbelianGroupStructure.from_relation_matrix(urows, ng)
-    im_units = G.order // quot.order
+    st = AbelianGroupStructure.from_relation_matrix(cols, ng + t)
+    # exact order identity of the ray class sequence, with the order of
+    # (O/p^n)^x / (image of the units) read off the Hermite diagonal
+    im_units = G.order // zlin.lattice_index(local, ng)
     if st.order * im_units != cd.structure.order * G.order:
         raise PramError(f"ray class order identity fails for D={d.value}, "
                         f"p={p}, n={n}")
@@ -667,7 +662,7 @@ def tor_report(D, p: int,
     cd = class_data or _class_data(d, p)
     prev = None
     prev_T = None
-    for n in range(2, _top_level(p) + 1):
+    for n in range(2, top_level(p) + 1):
         ray = ray_class_group(d, p, n, cd)
         T = _drop_lines(ray.structure, p, r)
         if prev is not None:

@@ -168,9 +168,8 @@ class ClassGroupPresentation:
 
     def quotient(self, *elements) -> AbelianGroupStructure:
         """The group modulo the classes of elements."""
-        cols = self.relation_columns() + [self.dlog(e) for e in elements]
-        rows = [list(r) for r in zip(*cols)]
-        return AbelianGroupStructure.from_relation_matrix(rows,
+        rels = self.relation_columns() + [self.dlog(e) for e in elements]
+        return AbelianGroupStructure.from_relation_matrix(rels,
                                                           len(self.gens))
 
     def structure(self) -> AbelianGroupStructure:

@@ -1,17 +1,20 @@
 """Exact integer linear algebra: HNF/SNF, kernels, lattice solving.
 
-Matrices are lists of rows of Python ints.  Everything here is small
+A lattice is a list of integer vectors: the relations of a presentation,
+or the basis of a lattice, in and out.  Everything here is small
 (presentations of class groups and ray class groups, at most a few dozen
-rows/columns), so Bezout pivoting with exact arithmetic is fine.
+vectors of a few dozen coordinates), so Bezout steps with exact
+arithmetic are fine.  Matrices, as `mat_mul` multiplies them, are lists
+of rows.
 
-Lattice bases are column echelon: `hnf_columns` returns columns whose
-first nonzero rows strictly increase, and `solve_lattice` accepts only
-such a basis, solving by integer forward substitution.
+A basis is echelon: `hnf_columns` returns vectors whose first nonzero
+coordinates strictly increase, and `solve_lattice` accepts only such a
+basis, solving by integer forward substitution.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 
 def identity(n: int) -> list[list[int]]:
@@ -52,32 +55,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _col_bezout(A: list[list[int]], j1: int, j2: int, row: int) -> None:
-    """Column ops making A[row][j1] = gcd, A[row][j2] = 0."""
-    a, b = A[row][j1], A[row][j2]
-    if b == 0:
-        return
-    if a == 0:
-        for r in A:
-            r[j1], r[j2] = r[j2], r[j1]
-        return
-    if b % a == 0:
-        q = b // a
-        for r in A:
-            r[j2] -= q * r[j1]
-        return
-    g, u, v = xgcd(a, b)
-    p, q = a // g, b // g
-    for r in A:
-        x, y = r[j1], r[j2]
-        r[j1] = u * x + v * y
-        r[j2] = p * y - q * x
-
-
-def _row_bezout(A: list[list[int]], i1: int, i2: int, col: int) -> None:
-    a, b = A[i1][col], A[i2][col]
-    if b == 0:
-        return
+def _bezout(A: list[list[int]], i1: int, i2: int, k: int) -> None:
+    """Unimodular step on the vectors A[i1], A[i2] making A[i1][k] their
+    gcd and A[i2][k] = 0.  Callers skip it when A[i2][k] is already 0."""
+    a, b = A[i1][k], A[i2][k]
     if a == 0:
         A[i1], A[i2] = A[i2], A[i1]
         return
@@ -92,167 +73,133 @@ def _row_bezout(A: list[list[int]], i1: int, i2: int, col: int) -> None:
     A[i2] = [p * y - q * x for x, y in zip(r1, r2)]
 
 
-def hnf_columns(M: list[list[int]]) -> list[list[int]]:
-    """Column-style Hermite form: basis of the column lattice of M.
+def _eliminate(A: list[list[int]], dims: int) -> list[int]:
+    """Bezout steps on A's vectors, coordinate by coordinate below dims,
+    until its first r vectors are echelon there and the rest vanish there.
+    Returns the r pivot coordinates."""
+    pivots = []
+    for k in range(dims):
+        c = len(pivots)
+        if c == len(A):
+            break
+        for j in range(c + 1, len(A)):
+            if A[j][k]:
+                _bezout(A, c, j, k)
+        if A[c][k]:
+            pivots.append(k)
+    return pivots
 
-    Returns a matrix whose columns are a column echelon basis: the first
-    nonzero rows of the columns strictly increase, pivots are positive,
-    and zero columns are dropped.  Rows are the ambient coordinates.
+
+def hnf_columns(vectors) -> list[list[int]]:
+    """Hermite basis of the lattice the vectors span.
+
+    The basis is echelon: the first nonzero coordinates of its vectors
+    strictly increase, each pivot is positive, and the coordinates above
+    a pivot lie in [0, pivot).  A lattice of rank r has r vectors.
     """
-    if not M:
-        return []
-    A = [list(r) for r in M]
-    rows = len(A)
-    cols = len(A[0]) if A[0] else 0
-    col = 0
-    for row in range(rows):
-        if col >= cols:
-            break
-        for j in range(col + 1, cols):
-            _col_bezout(A, col, j, row)
-        if A[row][col] == 0:
-            # whole row already zero from this column on
-            if any(A[row][j] for j in range(col, cols)):
-                raise AssertionError("bezout elimination failed")
-            continue
-        if A[row][col] < 0:
-            for r in A:
-                r[col] = -r[col]
-        for j in range(col):
-            q = A[row][j] // A[row][col]
+    A = [list(v) for v in vectors]
+    pivots = _eliminate(A, len(A[0]) if A else 0)
+    del A[len(pivots):]
+    for c, k in enumerate(pivots):
+        if A[c][k] < 0:
+            A[c] = [-x for x in A[c]]
+        piv = A[c]
+        for j in range(c):
+            q = A[j][k] // piv[k]
             if q:
-                for r in A:
-                    r[j] -= q * r[col]
-        col += 1
-    keep = [j for j in range(cols) if any(A[i][j] for i in range(rows))]
-    return [[A[i][j] for j in keep] for i in range(rows)]
+                A[j] = [x - q * y for x, y in zip(A[j], piv)]
+    return A
 
 
-def kernel_columns(M: list[list[int]]) -> list[list[int]]:
-    """Integer kernel {x : Mx = 0}; columns of the result form a basis."""
-    cols = len(M[0]) if M and M[0] else 0
-    rows = len(M)
-    if cols == 0:
-        return [[] for _ in range(0)]
-    if rows == 0:
-        return identity(cols)
-    A = [list(r) for r in M] + identity(cols)
-    col = 0
-    for row in range(rows):
-        if col >= cols:
-            break
-        for j in range(col + 1, cols):
-            _col_bezout(A, col, j, row)
-        if A[row][col]:
-            col += 1
-    ker_cols = [j for j in range(cols)
-                if all(A[i][j] == 0 for i in range(rows))]
-    return [[A[rows + i][j] for j in ker_cols] for i in range(cols)]
+def kernel_columns(vectors) -> list[list[int]]:
+    """Basis of the integer relations {x : sum_j x_j vectors[j] = 0}."""
+    n = len(vectors)
+    dims = len(vectors[0]) if vectors else 0
+    A = [list(v) + [int(i == j) for i in range(n)]
+         for j, v in enumerate(vectors)]
+    r = len(_eliminate(A, dims))
+    return [a[dims:] for a in A[r:]]
 
 
-def solution_lattice(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """Lattice {x : Ax in column-lattice(B)}; columns = HNF basis."""
-    rows = len(A)
-    na = len(A[0]) if A else 0
-    nb = len(B[0]) if B and B[0] else 0
-    M = [list(A[i]) + [-B[i][j] for j in range(nb)] for i in range(rows)]
-    K = kernel_columns(M)
-    proj = [K[i] for i in range(na)]
-    return hnf_columns(proj)
+def solution_lattice(A, B) -> list[list[int]]:
+    """Hermite basis of {x : sum_j x_j A[j] in the lattice of B}, for the
+    images A[j] of the unit vectors under a map, B any spanning vectors."""
+    n = len(A)
+    K = kernel_columns(list(A) + [[-x for x in b] for b in B])
+    return hnf_columns([k[:n] for k in K])
 
 
-def smith_diagonal(M: list[list[int]]) -> list[int]:
-    """Nonzero elementary divisors of M in divisibility order d1 | d2 | ..."""
-    if not M or not M[0]:
-        return []
-    A = [list(r) for r in M]
-    rows, cols = len(A), len(A[0])
-    divs = []
-    s = 0
-    while s < min(rows, cols):
-        if all(A[i][j] == 0 for i in range(s, rows) for j in range(s, cols)):
-            break
-        while True:
-            for j in range(s + 1, cols):
-                _col_bezout(A, s, j, s)
-            for i in range(s + 1, rows):
-                _row_bezout(A, s, i, s)
-            if all(A[s][j] == 0 for j in range(s + 1, cols)):
-                d = abs(A[s][s])
-                if d == 0:
-                    # row s and column s vanished; bring in a nonzero entry
-                    i0, j0 = next((i, j) for i in range(s, rows)
-                                  for j in range(s, cols) if A[i][j])
-                    A[s], A[i0] = A[i0], A[s]
-                    for r in A:
-                        r[s], r[j0] = r[j0], r[s]
-                    continue
-                # divisibility fix-up: fold a non-divisible row into row s
-                bad = next((i for i in range(s + 1, rows)
-                            if any(A[i][j] % d for j in range(s + 1, cols))),
-                           None)
-                if bad is None:
-                    break
-                A[s] = [x + y for x, y in zip(A[s], A[bad])]
-        divs.append(abs(A[s][s]))
-        s += 1
-    return divs
+def smith_diagonal(vectors) -> list[int]:
+    """Nonzero elementary divisors of the vectors in divisibility order
+    d1 | d2 | ...
+
+    The Smith form of a matrix is that of its transpose, so Hermite forms
+    of the vectors and of their coordinates alternate until the basis is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979); gcd/lcm
+    exchanges then make the diagonal a divisor chain.
+    """
+    A = hnf_columns(vectors)
+    # an echelon basis is diagonal when vector i is zero past coordinate i
+    while not all(a[i] and not any(a[i + 1:]) for i, a in enumerate(A)):
+        A = hnf_columns(list(zip(*A)))
+    d = [a[i] for i, a in enumerate(A)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
-def presentation_divisors(relations: list[list[int]], ngens: int) -> list[int]:
-    """Cyclic decomposition of Z^ngens / column-lattice(relations).
+def presentation_divisors(relations, ngens: int) -> list[int]:
+    """Cyclic decomposition of Z^ngens / (the lattice of the relations).
 
     Elementary divisors (> 1) in divisibility order d1 | d2 | ...
     Raises ValueError if the quotient is infinite.
     """
     if ngens == 0:
         return []
-    if not relations or not relations[0]:
-        raise ValueError("infinite quotient: no relations")
     divs = smith_diagonal(relations)
     if len(divs) < ngens:
         raise ValueError("infinite quotient: relation rank < ngens")
     return [d for d in divs if d > 1]
 
 
-def lattice_index(relations: list[list[int]], ngens: int) -> int:
-    """Order of Z^ngens / column-lattice(relations).
+def lattice_index(relations, ngens: int) -> int:
+    """Order of Z^ngens / (the lattice of the relations).
 
-    The product of the Hermite pivots: a column echelon basis of full rank
+    The product of the Hermite pivots: an echelon basis of full rank
     ngens has them on its diagonal.  Raises ValueError if the quotient is
     infinite.
     """
     if ngens == 0:
         return 1
     H = hnf_columns(relations)
-    if not H or len(H[0]) < ngens:
+    if len(H) < ngens:
         raise ValueError("infinite quotient: relation rank < ngens")
     return prod(H[i][i] for i in range(ngens))
 
 
-def solve_lattice(B: list[list[int]], v: list[int]) -> list[int] | None:
-    """Solve B x = v in integers, else None.
+def solve_lattice(B, v: list[int]) -> list[int] | None:
+    """Integer x with sum_j x_j B[j] = v, else None.
 
-    B must be column echelon, as `hnf_columns` returns it: the first
-    nonzero rows of its columns strictly increase.  Raises ValueError
+    B must be echelon, as `hnf_columns` returns it: the first nonzero
+    coordinates of its vectors strictly increase.  Raises ValueError
     otherwise.  Each pivot fixes one coordinate by exact division.
     """
-    rows = len(B)
-    cols = len(B[0]) if B and B[0] else 0
     pivots = []
-    for j in range(cols):
-        r = next((i for i in range(rows) if B[i][j]), None)
+    for b in B:
+        r = next((i for i, x in enumerate(b) if x), None)
         if r is None or (pivots and r <= pivots[-1]):
-            raise ValueError("solve_lattice needs a column echelon basis")
+            raise ValueError("solve_lattice needs an echelon basis")
         pivots.append(r)
     res = list(v)
     x = []
-    for j, r in enumerate(pivots):
-        q, rem = divmod(res[r], B[r][j])
+    for b, r in zip(B, pivots):
+        q, rem = divmod(res[r], b[r])
         if rem:
             return None
         if q:
-            for i in range(r, rows):
-                res[i] -= q * B[i][j]
+            for i in range(r, len(res)):
+                res[i] -= q * b[i]
         x.append(q)
     return None if any(res) else x

@@ -5,9 +5,11 @@ pram's images mod p^n, the ambiguous-form count beside the genus 2-rank
 of the class groups, the reducedness test of indefinite forms and their
 enumeration by trial division beside their cycles and the narrow class
 groups built from prime forms, pram's class data over the whole class
-group beside its p-Sylow data, and the squarefree core from a full
+group beside its p-Sylow data, the squarefree core from a full
 factorization beside the discriminants quadclass reads off a factored
-radicand.
+radicand, and zlin's earlier column-layout Hermite form, kernel and Smith
+form (a second, column Bezout step and a Smith elimination of its own)
+beside zlin over vector lists.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from epsclass import pram, quadclass
 from epsclass.arith import factor
 from epsclass.quadforms import QuadForm
+from epsclass.zlin import identity, xgcd
 
 
 @dataclass(frozen=True)
@@ -139,3 +142,141 @@ def whole_group():
     """whole_groups() for the length of a test."""
     with whole_groups():
         yield
+
+
+# ------------------------------------------- zlin in the column layout
+#
+# A matrix is a list of rows and its columns are the vectors, so callers
+# transposed their relation vectors into it; zlin now takes the vectors.
+
+def _col_bezout(A, j1, j2, row):
+    """Column ops making A[row][j1] = gcd, A[row][j2] = 0."""
+    a, b = A[row][j1], A[row][j2]
+    if b == 0:
+        return
+    if a == 0:
+        for r in A:
+            r[j1], r[j2] = r[j2], r[j1]
+        return
+    if b % a == 0:
+        q = b // a
+        for r in A:
+            r[j2] -= q * r[j1]
+        return
+    g, u, v = xgcd(a, b)
+    p, q = a // g, b // g
+    for r in A:
+        x, y = r[j1], r[j2]
+        r[j1] = u * x + v * y
+        r[j2] = p * y - q * x
+
+
+def _row_bezout(A, i1, i2, col):
+    """Row ops making A[i1][col] = gcd, A[i2][col] = 0."""
+    a, b = A[i1][col], A[i2][col]
+    if b == 0:
+        return
+    if a == 0:
+        A[i1], A[i2] = A[i2], A[i1]
+        return
+    if b % a == 0:
+        q = b // a
+        A[i2] = [y - q * x for x, y in zip(A[i1], A[i2])]
+        return
+    g, u, v = xgcd(a, b)
+    p, q = a // g, b // g
+    r1, r2 = A[i1], A[i2]
+    A[i1] = [u * x + v * y for x, y in zip(r1, r2)]
+    A[i2] = [p * y - q * x for x, y in zip(r1, r2)]
+
+
+def hnf_columns_reference(M):
+    """Column echelon basis of the column lattice of M, as a matrix whose
+    columns are the basis vectors; zero columns are dropped."""
+    if not M:
+        return []
+    A = [list(r) for r in M]
+    rows = len(A)
+    cols = len(A[0]) if A[0] else 0
+    col = 0
+    for row in range(rows):
+        if col >= cols:
+            break
+        for j in range(col + 1, cols):
+            _col_bezout(A, col, j, row)
+        if A[row][col] == 0:
+            if any(A[row][j] for j in range(col, cols)):
+                raise AssertionError("bezout elimination failed")
+            continue
+        if A[row][col] < 0:
+            for r in A:
+                r[col] = -r[col]
+        for j in range(col):
+            q = A[row][j] // A[row][col]
+            if q:
+                for r in A:
+                    r[j] -= q * r[col]
+        col += 1
+    keep = [j for j in range(cols) if any(A[i][j] for i in range(rows))]
+    return [[A[i][j] for j in keep] for i in range(rows)]
+
+
+def kernel_columns_reference(M):
+    """Integer kernel {x : Mx = 0}; the columns of the result are a basis."""
+    cols = len(M[0]) if M and M[0] else 0
+    rows = len(M)
+    if cols == 0:
+        return []
+    if rows == 0:
+        return identity(cols)
+    A = [list(r) for r in M] + identity(cols)
+    col = 0
+    for row in range(rows):
+        if col >= cols:
+            break
+        for j in range(col + 1, cols):
+            _col_bezout(A, col, j, row)
+        if A[row][col]:
+            col += 1
+    ker_cols = [j for j in range(cols)
+                if all(A[i][j] == 0 for i in range(rows))]
+    return [[A[rows + i][j] for j in ker_cols] for i in range(cols)]
+
+
+def smith_diagonal_reference(M):
+    """Nonzero elementary divisors of M in divisibility order d1 | d2 | ...,
+    by row and column elimination with a divisibility fix-up."""
+    if not M or not M[0]:
+        return []
+    A = [list(r) for r in M]
+    rows, cols = len(A), len(A[0])
+    divs = []
+    s = 0
+    while s < min(rows, cols):
+        if all(A[i][j] == 0 for i in range(s, rows) for j in range(s, cols)):
+            break
+        while True:
+            for j in range(s + 1, cols):
+                _col_bezout(A, s, j, s)
+            for i in range(s + 1, rows):
+                _row_bezout(A, s, i, s)
+            if all(A[s][j] == 0 for j in range(s + 1, cols)):
+                d = abs(A[s][s])
+                if d == 0:
+                    # row s and column s vanished; bring in a nonzero entry
+                    i0, j0 = next((i, j) for i in range(s, rows)
+                                  for j in range(s, cols) if A[i][j])
+                    A[s], A[i0] = A[i0], A[s]
+                    for r in A:
+                        r[s], r[j0] = r[j0], r[s]
+                    continue
+                # divisibility fix-up: fold a non-divisible row into row s
+                bad = next((i for i in range(s + 1, rows)
+                            if any(A[i][j] % d for j in range(s + 1, cols))),
+                           None)
+                if bad is None:
+                    break
+                A[s] = [x + y for x, y in zip(A[s], A[bad])]
+        divs.append(abs(A[s][s]))
+        s += 1
+    return divs

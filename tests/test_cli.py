@@ -113,6 +113,9 @@ def test_usage_errors(capsys):
     ["quad-maxima", "--min-d", "50", "--max-d", "10"],
     # and a --max-d below 3, which holds no imaginary field
     ["tor-scan", "--p", "2", "--min-d", "-5", "--max-d", "2"],
+    # the p-adic series grow with n: --n 1024 ran for minutes
+    ["tor-scan", "--p", "2", "--n", "65", "--min-d", "3", "--max-d", "40"],
+    ["tor-scan", "--p", "3", "--n", "33", "--min-d", "3", "--max-d", "40"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and
@@ -338,6 +341,10 @@ GOLDEN_STDOUT = [
      "1f6da2a2e6df702e68e5b8235b58819f729e48139505a82eb5b869aa88cffb77"),
     (["tor-scan", "--p", "3", "--min-d", "3", "--max-d", "3000"],
      "b70ccbf27b26f0d3a7f1511ef95a2f441838ab187fb8e1e92bac5da6a389abf1"),
+    (["filtration-run", "--p", "3", "--n", "4", "--seed", "7"],
+     "3d667307edf621d3c5f4a01b0b10046dd27aaacb2c06bd72894fa4bc2a732bf4"),
+    (["filtration-run", "--d", "4849845"],
+     "df6428c5c8e53e485151188a908d8049a6cec420a8bcfc9a8d3c7670c69904ce"),
 ]
 
 

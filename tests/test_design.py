@@ -218,6 +218,52 @@ def test_shift_assignment_detector():
     assert _shift_assignments(src) == [(2, "power"), (6, "pow"), (8, None)]
 
 
+def _transposes(source):
+    """Lines of source that transpose a list of lists: zip(*rows), or a
+    comprehension [[x[i] for x in xs] for i in ...] (also with x = M[j],
+    as [[M[j][i] for j in ...] for i in ...])."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "zip" and \
+                any(isinstance(a, ast.Starred) for a in node.args):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp)) and \
+                isinstance(node.elt, (ast.ListComp, ast.GeneratorExp)):
+            outer = {getattr(g.target, "id", None) for g in node.generators}
+            inner = {getattr(g.target, "id", None)
+                     for g in node.elt.generators}
+            e = node.elt.elt
+            if isinstance(e, ast.Subscript) and \
+                    getattr(e.slice, "id", None) in outer:
+                v = e.value
+                if isinstance(v, ast.Subscript):
+                    v = v.slice
+                if getattr(v, "id", None) in inner:
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_zlin_transposes():
+    # a lattice is a list of vectors in and out of zlin, so no caller
+    # knows a matrix layout of its own
+    found = {p.name: _transposes(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.stem != "zlin"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_transpose_detector():
+    src = ("rows = [list(r) for r in zip(*cols)]\n"
+           "t = [[c[i] for c in cols] for i in range(g)]\n"
+           "u = [[M[j][i] for j in range(n)] for i in range(g)]\n"
+           "pairs = list(zip(a, b))\n"
+           "copy = [[M[i][j] for j in range(n)] for i in range(g)]\n"
+           "v = [[x[i] for x in xs] for j in range(g)]\n"
+           "w = [[x + i for x in xs] for i in range(g)]\n"
+           "z = list(zip(*A))\n")
+    assert _transposes(src) == [1, 2, 3, 8]
+
+
 def _uncalled(sources):
     """module.name for each public top-level function or class of sources
     (module name -> source) that no other top-level statement reads: bare

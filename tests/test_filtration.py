@@ -13,7 +13,7 @@ from epsclass import zlin
 
 def brute_elements(relations):
     """All coset representatives of Z^g / L, via the triangular HNF basis."""
-    H = zlin.hnf_columns([list(r) for r in relations])
+    H = zlin.hnf_columns(relations)
     g = len(H)
 
     def canon(v):
@@ -21,8 +21,7 @@ def brute_elements(relations):
         for i in range(g):
             q = v[i] // H[i][i]
             if q:
-                for r in range(g):
-                    v[r] -= q * H[r][i]
+                v = [x - q * y for x, y in zip(v, H[i])]
         return tuple(v)
 
     reps = [canon(v) for v in itertools.product(
@@ -33,21 +32,31 @@ def brute_elements(relations):
 def brute_kernel_order(M, power):
     H, canon, reps = brute_elements(M.relations)
     g = M.ngens
-    B = zlin.mat_sub(zlin.identity(g), M.sigma_rows())
+    # the images of e_k under 1 - sigma, then under (1 - sigma)^power
+    B = zlin.mat_sub(zlin.identity(g), M.sigma)
     A = zlin.identity(g)
     for _ in range(power):
         A = zlin.mat_mul(A, B)
     count = 0
     for v in reps:
-        img = [sum(A[i][k] * v[k] for k in range(g)) for i in range(g)]
+        img = [sum(v[k] * A[k][i] for k in range(g)) for i in range(g)]
         if canon(img) == canon([0] * g):
             count += 1
     return count
 
 
+# relation vectors 3e1, 3e2: (Z/3)^2
+_Z3_SQUARED = [[3, 0], [0, 3]]
+# sigma(e1) = e1, sigma(e2) = e2
+_TRIVIAL = [[1, 0], [0, 1]]
+# sigma(e1) = e2, sigma(e2) = -e1 - e2: of order 3
+_ORDER_3 = [[0, 1], [-1, -1]]
+
+
 def test_module_order():
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[1, 0], [0, 1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _TRIVIAL)
     assert fl.module_order(M) == 9
+    # relation vectors 4e1, 2e2, 2e3, 2e4, and sigma = 1
     M = fl.FinitePModule.build(2, [[4, 0, 0, 0], [0, 2, 0, 0],
                                    [0, 0, 2, 0], [0, 0, 0, 2]],
                                zlin.identity(4))
@@ -56,17 +65,27 @@ def test_module_order():
 
 def test_validation_rejects_bad_sigma():
     with pytest.raises(fl.FiltrationError):
-        # sigma of order 4 on (Z/3)^2 is no Z/3-action
-        fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[0, -1], [1, 0]])
+        # sigma(e1) = e2, sigma(e2) = -e1, of order 4 on (Z/3)^2, is no
+        # Z/3-action
+        fl.FinitePModule.build(3, _Z3_SQUARED, [[0, 1], [-1, 0]])
     with pytest.raises(fl.FiltrationError):
-        # not a 3-group
-        fl.FinitePModule.build(3, [[6, 0], [0, 3]], [[1, 0], [0, 1]])
+        # relation vectors 6e1, 3e2: not a 3-group
+        fl.FinitePModule.build(3, [[6, 0], [0, 3]], _TRIVIAL)
+
+
+def test_sigma_holds_the_images_of_the_generators():
+    # Z/9 e1 + Z/3 e2 with sigma(e1) = e1 + e2, sigma(e2) = e2 fixes 3e1
+    # and e2; read as rows, sigma(e2) = e1 + e2 sends 3e2 = 0 to 3e1 != 0
+    M = fl.FinitePModule.build(3, [[9, 0], [0, 3]], [[1, 1], [0, 1]])
+    assert fl.fixed_subgroup(M).order == 9
+    with pytest.raises(fl.FiltrationError):
+        fl.FinitePModule.build(3, [[9, 0], [0, 3]], [[1, 0], [1, 1]])
 
 
 def test_fixed_subgroup_examples():
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[1, 0], [0, 1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _TRIVIAL)
     assert fl.fixed_subgroup(M).order == 9
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[0, -1], [1, -1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _ORDER_3)
     assert fl.fixed_subgroup(M).order == 3
     M, N = fl.from_quadratic(-15015)
     assert N == 5
@@ -74,10 +93,10 @@ def test_fixed_subgroup_examples():
 
 
 def test_filtration_examples():
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[0, -1], [1, -1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _ORDER_3)
     r = fl.filtration(M, 2)
     assert r.chain == (1, 3, 9) and r.t == (0, 0, 1) and r.m == 2
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[1, 0], [0, 1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _TRIVIAL)
     r = fl.filtration(M, 3)
     assert r.chain == (1, 9) and r.t == (0, 2) and r.m == 1
     M = fl.group_ring_block(3, 1, 2)
@@ -86,7 +105,7 @@ def test_filtration_examples():
 
 
 def test_filtration_inconsistent_N():
-    M = fl.FinitePModule.build(3, [[3, 0], [0, 3]], [[1, 0], [0, 1]])
+    M = fl.FinitePModule.build(3, _Z3_SQUARED, _TRIVIAL)
     with pytest.raises(fl.FiltrationError):
         fl.filtration(M, 2)  # #M_1 = 9 != 3^(2-1)
 

@@ -223,14 +223,14 @@ def test_unit_images_on_small_real_fields(p):
     # the cycle walk's local image of eps is the exact walk's, on every
     # real field of torsion-small's range, at the top level tor_report uses
     for D in _fundamental(5, 2001):
-        _assert_unit_image(D, p, pram._top_level(p))
+        _assert_unit_image(D, p, pram.top_level(p))
 
 
 @pytest.mark.parametrize("m", [1000003, 9999991])
 def test_unit_images_at_large_regulators(m):
     # eps has 251 and 4,153 digits exactly
     _assert_unit_image(quadclass.fundamental_discriminant(m).value, 2,
-                       pram._top_level(2))
+                       pram.top_level(2))
 
 
 # ----------------------------------------------------- class-group relations
@@ -362,11 +362,7 @@ def _hnf_product(L1, L2, D):
         v = (a[0] * b[1] + a[1] * b[0]) // 2
         return [u, v]
     prods = [mul(c1, c2) for c1 in L1 for c2 in L2]
-    return zlin.hnf_columns([[p_[i] for p_ in prods] for i in range(2)])
-
-
-def _lattice_cols(H):
-    return [[H[0][j], H[1][j]] for j in range(2)]
+    return zlin.hnf_columns(prods)
 
 
 def _member(H, v):
@@ -387,19 +383,19 @@ def test_ray_class_group_against_brute_force():
             continue
         for b in range(q + 1):
             if (b * b - D) % (4 * q) == 0:
-                H = zlin.hnf_columns([[2 * q, -b], [0, 1]])
+                H = zlin.hnf_columns([[2 * q, 0], [-b, 1]])
                 primes.append((q, b, H))
                 if k == 1:
-                    Hc = zlin.hnf_columns([[2 * q, b], [0, 1]])
+                    Hc = zlin.hnf_columns([[2 * q, 0], [b, 1]])
                     primes.append((q, -b, Hc))
                 break
     idx = {(q, b): i for i, (q, b, _) in enumerate(primes)}
     pow_lat = {}
     for q, b, H in primes:
-        cur = zlin.hnf_columns([[c[0] for c in O_cols], [c[1] for c in O_cols]])
+        cur = zlin.hnf_columns(O_cols)
         lats = []
         for _ in range(8):
-            cur = _hnf_product(_lattice_cols(cur), _lattice_cols(H), D)
+            cur = _hnf_product(cur, H, D)
             lats.append(cur)
         pow_lat[(q, b)] = lats
 
@@ -437,8 +433,7 @@ def test_ray_class_group_against_brute_force():
                 for b in by_q[q]:
                     vec[idx[(q, b)]] = valuation(q, b, (x, y))
             rels.append(vec)
-    rows = [[r[i] for r in rels] for i in range(len(primes))]
-    brute = pram.AbelianGroupStructure.from_relation_matrix(rows, len(primes))
+    brute = pram.AbelianGroupStructure.from_relation_matrix(rels, len(primes))
     ray = pram.ray_class_group(D, p, n)
     assert brute.divisors == ray.structure.divisors
     assert ray.order == 4

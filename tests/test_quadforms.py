@@ -239,8 +239,8 @@ def lattices_equal(c1, c2):
     for col in c1 + c2:
         for v in col:
             den = lcm(den, v.denominator)
-    m1 = [[int(c1[j][i] * den) for j in range(len(c1))] for i in range(2)]
-    m2 = [[int(c2[j][i] * den) for j in range(len(c2))] for i in range(2)]
+    m1 = [[int(v * den) for v in col] for col in c1]
+    m2 = [[int(v * den) for v in col] for col in c2]
     return zlin.hnf_columns(m1) == zlin.hnf_columns(m2)
 
 

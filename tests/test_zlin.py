@@ -14,6 +14,11 @@ from epsclass.quadforms import (
     reduce_imaginary,
     reduced_forms_imaginary,
 )
+from oracles import (
+    hnf_columns_reference,
+    kernel_columns_reference,
+    smith_diagonal_reference,
+)
 
 
 def test_smith_diagonal_known():
@@ -58,29 +63,27 @@ def _det(M):
 
 
 def test_kernel_columns():
-    K = zlin.kernel_columns([[1, 2, 3]])
-    # columns span {x : x1 + 2x2 + 3x3 = 0}, a rank-2 lattice
-    assert len(K) == 3 and len(K[0]) == 2
-    for j in range(2):
-        assert K[0][j] + 2 * K[1][j] + 3 * K[2][j] == 0
+    K = zlin.kernel_columns([[1], [2], [3]])
+    # the relations x with x1 + 2x2 + 3x3 = 0, a rank-2 lattice
+    assert len(K) == 2 and len(K[0]) == 3
+    for x in K:
+        assert x[0] + 2 * x[1] + 3 * x[2] == 0
 
 
 def test_kernel_random_membership():
     rng = random.Random(2)
     for _ in range(50):
-        rows, cols = rng.randrange(1, 4), rng.randrange(1, 5)
-        M = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        K = zlin.kernel_columns(M)
-        nk = len(K[0]) if K and K[0] else 0
-        for j in range(nk):
-            v = [K[i][j] for i in range(cols)]
-            assert all(sum(M[r][i] * v[i] for i in range(cols)) == 0
-                       for r in range(rows))
+        dims, n = rng.randrange(1, 4), rng.randrange(1, 5)
+        V = [[rng.randrange(-5, 6) for _ in range(dims)] for _ in range(n)]
+        for x in zlin.kernel_columns(V):
+            assert len(x) == n
+            assert all(sum(x[j] * V[j][i] for j in range(n)) == 0
+                       for i in range(dims))
 
 
 def test_solution_lattice():
-    # {x in Z^2 : [x1, x2] with x1 + x2 in 3Z}
-    L = zlin.solution_lattice([[1, 1]], [[3]])
+    # {x in Z^2 : x1 + x2 in 3Z}: the map sends e1 and e2 to 1
+    L = zlin.solution_lattice([[1], [1]], [[3]])
     # index of L in Z^2 must be 3
     assert abs(L[0][0] * L[1][1] - L[0][1] * L[1][0]) == 3
 
@@ -88,15 +91,52 @@ def test_solution_lattice():
 def test_hnf_columns_preserves_lattice():
     rng = random.Random(3)
     for _ in range(30):
-        rows, cols = rng.randrange(1, 4), rng.randrange(1, 5)
-        M = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        H = zlin.hnf_columns(M)
-        # every original column solvable in H and vice versa
-        nh = len(H[0]) if H and H[0] else 0
-        for j in range(cols):
-            v = [M[i][j] for i in range(rows)]
+        dims, n = rng.randrange(1, 4), rng.randrange(1, 5)
+        V = [[rng.randrange(-5, 6) for _ in range(dims)] for _ in range(n)]
+        H = zlin.hnf_columns(V)
+        # every original vector is solvable in H
+        for v in V:
             if any(v):
                 assert zlin.solve_lattice(H, v) is not None
+
+
+@st.composite
+def _matrices(draw):
+    """Rectangular integer matrices (lists of rows), half of them of rank
+    at most 2: a product of a rows x k and a k x cols matrix."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.integers(-9, 9)
+
+    def mat(r, c):
+        return [draw(st.lists(entry, min_size=c, max_size=c))
+                for _ in range(r)]
+
+    if draw(st.booleans()):
+        return mat(rows, cols)
+    k = draw(st.integers(0, 2))
+    P, Q = mat(rows, k), mat(k, cols)
+    return [[sum(P[i][t] * Q[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def _columns(M):
+    """The columns of the list of rows M, as vectors."""
+    cols = len(M[0]) if M else 0
+    return [[r[j] for r in M] for j in range(cols)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_zlin_matches_the_column_layout_reference(M):
+    # the vectors are M's columns: Hermite and kernel bases are the
+    # reference's columns, the divisors the reference's own
+    V = _columns(M)
+    H = hnf_columns_reference(M)
+    assert zlin.hnf_columns(V) == _columns(H)
+    K = kernel_columns_reference(M)
+    assert zlin.kernel_columns(V) == _columns(K)
+    assert zlin.smith_diagonal(V) == smith_diagonal_reference(M)
+    assert zlin.smith_diagonal(M) == smith_diagonal_reference(M)
 
 
 def test_presentation_divisors():
@@ -122,8 +162,8 @@ def _chain_from_cyclic_orders(orders):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 5), st.data())
 def test_from_relation_matrix_matches_reference(ngens, nrels, data):
-    M = [[data.draw(st.integers(-12, 12)) for _ in range(nrels)]
-         for _ in range(ngens)]
+    M = [[data.draw(st.integers(-12, 12)) for _ in range(ngens)]
+         for _ in range(nrels)]
     try:
         divs = zlin.presentation_divisors(M, ngens)
     except ValueError:
@@ -141,8 +181,8 @@ def test_from_relation_matrix_matches_reference(ngens, nrels, data):
 def test_lattice_index_matches_smith(ngens, nrels, data):
     # the Hermite diagonal and the elementary divisors give one index, and
     # both refuse an infinite quotient
-    M = [[data.draw(st.integers(-12, 12)) for _ in range(nrels)]
-         for _ in range(ngens)]
+    M = [[data.draw(st.integers(-12, 12)) for _ in range(ngens)]
+         for _ in range(nrels)]
     try:
         divs = zlin.presentation_divisors(M, ngens)
     except ValueError:
@@ -153,10 +193,10 @@ def test_lattice_index_matches_smith(ngens, nrels, data):
 
 
 def test_lattice_index_rank_deficient():
-    for M in ([[2, 4], [1, 2]], [[0, 0], [0, 0]], [[3], [0]], [[], []]):
+    for M in ([[2, 1], [4, 2]], [[0, 0], [0, 0]], [[3, 0]], []):
         with pytest.raises(ValueError):
             zlin.lattice_index(M, 2)
-    assert zlin.lattice_index([[2, 4], [1, 3]], 2) == 2
+    assert zlin.lattice_index([[2, 1], [4, 3]], 2) == 2
     assert zlin.lattice_index([], 0) == 1
 
 
@@ -203,12 +243,13 @@ def test_power_needs_a_positive_exponent():
 
 
 def _solve_fraction(B, v):
-    """Reference: Gaussian elimination over Q for any B of full column rank."""
-    cols = len(B[0]) if B and B[0] else 0
+    """Reference: Gaussian elimination over Q for any independent vectors
+    B, the columns of its matrix."""
+    cols = len(B)
     if cols == 0:
         return [] if not any(v) else None
-    rows = len(B)
-    A = [[Fraction(x) for x in B[i]] + [Fraction(v[i])] for i in range(rows)]
+    rows = len(v)
+    A = [[Fraction(b[i]) for b in B] + [Fraction(v[i])] for i in range(rows)]
     r = 0
     pivots = []
     for j in range(cols):
@@ -231,29 +272,29 @@ def _solve_fraction(B, v):
 
 
 @st.composite
-def _small_matrix(draw):
+def _small_vectors(draw):
     rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
     entry = st.integers(-6, 6)
-    return [draw(st.lists(entry, min_size=cols, max_size=cols))
-            for _ in range(rows)]
+    return [draw(st.lists(entry, min_size=rows, max_size=rows))
+            for _ in range(n)]
 
 
-@given(_small_matrix(), st.data())
+@given(_small_vectors(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_solve_lattice_matches_fraction_reference(M, data):
-    H = zlin.hnf_columns(M)
-    rows = len(M)
-    ncols = len(H[0]) if H and H[0] else 0
-    pivots = [next(i for i in range(rows) if H[i][j]) for j in range(ncols)]
+def test_solve_lattice_matches_fraction_reference(V, data):
+    H = zlin.hnf_columns(V)
+    rows = len(V[0])
+    ncols = len(H)
+    pivots = [next(i for i in range(rows) if h[i]) for h in H]
     coef = st.integers(-20, 20)
     a = data.draw(st.lists(coef, min_size=ncols, max_size=ncols))
-    Ha = [sum(H[i][j] * a[j] for j in range(ncols)) for i in range(rows)]
+    Ha = [sum(H[j][i] * a[j] for j in range(ncols)) for i in range(rows)]
     # solvable: the unique solution comes back
     assert zlin.solve_lattice(H, Ha) == _solve_fraction(H, Ha) == a
     # one more at the row of a pivot above 1 gives x_j a fractional part
     for j, r in enumerate(pivots):
-        if H[r][j] > 1:
+        if H[j][r] > 1:
             v = list(Ha)
             v[r] += 1
             assert zlin.solve_lattice(H, v) is None
@@ -269,12 +310,12 @@ def test_solve_lattice_matches_fraction_reference(M, data):
 
 
 def test_solve_lattice_rejects_non_echelon_basis():
-    for B in ([[0, 1], [1, 0]],      # pivot rows decrease
-              [[1, 1], [0, 1]],      # two columns share a pivot row
-              [[1, 0], [0, 0]]):     # zero column
+    for B in ([[0, 1], [1, 0]],      # pivot coordinates decrease
+              [[1, 0], [1, 1]],      # two vectors share a pivot coordinate
+              [[1, 0], [0, 0]]):     # zero vector
         with pytest.raises(ValueError):
             zlin.solve_lattice(B, [1, 1])
-    assert zlin.solve_lattice([[2, 0], [1, 3]], [4, 5]) == [2, 1]
-    assert zlin.solve_lattice([[2, 0], [1, 3]], [4, 4]) is None
-    assert zlin.solve_lattice([[], []], [0, 0]) == []
-    assert zlin.solve_lattice([[], []], [0, 1]) is None
+    assert zlin.solve_lattice([[2, 1], [0, 3]], [4, 5]) == [2, 1]
+    assert zlin.solve_lattice([[2, 1], [0, 3]], [4, 4]) is None
+    assert zlin.solve_lattice([], [0, 0]) == []
+    assert zlin.solve_lattice([], [0, 1]) is None
