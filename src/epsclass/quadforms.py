@@ -12,11 +12,13 @@ has such representatives: the sign of a alternates along a cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
 
+from .arith import prime_sieve
 from .zlin import xgcd
 
 
@@ -99,6 +101,10 @@ ENUM_INT64_LIMIT = 2 ** 62
 # Pairs (b, a) per numpy pass, and b values per block: bounds every
 # temporary array independently of |D|.
 _ENUM_BLOCK = 1 << 14
+# class_number_imaginary counts the forms with a up to this bound from
+# local root counts, whose tables grow with it, not with |D|;
+# isqrt(10^7) / 2 = 1581 lies below it.
+_ROOT_TABLE_BOUND = 1 << 11
 
 
 def _isqrt_int64(M: np.ndarray) -> np.ndarray:
@@ -111,19 +117,30 @@ def _isqrt_int64(M: np.ndarray) -> np.ndarray:
     return r
 
 
-def _reduced_form_arrays(D: int):
-    """reduced_forms_imaginary's forms as int64 arrays a, b, c, by block."""
-    absD = -D
-    if absD > ENUM_INT64_LIMIT:
-        raise ValueError(f"|D| = {absD} exceeds the int64 enumeration bound "
+def _abs_disc(D: int) -> int:
+    """|D| for a discriminant D < 0 (D = 0, 1 mod 4, D <= -3) up to
+    ENUM_INT64_LIMIT; ValueError otherwise."""
+    if D > -3 or D % 4 > 1:
+        raise ValueError(f"{D} is not a negative discriminant")
+    if -D > ENUM_INT64_LIMIT:
+        raise ValueError(f"|D| = {-D} exceeds the int64 enumeration bound "
                          f"{ENUM_INT64_LIMIT}")
+    return -D
+
+
+def _reduced_form_arrays(D: int, a_min: int = 1):
+    """reduced_forms_imaginary's forms with a >= a_min and b >= 0 as int64
+    arrays a, b, c, by block, with a mask twin of those whose (a, -b, c)
+    is reduced too: the pairs (b, a) start at a = max(b, a_min)."""
+    absD = _abs_disc(D)
     bmax = isqrt(absD // 3)
     for b0 in range(absD & 1, bmax + 1, 2 * _ENUM_BLOCK):
         b = np.arange(b0, min(b0 + 2 * _ENUM_BLOCK, bmax + 1), 2,
                       dtype=np.int64)
         M = (b * b + absD) // 4
-        lo = np.maximum(b, 1)
-        count = _isqrt_int64(M) - lo + 1       # pairs (b[k], a) per b[k]
+        lo = np.maximum(b, a_min)
+        # pairs (b[k], a) per b[k]
+        count = np.maximum(_isqrt_int64(M) - lo + 1, 0)
         end = np.cumsum(count)                 # b[k]'s pairs are numbered
         start = end - count                    # start[k] .. end[k] - 1
         off = start - lo                       # pair number - a
@@ -142,11 +159,7 @@ def _reduced_form_arrays(D: int):
             c = Mk // a
             keep = np.gcd(np.gcd(a, bk), c) == 1
             a, bk, c = a[keep], bk[keep], c[keep]
-            twin = (bk > 0) & (bk < a) & (a < c)
-            rep = 1 + twin
-            a, bk, c = np.repeat(a, rep), np.repeat(bk, rep), np.repeat(c, rep)
-            bk[np.cumsum(rep)[twin] - 1] *= -1
-            yield a, bk, c
+            yield a, bk, c, (bk > 0) & (bk < a) & (a < c)
 
 
 def reduced_forms_imaginary(D: int) -> list[QuadForm]:
@@ -156,16 +169,114 @@ def reduced_forms_imaginary(D: int) -> list[QuadForm]:
     in steps of 2 and max(b, 1) <= a <= isqrt((b^2 + |D|)/4); a pair is a
     form when a divides (b^2 + |D|)/4 = a c and gcd(a, b, c) = 1.  The forms
     come out with b ascending, then a ascending, and (a, -b, c) right after
-    (a, b, c) when 0 < b < a < c.  |D| above ENUM_INT64_LIMIT = 2^62 raises
-    ValueError (int64 arithmetic would overflow; enumeration is infeasible
-    far below that anyway).
+    (a, b, c) when 0 < b < a < c.  D not = 0, 1 mod 4, D > -3 and |D|
+    above ENUM_INT64_LIMIT = 2^62 raise ValueError (int64 arithmetic would
+    overflow; enumeration is infeasible far below that anyway).
     """
-    return [f for a, b, c in _reduced_form_arrays(D)
-            for f in map(QuadForm, a.tolist(), b.tolist(), c.tolist())]
+    out = []
+    for a, b, c, twin in _reduced_form_arrays(D):
+        rep = 1 + twin
+        a, b, c = np.repeat(a, rep), np.repeat(b, rep), np.repeat(c, rep)
+        b[np.cumsum(rep)[twin] - 1] *= -1
+        out += map(QuadForm, a.tolist(), b.tolist(), c.tolist())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _root_tables(n: int):
+    """Tables for the root counts with a <= n: the primes q <= n; 1 + (r/q)
+    for each residue r mod each q, flat at offsets off (legendre[off[i] + r]
+    for q[i]); the prime powers q^e <= n, as the index in q of their prime
+    (pid), and for each prime the ids of its powers, ascending in e; and,
+    for each 2 <= a <= n in turn, the ids of the prime powers exactly
+    dividing a (ent[first[a]:first[a + 1]])."""
+    q = np.flatnonzero(prime_sieve(n)).astype(np.int32)
+    off = np.cumsum(q) - q
+    # the squares x^2 mod q for x = 0 .. (q - 1) / 2, in place in int32
+    # (x^2 < n^2 / 4): the temporaries are what a cold build pays for
+    half = (q + 1) // 2
+    x = np.arange(half.sum(), dtype=np.int32)
+    x -= np.repeat(np.cumsum(half) - half, half)
+    x *= x
+    x %= np.repeat(q, half)
+    x += np.repeat(off, half)
+    legendre = np.zeros(int(q.sum()), dtype=np.int8)
+    legendre[x] = 2
+    legendre[off] = 1
+    q = q.astype(np.int64)
+    vals, cur = [], q
+    while cur.size:                            # q^e for e = 1, 2, ...
+        vals.append(cur)
+        cur = cur * q[:cur.size]
+        cur = cur[cur <= n]
+    val = np.concatenate(vals)
+    pid = np.concatenate([np.arange(v.size) for v in vals])
+    powers = [[] for _ in range(q.size)]
+    for j, i in enumerate(pid.tolist()):
+        powers[i].append(j)
+    # a = val * k for the k <= n / val prime to the prime of val
+    cnt = n // val
+    pp = np.repeat(np.arange(val.size), cnt)
+    k = np.arange(pp.size) - np.repeat(np.cumsum(cnt) - cnt, cnt) + 1
+    keep = k % q[pid[pp]] != 0
+    a, pp = val[pp][keep] * k[keep], pp[keep]
+    order = np.argsort(a, kind="stable")
+    first = np.searchsorted(a[order], np.arange(n + 2))
+    return q, off, legendre, pid, powers, pp[order], first
+
+
+def _local_root_count(D: int, q: int, e: int) -> int:
+    """The b mod q^e (mod 2^(e+1) for q = 2) with b^2 = D mod the q-part
+    of 4 q^e, and q not dividing both b and c = (b^2 - D) / 4a for a
+    with q^e || a: the factor at q^e of the number of reduced forms with
+    that a, counted one b at a time."""
+    qe = q ** e * (4 if q == 2 else 1)
+    b = np.arange(qe // 2 if q == 2 else qe, dtype=np.int64)
+    t = b * b + -D % (qe * q)                  # b^2 - D mod q qe
+    ok = (t % qe == 0) & ((b % q != 0) | (t % (qe * q) != 0))
+    return int(np.count_nonzero(ok))
+
+
+def _root_count(D: int, s: int) -> int:
+    """The number of reduced forms of discriminant D with a <= s, for
+    4 s^2 < |D|.  For such a, c = (b^2 + |D|) / 4a > a, so every root
+    b in (-a, a] of b^2 = D mod 4a with gcd(a, b, c) = 1 is one form.
+    Whether b is a root, and primitive at a prime q | a, depends on b mod
+    the q-part of 2a only (c moves by a + b when b moves by 2a), so the
+    count N(a) is the product of local factors over the q^e || a: 1 +
+    (D/q) for q prime to D, [e = 1] when q || D (q odd) or D = 8, 12
+    mod 16 (q = 2), and else counted by _local_root_count."""
+    if s < 2:
+        return s                               # a = 1: the principal form
+    q, off, legendre, pid, powers, ent, first = _root_tables(
+        1 << (s - 1).bit_length())
+    local = legendre[off + D % q]              # 1 + (D/q)
+    if D & 1:
+        local[0] = 2 if D % 8 == 1 else 0      # Kronecker (D/2), D = 1 mod 4
+    factor = local[pid].astype(np.int64)
+    for i in np.flatnonzero(local == 1).tolist():
+        qi = int(q[i])
+        if qi > s:
+            break
+        closed = D % (qi * qi) != 0 if qi > 2 else D % 16 in (8, 12)
+        for e, j in enumerate(powers[i], 1):
+            if qi ** e > s:
+                break
+            factor[j] = int(e == 1) if closed else _local_root_count(D, qi, e)
+    n = np.multiply.reduceat(factor[ent[:first[s + 1]]], first[2:s + 1])
+    return 1 + int(n.sum())
 
 
 def class_number_imaginary(D: int) -> int:
-    return sum(len(a) for a, _, _ in _reduced_form_arrays(D))
+    """h(D) for every discriminant D < 0, fundamental or not: the number
+    of primitive reduced forms (Cohen, GTM 138, 5.3).  The forms with
+    4 a^2 < |D| and a up to _ROOT_TABLE_BOUND are counted from local
+    root counts (_root_count); the band above them is enumerated.  D not
+    = 0, 1 mod 4, D > -3 or |D| above ENUM_INT64_LIMIT raise ValueError."""
+    s = min(isqrt(_abs_disc(D) - 1) // 2, _ROOT_TABLE_BOUND)
+    return _root_count(D, s) + sum(
+        a.size + int(np.count_nonzero(twin))
+        for a, _, _, twin in _reduced_form_arrays(D, s + 1))
 
 
 # ---------------------------------------------------------------- indefinite

@@ -9,7 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsclass import quadforms, zlin
-from epsclass.quadclass import ENUM_CAP
+from epsclass.quadclass import (
+    ENUM_CAP,
+    batch_class_numbers_imaginary,
+    batch_fundamental_imaginary,
+)
 from epsclass.quadforms import (
     ENUM_INT64_LIMIT,
     QuadForm,
@@ -69,12 +73,52 @@ def test_reduced_forms_match_loop_cases():
         _assert_matches_loop(D)
 
 
+_BOUNDARY_DS = (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
 def test_reduced_forms_across_block_boundaries(monkeypatch, block):
     # tiny blocks put b-block and pair-block boundaries everywhere
     monkeypatch.setattr(quadforms, "_ENUM_BLOCK", block)
-    for D in (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995):
+    for D in _BOUNDARY_DS:
         _assert_matches_loop(D)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 64])
+def test_class_number_across_split_points(monkeypatch, bound):
+    # a small table bound moves the split between the root counts and the
+    # enumerated band below sqrt|D|/2; the squareful D, such as
+    # -206388 = -4 81 49 13 and -995328 = -4 1024 243, reach the local
+    # counts one b at a time
+    monkeypatch.setattr(quadforms, "_ROOT_TABLE_BOUND", bound)
+    for D in _BOUNDARY_DS + (-206388, -48048, -83160, -995328, -1455300):
+        assert class_number_imaginary(D) == len(_reduced_forms_loop(D)), D
+
+
+@given(st.integers(min_value=1, max_value=isqrt(ENUM_CAP) // 2),
+       st.integers(min_value=-8, max_value=8))
+@settings(max_examples=30, deadline=None)
+def test_class_number_at_band_edge(a, k):
+    # |D| = 4 a^2 + k puts a at or next to the last root-counted a
+    d = 4 * a * a + k
+    assume(d >= 3 and d % 4 in (0, 3))
+    assert class_number_imaginary(-d) == len(_reduced_forms_loop(-d)), -d
+
+
+def test_class_number_every_fundamental_disc():
+    X = 3 * 10 ** 4
+    h, fund = batch_class_numbers_imaginary(X), batch_fundamental_imaginary(X)
+    for d in np.flatnonzero(fund).tolist():
+        assert class_number_imaginary(-d) == h[d], -d
+
+
+@pytest.mark.parametrize("D", [-5, -6, -1, -2, 0, 1, 5, -9, -10])
+def test_non_discriminants_raise(D):
+    # -5 used to count (1,1,1), of discriminant -3, and -6 (1,0,1)
+    for enumerate_or_count in (reduced_forms_imaginary,
+                               class_number_imaginary):
+        with pytest.raises(ValueError):
+            enumerate_or_count(D)
 
 
 def test_isqrt_int64_exact_near_squares():
