@@ -110,21 +110,18 @@ def cmd_primes(args) -> int:
 
 def cmd_quad_scan(args) -> int:
     stat = _STATS[args.stat]
-    arrays = quadclass.scan_arrays(args.max_d)
-    harr, fund, om, isp = arrays
-    rows = []
-    for d in range(max(args.min_d, 3), args.max_d + 1):
-        if not fund[d]:
-            continue
-        h, N = int(harr[d]), int(om[d])
-        s = quadclass.scan_statistic(stat, d, h, N, args.eps, args.p)
-        rows.append((-d, h, N, s, int(bool(isp[d])), "", ""))
-    _emit(args, _SCAN_FIELDS, rows)
+    fields = quadclass.scan_fields(args.min_d, args.max_d,
+                                   quadclass.scan_arrays(args.max_d))
+    _emit(args, _SCAN_FIELDS, [
+        (-d, h, N, quadclass.scan_statistic(stat, d, h, N, args.eps, args.p),
+         int(prime), "", "") for d, h, N, prime in fields])
     return 0
 
 
 def cmd_quad_maxima(args) -> int:
     stat = _STATS[args.stat]
+    # each shard sieves up to its own top: refuse before any is built
+    quadclass.scan_budget(args.max_d)
     jobs = [(lo, hi, stat, args.eps, args.p)
             for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
     shards = _run_shards(_quad_shard, jobs, args.workers)

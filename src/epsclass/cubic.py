@@ -210,17 +210,14 @@ def poly_to_str(poly) -> str:
     return "".join(parts) or "0"
 
 
-def _parse_group(text: str) -> tuple[AbelianGroupStructure, str, bool]:
-    """'[12,2,2]=[4]x[3,..]*' -> (structure, trailing text, starred)."""
+def _parse_group(text: str) -> AbelianGroupStructure:
+    """'[12,2,2]=[4]x[3,..]*' -> [12,2,2]; the rest of the text is a note."""
     s = text.strip()
     if not s.startswith("["):
         raise FixtureParseError(f"expected '[' in group {text!r}")
-    end = s.index("]")
-    inner = s[1:end].strip()
-    divs = tuple(int(t) for t in inner.split(",")) if inner else ()
-    rest = s[end + 1:].strip()
-    starred = rest.endswith("*")
-    return AbelianGroupStructure(divs), rest.rstrip("*").strip(), starred
+    inner = s[1:s.index("]")].strip()
+    return AbelianGroupStructure(
+        tuple(int(t) for t in inner.split(",")) if inner else ())
 
 
 _KEYS = ("Structure of Tor", "#Tor", "Clres", "Clord", "Cl", "Cp", "Hp",
@@ -265,50 +262,40 @@ def _logical_lines(text: str):
         yield no, line
 
 
+# fixture key -> (Fixture field, reader of the key's value); conductor= is
+# a file header, read by parse_fixture_text
+_READERS = {
+    "f": ("f", lambda v: int(v.split("=")[0])), "N": ("N", int),
+    "m": ("m", int), "p": ("p", int), "P": ("poly", parse_poly),
+    "Cl": ("cl", _parse_group), "Clres": ("clres", _parse_group),
+    "Clord": ("clord", _parse_group), "Structure of Tor": ("tor", _parse_group),
+    "#Tor": ("ntor", int), "Cp": ("cp", float), "D": ("D", int),
+    "a": ("a", int), "b": ("b", int), "hp": ("hp", int),
+    "Hp": ("hp_parts", lambda v: _parse_group(v).divisors),
+}
+
+
 def parse_fixture_line(line: str, p: int = 0, line_no: int = 0,
                        default_f: int | None = None) -> Fixture:
-    """One logical line -> partially filled Fixture."""
+    """One logical line -> partially filled Fixture; a class group that
+    ends in '*' marks the row starred."""
     fix = Fixture(p=p, f=default_f, source_line=line_no)
     fields = _split_fields(line)
     if not fields:
         raise FixtureParseError(f"no fields in {line!r}", line=line_no)
     for key, val, col in fields:
+        if key not in _READERS:
+            continue
+        name, read = _READERS[key]
         try:
-            if key == "f":
-                fix.f = int(val.split("=")[0])
-            elif key == "N":
-                fix.N = int(val)
-            elif key == "m":
-                fix.m = int(val)
-            elif key == "p":
-                fix.p = int(val)
-            elif key == "P":
-                fix.poly = parse_poly(val)
-            elif key in ("Cl", "Clres", "Clord"):
-                g, _, starred = _parse_group(val)
-                setattr(fix, key.lower(), g)
-                fix.starred = fix.starred or starred
-            elif key == "Structure of Tor":
-                fix.tor, _, _ = _parse_group(val)
-            elif key == "#Tor":
-                fix.ntor = int(val)
-            elif key == "Cp":
-                fix.cp = float(val)
-            elif key == "D":
-                fix.D = int(val)
-            elif key == "a":
-                fix.a = int(val)
-            elif key == "b":
-                fix.b = int(val)
-            elif key == "hp":
-                fix.hp = int(val)
-            elif key == "Hp":
-                fix.hp_parts = _parse_group(val)[0].divisors
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, FixtureParseError):
-                raise
+            setattr(fix, name, read(val))
+        except FixtureParseError:
+            raise
+        except (ValueError, IndexError):
             raise FixtureParseError(
                 f"bad value for {key}: {val!r}", line=line_no, col=col)
+        if key in ("Cl", "Clres", "Clord") and val.endswith("*"):
+            fix.starred = True
     return fix
 
 
@@ -325,7 +312,8 @@ def parse_fixture_text(text: str, path: str = "<string>") -> FixtureFile:
     conductor = None
     current_f = None
     out: list[Fixture] = []
-    pending: Fixture | None = None
+    # the last row, while a torsion block may follow it
+    open_row: Fixture | None = None
     for no, line in _logical_lines(text):
         fields = dict((k, v) for k, v, _ in _split_fields(line))
         if set(fields) == {"p"}:
@@ -340,32 +328,23 @@ def parse_fixture_text(text: str, path: str = "<string>") -> FixtureFile:
         if not p:
             raise FixtureParseError("missing p= header", line=no)
         if "Structure of Tor" in fields:
-            if pending is None:
+            if open_row is None:
                 raise FixtureParseError("torsion line without a class line",
                                         line=no)
-            pending.tor = _parse_group(fields["Structure of Tor"])[0]
+            open_row.tor = _parse_group(fields["Structure of Tor"])
             continue
         if "#Tor" in fields:
-            if pending is None or pending.tor is None:
+            if open_row is None or open_row.tor is None:
                 raise FixtureParseError("#Tor line without torsion structure",
                                         line=no)
-            pending.ntor = int(fields["#Tor"])
-            pending.cp = float(fields["Cp"])
-            out.append(pending)
-            pending = None
+            open_row.ntor = int(fields["#Tor"])
+            open_row.cp = float(fields["Cp"])
+            open_row = None
             continue
         fix = parse_fixture_line(line, p=p, line_no=no, default_f=current_f)
-        if pending is not None:
-            out.append(pending)
-            pending = None
-        if fix.m is not None or fix.clres is not None or (
-                fix.poly is not None and fix.D is None):
-            # may be followed by a torsion block
-            pending = fix
-        else:
-            out.append(fix)
-    if pending is not None:
-        out.append(pending)
+        out.append(fix)
+        open_row = fix if fix.m is not None or fix.clres is not None or (
+            fix.poly is not None and fix.D is None) else None
     return FixtureFile(path, p, conductor, out)
 
 

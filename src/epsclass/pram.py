@@ -577,20 +577,8 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
 
 # ------------------------------------------------------- ray class groups
 
-@dataclass
-class RayClassGroup:
-    D: int
-    p: int
-    n: int
-    structure: AbelianGroupStructure
-
-    @property
-    def order(self) -> int:
-        return self.structure.order
-
-
-def ray_class_group(D, p: int, n: int,
-                    class_data: _ClassData | None = None) -> RayClassGroup:
+def ray_class_group(D, p: int, n: int, class_data: _ClassData | None = None
+                    ) -> AbelianGroupStructure:
     """The preimage in Cl_{p^n} of the class data's group (level 0: that
     group), whose p-part is Cl_{p^n}'s, from (O/p^n)^x, the global units
     and the class-group relations. (O/p^n)^x comes from `units_mod`, built
@@ -604,7 +592,7 @@ def ray_class_group(D, p: int, n: int,
         raise ValueError(f"class data covers levels up to {cd.top}, "
                          f"not {n}")
     if n == 0:
-        return RayClassGroup(d.value, p, 0, cd.structure)
+        return cd.structure
     G = units_mod(d.value, p, n)
     R = G.ring
     ng, t = len(G.gens), len(cd.pres.gens)
@@ -621,7 +609,7 @@ def ray_class_group(D, p: int, n: int,
     if st.order * im_units != cd.structure.order * G.order:
         raise PramError(f"ray class order identity fails for D={d.value}, "
                         f"p={p}, n={n}")
-    return RayClassGroup(d.value, p, n, st)
+    return st
 
 
 # ------------------------------------------------------------- torsion T
@@ -664,7 +652,7 @@ def tor_report(D, p: int,
     prev_T = None
     for n in range(2, top_level(p) + 1):
         ray = ray_class_group(d, p, n, cd)
-        T = _drop_lines(ray.structure, p, r)
+        T = _drop_lines(ray, p, r)
         if prev is not None:
             inc = vp(ray.order, p) - vp(prev.order, p)
             if inc == r and T == prev_T:
@@ -774,8 +762,7 @@ def is_fundamental_neg(d: int) -> Discriminant | None:
 def program_vptor(D, p: int, n: int) -> int:
     """v_p(#Cl_{p^n} / largest-divisor) - (n-1), the printed statistic."""
     ray = ray_class_group(D, p, n)
-    divs = ray.structure.divisors
-    top = divs[0] if divs else 1
+    top = ray.divisors[0] if ray.divisors else 1
     return vp(ray.order, p) - vp(top, p) - (n - 1)
 
 

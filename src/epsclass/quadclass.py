@@ -458,6 +458,11 @@ batch_prime = prime_sieve
 
 # ------------------------------------------------------------------- scans
 
+# |D| per block of scan_fields; lists over a whole 10^6 range would add a
+# quarter to a scan's peak memory
+_SCAN_BLOCK = 1 << 14
+
+
 @dataclass
 class ScanRecord:
     d: int                      # discriminant D (negative for imaginary)
@@ -484,61 +489,71 @@ def scan_statistic(statistic: str, d: int, h: int, N: int, eps: float = 0.0,
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def scan_fields(lo: int, hi: int,
+                arrays) -> Iterator[tuple[int, int, int, bool]]:
+    """(|D|, h, omega(|D|), prime) for each fundamental D with
+    max(lo, 3) <= |D| <= hi, ascending, read off the scan_arrays tables
+    _SCAN_BLOCK consecutive |D| at a time."""
+    harr, fund, om, isp = arrays
+    for start in range(max(lo, 3), hi + 1, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, hi + 1)
+        ds = np.flatnonzero(fund[start:stop]) + start
+        yield from zip(ds.tolist(), harr[ds].tolist(), om[ds].tolist(),
+                       isp[ds].tolist())
+
+
+def _successive_maxima(items, key: Callable, floor):
+    """The items whose key beats floor and the key of every earlier item."""
+    best = floor
+    for item in items:
+        k = key(item)
+        if k > best:
+            best = k
+            yield item
+
+
 def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
                     p: int = 0, arrays=None) -> list[ScanRecord]:
     """Local-maxima candidates over fundamental D with lo <= |D| <= hi.
 
     Every global successive maximum is a local one within its shard, so
-    shard outputs can be merged (ascending |D|) and re-filtered.
+    shard outputs can be merged (ascending |D|) and re-filtered.  A
+    p_exponent maximum raises h_p above 1, any other the statistic.
     """
     if arrays is None:
         arrays = scan_arrays(hi)
-    harr, fund, om, isp = arrays
-    best = 0.0
-    best_hp = 1   # h_p = 1 rows are never maxima
-    out = []
-    for d in range(max(lo, 3), hi + 1):
-        if not fund[d]:
-            continue
-        h = int(harr[d])
-        N = int(om[d])
-        if statistic == "p_exponent":
-            hp = p ** vp(h, p)
-            if hp <= best_hp:
-                continue
-            best_hp = hp
-            out.append(ScanRecord(-d, h, N,
-                                  scan_statistic(statistic, d, h, N, p=p),
-                                  bool(isp[d]), hp=hp))
-            continue
-        stat = scan_statistic(statistic, d, h, N, eps)
-        if stat > best:
-            best = stat
-            out.append(ScanRecord(-d, h, N, stat, bool(isp[d])))
-    return out
+    p_exp = statistic == "p_exponent"
+    if p_exp:
+        key, floor = (lambda f: p ** vp(f[1], p)), 1
+    else:
+        key, floor = (lambda f: scan_statistic(statistic, f[0], f[1], f[2],
+                                               eps)), 0.0
+    return [ScanRecord(-d, h, N, scan_statistic(statistic, d, h, N, eps, p),
+                       prime, hp=p ** vp(h, p) if p_exp else None)
+            for d, h, N, prime in _successive_maxima(
+                scan_fields(lo, hi, arrays), key, floor)]
 
 
 def merge_maxima(shards: list[list[ScanRecord]], statistic: str) -> list[ScanRecord]:
-    recs = [r for shard in shards for r in shard]
-    recs.sort(key=lambda r: -r.d)
-    out = []
-    best = 0.0
-    best_hp = 1
-    for r in recs:
-        if statistic == "p_exponent":
-            if r.hp > best_hp:
-                best_hp = r.hp
-                out.append(r)
-        elif r.stat > best:
-            best = r.stat
-            out.append(r)
-    return out
+    recs = sorted((r for shard in shards for r in shard), key=lambda r: -r.d)
+    if statistic == "p_exponent":
+        return list(_successive_maxima(recs, lambda r: r.hp, 1))
+    return list(_successive_maxima(recs, lambda r: r.stat, 0.0))
+
+
+def scan_budget(X: int) -> None:
+    """ClassNumberCapError if the scan tables up to |D| = X exceed ENUM_CAP."""
+    if X > ENUM_CAP:
+        raise ClassNumberCapError(f"scan tables up to |D| = {X} exceed "
+                                  f"the budget {ENUM_CAP}")
 
 
 def scan_arrays(X: int):
     """(h, fundamental, omega, prime) arrays indexed by |D| <= X: class
     numbers, the fundamental-discriminant mask, the number of distinct
-    prime divisors, counted over the one prime sieve, and that sieve."""
+    prime divisors, counted over the one prime sieve, and that sieve.
+    The budget is checked before any table is allocated."""
+    scan_budget(X)
     h = batch_class_numbers_imaginary(X)
     fund = batch_fundamental_imaginary(X)
     # sieved after the mask, whose X-sized temporaries set the peak memory

@@ -394,25 +394,16 @@ class TrackedIdeal:
         return TrackedIdeal(normalize_indefinite(self.form, sqD), self.gamma)
 
     def reduce(self) -> "TrackedIdeal":
+        # the b-translation, then rho steps until the form is reduced
         D = self.form.disc()
-        if D < 0:
-            cur = self._normalize_b()
-            for _ in range(100000):
-                a, b, c = cur.form.a, cur.form.b, cur.form.c
-                if a > c:
-                    cur = cur.rho_step()
-                    continue
-                if a == c and b < 0:
-                    cur = cur.rho_step()
-                return cur
-            raise RuntimeError("imaginary reduction stuck")
-        sqD = isqrt(D)
-        cur = self._normalize_indef(sqD)
+        cur = self._normalize_b() if D < 0 else self._normalize_indef(isqrt(D))
         for _ in range(100000):
-            if _red_ind(cur.form.a, cur.form.b, D):
+            f = cur.form
+            if (_red_ind(f.a, f.b, D) if D > 0
+                    else f.a < f.c or (f.a == f.c and f.b >= 0)):
                 return cur
             cur = cur.rho_step()
-        raise RuntimeError("indefinite reduction stuck")
+        raise RuntimeError(f"reduction stuck on {self.form}")
 
     def principal_generator(self):
         """Generator of the tracked ideal, in gamma's carrier; ValueError

@@ -7,13 +7,15 @@ enumeration by trial division beside their cycles and the narrow class
 groups built from prime forms, pram's class data over the whole class
 group beside its p-Sylow data, the squarefree core from a full
 factorization beside the discriminants quadclass reads off a factored
-radicand, and zlin's earlier column-layout Hermite form, kernel and Smith
-form (a second, column Bezout step and a Smith elimination of its own)
-beside zlin over vector lists.
+radicand, the scans' loops over every |D| beside their block walk and
+successive-maxima filter, and zlin's earlier column-layout Hermite form,
+kernel and Smith form (a second, column Bezout step and a Smith
+elimination of its own) beside zlin over vector lists.
 """
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from epsclass import pram, quadclass
-from epsclass.arith import factor
+from epsclass.arith import factor, vp
 from epsclass.quadforms import QuadForm
 from epsclass.zlin import identity, xgcd
 
@@ -126,6 +128,60 @@ def reduced_forms_indefinite(D: int) -> list[QuadForm]:
             if is_reduced_indefinite(f) and gcd(gcd(a, b), f.c) == 1:
                 out += [f, QuadForm(-a, b, -f.c)]
     return out
+
+
+def scan_candidates_loop(lo, hi, statistic, eps=0.0, p=0, arrays=None):
+    """quadclass.scan_candidates as a loop over every |D| in the window,
+    with the running maximum of h_p or of the statistic kept by hand: the
+    reference for the block walk and the successive-maxima filter."""
+    if arrays is None:
+        arrays = quadclass.scan_arrays(hi)
+    harr, fund, om, isp = arrays
+    best = 0.0
+    best_hp = 1   # h_p = 1 rows are never maxima
+    out = []
+    for d in range(max(lo, 3), hi + 1):
+        if not fund[d]:
+            continue
+        h = int(harr[d])
+        N = int(om[d])
+        if statistic == "p_exponent":
+            hp = p ** vp(h, p)
+            if hp <= best_hp:
+                continue
+            best_hp = hp
+            out.append(quadclass.ScanRecord(
+                -d, h, N, quadclass.scan_statistic(statistic, d, h, N, p=p),
+                bool(isp[d]), hp=hp))
+            continue
+        stat = quadclass.scan_statistic(statistic, d, h, N, eps)
+        if stat > best:
+            best = stat
+            out.append(quadclass.ScanRecord(-d, h, N, stat, bool(isp[d])))
+    return out
+
+
+def scan_windows(X: int, seed: int, count: int = 8) -> list[tuple[int, int]]:
+    """(lo, hi) windows for the scan references: lo < 3, |D| = 3 alone, no
+    fundamental |D| (5..6 and 16..18), lo > hi, all of [3, X], and count
+    seeded windows in [3, X]."""
+    rng = random.Random(seed)
+    return [(-5, 40), (0, 2), (3, 3), (5, 6), (16, 18), (50, 10), (3, X)] + [
+        tuple(sorted(rng.sample(range(3, X + 1), 2))) for _ in range(count)]
+
+
+def quad_scan_rows_loop(lo, hi, statistic, eps, p, arrays):
+    """The rows of quad-scan, one per fundamental |D| in [max(lo, 3), hi],
+    by a loop over every |D|."""
+    harr, fund, om, isp = arrays
+    rows = []
+    for d in range(max(lo, 3), hi + 1):
+        if not fund[d]:
+            continue
+        h, N = int(harr[d]), int(om[d])
+        s = quadclass.scan_statistic(statistic, d, h, N, eps, p)
+        rows.append((-d, h, N, s, int(bool(isp[d])), "", ""))
+    return rows
 
 
 @contextmanager

@@ -7,6 +7,7 @@ import pytest
 
 from epsclass import cli, quadclass
 from epsclass.quadclass import ClassNumberCapError
+from oracles import quad_scan_rows_loop, scan_windows
 
 
 def run(argv, capsys):
@@ -314,6 +315,44 @@ def test_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(quadclass, "scan_arrays", boom)
     code, _ = run(["quad-scan", "--stat", "raw", "--max-d", "50"], capsys)
     assert code == 3
+
+
+def test_scan_budget_exits_3_before_any_table(monkeypatch, capsys):
+    # unpatched scan_arrays: at the cap both scans run, above it they stop
+    # on one stderr line before the class-number table is allocated
+    monkeypatch.setattr(quadclass, "ENUM_CAP", 100)
+    for argv in (["quad-scan"], ["quad-maxima"]):
+        assert run(argv + ["--max-d", "100"], capsys)[0] == 0
+
+    def boom(X):
+        raise AssertionError(f"a table up to {X} was built")
+    monkeypatch.setattr(quadclass, "batch_class_numbers_imaginary", boom)
+    for argv in (["quad-scan"], ["quad-maxima"],
+                 ["quad-maxima", "--workers", "2"]):
+        code = cli.main(argv + ["--max-d", "101"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "101" in captured.err
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_quad_scan_rows_match_loop(monkeypatch, capsys, block):
+    # the command itself, past main's range check, so that lo > hi is an
+    # empty table here; --max-d below 3 is a usage error
+    monkeypatch.setattr(quadclass, "_SCAN_BLOCK", block)
+    for lo, hi in scan_windows(3000, seed=block):
+        if hi < 3:
+            continue
+        for stat, eps, p in (("genus", 0.05, 3), ("raw", 0.1, 3),
+                             ("p-exponent", 0.0, 2)):
+            args = cli.build_parser().parse_args(
+                ["quad-scan", "--stat", stat, "--eps", str(eps), "--p", str(p),
+                 "--min-d", str(lo), "--max-d", str(hi)])
+            assert args.func(args) == 0
+            want = quad_scan_rows_loop(lo, hi, cli._STATS[stat], eps, p,
+                                       quadclass.scan_arrays(hi))
+            assert rows_of(capsys.readouterr().out)[1] == [
+                [cli._fmt(v) for v in r] for r in want], (lo, hi, stat)
 
 
 # sha256 of the full stdout; a change of any byte of these outputs fails

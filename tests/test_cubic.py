@@ -103,6 +103,10 @@ Structure of Tor=[16]
     assert fix.clres.divisors == (4,) and fix.clord.divisors == (2,)
     assert fix.tor.divisors == (16,) and fix.ntor == 16
     assert cb.validate_fixture(fix) == []
+    # a torsion block belongs to the row right above it, once
+    for extra in ("Structure of Tor=[2]", "#Tor=2 Cp=1.0"):
+        with pytest.raises(cb.FixtureParseError, match="line 5"):
+            cb.parse_fixture_text(text + extra)
 
 
 def test_delta_from_fixture():

@@ -20,6 +20,8 @@ from epsclass.quadforms import (
 from oracles import (
     batch_ambiguous_counts,
     reduced_forms_indefinite,
+    scan_candidates_loop,
+    scan_windows,
     squarefree_core,
 )
 
@@ -311,15 +313,45 @@ def test_scan_p_exponent():
 
 
 def test_scan_shard_merge_deterministic():
-    arrays = qc.scan_arrays(4000)
-    whole = qc.scan_local_maxima(4000, "genus_normalized", eps=0.05,
-                                 arrays=arrays)
-    shards = [qc.scan_candidates(3, 1500, "genus_normalized", 0.05,
-                                 arrays=arrays),
-              qc.scan_candidates(1501, 4000, "genus_normalized", 0.05,
-                                 arrays=arrays)]
-    merged = qc.merge_maxima(shards, "genus_normalized")
-    assert [(r.d, r.stat) for r in merged] == [(r.d, r.stat) for r in whole]
+    # p_exponent shards merge on h_p: h_3 = 243 at |D| = 29399 is a maximum
+    # whose statistic, 1.068, is below that of h_3 = 81 at 3671 (1.071)
+    arrays = qc.scan_arrays(30000)
+    for stat, eps, p in (("genus_normalized", 0.05, 0), ("p_exponent", 0, 3)):
+        whole = qc.scan_local_maxima(30000, stat, eps, p, arrays=arrays)
+        shards = [qc.scan_candidates(3, 1500, stat, eps, p, arrays=arrays),
+                  qc.scan_candidates(1501, 30000, stat, eps, p, arrays=arrays)]
+        assert qc.merge_maxima(shards, stat) == whole
+    assert [(r.d, r.hp) for r in whole[-2:]] == [(-3671, 81), (-29399, 243)]
+
+
+_SCAN_STATS = [("genus_normalized", 0.05, 0), ("genus_normalized", 0.0, 0),
+               ("raw", 0.1, 0), ("p_exponent", 0.0, 3), ("p_exponent", 0.0, 2)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_scans_match_loops_across_blocks(monkeypatch, block):
+    # tiny blocks put block boundaries inside and at the ends of every
+    # window; the merged shards, cut at seeded points and passed in
+    # reverse, give the whole window's maxima
+    monkeypatch.setattr(qc, "_SCAN_BLOCK", block)
+    X = 3000
+    arrays = qc.scan_arrays(X)
+    rng = random.Random(block)
+    for lo, hi in scan_windows(X, seed=block):
+        cuts = sorted(rng.sample(range(lo, hi), min(3, max(hi - lo, 0))))
+        shards = list(zip([lo] + [c + 1 for c in cuts], cuts + [hi]))
+        for stat, eps, p in _SCAN_STATS:
+            want = scan_candidates_loop(lo, hi, stat, eps, p, arrays)
+            assert qc.scan_candidates(lo, hi, stat, eps, p, arrays) == want
+            got = [qc.scan_candidates(a, b, stat, eps, p, arrays)
+                   for a, b in shards]
+            assert qc.merge_maxima(got[::-1], stat) == want, (lo, hi, stat)
+
+
+def test_scan_fields_are_the_fundamental_discriminants():
+    arrays = qc.scan_arrays(3000)
+    got = [d for d, _, _, _ in qc.scan_fields(-5, 3000, arrays)]
+    assert got == [d for d in range(3, 3001) if pram.is_fundamental_neg(d)]
 
 
 def test_prime_disc_report():
