@@ -338,111 +338,65 @@ def _transform(f: QuadForm, M) -> QuadForm:
 #
 # ray_class_group reads a relation's generator alpha only through its image
 # in (O/p^n)^x, so the relation walk carries gamma in O (x) Z_p instead of
-# exactly: a valuation at each prime above p and a unit mod p^N. Each
-# factor of the walk is an integer w or (b - sqrt(D))/(2c), and
-# (b - sqrt(D))/2 = h - omega (h = (b + t)/2) has norm ac; both are
-# split into valuations and units from exact integers, so the units stay
-# exact mod p^N however long the walk.
+# exactly: prod_i pi_i^v_i times a unit mod p^N, over the frame's local
+# generators pi_i of the primes above p. Each factor of the walk is an
+# integer w = p^e * w', taken in through p = prod_i pi_i^ram / eps, or
+# (b - sqrt(D))/(2c) = (h - omega)/c (h = (b + t)/2). rho divides
+# z = h - omega by each pi_i exactly, as often as it goes, the same way
+# for every splitting type: pi_i divides z exactly when the p-part of
+# N(pi_i) divides z conj(pi_i) in O, and then z / pi_i is that quotient
+# over the rest of N(pi_i), which joins c. So the unit stays exact mod
+# p^N however long the walk.
 
-class _SplitGamma:
-    """gamma above a split p, through O -> Z_p x Z_p, omega -> (r1, r2):
-    the components p^v1 * u1 and p^v2 * u2, units u_i mod q."""
-    __slots__ = ("k", "v1", "v2", "u1", "u2")
+class _Gamma:
+    """gamma above p: prod_i pi_i^v_i times a unit x + y*omega mod q, with
+    v the tuple of valuations at the primes above p."""
+    __slots__ = ("k", "v", "u")
 
-    def __init__(self, k, v1, v2, u1, u2):
-        self.k, self.v1, self.v2, self.u1, self.u2 = k, v1, v2, u1, u2
+    def __init__(self, k, v, u):
+        self.k, self.v, self.u = k, v, u
 
-    def mul(self, o):
-        q = self.k.q
-        return _SplitGamma(self.k, self.v1 + o.v1, self.v2 + o.v2,
-                           self.u1 * o.u1 % q, self.u2 * o.u2 % q)
-
-    def scale(self, n: int):
-        k = self.k
-        e, n = _split_off(k.p, n)
-        return _SplitGamma(k, self.v1 + e, self.v2 + e,
-                           self.u1 * n % k.q, self.u2 * n % k.q)
-
-    def rho(self, b: int, c: int):
-        k = self.k
-        p, q = k.p, k.q
-        h = (b + k.t) // 2
-        z1, z2 = (h - k.r1) % q, (h - k.r2) % q
-        w1 = w2 = 0
-        # h - omega is not divisible by p, so p divides at most one
-        # component; that one is ac / (the other), exactly
-        if z1 % p == 0:
-            w1, ac = _split_off(p, (b * b - k.D) // 4)
-            z1 = ac * pow(z2, -1, q) % q
-        elif z2 % p == 0:
-            w2, ac = _split_off(p, (b * b - k.D) // 4)
-            z2 = ac * pow(z1, -1, q) % q
-        e, c = _split_off(p, c)
-        ci = pow(c, -1, q)
-        return _SplitGamma(k, self.v1 + w1 - e, self.v2 + w2 - e,
-                           self.u1 * z1 * ci % q, self.u2 * z2 * ci % q)
-
-    def unit(self) -> tuple:
-        """(x, y) = x + y*omega mod q; PramError unless a p-unit."""
-        k = self.k
-        if self.v1 or self.v2:
-            raise PramError(f"relation generator has valuations "
-                            f"({self.v1}, {self.v2}) above {k.p}")
-        y = (self.u1 - self.u2) * k.dr % k.q
-        return ((self.u1 - y * k.r1) % k.q, y)
-
-
-class _PrimeGamma:
-    """gamma above an inert or ramified p, over which one prime P lies,
-    with pi generating P locally: pi^v times a unit x + y*omega mod q."""
-    __slots__ = ("k", "v", "x", "y")
-
-    def __init__(self, k, v, x, y):
-        self.k, self.v, self.x, self.y = k, v, x, y
-
-    def _times(self, v, u):
-        x, y = self.k.ring.mul((self.x, self.y), u)
-        return _PrimeGamma(self.k, self.v + v, x, y)
+    def _times(self, dv, u):
+        return _Gamma(self.k, tuple(a + b for a, b in zip(self.v, dv)),
+                      self.k.ring.mul(self.u, u))
 
     def mul(self, o):
-        return self._times(o.v, (o.x, o.y))
+        return self._times(o.v, o.u)
 
     def scale(self, n: int):
-        # p = pi^ram / eps
         k = self.k
         e, n = _split_off(k.p, n)
         u = (n % k.q, 0)
         if e:
             u = k.ring.mul(u, power(k.eps_inv, e, k.ring.mul))
-        return self._times(k.ram * e, u)
+        return self._times((k.ram * e,) * len(self.v), u)
 
     def rho(self, b: int, c: int):
         k = self.k
         R = k.ring
         z = ((b + k.t) // 2, -1)
-        v = 0
-        if (b * b - k.D) // 4 % k.p == 0:
-            # P | h - omega, once (p does not divide it): h - omega over
-            # pi is (h - omega) conj(pi) / N(pi), whose p-part divides
-            # exactly
-            x, y = R.mul_exact(z, k.pi_bar)
-            if x % k.pi_pk or y % k.pi_pk:
-                raise PramError(f"(b - sqrt(D))/2 not divisible by the "
-                                f"prime above {k.p}: b = {b}")
-            z, v = (x // k.pi_pk, y // k.pi_pk), 1
-            c *= k.pi_rest
+        w = [0] * len(self.v)
+        if (b * b - k.D) // 4 % k.p == 0:   # p | N(h - omega) = ac
+            for i, (pi_bar, pk, rest) in enumerate(k.pi_bars):
+                x, y = R.mul_exact(z, pi_bar)
+                while x % pk == 0 and y % pk == 0:
+                    z, c, w[i] = (x // pk, y // pk), c * rest, w[i] + 1
+                    x, y = R.mul_exact(z, pi_bar)
+            if R.norm(z) % k.p == 0:
+                raise PramError(f"(b - sqrt(D))/2 not divided out by the "
+                                f"primes above {k.p}: b = {b}")
         e, c = _split_off(k.p, c)
         u = R.mul(z, (pow(c, -1, k.q), 0))
         if e:
             u = R.mul(u, power(k.eps, e, R.mul))
-        return self._times(v - k.ram * e, u)
+        return self._times([a - k.ram * e for a in w], u)
 
     def unit(self) -> tuple:
         """(x, y) = x + y*omega mod q; PramError unless a p-unit."""
-        if self.v:
-            raise PramError(f"relation generator has valuation {self.v} "
+        if any(self.v):
+            raise PramError(f"relation generator has valuations {self.v} "
                             f"above {self.k.p}")
-        return (self.x, self.y)
+        return self.u
 
 
 def _split_off(p: int, n: int) -> tuple:
@@ -452,36 +406,35 @@ def _split_off(p: int, n: int) -> tuple:
 
 
 class _LocalFrame:
-    """The constants the gamma carriers of the field D share above p,
-    units mod q = p^N; `one` starts a walk."""
+    """What the gamma carriers of the field D share above p, mod q = p^N:
+    the local generators `pis`, one per prime above p with that prime's
+    valuation 1 and the others' 0, and the unit eps = prod pi^ram / p;
+    `one` starts a walk."""
 
     def __init__(self, D: int, p: int, N: int):
         R = ResidueRing(D, p, N)
         self.ring, self.D, self.p, self.q, self.t = R, D, p, R.q, R.t
-        q = self.q
         st = splitting_type(D, p)
+        self.ram = 2 if st == "ramified" else 1     # ramification index
         if st == "split":
-            # a simple root of omega^2 = t*omega + s mod p, Newton-lifted
+            # omega - r for a root r of omega^2 = t*omega + s mod p, moved
+            # to r + p when p^2 | N(omega - r), and its conjugate
             r = 0 if p == 2 else \
                 (R.t + sqrt_mod_prime(D, p)) * pow(2, -1, p) % p
-            for _ in range(N.bit_length() + 1):
-                r = (r - (r * r - R.t * r - R.s) *
-                     pow(2 * r - R.t, -1, q)) % q
-            self.r1, self.r2 = r, (R.t - r) % q
-            self.dr = pow(self.r1 - self.r2, -1, q)
-            self.one = _SplitGamma(self, 0, 0, 1, 1)
-            return
-        # pi: ResidueUnits' uniformizer (ramified), or p itself (inert)
-        pi = _uniformizer(R) if st == "ramified" else (p, 0)
-        self.ram = 2 if st == "ramified" else 1     # ramification index
-        self.pi_bar = (pi[0] + R.t * pi[1], -pi[1])
-        # N(pi) = pi_pk * pi_rest, pi_pk its p-part
-        self.pi_pk = p ** vp(R.norm(pi), p)
-        self.pi_rest = R.norm(pi) // self.pi_pk
-        pe = R.mul_exact(pi, pi) if self.ram == 2 else pi
-        self.eps = (pe[0] // p % q, pe[1] // p % q)     # pi^ram / p, a unit
+            if R.norm((-r, 1)) % (p * p) == 0:
+                r += p
+            self.pis = ((-r, 1), (R.t - r, -1))
+        else:
+            self.pis = (_uniformizer(R) if st == "ramified" else (p, 0),)
+        # (conj(pi), the p-part of N(pi), the rest of N(pi)) for rho
+        self.pi_bars, pe = [], R.one
+        for x, y in self.pis:
+            e, rest = _split_off(p, R.norm((x, y)))
+            self.pi_bars.append(((x + R.t * y, -y), p ** e, rest))
+            pe = R.mul_exact(pe, power((x, y), self.ram, R.mul_exact))
+        self.eps = (pe[0] // p, pe[1] // p)
         self.eps_inv = R.inv(self.eps)
-        self.one = _PrimeGamma(self, 0, 1, 0)
+        self.one = _Gamma(self, (0,) * len(self.pis), R.one)
 
     def image(self, gamma, den: int) -> tuple:
         """gamma / den mod q as (x, y) = x + y*omega, den prime to p."""
@@ -575,6 +528,18 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     return _ClassData(D, p, top, pres, structure, relations, units)
 
 
+def _own_class_data(d: Discriminant, p: int, class_data: _ClassData | None,
+                    top: int | None = None) -> _ClassData:
+    """class_data, ValueError unless it is d's at p; by default d's class
+    data at p up to level top."""
+    if class_data is None:
+        return _class_data(d, p, top)
+    if (class_data.D, class_data.p) != (d.value, p):
+        raise ValueError(f"class data of D={class_data.D}, p={class_data.p} "
+                         f"passed for D={d.value}, p={p}")
+    return class_data
+
+
 # ------------------------------------------------------- ray class groups
 
 def ray_class_group(D, p: int, n: int, class_data: _ClassData | None = None
@@ -587,7 +552,7 @@ def ray_class_group(D, p: int, n: int, class_data: _ClassData | None = None
     own; the class data's relation images must reach level n."""
     _check_modulus(p, n or 1)   # n = 0: the class data's group
     d = as_disc(D)
-    cd = class_data or _class_data(d, p, max(n, 1))
+    cd = _own_class_data(d, p, class_data, max(n, 1))
     if n > cd.top:
         raise ValueError(f"class data covers levels up to {cd.top}, "
                          f"not {n}")
@@ -647,7 +612,7 @@ def tor_report(D, p: int,
                class_data: _ClassData | None = None) -> TorsionReport:
     d = as_disc(D)
     r = 2 if d.value < 0 else 1
-    cd = class_data or _class_data(d, p)
+    cd = _own_class_data(d, p, class_data)
     prev = None
     prev_T = None
     for n in range(2, top_level(p) + 1):
@@ -694,7 +659,7 @@ def s_class_group(D, p: int,
     that of the S-class group, S the primes above p."""
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
-    cd = class_data or _class_data(d, p, 1)
+    cd = _own_class_data(d, p, class_data, 1)
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)

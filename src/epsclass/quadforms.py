@@ -355,8 +355,8 @@ class TrackedIdeal:
     A walk starts as TrackedIdeal(f, one), and gamma stays in the carrier
     of `one`: any value with mul(other), scale(n) for an integer n, and
     rho(b, c), the product with (b - sqrt(D)) / (2c), will do. pram
-    carries gamma locally above p that way (its _SplitGamma and
-    _PrimeGamma), for relation generators and fundamental units alike.
+    carries gamma locally above p that way (its _Gamma, for every
+    splitting type), for relation generators and fundamental units alike.
     """
     form: QuadForm
     gamma: object

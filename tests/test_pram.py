@@ -306,6 +306,17 @@ def test_ray_class_group_needs_images_to_its_level():
         pram.ray_class_group(-84, 3, 5, cd)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cd: pram.ray_class_group(-84, 3, 2, cd),
+    lambda cd: pram.tor_report(-84, 3, cd),
+    lambda cd: pram.s_class_group(-84, 3, cd),
+])
+@pytest.mark.parametrize("D,p", [(-84, 2), (-87, 3)])
+def test_class_data_of_another_field_or_prime_is_refused(call, D, p):
+    with pytest.raises(ValueError, match="class data of"):
+        call(pram._class_data(D, p))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), sign=st.sampled_from([-1, 1]),
        p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 64))
@@ -350,6 +361,44 @@ def test_local_walk_rejects_non_principal_sylow_column(D, p):
     # split, inert and ramified p, each with a p-Sylow subgroup that is
     # neither trivial nor the whole group
     _assert_local_walk_rejects_non_principal_column(D, p)
+
+
+@pytest.mark.parametrize("D,p,moved", [
+    # p = 2 split, 4 | s (pi = omega - 2) and s = 2 mod 4 (pi = omega)
+    (17, 2, True), (33, 2, True), (-15, 2, True), (41, 2, False),
+    (-7, 2, False),
+    # odd p whose first root r has p^2 | N(omega - r)
+    (-20, 3, True), (37, 3, True), (-35, 3, True), (-23, 3, False),
+    # ramified: 1 + sqrt(m) and sqrt(m) above 2, 2*omega - 1 and omega
+    # above an odd p
+    (-4, 2, None), (12, 2, None), (-8, 2, None), (24, 2, None),
+    (-15, 3, None), (-84, 3, None),
+    # inert
+    (5, 2, None), (-4, 3, None), (-23, 7, None),
+])
+def test_local_frame_generators(D, p, moved):
+    frame = pram._LocalFrame(D, p, 8)
+    R, st = frame.ring, pram.splitting_type(D, p)
+    for pi in frame.pis:
+        if st == "inert":
+            assert R.norm(pi) == p * p
+        else:
+            assert arith.vp(R.norm(pi), p) == 1, pi
+    if st == "split":
+        # conjugates, over two primes: pi1^2 is not divisible by p
+        (x, y), pi2 = frame.pis
+        assert pi2 == (x + R.t * y, -y)
+        assert any(c % p for c in R.mul_exact((x, y), (x, y)))
+        assert (-x >= p) == moved
+    # p * eps = prod pi^ram exactly, eps a unit
+    pe = R.one
+    for pi in frame.pis:
+        for _ in range(frame.ram):
+            pe = R.mul_exact(pe, pi)
+    assert pe == (p * frame.eps[0], p * frame.eps[1])
+    assert R.is_unit(frame.eps)
+    assert frame.ram == (2 if st == "ramified" else 1)
+    assert len(frame.pis) == (2 if st == "split" else 1)
 
 
 # -------------------------------------------------- brute ray class oracle
@@ -529,6 +578,8 @@ def test_s_class_group():
     assert s.s_count == 2 and s.structure.order == 1
     s = pram.s_class_group(-84, 2)    # 2 ramified
     assert s.s_count == 1
+    # trivial, where -84's class data at p = 2 once gave it the group [2]
+    assert pram.s_class_group(-84, 3).structure.order == 1
 
 
 def test_reflection_identity_sample():
