@@ -10,10 +10,10 @@ above p (a valuation at each prime above p and a unit mod p^n), never as
 exact elements. (O/p^n)^x has two layers: (O/P^c0)^x, enumerated point by
 point, over the base 1 + P^c0, which the p-adic logarithm makes additive.
 
-Every result here reads p-parts only, so for imaginary D up to ENUM_CAP
-the class data present only the p-Sylow subgroup Cl_p of Cl: its
-preimage in Cl_{p^n} has index [Cl : Cl_p], prime to p, so the two share
-their p-part (Cohen, GTM 138, ch. 5).
+Every result here reads p-parts only, so for imaginary D the class data
+present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
+has index [Cl : Cl_p], prime to p, so the two share their p-part (Cohen,
+GTM 138, ch. 5).
 """
 
 from __future__ import annotations
@@ -497,11 +497,11 @@ class _ClassData:
 
 def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     """A subgroup of index prime to p of the ordinary class group of D (the
-    p-Sylow subgroup for imaginary D up to ENUM_CAP, the whole group
-    otherwise) and its relations, their generators' and the global units'
-    images mod p^top (by default every level tor_report visits).  D is an
-    int or the Discriminant validated on entry, passed on so that |D| is
-    factored once."""
+    p-Sylow subgroup for imaginary D, the whole group for real D) and its
+    relations, their generators' and the global units' images mod p^top
+    (by default every level tor_report visits).  D is an int or the
+    Discriminant validated on entry, passed on so that |D| is factored
+    once."""
     _check_modulus(p)
     d = as_disc(D)
     D = d.value

@@ -14,22 +14,22 @@ one group operation per new class: h - 1 compositions for a class group
 of order h.
 
 Every class group's generators are the prime forms of norm q <= a bound, q
-ascending.  Imaginary: up to |D| = ENUM_CAP, sqrt(|D|/3), which no
-reduced form's a exceeds, so the staircase is unconditional and stops at
-the counted h; above it 6 log^2 |D| (Bach's bound), up to which they
-generate Cl(D) under GRH.  Real: sqrt(D), since every narrow class holds
-a reduced form with 0 < a < sqrt(D), so the narrow group is unconditional
-with no count of h+; ENUM_CAP bounds D, for the cycle and unit walks.
-class_group_imaginary presents only the Sylow subgroups of order p^v >=
-p^2, over the powers x^(h/p^v); none when h is squarefree.  pram reads
-p-parts only, so full_imaginary_presentation gives it the p-Sylow
-subgroup alone up to ENUM_CAP, whose canon projects every class onto it.
+ascending.  Imaginary: sqrt(|D|/3), which no reduced form's a exceeds, so
+the staircase is unconditional and stops at an exact h, counted up to
+|D| = ENUM_CAP and summed from L(1, chi) above it, up to BSGS_CAP.  Real:
+sqrt(D), since every narrow class holds a reduced form with 0 < a <
+sqrt(D), so the narrow group is unconditional with no count of h+;
+ENUM_CAP bounds D, for the cycle and unit walks.  class_group_imaginary
+presents only the Sylow subgroups of order p^v >= p^2, over the powers
+x^(h/p^v); none when h is squarefree.  pram reads p-parts only, so
+full_imaginary_presentation gives it the p-Sylow subgroup alone, whose
+canon projects every class onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, log, prod
+from math import ceil, erfc, exp, fsum, gcd, isqrt, log, pi, prod, sqrt
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -246,20 +246,74 @@ def _compose_imaginary(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_imaginary(compose(f, g))
 
 
+# ------------------------------------------------- imaginary class numbers
+
+# the L-series ends at x_N^2 = pi N^2 / |D| >= 25, with a tail below 10^-6
+_SERIES_X2 = 25
+_SERIES_BLOCK = 1 << 18         # terms per fsum
+
+
+def _class_number(D) -> int:
+    """h(D) for fundamental D < 0: counted up to |D| = ENUM_CAP, from
+    L(1, chi) above it; above BSGS_CAP ClassNumberCapError, before D is
+    factored.  A Discriminant is not factored again."""
+    d = _within_cap(D, BSGS_CAP, "the class-number budget")
+    assert d.value < 0
+    if d.abs <= ENUM_CAP:
+        return class_number_imaginary(d.value)
+    return _class_number_series(d.value)
+
+
+def _class_number_series(D: int) -> int:
+    """h(D) = sum_{n <= N} chi(n) [erfc(x_n) + e^(-x_n^2) / (sqrt(pi) x_n)]
+    for fundamental D < -4, chi = (D/.) and x_n = n sqrt(pi/|D|) (Cohen,
+    GTM 138, 5.3.3); chi is Euler's criterion at the odd primes, extended
+    completely multiplicatively.  The tail bound plus 2^-48 (x_n^2 + 1)
+    |t_n| per term (x_n's rounding, amplified by the exponent, and each
+    fsum's) must stay below 1/4, and the sum within that distance of an
+    integer; otherwise ClassNumberCapError, and no h."""
+    A = -D
+    N = ceil(sqrt(_SERIES_X2 * A / pi))
+    q = np.flatnonzero(prime_sieve(N))[1:]          # the odd primes
+    euler = map(pow, (D % q).tolist(), ((q - 1) // 2).tolist(), q.tolist())
+    chi = np.ones(N + 1, dtype=np.int8)
+    for p, c in zip([2] + q.tolist(), [kronecker(D, 2), *euler]):
+        pe = p
+        while c != 1 and pe <= N:       # chi(n) = chi(p)^v_p(n)
+            chi[pe::pe] *= -1 if c > 1 else c
+            pe *= p
+    s = sqrt(pi / A)
+    err = exp(-(N * s) ** 2) * sqrt(A) / (pi * (N * s) ** 2)    # the tail
+    sums = []
+    for lo in range(1, N + 1, _SERIES_BLOCK):
+        n = np.flatnonzero(chi[lo:lo + _SERIES_BLOCK]) + lo
+        x = n * s
+        t = np.fromiter(map(erfc, x.tolist()), float, n.size) + \
+            np.exp(-x * x) / (sqrt(pi) * x)
+        sums.append(fsum((chi[n] * t).tolist()))
+        err += float(((x * x + 1) * t).sum()) * 2.0 ** -48
+    total = fsum(sums)
+    if not (err < 0.25 and abs(total - round(total)) <= err):
+        raise ClassNumberCapError(f"L(1, chi) sum for D = {D} is not "
+                                  f"certified (error bound {err:.3g})")
+    return round(total)
+
+
 def imaginary_presentation(D, order: Optional[int] = None,
                            h: Optional[int] = None) -> ClassGroupPresentation:
     """The subgroup of order `order` of Cl(D) that is the image of
     x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
-    the whole group by default, with h counted when not given.  Its canon
-    is the projection x -> x^e onto it, e = 1 mod order and e = 0 mod
-    h/order, the identity on the subgroup: every class has a dlog, the
-    dlog of its projection.  The prime forms up to sqrt(|D|/3) generate
-    Cl(D) unconditionally, so the staircase over their (h/order)-th powers
-    stops at order; they hold for the maximal order only, so D is
-    validated by as_disc."""
-    D = as_disc(D).value
+    the whole group by default, with h from _class_number when not given.
+    Its canon is the projection x -> x^e onto it, e = 1 mod order and
+    e = 0 mod h/order, the identity on the subgroup: every class has a
+    dlog, the dlog of its projection.  The prime forms up to sqrt(|D|/3)
+    generate Cl(D) unconditionally, so the staircase over their
+    (h/order)-th powers stops at order; they hold for the maximal order
+    only, so D is validated as _class_number validates it."""
+    d = _within_cap(D, BSGS_CAP, "the class-number budget")
+    D = d.value
     assert D < 0
-    h = h or class_number_imaginary(D)
+    h = h or _class_number(d)
     order = order or h
     k = h // order
     e = k * pow(k, -1, order) or h      # e = h for order 1
@@ -322,15 +376,11 @@ def ramified_principal_form(D: int) -> QuadForm:
 # --------------------------------------------------------------- public ops
 
 def full_imaginary_presentation(D, p: int) -> ClassGroupPresentation:
-    """The imaginary class data pram reads for the prime p: a presented
-    subgroup of Cl(D) of index prime to p.  Up to ENUM_CAP it is the
-    p-Sylow subgroup, exact by the counted h; above it the whole group,
-    GRH-conditional under Bach's bound (up to BSGS_CAP).  D is validated
-    once, by as_disc."""
+    """The imaginary class data pram reads for the prime p: the p-Sylow
+    subgroup of Cl(D), over the exact h.  D is validated once, by
+    as_disc."""
     d = as_disc(D)
-    if d.abs > ENUM_CAP:
-        return class_number_bsgs(d)[1]
-    h = class_number_imaginary(d.value)
+    h = _class_number(d)
     return imaginary_presentation(d, p ** vp(h, p), h)
 
 
@@ -348,17 +398,13 @@ def _square_sylow_orders(h: int) -> list[int]:
 
 
 def class_group_imaginary(D) -> AbelianGroupStructure:
-    """Cl(D) as a divisor chain.  Up to ENUM_CAP it is read off the Sylow
-    subgroups, with h counted once: one of prime order p is Z/p, and one of
-    order p^v >= p^2 is presented alone, as the image of x -> x^(h/p^v)
-    (Cohen, GTM 138, ch. 5), at about p^v compositions instead of h, and
-    none when h is squarefree.  Above ENUM_CAP it is the GRH
-    presentation's structure."""
+    """Cl(D) as a divisor chain, read off the Sylow subgroups over the
+    exact h: one of prime order p is Z/p, and one of order p^v >= p^2 is
+    presented alone, as the image of x -> x^(h/p^v) (Cohen, GTM 138,
+    ch. 5), at about p^v compositions instead of h, and none when h is
+    squarefree."""
     d = as_disc(D)
-    assert d.value < 0
-    if d.abs > ENUM_CAP:
-        return class_number_bsgs(d)[1].structure()
-    h = class_number_imaginary(d.value)
+    h = _class_number(d)
     divs, rest = [], h
     for q in _square_sylow_orders(h):
         divs += imaginary_presentation(d, q, h).structure().divisors
@@ -471,7 +517,6 @@ class ScanRecord:
     stat: float
     is_prime_disc: bool
     structure: Optional[AbelianGroupStructure] = None
-    certified: bool = True
     error: Optional[str] = None
     hp: Optional[int] = None    # emitted p-power for p_exponent scans
 
@@ -611,7 +656,6 @@ def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
         try:
             g = class_group_imaginary(d)
             h = g.order
-            certified = d.abs <= ENUM_CAP
         except ClassNumberCapError as e:
             out.append(ScanRecord(d.value, 0, d.ramified_count, 0.0,
                                   is_prime(d.abs), error=str(e)))
@@ -621,26 +665,15 @@ def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
             best_hp = hp
             out.append(ScanRecord(d.value, h, d.ramified_count,
                                   c_kp(hp, d), is_prime(d.abs),
-                                  structure=g, certified=certified, hp=hp))
+                                  structure=g, hp=hp))
     return out
 
 
-# --------------------------------------------- Bach's bound above the enum cap
+# ------------------------------------------------ names perfbench reads
 
 def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
-    """(h, presentation of the whole class group) for fundamental imaginary
-    D up to BSGS_CAP, from the prime ideals of norm at most 6 log^2 |D|.
-
-    This is the GRH route, not baby-step giant-step (the name stays for
-    its callers): under GRH those prime ideals generate Cl(D) (Bach, Math.
-    Comp. 55, 1990), so the staircase over their prime forms, run to
-    this bound with no count of h, is the whole group, at h - 1
-    compositions.  Bach's bound and the ramified prime forms hold for the
-    maximal order only, so D is validated by as_disc: an int that is not
-    fundamental raises ValueError; a Discriminant is not factored again."""
-    D = _within_cap(D, BSGS_CAP, "BSGS cap").value
-    pres = ClassGroupPresentation.staircase(
-        reduce_imaginary(principal_form(D)), reduce_imaginary,
-        _compose_imaginary,
-        map(reduce_imaginary, _prime_forms(D, int(6 * log(-D) ** 2))))
+    """(h, presentation of the whole class group) for fundamental D < 0.
+    No src/ code calls it; it stays, under this name, for perfbench, which
+    checks and traces it."""
+    pres = imaginary_presentation(D)
     return pres.h, pres

@@ -384,6 +384,13 @@ GOLDEN_STDOUT = [
      "3d667307edf621d3c5f4a01b0b10046dd27aaacb2c06bd72894fa4bc2a732bf4"),
     (["filtration-run", "--d", "4849845"],
      "df6428c5c8e53e485151188a908d8049a6cec420a8bcfc9a8d3c7670c69904ce"),
+    # three class-group outputs above ENUM_CAP = 10^7
+    (["normic-search", "--p", "2", "--rho", "3", "--q", "7", "--max-a", "40"],
+     "a21a49e2b724da2ebd7892c995c4a6206c1ca83e5f9fcd11095746e9b97c8fa4"),
+    (["tor-scan", "--p", "2", "--min-d", "10000000", "--max-d", "10000400"],
+     "87139edc5c0d391bbd32f6ef9e0a9080a5039345afe4bb1e2f5f622191925e86"),
+    (["filtration-run", "--d", "-20000000003"],
+     "f51470874e0e46fc66cf597ad5765edc19c84b18247af631cf9d8d3690778f63"),
 ]
 
 

@@ -142,8 +142,8 @@ def _builder_calls(source, builders=_IMAGINARY_BUILDERS):
 
 
 def test_only_quadclass_chooses_enumeration_or_bsgs():
-    # quadclass alone holds the one enumeration/BSGS threshold; every
-    # other module goes through its public builders
+    # quadclass alone holds the one threshold, ENUM_CAP, that chooses how
+    # h is found; every other module goes through its public builders
     found = {p.name: _builder_calls(p.read_text())
              for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
     assert {k: v for k, v in found.items() if v} == {}
@@ -315,6 +315,7 @@ _CALLED_OUTSIDE_SRC = {
     "quadclass.prime_disc_report": "the prime-discriminant maxima check",
     # names that perfbench calls or traces
     "pram.rank_inequalities": "torsion-small calls it per field",
+    "quadclass.class_number_bsgs": "perfbench checks and traces it",
     "quadclass.scan_local_maxima": "classgroups calls it, layertrace traces",
     "quadforms.reduced_forms_imaginary": "layertrace traces it",
 }

@@ -322,7 +322,7 @@ def test_class_data_of_another_field_or_prime_is_refused(call, D, p):
        p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 64))
 def test_relation_images_match_exact_lift(seed, sign, p, n):
     rng = random.Random(seed)
-    # above |D| = ENUM_CAP = 10^7 imaginary class groups come from BSGS
+    # above |D| = ENUM_CAP = 10^7 imaginary h comes from the L-series
     top = 12 * 10 ** 6 if sign < 0 else 2 * 10 ** 5
     while True:
         try:
@@ -637,11 +637,12 @@ def _program_vptor_4(D, p):
     (pram.rank_inequalities, 105, "narrow_presentation"),
     (pram.rank_inequalities, 229, "narrow_presentation"),
     (pram.ktilde_index, -84, "imaginary_presentation"),
-    # one builder, one threshold: enumeration up to ENUM_CAP = 10^7
+    # one builder on both sides of ENUM_CAP = 10^7, which chooses only
+    # how h is found; h(-10000004) = 1648 = 2^4 * 103: one Sylow presented
     (pram.ktilde_index, -400003, "imaginary_presentation"),
     (pram.ktilde_index, -9999995, "imaginary_presentation"),
-    (pram.ktilde_index, -10000003, "class_number_bsgs"),
-    (_class_group, -10000003, "class_number_bsgs"),
+    (pram.ktilde_index, -10000003, "imaginary_presentation"),
+    (_class_group, -10000004, "imaginary_presentation"),
     (pram.tor_report, 229, "narrow_presentation"),
     (_ray_class_group_0, 229, "narrow_presentation"),
 ])
@@ -650,10 +651,12 @@ def test_one_presentation_build_per_call(builds, call, D, builder):
     assert builds == [builder]
 
 
-@pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 2)])
+@pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 2),
+                                      (-10000003, 0), (-10000047, 2)])
 def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
-    # below ENUM_CAP, h = 3, 96 = 2^5 * 3 and 936 = 2^3 * 3^2 * 13: one
-    # presentation per prime p with p^2 | h, and none of the whole group
+    # h = 3, 96 = 2^5 * 3 and 936 = 2^3 * 3^2 * 13 below ENUM_CAP, 706 =
+    # 2 * 353 and 1512 = 2^3 * 3^3 * 7 above it: one presentation per prime
+    # p with p^2 | h, and none of the whole group
     quadclass.class_group_imaginary(D)
     assert builds == ["imaginary_presentation"] * sylows
 
@@ -705,7 +708,7 @@ def factor_calls(monkeypatch):
     (pram.reflection_check, -84),
     (pram.rank_inequalities, 229),
     (pram.ktilde_index, -84),
-    # above ENUM_CAP too: the GRH route takes the validated Discriminant
+    # above ENUM_CAP too: the L-series takes the validated Discriminant
     (_class_group, -10000003),
     (_program_vptor_4, -10000003),
 ])
@@ -862,6 +865,7 @@ def test_class_data_present_the_p_sylow_subgroup(D, h):
         assert pram._class_data(D, p).pres.h == p ** arith.vp(h, p), (D, p)
 
 
-def test_class_data_above_enum_cap_present_the_whole_group():
-    # the GRH presentation has index 1, prime to every p
-    assert pram._class_data(-10000003, 2).pres.h == 706
+def test_class_data_above_enum_cap_present_the_p_sylow_subgroup():
+    # h = 706 from the L-series, so Cl_2 has order 2
+    assert quadclass.class_group_imaginary(-10000003).order == 706
+    assert pram._class_data(-10000003, 2).pres.h == 2

@@ -366,15 +366,18 @@ def test_prime_disc_report():
 
 
 def test_bsgs_agrees_with_enumeration():
+    # the L-series h and the whole group class_number_bsgs presents, against
+    # the enumerated reduced forms and the Sylow-wise structure
     rng = random.Random(4)
     Ds = (_fundamental_sample(rng, 10 ** 5, 4 * 10 ** 5, 20)
           + _fundamental_sample(rng, 4 * 10 ** 5, 2 * 10 ** 6, 60))
     for D in Ds:
-        enum = qc.imaginary_presentation(D)
+        forms = reduced_forms_imaginary(D)
         h, bsgs = qc.class_number_bsgs(D)
+        assert qc._class_number_series(D) == len(forms), D
         assert h == bsgs.h, D
-        assert bsgs.h == enum.h, D
-        assert bsgs.structure().divisors == enum.structure().divisors, D
+        assert set(bsgs.dlog_table) == set(forms), D
+        assert bsgs.structure() == qc.class_group_imaginary(D), D
 
 
 def test_bsgs_structure_matches_enumeration():
@@ -394,22 +397,24 @@ def test_bsgs_structure_matches_enumeration_property(k, r):
         D = qc.discriminant_from_value(r - 4 * k).value
     except ValueError:
         assume(False)
-    assert qc.class_number_bsgs(D)[1].structure() == \
-        qc.imaginary_presentation(D).structure()
+    h, pres = qc.class_number_bsgs(D)
+    assert (h, pres.structure()) == (len(reduced_forms_imaginary(D)),
+                                     qc.class_group_imaginary(D))
 
 
 def test_bsgs_class_number_one():
-    # every fundamental D < 0 with h = 1
+    # every fundamental D < 0 with h = 1; the series holds for D < -4
     for D in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
         h, pres = qc.class_number_bsgs(D)
         assert (h, pres.h, pres.gens) == (1, 1, []), D
+        assert D > -5 or qc._class_number_series(D) == 1, D
 
 
 _NON_FUNDAMENTAL = [-12, -16, -27, -28, -60, -36, -48, -75, -99]
 
 
-# ids -12, ... for the GRH route, -12-exact, ... for the exact one and
-# 20-narrow, 45-narrow for the real one
+# ids -12, ... for class_number_bsgs, -12-exact, ... for
+# imaginary_presentation and 20-narrow, 45-narrow for the real one
 @pytest.mark.parametrize("D,build", [
     pytest.param(D, build, id=f"{D}{suffix}")
     for build, suffix, Ds in (
@@ -418,11 +423,11 @@ _NON_FUNDAMENTAL = [-12, -16, -27, -28, -60, -36, -48, -75, -99]
         (qc.narrow_presentation, "-narrow", [20, 45]))
     for D in Ds])
 def test_bsgs_rejects_non_fundamental(D, build):
-    # Bach's bound and the ramified prime forms hold for the maximal order
-    # only: these D once gave [2] for h = 1, [2,2] for -60 (whose group is
-    # [2]) or a presentation that failed its own order check; 20 and 45,
-    # orders of conductor 2 and 3 in Q(sqrt(5)), gave their form class
-    # groups
+    # the prime-form bounds and the ramified prime forms hold for the
+    # maximal order only: these D once gave [2] for h = 1, [2,2] for -60
+    # (whose group is [2]) or a presentation that failed its own order
+    # check; 20 and 45, orders of conductor 2 and 3 in Q(sqrt(5)), gave
+    # their form class groups
     with pytest.raises(ValueError):
         build(D)
 
@@ -430,6 +435,51 @@ def test_bsgs_rejects_non_fundamental(D, build):
 def test_bsgs_cap():
     with pytest.raises(qc.ClassNumberCapError):
         qc.class_number_bsgs(-(10 ** 14 + 3))
+
+
+# d = 4k - r, r = 1 or 0, as in the property test above: 4 < d <= ENUM_CAP
+@given(st.integers(min_value=2, max_value=qc.ENUM_CAP // 4),
+       st.sampled_from([1, 0]))
+@settings(max_examples=40, deadline=None)
+def test_class_number_series_matches_count(k, r):
+    try:
+        D = qc.discriminant_from_value(r - 4 * k).value
+    except ValueError:
+        assume(False)
+    assert qc._class_number_series(D) == quadforms.class_number_imaginary(D)
+
+
+# h above ENUM_CAP, as the deleted GRH staircase (Bach's bound) gave it
+@pytest.mark.parametrize("D,h", [
+    (-10000003, 706), (-19399380, 1536), (-100000007, 7253),
+    (-892371480, 10240), (-1000000000011, 273744)])
+def test_class_number_above_enum_cap(D, h):
+    assert qc._class_number(D) == h
+
+
+def test_class_number_series_refuses_a_short_sum(monkeypatch):
+    # a sum cut off at a fifth of its terms (x_N^2 = 1, not 25) leaves a
+    # tail bound above 1/4: an error, never a rounded h
+    monkeypatch.setattr(qc, "_SERIES_X2", 1)
+    for D in (-10000003, -100000007):
+        with pytest.raises(qc.ClassNumberCapError, match="not certified"):
+            qc._class_number(D)
+
+
+def test_class_number_refusals(monkeypatch):
+    # the series holds for fundamental D only; above BSGS_CAP neither its
+    # prime sieve nor a count is started, nor is D factored
+    for D in (-40000012, -90000027, -12, -27):
+        with pytest.raises(ValueError):
+            qc._class_number(D)
+
+    def boom(*args):
+        raise AssertionError("a table or a factorization was started")
+    for name in ("prime_sieve", "class_number_imaginary", "factor"):
+        monkeypatch.setattr(qc, name, boom)
+    for D in (-(qc.BSGS_CAP + 3), -(10 ** 14 + 3)):
+        with pytest.raises(qc.ClassNumberCapError):
+            qc._class_number(D)
 
 
 def test_narrow_enumeration_cap():
@@ -604,15 +654,18 @@ def test_bsgs_presentation_matches_reference_adjoin():
         assert pres.h == len(reduced_forms_imaginary(D))
 
 
-def test_exact_and_grh_presentations_coincide():
-    # one staircase over the prime forms in ascending order: the exact
-    # bound sqrt(|D|/3) and Bach's 6 log^2 |D| differ only in where the
-    # walk may stop, after the group is full
+def test_staircase_stopped_at_h_is_the_whole_walk():
+    # one staircase over the prime forms in ascending order: stopped at the
+    # exact h, or run over every prime form up to sqrt(|D|/3), it differs
+    # only in where the walk stops, after the group is full
     Ds = _fundamental_sample(random.Random(23), 4 * 10 ** 5 + 1,
                              3 * 10 ** 6, 25)
     for D in Ds + [-3, -4, -23, -3299, -15015, -255255]:
-        assert _snapshot(qc.imaginary_presentation(D)) == \
-            _snapshot(qc.class_number_bsgs(D)[1]), D
+        walk = qc.ClassGroupPresentation.staircase(
+            reduce_imaginary(principal_form(D)), reduce_imaginary,
+            qc._compose_imaginary,
+            map(reduce_imaginary, qc._prime_forms(D, isqrt(-D // 3))))
+        assert _snapshot(qc.imaginary_presentation(D)) == _snapshot(walk), D
 
 
 def test_bsgs_presentation_composes_once_per_class():
