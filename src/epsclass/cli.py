@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import ceil, isfinite, log10
@@ -68,9 +69,9 @@ def _shards(lo: int, hi: int, k: int):
 
 # module-level shard workers so ProcessPoolExecutor can pickle them
 
-def _quad_shard(t):
-    lo, hi, stat, eps, p = t
-    return quadclass.scan_candidates(lo, hi, stat, eps, p)
+def _sieve_shard(t):
+    X, shard, shards = t
+    return quadclass.batch_class_numbers_imaginary(X, shard, shards)
 
 
 def _tor_shard(t):
@@ -79,6 +80,8 @@ def _tor_shard(t):
 
 
 def _run_shards(worker, jobs, workers: int) -> list:
+    # a fork pool starts every process at its first submit: none idle
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(worker, jobs))
@@ -108,10 +111,21 @@ def cmd_primes(args) -> int:
     return 0 if not args.mv or rep.holds else 1
 
 
+def _quad_arrays(args):
+    # the budget before any table; the sieve split over a, one interleaved
+    # shard per worker, and the shards' tables summed into one
+    X = args.max_d
+    quadclass.scan_budget(X)
+    k = min(args.workers, os.cpu_count() or 1)
+    h, *rest = _run_shards(_sieve_shard, [(X, j, k) for j in range(k)], k)
+    for t in rest:
+        h += t
+    return quadclass.scan_arrays(X, h)
+
+
 def cmd_quad_scan(args) -> int:
     stat = _STATS[args.stat]
-    fields = quadclass.scan_fields(args.min_d, args.max_d,
-                                   quadclass.scan_arrays(args.max_d))
+    fields = quadclass.scan_fields(args.min_d, args.max_d, _quad_arrays(args))
     _emit(args, _SCAN_FIELDS, [
         (-d, h, N, quadclass.scan_statistic(stat, d, h, N, args.eps, args.p),
          int(prime), "", "") for d, h, N, prime in fields])
@@ -119,13 +133,8 @@ def cmd_quad_scan(args) -> int:
 
 
 def cmd_quad_maxima(args) -> int:
-    stat = _STATS[args.stat]
-    # each shard sieves up to its own top: refuse before any is built
-    quadclass.scan_budget(args.max_d)
-    jobs = [(lo, hi, stat, args.eps, args.p)
-            for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
-    shards = _run_shards(_quad_shard, jobs, args.workers)
-    recs = quadclass.merge_maxima(shards, stat)
+    recs = quadclass.scan_candidates(args.min_d, args.max_d, _STATS[args.stat],
+                                     args.eps, args.p, _quad_arrays(args))
     _emit(args, _SCAN_FIELDS, _scan_rows(recs))
     return 0
 

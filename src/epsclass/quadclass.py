@@ -16,7 +16,7 @@ of order h.
 Every class group's generators are the prime forms of norm q <= a bound, q
 ascending.  Imaginary: sqrt(|D|/3), which no reduced form's a exceeds, so
 the staircase is unconditional and stops at an exact h, counted up to
-|D| = ENUM_CAP and summed from L(1, chi) above it, up to BSGS_CAP.  Real:
+|D| = ENUM_CAP and summed from L(1, chi) above it, up to SERIES_CAP.  Real:
 sqrt(D), since every narrow class holds a reduced form with 0 < a <
 sqrt(D), so the narrow group is unconditional with no count of h+;
 ENUM_CAP bounds D, for the cycle and unit walks.  class_group_imaginary
@@ -56,7 +56,7 @@ from .quadforms import (
 )
 
 ENUM_CAP = 10 ** 7
-BSGS_CAP = 10 ** 13
+SERIES_CAP = 10 ** 13
 
 
 class ClassNumberCapError(Exception):
@@ -255,9 +255,9 @@ _SERIES_BLOCK = 1 << 18         # terms per fsum
 
 def _class_number(D) -> int:
     """h(D) for fundamental D < 0: counted up to |D| = ENUM_CAP, from
-    L(1, chi) above it; above BSGS_CAP ClassNumberCapError, before D is
+    L(1, chi) above it; above SERIES_CAP ClassNumberCapError, before D is
     factored.  A Discriminant is not factored again."""
-    d = _within_cap(D, BSGS_CAP, "the class-number budget")
+    d = _within_cap(D, SERIES_CAP, "the class-number budget")
     assert d.value < 0
     if d.abs <= ENUM_CAP:
         return class_number_imaginary(d.value)
@@ -310,7 +310,7 @@ def imaginary_presentation(D, order: Optional[int] = None,
     generate Cl(D) unconditionally, so the staircase over their
     (h/order)-th powers stops at order; they hold for the maximal order
     only, so D is validated as _class_number validates it."""
-    d = _within_cap(D, BSGS_CAP, "the class-number budget")
+    d = _within_cap(D, SERIES_CAP, "the class-number budget")
     D = d.value
     assert D < 0
     h = h or _class_number(d)
@@ -479,12 +479,14 @@ def batch_fundamental_imaginary(X: int) -> np.ndarray:
     return mask | m4
 
 
-def batch_class_numbers_imaginary(X: int) -> np.ndarray:
+def batch_class_numbers_imaginary(X: int, shard: int = 0,
+                                  shards: int = 1) -> np.ndarray:
     """h[d] = number of reduced forms of discriminant -d (class number for
-    fundamental -d), by direct brute-force counting of (a, b, c)."""
+    fundamental -d), by direct brute-force counting of (a, b, c); only the
+    forms with a = shard + 1 mod shards, so that the tables of shards
+    0, ..., shards - 1 sum to the whole one."""
     h = np.zeros(X + 1, dtype=np.int32)
-    a = 1
-    while 3 * a * a <= X:
+    for a in range(shard + 1, isqrt(X // 3) + 1, shards):
         fa = 4 * a
         for b in range(0, a + 1):
             d0 = fa * a - b * b  # c = a
@@ -494,7 +496,6 @@ def batch_class_numbers_imaginary(X: int) -> np.ndarray:
             start = d0 + fa  # c = a + 1
             if start <= X:
                 h[start:: fa] += w
-        a += 1
     return h
 
 
@@ -547,43 +548,23 @@ def scan_fields(lo: int, hi: int,
                        isp[ds].tolist())
 
 
-def _successive_maxima(items, key: Callable, floor):
-    """The items whose key beats floor and the key of every earlier item."""
-    best = floor
-    for item in items:
-        k = key(item)
-        if k > best:
-            best = k
-            yield item
-
-
 def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
                     p: int = 0, arrays=None) -> list[ScanRecord]:
-    """Local-maxima candidates over fundamental D with lo <= |D| <= hi.
-
-    Every global successive maximum is a local one within its shard, so
-    shard outputs can be merged (ascending |D|) and re-filtered.  A
-    p_exponent maximum raises h_p above 1, any other the statistic.
-    """
+    """The successive maxima over fundamental D with lo <= |D| <= hi,
+    ascending: a p_exponent maximum raises h_p above 1 and every earlier
+    h_p, any other the statistic above 0 and every earlier one.  arrays,
+    scan_arrays' tables up to hi at least, are sieved when not given."""
     if arrays is None:
         arrays = scan_arrays(hi)
     p_exp = statistic == "p_exponent"
-    if p_exp:
-        key, floor = (lambda f: p ** vp(f[1], p)), 1
-    else:
-        key, floor = (lambda f: scan_statistic(statistic, f[0], f[1], f[2],
-                                               eps)), 0.0
-    return [ScanRecord(-d, h, N, scan_statistic(statistic, d, h, N, eps, p),
-                       prime, hp=p ** vp(h, p) if p_exp else None)
-            for d, h, N, prime in _successive_maxima(
-                scan_fields(lo, hi, arrays), key, floor)]
-
-
-def merge_maxima(shards: list[list[ScanRecord]], statistic: str) -> list[ScanRecord]:
-    recs = sorted((r for shard in shards for r in shard), key=lambda r: -r.d)
-    if statistic == "p_exponent":
-        return list(_successive_maxima(recs, lambda r: r.hp, 1))
-    return list(_successive_maxima(recs, lambda r: r.stat, 0.0))
+    out, best = [], 1 if p_exp else 0.0
+    for d, h, N, prime in scan_fields(lo, hi, arrays):
+        k = p ** vp(h, p) if p_exp else scan_statistic(statistic, d, h, N, eps)
+        if k > best:
+            best = k
+            out.append(ScanRecord(-d, h, N, scan_statistic(
+                statistic, d, h, N, eps, p), prime, hp=k if p_exp else None))
+    return out
 
 
 def scan_budget(X: int) -> None:
@@ -593,13 +574,16 @@ def scan_budget(X: int) -> None:
                                   f"the budget {ENUM_CAP}")
 
 
-def scan_arrays(X: int):
+def scan_arrays(X: int, h: Optional[np.ndarray] = None):
     """(h, fundamental, omega, prime) arrays indexed by |D| <= X: class
     numbers, the fundamental-discriminant mask, the number of distinct
     prime divisors, counted over the one prime sieve, and that sieve.
-    The budget is checked before any table is allocated."""
+    The budget is checked before any table is allocated.  h is
+    batch_class_numbers_imaginary(X), sieved here unless given (the sum
+    of its shards, say)."""
     scan_budget(X)
-    h = batch_class_numbers_imaginary(X)
+    if h is None:
+        h = batch_class_numbers_imaginary(X)
     fund = batch_fundamental_imaginary(X)
     # sieved after the mask, whose X-sized temporaries set the peak memory
     isp = prime_sieve(X)
@@ -611,8 +595,7 @@ def scan_arrays(X: int):
 
 def scan_local_maxima(max_abs_d: int, statistic: str, eps: float = 0.0,
                       p: int = 0, arrays=None) -> list[ScanRecord]:
-    # |D| = 3 is the smallest imaginary discriminant; one shard's
-    # candidates are already its successive maxima
+    # |D| = 3 is the smallest imaginary discriminant
     return scan_candidates(3, max_abs_d, statistic, eps, p, arrays)
 
 

@@ -204,7 +204,7 @@ def test_criterion_09_torsion_groups():
     rep = pram.tor_report(-101091716, 2)
     assert str(rep.tor_structure) == "[1024,4,2]"
     assert sig10(rep.c_tilde, 0.97777114254342282551717)
-    # the 10^19-discriminant index computation exceeds BSGS_CAP:
+    # the 10^19-discriminant index computation exceeds SERIES_CAP:
     # stretch goal; fall back to the index identity on in-budget fields
     stretch = True
     try:

@@ -176,6 +176,55 @@ def test_quad_maxima_workers_deterministic(capsys):
     assert rows_of(out1) == rows_of(out2)
 
 
+def test_quad_scan_workers_deterministic(capsys):
+    args = ["quad-scan", "--stat", "p-exponent", "--p", "3",
+            "--max-d", "3000"]
+    _, out1 = run(args + ["--workers", "1"], capsys)
+    _, out3 = run(args + ["--workers", "3"], capsys)
+    assert rows_of(out1) == rows_of(out3)
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in
+    this process, so that no worker is started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("argv,jobs", [
+    pytest.param(["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "10"],
+                 8, id="tor-scan"),
+    pytest.param(["quad-scan", "--max-d", "2000"], None, id="quad-scan"),
+    pytest.param(["quad-maxima", "--stat", "genus", "--eps", "0.05",
+                  "--max-d", "2000"], None, id="quad-maxima"),
+])
+def test_pool_is_bounded_by_jobs_and_cores(monkeypatch, capsys, argv, jobs):
+    # a fork pool starts all of its max_workers at the first submit: 5000
+    # workers on 8 one-field tor-scan shards forked 5000 processes; a quad
+    # scan has one sieve shard per core
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    _, want = run(argv + ["--workers", "1"], capsys)
+    assert _InProcessPool.sizes == []
+    for cores in (4, 64):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(_InProcessPool, "sizes", [])
+        _, out = run(argv + ["--workers", "5000"], capsys)
+        assert _InProcessPool.sizes == [min(jobs or cores, cores)]
+        assert rows_of(out) == rows_of(want)
+
+
 def test_quad_scan_emits_all_fundamental(capsys):
     code, out = run(["quad-scan", "--stat", "raw", "--max-d", "100"], capsys)
     assert code == 0
@@ -328,6 +377,7 @@ def test_scan_budget_exits_3_before_any_table(monkeypatch, capsys):
         raise AssertionError(f"a table up to {X} was built")
     monkeypatch.setattr(quadclass, "batch_class_numbers_imaginary", boom)
     for argv in (["quad-scan"], ["quad-maxima"],
+                 ["quad-scan", "--workers", "2"],
                  ["quad-maxima", "--workers", "2"]):
         code = cli.main(argv + ["--max-d", "101"])
         captured = capsys.readouterr()

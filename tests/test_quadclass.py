@@ -3,8 +3,9 @@ from collections import Counter
 from math import gcd, isqrt
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadforms
@@ -312,16 +313,26 @@ def test_scan_p_exponent():
     assert [(r.d, r.hp) for r in recs] == [(-15, 2), (-39, 4), (-95, 8)]
 
 
-def test_scan_shard_merge_deterministic():
-    # p_exponent shards merge on h_p: h_3 = 243 at |D| = 29399 is a maximum
-    # whose statistic, 1.068, is below that of h_3 = 81 at 3671 (1.071)
-    arrays = qc.scan_arrays(30000)
-    for stat, eps, p in (("genus_normalized", 0.05, 0), ("p_exponent", 0, 3)):
-        whole = qc.scan_local_maxima(30000, stat, eps, p, arrays=arrays)
-        shards = [qc.scan_candidates(3, 1500, stat, eps, p, arrays=arrays),
-                  qc.scan_candidates(1501, 30000, stat, eps, p, arrays=arrays)]
-        assert qc.merge_maxima(shards, stat) == whole
-    assert [(r.d, r.hp) for r in whole[-2:]] == [(-3671, 81), (-29399, 243)]
+def test_scan_p_exponent_maxima_are_taken_on_hp():
+    # h_3 = 243 at |D| = 29399 is a maximum whose statistic, 1.068, is
+    # below that of h_3 = 81 at 3671 (1.071)
+    recs = qc.scan_local_maxima(30000, "p_exponent", p=3)
+    assert [(r.d, r.hp) for r in recs[-2:]] == [(-3671, 81), (-29399, 243)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(X=st.integers(0, 3 * 10 ** 4), k=st.integers(1, 5))
+@example(X=50, k=5)
+def test_sieve_shards_sum_to_whole_table(X, k):
+    # shard j of k counts the forms with a = j + 1 mod k; past
+    # sqrt(X/3) shards are empty (a <= 4 at X = 50)
+    whole = qc.batch_class_numbers_imaginary(X)
+    shards = [qc.batch_class_numbers_imaginary(X, j, k) for j in range(k)]
+    total = shards[0].copy()
+    for t in shards[1:]:
+        total += t
+    assert total.dtype == whole.dtype and np.array_equal(total, whole)
+    assert sum(t.any() for t in shards) == min(k, isqrt(X // 3))
 
 
 _SCAN_STATS = [("genus_normalized", 0.05, 0), ("genus_normalized", 0.0, 0),
@@ -331,21 +342,15 @@ _SCAN_STATS = [("genus_normalized", 0.05, 0), ("genus_normalized", 0.0, 0),
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
 def test_scans_match_loops_across_blocks(monkeypatch, block):
     # tiny blocks put block boundaries inside and at the ends of every
-    # window; the merged shards, cut at seeded points and passed in
-    # reverse, give the whole window's maxima
+    # window
     monkeypatch.setattr(qc, "_SCAN_BLOCK", block)
     X = 3000
     arrays = qc.scan_arrays(X)
-    rng = random.Random(block)
     for lo, hi in scan_windows(X, seed=block):
-        cuts = sorted(rng.sample(range(lo, hi), min(3, max(hi - lo, 0))))
-        shards = list(zip([lo] + [c + 1 for c in cuts], cuts + [hi]))
         for stat, eps, p in _SCAN_STATS:
             want = scan_candidates_loop(lo, hi, stat, eps, p, arrays)
-            assert qc.scan_candidates(lo, hi, stat, eps, p, arrays) == want
-            got = [qc.scan_candidates(a, b, stat, eps, p, arrays)
-                   for a, b in shards]
-            assert qc.merge_maxima(got[::-1], stat) == want, (lo, hi, stat)
+            assert qc.scan_candidates(lo, hi, stat, eps, p,
+                                      arrays) == want, (lo, hi, stat)
 
 
 def test_scan_fields_are_the_fundamental_discriminants():
@@ -467,7 +472,7 @@ def test_class_number_series_refuses_a_short_sum(monkeypatch):
 
 
 def test_class_number_refusals(monkeypatch):
-    # the series holds for fundamental D only; above BSGS_CAP neither its
+    # the series holds for fundamental D only; above SERIES_CAP neither its
     # prime sieve nor a count is started, nor is D factored
     for D in (-40000012, -90000027, -12, -27):
         with pytest.raises(ValueError):
@@ -477,7 +482,7 @@ def test_class_number_refusals(monkeypatch):
         raise AssertionError("a table or a factorization was started")
     for name in ("prime_sieve", "class_number_imaginary", "factor"):
         monkeypatch.setattr(qc, name, boom)
-    for D in (-(qc.BSGS_CAP + 3), -(10 ** 14 + 3)):
+    for D in (-(qc.SERIES_CAP + 3), -(10 ** 14 + 3)):
         with pytest.raises(qc.ClassNumberCapError):
             qc._class_number(D)
 
