@@ -126,9 +126,10 @@ def _quad_arrays(args):
 def cmd_quad_scan(args) -> int:
     stat = _STATS[args.stat]
     fields = quadclass.scan_fields(args.min_d, args.max_d, _quad_arrays(args))
-    _emit(args, _SCAN_FIELDS, [
+    # a generator: _emit writes each row as it is made
+    _emit(args, _SCAN_FIELDS, (
         (-d, h, N, quadclass.scan_statistic(stat, d, h, N, args.eps, args.p),
-         int(prime), "", "") for d, h, N, prime in fields])
+         int(prime), "", "") for d, h, N, prime in fields))
     return 0
 
 

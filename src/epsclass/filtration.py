@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from . import quadclass, zlin
@@ -35,7 +35,8 @@ class FinitePModule:
     the images sigma(e_j) of the g generators: vectors of length g, which
     zlin takes as they are.  A list of images is the transpose of a
     matrix, but only powers of the one map sigma are multiplied, and they
-    commute."""
+    commute.  `lattice` is the Hermite basis of the relations, built once
+    per module; a tuple, since `group_ring_block` modules are shared."""
     p: int
     relations: tuple      # relation vectors, each of length g
     sigma: tuple          # sigma(e_j) for j < g, each of length g
@@ -51,13 +52,17 @@ class FinitePModule:
     def ngens(self) -> int:
         return len(self.sigma)
 
+    @cached_property
+    def lattice(self) -> tuple:
+        return tuple(map(tuple, zlin.hnf_columns(self.relations)))
+
     def _validate(self):
         g = self.ngens
         if g == 0:
             return
-        L = zlin.hnf_columns(self.relations)
+        L = self.lattice
         # sigma preserves the relation lattice: sigma(r) = sum_k r_k sigma(e_k)
-        for img in zlin.mat_mul(self.relations, self.sigma):
+        for img in zlin.mat_mul(L, self.sigma):
             if zlin.solve_lattice(L, img) is None:
                 raise FiltrationError("sigma does not preserve relations")
         # sigma^p acts as identity on M
@@ -72,9 +77,12 @@ class FinitePModule:
 
 
 def module_order(M: FinitePModule) -> int:
-    if M.ngens == 0:
-        return 1
-    return zlin.lattice_index(M.relations, M.ngens)
+    """#M: the product of the Hermite pivots, on the diagonal of a full-rank
+    basis."""
+    L, g = M.lattice, M.ngens
+    if len(L) < g:
+        raise FiltrationError("infinite quotient: relation rank < ngens")
+    return prod(L[i][i] for i in range(g))
 
 
 def _one_minus_sigma(M: FinitePModule) -> list[list[int]]:
@@ -86,7 +94,7 @@ def _sublattice_order(M: FinitePModule, K: list[list[int]],
                       total: int) -> int:
     """Order of K/L inside M = Z^g/L, where L <= K <= Z^g.
 
-    K is a Hermite basis (solution_lattice's, or hnf_columns') and has full
+    K is a Hermite basis, as solution_lattice returns it, and has full
     rank g since it holds L, so its index is its diagonal product."""
     return total // prod(K[i][i] for i in range(M.ngens))
 
@@ -96,9 +104,9 @@ def fixed_subgroup(M: FinitePModule) -> AbelianGroupStructure:
     g = M.ngens
     if g == 0:
         return AbelianGroupStructure.trivial()
-    K = zlin.solution_lattice(_one_minus_sigma(M), M.relations)
-    # relations of K/L: each relation vector in the K basis
-    rels = [zlin.solve_lattice(K, r) for r in M.relations]
+    K = zlin.solution_lattice(_one_minus_sigma(M), M.lattice)
+    # relations of K/L: each basis vector of L in the K basis
+    rels = [zlin.solve_lattice(K, r) for r in M.lattice]
     assert None not in rels
     return AbelianGroupStructure.from_relation_matrix(rels, g)
 
@@ -152,7 +160,7 @@ def filtration(M: FinitePModule, N: int) -> FiltrationResult:
         if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         Ai = zlin.mat_mul(A, Ai)
-        K = zlin.solution_lattice(Ai, M.relations)
+        K = zlin.solution_lattice(Ai, M.lattice)
         orders.append(_sublattice_order(M, K, total))
     return _chain_to_result(M.p, N, orders)
 
@@ -161,7 +169,7 @@ def filtration_iterated(M: FinitePModule, N: int) -> FiltrationResult:
     """Iterated route: M_{i+1} is the pullback of (M/M_i)^G."""
     total = module_order(M)
     A = _one_minus_sigma(M)
-    K = zlin.hnf_columns(M.relations)
+    K = M.lattice
     orders = [1]
     while orders[-1] != total:
         if len(orders) > MAX_STEPS:

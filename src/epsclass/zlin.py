@@ -111,22 +111,27 @@ def hnf_columns(vectors) -> list[list[int]]:
     return A
 
 
-def kernel_columns(vectors) -> list[list[int]]:
-    """Basis of the integer relations {x : sum_j x_j vectors[j] = 0}."""
+def kernel_columns(vectors, modulo=()) -> list[list[int]]:
+    """Vectors spanning {x : sum_j x_j vectors[j] in the lattice of modulo},
+    a basis when the modulo vectors are independent (a Hermite basis is).
+
+    The negated modulo vectors go first and carry no coordinates (Cohen,
+    GTM 138, Alg. 2.4.10); only the vectors' unit coordinates are tracked.
+    """
     n = len(vectors)
-    dims = len(vectors[0]) if vectors else 0
-    A = [list(v) + [int(i == j) for i in range(n)]
-         for j, v in enumerate(vectors)]
+    A = [[-x for x in b] + [0] * n for b in modulo]
+    A += [list(v) + [int(i == j) for i in range(n)]
+          for j, v in enumerate(vectors)]
+    dims = len(A[0]) - n if A else 0
     r = len(_eliminate(A, dims))
     return [a[dims:] for a in A[r:]]
 
 
 def solution_lattice(A, B) -> list[list[int]]:
     """Hermite basis of {x : sum_j x_j A[j] in the lattice of B}, for the
-    images A[j] of the unit vectors under a map, B any spanning vectors."""
-    n = len(A)
-    K = kernel_columns(list(A) + [[-x for x in b] for b in B])
-    return hnf_columns([k[:n] for k in K])
+    images A[j] of the unit vectors under a map, B any spanning vectors
+    (fastest as a Hermite basis)."""
+    return hnf_columns(kernel_columns(A, B))
 
 
 def smith_diagonal(vectors) -> list[int]:

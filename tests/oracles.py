@@ -8,9 +8,11 @@ groups built from prime forms, pram's class data over the whole class
 group beside its p-Sylow data, the squarefree core from a full
 factorization beside the discriminants quadclass reads off a factored
 radicand, the scans' loops over every |D| beside their block walk and
-successive-maxima filter, and zlin's earlier column-layout Hermite form,
+successive-maxima filter, zlin's earlier column-layout Hermite form,
 kernel and Smith form (a second, column Bezout step and a Smith
-elimination of its own) beside zlin over vector lists.
+elimination of its own) beside zlin over vector lists, and the solution
+lattice read off the whole kernel, a unit coordinate for every vector,
+beside zlin's kernel modulo a lattice.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import pytest
 from epsclass import pram, quadclass
 from epsclass.arith import factor, vp
 from epsclass.quadforms import QuadForm
-from epsclass.zlin import identity, xgcd
+from epsclass.zlin import hnf_columns, identity, kernel_columns, xgcd
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,15 @@ def kernel_columns_reference(M):
     ker_cols = [j for j in range(cols)
                 if all(A[i][j] == 0 for i in range(rows))]
     return [[A[rows + i][j] for j in ker_cols] for i in range(cols)]
+
+
+def solution_lattice_reference(A, B):
+    """Hermite basis of {x : sum_j x_j A[j] in the lattice of B}: the
+    relations among A's vectors and the negated B, each vector with its
+    own unit coordinate, cut to their first len(A) coordinates."""
+    n = len(A)
+    K = kernel_columns(list(A) + [[-x for x in b] for b in B])
+    return hnf_columns([k[:n] for k in K])
 
 
 def smith_diagonal_reference(M):

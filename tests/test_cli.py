@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,24 @@ def test_quad_scan_workers_deterministic(capsys):
     _, out1 = run(args + ["--workers", "1"], capsys)
     _, out3 = run(args + ["--workers", "3"], capsys)
     assert rows_of(out1) == rows_of(out3)
+
+
+def test_quad_scan_streams_its_rows(tmp_path):
+    # the rows go to the file as they are made: with a list of every row
+    # built first, this run's traced peak was 16.6 MB against 6.4 MB
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["quad-scan", "--stat", "p-exponent", "--p", "3",
+                         "--max-d", "300000", "--workers", "1",
+                         "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # 91183 fundamental D with |D| <= 3*10^5, a header row, two # lines
+    assert len(out.read_text().splitlines()) == 91186
+    assert peak < 10 * 2 ** 20
 
 
 class _InProcessPool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from epsclass import filtration as fl
 from epsclass import zlin
+from epsclass.arith import vp
 
 
 def brute_elements(relations):
@@ -229,3 +230,29 @@ def test_blocks_are_shared_and_frozen():
     assert all(isinstance(r, tuple) for r in B.relations + B.sigma)
     with pytest.raises(dataclasses.FrozenInstanceError):
         B.p = 5
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (3, 4), (5, 3)])
+def test_module_lattice_is_the_hermite_basis_of_the_relations(p, N):
+    for seed in range(8):
+        M = fl.synthesize(p, N, seed)
+        assert [list(v) for v in M.lattice] == zlin.hnf_columns(M.relations)
+        assert fl.module_order(M) == zlin.lattice_index(M.relations, M.ngens)
+    # relations of rank 1 in Z^2: an infinite quotient, no finite module
+    with pytest.raises(fl.FiltrationError):
+        fl.FinitePModule.build(3, [[3, 0], [6, 0]], _TRIVIAL)
+
+
+@pytest.mark.parametrize("p,a,b", [(3, 2, 3), (3, 1, 2), (5, 2, 4)])
+def test_shared_block_lattice_is_left_as_built(p, a, b):
+    # group_ring_block's modules are shared through lru_cache: no route may
+    # change the lattice cached on one, alone or summed with others
+    B = fl.group_ring_block(p, a, b)
+    L = B.lattice
+    assert isinstance(L, tuple) and all(isinstance(v, tuple) for v in L)
+    for M in (B, fl.direct_sum([B, fl.group_ring_block(p, 1, 1), B])):
+        N = vp(fl.fixed_subgroup(M).order, p) + 1
+        assert fl.filtration(M, N) == fl.filtration_iterated(M, N)
+    assert B.lattice is L
+    assert L == fl.group_ring_block.__wrapped__(p, a, b).lattice
+    assert [list(v) for v in L] == zlin.hnf_columns(B.relations)

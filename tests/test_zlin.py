@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsclass import zlin
@@ -18,6 +18,7 @@ from oracles import (
     hnf_columns_reference,
     kernel_columns_reference,
     smith_diagonal_reference,
+    solution_lattice_reference,
 )
 
 
@@ -137,6 +138,54 @@ def test_zlin_matches_the_column_layout_reference(M):
     assert zlin.kernel_columns(V) == _columns(K)
     assert zlin.smith_diagonal(V) == smith_diagonal_reference(M)
     assert zlin.smith_diagonal(M) == smith_diagonal_reference(M)
+
+
+@st.composite
+def _maps_and_lattices(draw):
+    """(dims, A, B): the images A of up to 5 unit vectors in Z^dims, half
+    of them multiples of one vector (rank at most 1), and up to 5 vectors
+    B spanning a lattice, half of the time as their Hermite basis."""
+    dims = draw(st.integers(0, 4))
+    entry = st.integers(-9, 9)
+
+    def vectors(k):
+        return [draw(st.lists(entry, min_size=dims, max_size=dims))
+                for _ in range(k)]
+
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        A = vectors(n)
+    else:
+        w = vectors(1)[0]
+        A = [[c * x for x in w] for c in draw(st.lists(entry, min_size=n,
+                                                         max_size=n))]
+    B = vectors(draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        B = zlin.hnf_columns(B)
+    return dims, A, B
+
+
+@settings(max_examples=400, deadline=None)
+@given(_maps_and_lattices())
+@example((2, [], [[2, 1], [4, 2], [0, 3]]))                 # A empty
+@example((2, [[1, 2], [3, 4]], []))                         # B empty
+@example((3, [[1, 2, 3], [2, 4, 6], [0, 0, 0]],             # A of rank 1,
+          [[0, 3, 0], [6, 0, 0], [0, 0, 9], [6, 6, 9]]))    # B not echelon
+def test_kernel_modulo_a_lattice_matches_the_full_kernel(case):
+    dims, A, B = case
+    assert zlin.solution_lattice(A, B) == solution_lattice_reference(A, B)
+    K = zlin.kernel_columns(A, B)
+    H = zlin.hnf_columns(B)
+    for x in K:
+        image = [sum(c * a[i] for c, a in zip(x, A)) for i in range(dims)]
+        assert zlin.solve_lattice(H, image) is not None
+    if B == H:
+        # independent modulo vectors: the vectors returned are a basis
+        assert len(zlin.hnf_columns(K)) == len(K)
+    if dims:
+        # no modulo: the relations, as the column-layout kernel has them
+        assert zlin.kernel_columns(A) == \
+            _columns(kernel_columns_reference(_columns(A)))
 
 
 def test_presentation_divisors():
