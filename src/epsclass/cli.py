@@ -45,11 +45,17 @@ def _emit(args, fieldnames, rows, extra=None) -> None:
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         if args.format == "json":
+            # json.dump(doc, sort_keys=True)'s bytes, a row at a time; the
+            # config values are strings, so "rows":[] appears only once
             doc = {"tool": "epsclass", "version": __version__, "config": cfg,
-                   "fields": list(fieldnames),
-                   "rows": [[_fmt(v) for v in r] for r in rows]}
-            json.dump(doc, out, sort_keys=True, separators=(",", ":"))
-            out.write("\n")
+                   "fields": list(fieldnames), "rows": []}
+            head, tail = json.dumps(doc, sort_keys=True,
+                                    separators=(",", ":")).split('"rows":[]')
+            out.write(head + '"rows":[')
+            for i, r in enumerate(rows):
+                out.write(("," if i else "") + json.dumps(
+                    [_fmt(v) for v in r], separators=(",", ":")))
+            out.write("]" + tail + "\n")
         else:
             out.write(f"# epsclass {__version__}\n")
             out.write("# " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n")
@@ -164,11 +170,7 @@ def cmd_cubic_validate(args) -> int:
 
 
 def cmd_fixtures_check(args) -> int:
-    try:
-        files = cubic.load_all_fixtures(args.fixtures)
-    except cubic.FixtureParseError as exc:
-        print(f"fixtures-check: {exc}", file=sys.stderr)
-        return 1
+    files = cubic.load_all_fixtures(args.fixtures)
     rows = [(str(ff.path), ff.p, ff.conductor or "", len(ff.fixtures))
             for ff in files]
     _emit(args, ("path", "p", "conductor", "rows"), rows)
@@ -399,6 +401,9 @@ def main(argv=None) -> int:
     except (FactorBudgetError, ClassNumberCapError) as exc:
         print(f"epsclass: budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except cubic.FixtureParseError as exc:  # a malformed fixture tree
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:    # a bad argument or --output
         print(f"epsclass: {exc}", file=sys.stderr)
         return 2

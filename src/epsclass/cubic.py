@@ -262,8 +262,8 @@ def _logical_lines(text: str):
         yield no, line
 
 
-# fixture key -> (Fixture field, reader of the key's value); conductor= is
-# a file header, read by parse_fixture_text
+# fixture key -> (Fixture field, reader of the key's value); conductor=,
+# the file header that Cp values are based on, reads into f
 _READERS = {
     "f": ("f", lambda v: int(v.split("=")[0])), "N": ("N", int),
     "m": ("m", int), "p": ("p", int), "P": ("poly", parse_poly),
@@ -272,20 +272,20 @@ _READERS = {
     "#Tor": ("ntor", int), "Cp": ("cp", float), "D": ("D", int),
     "a": ("a", int), "b": ("b", int), "hp": ("hp", int),
     "Hp": ("hp_parts", lambda v: _parse_group(v).divisors),
+    "conductor": ("f", int),
 }
 
 
-def parse_fixture_line(line: str, p: int = 0, line_no: int = 0,
+def parse_fixture_line(line: str | list, p: int = 0, line_no: int = 0,
                        default_f: int | None = None) -> Fixture:
-    """One logical line -> partially filled Fixture; a class group that
-    ends in '*' marks the row starred."""
+    """One logical line, or the fields _split_fields cuts it into, ->
+    partially filled Fixture; a class group that ends in '*' marks the
+    row starred."""
     fix = Fixture(p=p, f=default_f, source_line=line_no)
-    fields = _split_fields(line)
+    fields = _split_fields(line) if isinstance(line, str) else line
     if not fields:
         raise FixtureParseError(f"no fields in {line!r}", line=line_no)
     for key, val, col in fields:
-        if key not in _READERS:
-            continue
         name, read = _READERS[key]
         try:
             setattr(fix, name, read(val))
@@ -315,36 +315,38 @@ def parse_fixture_text(text: str, path: str = "<string>") -> FixtureFile:
     # the last row, while a torsion block may follow it
     open_row: Fixture | None = None
     for no, line in _logical_lines(text):
-        fields = dict((k, v) for k, v, _ in _split_fields(line))
-        if set(fields) == {"p"}:
-            p = int(fields["p"])
-            continue
-        if "conductor" in fields:
-            conductor = int(fields["conductor"])
-            continue
-        if set(fields) == {"f"} or set(fields) == {"f", "N"}:
-            current_f = int(fields["f"].split("=")[0])
-            continue
-        if not p:
+        fields = _split_fields(line)
+        keys = {k for k, _, _ in fields}
+        header = keys in ({"p"}, {"f"}, {"f", "N"}) or "conductor" in keys
+        if not (p or header):
             raise FixtureParseError("missing p= header", line=no)
-        if "Structure of Tor" in fields:
+        # headers, rows and torsion lines all go through one reader (the
+        # line itself when it has no fields, which the reader refuses)
+        fix = parse_fixture_line(fields or line, p=p, line_no=no,
+                                 default_f=current_f)
+        if keys == {"p"}:
+            p = fix.p
+        elif "conductor" in keys:
+            conductor = fix.f
+        elif header:
+            current_f = fix.f
+        elif "Structure of Tor" in keys:
             if open_row is None:
                 raise FixtureParseError("torsion line without a class line",
                                         line=no)
-            open_row.tor = _parse_group(fields["Structure of Tor"])
-            continue
-        if "#Tor" in fields:
+            open_row.tor = fix.tor
+        elif "#Tor" in keys:
             if open_row is None or open_row.tor is None:
                 raise FixtureParseError("#Tor line without torsion structure",
                                         line=no)
-            open_row.ntor = int(fields["#Tor"])
-            open_row.cp = float(fields["Cp"])
+            if fix.cp is None:
+                raise FixtureParseError("#Tor line without Cp", line=no)
+            open_row.ntor, open_row.cp = fix.ntor, fix.cp
             open_row = None
-            continue
-        fix = parse_fixture_line(line, p=p, line_no=no, default_f=current_f)
-        out.append(fix)
-        open_row = fix if fix.m is not None or fix.clres is not None or (
-            fix.poly is not None and fix.D is None) else None
+        else:
+            out.append(fix)
+            open_row = fix if fix.m is not None or fix.clres is not None or (
+                fix.poly is not None and fix.D is None) else None
     return FixtureFile(path, p, conductor, out)
 
 

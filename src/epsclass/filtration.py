@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
 
 from . import quadclass, zlin
@@ -35,54 +35,54 @@ class FinitePModule:
     the images sigma(e_j) of the g generators: vectors of length g, which
     zlin takes as they are.  A list of images is the transpose of a
     matrix, but only powers of the one map sigma are multiplied, and they
-    commute.  `lattice` is the Hermite basis of the relations, built once
-    per module; a tuple, since `group_ring_block` modules are shared."""
+    commute.  `relations` is the Hermite basis of the lattice, made once
+    when the module is, as tuples: `group_ring_block` modules are shared."""
     p: int
-    relations: tuple      # relation vectors, each of length g
+    relations: tuple      # Hermite basis vectors, each of length g
     sigma: tuple          # sigma(e_j) for j < g, each of length g
+
+    def __post_init__(self):
+        hnf = zlin.hnf_columns(self.relations)
+        object.__setattr__(self, "relations", tuple(map(tuple, hnf)))
+        object.__setattr__(self, "sigma", tuple(map(tuple, self.sigma)))
 
     @classmethod
     def build(cls, p, relations, sigma) -> "FinitePModule":
-        m = cls(p, tuple(tuple(r) for r in relations),
-                tuple(tuple(r) for r in sigma))
-        m._validate()
-        return m
+        """The module, checked to be a finite p-group with a Z/p-action."""
+        M = cls(p, relations, sigma)
+        L = M.relations
+        # sigma preserves the relation lattice: sigma(r) = sum_k r_k sigma(e_k)
+        for img in zlin.mat_mul(L, M.sigma):
+            if zlin.solve_lattice(L, img) is None:
+                raise FiltrationError("sigma does not preserve relations")
+        # sigma^p acts as identity on M
+        sp = zlin.mat_sub(power(M.sigma, p, zlin.mat_mul),
+                          zlin.identity(M.ngens))
+        for v in sp:
+            if any(v) and zlin.solve_lattice(L, v) is None:
+                raise FiltrationError("sigma^p is not the identity on M")
+        n = module_order(M)
+        if n != p ** vp(n, p):
+            raise FiltrationError("presented group is not a p-group")
+        return M
 
     @property
     def ngens(self) -> int:
         return len(self.sigma)
 
-    @cached_property
-    def lattice(self) -> tuple:
-        return tuple(map(tuple, zlin.hnf_columns(self.relations)))
 
-    def _validate(self):
-        g = self.ngens
-        if g == 0:
-            return
-        L = self.lattice
-        # sigma preserves the relation lattice: sigma(r) = sum_k r_k sigma(e_k)
-        for img in zlin.mat_mul(L, self.sigma):
-            if zlin.solve_lattice(L, img) is None:
-                raise FiltrationError("sigma does not preserve relations")
-        # sigma^p acts as identity on M
-        sp = zlin.mat_sub(power(self.sigma, self.p, zlin.mat_mul),
-                          zlin.identity(g))
-        for v in sp:
-            if any(v) and zlin.solve_lattice(L, v) is None:
-                raise FiltrationError("sigma^p is not the identity on M")
-        n = module_order(self)
-        if n != self.p ** vp(n, self.p):
-            raise FiltrationError("presented group is not a p-group")
-
-
-def module_order(M: FinitePModule) -> int:
-    """#M: the product of the Hermite pivots, on the diagonal of a full-rank
-    basis."""
-    L, g = M.lattice, M.ngens
+def _index(L, g: int) -> int:
+    """#Z^g/L for a Hermite basis L: the product of its pivots, on the
+    diagonal of a full-rank basis.  A lattice K between the relations and
+    Z^g has full rank, and #K/(relations) = #M / _index(K)."""
     if len(L) < g:
         raise FiltrationError("infinite quotient: relation rank < ngens")
     return prod(L[i][i] for i in range(g))
+
+
+def module_order(M: FinitePModule) -> int:
+    """#M, the index of the relation lattice in Z^g."""
+    return _index(M.relations, M.ngens)
 
 
 def _one_minus_sigma(M: FinitePModule) -> list[list[int]]:
@@ -90,23 +90,14 @@ def _one_minus_sigma(M: FinitePModule) -> list[list[int]]:
     return zlin.mat_sub(zlin.identity(M.ngens), M.sigma)
 
 
-def _sublattice_order(M: FinitePModule, K: list[list[int]],
-                      total: int) -> int:
-    """Order of K/L inside M = Z^g/L, where L <= K <= Z^g.
-
-    K is a Hermite basis, as solution_lattice returns it, and has full
-    rank g since it holds L, so its index is its diagonal product."""
-    return total // prod(K[i][i] for i in range(M.ngens))
-
-
 def fixed_subgroup(M: FinitePModule) -> AbelianGroupStructure:
     """M^G = ker(sigma - 1), as an abstract group."""
     g = M.ngens
     if g == 0:
         return AbelianGroupStructure.trivial()
-    K = zlin.solution_lattice(_one_minus_sigma(M), M.lattice)
+    K = zlin.solution_lattice(_one_minus_sigma(M), M.relations)
     # relations of K/L: each basis vector of L in the K basis
-    rels = [zlin.solve_lattice(K, r) for r in M.lattice]
+    rels = [zlin.solve_lattice(K, r) for r in M.relations]
     assert None not in rels
     return AbelianGroupStructure.from_relation_matrix(rels, g)
 
@@ -160,8 +151,8 @@ def filtration(M: FinitePModule, N: int) -> FiltrationResult:
         if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         Ai = zlin.mat_mul(A, Ai)
-        K = zlin.solution_lattice(Ai, M.lattice)
-        orders.append(_sublattice_order(M, K, total))
+        K = zlin.solution_lattice(Ai, M.relations)
+        orders.append(total // _index(K, M.ngens))
     return _chain_to_result(M.p, N, orders)
 
 
@@ -169,13 +160,13 @@ def filtration_iterated(M: FinitePModule, N: int) -> FiltrationResult:
     """Iterated route: M_{i+1} is the pullback of (M/M_i)^G."""
     total = module_order(M)
     A = _one_minus_sigma(M)
-    K = M.lattice
+    K = M.relations
     orders = [1]
     while orders[-1] != total:
         if len(orders) > MAX_STEPS:
             raise FiltrationError("filtration did not stabilize")
         K = zlin.solution_lattice(A, K)
-        orders.append(_sublattice_order(M, K, total))
+        orders.append(total // _index(K, M.ngens))
     return _chain_to_result(M.p, N, orders)
 
 
@@ -252,7 +243,8 @@ def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
         rels += [left + r + right for r in m.relations]
         sigma += [left + s + right for s in m.sigma]
         off += m.ngens
-    # a direct sum of valid blocks is valid: no need to go through build
+    # the blocks' Hermite bases in turn are the sum's, reduced with no
+    # Bezout step; a sum of valid blocks is valid: no need to go through build
     return FinitePModule(p, tuple(rels), tuple(sigma))
 
 

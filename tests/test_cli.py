@@ -203,6 +203,41 @@ def test_quad_scan_streams_its_rows(tmp_path):
     assert peak < 10 * 2 ** 20
 
 
+def _json_dump(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_quad_scan_json_streams_its_rows(tmp_path):
+    # with the document built whole before json.dump, this run's traced
+    # peak was 33.8 MB
+    out = tmp_path / "scan.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["quad-scan", "--stat", "p-exponent", "--p", "3",
+                         "--max-d", "300000", "--workers", "1",
+                         "--format", "json", "--output", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert len(doc["rows"]) == 91183
+    assert text == _json_dump(doc)
+    assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["primes", "--p", "3", "--count", "40"],
+    ["quad-maxima", "--stat", "genus", "--eps", "0.05", "--max-d", "20000"],
+    ["cubic-validate"],     # no rows
+])
+def test_json_rows_are_the_bytes_of_json_dump(argv, capsys):
+    code, out = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == _json_dump(json.loads(out))
+
+
 class _InProcessPool:
     """A ProcessPoolExecutor stand-in that records max_workers and maps in
     this process, so that no worker is started."""
@@ -316,6 +351,23 @@ def test_cubic_validate_and_fixtures_check(capsys):
     assert code == 0
     _, rows = rows_of(out)
     assert len(rows) == 17
+
+
+@pytest.mark.parametrize("lines,where", [
+    (["m=-15 Clres=[x]"], "line 2, col 6"),
+    (["m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2"], "line 4"),
+    (["m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=zz Cp=0.5"],
+     "line 4, col 0"),
+])
+def test_malformed_fixture_tree_exits_1(tmp_path, capsys, lines, where):
+    (tmp_path / "p2").mkdir()
+    (tmp_path / "p2" / "a.txt").write_text("\n".join(["p=2"] + lines) + "\n")
+    for command in ("fixtures-check", "cubic-validate"):
+        code = cli.main([command, "--fixtures", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"{command}: ")
+        assert captured.err.count("\n") == 1 and where in captured.err
 
 
 def test_filtration_run(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from epsclass import cubic as cb
@@ -107,6 +109,28 @@ Structure of Tor=[16]
     for extra in ("Structure of Tor=[2]", "#Tor=2 Cp=1.0"):
         with pytest.raises(cb.FixtureParseError, match="line 5"):
             cb.parse_fixture_text(text + extra)
+
+
+_TOR_HEAD = "p=2\nm=-15 Clres=[2]\nStructure of Tor=[2]\n"
+
+
+@pytest.mark.parametrize("tor_line", ["#Tor=2", "#Tor=zz Cp=0.5"])
+def test_torsion_lines_go_through_the_reader(tor_line):
+    # a #Tor line without Cp, or with a bad value, is a parse error that
+    # names its line, not a KeyError or a bare ValueError
+    with pytest.raises(cb.FixtureParseError, match="line 4"):
+        cb.parse_fixture_text(_TOR_HEAD + tor_line + "\n")
+
+
+def test_embedded_fixtures_parse_to_the_same_rows():
+    # 17 files, 202 rows; the digest pins every field of every row
+    files = cb.load_all_fixtures()
+    h = hashlib.sha256()
+    for ff in files:
+        h.update(repr((ff.p, ff.conductor, ff.fixtures)).encode())
+    assert (len(files), sum(len(ff.fixtures) for ff in files)) == (17, 202)
+    assert h.hexdigest() == \
+        "9d517e189e70b5edf177aee0b29a8409ada7780374c2337001318508f81e88aa"
 
 
 def test_delta_from_fixture():

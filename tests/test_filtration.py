@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 import random
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -183,17 +183,16 @@ def test_synthesized_modules_pass_validation(p, N):
         assert fl.FinitePModule.build(M.p, M.relations, M.sigma) == M
 
 
-def _synthesize_reference(p, N, seed, attempts=500):
+def _reference_draw(p, N, seed, attempts=500):
     # the loop before blocks were checked one by one: it sums every draw
     # and takes the fixed subgroup of the whole sum
     rng = random.Random(seed * 1000003 + p * 1009 + N)
     for _ in range(attempts):
-        mods = [fl.group_ring_block(p, rng.randint(1, fl.MAX_BLOCK_EXPONENT),
-                                    rng.randint(1, p))
+        draw = [(rng.randint(1, fl.MAX_BLOCK_EXPONENT), rng.randint(1, p))
                 for _ in range(N - 1)]
-        M = fl.direct_sum(mods)
+        M = fl.direct_sum([fl.group_ring_block(p, a, b) for a, b in draw])
         if fl.fixed_subgroup(M).order == p ** (N - 1):
-            return M
+            return draw
     raise fl.FiltrationError("no module found")
 
 
@@ -201,8 +200,35 @@ def _synthesize_reference(p, N, seed, attempts=500):
 def test_synthesize_matches_reference(p):
     for N in (2, 3, 4, 5):
         for seed in range(50):
-            assert fl.synthesize(p, N, seed) == \
-                _synthesize_reference(p, N, seed), (p, N, seed)
+            draw = _reference_draw(p, N, seed)
+            assert fl.synthesize(p, N, seed) == fl.direct_sum(
+                [fl.group_ring_block(p, a, b) for a, b in draw]), \
+                (p, N, seed)
+
+
+def _raw_block(p, a, b):
+    """The relations p^a x^j and x^j (x-1)^b of Z[x]/(x^p - 1), and the
+    images sigma(x^j) = x^(j+1), as unreduced lists."""
+    sigma = [[int(i == (j + 1) % p) for i in range(p)] for j in range(p)]
+    c = [0] * p
+    for k in range(b + 1):
+        c[k % p] += comb(b, k) * (-1) ** (b - k)
+    rels = [[p ** a * (i == j) for i in range(p)] for j in range(p)]
+    rels += [[c[(i - j) % p] for i in range(p)] for j in range(p)]
+    return rels, sigma
+
+
+def _raw_sum(p, draw):
+    """The raw relations and images of the blocks (a, b) in draw, placed
+    block by block in Z^(p * len(draw))."""
+    g = p * len(draw)
+    rels, sigma = [], []
+    for k, (a, b) in enumerate(draw):
+        r, s = _raw_block(p, a, b)
+        pad = [0] * (p * k), [0] * (g - p * (k + 1))
+        rels += [pad[0] + v + pad[1] for v in r]
+        sigma += [pad[0] + v + pad[1] for v in s]
+    return rels, sigma
 
 
 @st.composite
@@ -236,8 +262,9 @@ def test_blocks_are_shared_and_frozen():
 def test_module_lattice_is_the_hermite_basis_of_the_relations(p, N):
     for seed in range(8):
         M = fl.synthesize(p, N, seed)
-        assert [list(v) for v in M.lattice] == zlin.hnf_columns(M.relations)
-        assert fl.module_order(M) == zlin.lattice_index(M.relations, M.ngens)
+        rels, _ = _raw_sum(p, _reference_draw(p, N, seed))
+        assert [list(v) for v in M.relations] == zlin.hnf_columns(rels)
+        assert fl.module_order(M) == zlin.lattice_index(rels, M.ngens)
     # relations of rank 1 in Z^2: an infinite quotient, no finite module
     with pytest.raises(fl.FiltrationError):
         fl.FinitePModule.build(3, [[3, 0], [6, 0]], _TRIVIAL)
@@ -246,13 +273,53 @@ def test_module_lattice_is_the_hermite_basis_of_the_relations(p, N):
 @pytest.mark.parametrize("p,a,b", [(3, 2, 3), (3, 1, 2), (5, 2, 4)])
 def test_shared_block_lattice_is_left_as_built(p, a, b):
     # group_ring_block's modules are shared through lru_cache: no route may
-    # change the lattice cached on one, alone or summed with others
+    # change the relations of one, alone or summed with others
     B = fl.group_ring_block(p, a, b)
-    L = B.lattice
-    assert isinstance(L, tuple) and all(isinstance(v, tuple) for v in L)
+    R = B.relations
+    assert isinstance(R, tuple) and all(isinstance(v, tuple) for v in R)
     for M in (B, fl.direct_sum([B, fl.group_ring_block(p, 1, 1), B])):
         N = vp(fl.fixed_subgroup(M).order, p) + 1
         assert fl.filtration(M, N) == fl.filtration_iterated(M, N)
-    assert B.lattice is L
-    assert L == fl.group_ring_block.__wrapped__(p, a, b).lattice
-    assert [list(v) for v in L] == zlin.hnf_columns(B.relations)
+    assert B.relations is R
+    assert R == fl.group_ring_block.__wrapped__(p, a, b).relations
+    assert [list(v) for v in R] == zlin.hnf_columns(_raw_block(p, a, b)[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_block_is_the_hermite_basis_of_its_relations(p):
+    for a in range(1, fl.MAX_BLOCK_EXPONENT + 1):
+        for b in range(1, p + 1):
+            rels, sigma = _raw_block(p, a, b)
+            B = fl.group_ring_block(p, a, b)
+            assert [list(v) for v in B.relations] == zlin.hnf_columns(rels)
+            assert [list(v) for v in B.sigma] == sigma
+
+
+def test_quadratic_module_is_the_hermite_basis_of_its_relations():
+    from epsclass import quadclass as qc
+    for D in (-4, -84, -1155, -15015, 4620, 5 * 7 * 11 * 13 * 17):
+        M, _ = fl.from_quadratic(D)
+        d = qc.as_disc(D)
+        g = (qc.class_group_imaginary(d) if d.value < 0
+             else qc.narrow_class_group_real(d))
+        divs = g.p_part(2).divisors
+        rels = [[e * (i == j) for i in range(len(divs))]
+                for j, e in enumerate(divs)]
+        assert [list(v) for v in M.relations] == zlin.hnf_columns(rels), D
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (3, 4), (5, 3), (7, 3)])
+def test_direct_sum_is_the_build_over_raw_block_relations(p, N,
+                                                           monkeypatch):
+    for seed in range(6):
+        draw = _reference_draw(p, N, seed)
+        built = fl.FinitePModule.build(p, *_raw_sum(p, draw))
+        blocks = [fl.group_ring_block(p, a, b) for a, b in draw]
+        # the blocks' bases in turn are already the sum's Hermite basis
+        with monkeypatch.context() as mp:
+            mp.setattr(zlin, "_bezout", None)
+            summed = fl.direct_sum(blocks)
+        assert summed.relations == built.relations
+        assert summed == built
+        for route in (fl.filtration, fl.filtration_iterated):
+            assert route(summed, N) == route(built, N), (seed, route)
