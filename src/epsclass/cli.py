@@ -203,10 +203,6 @@ def cmd_filtration_mc(args) -> int:
 
 def cmd_tor_scan(args) -> int:
     n = args.n or pram.scan_level(args.p)
-    # the p-adic series grow with n: no level past the last tor_report reads
-    if n > pram.top_level(args.p):
-        raise ValueError(f"--n {n} exceeds {pram.top_level(args.p)}, the "
-                         f"last ray class level for --p {args.p}")
     jobs = [(lo, hi, args.p, n)
             for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
     recs = pram.merge_tor_maxima(_run_shards(_tor_shard, jobs, args.workers))

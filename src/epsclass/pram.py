@@ -19,7 +19,7 @@ GTM 138, ch. 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, log, prod
 
 from . import zlin
@@ -101,11 +101,18 @@ def _uniformizer(R: ResidueRing) -> tuple:
     return (0, 1)             # p | m, pi = omega = sqrt(m)
 
 
+def top_level(p: int) -> int:
+    """The last ray class level n: the modulus of every field's class data
+    and the last level tor_report tries."""
+    return 64 if p == 2 else (32 if p == 3 else 16)
+
+
 def _check_modulus(p: int, n: int = 1) -> None:
-    """ValueError unless p is prime and n >= 1: the modulus p^n of every
-    (O/p^n)^x and ray class group here."""
-    if not is_prime(p) or n < 1:
+    """ValueError unless p is prime and 1 <= n <= top_level(p): the
+    modulus p^n of every (O/p^n)^x and ray class group here."""
+    if not is_prime(p) or not 1 <= n <= top_level(p):
         raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
+                         f"with n <= top_level(p) = {top_level(p)}, "
                          f"got p={p}, n={n}")
 
 
@@ -118,7 +125,7 @@ def _reduce_vec(v, H):
     return tuple(v)
 
 
-@lru_cache(maxsize=256)
+@cache
 def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
     """The p-adic log on 1 + P^c0 and exp on P^c0 mod q = p^n, as sums
     sum_k c_k x^k / p^v_k over tables of (p^v_k, c_k), k = 1, 2, ...:
@@ -292,8 +299,9 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     the level lattices only the uniformizer mod p^n, and the splitting
     type only D mod 8 (p = 2) or mod p: D mod 4p^n fixes all of them.
     The group is built from that residue, so it holds no field's own D,
-    and callers only read it.
+    and callers only read it. ValueError unless 1 <= n <= top_level(p).
     """
+    _check_modulus(p, n)
     return _ring_units(p, n, D % (4 * p ** n))
 
 
@@ -477,36 +485,29 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
         raise PramError(f"relation {col} is not principal") from exc
 
 
-def top_level(p: int) -> int:
-    """The last level tor_report tries."""
-    return 64 if p == 2 else (32 if p == 3 else 16)
-
-
 @dataclass
 class _ClassData:
     D: int
     p: int
-    top: int          # relation images are taken mod p^top
     pres: ClassGroupPresentation       # Cl_p or Cl, as _class_data says
     structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
-    #                   with alpha = x + y*omega mod p^top
-    units: list       # (x, y) mod p^top, the images of -1 and of zeta
-    #                   (D = -3, -4) or eps (D > 0)
+    #                   with alpha = x + y*omega mod p^top_level(p)
+    units: list       # (x, y) mod p^top_level(p), the images of -1 and of
+    #                   zeta (D = -3, -4) or eps (D > 0)
 
 
-def _class_data(D, p: int, top: int | None = None) -> _ClassData:
+def _class_data(D, p: int) -> _ClassData:
     """A subgroup of index prime to p of the ordinary class group of D (the
     p-Sylow subgroup for imaginary D, the whole group for real D) and its
-    relations, their generators' and the global units' images mod p^top
-    (by default every level tor_report visits).  D is an int or the
-    Discriminant validated on entry, passed on so that |D| is factored
-    once."""
+    relations, their generators' and the global units' images mod
+    p^top_level(p), which reduce to the images mod p^n at every level n.
+    D is an int or the Discriminant validated on entry, passed on so that
+    |D| is factored once."""
     _check_modulus(p)
     d = as_disc(D)
     D = d.value
-    top = top or top_level(p)
-    frame = _LocalFrame(D, p, top)
+    frame = _LocalFrame(D, p, top_level(p))
     units = [(-1, 0)]
     if D < 0:
         pres = full_imaginary_presentation(d, p)
@@ -525,15 +526,15 @@ def _class_data(D, p: int, top: int | None = None) -> _ClassData:
     forms = [_coprime_rep(f, p) for f in pres.gens]
     relations = [(col, frame.image(*_lift_relation(forms, col, frame.one)))
                  for col in cols]
-    return _ClassData(D, p, top, pres, structure, relations, units)
+    return _ClassData(D, p, pres, structure, relations, units)
 
 
-def _own_class_data(d: Discriminant, p: int, class_data: _ClassData | None,
-                    top: int | None = None) -> _ClassData:
+def _own_class_data(d: Discriminant, p: int,
+                    class_data: _ClassData | None) -> _ClassData:
     """class_data, ValueError unless it is d's at p; by default d's class
-    data at p up to level top."""
+    data at p."""
     if class_data is None:
-        return _class_data(d, p, top)
+        return _class_data(d, p)
     if (class_data.D, class_data.p) != (d.value, p):
         raise ValueError(f"class data of D={class_data.D}, p={class_data.p} "
                          f"passed for D={d.value}, p={p}")
@@ -544,20 +545,16 @@ def _own_class_data(d: Discriminant, p: int, class_data: _ClassData | None,
 
 def ray_class_group(D, p: int, n: int, class_data: _ClassData | None = None
                     ) -> AbelianGroupStructure:
-    """The preimage in Cl_{p^n} of the class data's group (level 0: that
-    group), whose p-part is Cl_{p^n}'s, from (O/p^n)^x, the global units
-    and the class-group relations. (O/p^n)^x comes from `units_mod`, built
+    """The preimage in Cl_{p^n} of the class data's group, whose p-part is
+    Cl_{p^n}'s, from (O/p^n)^x, the global units and the class-group
+    relations, for 1 <= n <= top_level(p) (ValueError otherwise, before
+    any class group is built). (O/p^n)^x comes from `units_mod`, built
     once per ring D mod 4p^n per process and shared; the unit and
     relation dlogs, the Smith form and the class data are this field's
-    own; the class data's relation images must reach level n."""
-    _check_modulus(p, n or 1)   # n = 0: the class data's group
+    own, their images mod p^top_level(p) reduced mod p^n."""
+    _check_modulus(p, n)
     d = as_disc(D)
-    cd = _own_class_data(d, p, class_data, max(n, 1))
-    if n > cd.top:
-        raise ValueError(f"class data covers levels up to {cd.top}, "
-                         f"not {n}")
-    if n == 0:
-        return cd.structure
+    cd = _own_class_data(d, p, class_data)
     G = units_mod(d.value, p, n)
     R = G.ring
     ng, t = len(G.gens), len(cd.pres.gens)
@@ -608,6 +605,11 @@ def w_group(D, p: int) -> int:
     return 1
 
 
+def _c_tilde(v: int, p: int, D: int) -> float:
+    """C~_p = v log p / log sqrt|D| for #T = p^v, as both tables print it."""
+    return v * log(p) / log(isqrt_float(abs(D)))
+
+
 def tor_report(D, p: int,
                class_data: _ClassData | None = None) -> TorsionReport:
     d = as_disc(D)
@@ -622,9 +624,8 @@ def tor_report(D, p: int,
             inc = vp(ray.order, p) - vp(prev.order, p)
             if inc == r and T == prev_T:
                 v = vp(prod(T), p)
-                ct = v * log(p) / log(isqrt_float(abs(d.value)))
-                return TorsionReport(d.value, p, AbelianGroupStructure(T),
-                                     v, w_group(d, p), ct, n)
+                return TorsionReport(d.value, p, AbelianGroupStructure(T), v,
+                                     w_group(d, p), _c_tilde(v, p, d.value), n)
         prev, prev_T = ray, T
     raise PramError(f"torsion did not stabilize for D={d.value}, p={p}")
 
@@ -659,7 +660,7 @@ def s_class_group(D, p: int,
     that of the S-class group, S the primes above p."""
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
-    cd = _own_class_data(d, p, class_data, 1)
+    cd = _own_class_data(d, p, class_data)
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)
@@ -752,7 +753,7 @@ def tor_scan(lo: int, hi: int, p: int,
         except (PramError, ClassNumberCapError) as exc:
             recs.append(TorRecord(D, m, 0, 0.0, str(exc)))
             continue
-        recs.append(TorRecord(D, m, v, v * log(p) / log(isqrt_float(d))))
+        recs.append(TorRecord(D, m, v, _c_tilde(v, p, d)))
     return merge_tor_maxima([recs])
 
 

@@ -366,6 +366,21 @@ def test_cubic_validate_and_fixtures_check(capsys):
      "line 4, col 7"),
     (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=nan"],
      "line 4, col 7"),
+    # values the validator takes the log or the valuation of: each ended
+    # in a ZeroDivisionError traceback or in exit 2 with no line number
+    (["p=3", "D=1 a=1 b=1 Cp=0.1 hp=3 Hp=[3]"], "line 2, col 0"),
+    (["p=3", "D=-7 a=1 b=1 Cp=0.1 hp=3 Hp=[3]"], "line 2, col 0"),
+    (["p=3", "D=23 a=1 b=1 Cp=0.1 hp=0 Hp=[3]"], "line 2, col 20"),
+    (["p=2", "m=1 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=0.5"],
+     "line 2, col 0"),
+    (["p=2", "m=-1 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=0.5"],
+     "line 2, col 0"),
+    (["p=2", "m=-15 Clres=[2]", "Structure of Tor=[2]", "#Tor=0 Cp=0.5"],
+     "line 4, col 0"),
+    (["p=3", "f=1", "P=x^3+x^2-2*x-1 Cl=[3]", "Structure of Tor=[3]",
+      "#Tor=3 Cp=0.5"], "line 2, col 0"),
+    (["p=3", "conductor=1", "f=7 P=x^3+x^2-2*x-1 Cl=[3]",
+      "Structure of Tor=[3]", "#Tor=3 Cp=0.5"], "line 2, col 0"),
 ])
 def test_malformed_fixture_tree_exits_1(tmp_path, capsys, lines, where):
     sub = tmp_path / lines[0].replace("=", "")      # p2 or p3

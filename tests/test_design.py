@@ -302,7 +302,6 @@ def _uncalled(sources):
 # public names with no caller in src/, each with the caller that keeps it
 _CALLED_OUTSIDE_SRC = {
     # paper quantities that only the tests compute
-    "cubic.delta_from_fixture": "Chevalley's delta and Delta of a fixture",
     "epsanalysis.envelope_report": "the implied constants log C of a scan",
     "epsanalysis.h_eps_threshold": "the threshold (sqrt|D|)^eps / p^(N-1)",
     "epsanalysis.log_sqrt_disc": "log sqrt(D) of a cyclic degree-p field",

@@ -139,6 +139,8 @@ def test_residue_units_rejects_bad_modulus(p, n):
     (pram.tor_report, (-20, 4)),
     (pram.reflection_check, (-20, 6)),
     (pram.rank_inequalities, (-20, 1)),
+    # level 0 is the class data's group, not a ray class level
+    (pram.ray_class_group, (-20, 2, 0)),
 ])
 def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
     def no_build(D):
@@ -147,6 +149,33 @@ def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
     monkeypatch.setattr(quadclass, "imaginary_presentation", no_build)
     monkeypatch.setattr(quadclass, "class_number_bsgs", no_build)
     with pytest.raises(ValueError, match="prime p and n >= 1"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call,args", [
+    (pram.ResidueUnits, (-3, 2, 65)),
+    (pram.units_mod, (-3, 3, 33)),
+    (pram.ray_class_group, (-20, 2, 65)),
+    (pram.ray_class_group, (229, 5, 17)),
+    (pram.program_vptor, (-23, 2, 65)),
+    (pram.program_vptor, (-23, 3, 10 ** 9)),
+    (pram.tor_scan, (20, 40, 2, 65)),
+    (pram.tor_scan, (20, 40, 7, 17)),
+])
+def test_pram_entry_points_reject_a_level_past_the_top(monkeypatch, call,
+                                                        args):
+    # the class data reach p^top_level(p) and no further: a level past it
+    # is refused before any field, ring or class group is touched
+    def no_field(*a):
+        raise AssertionError("a field was computed before validation")
+
+    for mod, name in ((pram, "as_disc"), (pram, "is_fundamental_neg"),
+                      (pram, "ResidueRing"), (pram, "_ring_units"),
+                      (quadclass, "imaginary_presentation"),
+                      (quadclass, "class_number_bsgs"),
+                      (pram, "narrow_presentation")):
+        monkeypatch.setattr(mod, name, no_field)
+    with pytest.raises(ValueError, match=r"n <= top_level\(p\) = "):
         call(*args)
 
 
@@ -291,19 +320,11 @@ def test_relation_images_on_ray_grid():
     levels = sorted({n for _, _, n in RAY_CASES})
     for D, p in sorted({(D, p) for D, p, _ in RAY_CASES}):
         cd = pram._class_data(D, p)
-        _assert_images_exact(cd, levels + [cd.top])
+        _assert_images_exact(cd, levels + [pram.top_level(p)])
     # every splitting type of every p of the grid
     for p in (2, 3, 5, 7):
         assert {pram.splitting_type(D, p) for D, q, _ in RAY_CASES
                 if q == p} == {"split", "inert", "ramified"}
-
-
-def test_ray_class_group_needs_images_to_its_level():
-    cd = pram._class_data(-84, 3, 4)
-    assert pram.ray_class_group(-84, 3, 4, cd).order == \
-        pram.ray_class_group(-84, 3, 4).order
-    with pytest.raises(ValueError, match="levels up to 4"):
-        pram.ray_class_group(-84, 3, 5, cd)
 
 
 @pytest.mark.parametrize("call", [
@@ -319,8 +340,10 @@ def test_class_data_of_another_field_or_prime_is_refused(call, D, p):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), sign=st.sampled_from([-1, 1]),
-       p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 64))
-def test_relation_images_match_exact_lift(seed, sign, p, n):
+       p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_relation_images_match_exact_lift(seed, sign, p, data):
+    # the images mod p^top_level(p), reduced mod p^n
+    n = data.draw(st.integers(1, pram.top_level(p)), label="n")
     rng = random.Random(seed)
     # above |D| = ENUM_CAP = 10^7 imaginary h comes from the L-series
     top = 12 * 10 ** 6 if sign < 0 else 2 * 10 ** 5
@@ -330,13 +353,13 @@ def test_relation_images_match_exact_lift(seed, sign, p, n):
             break
         except ValueError:
             pass
-    _assert_images_exact(pram._class_data(D, p, n), [n])
+    _assert_images_exact(pram._class_data(D, p), [n])
 
 
 def _assert_local_walk_rejects_non_principal_column(D, p):
     # the class of the generator is not trivial, so its column has no
     # generator to give an image of
-    cd = pram._class_data(D, p, 4)
+    cd = pram._class_data(D, p)
     forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
     assert cd.pres.orders[0] > 1
     frame = pram._LocalFrame(D, p, 4)
@@ -620,7 +643,8 @@ def builds(monkeypatch):
 
 
 def _ray_class_group_0(D, p):
-    return pram.ray_class_group(D, p, 0)
+    # the ray class group of modulus p^0 = 1: the class data's group
+    return pram._class_data(D, p).structure
 
 
 def _class_group(D, p):
@@ -662,14 +686,15 @@ def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
 
 
 def test_ray_class_group_level_zero_is_ordinary():
+    # modulus p^0 = 1: the class data's group
     for D in (5, 12, 105, 136, 145, 221, 229, 321, 473):
-        assert pram.ray_class_group(D, 2, 0) == \
+        assert pram._class_data(D, 2).structure == \
             quadclass.ordinary_class_group_real(D), D
     for D in (-84, -1155):
-        assert pram.ray_class_group(D, 2, 0) == \
+        assert pram._class_data(D, 2).structure == \
             quadclass.class_group_imaginary(D), D
     # imaginary class data hold the p-Sylow subgroup alone: h(-119) = 10
-    assert pram.ray_class_group(-119, 2, 0) == \
+    assert pram._class_data(-119, 2).structure == \
         quadclass.class_group_imaginary(-119).p_part(2)
 
 
@@ -814,7 +839,7 @@ def _p_outputs(D, p):
         s = pram.s_class_group(D, p)
         return s.structure.p_part(p), s.s_count
     calls = [lambda: pram.program_vptor(D, p, 4),
-             lambda: pram.program_vptor(D, p, 20),
+             lambda: pram.program_vptor(D, p, min(20, pram.top_level(p))),
              lambda: pram.tor_report(D, p),
              lambda: pram.rank_inequalities(D, p),
              lambda: s_class(D, p),
