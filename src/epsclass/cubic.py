@@ -358,6 +358,12 @@ def parse_fixture_text(text: str, path: str = "<string>") -> FixtureFile:
             out.append(fix)
             open_row = fix if fix.m is not None or fix.clres is not None or (
                 fix.poly is not None and fix.D is None) else None
+    # a torsion row's Cp is based on |m|, else on the conductor= or f
+    for fix in out:
+        if fix.ntor is not None and \
+                (fix.m, fix.f, conductor) == (None, None, None):
+            raise FixtureParseError("Cp with no m, f or conductor to base "
+                                    "it on", line=fix.source_line)
     return FixtureFile(path, p, conductor, out)
 
 

@@ -130,14 +130,23 @@ def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
     """The p-adic log on 1 + P^c0 and exp on P^c0 mod q = p^n, as sums
     sum_k c_k x^k / p^v_k over tables of (p^v_k, c_k), k = 1, 2, ...:
     k = p^v_k * u_k and c_k = +-1/u_k mod q for log(1 + x), k! = p^v_k *
-    u_k and c_k = 1/u_k mod q for exp(x) - 1.  They depend only on p, n,
-    the ramification index e and c0, so rings share them."""
+    u_k and c_k = 1/u_k mod q for exp(x) - 1.  Each table comes as (Q,
+    terms) with Q = q * max p^v_k, the precision `ResidueUnits._series`
+    keeps x^k at.  They depend only on p, n, the ramification index e
+    and c0, so rings share them."""
     q = p ** n
-    # log terms with floor(k*c0/e) - v_p(k) >= n vanish mod p^n; past
-    # kmax that holds for every k
+
+    def series(terms):
+        return q * max([1] + [pv for pv, _ in terms]), tuple(terms)
+
+    # the log term k vanishes mod p^n when floor(k*c0/e) - v_p(k) >= n,
+    # as x^k / p^v_p(k) lies in P^(k*c0 - e*v_p(k)); past kmax that holds
+    # for every k, so the table ends at the last k <= kmax it misses
     kmax = (e * (n + 2 * n.bit_length() + 6)) // c0 + 8
+    last = max((k for k in range(1, kmax + 1) if k * c0 // e - vp(k, p) < n),
+               default=0)
     log_terms = []
-    for k in range(1, kmax + 1):
+    for k in range(1, last + 1):
         v, u = _split_off(p, k)
         log_terms.append((p ** v, (-1) ** (k + 1) * pow(u, -1, q)))
     exp_terms, fv, fu = [], 0, 1
@@ -145,7 +154,7 @@ def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
         v, u = _split_off(p, k)
         fv, fu = fv + v, fu * u % q
         exp_terms.append((p ** fv, pow(fu, -1, q)))
-    return tuple(log_terms), tuple(exp_terms)
+    return series(log_terms), series(exp_terms)
 
 
 class ResidueUnits:
@@ -157,6 +166,12 @@ class ResidueUnits:
     and the base 1 + P^c0, handled additively through the p-adic
     logarithm. A top relation holds mod P^c0 only, so its column carries
     the base log of the quotient.
+
+    `dlog` looks the unit's point of the box up in a table built once per
+    group, which holds its top exponents and the inverse of their word in
+    the top generators; one product takes the unit into the base, whose
+    log, a short series at fixed precision, has its coordinates over the
+    P^c0 lattice by two exact divisions.
 
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
@@ -179,31 +194,36 @@ class ResidueUnits:
             self.order = (p * p - 1) * p ** (2 * (n - 1))
         else:
             self.order = (p - 1) * p ** (2 * n - 1)
-        self._log_terms, self._exp_terms = _series_terms(p, n, self.e,
-                                                         self.c0)
+        self._log_series, self._exp_series = _series_terms(p, n, self.e,
+                                                           self.c0)
         self._build()
 
-    def _series(self, x, terms):
-        """sum_k c_k x^k / p^v_k mod q over terms (p^v_k, c_k), in exact
-        integers: PramError unless p^v_k divides x^k."""
+    def _series(self, x, series):
+        """sum_k c_k x^k / p^v_k mod q over the terms (p^v_k, c_k) of
+        series = (Q, terms), with x^k kept mod Q: p^v_k | Q, so p^v_k
+        divides x^k exactly when it divides x^k mod Q, and then their
+        quotients agree mod q.  PramError unless p^v_k divides x^k."""
         R = self.ring
+        Q, terms = series
+        s, t = R.s, R.t
+        a, b = x0, x1 = x
         s0 = s1 = 0
-        xk = x
         for k, (pv, c) in enumerate(terms):
             if k:
-                xk = R.mul_exact(xk, x)
-            if xk[0] % pv or xk[1] % pv:
+                bb = b * x1
+                a, b = (a * x0 + bb * s) % Q, (a * x1 + b * x0 + bb * t) % Q
+            if a % pv or b % pv:
                 raise PramError("p-adic series lost exactness")
-            s0 += xk[0] // pv * c
-            s1 += xk[1] // pv * c
+            s0 += a // pv * c
+            s1 += b // pv * c
         return (s0 % R.q, s1 % R.q)
 
     def _log(self, u):
         q = self.ring.q
-        return self._series(((u[0] - 1) % q, u[1] % q), self._log_terms)
+        return self._series(((u[0] - 1) % q, u[1] % q), self._log_series)
 
     def _exp(self, b):
-        s0, s1 = self._series(b, self._exp_terms)
+        s0, s1 = self._series(b, self._exp_series)
         return ((1 + s0) % self.ring.q, s1)
 
     def _build(self):
@@ -217,16 +237,12 @@ class ResidueUnits:
             pi = _uniformizer(R)
             cols = [pi, R.mul_exact(pi, (0, 1))]
         cols = [(p ** k * a, p ** k * b) for a, b in cols] + [(q, 0), (0, q)]
-        Lc0 = zlin.hnf_columns(cols)
-        b1, b2 = map(tuple, Lc0)
+        self._Lc0 = Lc0 = tuple(map(tuple, zlin.hnf_columns(cols)))
+        b1, b2 = Lc0
         g1, g2 = self._exp(b1), self._exp(b2)
         if self._log(g1) != (b1[0] % q, b1[1] % q) or \
                 self._log(g2) != (b2[0] % q, b2[1] % q):
             raise PramError("log/exp round trip failed")
-        base_rel = [zlin.solve_lattice(Lc0, [q, 0]),
-                    zlin.solve_lattice(Lc0, [0, q])]
-        assert None not in base_rel
-        self._Lc0 = Lc0
 
         # top: (O/P^c0)^x, the unit points of the box of Lc0
         def canon(u):
@@ -236,21 +252,29 @@ class ResidueUnits:
             return canon(R.mul(a, b))
 
         box = ((i, j) for i in range(Lc0[0][0]) for j in range(Lc0[1][1]))
-        top = ClassGroupPresentation.staircase(canon(R.one), canon, op,
-                                               filter(R.is_unit, box))
+        units = list(filter(R.is_unit, box))
+        top = ClassGroupPresentation.staircase(canon(R.one), canon, op, units)
         self._top = top
+        # each unit point -> (its top exponents v, 1 / prod_j top.gens[j]^v_j
+        # mod q), which takes a unit on that point into the base
+        self._table = {}
+        for c in units:
+            v, w = top.dlog(c), R.one
+            for g, e in zip(top.gens, v):
+                if e:
+                    w = R.mul(w, power(g, e, R.mul))
+            self._table[c] = (v, R.inv(w))
 
         # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod P^c0 only,
-        # so each top column carries the base log of the quotient; tuples,
-        # because one group is shared by every field of the ring
+        # so each top column carries the base log of the quotient, the
+        # base part of dlog(g_i^{o_i}); tuples, because one group is shared
+        # by every field of the ring
         self.gens = (*top.gens, g1, g2)
-        cols = []
-        for i, col in enumerate(top.relation_columns()):
-            g = power(top.gens[i], top.orders[i], R.mul)
-            tail = self._dlog_base(self._divide(g, top.words[i]))
-            cols.append(col + [-tail[0], -tail[1]])
         nt = len(top.gens)
-        cols += [[0] * nt + list(x) for x in base_rel]
+        cols = [col + [-e for e in self.dlog(power(g, o, R.mul))[nt:]]
+                for col, g, o in zip(top.relation_columns(), top.gens,
+                                     top.orders)]
+        cols += [[0] * nt + list(self._coords(x)) for x in ((q, 0), (0, q))]
         self.rel_cols = tuple(map(tuple, cols))
         ng = len(self.gens)
         st = AbelianGroupStructure.from_relation_matrix(cols, ng)
@@ -259,29 +283,23 @@ class ResidueUnits:
                             f"theoretical {self.order}")
         self.structure = st
 
-    def _divide(self, u, vec):
-        """u / prod_j gens[j]^{vec_j} for vec_j >= 0."""
-        R = self.ring
-        d = R.one
-        for g, e in zip(self.gens, vec):
-            if e:
-                d = R.mul(d, power(g, e, R.mul))
-        return R.mul(u, R.inv(d))
-
-    def _dlog_base(self, u):
-        q = self.ring.q
-        if zlin.solve_lattice(self._Lc0, [(u[0] - 1) % q, u[1] % q]) is None:
-            raise PramError("element is not in the base layer")
-        z = self._log(u)
-        x = zlin.solve_lattice(self._Lc0, list(z))
-        assert x is not None
-        return (x[0], x[1])
+    def _coords(self, v):
+        """x with x_1 b1 + x_2 b2 = v over the echelon basis (b1, b2) of
+        the P^c0 lattice, by two exact divisions; None off the lattice."""
+        (a, b), (_, d) = self._Lc0
+        x1, r1 = divmod(v[0], a)
+        x2, r2 = divmod(v[1] - x1 * b, d)
+        return None if r1 or r2 else (x1, x2)
 
     def dlog(self, u) -> tuple:
-        if not self.ring.is_unit(u):
+        hit = self._table.get(self._top.canon(u))
+        if hit is None:
             raise PramError(f"not a unit mod p^n: {u}")
-        v = self._top.dlog(u)
-        return v + self._dlog_base(self._divide(u, v))
+        v, w = hit
+        x, y = self.ring.mul(u, w)
+        if self._coords((x - 1, y)) is None:
+            raise PramError("element is not in the base layer")
+        return v + self._coords(self._log((x, y)))
 
 
 # bounded: where 4p^n exceeds the scanned range of D, as in tor-scan

@@ -12,7 +12,9 @@ successive-maxima filter, zlin's earlier column-layout Hermite form,
 kernel and Smith form (a second, column Bezout step and a Smith
 elimination of its own) beside zlin over vector lists, and the solution
 lattice read off the whole kernel, a unit coordinate for every vector,
-beside zlin's kernel modulo a lattice.
+beside zlin's kernel modulo a lattice, and the (O/p^n)^x discrete log
+with per-call division, an exact-integer series and lattice solves
+beside pram's table lookup and fixed-precision series.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import numpy as np
 import pytest
 
 from epsclass import pram, quadclass
+from epsclass.abgroup import power
 from epsclass.arith import factor, vp
 from epsclass.quadforms import QuadForm
-from epsclass.zlin import hnf_columns, identity, kernel_columns, xgcd
+from epsclass.zlin import (hnf_columns, identity, kernel_columns,
+                           solve_lattice, xgcd)
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,45 @@ def whole_group():
     """whole_groups() for the length of a test."""
     with whole_groups():
         yield
+
+
+# ------------------------------------------------ (O/p^n)^x discrete logs
+
+def log_kmax(n: int, e: int, c0: int) -> int:
+    """The last term of pram's p-adic log table mod p^n on 1 + P^c0 before
+    the table was cut at the last term that need not vanish."""
+    return (e * (n + 2 * n.bit_length() + 6)) // c0 + 8
+
+
+def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
+    """U.dlog(u) the way pram took it before its top table: the top dlog,
+    u divided by that word in U.gens with fresh powers and an inverse, and
+    the base log summed in exact integers over every term up to kmax,
+    whose coordinates, like the base membership, come from
+    zlin.solve_lattice."""
+    R, p, n, q = U.ring, U.p, U.n, U.ring.q
+    if not R.is_unit(u):
+        raise pram.PramError(f"not a unit mod p^n: {u}")
+    v = U._top.dlog(u)
+    d = R.one
+    for g, e in zip(U.gens, v):
+        if e:
+            d = R.mul(d, power(g, e, R.mul))
+    x, y = R.mul(u, R.inv(d))
+    z = [(x - 1) % q, y % q]
+    H = [list(h) for h in U._Lc0]
+    if solve_lattice(H, z) is None:
+        raise pram.PramError("element is not in the base layer")
+    s, zk = [0, 0], z
+    for k in range(1, log_kmax(n, U.e, U.c0) + 1):
+        if k > 1:
+            zk = R.mul_exact(zk, z)
+        e = vp(k, p)
+        if zk[0] % p ** e or zk[1] % p ** e:
+            raise pram.PramError("p-adic series lost exactness")
+        c = (-1) ** (k + 1) * pow(k // p ** e, -1, q)
+        s = [a + b // p ** e * c for a, b in zip(s, zk)]
+    return v + tuple(solve_lattice(H, [a % q for a in s]))
 
 
 # ------------------------------------------- zlin in the column layout

@@ -381,6 +381,9 @@ def test_cubic_validate_and_fixtures_check(capsys):
       "#Tor=3 Cp=0.5"], "line 2, col 0"),
     (["p=3", "conductor=1", "f=7 P=x^3+x^2-2*x-1 Cl=[3]",
       "Structure of Tor=[3]", "#Tor=3 Cp=0.5"], "line 2, col 0"),
+    # a Cp with nothing to base it on: a TypeError traceback before
+    (["p=2", "N=2 Clres=[2]", "Structure of Tor=[2]", "#Tor=2 Cp=0.5"],
+     "line 2"),
 ])
 def test_malformed_fixture_tree_exits_1(tmp_path, capsys, lines, where):
     sub = tmp_path / lines[0].replace("=", "")      # p2 or p3
@@ -536,6 +539,11 @@ GOLDEN_STDOUT = [
      "87139edc5c0d391bbd32f6ef9e0a9080a5039345afe4bb1e2f5f622191925e86"),
     (["filtration-run", "--d", "-20000000003"],
      "f51470874e0e46fc66cf597ad5765edc19c84b18247af631cf9d8d3690778f63"),
+    # odd p >= 5, where the log series is shortest against its old kmax
+    (["tor-scan", "--p", "5", "--min-d", "3", "--max-d", "3000"],
+     "98313c148b099bba4a46e2ba1bcf17530508fc2371a6875b9f0ec83d0c3c5d30"),
+    (["tor-scan", "--p", "7", "--min-d", "3", "--max-d", "3000"],
+     "a5a107e28ad130ff9e4d93ae36883787e596c6f0152b193b25a7ed65a118bf31"),
 ]
 
 

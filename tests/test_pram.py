@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
+from epsclass.abgroup import power
 from epsclass.arith import kronecker
 from epsclass.quadforms import TrackedIdeal
 from epsclass.quadclass import isqrt_float
-from oracles import QuadElt, whole_group, whole_groups  # noqa: F401
+from oracles import (QuadElt, log_kmax, residue_dlog_reference,  # noqa: F401
+                     whole_group, whole_groups)
 
 
 # ------------------------------------------------------------ residue units
@@ -86,6 +88,126 @@ def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
         assert own.rel_cols == shared.rel_cols
         assert own.structure == shared.structure
         assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
+
+
+def _local_type(D, p):
+    """The splitting type of p in D, a ramified p told apart by its
+    uniformizer: omega or 2*omega - 1 for odd p, omega or 1 + sqrt(m) for
+    p = 2."""
+    st = pram.splitting_type(D, p)
+    if st != "ramified":
+        return st
+    return st, pram._uniformizer(pram.ResidueRing(D, p, 1))
+
+
+# fundamental D with 3 <= |D| < 600 by (p, local type, sign of D)
+LOCAL_CLASSES = {}
+for _D in _fundamental(-600, 600):
+    for _p in (2, 3, 5, 7):
+        LOCAL_CLASSES.setdefault((_p, _local_type(_D, _p), _D > 0),
+                                 []).append(_D)
+
+
+def _recombine(U, v):
+    """prod_j U.gens[j]^v_j in O/p^n."""
+    R = U.ring
+    w = R.one
+    for g, e in zip(U.gens, v):
+        if e:
+            w = R.mul(w, power(g if e > 0 else R.inv(g), abs(e), R.mul))
+    return w
+
+
+def test_local_classes_cover_every_type():
+    # split, inert and two ramified classes for every p, each in both signs
+    assert len(LOCAL_CLASSES) == 4 * 4 * 2
+
+
+def _class_id(key):
+    p, t, positive = key
+    t = t if isinstance(t, str) else f"ramified{t[1]}".replace(" ", "")
+    return f"p{p}-{t}-{'pos' if positive else 'neg'}"
+
+
+@pytest.mark.parametrize("key", sorted(LOCAL_CLASSES, key=repr),
+                         ids=_class_id)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10 ** 9))
+def test_dlog_matches_reference(key, data, seed):
+    # the table lookup and the fixed-precision series give the dlog of the
+    # per-call division and the exact-integer series, at the levels the
+    # scans and the torsion reports use, and it recombines to u
+    p = key[0]
+    D = data.draw(st.sampled_from(LOCAL_CLASSES[key]))
+    rng = random.Random(seed)
+    for n in sorted({1, 2, pram.scan_level(p), pram.top_level(p)}):
+        U = pram.units_mod(D, p, n)
+        q = U.ring.q
+        units = [u for u in ((rng.randrange(q), rng.randrange(q))
+                             for _ in range(16)) if U.ring.is_unit(u)]
+        for u in units + [U.ring.one, *U.gens]:
+            v = U.dlog(u)
+            assert v == residue_dlog_reference(U, u), (D, p, n, u)
+            assert _recombine(U, v) == u
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_log_terms_past_the_cut_vanish(p):
+    # every (e, c0) of p: x^k / p^v_p(k) = 0 mod p^n, on exact integers,
+    # for each log term past the table's end, for x in P^c0
+    rng = random.Random(p)
+    shapes = {}
+    for key, Ds in LOCAL_CLASSES.items():
+        if key[0] == p:
+            U = pram.units_mod(Ds[0], p, 1)
+            shapes[U.e, U.c0] = Ds[0]
+    assert len(shapes) == 2
+    for (e, c0), D in shapes.items():
+        for n in range(1, pram.top_level(p) + 1):
+            R = pram.ResidueRing(D, p, n)
+            (_, log_terms), _ = pram._series_terms(p, n, e, c0)
+            last = len(log_terms)
+            kmax = log_kmax(n, e, c0)
+            assert last <= kmax
+            for _ in range(3):
+                x = (rng.randrange(1, p ** 3) * p ** (c0 // e),
+                     rng.randrange(p ** 3) * p ** (c0 // e))
+                if c0 % e:
+                    x = R.mul_exact(x, pram._uniformizer(R))
+                xk = x
+                for k in range(2, 2 * kmax + 1):
+                    xk = R.mul_exact(xk, x)
+                    if k > last:
+                        mod = p ** (n + arith.vp(k, p))
+                        assert xk[0] % mod == xk[1] % mod == 0, (D, p, n, k)
+
+
+@pytest.mark.parametrize("D,p,n", [(-7, 2, 20), (-4, 2, 20), (-8, 2, 20),
+                                   (-3, 2, 5), (-11, 3, 8), (-3, 3, 8),
+                                   (-20, 5, 8), (-56, 7, 8)])
+def test_series_refuses_x_outside_p_c0(D, p, n):
+    # x = 1 is a unit: some term of each series has p^v_k not dividing x^k
+    U = pram.units_mod(D, p, n)
+    for series in (U._log_series, U._exp_series):
+        with pytest.raises(pram.PramError, match="lost exactness"):
+            U._series((1, 0), series)
+
+
+def test_dlog_refusals(monkeypatch):
+    U = pram.ResidueUnits(-7, 3, 4)
+    with pytest.raises(pram.PramError, match="not a unit mod p"):
+        U.dlog((3, 0))
+    # a table entry whose word does not take its units into the base
+    c, (v, _) = next((c, h) for c, h in U._table.items() if any(h[0]))
+    U._table[c] = (v, U.ring.one)
+    with pytest.raises(pram.PramError, match="not in the base layer"):
+        U.dlog(c)
+    # an exp series cut short breaks the log/exp round trip
+    terms = pram._series_terms
+    monkeypatch.setattr(pram, "_series_terms", lambda p, n, e, c0: (
+        terms(p, n, e, c0)[0], (p ** n, ())))
+    with pytest.raises(pram.PramError, match="round trip"):
+        pram.ResidueUnits(-7, 3, 4)
 
 
 RAY_CASES = [(D, p, n)
