@@ -118,10 +118,17 @@ def cmd_primes(args) -> int:
 
 
 def _quad_arrays(args):
-    # the budget before any table; the sieve split over a, one interleaved
-    # shard per worker, and the shards' tables summed into one
+    # the budget and the --eps range before any table; the sieve split
+    # over a, one interleaved shard per worker, and the shards' tables
+    # summed into one.  X^(|eps|/2 + 1) finite keeps d^(eps/2), and the
+    # statistic, finite and nonzero for every d <= X
     X = args.max_d
     quadclass.scan_budget(X)
+    try:
+        float(X) ** (abs(args.eps) / 2 + 1)
+    except OverflowError:
+        raise ValueError(f"--eps {args.eps} is out of range for --max-d {X}:"
+                         f" {X}^(|eps|/2 + 1) overflows a float") from None
     k = min(args.workers, os.cpu_count() or 1)
     h, *rest = _run_shards(_sieve_shard, [(X, j, k) for j in range(k)], k)
     for t in rest:

@@ -149,12 +149,17 @@ def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
     for k in range(1, last + 1):
         v, u = _split_off(p, k)
         log_terms.append((p ** v, (-1) ** (k + 1) * pow(u, -1, q)))
-    exp_terms, fv, fu = [], 0, 1
+    # the exp term x^k / k! lies in P^(k*c0 - e*v_p(k!)) and vanishes when
+    # floor(k*c0/e) - v_p(k!) >= n, as it does for every k past 4n + 10;
+    # that table ends at the last k <= 4n + 10 it misses
+    exp_terms, fv, fu, last = [], 0, 1, 0
     for k in range(1, 4 * n + 11):
         v, u = _split_off(p, k)
         fv, fu = fv + v, fu * u % q
         exp_terms.append((p ** fv, pow(fu, -1, q)))
-    return series(log_terms), series(exp_terms)
+        if k * c0 // e - fv < n:
+            last = k
+    return series(log_terms), series(exp_terms[:last])
 
 
 class ResidueUnits:

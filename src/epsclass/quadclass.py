@@ -505,8 +505,8 @@ batch_prime = prime_sieve
 
 # ------------------------------------------------------------------- scans
 
-# |D| per block of scan_fields; lists over a whole 10^6 range would add a
-# quarter to a scan's peak memory
+# |D| per block of scan_fields and scan_candidates; lists over a whole 10^6
+# range would add a quarter to a scan's peak memory
 _SCAN_BLOCK = 1 << 14
 
 
@@ -548,22 +548,71 @@ def scan_fields(lo: int, hi: int,
                        isp[ds].tolist())
 
 
+# a record can sit this far below the running maximum in _block_statistic
+# and still be one in scan_statistic; see scan_candidates
+_SCAN_MARGIN = 1 - 2.0 ** -40
+
+
+def _block_statistic(statistic: str, d: np.ndarray, h: np.ndarray,
+                     N: np.ndarray, eps: float, p: int) -> np.ndarray:
+    """scan_candidates' filter values for arrays of fields: h_p = p^v_p(h),
+    exactly, for p_exponent, else scan_statistic with np.power for **."""
+    if statistic == "p_exponent":
+        if p < 2:
+            raise ValueError(f"h_p needs p >= 2, got {p}")
+        # h_p = gcd(h, q) for the largest power q of p up to max h
+        q, top = 1, int(h.max())
+        while q * p <= top:
+            q *= p
+        return np.gcd(h.astype(np.int64), q)
+    x = np.power(d, eps / 2)
+    if statistic == "genus_normalized":
+        return h / (np.ldexp(1.0, N - 1) * x)
+    if statistic == "raw":
+        return h / x
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
 def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
                     p: int = 0, arrays=None) -> list[ScanRecord]:
     """The successive maxima over fundamental D with lo <= |D| <= hi,
     ascending: a p_exponent maximum raises h_p above 1 and every earlier
     h_p, any other the statistic above 0 and every earlier one.  arrays,
-    scan_arrays' tables up to hi at least, are sieved when not given."""
+    scan_arrays' tables up to hi at least, are sieved when not given.
+
+    _SCAN_BLOCK consecutive |D| at a time, numpy takes each field's
+    statistic s and the running maximum m before it, seeded with the best
+    statistic so far, and only the candidates go on to the scalar test
+    against scan_statistic, which decides every record and its float.
+    h_p is exact, so the candidates are the fields with s > m.  A float s
+    may differ from scan_statistic's t by a relative delta of a few ulps
+    (np.power against Python's **, on SIMD builds); for a record t
+    exceeds the best so far and every earlier t, so s >= t(1 - delta) >
+    m(1 - delta)/(1 + delta) >= m(1 - 2^-40), and the candidates s >=
+    m(1 - 2^-40) hold every record.  d^(eps/2) and s are finite for
+    every d <= hi when hi^(|eps|/2 + 1) is, as the CLI checks."""
     if arrays is None:
         arrays = scan_arrays(hi)
+    harr, fund, om, isp = arrays
     p_exp = statistic == "p_exponent"
     out, best = [], 1 if p_exp else 0.0
-    for d, h, N, prime in scan_fields(lo, hi, arrays):
-        k = p ** vp(h, p) if p_exp else scan_statistic(statistic, d, h, N, eps)
-        if k > best:
-            best = k
-            out.append(ScanRecord(-d, h, N, scan_statistic(
-                statistic, d, h, N, eps, p), prime, hp=k if p_exp else None))
+    for start in range(max(lo, 3), hi + 1, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, hi + 1)
+        ds = np.flatnonzero(fund[start:stop]) + start
+        if not ds.size:
+            continue
+        s = _block_statistic(statistic, ds, harr[ds], om[ds], eps, p)
+        m = np.maximum.accumulate(np.concatenate(([best], s[:-1])))
+        cand = s > m if p_exp else s >= m * _SCAN_MARGIN
+        for d in ds[cand].tolist():
+            h, N = int(harr[d]), int(om[d])
+            k = p ** vp(h, p) if p_exp else scan_statistic(statistic, d, h,
+                                                           N, eps)
+            if k > best:
+                best = k
+                out.append(ScanRecord(-d, h, N, scan_statistic(
+                    statistic, d, h, N, eps, p), bool(isp[d]),
+                    hp=k if p_exp else None))
     return out
 
 
@@ -577,8 +626,11 @@ def scan_budget(X: int) -> None:
 def scan_arrays(X: int, h: Optional[np.ndarray] = None):
     """(h, fundamental, omega, prime) arrays indexed by |D| <= X: class
     numbers, the fundamental-discriminant mask, the number of distinct
-    prime divisors, counted over the one prime sieve, and that sieve.
-    The budget is checked before any table is allocated.  h is
+    prime divisors and the prime sieve.  omega takes one slice per prime
+    up to sqrt(X) and one int32 cofactor table: n <= X has at most one
+    prime factor above sqrt(X), and it divides n exactly when n stays
+    above 1 once the powers of the smaller primes are divided out.  The
+    budget is checked before any table is allocated.  h is
     batch_class_numbers_imaginary(X), sieved here unless given (the sum
     of its shards, say)."""
     scan_budget(X)
@@ -588,8 +640,14 @@ def scan_arrays(X: int, h: Optional[np.ndarray] = None):
     # sieved after the mask, whose X-sized temporaries set the peak memory
     isp = prime_sieve(X)
     om = np.zeros(X + 1, dtype=np.int8)
-    for p in np.flatnonzero(isp):
+    cof = np.arange(X + 1, dtype=np.int32)
+    for p in np.flatnonzero(isp[: isqrt(X) + 1]).tolist():
         om[p::p] += 1
+        q = p
+        while q <= X:
+            cof[q::q] //= p
+            q *= p
+    om += cof > 1
     return h, fund, om, isp
 
 

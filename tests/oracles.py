@@ -31,7 +31,7 @@ import pytest
 
 from epsclass import pram, quadclass
 from epsclass.abgroup import power
-from epsclass.arith import factor, vp
+from epsclass.arith import factor, prime_sieve, vp
 from epsclass.quadforms import QuadForm
 from epsclass.zlin import (hnf_columns, identity, kernel_columns,
                            solve_lattice, xgcd)
@@ -165,6 +165,16 @@ def scan_candidates_loop(lo, hi, statistic, eps=0.0, p=0, arrays=None):
             best = stat
             out.append(quadclass.ScanRecord(-d, h, N, stat, bool(isp[d])))
     return out
+
+
+def omega_loop(X: int) -> np.ndarray:
+    """omega(n) for 0 <= n <= X by one slice per prime up to X: the
+    reference for scan_arrays, which slices only the primes up to sqrt(X)
+    and finds the one larger prime factor in a cofactor table."""
+    om = np.zeros(X + 1, dtype=np.int8)
+    for p in np.flatnonzero(prime_sieve(X)):
+        om[p::p] += 1
+    return om
 
 
 def scan_windows(X: int, seed: int, count: int = 8) -> list[tuple[int, int]]:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -96,6 +97,11 @@ def test_usage_errors(capsys):
     # a nan --eps once printed nan rows with exit 0
     ["quad-scan", "--max-d", "10", "--eps", "nan"],
     ["quad-maxima", "--max-d", "10", "--eps", "inf"],
+    # an --eps with max-d^(|eps|/2 + 1) past the float range ended in an
+    # OverflowError (quad-scan after 11 rows) or ZeroDivisionError traceback
+    ["quad-maxima", "--stat", "genus", "--eps", "1000", "--max-d", "100"],
+    ["quad-maxima", "--stat", "raw", "--eps", "-2000", "--max-d", "100"],
+    ["quad-scan", "--stat", "genus", "--eps", "400", "--max-d", "100"],
     # --q 0 and a negative --q to an odd power leaked isqrt's message, and
     # -3 to an even power ran as q = 3
     ["normic-search", "--p", "2", "--rho", "1", "--q", "0"],
@@ -131,6 +137,20 @@ def test_invalid_arguments_are_usage_errors(argv, capsys):
     lines = err.splitlines()
     assert "Traceback" not in err
     assert [ln for ln in lines if ln.startswith("epsclass")] == lines[-1:]
+
+
+@pytest.mark.parametrize("cmd", ["quad-maxima", "quad-scan"])
+@pytest.mark.parametrize("stat,eps", [("genus", "300"), ("raw", "-300")])
+def test_eps_inside_the_float_range_runs(cmd, stat, eps, capsys):
+    # 100^151 is finite: every d^(eps/2), and the numpy statistics of the
+    # maxima filter, stay finite and nonzero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run([cmd, "--stat", stat, "--eps", eps, "--max-d", "100"],
+                        capsys)
+    _, rows = rows_of(out)
+    assert code == 0 and rows
+    assert all(0 < float(r[3]) < float("inf") for r in rows)
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
@@ -544,6 +564,13 @@ GOLDEN_STDOUT = [
      "98313c148b099bba4a46e2ba1bcf17530508fc2371a6875b9f0ec83d0c3c5d30"),
     (["tor-scan", "--p", "7", "--min-d", "3", "--max-d", "3000"],
      "a5a107e28ad130ff9e4d93ae36883787e596c6f0152b193b25a7ed65a118bf31"),
+    # the successive maxima at 10^6 of the two statistics above not yet
+    # pinned: a float filter margin and an exact h_p
+    (["quad-maxima", "--stat", "raw", "--eps", "0.1", "--max-d", "1000000"],
+     "6afdec76a79bd5835ff0c39700b0b29395f1b5c99d57f49c67591e73a5724068"),
+    (["quad-maxima", "--stat", "p-exponent", "--p", "2", "--max-d",
+      "1000000"],
+     "344c6e124d2c7bdfec25fe109165ab1bceb0cc92ffb6fb633752bbc01b992755"),
 ]
 
 

@@ -182,6 +182,38 @@ def test_log_terms_past_the_cut_vanish(p):
                         assert xk[0] % mod == xk[1] % mod == 0, (D, p, n, k)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exp_terms_past_the_cut_vanish(p):
+    # every (e, c0) of p: x^k / k! = 0 mod p^n, on exact integers, for
+    # each exp term the table drops before 4n + 10, for x in P^c0
+    rng = random.Random(p)
+    shapes = {}
+    for key, Ds in LOCAL_CLASSES.items():
+        if key[0] == p:
+            U = pram.units_mod(Ds[0], p, 1)
+            shapes[U.e, U.c0] = Ds[0]
+    assert len(shapes) == 2
+    for (e, c0), D in shapes.items():
+        for n in range(1, pram.top_level(p) + 1):
+            R = pram.ResidueRing(D, p, n)
+            _, (_, exp_terms) = pram._series_terms(p, n, e, c0)
+            last = len(exp_terms)
+            assert last <= 4 * n + 10
+            for _ in range(3):
+                x = (rng.randrange(1, p ** 3) * p ** (c0 // e),
+                     rng.randrange(p ** 3) * p ** (c0 // e))
+                if c0 % e:
+                    x = R.mul_exact(x, pram._uniformizer(R))
+                xk, vk = x, 0
+                for k in range(1, 4 * n + 11):
+                    if k > 1:
+                        xk = R.mul_exact(xk, x)
+                    vk += arith.vp(k, p)
+                    if k > last:
+                        mod = p ** (n + vk)
+                        assert xk[0] % mod == xk[1] % mod == 0, (D, p, n, k)
+
+
 @pytest.mark.parametrize("D,p,n", [(-7, 2, 20), (-4, 2, 20), (-8, 2, 20),
                                    (-3, 2, 5), (-11, 3, 8), (-3, 3, 8),
                                    (-20, 5, 8), (-56, 7, 8)])

@@ -20,6 +20,7 @@ from epsclass.quadforms import (
 )
 from oracles import (
     batch_ambiguous_counts,
+    omega_loop,
     reduced_forms_indefinite,
     scan_candidates_loop,
     scan_windows,
@@ -311,6 +312,10 @@ def test_scan_p_exponent():
     assert abs(recs[0].stat - 0.70075861) < 1e-6
     recs = qc.scan_local_maxima(100, "p_exponent", p=2)
     assert [(r.d, r.hp) for r in recs] == [(-15, 2), (-39, 4), (-95, 8)]
+    # the h_p filter's powers of p never end for p < 2
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="p >= 2"):
+            qc.scan_local_maxima(100, "p_exponent", p=p)
 
 
 def test_scan_p_exponent_maxima_are_taken_on_hp():
@@ -336,7 +341,9 @@ def test_sieve_shards_sum_to_whole_table(X, k):
 
 
 _SCAN_STATS = [("genus_normalized", 0.05, 0), ("genus_normalized", 0.0, 0),
-               ("raw", 0.1, 0), ("p_exponent", 0.0, 3), ("p_exponent", 0.0, 2)]
+               ("genus_normalized", -0.3, 0), ("raw", 0.1, 0),
+               ("raw", 3.0, 0), ("p_exponent", 0.0, 3), ("p_exponent", 0.0, 2),
+               ("p_exponent", 0.0, 5)]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
@@ -351,6 +358,54 @@ def test_scans_match_loops_across_blocks(monkeypatch, block):
             want = scan_candidates_loop(lo, hi, stat, eps, p, arrays)
             assert qc.scan_candidates(lo, hi, stat, eps, p,
                                       arrays) == want, (lo, hi, stat)
+
+
+@pytest.mark.parametrize("scale", [1 + 2.0 ** -45, 1 - 2.0 ** -45])
+def test_scan_records_hold_a_block_statistic_ulps_off(monkeypatch, scale):
+    # np.power may differ from Python's ** by a few ulps on SIMD builds;
+    # block statistics a relative 2^-45 off lose no record
+    block_statistic = qc._block_statistic
+    monkeypatch.setattr(qc, "_block_statistic",
+                        lambda *args: block_statistic(*args) * scale)
+    arrays = qc.scan_arrays(3000)
+    for stat, eps, p in _SCAN_STATS:
+        assert qc.scan_candidates(3, 3000, stat, eps, p, arrays) == \
+            scan_candidates_loop(3, 3000, stat, eps, p, arrays), (stat, eps)
+
+
+def test_scan_records_hold_near_ties_ulps_off(monkeypatch):
+    # statistics 2^-50 apart, whose block values are 2^-45 low at odd |D|
+    # and high at even |D|: a record can sit below the best so far or the
+    # block's running maximum, and only the filter's 2^-40 margin keeps it
+    # a candidate
+    def tied(h):
+        return 1 + h * 2.0 ** -50
+
+    monkeypatch.setattr(qc, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(qc, "scan_statistic",
+                        lambda stat, d, h, N, eps=0.0, p=0: tied(h))
+    monkeypatch.setattr(qc, "_block_statistic", lambda stat, d, h, N, eps, p:
+                        tied(h) * np.where(d % 2, 1 - 2.0 ** -45,
+                                           1 + 2.0 ** -45))
+    arrays = qc.scan_arrays(3000)
+    want = scan_candidates_loop(3, 3000, "raw", 0.0, 0, arrays)
+    assert len(want) > 10
+    assert qc.scan_candidates(3, 3000, "raw", 0.0, 0, arrays) == want
+
+
+def test_scan_omega_matches_every_prime_loop():
+    # at and around the squares of primes, where sqrt(X) gains a prime
+    Xs = list(range(61)) + [p * p + k for p in (2, 3, 5, 7, 11, 31, 97)
+                            for k in (-1, 0, 1)]
+    for X in Xs:
+        om = qc.scan_arrays(X)[2]
+        assert om.dtype == np.int8 and np.array_equal(om, omega_loop(X)), X
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(X=st.integers(0, 3 * 10 ** 4))
+def test_scan_omega_matches_every_prime_loop_seeded(X):
+    assert np.array_equal(qc.scan_arrays(X)[2], omega_loop(X))
 
 
 def test_scan_fields_are_the_fundamental_discriminants():
