@@ -226,15 +226,23 @@ def prime_sieve(limit: int) -> np.ndarray:
     return sieve
 
 
+# the largest sieve primes_in_class allocates: 256 MiB of bool
+_SIEVE_CAP = 1 << 28
+
+
 def primes_in_class(p: int, count: int) -> PrimeClassSequence:
     """First `count` primes totally split in Q(mu_p): l = 1 mod p for odd p,
-    the odd primes 3, 5, 7, ... for p = 2."""
+    the odd primes 3, 5, 7, ... for p = 2.  ValueError, before it is
+    allocated, for a sieve limit above _SIEVE_CAP."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out: list[int] = []
     # grow the sieve until enough primes are found
     limit = max(1000, 4 * p * count * max(1, int(log(max(p * count, 3))) + 1))
     while True:
+        if limit > _SIEVE_CAP:
+            raise ValueError(f"the first {count} primes for p={p}: a sieve "
+                             f"to {limit} exceeds the bound {_SIEVE_CAP}")
         sieve = prime_sieve(limit)
         idx = np.flatnonzero(sieve)
         if p == 2:

@@ -107,13 +107,17 @@ def top_level(p: int) -> int:
     return 64 if p == 2 else (32 if p == 3 else 16)
 
 
-def _check_modulus(p: int, n: int = 1) -> None:
-    """ValueError unless p is prime and 1 <= n <= top_level(p): the
-    modulus p^n of every (O/p^n)^x and ray class group here."""
-    if not is_prime(p) or not 1 <= n <= top_level(p):
+def _check_modulus(p: int, n: int) -> None:
+    """ValueError unless p is a prime up to 31 and 1 <= n <= top_level(p):
+    the modulus p^n of every (O/p^n)^x and ray class group here.  The
+    (O/P^c0)^x box of a ring holds up to p^2 points and units_mod keeps
+    256 rings: about 0.4 MB each at p = 31 and 4.4 MB at p = 101, and one
+    field at p = 1009 took 690 MB, so a larger p is refused before any
+    ring is built."""
+    if not (is_prime(p) and p <= 31 and 1 <= n <= top_level(p)):
         raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
-                         f"with n <= top_level(p) = {top_level(p)}, "
-                         f"got p={p}, n={n}")
+                         f"with p <= 31 and n <= top_level(p) = "
+                         f"{top_level(p)}, got p={p}, n={n}")
 
 
 def _reduce_vec(v, H):
@@ -322,7 +326,8 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     the level lattices only the uniformizer mod p^n, and the splitting
     type only D mod 8 (p = 2) or mod p: D mod 4p^n fixes all of them.
     The group is built from that residue, so it holds no field's own D,
-    and callers only read it. ValueError unless 1 <= n <= top_level(p).
+    and callers only read it. ValueError unless p <= 31 is prime and
+    1 <= n <= top_level(p).
     """
     _check_modulus(p, n)
     return _ring_units(p, n, D % (4 * p ** n))
@@ -526,8 +531,10 @@ def _class_data(D, p: int) -> _ClassData:
     relations, their generators' and the global units' images mod
     p^top_level(p), which reduce to the images mod p^n at every level n.
     D is an int or the Discriminant validated on entry, passed on so that
-    |D| is factored once."""
-    _check_modulus(p)
+    |D| is factored once.  They build no ring, so p is any prime."""
+    if not is_prime(p):
+        raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
+                         f"got p={p}")
     d = as_disc(D)
     D = d.value
     frame = _LocalFrame(D, p, top_level(p))
@@ -618,6 +625,8 @@ def _drop_lines(st: AbelianGroupStructure, p: int, r: int) -> tuple:
 def w_group(D, p: int) -> int:
     m = as_disc(D).radicand
     if p == 2:
+        if m == -1:
+            return 1      # Q(i) holds mu_4 globally, so W = mu_4/mu_4
         return 2 if m % 2 == 1 and m % 8 in (1, 7) else 1
     if p == 3:
         if m == -3:

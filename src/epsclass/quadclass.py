@@ -458,27 +458,6 @@ def isqrt_float(n: int) -> float:
 
 # ----------------------------------------------------------- batch sieves
 
-def batch_squarefree(X: int) -> np.ndarray:
-    sf = np.ones(X + 1, dtype=bool)
-    sf[0] = False
-    for p in range(2, isqrt(X) + 1):
-        sf[p * p:: p * p] = False
-    return sf
-
-
-def batch_fundamental_imaginary(X: int) -> np.ndarray:
-    """mask[d] true iff D = -d is a fundamental discriminant, d <= X."""
-    sf = batch_squarefree(X)
-    d = np.arange(X + 1)
-    mask = sf & (d % 4 == 3)
-    k = X // 4
-    kk = np.arange(k + 1)
-    sub = sf[: k + 1] & ((kk % 4 == 1) | (kk % 4 == 2))
-    m4 = np.zeros(X + 1, dtype=bool)
-    m4[:: 4][: k + 1] = sub
-    return mask | m4
-
-
 def batch_class_numbers_imaginary(X: int, shard: int = 0,
                                   shards: int = 1) -> np.ndarray:
     """h[d] = number of reduced forms of discriminant -d (class number for
@@ -535,15 +514,23 @@ def scan_statistic(statistic: str, d: int, h: int, N: int, eps: float = 0.0,
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def _fundamental_blocks(lo: int, hi: int,
+                        fund: np.ndarray) -> Iterator[np.ndarray]:
+    """The fundamental |D| with max(lo, 3) <= |D| <= hi, ascending, as one
+    array for each _SCAN_BLOCK consecutive |D| that holds any."""
+    for start in range(max(lo, 3), hi + 1, _SCAN_BLOCK):
+        ds = np.flatnonzero(fund[start:min(start + _SCAN_BLOCK, hi + 1)])
+        if ds.size:
+            yield ds + start
+
+
 def scan_fields(lo: int, hi: int,
                 arrays) -> Iterator[tuple[int, int, int, bool]]:
     """(|D|, h, omega(|D|), prime) for each fundamental D with
     max(lo, 3) <= |D| <= hi, ascending, read off the scan_arrays tables
-    _SCAN_BLOCK consecutive |D| at a time."""
+    one block at a time."""
     harr, fund, om, isp = arrays
-    for start in range(max(lo, 3), hi + 1, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, hi + 1)
-        ds = np.flatnonzero(fund[start:stop]) + start
+    for ds in _fundamental_blocks(lo, hi, fund):
         yield from zip(ds.tolist(), harr[ds].tolist(), om[ds].tolist(),
                        isp[ds].tolist())
 
@@ -596,11 +583,7 @@ def scan_candidates(lo: int, hi: int, statistic: str, eps: float = 0.0,
     harr, fund, om, isp = arrays
     p_exp = statistic == "p_exponent"
     out, best = [], 1 if p_exp else 0.0
-    for start in range(max(lo, 3), hi + 1, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, hi + 1)
-        ds = np.flatnonzero(fund[start:stop]) + start
-        if not ds.size:
-            continue
+    for ds in _fundamental_blocks(lo, hi, fund):
         s = _block_statistic(statistic, ds, harr[ds], om[ds], eps, p)
         m = np.maximum.accumulate(np.concatenate(([best], s[:-1])))
         cand = s > m if p_exp else s >= m * _SCAN_MARGIN
@@ -626,28 +609,35 @@ def scan_budget(X: int) -> None:
 def scan_arrays(X: int, h: Optional[np.ndarray] = None):
     """(h, fundamental, omega, prime) arrays indexed by |D| <= X: class
     numbers, the fundamental-discriminant mask, the number of distinct
-    prime divisors and the prime sieve.  omega takes one slice per prime
-    up to sqrt(X) and one int32 cofactor table: n <= X has at most one
-    prime factor above sqrt(X), and it divides n exactly when n stays
-    above 1 once the powers of the smaller primes are divided out.  The
+    prime divisors and the prime sieve.  One pass over the primes p up to
+    sqrt(X) strikes the multiples of p^2 from the squarefree table and
+    counts omega with one slice per p and one int32 cofactor table: n <= X
+    has at most one prime factor above sqrt(X), and it divides n exactly
+    when n stays above 1 once the powers of the smaller primes are divided
+    out.  -d is fundamental when d = 3 mod 4 is squarefree or d = 4k with
+    k = 1, 2 mod 4 squarefree: three slices of the squarefree table.  The
     budget is checked before any table is allocated.  h is
     batch_class_numbers_imaginary(X), sieved here unless given (the sum
     of its shards, say)."""
     scan_budget(X)
     if h is None:
         h = batch_class_numbers_imaginary(X)
-    fund = batch_fundamental_imaginary(X)
-    # sieved after the mask, whose X-sized temporaries set the peak memory
     isp = prime_sieve(X)
+    sf = np.ones(X + 1, dtype=bool)     # sf[0] is never read
     om = np.zeros(X + 1, dtype=np.int8)
     cof = np.arange(X + 1, dtype=np.int32)
     for p in np.flatnonzero(isp[: isqrt(X) + 1]).tolist():
+        sf[p * p:: p * p] = False
         om[p::p] += 1
         q = p
         while q <= X:
             cof[q::q] //= p
             q *= p
     om += cof > 1
+    fund = np.zeros(X + 1, dtype=bool)
+    fund[3::4] = sf[3::4]
+    fund[4::16] = sf[1: X // 4 + 1: 4]
+    fund[8::16] = sf[2: X // 4 + 1: 4]
     return h, fund, om, isp
 
 

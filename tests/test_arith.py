@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsclass import arith
 from epsclass.arith import (
     Factorization,
     factor,
@@ -130,6 +131,18 @@ def test_primes_in_class_matches_sieve():
         direct = [q for q in range(2, seq[-1] + 1)
                   if trial_is_prime(q) and q % p == 1]
         assert list(seq) == direct
+
+
+@pytest.mark.parametrize("p,count", [(2, 10 ** 8), (10 ** 9 + 7, 3)])
+def test_primes_in_class_refuses_a_sieve_past_the_bound(monkeypatch, p,
+                                                        count):
+    # these asked numpy for 14.9 GiB and 246 GiB and ended in a traceback
+    def no_sieve(limit):
+        raise AssertionError("a sieve was allocated before validation")
+
+    monkeypatch.setattr(arith, "prime_sieve", no_sieve)
+    with pytest.raises(ValueError, match=f"first {count} primes for p={p}"):
+        primes_in_class(p, count)
 
 
 def test_mv_bounds_small():

@@ -124,6 +124,11 @@ def test_usage_errors(capsys):
     # the p-adic series grow with n: --n 1024 ran for minutes
     ["tor-scan", "--p", "2", "--n", "65", "--min-d", "3", "--max-d", "40"],
     ["tor-scan", "--p", "3", "--n", "33", "--min-d", "3", "--max-d", "40"],
+    # a ring's box grows as p^2, and the rings cache holds 256 of them
+    ["tor-scan", "--p", "37", "--min-d", "3", "--max-d", "10"],
+    # sieves of 14.9 GiB and 246 GiB once ended in a numpy traceback
+    ["primes", "--p", "2", "--count", "100000000"],
+    ["primes", "--p", "1000000007", "--count", "3"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_invalid_arguments_are_usage_errors(argv, capsys):
     # --p 1 once looped forever (in tor-scan and filtration-mc) and

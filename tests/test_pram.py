@@ -295,13 +295,23 @@ def test_residue_units_rejects_bad_modulus(p, n):
     (pram.rank_inequalities, (-20, 1)),
     # level 0 is the class data's group, not a ray class level
     (pram.ray_class_group, (-20, 2, 0)),
+    # a ring's (O/P^c0)^x box holds up to p^2 points and units_mod caches
+    # 256 rings: p = 1009 took 14 s and 690 MB for one field
+    (pram.units_mod, (-20, 37, 1)),
+    (pram.ResidueUnits, (-20, 37, 1)),
+    (pram.ray_class_group, (-20, 37, 2)),
+    (pram.program_vptor, (-20, 37, 2)),
+    (pram.tor_scan, (3, 40, 37)),
 ])
 def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
-    def no_build(D):
-        raise AssertionError("a class group was built before validation")
+    def no_build(*a):
+        raise AssertionError("a class group or ring was built before "
+                             "validation")
 
     monkeypatch.setattr(quadclass, "imaginary_presentation", no_build)
     monkeypatch.setattr(quadclass, "class_number_bsgs", no_build)
+    monkeypatch.setattr(pram, "ResidueRing", no_build)
+    monkeypatch.setattr(pram, "_ring_units", no_build)
     with pytest.raises(ValueError, match="prime p and n >= 1"):
         call(*args)
 
@@ -707,8 +717,19 @@ def test_w_group():
     assert pram.w_group(221, 2) == 1      # 221 = 5 mod 8
     assert pram.w_group(-101091716, 2) == 2
     assert pram.w_group(-3, 3) == 1       # the exceptional field
+    assert pram.w_group(-4, 2) == 1       # Q(i) holds mu_4 globally
     assert pram.w_group(-136159455, 3) == 3
     assert pram.w_group(-15, 5) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ktilde_index_divides_the_p_class_number(p):
+    # [K~ cap H : K] divides #Cl_p; Q(i) at p = 2 read 2 against #Cl_2 = 1
+    # while w_group(-4, 2) counted mu_4 as not global
+    for d in range(3, 500):
+        if pram.is_fundamental_neg(d):
+            clp = pram._class_data(-d, p).structure.p_part(p).order
+            assert clp % pram.ktilde_index(-d, p) == 0, (-d, p)
 
 
 # -------------------------------------------------------------------- scans

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd, isqrt
 from unittest import mock
@@ -406,6 +407,44 @@ def test_scan_omega_matches_every_prime_loop():
 @given(X=st.integers(0, 3 * 10 ** 4))
 def test_scan_omega_matches_every_prime_loop_seeded(X):
     assert np.array_equal(qc.scan_arrays(X)[2], omega_loop(X))
+
+
+def _fundamental_loop(X):
+    return np.array([pram.is_fundamental_neg(d) is not None
+                     for d in range(X + 1)], dtype=bool)
+
+
+def test_scan_fundamental_mask_matches_the_scalar_rule():
+    # around the squares of primes, and at |D| = 3, 4, 7, 8 mod 16 near
+    # 10^4, where each of the mask's three slices ends
+    Xs = (list(range(81)) + [p * p + k for p in (2, 3, 5, 7, 11, 31, 97)
+                             for k in (-1, 0, 1)]
+          + [X for X in range(10 ** 4 - 16, 10 ** 4 + 16)
+             if X % 16 in (3, 4, 7, 8)])
+    for X in Xs:
+        fund = qc.scan_arrays(X)[1]
+        assert fund.dtype == bool and np.array_equal(fund,
+                                                     _fundamental_loop(X)), X
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(X=st.integers(0, 3 * 10 ** 4))
+def test_scan_fundamental_mask_matches_the_scalar_rule_seeded(X):
+    assert np.array_equal(qc.scan_arrays(X)[1], _fundamental_loop(X))
+
+
+def test_scan_arrays_peak_memory():
+    # the mask once came from int64 arange and % temporaries of length X,
+    # which set the traced peak at 18 MB
+    X = 10 ** 6
+    h = qc.batch_class_numbers_imaginary(X)
+    tracemalloc.start()
+    try:
+        qc.scan_arrays(X, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_scan_fields_are_the_fundamental_discriminants():

@@ -10,11 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsclass import quadforms, zlin
-from epsclass.quadclass import (
-    ENUM_CAP,
-    batch_class_numbers_imaginary,
-    batch_fundamental_imaginary,
-)
+from epsclass.quadclass import ENUM_CAP, scan_arrays
 from epsclass.quadforms import (
     ENUM_INT64_LIMIT,
     QuadForm,
@@ -102,7 +98,7 @@ def test_class_number_at_band_edge(a, k):
 
 def test_class_number_every_fundamental_disc():
     X = 3 * 10 ** 4
-    h, fund = batch_class_numbers_imaginary(X), batch_fundamental_imaginary(X)
+    h, fund = scan_arrays(X)[:2]
     for d in np.flatnonzero(fund).tolist():
         assert class_number_imaginary(-d) == h[d], -d
 
