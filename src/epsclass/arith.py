@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, log
+from math import ceil, gcd, isqrt, log
 
 import numpy as np
 
@@ -232,28 +232,25 @@ _SIEVE_CAP = 1 << 28
 
 def primes_in_class(p: int, count: int) -> PrimeClassSequence:
     """First `count` primes totally split in Q(mu_p): l = 1 mod p for odd p,
-    the odd primes 3, 5, 7, ... for p = 2.  ValueError, before it is
-    allocated, for a sieve limit above _SIEVE_CAP."""
+    the odd primes 3, 5, 7, ... for p = 2.  The first sieve reaches
+    Rosser's bound n (ln n + ln ln n) on the n-th prime, n = (p - 1) count
+    + 1: enough for p = 2, where it is the (count + 1)-th prime, and about
+    enough for odd p, where about 1 prime in p - 1 is 1 mod p.  It doubles
+    until enough are found, trying _SIEVE_CAP itself before any limit
+    past it.  ValueError, before it is allocated, for a sieve limit above
+    _SIEVE_CAP."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: list[int] = []
-    # grow the sieve until enough primes are found
-    limit = max(1000, 4 * p * count * max(1, int(log(max(p * count, 3))) + 1))
-    while True:
-        if limit > _SIEVE_CAP:
-            raise ValueError(f"the first {count} primes for p={p}: a sieve "
-                             f"to {limit} exceeds the bound {_SIEVE_CAP}")
-        sieve = prime_sieve(limit)
-        idx = np.flatnonzero(sieve)
-        if p == 2:
-            sel = idx[idx >= 3]
-        else:
-            sel = idx[idx % p == 1]
+    n = (p - 1) * count + 1
+    limit = max(1000, ceil(n * (log(n) + log(log(n)))))
+    while limit <= _SIEVE_CAP:
+        idx = np.flatnonzero(prime_sieve(limit))
+        sel = idx[idx >= 3] if p == 2 else idx[idx % p == 1]
         if len(sel) >= count:
-            out = [int(v) for v in sel[:count]]
-            break
-        limit *= 2
-    return PrimeClassSequence(p, tuple(out))
+            return PrimeClassSequence(p, tuple(sel[:count].tolist()))
+        limit = _SIEVE_CAP if limit < _SIEVE_CAP < 2 * limit else 2 * limit
+    raise ValueError(f"the first {count} primes for p={p}: a sieve to "
+                     f"{limit} exceeds the bound {_SIEVE_CAP}")
 
 
 @dataclass(frozen=True)

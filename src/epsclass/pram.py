@@ -644,6 +644,7 @@ def _c_tilde(v: int, p: int, D: int) -> float:
 
 def tor_report(D, p: int,
                class_data: _ClassData | None = None) -> TorsionReport:
+    _check_modulus(p, 2)
     d = as_disc(D)
     r = 2 if d.value < 0 else 1
     cd = _own_class_data(d, p, class_data)
@@ -664,6 +665,7 @@ def tor_report(D, p: int,
 
 def ktilde_index(D, p: int) -> int:
     """[K~ cap H : K] = #Cl_p * #W / #T for imaginary D."""
+    _check_modulus(p, 2)
     d = as_disc(D)
     assert d.value < 0
     cd = _class_data(d, p)
@@ -702,6 +704,7 @@ def s_class_group(D, p: int,
 
 def reflection_check(D, p: int = 2) -> bool:
     """rk_p(T^ord) = rk_p(Cl^{S,res}) + #S - 1 (imaginary, mu_p in K)."""
+    _check_modulus(p, 2)
     d = as_disc(D)
     cd = _class_data(d, p)
     s = s_class_group(d, p, cd)
@@ -722,6 +725,7 @@ class RankReport:
 
 
 def rank_inequalities(D, p: int) -> RankReport:
+    _check_modulus(p, 2)
     d = as_disc(D)
     r1, r2 = (0, 1) if d.value < 0 else (2, 0)
     cd = _class_data(d, p)

@@ -20,8 +20,8 @@ the staircase is unconditional and stops at an exact h, counted up to
 sqrt(D), since every narrow class holds a reduced form with 0 < a <
 sqrt(D), so the narrow group is unconditional with no count of h+;
 ENUM_CAP bounds D, for the cycle and unit walks.  class_group_imaginary
-presents only the Sylow subgroups of order p^v >= p^2, over the powers
-x^(h/p^v); none when h is squarefree.  pram reads p-parts only, so
+reads Cl_2's 2-rank from genus theory and presents only 2Cl_2 and the
+odd Sylow subgroups of order p^v >= p^2.  pram reads p-parts only, so
 full_imaginary_presentation gives it the p-Sylow subgroup alone, whose
 canon projects every class onto it.
 """
@@ -29,6 +29,7 @@ canon projects every class onto it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import ceil, erfc, exp, fsum, gcd, isqrt, log, pi, prod, sqrt
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -300,23 +301,26 @@ def _class_number_series(D: int) -> int:
 
 
 def imaginary_presentation(D, order: Optional[int] = None,
-                           h: Optional[int] = None) -> ClassGroupPresentation:
-    """The subgroup of order `order` of Cl(D) that is the image of
-    x -> x^(h/order), for order prime to h/order (a Sylow subgroup, say);
-    the whole group by default, with h from _class_number when not given.
-    Its canon is the projection x -> x^e onto it, e = 1 mod order and
-    e = 0 mod h/order, the identity on the subgroup: every class has a
-    dlog, the dlog of its projection.  The prime forms up to sqrt(|D|/3)
-    generate Cl(D) unconditionally, so the staircase over their
-    (h/order)-th powers stops at order; they hold for the maximal order
-    only, so D is validated as _class_number validates it."""
+                           h: Optional[int] = None, k: Optional[int] = None
+                           ) -> ClassGroupPresentation:
+    """The subgroup Cl(D)^k, of order `order`: by default k = h/order for
+    order prime to k (a Sylow subgroup, say), the whole group with no
+    order, h from _class_number when not given, and the canon projects
+    x -> x^e onto it, e = 1 mod order and e = 0 mod k: every class has a
+    dlog, its projection's.  A given k (2Cl_2 in class_group_imaginary)
+    gets e = 1, so only the subgroup's classes have one.  The prime forms
+    up to sqrt(|D|/3) generate Cl(D) unconditionally, so the staircase
+    over their k-th powers stops at order; they hold for the maximal
+    order only, so D is validated as _class_number validates it."""
     d = _within_cap(D, SERIES_CAP, "the class-number budget")
     D = d.value
     assert D < 0
-    h = h or _class_number(d)
-    order = order or h
-    k = h // order
-    e = k * pow(k, -1, order) or h      # e = h for order 1
+    e = 1
+    if k is None:
+        h = h or _class_number(d)
+        order = order or h
+        k = h // order
+        e = k * pow(k, -1, order) or h      # e = h for order 1
 
     def canon(f):
         return power(reduce_imaginary(f), e, _compose_imaginary)
@@ -399,21 +403,27 @@ def _square_sylow_orders(h: int) -> list[int]:
 
 def class_group_imaginary(D) -> AbelianGroupStructure:
     """Cl(D) as a divisor chain, read off the Sylow subgroups over the
-    exact h: one of prime order p is Z/p, and one of order p^v >= p^2 is
+    exact h = 2^v h'.  Cl_2 has 2-rank r = omega(|D|) - 1 (Gauss), so
+    only 2Cl_2 = Cl(D)^(2h'), of order 2^(v-r), is presented, and none
+    when v = r: Cl_2's chain is 2e for each e of 2Cl_2's, then 2s.  An
+    odd Sylow subgroup of order p is Z/p, and one of order p^v >= p^2 is
     presented alone, as the image of x -> x^(h/p^v) (Cohen, GTM 138,
-    ch. 5), at about p^v compositions instead of h, and none when h is
-    squarefree."""
+    ch. 5).  Cl's i-th factor is the product of the Sylow chains' i-th."""
     d = as_disc(D)
     h = _class_number(d)
-    divs, rest = [], h
-    for q in _square_sylow_orders(h):
-        divs += imaginary_presentation(d, q, h).structure().divisors
+    v, r = vp(h, 2), d.ramified_count - 1
+    squares = imaginary_presentation(d, 2 ** (v - r), k=h >> (v - 1)) \
+        .structure().divisors if v > r else ()
+    assert len(squares) <= r, (d.value, squares, r)
+    chains = [[2 * e for e in squares] + [2] * (r - len(squares))]
+    rest = h >> v
+    for q in _square_sylow_orders(rest):
+        chains.append(imaginary_presentation(d, q, h).structure().divisors)
         rest //= q
     if rest > 1:
-        divs.append(rest)           # squarefree, so cyclic
-    diag = [[x if i == j else 0 for j in range(len(divs))]
-            for i, x in enumerate(divs)]
-    g = AbelianGroupStructure.from_relation_matrix(diag, len(divs))
+        chains.append([rest])       # squarefree, so cyclic
+    g = AbelianGroupStructure(
+        tuple(map(prod, zip_longest(*chains, fillvalue=1))))
     assert g.order == h
     return g
 
@@ -432,11 +442,13 @@ def ordinary_class_group_real(D) -> AbelianGroupStructure:
 
 
 def genus_delta(D) -> tuple[int, int]:
-    """(N, Delta) with Delta = v_2(h_restricted) - (N-1); asserts the genus
-    rigidity rk_2 = N - 1."""
+    """(N, Delta) with Delta = v_2(h_restricted) - (N-1); for real D it
+    asserts the genus rigidity rk_2 = N - 1 of the narrow group."""
     d = as_disc(D)
-    g = class_group_imaginary(d) if d.value < 0 else narrow_class_group_real(d)
     N = d.ramified_count
+    if d.value < 0:
+        return N, vp(_class_number(d), 2) - (N - 1)
+    g = narrow_class_group_real(d)
     assert g.p_rank(2) == N - 1, (d.value, g.divisors, N)
     return N, g.vp(2) - (N - 1)
 

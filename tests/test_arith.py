@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,39 @@ def test_primes_in_class_refuses_a_sieve_past_the_bound(monkeypatch, p,
     monkeypatch.setattr(arith, "prime_sieve", no_sieve)
     with pytest.raises(ValueError, match=f"first {count} primes for p={p}"):
         primes_in_class(p, count)
+
+
+def _recorded_sieves(monkeypatch):
+    """The limits of the sieves primes_in_class asks for, in order."""
+    limits = []
+
+    def recorded(limit):
+        limits.append(limit)
+        return prime_sieve(limit)
+    monkeypatch.setattr(arith, "prime_sieve", recorded)
+    return limits
+
+
+def test_primes_in_class_sieves_to_rosser_bound(monkeypatch):
+    # the first sieve was 4 p count (ln(p count) + 1), 2.8 * 10^8 here,
+    # past the bound, for a last prime of 3.6 * 10^7; Rosser's bound on
+    # the (count + 1)-th prime is a single sieve just above it
+    limits = _recorded_sieves(monkeypatch)
+    seq = primes_in_class(2, 2200000).primes
+    assert len(seq) == 2200000 and seq[:3] == (3, 5, 7)
+    assert len(limits) == 1 and seq[-1] <= limits[0] < 1.1 * seq[-1]
+    assert np.count_nonzero(prime_sieve(seq[-1])) == 2200001
+
+
+def test_primes_in_class_tries_the_bound_itself(monkeypatch):
+    # the 10th prime 1 mod 31, 2357, lies past the first sieve, 2243: the
+    # next sieve is the bound itself, not a refusal of 4486
+    limits = _recorded_sieves(monkeypatch)
+    monkeypatch.setattr(arith, "_SIEVE_CAP", 2400)
+    assert primes_in_class(31, 10).primes[-1] == 2357
+    assert limits == [2243, 2400]
+    with pytest.raises(ValueError, match="first 11 primes for p=31"):
+        primes_in_class(31, 11)
 
 
 def test_mv_bounds_small():

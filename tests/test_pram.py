@@ -302,6 +302,11 @@ def test_residue_units_rejects_bad_modulus(p, n):
     (pram.ray_class_group, (-20, 37, 2)),
     (pram.program_vptor, (-20, 37, 2)),
     (pram.tor_scan, (3, 40, 37)),
+    # p > 31 refused on entry, before the class data are built
+    (pram.tor_report, (-20, 37)),
+    (pram.ktilde_index, (-20, 37)),
+    (pram.reflection_check, (-20, 37)),
+    (pram.rank_inequalities, (-20, 37)),
 ])
 def test_pram_entry_points_reject_bad_modulus(monkeypatch, call, args):
     def no_build(*a):
@@ -850,12 +855,14 @@ def test_one_presentation_build_per_call(builds, call, D, builder):
     assert builds == [builder]
 
 
-@pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 2),
+@pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 1),
                                       (-10000003, 0), (-10000047, 2)])
 def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
     # h = 3, 96 = 2^5 * 3 and 936 = 2^3 * 3^2 * 13 below ENUM_CAP, 706 =
-    # 2 * 353 and 1512 = 2^3 * 3^3 * 7 above it: one presentation per prime
-    # p with p^2 | h, and none of the whole group
+    # 2 * 353 and 1512 = 2^3 * 3^3 * 7 above it: one presentation per odd
+    # prime p with p^2 | h, one of 2Cl_2 when Delta = v_2(h) - (omega - 1)
+    # > 0 (Delta = 1, 0, 0, 1 for the four with h even), and none of the
+    # whole group
     quadclass.class_group_imaginary(D)
     assert builds == ["imaginary_presentation"] * sylows
 

@@ -141,12 +141,32 @@ def test_class_group_imaginary_matches_full_staircase(k, r):
     # odd Sylow subgroups that are not cyclic
     (-3299, "[9,3]"), (-4027, "[3,3]"), (-11199, "[20,5]"), (-63499, "[7,7]"),
     (-3321607, "[63,3,3]"), (-1000036, "[24,4,2]"),
+    # Delta >= 2 with 2Cl_2 not cyclic, as the full staircase gives them
+    (-2379, "[4,4]"), (-4895, "[16,4]"), (-6360, "[4,4,2]"),
+    (-8103, "[12,4]"), (-31864, "[8,8]"),
     # every fundamental D < 0 with h = 1
     (-3, "[]"), (-4, "[]"), (-7, "[]"), (-8, "[]"), (-11, "[]"), (-19, "[]"),
     (-43, "[]"), (-67, "[]"), (-163, "[]"),
 ])
 def test_class_group_imaginary_sylow_anchors(D, want):
     assert str(_assert_matches_full_staircase(D)) == want
+
+
+def test_class_group_imaginary_matches_full_staircase_everywhere():
+    # Cl_2 read from genus theory (2-rank omega - 1, a staircase on 2Cl_2
+    # alone) against the staircase over the whole group, which does not
+    # use omega, at every fundamental |D| <= 3*10^4
+    _, fund, om, _ = qc.scan_arrays(3 * 10 ** 4)
+    for d in np.flatnonzero(fund).tolist():
+        full = qc.imaginary_presentation(-d).structure()
+        assert qc.class_group_imaginary(-d) == full, -d
+        assert full.p_rank(2) == om[d] - 1, -d
+
+
+def test_class_group_imaginary_above_enum_cap():
+    # h = 30304 = 2^5 * 947 from L(1, chi), omega = 2, so Delta = 4: the
+    # cyclic Cl_2 that the golden filtration-run --d -20000000003 reads
+    assert str(qc.class_group_imaginary(-20000000003)) == "[30304]"
 
 
 @pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
@@ -180,25 +200,33 @@ def test_class_group_imaginary_counts_h_once(monkeypatch):
 
 
 def test_class_group_imaginary_composes_only_in_square_sylows():
-    # h squarefree: every Sylow subgroup has prime order, so no composition;
-    # otherwise the staircases of the Sylow subgroups of order p^v >= p^2
-    # and the powers x^(h/p^v) stay within the full staircase's h - 1
+    # nothing is composed exactly when Delta = 0 (Cl_2 is elementary, read
+    # from genus theory) and every odd Sylow subgroup has prime order;
+    # otherwise the staircases of 2Cl_2 and of the odd Sylow subgroups of
+    # order p^v >= p^2, with their powers, stay within the full
+    # staircase's h - 1
     compose_calls = [0]
 
     def counted(f, g):
         compose_calls[0] += 1
         return compose(f, g)
-    squarefree = 0
+    none = elementary = 0
     for D in _fundamental_sample(random.Random(37), 10 ** 5, 10 ** 6, 25):
         compose_calls[0] = 0
         with mock.patch.object(qc, "compose", counted):
             h = qc.class_group_imaginary(D).order
-        if all(arith.vp(h, p) < 2 for p in range(2, isqrt(h) + 1)):
-            squarefree += 1
+        v = arith.vp(h, 2)
+        odd = h >> v
+        if v == qc.as_disc(D).ramified_count - 1 and \
+                all(arith.vp(odd, p) < 2 for p in range(3, isqrt(odd) + 1)):
+            none += 1
+            elementary += v > 1
             assert compose_calls[0] == 0, D
         else:
             assert 0 < compose_calls[0] <= h - 1, D
-    assert squarefree > 0
+    # some of the fields that compose nothing have a Cl_2 of square order
+    # (-196052: h = 268 = 2^2 * 67, Cl_2 = [2,2]), and some do not
+    assert none > elementary > 0
 
 
 def test_real_class_groups():
