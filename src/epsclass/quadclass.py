@@ -324,10 +324,13 @@ def imaginary_presentation(D, order: Optional[int] = None,
 
     def canon(f):
         return power(reduce_imaginary(f), e, _compose_imaginary)
+    # a ramified class has order <= 2, so for even k its k-th power is
+    # the identity the staircase already holds
     pres = ClassGroupPresentation.staircase(
         reduce_imaginary(principal_form(D)), canon, _compose_imaginary,
         (power(reduce_imaginary(f), k, _compose_imaginary)
-         for f in _prime_forms(D, isqrt(-D // 3))), order)
+         for f in _prime_forms(D, isqrt(-D // 3))
+         if k % 2 or D % f.a), order)
     assert pres.h == order
     return pres
 

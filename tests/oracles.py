@@ -203,10 +203,17 @@ def quad_scan_rows_loop(lo, hi, statistic, eps, p, arrays):
 @contextmanager
 def whole_groups():
     """pram's imaginary class data over the whole class group, as before
-    they presented the p-Sylow subgroup alone (enumerated h only)."""
-    with mock.patch.object(pram, "full_imaginary_presentation",
-                           lambda D, p: quadclass.imaginary_presentation(D)):
-        yield
+    they presented the p-Sylow subgroup alone (enumerated h only); the
+    cached class data are dropped on entry and exit, so that neither side
+    reads the other's."""
+    pram._class_data.cache_clear()
+    try:
+        with mock.patch.object(pram, "full_imaginary_presentation",
+                               lambda D, p:
+                               quadclass.imaginary_presentation(D)):
+            yield
+    finally:
+        pram._class_data.cache_clear()
 
 
 @pytest.fixture

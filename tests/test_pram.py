@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
@@ -251,20 +252,17 @@ RAY_CASES = [(D, p, n)
 
 def test_ray_class_group_cold_and_warm_cache(monkeypatch):
     assert len(RAY_CASES) == 540
-    data = {(D, p): pram._class_data(D, p) for D, p, _ in RAY_CASES}
     cold = []
     for D, p, n in RAY_CASES:
         pram._ring_units.cache_clear()
-        cold.append(pram.ray_class_group(D, p, n, data[D, p]))
+        cold.append(pram.ray_class_group(D, p, n))
     pram._ring_units.cache_clear()
-    warm = [pram.ray_class_group(D, p, n, data[D, p])
-            for D, p, n in RAY_CASES]
+    warm = [pram.ray_class_group(D, p, n) for D, p, n in RAY_CASES]
     assert warm == cold
     assert pram._ring_units.cache_info().hits > 0   # rings were shared
     # and each field's own (O/p^n)^x gives the same ray class groups
     monkeypatch.setattr(pram, "units_mod", pram.ResidueUnits)
-    own = [pram.ray_class_group(D, p, n, data[D, p])
-           for D, p, n in RAY_CASES]
+    own = [pram.ray_class_group(D, p, n) for D, p, n in RAY_CASES]
     assert own == cold
 
 
@@ -494,17 +492,6 @@ def test_relation_images_on_ray_grid():
     for p in (2, 3, 5, 7):
         assert {pram.splitting_type(D, p) for D, q, _ in RAY_CASES
                 if q == p} == {"split", "inert", "ramified"}
-
-
-@pytest.mark.parametrize("call", [
-    lambda cd: pram.ray_class_group(-84, 3, 2, cd),
-    lambda cd: pram.tor_report(-84, 3, cd),
-    lambda cd: pram.s_class_group(-84, 3, cd),
-])
-@pytest.mark.parametrize("D,p", [(-84, 2), (-87, 3)])
-def test_class_data_of_another_field_or_prime_is_refused(call, D, p):
-    with pytest.raises(ValueError, match="class data of"):
-        call(pram._class_data(D, p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -855,6 +842,18 @@ def test_one_presentation_build_per_call(builds, call, D, builder):
     assert builds == [builder]
 
 
+def test_class_data_built_once_per_field(builds):
+    # tor_report and s_class_group share the field's one build; a second
+    # field replaces it in the one-entry cache
+    pram.tor_report(-84, 2)
+    pram.s_class_group(-84, 2)
+    assert builds == ["imaginary_presentation"]
+    pram.s_class_group(-1155, 2)
+    pram.tor_report(-1155, 2)
+    assert builds == ["imaginary_presentation"] * 2
+    assert pram._class_data.cache_info().maxsize == 1
+
+
 @pytest.mark.parametrize("D,sylows", [(-23, 0), (-15015, 1), (-9999995, 1),
                                       (-10000003, 0), (-10000047, 2)])
 def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
@@ -977,30 +976,50 @@ def levels(monkeypatch):
     calls = []
     real = pram.ray_class_group
 
-    def wrapped(D, p, n, class_data=None):
+    def wrapped(D, p, n):
         calls.append(n)
-        return real(D, p, n, class_data)
+        return real(D, p, n)
     monkeypatch.setattr(pram, "ray_class_group", wrapped)
     return calls
 
 
 @pytest.mark.parametrize("D", [-1155, 221])
 def test_tor_report_walks_each_relation_once(walks, levels, monkeypatch, D):
-    want = [col for col, _ in pram._class_data(D, 2).relations]
+    # the cache is keyed by the Discriminant the entry points pass
+    want = [col for col, _ in
+            pram._class_data(quadclass.as_disc(D), 2).relations]
     assert want and walks == want
+    # the field's class data are cached: no relation is walked again
     del walks[:]
     rep = pram.tor_report(D, 2)
     assert levels == list(range(2, rep.stabilized_level + 1))
-    assert walks == want
-    # a torsion that never repeats: every level up to the top, once each,
-    # and still one walk per relation
-    del walks[:], levels[:]
+    assert walks == []
+    # a torsion that never repeats, from an empty cache: every level up to
+    # the top, once each, and still one walk per relation
+    pram._class_data.cache_clear()
+    del levels[:]
     seen = iter(range(10 ** 6))
     monkeypatch.setattr(pram, "_drop_lines", lambda st, p, r: next(seen))
     with pytest.raises(pram.PramError, match="did not stabilize"):
         pram.tor_report(D, 2)
     assert levels == list(range(2, 65))
     assert walks == want
+
+
+def test_tor_scan_holds_only_the_rows_it_keeps(monkeypatch):
+    # with every vptor 0 no row is kept, so the peak does not grow with the
+    # range (a list of every field grows it about 4x from k = 2000 to 8000)
+    monkeypatch.setattr(pram, "program_vptor", lambda D, p, n: 0)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            assert pram.tor_scan(10 ** 6, 10 ** 6 + k, 3) == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(100)      # warm: imports and the first sieve are not the scan's
+    assert peak(8000) <= 1.1 * peak(2000)
 
 
 def test_tor_scan_validates_each_field_once(factor_calls):

@@ -229,6 +229,23 @@ def test_class_group_imaginary_composes_only_in_square_sylows():
     assert none > elementary > 0
 
 
+def test_class_group_imaginary_skips_ramified_forms_for_even_k():
+    # h(-16003) = 12 = 2^2 * 3 with 13 | D: the 2Cl_2 staircase raises each
+    # prime form to an even power, under which a ramified class (order
+    # <= 2) is the identity, so it is not powered (13 compositions before,
+    # against the full staircase's h - 1)
+    compose_calls = [0]
+
+    def counted(f, g):
+        compose_calls[0] += 1
+        return compose(f, g)
+    with mock.patch.object(qc, "compose", counted):
+        g = qc.class_group_imaginary(-16003)
+    assert compose_calls[0] <= 11
+    assert g == qc.imaginary_presentation(-16003).structure()
+    assert g.order == 12
+
+
 def test_real_class_groups():
     d = qc.fundamental_discriminant(105)
     assert str(qc.narrow_class_group_real(d)) == "[2,2]"
