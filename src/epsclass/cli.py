@@ -243,8 +243,7 @@ def cmd_reflection_check(args) -> int:
 
 
 def cmd_normic_search(args) -> int:
-    a_range = None if args.max_a is None else range(1, args.max_a + 1)
-    recs = quadclass.normic_search(args.p, args.rho, args.q, a_range)
+    recs = quadclass.normic_search(args.p, args.rho, args.q, args.max_a)
     _emit(args, _SCAN_FIELDS, _scan_rows(recs))
     return 0
 

@@ -23,6 +23,10 @@ from .arith import vp
 
 MAX_STEPS = 500          # filtration length before a route gives up
 MAX_BLOCK_EXPONENT = 2   # synthesize draws blocks mod p^a, 1 <= a <= this
+MAX_ATTEMPTS = 500       # draws before synthesize gives up
+# synthesize's largest p: the slowest block's fixed subgroup takes 0.5 s at
+# p = 17 and 7 s at p = 19 (2-core Xeon), on thousand-bit intermediates
+MAX_SYNTH_P = 17
 
 
 class FiltrationError(ValueError):
@@ -214,7 +218,7 @@ def from_quadratic(D) -> tuple[FinitePModule, int]:
     return FinitePModule.build(2, rel, sigma), d.ramified_count
 
 
-@lru_cache(maxsize=64)   # every block for p <= 31
+@lru_cache(maxsize=64)   # every block of one p <= MAX_SYNTH_P
 def group_ring_block(p: int, a: int, b: int) -> FinitePModule:
     """Z[x]/(x^p - 1, p^a, (x-1)^b) with sigma = multiplication by x.
 
@@ -253,24 +257,25 @@ def _block_fixed_order(p: int, a: int, b: int) -> int:
     return fixed_subgroup(group_ring_block(p, a, b)).order
 
 
-def synthesize(p: int, N: int, seed: int,
-               attempts: int = 500) -> FinitePModule:
+def synthesize(p: int, N: int, seed: int) -> FinitePModule:
     """Random direct sum of N-1 group-ring quotients with #M^G = p^(N-1).
 
-    Each attempt draws N-1 blocks (a, b).  sigma acts block by block, so
-    (+B_j)^G = +B_j^G and a draw is accepted when the cached orders #B_j^G
-    multiply to p^(N-1); only the accepted draw is summed.
+    Each of MAX_ATTEMPTS attempts draws N-1 blocks (a, b).  sigma acts
+    block by block, so (+B_j)^G = +B_j^G and a draw is accepted when the
+    cached orders #B_j^G multiply to p^(N-1); only the accepted draw is
+    summed.  p above MAX_SYNTH_P is refused before any block is built.
     """
-    if N < 2:
-        raise ValueError("synthesize needs N >= 2")
+    if N < 2 or p > MAX_SYNTH_P:
+        raise ValueError(f"synthesize needs N >= 2 and p <= {MAX_SYNTH_P}, "
+                         f"got N={N}, p={p}")
     rng = random.Random(seed * 1000003 + p * 1009 + N)
-    for _ in range(attempts):
+    for _ in range(MAX_ATTEMPTS):
         draw = [(rng.randint(1, MAX_BLOCK_EXPONENT), rng.randint(1, p))
                 for _ in range(N - 1)]
         if prod(_block_fixed_order(p, a, b) for a, b in draw) == p ** (N - 1):
             return direct_sum([group_ring_block(p, a, b) for a, b in draw])
     raise FiltrationError(f"synthesize: no module with #M^G = {p}^{N - 1} "
-                          f"found in {attempts} attempts")
+                          f"found in {MAX_ATTEMPTS} attempts")
 
 
 def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0) -> dict:

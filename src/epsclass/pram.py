@@ -519,6 +519,7 @@ class _ClassData:
     D: int
     p: int
     pres: ClassGroupPresentation       # Cl_p or Cl, as _class_data says
+    k: int                             # Cl_p = Cl^k, or k = 1 for real D
     structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
     #                   with alpha = x + y*omega mod p^top_level(p)
@@ -547,9 +548,10 @@ def _class_data(D, p: int) -> _ClassData:
     d = as_disc(D)
     D = d.value
     frame = _LocalFrame(D, p, top_level(p))
-    units = [(-1, 0)]
+    units, k = [(-1, 0)], 1
     if D < 0:
-        pres = full_imaginary_presentation(d, p)
+        h, pres = full_imaginary_presentation(d, p)
+        k = h // pres.h
         structure = pres.structure()
         cols = pres.relation_columns()
         if D in (-3, -4):
@@ -565,7 +567,7 @@ def _class_data(D, p: int) -> _ClassData:
     forms = [_coprime_rep(f, p) for f in pres.gens]
     relations = [(col, frame.image(*_lift_relation(forms, col, frame.one)))
                  for col in cols]
-    return _ClassData(D, p, pres, structure, relations, units)
+    return _ClassData(D, p, pres, k, structure, relations, units)
 
 
 # ------------------------------------------------------- ray class groups
@@ -681,15 +683,17 @@ class SClassGroup:
 
 
 def s_class_group(D, p: int) -> SClassGroup:
-    """The class data's group modulo the primes above p, whose p-part is
-    that of the S-class group, S the primes above p."""
+    """The class data's group Cl_p = Cl^k modulo the primes above p, whose
+    p-part is that of the S-class group, S the primes above p: the class
+    P^k of a prime P above p generates the image of <P> in Cl_p."""
     d = as_disc(D)
     assert d.value < 0, "S-class groups implemented for imaginary fields"
     cd = _class_data(d, p)
     st = splitting_type(d.value, p)
     if st == "inert":
         return SClassGroup(d.value, p, cd.structure, 1)
-    return SClassGroup(d.value, p, cd.pres.quotient(prime_form(d.value, p)),
+    P = power(prime_form(d.value, p), cd.k, cd.pres.op)
+    return SClassGroup(d.value, p, cd.pres.quotient(P),
                        2 if st == "split" else 1)
 
 

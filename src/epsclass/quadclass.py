@@ -21,9 +21,9 @@ sqrt(D), since every narrow class holds a reduced form with 0 < a <
 sqrt(D), so the narrow group is unconditional with no count of h+;
 ENUM_CAP bounds D, for the cycle and unit walks.  class_group_imaginary
 reads Cl_2's 2-rank from genus theory and presents only 2Cl_2 and the
-odd Sylow subgroups of order p^v >= p^2.  pram reads p-parts only, so
-full_imaginary_presentation gives it the p-Sylow subgroup alone, whose
-canon projects every class onto it.
+odd Sylow subgroups of order p^v >= p^2.  An imaginary presentation
+presents only its subgroup Cl^k, its canon reduce_imaginary: pram reads
+p-parts, so full_imaginary_presentation gives it h and Cl_p = Cl^(h/p^v).
 """
 
 from __future__ import annotations
@@ -300,37 +300,24 @@ def _class_number_series(D: int) -> int:
     return round(total)
 
 
-def imaginary_presentation(D, order: Optional[int] = None,
-                           h: Optional[int] = None, k: Optional[int] = None
+def imaginary_presentation(D, k: int = 1, order: Optional[int] = None
                            ) -> ClassGroupPresentation:
-    """The subgroup Cl(D)^k, of order `order`: by default k = h/order for
-    order prime to k (a Sylow subgroup, say), the whole group with no
-    order, h from _class_number when not given, and the canon projects
-    x -> x^e onto it, e = 1 mod order and e = 0 mod k: every class has a
-    dlog, its projection's.  A given k (2Cl_2 in class_group_imaginary)
-    gets e = 1, so only the subgroup's classes have one.  The prime forms
-    up to sqrt(|D|/3) generate Cl(D) unconditionally, so the staircase
-    over their k-th powers stops at order; they hold for the maximal
-    order only, so D is validated as _class_number validates it."""
+    """The subgroup Cl(D)^k, of order `order` (h from _class_number when
+    not given: the whole group, for k = 1); only its classes have a dlog.
+    The prime forms up to sqrt(|D|/3) generate Cl(D) unconditionally, so
+    the staircase over their k-th powers stops at order; they hold for
+    the maximal order only, so D is validated as _class_number does."""
     d = _within_cap(D, SERIES_CAP, "the class-number budget")
     D = d.value
     assert D < 0
-    e = 1
-    if k is None:
-        h = h or _class_number(d)
-        order = order or h
-        k = h // order
-        e = k * pow(k, -1, order) or h      # e = h for order 1
-
-    def canon(f):
-        return power(reduce_imaginary(f), e, _compose_imaginary)
+    order = order or _class_number(d)
     # a ramified class has order <= 2, so for even k its k-th power is
     # the identity the staircase already holds
+    powers = (power(reduce_imaginary(f), k, _compose_imaginary)
+              for f in _prime_forms(D, isqrt(-D // 3)) if k % 2 or D % f.a)
     pres = ClassGroupPresentation.staircase(
-        reduce_imaginary(principal_form(D)), canon, _compose_imaginary,
-        (power(reduce_imaginary(f), k, _compose_imaginary)
-         for f in _prime_forms(D, isqrt(-D // 3))
-         if k % 2 or D % f.a), order)
+        reduce_imaginary(principal_form(D)), reduce_imaginary,
+        _compose_imaginary, powers, order)
     assert pres.h == order
     return pres
 
@@ -382,13 +369,14 @@ def ramified_principal_form(D: int) -> QuadForm:
 
 # --------------------------------------------------------------- public ops
 
-def full_imaginary_presentation(D, p: int) -> ClassGroupPresentation:
-    """The imaginary class data pram reads for the prime p: the p-Sylow
-    subgroup of Cl(D), over the exact h.  D is validated once, by
-    as_disc."""
+def full_imaginary_presentation(D, p: int
+                                ) -> tuple[int, ClassGroupPresentation]:
+    """(h, the p-Sylow subgroup Cl(D)^(h/p^v), p^v = p^vp(h, p)), which pram
+    reads for the prime p.  D is validated once, by as_disc."""
     d = as_disc(D)
     h = _class_number(d)
-    return imaginary_presentation(d, p ** vp(h, p), h)
+    q = p ** vp(h, p)
+    return h, imaginary_presentation(d, h // q, q)
 
 
 def _square_sylow_orders(h: int) -> list[int]:
@@ -415,14 +403,14 @@ def class_group_imaginary(D) -> AbelianGroupStructure:
     d = as_disc(D)
     h = _class_number(d)
     v, r = vp(h, 2), d.ramified_count - 1
-    squares = imaginary_presentation(d, 2 ** (v - r), k=h >> (v - 1)) \
+    squares = imaginary_presentation(d, 2 * (h >> v), 2 ** (v - r)) \
         .structure().divisors if v > r else ()
     assert len(squares) <= r, (d.value, squares, r)
     chains = [[2 * e for e in squares] + [2] * (r - len(squares))]
-    rest = h >> v
-    for q in _square_sylow_orders(rest):
-        chains.append(imaginary_presentation(d, q, h).structure().divisors)
-        rest //= q
+    sylows = _square_sylow_orders(h >> v)
+    chains += [imaginary_presentation(d, h // q, q).structure().divisors
+               for q in sylows]
+    rest = (h >> v) // prod(sylows)
     if rest > 1:
         chains.append([rest])       # squarefree, so cyclic
     g = AbelianGroupStructure(
@@ -675,19 +663,23 @@ def prime_disc_report(records: list[ScanRecord]) -> PrimeDiscReport:
 
 # ---------------------------------------------------------- normic search
 
-def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
-    """Search a^2 + m b^2 = 4 q^(p^rho), gcd(a, b) <= 2, for imaginary
-    fields Q(sqrt(-m)) with large p-class number; emits running maxima of
-    the p-part h_p."""
-    Y = 4 * q ** (p ** rho)
-    if a_range is None:
-        a_range = range(1, isqrt(Y - 1) + 1)
-    out = []
-    best_hp = 0
-    for a in a_range:
+def normic_search(p: int, rho: int, q: int, max_a=None) -> list[ScanRecord]:
+    """Search a^2 + m b^2 = 4 q^(p^rho), gcd(a, b) <= 2, a <= max_a if
+    given, for imaginary fields Q(sqrt(-m)) with large p-class number;
+    emits running maxima of the p-part h_p.  For q >= 2, a range of a above
+    ENUM_CAP raises ClassNumberCapError before Y = 4 q^(p^rho) is formed."""
+    # isqrt(4x - 1) <= ENUM_CAP iff x <= limit, which q^n exceeds for every
+    # n above its bit length, as p^rho does for rho above it
+    limit = (ENUM_CAP + 1) ** 2 // 4
+    n = p ** min(rho, limit.bit_length())
+    if n > limit.bit_length() or q ** n > limit:
+        raise ClassNumberCapError(f"a^2 + m b^2 = 4*{q}^({p}^{rho}) ranges "
+                                  f"over a above the budget {ENUM_CAP}")
+    Y = 4 * q ** n
+    top = isqrt(Y - 1) if max_a is None else min(isqrt(Y - 1), max_a)
+    out, best_hp = [], 0
+    for a in range(1, top + 1):
         B = Y - a * a
-        if B <= 0:
-            continue
         try:
             fac = factor(B)
         except FactorBudgetError:
@@ -719,7 +711,6 @@ def normic_search(p: int, rho: int, q: int, a_range=None) -> list[ScanRecord]:
 
 def class_number_bsgs(D) -> tuple[int, ClassGroupPresentation]:
     """(h, presentation of the whole class group) for fundamental D < 0.
-    No src/ code calls it; it stays, under this name, for perfbench, which
-    checks and traces it."""
+    No src/ code calls it; perfbench checks and traces it by this name."""
     pres = imaginary_presentation(D)
     return pres.h, pres

@@ -209,8 +209,7 @@ def whole_groups():
     pram._class_data.cache_clear()
     try:
         with mock.patch.object(pram, "full_imaginary_presentation",
-                               lambda D, p:
-                               quadclass.imaginary_presentation(D)):
+                               lambda D, p: quadclass.class_number_bsgs(D)):
             yield
     finally:
         pram._class_data.cache_clear()

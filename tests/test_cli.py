@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from epsclass import cli, quadclass
+from epsclass import filtration as fl
 from epsclass.quadclass import ClassNumberCapError
 from oracles import quad_scan_rows_loop, scan_windows
 
@@ -479,6 +480,36 @@ def test_output_file(tmp_path, capsys):
 def test_tor_family_beyond_enumeration_cap_exits_3(capsys):
     code, out = run(["tor-family", "--p", "2", "--count", "10"], capsys)
     assert code == 3 and out == ""
+
+
+def _refused_before_any_work(capsys, argv, code):
+    """argv exits with code on one stderr line with no traceback and
+    prints nothing."""
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_normic_search_above_the_budget_exits_3(monkeypatch, capsys):
+    # it once walked every a <= sqrt(4 * 3^1024), factoring each B
+    def no_factor(n, *args):
+        raise AssertionError(f"{n} was factored")
+    monkeypatch.setattr(quadclass, "factor", no_factor)
+    for rho in ("10", "40"):
+        _refused_before_any_work(capsys, [
+            "normic-search", "--p", "2", "--rho", rho, "--q", "3"], 3)
+
+
+def test_filtration_above_p_17_exits_2(monkeypatch, capsys):
+    # --p 19 --n 3 once ran past 100 s building its group-ring blocks
+    def no_block(*args):
+        raise AssertionError(f"block {args} was built")
+    monkeypatch.setattr(fl, "group_ring_block", no_block)
+    monkeypatch.setattr(fl, "_block_fixed_order", no_block)
+    for argv in (["filtration-run", "--p", "19", "--n", "3"],
+                 ["filtration-run", "--p", "31", "--n", "3"],
+                 ["filtration-mc", "--p", "19", "--n", "3"]):
+        _refused_before_any_work(capsys, argv, 2)
 
 
 def test_budget_exit_code(monkeypatch, capsys):

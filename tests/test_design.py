@@ -165,8 +165,9 @@ def _attribute_reads(source, attr):
 
 
 def test_only_quadclass_reads_dlog_table():
-    # a presentation's callers take dlogs through dlog(), whose canon may
-    # project a class before the table is read (the p-Sylow data of pram)
+    # a presentation's callers take dlogs through dlog(), whose canon
+    # names a form's class as the table does (its reduction, or a real
+    # class's least cycle form)
     found = {p.name: _attribute_reads(p.read_text(), "dlog_table")
              for p in sorted(PACKAGE.glob("*.py")) if p.stem != "quadclass"}
     assert {k: v for k, v in found.items() if v} == {}

@@ -117,7 +117,7 @@ def test_dual_routes_and_brute_force():
         p = rng.choice((2, 3))
         N = rng.randint(2, 3)
         try:
-            M = fl.synthesize(p, N, seed=i, attempts=100)
+            M = fl.synthesize(p, N, seed=i)
         except fl.FiltrationError:
             continue
         if fl.module_order(M) > 3 ** 6:
@@ -159,6 +159,18 @@ def test_from_quadratic_matches_genus():
             n //= 2
             v += 1
         assert v - (N - 1) == delta
+
+
+def test_synthesize_refuses_p_above_17_before_any_block(monkeypatch):
+    # at p = 19 one block's fixed subgroup took 7 s, and filtration-run
+    # --p 19 --n 3 did not finish in 100 s
+    def no_block(*args):
+        raise AssertionError(f"block {args} was built")
+    monkeypatch.setattr(fl, "group_ring_block", no_block)
+    monkeypatch.setattr(fl, "_block_fixed_order", no_block)
+    for p in (19, 31):
+        with pytest.raises(ValueError):
+            fl.synthesize(p, 3, 0)
 
 
 def test_synthesize_deterministic():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadforms
 from epsclass import quadclass as qc
-from epsclass.abgroup import AbelianGroupStructure
+from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import prime_sieve
 from epsclass.quadforms import (
     compose,
@@ -119,7 +119,7 @@ def _assert_matches_full_staircase(D):
     h = len(reduced_forms_imaginary(D))
     for q in qc._square_sylow_orders(h):
         p = min(f for f in range(2, q + 1) if q % f == 0)
-        assert qc.imaginary_presentation(D, q, h).structure() == \
+        assert qc.imaginary_presentation(D, h // q, q).structure() == \
             full.p_part(p), (D, q)
     return full
 
@@ -172,19 +172,15 @@ def test_class_group_imaginary_above_enum_cap():
 @pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sylow_canon_projects_every_class(D, p):
-    # canon maps every class into the p-Sylow subgroup, as a homomorphism
-    # that fixes the subgroup; for order 1 it maps all to the identity
+    # x -> x^k, k = h/p^v, maps the classes onto the p-Sylow subgroup
+    # Cl^k: its table holds exactly the reduced k-th powers of the reduced
+    # forms, and its canon is reduce_imaginary itself
     forms = reduced_forms_imaginary(D)
     h = len(forms)
-    pres = qc.imaginary_presentation(D, p ** arith.vp(h, p), h)
-    assert all(pres.canon(f) == f for f in pres.dlog_table)
-    rng = random.Random(D)
-    for f in forms:
-        g = rng.choice(forms)
-        fg = reduce_imaginary(compose(f, g))
-        assert pres.canon(fg) == pres.op(pres.canon(f), pres.canon(g))
-        assert len(pres.dlog(f)) == len(pres.gens)
-    assert len({pres.canon(f) for f in forms}) == pres.h
+    q = p ** arith.vp(h, p)
+    pres = qc.imaginary_presentation(D, h // q, q)
+    assert pres.canon is reduce_imaginary
+    assert set(pres.dlog_table) == {power(f, h // q, pres.op) for f in forms}
 
 
 def test_class_group_imaginary_counts_h_once(monkeypatch):
@@ -654,10 +650,30 @@ def test_normic_search_factors_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(qc, "factor", counting_factor)
     monkeypatch.setattr(arith, "factor", counting_factor)
-    recs = qc.normic_search(2, 1, 3, range(1, 51))
+    recs = qc.normic_search(2, 1, 3, 50)
     # 4 * 3^2 - a^2 > 0 for a = 1..5: one factorization per B
     assert calls == [35, 32, 27, 20, 11]
     assert [(r.d, r.h, r.hp) for r in recs] == [(-35, 2, 2)]
+
+
+def test_normic_search_refuses_a_range_above_enum_cap(monkeypatch):
+    # a <= isqrt(4 q^(p^rho) - 1) is the budget, checked before any B is
+    # factored: 4 * 3^1024 once ran unbounded, and p^rho = 2^40 would
+    # have formed a 2^40 log2(3)-bit Y
+    def no_factor(n, *args):
+        raise AssertionError(f"{n} was factored")
+    monkeypatch.setattr(qc, "factor", no_factor)
+    for p, rho, q in [(2, 10, 3), (2, 40, 3), (3, 10 ** 9, 2),
+                      (2, 1, 5 * 10 ** 6 + 1),
+                      (2, 0, 25 * 10 ** 12 + 10 ** 7)]:
+        with pytest.raises(qc.ClassNumberCapError):
+            qc.normic_search(p, rho, q)
+    monkeypatch.undo()
+    # at the edge: isqrt(4q - 1) is 100 for q = 2550, 101 for q = 2551
+    monkeypatch.setattr(qc, "ENUM_CAP", 100)
+    assert qc.normic_search(2, 0, 2550, 1)
+    with pytest.raises(qc.ClassNumberCapError):
+        qc.normic_search(2, 0, 2551, 1)
 
 
 @pytest.mark.parametrize("p,rho,q", [(2, 2, 3), (2, 2, 5)])
