@@ -13,7 +13,10 @@ point, over the base 1 + P^c0, which the p-adic logarithm makes additive.
 Every result here reads p-parts only, so for imaginary D the class data
 present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
 has index [Cl : Cl_p], prime to p, so the two share their p-part (Cohen,
-GTM 138, ch. 5).
+GTM 138, ch. 5).  They read a presentation only through its generators,
+relation columns, structure and quotient by one class (quadclass's
+Presentation): Cl_2 comes on a genus basis, with only 2Cl_2 tabulated,
+and an odd Cl_p or a real narrow group from a staircase.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .quadclass import (
     ClassGroupPresentation,
     ClassNumberCapError,
     Discriminant,
+    Presentation,
     as_disc,
     discriminant_from_value,
     full_imaginary_presentation,
@@ -518,7 +522,7 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
 class _ClassData:
     D: int
     p: int
-    pres: ClassGroupPresentation       # Cl_p or Cl, as _class_data says
+    pres: Presentation                 # Cl_p or Cl, as _class_data says
     k: int                             # Cl_p = Cl^k, or k = 1 for real D
     structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)

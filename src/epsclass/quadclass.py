@@ -24,12 +24,16 @@ reads Cl_2's 2-rank from genus theory and presents only 2Cl_2 and the
 odd Sylow subgroups of order p^v >= p^2.  An imaginary presentation
 presents only its subgroup Cl^k, its canon reduce_imaginary: pram reads
 p-parts, so full_imaginary_presentation gives it h and Cl_p = Cl^(h/p^v).
+For p = 2 that is a genus presentation: a basis of Cl_2 whose genera span
+Cl/Cl^2, and a staircase over 2Cl_2 alone, whose 2^Delta classes are the
+only ones tabulated; a dlog is solved by genus, then looked up in 2Cl_2.
+Both presentations give pram the same interface, Presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import ceil, erfc, exp, fsum, gcd, isqrt, log, pi, prod, sqrt
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -58,6 +62,10 @@ from .quadforms import (
 
 ENUM_CAP = 10 ** 7
 SERIES_CAP = 10 ** 13
+# series terms a normic search may budget: its values of a times the
+# series length at |D| = 4Y; at about 0.4 us a term on a 2-core machine,
+# some 7 minutes
+NORMIC_TERMS = 10 ** 9
 
 
 class ClassNumberCapError(Exception):
@@ -70,7 +78,7 @@ class ClassNumberCapError(Exception):
 class Discriminant:
     value: int
     radicand: int
-    ramified_count: int
+    prime_discs: tuple[int, ...]    # the prime discriminants, product value
 
     def __post_init__(self):
         D = self.value
@@ -80,6 +88,10 @@ class Discriminant:
     def abs(self) -> int:
         return abs(self.value)
 
+    @property
+    def ramified_count(self) -> int:
+        return len(self.prime_discs)
+
 
 def fundamental_discriminant(m: int) -> Discriminant:
     """Fundamental discriminant of Q(sqrt(m)) for squarefree m."""
@@ -88,15 +100,19 @@ def fundamental_discriminant(m: int) -> Discriminant:
     fac = factor(abs(m))
     if any(e > 1 for _, e in fac.factors):
         raise ValueError(f"m = {m} is not squarefree")
-    return _discriminant(m, fac.omega())
+    return _discriminant(m, [q for q, _ in fac.factors])
 
 
-def _discriminant(m: int, omega: int) -> Discriminant:
-    """Discriminant of Q(sqrt(m)) for squarefree m with omega(|m|) primes."""
-    if m % 4 == 1:
-        return Discriminant(m, m, omega)
-    # D = 4m: 2 divides D even when it does not divide m
-    return Discriminant(4 * m, m, omega + m % 2)
+def _discriminant(m: int, primes: Iterable[int]) -> Discriminant:
+    """Discriminant of Q(sqrt(m)) for squarefree m, whose primes are given
+    ascending.  Its prime discriminants are q* = +-q = 1 mod 4 for each odd
+    q and, for D = 4m, D / prod q*, one of -4, 8 and -8: 2 divides D even
+    when it does not divide m."""
+    D = m if m % 4 == 1 else 4 * m
+    # over a list: tuple() of a generator grew tor_scan's traced peak
+    odd = tuple([q if q % 4 == 1 else -q for q in primes if q != 2])
+    two = D // prod(odd)
+    return Discriminant(D, m, odd if two == 1 else (two, *odd))
 
 
 def radicand_of(D: int) -> int:
@@ -118,16 +134,43 @@ def as_disc(x) -> Discriminant:
 # --------------------------------------------------- staircase presentations
 
 @dataclass
-class ClassGroupPresentation:
-    """Generators/relations of a finite abelian class group.
-
-    words[i] gives gens[i]^orders[i] = prod_{j<i} gens[j]^words[i][j];
-    dlog_table maps every canonical class representative to its exponent
-    vector over gens, the identity first.
-    """
+class Presentation:
+    """Generators and triangular relations of a finite abelian group of
+    order h: words[i] gives gens[i]^orders[i] = prod_{j<i}
+    gens[j]^words[i][j].  What pram reads of a class group: gens,
+    relation_columns(), structure(), and quotient() by one element's
+    dlog, its exponent vector over gens; a subclass gives h and dlog."""
     gens: list
     orders: list
     words: list
+
+    def relation_columns(self) -> list[list[int]]:
+        n = len(self.gens)
+        cols = []
+        for i in range(n):
+            col = [0] * n
+            col[i] = self.orders[i]
+            for j, e in enumerate(self.words[i]):
+                col[j] -= e
+            cols.append(col)
+        return cols
+
+    def quotient(self, *elements) -> AbelianGroupStructure:
+        """The group modulo the classes of elements."""
+        rels = self.relation_columns() + [self.dlog(e) for e in elements]
+        return AbelianGroupStructure.from_relation_matrix(rels,
+                                                          len(self.gens))
+
+    def structure(self) -> AbelianGroupStructure:
+        g = self.quotient()
+        assert g.order == self.h
+        return g
+
+
+@dataclass
+class ClassGroupPresentation(Presentation):
+    """A staircase presentation: dlog_table maps every canonical class
+    representative to its exponent vector over gens, the identity first."""
     dlog_table: dict
     canon: Callable
     op: Callable
@@ -156,27 +199,8 @@ class ClassGroupPresentation:
         v = self.dlog_table[self.canon(f)]
         return v + (0,) * (len(self.gens) - len(v))
 
-    def relation_columns(self) -> list[list[int]]:
-        n = len(self.gens)
-        cols = []
-        for i in range(n):
-            col = [0] * n
-            col[i] = self.orders[i]
-            for j, e in enumerate(self.words[i]):
-                col[j] -= e
-            cols.append(col)
-        return cols
-
-    def quotient(self, *elements) -> AbelianGroupStructure:
-        """The group modulo the classes of elements."""
-        rels = self.relation_columns() + [self.dlog(e) for e in elements]
-        return AbelianGroupStructure.from_relation_matrix(rels,
-                                                          len(self.gens))
-
-    def structure(self) -> AbelianGroupStructure:
-        g = self.quotient()
-        assert g.order == self.h
-        return g
+    # a name of its own, under which perfbench's layer trace times it
+    structure = Presentation.structure
 
     def adjoin(self, e) -> None:
         """Add the canonical generator e: find its order o over the current
@@ -265,6 +289,11 @@ def _class_number(D) -> int:
     return _class_number_series(d.value)
 
 
+def _series_length(A: int) -> int:
+    """The number of terms _class_number_series sums for |D| = A."""
+    return ceil(sqrt(_SERIES_X2 * A / pi))
+
+
 def _class_number_series(D: int) -> int:
     """h(D) = sum_{n <= N} chi(n) [erfc(x_n) + e^(-x_n^2) / (sqrt(pi) x_n)]
     for fundamental D < -4, chi = (D/.) and x_n = n sqrt(pi/|D|) (Cohen,
@@ -274,7 +303,7 @@ def _class_number_series(D: int) -> int:
     fsum's) must stay below 1/4, and the sum within that distance of an
     integer; otherwise ClassNumberCapError, and no h."""
     A = -D
-    N = ceil(sqrt(_SERIES_X2 * A / pi))
+    N = _series_length(A)
     q = np.flatnonzero(prime_sieve(N))[1:]          # the odd primes
     euler = map(pow, (D % q).tolist(), ((q - 1) // 2).tolist(), q.tolist())
     chi = np.ones(N + 1, dtype=np.int8)
@@ -320,6 +349,122 @@ def imaginary_presentation(D, k: int = 1, order: Optional[int] = None
         _compose_imaginary, powers, order)
     assert pres.h == order
     return pres
+
+
+def _genus_vector(f: QuadForm, chars: tuple) -> int:
+    """The genus of the primitive positive form f as a bit mask: bit i set
+    when chi_i(f) = -1, chi_i = kronecker(chars[i], .).  chi_i is read at
+    a value of f prime to chars[i]: one of a, c and a + b + c is, since a
+    prime dividing a and c does not divide b."""
+    a, b, c = f
+    v = 0
+    for i, d in enumerate(chars):
+        k = kronecker(d, a) or kronecker(d, c) or kronecker(d, a + b + c)
+        v |= (k < 0) << i
+    return v
+
+
+def _reduce_genus(v: int, echelon: list) -> tuple[int, int]:
+    """(what is left of the genus v, the mask of basis forms taken out),
+    v reduced by the rows (pivot bit, vector, mask of basis forms) of
+    echelon, each vector free of the earlier pivots."""
+    e = 0
+    for pivot, row, mask in echelon:
+        if v & pivot:
+            v, e = v ^ row, e ^ mask
+    return v, e
+
+
+@dataclass
+class GenusPresentation(Presentation):
+    """Cl_2 of an imaginary field on a genus basis g_0, ..., g_(r-1), r =
+    omega(|D|) - 1, whose genera span Cl/Cl^2; 2Cl_2 is the staircase
+    `squares` over the squares g_i^2 other than 1, squares.gens[k] =
+    g_(spots[k])^2.
+    A dlog is the genus coordinates e of a class x over the basis, and
+    twice the staircase's dlog of x prod g_i^(-e_i), which lies in the
+    principal genus of Cl_2, that is 2Cl_2: only 2Cl_2's 2^Delta classes
+    are tabulated, not Cl_2's 2^v."""
+    squares: ClassGroupPresentation
+    spots: list
+    chars: tuple          # the genus characters read: all but the last
+    echelon: list         # the basis genera, for _reduce_genus
+    op = staticmethod(_compose_imaginary)
+
+    @property
+    def h(self) -> int:
+        return self.squares.h << len(self.gens)
+
+    def dlog(self, f) -> tuple:
+        rest, e = _reduce_genus(_genus_vector(f, self.chars), self.echelon)
+        assert rest == 0
+        y = reduce_imaginary(f)
+        for i, g in enumerate(self.gens):
+            if e >> i & 1:
+                y = self.op(y, g.inverse())
+        out = [e >> i & 1 for i in range(len(self.gens))]
+        for i, c in zip(self.spots, self.squares.dlog(y)):
+            out[i] += 2 * c
+        return tuple(out)
+
+
+def genus_presentation(D, h: int) -> GenusPresentation:
+    """Cl_2 = Cl(D)^h' of fundamental D < 0 on a genus basis, for its class
+    number h = 2^v h' with v >= 1.
+
+    Its r = omega - 1 generators are g_i = P_i^h' for the first r prime
+    forms P_i whose genera are independent of the ones kept before: the
+    ramified ones first, each its own h'-th power at no composition (they
+    span Cl/Cl^2 whenever Cl_2 is elementary), then the split ones up to
+    sqrt(|D|/3), ascending.  These prime forms generate Cl, so the kept
+    genera span Cl/Cl^2 = Cl_2/2Cl_2, and the g_i generate Cl_2 (Burnside's
+    basis theorem).  A relation among the g_i is even, by genus, and half
+    of it is one among their squares: so Cl_2's relations are g_i^2 = 1 for
+    a ramified g_i and twice the staircase's.  The prime discriminants are
+    the Discriminant's, so |D| is not factored again."""
+    d = as_disc(D)
+    D = d.value
+    assert D < 0
+    v, r = vp(h, 2), d.ramified_count - 1
+    assert 1 <= r <= v, (D, h, r)
+    odd = h >> v
+    chars = d.prime_discs[:r]
+    one = reduce_imaginary(principal_form(D))
+    gens, sq, echelon = [], [], []
+    ramified = (prime_form(D, abs(q) if q % 2 else 2) for q in d.prime_discs)
+    split = (P for P in _prime_forms(D, isqrt(-D // 3)) if D % P.a)
+    for P in chain(ramified, split):
+        rest, e = _reduce_genus(_genus_vector(P, chars), echelon)
+        if not rest:
+            continue
+        echelon.append((1 << rest.bit_length() - 1, rest,
+                        e ^ 1 << len(gens)))
+        if D % P.a:
+            g = power(reduce_imaginary(P), odd, _compose_imaginary)
+            gens.append(g)
+            sq.append(_compose_imaginary(g, g))
+        else:           # ramified: P^odd = P and P^2 = 1
+            gens.append(reduce_imaginary(P))
+            sq.append(one)
+        if len(gens) == r:
+            break
+    assert len(gens) == r, (D, gens)
+    squares = ClassGroupPresentation.staircase(
+        one, reduce_imaginary, _compose_imaginary, sq, 1 << v - r)
+    # the ramified classes are Cl[2] (Gauss), so the split g_i fill the
+    # 4-rank's dimensions of Cl/Cl^2, and their squares are a minimal
+    # generating set of 2Cl_2: the staircase adjoins each, in order
+    spots = [i for i, s in enumerate(sq) if s != one]
+    assert squares.h == 1 << v - r and \
+        squares.gens == [sq[i] for i in spots], (D, h)
+    orders, words = [2] * r, [()] * r
+    for i, o, w in zip(spots, squares.orders, squares.words):
+        word = [0] * r
+        for j, c in zip(spots, w):
+            word[j] = 2 * c
+        orders[i], words[i] = 2 * o, tuple(word)
+    return GenusPresentation(gens, orders, words, squares, spots, chars,
+                             echelon)
 
 
 def narrow_presentation(D) -> ClassGroupPresentation:
@@ -376,6 +521,8 @@ def full_imaginary_presentation(D, p: int
     d = as_disc(D)
     h = _class_number(d)
     q = p ** vp(h, p)
+    if p == 2 and q > 1:
+        return h, genus_presentation(d, h)
     return h, imaginary_presentation(d, h // q, q)
 
 
@@ -667,7 +814,10 @@ def normic_search(p: int, rho: int, q: int, max_a=None) -> list[ScanRecord]:
     """Search a^2 + m b^2 = 4 q^(p^rho), gcd(a, b) <= 2, a <= max_a if
     given, for imaginary fields Q(sqrt(-m)) with large p-class number;
     emits running maxima of the p-part h_p.  For q >= 2, a range of a above
-    ENUM_CAP raises ClassNumberCapError before Y = 4 q^(p^rho) is formed."""
+    ENUM_CAP raises ClassNumberCapError before Y = 4 q^(p^rho) is formed,
+    and so does one whose count of a times the length of the L-series at
+    |D| = 4Y, which no field's |D| <= 4m <= 4Y exceeds, is above
+    NORMIC_TERMS."""
     # isqrt(4x - 1) <= ENUM_CAP iff x <= limit, which q^n exceeds for every
     # n above its bit length, as p^rho does for rho above it
     limit = (ENUM_CAP + 1) ** 2 // 4
@@ -677,6 +827,11 @@ def normic_search(p: int, rho: int, q: int, max_a=None) -> list[ScanRecord]:
                                   f"over a above the budget {ENUM_CAP}")
     Y = 4 * q ** n
     top = isqrt(Y - 1) if max_a is None else min(isqrt(Y - 1), max_a)
+    terms = _series_length(4 * Y)
+    if top * terms > NORMIC_TERMS:
+        raise ClassNumberCapError(
+            f"a^2 + m b^2 = 4*{q}^({p}^{rho}): {top} values of a, each up to "
+            f"{terms} series terms, exceed the budget {NORMIC_TERMS}")
     out, best_hp = [], 0
     for a in range(1, top + 1):
         B = Y - a * a
@@ -690,7 +845,7 @@ def normic_search(p: int, rho: int, q: int, max_a=None) -> list[ScanRecord]:
         m = prod(odd)
         if gcd(a, isqrt(B // m)) > 2:
             continue
-        d = _discriminant(-m, len(odd))
+        d = _discriminant(-m, odd)
         try:
             g = class_group_imaginary(d)
             h = g.order

@@ -498,6 +498,10 @@ def test_normic_search_above_the_budget_exits_3(monkeypatch, capsys):
     for rho in ("10", "40"):
         _refused_before_any_work(capsys, [
             "normic-search", "--p", "2", "--rho", rho, "--q", "3"], 3)
+    # a <= 9,999,999, within ENUM_CAP, but up to 5.6 * 10^7 series terms
+    # per field: about a week
+    _refused_before_any_work(capsys, [
+        "normic-search", "--p", "2", "--rho", "0", "--q", "25000000000000"], 3)
 
 
 def test_filtration_above_p_17_exits_2(monkeypatch, capsys):

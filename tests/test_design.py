@@ -123,7 +123,8 @@ def test_no_module_imports_fractions():
     assert found == []
 
 
-_IMAGINARY_BUILDERS = {"imaginary_presentation", "class_number_bsgs"}
+_IMAGINARY_BUILDERS = {"imaginary_presentation", "genus_presentation",
+                       "class_number_bsgs"}
 
 
 def _builder_calls(source, builders=_IMAGINARY_BUILDERS):

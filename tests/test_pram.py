@@ -457,28 +457,38 @@ def _assert_images_exact(cd, levels):
 
 
 def _assert_relation_generator_norms(D, p):
-    # prod_j I_j^{c_j} = (alpha) with N(I_j) = a_j, so |N(alpha)| is
-    # prod_j a_j^{c_j}; negative c_j pin the direction of the division
+    """prod_j I_j^{c_j} = (alpha) with N(I_j) = a_j, so |N(alpha)| is
+    prod_j a_j^{c_j}; returns the columns, whose negative c_j pin the
+    direction of the division."""
     cd = pram._class_data(D, p)
     forms, alphas = _exact_relations(cd)
     for (col, _), alpha in zip(cd.relations, alphas):
         assert abs(alpha.norm()) == \
             prod(Fraction(f.a) ** c for f, c in zip(forms, col)), col
-    if D < 0:
-        assert any(c < 0 for col, _ in cd.relations for c in col)
+    return [col for col, _ in cd.relations]
 
 
 @pytest.mark.usefixtures("whole_group")
 @pytest.mark.parametrize("D", [-56, -68, -119, -219, 229, 1365])
 @pytest.mark.parametrize("p", [2, 3])
 def test_relation_generator_norms(D, p):
-    _assert_relation_generator_norms(D, p)
+    cols = _assert_relation_generator_norms(D, p)
+    if D < 0:
+        assert any(c < 0 for col in cols for c in col)
 
 
-@pytest.mark.parametrize("D,p", [(-356, 2), (-1271, 2), (-1055, 3)])
+@pytest.mark.parametrize("D,p", [(-356, 2), (-1271, 2), (-1055, 3),
+                                 (-16887, 2), (-21895, 2)])
 def test_relation_generator_norms_on_sylow_data(D, p):
-    # p-Sylow subgroups of order 4, 8 and 9 inside h = 12, 40 and 36
-    _assert_relation_generator_norms(D, p)
+    # p-Sylow subgroups of order 4, 8, 9, 32 and 32 inside h = 12, 40, 36,
+    # 96 and 96.  Cl_2 of -356 and -1271 is cyclic: one genus generator,
+    # whose one column has no negative entry, so that entry is checked on
+    # the whole group's columns
+    cols = _assert_relation_generator_norms(D, p)
+    if len(cols) == 1:
+        with whole_groups():
+            cols = _assert_relation_generator_norms(D, p)
+    assert any(c < 0 for col in cols for c in col)
 
 
 def test_relation_images_on_ray_grid():
@@ -790,8 +800,8 @@ def test_rank_inequalities():
         assert r.rk_cl == cl.p_rank(p), (D, p)
 
 
-_BUILDERS = ("imaginary_presentation", "class_number_bsgs",
-             "narrow_presentation")
+_BUILDERS = ("imaginary_presentation", "genus_presentation",
+             "class_number_bsgs", "narrow_presentation")
 
 
 @pytest.fixture
@@ -823,17 +833,22 @@ def _program_vptor_4(D, p):
 
 
 @pytest.mark.parametrize("call,D,builder", [
-    (pram.reflection_check, -84, "imaginary_presentation"),
-    (pram.rank_inequalities, -84, "imaginary_presentation"),
+    # an even h: Cl_2 on its genus basis
+    (pram.reflection_check, -84, "genus_presentation"),
+    (pram.rank_inequalities, -84, "genus_presentation"),
     (pram.rank_inequalities, 105, "narrow_presentation"),
     (pram.rank_inequalities, 229, "narrow_presentation"),
-    (pram.ktilde_index, -84, "imaginary_presentation"),
+    (pram.ktilde_index, -84, "genus_presentation"),
     # one builder on both sides of ENUM_CAP = 10^7, which chooses only
     # how h is found; h(-10000004) = 1648 = 2^4 * 103: one Sylow presented
-    (pram.ktilde_index, -400003, "imaginary_presentation"),
-    (pram.ktilde_index, -9999995, "imaginary_presentation"),
-    (pram.ktilde_index, -10000003, "imaginary_presentation"),
+    (pram.ktilde_index, -400003, "genus_presentation"),
+    (pram.ktilde_index, -9999995, "genus_presentation"),
+    (pram.ktilde_index, -10000003, "genus_presentation"),
     (_class_group, -10000004, "imaginary_presentation"),
+    # h(-23) = 3 is odd: the trivial Cl_2 is the staircase's, with no
+    # genus work
+    (pram.ktilde_index, -23, "imaginary_presentation"),
+    (_program_vptor_4, -23, "imaginary_presentation"),
     (pram.tor_report, 229, "narrow_presentation"),
     (_ray_class_group_0, 229, "narrow_presentation"),
 ])
@@ -847,10 +862,14 @@ def test_class_data_built_once_per_field(builds):
     # field replaces it in the one-entry cache
     pram.tor_report(-84, 2)
     pram.s_class_group(-84, 2)
-    assert builds == ["imaginary_presentation"]
+    assert builds == ["genus_presentation"]
     pram.s_class_group(-1155, 2)
     pram.tor_report(-1155, 2)
-    assert builds == ["imaginary_presentation"] * 2
+    assert builds == ["genus_presentation"] * 2
+    # and at an odd p, over the staircase
+    pram.tor_report(-84, 3)
+    pram.s_class_group(-84, 3)
+    assert builds == ["genus_presentation"] * 2 + ["imaginary_presentation"]
     assert pram._class_data.cache_info().maxsize == 1
 
 
@@ -917,6 +936,10 @@ def factor_calls(monkeypatch):
     # above ENUM_CAP too: the L-series takes the validated Discriminant
     (_class_group, -10000003),
     (_program_vptor_4, -10000003),
+    # Cl_2 on a genus basis reads the Discriminant's prime discriminants
+    # (-1000036 = -4 * 29 * 37 * 233, Delta = 3)
+    (_program_vptor_4, -1000036),
+    (pram.s_class_group, -1000036),
 ])
 def test_one_factorization_per_call(factor_calls, call, D):
     # the Discriminant validated on entry is passed on, never rebuilt

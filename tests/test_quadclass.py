@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import numpy as np
@@ -95,7 +95,15 @@ def test_fundamental_discriminant_factors_once(monkeypatch):
                 qc.fundamental_discriminant(m)
         else:
             d = qc.fundamental_discriminant(m)
-            assert d == qc.Discriminant(D, m, omega), m
+            assert (d.value, d.radicand, d.ramified_count) == (D, m, omega), m
+            # one prime discriminant per prime of D, each q* = 1 mod 4 or
+            # -4, 8, -8, with product D
+            assert prod(d.prime_discs) == D, m
+            assert sorted(max(real_factor(abs(q)).factors)[0]
+                          for q in d.prime_discs) == \
+                [q for q, _ in real_factor(abs(D)).factors], m
+            assert all(q % 4 == 1 or q in (-4, 8, -8)
+                       for q in d.prime_discs), m
             checked += 1
         assert calls == [abs(m)], m
     assert checked > 150
@@ -167,6 +175,128 @@ def test_class_group_imaginary_above_enum_cap():
     # h = 30304 = 2^5 * 947 from L(1, chi), omega = 2, so Delta = 4: the
     # cyclic Cl_2 that the golden filtration-run --d -20000000003 reads
     assert str(qc.class_group_imaginary(-20000000003)) == "[30304]"
+
+
+# ------------------------------------------- Cl_2 on a genus basis (p = 2)
+
+def _assert_genus_route(D, rng, samples=20):
+    """full_imaginary_presentation(D, 2) against the staircase over Cl_2 =
+    Cl^h', imaginary_presentation(D, h', 2^v): the same h, structure and
+    quotient by P^h' for the prime P above 2 (unless 2 is inert), and for
+    classes x of Cl_2 drawn by rng, dlog coordinates that give x back
+    through op.  Returns the genus presentation, or None when v = 0."""
+    h, pres = qc.full_imaginary_presentation(D, 2)
+    v = arith.vp(h, 2)
+    ref = qc.imaginary_presentation(D, h >> v, 1 << v)
+    assert pres.h == ref.h == 1 << v, D
+    assert pres.structure() == ref.structure(), D
+    if v == 0:
+        assert isinstance(pres, qc.ClassGroupPresentation), D
+        return None
+    assert isinstance(pres, qc.GenusPresentation), D
+    assert len(pres.gens) == qc.as_disc(D).ramified_count - 1, D
+    P = qc.prime_form(D, 2)
+    if P is not None:
+        Pk = power(P, h >> v, pres.op)
+        assert pres.quotient(Pk) == ref.quotient(Pk), D
+    classes = list(ref.dlog_table)
+    one = reduce_imaginary(principal_form(D))
+    for x in rng.sample(classes, min(samples, len(classes))):
+        y = one
+        for g, e in zip(pres.gens, pres.dlog(x)):
+            if e:
+                y = pres.op(y, power(g, e, pres.op))
+        assert y == x, (D, x)
+    return pres
+
+
+# d = 4k - r: 3 <= d <= 2 ENUM_CAP, on both sides of ENUM_CAP, where h is
+# counted below and summed from L(1, chi) above
+@given(st.integers(min_value=1, max_value=qc.ENUM_CAP // 2),
+       st.sampled_from([1, 0]), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+@example(k=qc.ENUM_CAP // 4 + 1, r=1, seed=0)       # -10000003, h = 706
+@example(k=qc.ENUM_CAP // 4 + 1, r=0, seed=1)       # -10000004, h = 1648
+def test_genus_route_matches_the_staircase(k, r, seed):
+    try:
+        D = qc.discriminant_from_value(r - 4 * k).value
+    except ValueError:
+        assume(False)
+    _assert_genus_route(D, random.Random(seed))
+
+
+@pytest.mark.parametrize("D,chars,want", [
+    # h = 1: no genus work, the staircase's trivial group
+    (-3, (), "[]"), (-4, (), "[]"), (-8, (), "[]"),
+    # the 2-characters of even D read: -4, 8 and -8
+    (-20, (-4,), "[2]"), (-84, (-4, -3), "[2,2]"), (-56, (8,), "[4]"),
+    (-24, (8,), "[2]"), (-40, (-8,), "[2]"),
+    (-1000036, (-4, 29, 37), "[8,4,2]"),
+    # v = r: Cl_2 elementary, every generator ramified
+    (-1155, (-3, 5, -7), "[2,2,2]"),
+    # Delta >= 3
+    (-255255, (-3, 5, -7, -11, 13), "[16,2,2,2,2]"),
+    (-4895, (5, -11), "[16,4]"), (-31864, (8, -7), "[8,8]"),
+    (-10295, (5, 29), "[32,4]"), (-16887, (-3, 13), "[8,4]"),
+])
+def test_genus_route_anchors(D, chars, want):
+    pres = _assert_genus_route(D, random.Random(D), samples=64)
+    assert str(qc.full_imaginary_presentation(D, 2)[1].structure()) == want
+    if pres is not None:
+        assert pres.chars == chars
+        assert prod(qc.as_disc(D).prime_discs) == D
+
+
+def test_genus_route_everywhere():
+    # every fundamental |D| <= 10^4 (3043 fields, about 2 s on a 2-core
+    # machine), each class of each Cl_2 through dlog and back; the 621
+    # fields of odd h (-4, -8 and -q for the primes q = 3 mod 4) take the
+    # staircase
+    _, fund, _, _ = qc.scan_arrays(10 ** 4)
+    rng = random.Random(4)
+    routed = 0
+    for d in np.flatnonzero(fund).tolist():
+        routed += _assert_genus_route(-d, rng, samples=10 ** 4) is not None
+    assert routed == 3043 - 621
+
+
+def test_genus_route_ramified_generators_compose_nothing():
+    # v = r: the ramified prime forms alone span Cl/Cl^2, each its own
+    # h'-th power, and 2Cl_2 is trivial, so nothing is composed; from
+    # -1000007 on a prime below the ramified ones splits (2 for -1000007
+    # and -1000055, 5 for -1000051, 7 for -10000003), whose h'-th power an
+    # ascending walk would compose
+    compose_calls = [0]
+
+    def counted(f, g):
+        compose_calls[0] += 1
+        return compose(f, g)
+    with mock.patch.object(qc, "compose", counted):
+        for D in (-84, -1155, -20, -24, -40, -1000007, -1000055, -1000051,
+                  -10000003):
+            h, pres = qc.full_imaginary_presentation(D, 2)
+            assert arith.vp(h, 2) == len(pres.gens), D
+            assert all(D % g.a == 0 for g in pres.gens), D
+    assert compose_calls[0] == 0
+
+
+def test_genus_route_compositions_on_the_golden_window():
+    # tor-scan --p 2 --min-d 1000000 --max-d 1000200: 61 fundamental
+    # fields; Cl_2 took 27.8 compositions a field over the staircase of
+    # all of Cl_2, and 10.2 on a genus basis walked over the prime forms
+    # ascending.  With the ramified forms walked first it takes 4.1
+    compose_calls = [0]
+
+    def counted(f, g):
+        compose_calls[0] += 1
+        return compose(f, g)
+    fields = [disc for d in range(10 ** 6, 1000201)
+              if (disc := pram.is_fundamental_neg(d)) is not None]
+    assert len(fields) == 61
+    with mock.patch.object(qc, "compose", counted):
+        for disc in fields:
+            qc.full_imaginary_presentation(disc, 2)
+    assert compose_calls[0] <= 5 * len(fields)
 
 
 @pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
@@ -665,7 +795,10 @@ def test_normic_search_refuses_a_range_above_enum_cap(monkeypatch):
     monkeypatch.setattr(qc, "factor", no_factor)
     for p, rho, q in [(2, 10, 3), (2, 40, 3), (3, 10 ** 9, 2),
                       (2, 1, 5 * 10 ** 6 + 1),
-                      (2, 0, 25 * 10 ** 12 + 10 ** 7)]:
+                      (2, 0, 25 * 10 ** 12 + 10 ** 7),
+                      # a <= 9,999,999 passes the check above, but each of
+                      # its fields could take a series of 5.6 * 10^7 terms
+                      (2, 0, 25 * 10 ** 12)]:
         with pytest.raises(qc.ClassNumberCapError):
             qc.normic_search(p, rho, q)
     monkeypatch.undo()
@@ -674,6 +807,26 @@ def test_normic_search_refuses_a_range_above_enum_cap(monkeypatch):
     assert qc.normic_search(2, 0, 2550, 1)
     with pytest.raises(qc.ClassNumberCapError):
         qc.normic_search(2, 0, 2551, 1)
+
+
+def test_normic_search_refuses_a_run_above_its_series_budget(monkeypatch):
+    # the count of a times the series length at |D| = 4Y: Y = 4 * 3^4 =
+    # 324 has a <= 17 and 102 terms at |D| = 1296, so 1734 terms in all
+    Y = 4 * 3 ** 4
+    assert (isqrt(Y - 1), qc._series_length(4 * Y)) == (17, 102)
+    monkeypatch.setattr(qc, "NORMIC_TERMS", 17 * 102)
+    assert qc.normic_search(2, 2, 3)
+    monkeypatch.setattr(qc, "NORMIC_TERMS", 17 * 102 - 1)
+    with pytest.raises(qc.ClassNumberCapError, match="series terms"):
+        qc.normic_search(2, 2, 3)
+    # --max-a narrows the range the budget counts
+    assert qc.normic_search(2, 2, 3, 16)
+    # the golden searches are far within the budget
+    monkeypatch.undo()
+    for p, rho, q, top in [(2, 1, 3, 50), (2, 3, 7, 40)]:
+        Y = 4 * q ** (p ** rho)
+        assert min(isqrt(Y - 1), top) * qc._series_length(4 * Y) < \
+            qc.NORMIC_TERMS // 100
 
 
 @pytest.mark.parametrize("p,rho,q", [(2, 2, 3), (2, 2, 5)])
