@@ -7,8 +7,10 @@ Ray class groups are presented exactly from (O/p^n)^x together with the
 images in (O/p^n)^x of the global units and of the generator of each
 class-group relation, which the cycle and relation walks carry locally
 above p (a valuation at each prime above p and a unit mod p^n), never as
-exact elements. (O/p^n)^x has two layers: (O/P^c0)^x, enumerated point by
-point, over the base 1 + P^c0, which the p-adic logarithm makes additive.
+exact elements. (O/p^n)^x has two layers for every splitting type:
+(O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, its top a box
+of p^(2k) points enumerated point by point, its base made additive by
+the p-adic logarithm.
 
 Every result here reads p-parts only, so for imaginary D the class data
 present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
@@ -114,8 +116,9 @@ def top_level(p: int) -> int:
 
 def _check_modulus(p: int, n: int) -> None:
     """ValueError unless p is a prime up to 31 and 1 <= n <= top_level(p):
-    the modulus p^n of every (O/p^n)^x and ray class group here.  The
-    (O/P^c0)^x box of a ring holds up to p^2 points and units_mod keeps
+    the modulus p^n of every (O/p^n)^x and ray class group here.  A ring's
+    top (O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, is a
+    box of p^(2k) points for every splitting type, and units_mod keeps
     256 rings: about 0.4 MB each at p = 31 and 4.4 MB at p = 101, and one
     field at p = 1009 took 690 MB, so a larger p is refused before any
     ring is built."""
@@ -125,67 +128,58 @@ def _check_modulus(p: int, n: int) -> None:
                          f"{top_level(p)}, got p={p}, n={n}")
 
 
-def _reduce_vec(v, H):
-    """v reduced into the box of the echelon basis H of a rank-2 lattice."""
-    for i, h in enumerate(H):
-        k = v[i] // h[i]
-        if k:
-            v = [a - k * b for a, b in zip(v, h)]
-    return tuple(v)
-
-
 @cache
-def _series_terms(p: int, n: int, e: int, c0: int) -> tuple:
-    """The p-adic log on 1 + P^c0 and exp on P^c0 mod q = p^n, as sums
-    sum_k c_k x^k / p^v_k over tables of (p^v_k, c_k), k = 1, 2, ...:
-    k = p^v_k * u_k and c_k = +-1/u_k mod q for log(1 + x), k! = p^v_k *
-    u_k and c_k = 1/u_k mod q for exp(x) - 1.  Each table comes as (Q,
-    terms) with Q = q * max p^v_k, the precision `ResidueUnits._series`
-    keeps x^k at.  They depend only on p, n, the ramification index e
-    and c0, so rings share them."""
+def _series_terms(p: int, n: int, k: int) -> tuple:
+    """The p-adic log on 1 + p^k O and exp on p^k O mod q = p^n, as sums
+    sum_m c_m x^m / p^v_m over tables of (p^v_m, c_m), m = 1, 2, ...:
+    m = p^v_m * u_m and c_m = +-1/u_m mod q for log(1 + x), m! = p^v_m *
+    u_m and c_m = 1/u_m mod q for exp(x) - 1.  Each table comes as (Q,
+    terms) with Q = q * max p^v_m, the precision `ResidueUnits._series`
+    keeps x^m at.  x^m / p^v lies in p^(m*k - v) O, so a term is dropped
+    once m*k - v >= n, whatever the splitting type; rings share them."""
     q = p ** n
 
     def series(terms):
         return q * max([1] + [pv for pv, _ in terms]), tuple(terms)
 
-    # the log term k vanishes mod p^n when floor(k*c0/e) - v_p(k) >= n,
-    # as x^k / p^v_p(k) lies in P^(k*c0 - e*v_p(k)); past kmax that holds
-    # for every k, so the table ends at the last k <= kmax it misses
-    kmax = (e * (n + 2 * n.bit_length() + 6)) // c0 + 8
-    last = max((k for k in range(1, kmax + 1) if k * c0 // e - vp(k, p) < n),
+    # past kmax every log term has m*k - v_p(m) >= n, so the table ends at
+    # the last m <= kmax that misses it
+    kmax = (n + 2 * n.bit_length() + 6) // k + 8
+    last = max((m for m in range(1, kmax + 1) if m * k - vp(m, p) < n),
                default=0)
     log_terms = []
-    for k in range(1, last + 1):
-        v, u = _split_off(p, k)
-        log_terms.append((p ** v, (-1) ** (k + 1) * pow(u, -1, q)))
-    # the exp term x^k / k! lies in P^(k*c0 - e*v_p(k!)) and vanishes when
-    # floor(k*c0/e) - v_p(k!) >= n, as it does for every k past 4n + 10;
-    # that table ends at the last k <= 4n + 10 it misses
+    for m in range(1, last + 1):
+        v, u = _split_off(p, m)
+        log_terms.append((p ** v, (-1) ** (m + 1) * pow(u, -1, q)))
+    # every exp term past m = 4n + 10 has m*k - v_p(m!) >= n; that table
+    # ends at the last m <= 4n + 10 that misses it
     exp_terms, fv, fu, last = [], 0, 1, 0
-    for k in range(1, 4 * n + 11):
-        v, u = _split_off(p, k)
+    for m in range(1, 4 * n + 11):
+        v, u = _split_off(p, m)
         fv, fu = fv + v, fu * u % q
         exp_terms.append((p ** fv, pow(fu, -1, q)))
-        if k * c0 // e - fv < n:
-            last = k
+        if m * k - fv < n:
+            last = m
     return series(log_terms), series(exp_terms[:last])
 
 
 class ResidueUnits:
     """(O/p^n)^x: generators, relation matrix, and discrete logarithm.
 
-    Two layers: the top (O/P^c0)^x, whose classes are the unit points of
-    the box of the P^c0 lattice (|O/P^c0| points: p^2 for odd unramified
-    p, at most 16 for p = 2), enumerated into one ClassGroupPresentation;
-    and the base 1 + P^c0, handled additively through the p-adic
-    logarithm. A top relation holds mod P^c0 only, so its column carries
+    Two layers over one base for every splitting type, 1 + p^k O with k =
+    2 for p = 2 and 1 otherwise (k = n if n is smaller): the top
+    (O/p^k)^x, the unit points of the box [0, p^k)^2 of p^(2k) points,
+    enumerated into one ClassGroupPresentation; and the base 1 + p^k O,
+    handled additively through the p-adic logarithm, which maps it onto
+    p^k O since v_P(p^k) = ek > e/(p - 1) at a prime P of ramification
+    index e.  A top relation holds mod p^k only, so its column carries
     the base log of the quotient.
 
     `dlog` looks the unit's point of the box up in a table built once per
     group, which holds its top exponents and the inverse of their word in
     the top generators; one product takes the unit into the base, whose
-    log, a short series at fixed precision, has its coordinates over the
-    P^c0 lattice by two exact divisions.
+    log, a short series at fixed precision, has its coordinates over p^k O
+    by one exact division each.
 
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
@@ -195,12 +189,9 @@ class ResidueUnits:
         _check_modulus(p, n)
         self.ring = ResidueRing(D, p, n)
         self.D, self.p, self.n = D, p, n
+        k = min(2 if p == 2 else 1, n)
+        self.pk = p ** k
         st = splitting_type(D, p)
-        self.e = 2 if st == "ramified" else 1
-        if st == "ramified":
-            self.c0 = 3 if p == 2 else (2 if p == 3 else 1)
-        else:
-            self.c0 = 2 if p == 2 else 1
         # theoretical order
         if st == "split":
             self.order = (p - 1) ** 2 * p ** (2 * (n - 1))
@@ -208,22 +199,21 @@ class ResidueUnits:
             self.order = (p * p - 1) * p ** (2 * (n - 1))
         else:
             self.order = (p - 1) * p ** (2 * n - 1)
-        self._log_series, self._exp_series = _series_terms(p, n, self.e,
-                                                           self.c0)
+        self._log_series, self._exp_series = _series_terms(p, n, k)
         self._build()
 
     def _series(self, x, series):
-        """sum_k c_k x^k / p^v_k mod q over the terms (p^v_k, c_k) of
-        series = (Q, terms), with x^k kept mod Q: p^v_k | Q, so p^v_k
-        divides x^k exactly when it divides x^k mod Q, and then their
-        quotients agree mod q.  PramError unless p^v_k divides x^k."""
+        """sum_m c_m x^m / p^v_m mod q over the terms (p^v_m, c_m) of
+        series = (Q, terms), with x^m kept mod Q: p^v_m | Q, so p^v_m
+        divides x^m exactly when it divides x^m mod Q, and then their
+        quotients agree mod q.  PramError unless p^v_m divides x^m."""
         R = self.ring
         Q, terms = series
         s, t = R.s, R.t
         a, b = x0, x1 = x
         s0 = s1 = 0
-        for k, (pv, c) in enumerate(terms):
-            if k:
+        for m, (pv, c) in enumerate(terms):
+            if m:
                 bb = b * x1
                 a, b = (a * x0 + bb * s) % Q, (a * x1 + b * x0 + bb * t) % Q
             if a % pv or b % pv:
@@ -241,32 +231,23 @@ class ResidueUnits:
         return ((1 + s0) % self.ring.q, s1)
 
     def _build(self):
-        R, p, q = self.ring, self.p, self.ring.q
-        # base: 1 + P^c0, additively P^c0 / p^n O through log/exp; the
-        # lattice P^c0 + p^n O is p^k O, or p^k P for odd c0 = 2k + 1
-        # above a ramified p, whose columns are pi and pi * omega
-        k = self.c0 // self.e
-        cols = [(1, 0), (0, 1)]
-        if self.c0 % self.e:
-            pi = _uniformizer(R)
-            cols = [pi, R.mul_exact(pi, (0, 1))]
-        cols = [(p ** k * a, p ** k * b) for a, b in cols] + [(q, 0), (0, q)]
-        self._Lc0 = Lc0 = tuple(map(tuple, zlin.hnf_columns(cols)))
-        b1, b2 = Lc0
-        g1, g2 = self._exp(b1), self._exp(b2)
-        if self._log(g1) != (b1[0] % q, b1[1] % q) or \
-                self._log(g2) != (b2[0] % q, b2[1] % q):
+        R, pk, q = self.ring, self.pk, self.ring.q
+        # base: 1 + p^k O, additively p^k O / p^n O through log/exp, over
+        # the columns p^k and p^k omega (both 0 mod q when k = n)
+        b = pk % q
+        g1, g2 = self._exp((b, 0)), self._exp((0, b))
+        if self._log(g1) != (b, 0) or self._log(g2) != (0, b):
             raise PramError("log/exp round trip failed")
 
-        # top: (O/P^c0)^x, the unit points of the box of Lc0
+        # top: (O/p^k)^x, the unit points of the box [0, p^k)^2
         def canon(u):
-            return _reduce_vec(u, Lc0)
+            return (u[0] % pk, u[1] % pk)
 
         def op(a, b):
             return canon(R.mul(a, b))
 
-        box = ((i, j) for i in range(Lc0[0][0]) for j in range(Lc0[1][1]))
-        units = list(filter(R.is_unit, box))
+        units = [(i, j) for i in range(pk) for j in range(pk)
+                 if R.is_unit((i, j))]
         top = ClassGroupPresentation.staircase(canon(R.one), canon, op, units)
         self._top = top
         # each unit point -> (its top exponents v, 1 / prod_j top.gens[j]^v_j
@@ -279,16 +260,16 @@ class ResidueUnits:
                     w = R.mul(w, power(g, e, R.mul))
             self._table[c] = (v, R.inv(w))
 
-        # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod P^c0 only,
-        # so each top column carries the base log of the quotient, the
-        # base part of dlog(g_i^{o_i}); tuples, because one group is shared
-        # by every field of the ring
+        # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod p^k only, so
+        # each top column carries the base log of the quotient, the base
+        # part of dlog(g_i^{o_i}); tuples, because one group is shared by
+        # every field of the ring
         self.gens = (*top.gens, g1, g2)
         nt = len(top.gens)
         cols = [col + [-e for e in self.dlog(power(g, o, R.mul))[nt:]]
                 for col, g, o in zip(top.relation_columns(), top.gens,
                                      top.orders)]
-        cols += [[0] * nt + list(self._coords(x)) for x in ((q, 0), (0, q))]
+        cols += [[0] * nt + [q // pk, 0], [0] * nt + [0, q // pk]]
         self.rel_cols = tuple(map(tuple, cols))
         ng = len(self.gens)
         st = AbelianGroupStructure.from_relation_matrix(cols, ng)
@@ -297,23 +278,17 @@ class ResidueUnits:
                             f"theoretical {self.order}")
         self.structure = st
 
-    def _coords(self, v):
-        """x with x_1 b1 + x_2 b2 = v over the echelon basis (b1, b2) of
-        the P^c0 lattice, by two exact divisions; None off the lattice."""
-        (a, b), (_, d) = self._Lc0
-        x1, r1 = divmod(v[0], a)
-        x2, r2 = divmod(v[1] - x1 * b, d)
-        return None if r1 or r2 else (x1, x2)
-
     def dlog(self, u) -> tuple:
         hit = self._table.get(self._top.canon(u))
         if hit is None:
             raise PramError(f"not a unit mod p^n: {u}")
         v, w = hit
         x, y = self.ring.mul(u, w)
-        if self._coords((x - 1, y)) is None:
+        pk = self.pk
+        if (x - 1) % pk or y % pk:
             raise PramError("element is not in the base layer")
-        return v + self._coords(self._log((x, y)))
+        a, b = self._log((x, y))
+        return v + (a // pk, b // pk)
 
 
 # bounded: where 4p^n exceeds the scanned range of D, as in tor-scan
@@ -328,8 +303,8 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     whose D agrees mod 4p^n.
 
     Products in O/p^n need only s mod p^n and t (omega^2 = s + t*omega),
-    the level lattices only the uniformizer mod p^n, and the splitting
-    type only D mod 8 (p = 2) or mod p: D mod 4p^n fixes all of them.
+    and the splitting type only D mod 8 (p = 2) or mod p: D mod 4p^n
+    fixes both.
     The group is built from that residue, so it holds no field's own D,
     and callers only read it. ValueError unless p <= 31 is prime and
     1 <= n <= top_level(p).

@@ -224,18 +224,19 @@ def whole_group():
 
 # ------------------------------------------------ (O/p^n)^x discrete logs
 
-def log_kmax(n: int, e: int, c0: int) -> int:
-    """The last term of pram's p-adic log table mod p^n on 1 + P^c0 before
+def log_kmax(n: int, k: int) -> int:
+    """The last term of pram's p-adic log table mod p^n on 1 + p^k O before
     the table was cut at the last term that need not vanish."""
-    return (e * (n + 2 * n.bit_length() + 6)) // c0 + 8
+    return (n + 2 * n.bit_length() + 6) // k + 8
 
 
 def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
     """U.dlog(u) the way pram took it before its top table: the top dlog,
     u divided by that word in U.gens with fresh powers and an inverse, and
     the base log summed in exact integers over every term up to kmax,
-    whose coordinates, like the base membership, come from
-    zlin.solve_lattice."""
+    whose coordinates over p^k O come from zlin.solve_lattice; the base
+    1 + p^k O, k = 2 for p = 2 and 1 otherwise (k <= n), is the units on
+    the point (1, 0) of the p^k box."""
     R, p, n, q = U.ring, U.p, U.n, U.ring.q
     if not R.is_unit(u):
         raise pram.PramError(f"not a unit mod p^n: {u}")
@@ -245,20 +246,21 @@ def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
         if e:
             d = R.mul(d, power(g, e, R.mul))
     x, y = R.mul(u, R.inv(d))
-    z = [(x - 1) % q, y % q]
-    H = [list(h) for h in U._Lc0]
-    if solve_lattice(H, z) is None:
+    k = min(2 if p == 2 else 1, n)
+    pk = p ** k
+    if (x % pk, y % pk) != (1, 0):
         raise pram.PramError("element is not in the base layer")
+    z = [(x - 1) % q, y % q]
     s, zk = [0, 0], z
-    for k in range(1, log_kmax(n, U.e, U.c0) + 1):
-        if k > 1:
+    for m in range(1, log_kmax(n, k) + 1):
+        if m > 1:
             zk = R.mul_exact(zk, z)
-        e = vp(k, p)
+        e = vp(m, p)
         if zk[0] % p ** e or zk[1] % p ** e:
             raise pram.PramError("p-adic series lost exactness")
-        c = (-1) ** (k + 1) * pow(k // p ** e, -1, q)
+        c = (-1) ** (m + 1) * pow(m // p ** e, -1, q)
         s = [a + b // p ** e * c for a, b in zip(s, zk)]
-    return v + tuple(solve_lattice(H, [a % q for a in s]))
+    return v + tuple(solve_lattice([[pk, 0], [0, pk]], [a % q for a in s]))
 
 
 # ------------------------------------------- zlin in the column layout

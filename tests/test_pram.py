@@ -101,10 +101,12 @@ def _local_type(D, p):
     return st, pram._uniformizer(pram.ResidueRing(D, p, 1))
 
 
-# fundamental D with 3 <= |D| < 600 by (p, local type, sign of D)
+# fundamental D with 3 <= |D| < 600 by (p, local type, sign of D); p = 31
+# has the largest top box, 961 points
+LOCAL_PRIMES = (2, 3, 5, 7, 31)
 LOCAL_CLASSES = {}
 for _D in _fundamental(-600, 600):
-    for _p in (2, 3, 5, 7):
+    for _p in LOCAL_PRIMES:
         LOCAL_CLASSES.setdefault((_p, _local_type(_D, _p), _D > 0),
                                  []).append(_D)
 
@@ -121,7 +123,7 @@ def _recombine(U, v):
 
 def test_local_classes_cover_every_type():
     # split, inert and two ramified classes for every p, each in both signs
-    assert len(LOCAL_CLASSES) == 4 * 4 * 2
+    assert len(LOCAL_CLASSES) == 4 * len(LOCAL_PRIMES) * 2
 
 
 def _class_id(key):
@@ -152,74 +154,64 @@ def test_dlog_matches_reference(key, data, seed):
             assert _recombine(U, v) == u
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def _base_draws(p, rng):
+    """(R, k, x) for every level n up to top_level(p) and every local class
+    of p: three x in p^k O, the base of (O/p^n)^x, over the ring of a D
+    drawn from that class."""
+    for key, Ds in sorted(LOCAL_CLASSES.items(), key=repr):
+        if key[0] != p:
+            continue
+        for n in range(1, pram.top_level(p) + 1):
+            R = pram.ResidueRing(rng.choice(Ds), p, n)
+            k = min(2 if p == 2 else 1, n)
+            for _ in range(3):
+                yield R, k, (rng.randrange(1, p ** 3) * p ** k,
+                             rng.randrange(p ** 3) * p ** k)
+
+
+@pytest.mark.parametrize("p", LOCAL_PRIMES)
 def test_log_terms_past_the_cut_vanish(p):
-    # every (e, c0) of p: x^k / p^v_p(k) = 0 mod p^n, on exact integers,
-    # for each log term past the table's end, for x in P^c0
-    rng = random.Random(p)
-    shapes = {}
-    for key, Ds in LOCAL_CLASSES.items():
-        if key[0] == p:
-            U = pram.units_mod(Ds[0], p, 1)
-            shapes[U.e, U.c0] = Ds[0]
-    assert len(shapes) == 2
-    for (e, c0), D in shapes.items():
-        for n in range(1, pram.top_level(p) + 1):
-            R = pram.ResidueRing(D, p, n)
-            (_, log_terms), _ = pram._series_terms(p, n, e, c0)
-            last = len(log_terms)
-            kmax = log_kmax(n, e, c0)
-            assert last <= kmax
-            for _ in range(3):
-                x = (rng.randrange(1, p ** 3) * p ** (c0 // e),
-                     rng.randrange(p ** 3) * p ** (c0 // e))
-                if c0 % e:
-                    x = R.mul_exact(x, pram._uniformizer(R))
-                xk = x
-                for k in range(2, 2 * kmax + 1):
-                    xk = R.mul_exact(xk, x)
-                    if k > last:
-                        mod = p ** (n + arith.vp(k, p))
-                        assert xk[0] % mod == xk[1] % mod == 0, (D, p, n, k)
+    # every local class of p: x^m / p^v_p(m) = 0 mod p^n, on exact
+    # integers, for each log term past the table's end, for x in p^k O
+    for R, k, x in _base_draws(p, random.Random(p)):
+        n = R.n
+        (_, log_terms), _ = pram._series_terms(p, n, k)
+        last = len(log_terms)
+        kmax = log_kmax(n, k)
+        assert last <= kmax
+        xm = x
+        for m in range(2, 2 * kmax + 1):
+            xm = R.mul_exact(xm, x)
+            if m > last:
+                mod = p ** (n + arith.vp(m, p))
+                assert xm[0] % mod == xm[1] % mod == 0, (R.D, p, n, m)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", LOCAL_PRIMES)
 def test_exp_terms_past_the_cut_vanish(p):
-    # every (e, c0) of p: x^k / k! = 0 mod p^n, on exact integers, for
-    # each exp term the table drops before 4n + 10, for x in P^c0
-    rng = random.Random(p)
-    shapes = {}
-    for key, Ds in LOCAL_CLASSES.items():
-        if key[0] == p:
-            U = pram.units_mod(Ds[0], p, 1)
-            shapes[U.e, U.c0] = Ds[0]
-    assert len(shapes) == 2
-    for (e, c0), D in shapes.items():
-        for n in range(1, pram.top_level(p) + 1):
-            R = pram.ResidueRing(D, p, n)
-            _, (_, exp_terms) = pram._series_terms(p, n, e, c0)
-            last = len(exp_terms)
-            assert last <= 4 * n + 10
-            for _ in range(3):
-                x = (rng.randrange(1, p ** 3) * p ** (c0 // e),
-                     rng.randrange(p ** 3) * p ** (c0 // e))
-                if c0 % e:
-                    x = R.mul_exact(x, pram._uniformizer(R))
-                xk, vk = x, 0
-                for k in range(1, 4 * n + 11):
-                    if k > 1:
-                        xk = R.mul_exact(xk, x)
-                    vk += arith.vp(k, p)
-                    if k > last:
-                        mod = p ** (n + vk)
-                        assert xk[0] % mod == xk[1] % mod == 0, (D, p, n, k)
+    # every local class of p: x^m / m! = 0 mod p^n, on exact integers, for
+    # each exp term the table drops before 4n + 10, for x in p^k O
+    for R, k, x in _base_draws(p, random.Random(p)):
+        n = R.n
+        _, (_, exp_terms) = pram._series_terms(p, n, k)
+        last = len(exp_terms)
+        assert last <= 4 * n + 10
+        xm, vm = x, 0
+        for m in range(1, 4 * n + 11):
+            if m > 1:
+                xm = R.mul_exact(xm, x)
+            vm += arith.vp(m, p)
+            if m > last:
+                mod = p ** (n + vm)
+                assert xm[0] % mod == xm[1] % mod == 0, (R.D, p, n, m)
 
 
 @pytest.mark.parametrize("D,p,n", [(-7, 2, 20), (-4, 2, 20), (-8, 2, 20),
                                    (-3, 2, 5), (-11, 3, 8), (-3, 3, 8),
                                    (-20, 5, 8), (-56, 7, 8)])
 def test_series_refuses_x_outside_p_c0(D, p, n):
-    # x = 1 is a unit: some term of each series has p^v_k not dividing x^k
+    # x = 1 is a unit, off the base p^k O (the old P^c0 base, whence the
+    # name): some term of each series has p^v_m not dividing x^m
     U = pram.units_mod(D, p, n)
     for series in (U._log_series, U._exp_series):
         with pytest.raises(pram.PramError, match="lost exactness"):
@@ -237,8 +229,8 @@ def test_dlog_refusals(monkeypatch):
         U.dlog(c)
     # an exp series cut short breaks the log/exp round trip
     terms = pram._series_terms
-    monkeypatch.setattr(pram, "_series_terms", lambda p, n, e, c0: (
-        terms(p, n, e, c0)[0], (p ** n, ())))
+    monkeypatch.setattr(pram, "_series_terms", lambda p, n, k: (
+        terms(p, n, k)[0], (p ** n, ())))
     with pytest.raises(pram.PramError, match="round trip"):
         pram.ResidueUnits(-7, 3, 4)
 
@@ -293,7 +285,7 @@ def test_residue_units_rejects_bad_modulus(p, n):
     (pram.rank_inequalities, (-20, 1)),
     # level 0 is the class data's group, not a ray class level
     (pram.ray_class_group, (-20, 2, 0)),
-    # a ring's (O/P^c0)^x box holds up to p^2 points and units_mod caches
+    # a ring's (O/p^k)^x box holds p^(2k) points and units_mod caches
     # 256 rings: p = 1009 took 14 s and 690 MB for one field
     (pram.units_mod, (-20, 37, 1)),
     (pram.ResidueUnits, (-20, 37, 1)),
@@ -769,6 +761,28 @@ def test_merge_tor_maxima():
     merged = pram.merge_tor_maxima([a, b])
     assert [(r.D, r.vptor) for r in merged] == \
         [(r.D, r.vptor) for r in pram.tor_scan(10 ** 6, 1000200, 2)]
+
+
+def test_tor_scan_error_rows_above_the_class_number_budget():
+    # each fundamental field above SERIES_CAP = 10^13 is one error row,
+    # caught in _tor_records, with vptor 0 and cp 0.0
+    recs = pram.tor_scan(10 ** 13, 10 ** 13 + 12, 2)
+    assert [r.D for r in recs] == [-(10 ** 13 + i) for i in (3, 4, 7, 11)]
+    for r in recs:
+        assert (r.vptor, r.cp) == (0, 0.0)
+        assert "exceeds the class-number budget" in r.error
+
+
+def test_merge_tor_maxima_passes_error_rows_through():
+    # an error row between two records is kept, and the records after it
+    # are still judged against the maximum before it
+    rec = pram.TorRecord
+    err = rec(-23, -23, 0, 0.0, "over budget")
+    shards = [[rec(-7, -7, 2, 0.5)],
+              [err, rec(-11, -11, 1, 0.2), rec(-15, -15, 2, 0.3),
+               rec(-19, -19, 3, 0.4)]]
+    assert pram.merge_tor_maxima(shards) == [
+        rec(-7, -7, 2, 0.5), err, rec(-15, -15, 2, 0.3), rec(-19, -19, 3, 0.4)]
 
 
 # ------------------------------------------------------ reflection and ranks

@@ -829,6 +829,15 @@ def test_normic_search_refuses_a_run_above_its_series_budget(monkeypatch):
             qc.NORMIC_TERMS // 100
 
 
+def test_normic_search_error_row_above_the_class_number_budget():
+    # a = 1 leaves B = 4 * 10^13 - 1, squarefree: a field above SERIES_CAP
+    # = 10^13, so one error row with h = 0 and no structure, not a raise
+    recs = qc.normic_search(2, 0, 10 ** 13, max_a=1)
+    assert [(r.d, r.h, r.structure) for r in recs] == \
+        [(-39999999999999, 0, None)]
+    assert "exceeds the class-number budget" in recs[0].error
+
+
 @pytest.mark.parametrize("p,rho,q", [(2, 2, 3), (2, 2, 5)])
 def test_normic_search_matches_reference(p, rho, q):
     """Against the route that factors each candidate twice: the
