@@ -4,7 +4,9 @@ Every output starts with a config header (tool version plus the full
 argument set) so that a run can be reproduced byte-for-byte.  Decimals are
 printed with 20 significant digits.  Scans shard deterministically under
 ``--workers``.  Exit codes: 0 ok, 1 validation failure, 2 usage (a bad
-argument, reported on stderr before anything is printed), 3 budget.
+argument, reported on stderr before anything is printed), 3 budget, 141
+(128 + SIGPIPE) when the reader closes the output pipe, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -399,7 +401,17 @@ def main(argv=None) -> int:
         if getattr(args, "min_d", 0) > getattr(args, "max_d", 0):
             raise ValueError(f"--min-d {args.min_d} exceeds "
                              f"--max-d {args.max_d}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly with the status
+        # of a tool stopped by SIGPIPE, stdout on devnull so that the
+        # interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (FactorBudgetError, ClassNumberCapError) as exc:
         print(f"epsclass: budget exceeded: {exc}", file=sys.stderr)
         return 3

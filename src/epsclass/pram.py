@@ -181,6 +181,10 @@ class ResidueUnits:
     log, a short series at fixed precision, has its coordinates over p^k O
     by one exact division each.
 
+    `hermite` is the Hermite basis of the relation columns and of the
+    image of -1, a unit of every field: ray_class_group starts its Smith
+    form there, and Z^ng over it is (O/p^n)^x / <-1>.
+
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
     """
@@ -272,6 +276,10 @@ class ResidueUnits:
         cols += [[0] * nt + [q // pk, 0], [0] * nt + [0, q // pk]]
         self.rel_cols = tuple(map(tuple, cols))
         ng = len(self.gens)
+        # -1 is a unit of every field of the ring, so ray_class_group
+        # starts from the Hermite basis of the relations and its image
+        self.hermite = tuple(map(tuple, zlin.hnf_columns(
+            cols + [self.dlog((q - 1, 0))])))
         st = AbelianGroupStructure.from_relation_matrix(cols, ng)
         if st.order != self.order:
             raise PramError(f"residue unit group order {st.order} != "
@@ -306,8 +314,10 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     and the splitting type only D mod 8 (p = 2) or mod p: D mod 4p^n
     fixes both.
     The group is built from that residue, so it holds no field's own D,
-    and callers only read it. ValueError unless p <= 31 is prime and
-    1 <= n <= top_level(p).
+    and callers only read it: its relations, its Hermite basis with -1
+    and its dlog table serve every field of the ring, and nothing of a
+    field's own (eps, relation images) is kept with it. ValueError unless
+    p <= 31 is prime and 1 <= n <= top_level(p).
     """
     _check_modulus(p, n)
     return _ring_units(p, n, D % (4 * p ** n))
@@ -355,9 +365,11 @@ def _transform(f: QuadForm, M) -> QuadForm:
 # ray_class_group reads a relation's generator alpha only through its image
 # in (O/p^n)^x, so the relation walk carries gamma in O (x) Z_p instead of
 # exactly: prod_i pi_i^v_i times a unit mod p^N, over the frame's local
-# generators pi_i of the primes above p. Each factor of the walk is an
-# integer w = p^e * w', taken in through p = prod_i pi_i^ram / eps, or
-# (b - sqrt(D))/(2c) = (h - omega)/c (h = (b + t)/2). rho divides
+# generators pi_i of the primes above p, the unit kept as x + y*omega over
+# an integer prime to p (the p-free parts of the c met so far). Each
+# factor of the walk is an integer w = p^e * w', taken in through
+# p = prod_i pi_i^ram / eps, or (b - sqrt(D))/(2c) = (h - omega)/c
+# (h = (b + t)/2), whose p-free part of c joins the integer. rho divides
 # z = h - omega by each pi_i exactly, as often as it goes, the same way
 # for every splitting type: pi_i divides z exactly when the p-part of
 # N(pi_i) divides z conj(pi_i) in O, and then z / pi_i is that quotient
@@ -365,34 +377,35 @@ def _transform(f: QuadForm, M) -> QuadForm:
 # p^N however long the walk.
 
 class _Gamma:
-    """gamma above p: prod_i pi_i^v_i times a unit x + y*omega mod q, with
-    v the tuple of valuations at the primes above p."""
-    __slots__ = ("k", "v", "u")
+    """gamma above p: prod_i pi_i^v_i times x + y*omega over an integer d
+    prime to p, mod q, with v the tuple of valuations at the primes above
+    p.  rho and mul multiply d rather than invert it; `unit` divides by
+    it once, at the end of the walk."""
+    __slots__ = ("k", "v", "u", "d")
 
-    def __init__(self, k, v, u):
-        self.k, self.v, self.u = k, v, u
-
-    def _times(self, dv, u):
-        return _Gamma(self.k, tuple(a + b for a, b in zip(self.v, dv)),
-                      self.k.ring.mul(self.u, u))
+    def __init__(self, k, v, u, d):
+        self.k, self.v, self.u, self.d = k, v, u, d
 
     def mul(self, o):
-        return self._times(o.v, o.u)
+        k = self.k
+        return _Gamma(k, tuple(a + b for a, b in zip(self.v, o.v)),
+                      k.ring.mul(self.u, o.u), self.d * o.d % k.q)
 
     def scale(self, n: int):
         k = self.k
         e, n = _split_off(k.p, n)
-        u = (n % k.q, 0)
+        u = (self.u[0] * n % k.q, self.u[1] * n % k.q)
         if e:
             u = k.ring.mul(u, power(k.eps_inv, e, k.ring.mul))
-        return self._times((k.ram * e,) * len(self.v), u)
+        return _Gamma(k, tuple(a + k.ram * e for a in self.v), u, self.d)
 
     def rho(self, b: int, c: int):
         k = self.k
         R = k.ring
         z = ((b + k.t) // 2, -1)
-        w = [0] * len(self.v)
+        v = self.v
         if (b * b - k.D) // 4 % k.p == 0:   # p | N(h - omega) = ac
+            w = list(v)
             for i, (pi_bar, pk, rest) in enumerate(k.pi_bars):
                 x, y = R.mul_exact(z, pi_bar)
                 while x % pk == 0 and y % pk == 0:
@@ -401,18 +414,23 @@ class _Gamma:
             if R.norm(z) % k.p == 0:
                 raise PramError(f"(b - sqrt(D))/2 not divided out by the "
                                 f"primes above {k.p}: b = {b}")
-        e, c = _split_off(k.p, c)
-        u = R.mul(z, (pow(c, -1, k.q), 0))
-        if e:
+            v = tuple(w)
+        u = R.mul(self.u, z)
+        if c % k.p == 0:
+            e, c = _split_off(k.p, c)
             u = R.mul(u, power(k.eps, e, R.mul))
-        return self._times([a - k.ram * e for a in w], u)
+            v = tuple(a - k.ram * e for a in v)
+        return _Gamma(k, v, u, self.d * c % k.q)
 
-    def unit(self) -> tuple:
-        """(x, y) = x + y*omega mod q; PramError unless a p-unit."""
+    def unit(self, den: int = 1) -> tuple:
+        """gamma / den as (x, y) = x + y*omega mod q, den prime to p;
+        PramError unless gamma is a p-unit."""
         if any(self.v):
             raise PramError(f"relation generator has valuations {self.v} "
                             f"above {self.k.p}")
-        return self.u
+        q = self.k.q
+        w = pow(self.d * den, -1, q)
+        return (self.u[0] * w % q, self.u[1] * w % q)
 
 
 def _split_off(p: int, n: int) -> tuple:
@@ -450,13 +468,7 @@ class _LocalFrame:
             pe = R.mul_exact(pe, power((x, y), self.ram, R.mul_exact))
         self.eps = (pe[0] // p, pe[1] // p)
         self.eps_inv = R.inv(self.eps)
-        self.one = _Gamma(self, (0,) * len(self.pis), R.one)
-
-    def image(self, gamma, den: int) -> tuple:
-        """gamma / den mod q as (x, y) = x + y*omega, den prime to p."""
-        x, y = gamma.unit()
-        d = pow(den, -1, self.q)
-        return (x * d % self.q, y * d % self.q)
+        self.one = _Gamma(self, (0,) * len(self.pis), R.one, 1)
 
 
 def _tracked_pos(t: TrackedIdeal) -> TrackedIdeal:
@@ -502,8 +514,9 @@ class _ClassData:
     structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
     #                   with alpha = x + y*omega mod p^top_level(p)
-    units: list       # (x, y) mod p^top_level(p), the images of -1 and of
-    #                   zeta (D = -3, -4) or eps (D > 0)
+    units: list       # (x, y) mod p^top_level(p), the images of zeta
+    #                   (D = -3, -4) or eps (D > 0): the units beyond -1,
+    #                   which every ring's ResidueUnits.hermite holds
 
 
 @lru_cache(maxsize=1)
@@ -527,7 +540,7 @@ def _class_data(D, p: int) -> _ClassData:
     d = as_disc(D)
     D = d.value
     frame = _LocalFrame(D, p, top_level(p))
-    units, k = [(-1, 0)], 1
+    units, k = [], 1
     if D < 0:
         h, pres = full_imaginary_presentation(d, p)
         k = h // pres.h
@@ -542,10 +555,12 @@ def _class_data(D, p: int) -> _ClassData:
         # the ramified principal class is ordinary-trivial: one more
         # relation, with an explicit generator
         cols = pres.relation_columns() + [list(pres.dlog(ram))]
-        units.append(frame.image(fundamental_unit(D, frame.one), 1))
+        units.append(fundamental_unit(D, frame.one).unit())
     forms = [_coprime_rep(f, p) for f in pres.gens]
-    relations = [(col, frame.image(*_lift_relation(forms, col, frame.one)))
-                 for col in cols]
+    relations = []
+    for col in cols:
+        beta, den = _lift_relation(forms, col, frame.one)
+        relations.append((col, beta.unit(den)))
     return _ClassData(D, p, pres, k, structure, relations, units)
 
 
@@ -557,25 +572,34 @@ def ray_class_group(D, p: int, n: int) -> AbelianGroupStructure:
     the global units and the class-group relations, for 1 <= n <=
     top_level(p) (ValueError otherwise, before any class group is built).
     (O/p^n)^x comes from `units_mod`, built once per ring D mod 4p^n per
-    process and shared; the images of the units and relation generators
-    mod p^top_level(p), from _class_data, are reduced mod p^n."""
+    process and shared with its Hermite basis of the relations and -1;
+    the Smith form starts from that basis, with zeta or eps added when the
+    field has one (one Hermite form more), then the class relations, whose
+    generators' images mod p^top_level(p), from _class_data, are reduced
+    mod p^n.  The index [(O/p^n)^x : image of the units] is the product of
+    the units' Hermite diagonal, and the order identity of the ray class
+    sequence is checked exactly."""
     _check_modulus(p, n)
     d = as_disc(D)
     cd = _class_data(d, p)
     G = units_mod(d.value, p, n)
-    R = G.ring
+    q = G.ring.q
     ng, t = len(G.gens), len(cd.pres.gens)
-    # (O/p^n)^x's relations and the global units' images
-    local = [list(c) for c in G.rel_cols] + \
-        [list(G.dlog((x % R.q, y % R.q))) for x, y in cd.units]
-    cols = [c + [0] * t for c in local]
+    # the Hermite basis of the units' image in (O/p^n)^x, from the ring's
+    # (which holds -1) and zeta or eps; full rank, so its diagonal is the
+    # index [(O/p^n)^x : image of the units]
+    local = G.hermite
+    if cd.units:
+        local = zlin.hnf_columns(
+            list(local) + [G.dlog((x % q, y % q)) for x, y in cd.units])
+    index = prod(local[i][i] for i in range(ng))
+    cols = [list(c) + [0] * t for c in local]
     for col, (x, y) in cd.relations:
-        cols.append([-e for e in G.dlog((x % R.q, y % R.q))] + col)
+        cols.append([-e for e in G.dlog((x % q, y % q))] + col)
     st = AbelianGroupStructure.from_relation_matrix(cols, ng + t)
-    # exact order identity of the ray class sequence, with the order of
-    # (O/p^n)^x / (image of the units) read off the Hermite diagonal
-    im_units = G.order // zlin.lattice_index(local, ng)
-    if st.order * im_units != cd.structure.order * G.order:
+    # exact order identity of the ray class sequence
+    # 1 -> (O/p^n)^x / image of the units -> Cl_{p^n} -> Cl -> 1
+    if st.order != cd.structure.order * index:
         raise PramError(f"ray class order identity fails for D={d.value}, "
                         f"p={p}, n={n}")
     return st

@@ -276,22 +276,23 @@ def _red_ind(a: int, b: int, D: int) -> bool:
     return True
 
 
-def normalize_indefinite(f: QuadForm, sqD: int) -> QuadForm:
-    a, b, c = f.a, f.b, f.c
+def _translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
+    """(a, b', c') on the lattice of (a, b, c), b' = b mod 2a in
+    (-|a|, |a|] when |a| > sqD, else in (sqD - 2|a|, sqD]."""
     ta = 2 * abs(a)
+    r = b % ta
     if abs(a) > sqD:
-        # b in (-|a|, |a|]
-        r = b % ta
         if r > abs(a):
             r -= ta
     else:
-        # b in (sqD - 2|a|, sqD]
-        r = b % ta
         r += ta * ((sqD - r) // ta)
     if r != b:
         c += (r * r - b * b) // (4 * a)
-        b = r
-    return QuadForm(a, b, c)
+    return a, r, c
+
+
+def normalize_indefinite(f: QuadForm, sqD: int) -> QuadForm:
+    return QuadForm(*_translate_indefinite(f.a, f.b, f.c, sqD))
 
 
 def rho_indefinite(f: QuadForm, sqD: int) -> QuadForm:
@@ -327,6 +328,20 @@ def cycle_indefinite(f: QuadForm) -> list[QuadForm]:
 PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up
 
 
+def _translate(a: int, b: int, c: int, sqD: int | None) -> tuple:
+    """(a, b', c') on the lattice of (a, b, c): b' = b mod 2a in (-a, a]
+    for D < 0 (sqD None), as normalize_indefinite puts it for D > 0
+    (sqD = isqrt(D))."""
+    if sqD is not None:
+        return _translate_indefinite(a, b, c, sqD)
+    r = b % (2 * a)
+    if r > a:
+        r -= 2 * a
+    if r != b:
+        c += (r * r - b * b) // (4 * a)
+    return a, r, c
+
+
 @dataclass(frozen=True)
 class TrackedIdeal:
     """The ideal gamma * [a, (-b + sqrt(D))/2] for the form (a, b, c).
@@ -340,6 +355,9 @@ class TrackedIdeal:
     rho(b, c), the product with (b - sqrt(D)) / (2c), will do. pram
     carries gamma locally above p that way (its _Gamma, for every
     splitting type), for relation generators and fundamental units alike.
+    `reduce` and `principal_generator` step the form as integers (a, b, c)
+    beside the carrier, with isqrt(D) taken once per walk, and build no
+    TrackedIdeal on the way.
     """
     form: QuadForm
     gamma: object
@@ -354,55 +372,44 @@ class TrackedIdeal:
         return TrackedIdeal(compose(f, g), gam)
 
     def rho_step(self) -> "TrackedIdeal":
-        # ideal(a,b,c) = mu * ideal(c,-b,a), mu = (b - sqrt(D)) / (2c)
-        a, b, c = self.form.a, self.form.b, self.form.c
+        # ideal(a,b,c) = mu * ideal(c,-b,a), mu = (b - sqrt(D)) / (2c),
+        # then the b-translation, which keeps the lattice
+        a, b, c = self.form
         D = self.form.disc()
-        nxt = TrackedIdeal(QuadForm(c, -b, a), self.gamma.rho(b, c))
-        if D < 0:
-            return nxt._normalize_b()
-        return nxt._normalize_indef(isqrt(D))
-
-    def _normalize_b(self) -> "TrackedIdeal":
-        # b-translation: same lattice, gamma unchanged
-        a, b, c = self.form.a, self.form.b, self.form.c
-        r = b % (2 * a)
-        if r > a:
-            r -= 2 * a
-        if r != b:
-            c += (r * r - b * b) // (4 * a)
-            b = r
-        return TrackedIdeal(QuadForm(a, b, c), self.gamma)
-
-    def _normalize_indef(self, sqD: int) -> "TrackedIdeal":
-        return TrackedIdeal(normalize_indefinite(self.form, sqD), self.gamma)
+        form = _translate(c, -b, a, isqrt(D) if D > 0 else None)
+        return TrackedIdeal(QuadForm(*form), self.gamma.rho(b, c))
 
     def reduce(self) -> "TrackedIdeal":
         # the b-translation, then rho steps until the form is reduced
         D = self.form.disc()
-        cur = self._normalize_b() if D < 0 else self._normalize_indef(isqrt(D))
+        sqD = isqrt(D) if D > 0 else None
+        a, b, c = _translate(*self.form, sqD)
+        gamma = self.gamma
         for _ in range(100000):
-            f = cur.form
-            if (_red_ind(f.a, f.b, D) if D > 0
-                    else f.a < f.c or (f.a == f.c and f.b >= 0)):
-                return cur
-            cur = cur.rho_step()
+            if (_red_ind(a, b, D) if D > 0
+                    else a < c or (a == c and b >= 0)):
+                return TrackedIdeal(QuadForm(a, b, c), gamma)
+            gamma = gamma.rho(b, c)
+            a, b, c = _translate(c, -b, a, sqD)
         raise RuntimeError(f"reduction stuck on {self.form}")
 
     def principal_generator(self):
         """Generator of the tracked ideal, in gamma's carrier; ValueError
         if the ideal is not principal."""
         cur = self.reduce()
-        start = cur.form
+        start, gamma = cur.form, cur.gamma
+        a, b, c = start
         D = start.disc()
+        sqD = isqrt(D) if D > 0 else None
         steps = 0
-        while abs(cur.form.a) != 1:
+        while abs(a) != 1:
             if D < 0 or steps > PRINCIPAL_WALK_STEPS:
                 raise ValueError("ideal is not principal (or walk exhausted)")
-            cur = cur.rho_step()
+            gamma = gamma.rho(b, c)
+            a, b, c = _translate(c, -b, a, sqD)
             steps += 1
-            if cur.form == start:
+            if (a, b, c) == start:
                 # back at the start of the reduced cycle without |a| = 1
                 raise ValueError("ideal is not principal")
         # value = gamma * ideal(form) = gamma * O = (gamma)
-        return cur.gamma
-
+        return gamma

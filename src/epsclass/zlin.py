@@ -14,7 +14,7 @@ basis, solving by integer forward substitution.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
 
 def identity(n: int) -> list[list[int]]:
@@ -167,21 +167,6 @@ def presentation_divisors(relations, ngens: int) -> list[int]:
     if len(divs) < ngens:
         raise ValueError("infinite quotient: relation rank < ngens")
     return [d for d in divs if d > 1]
-
-
-def lattice_index(relations, ngens: int) -> int:
-    """Order of Z^ngens / (the lattice of the relations).
-
-    The product of the Hermite pivots: an echelon basis of full rank
-    ngens has them on its diagonal.  Raises ValueError if the quotient is
-    infinite.
-    """
-    if ngens == 0:
-        return 1
-    H = hnf_columns(relations)
-    if len(H) < ngens:
-        raise ValueError("infinite quotient: relation rank < ngens")
-    return prod(H[i][i] for i in range(ngens))
 
 
 def solve_lattice(B, v: list[int]) -> list[int] | None:

@@ -12,7 +12,8 @@ successive-maxima filter, zlin's earlier column-layout Hermite form,
 kernel and Smith form (a second, column Bezout step and a Smith
 elimination of its own) beside zlin over vector lists, and the solution
 lattice read off the whole kernel, a unit coordinate for every vector,
-beside zlin's kernel modulo a lattice, and the (O/p^n)^x discrete log
+beside zlin's kernel modulo a lattice, the order of a quotient from the
+Hermite diagonal beside the Smith form's, and the (O/p^n)^x discrete log
 with per-call division, an exact-integer series and lattice solves
 beside pram's table lookup and fixed-precision series.
 """
@@ -23,7 +24,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import numpy as np
@@ -408,3 +409,19 @@ def smith_diagonal_reference(M):
         divs.append(abs(A[s][s]))
         s += 1
     return divs
+
+
+def lattice_index(relations, ngens: int) -> int:
+    """Order of Z^ngens / (the lattice of the relations).
+
+    The product of the Hermite pivots: an echelon basis of full rank
+    ngens has them on its diagonal.  Raises ValueError if the quotient is
+    infinite.  The reference for the orders of
+    zlin.presentation_divisors and filtration.module_order.
+    """
+    if ngens == 0:
+        return 1
+    H = hnf_columns(relations)
+    if len(H) < ngens:
+        raise ValueError("infinite quotient: relation rank < ngens")
+    return prod(H[i][i] for i in range(ngens))

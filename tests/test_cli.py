@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 
 import pytest
 
+import epsclass
 from epsclass import cli, quadclass
 from epsclass import filtration as fl
 from epsclass.quadclass import ClassNumberCapError
@@ -227,6 +231,28 @@ def test_quad_scan_streams_its_rows(tmp_path):
     # 91183 fundamental D with |D| <= 3*10^5, a header row, two # lines
     assert len(out.read_text().splitlines()) == 91186
     assert peak < 10 * 2 ** 20
+
+
+def test_closed_output_pipe_exits_quietly():
+    # `epsclass quad-scan --max-d 20000 | head -2`: its 180 kB of rows
+    # overfill the pipe, so the reader closes it while the scan still
+    # writes; no traceback, no epsclass: line, not the usage status 2
+    src = os.path.dirname(os.path.dirname(epsclass.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epsclass.cli", "quad-scan", "--max-d",
+         "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head[0].startswith(b"# epsclass ")
+    assert err == b""
+    assert code == 141
 
 
 def _json_dump(doc):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
@@ -13,8 +13,8 @@ from epsclass.abgroup import power
 from epsclass.arith import kronecker
 from epsclass.quadforms import TrackedIdeal
 from epsclass.quadclass import isqrt_float
-from oracles import (QuadElt, log_kmax, residue_dlog_reference,  # noqa: F401
-                     whole_group, whole_groups)
+from oracles import (QuadElt, lattice_index, log_kmax,  # noqa: F401
+                     residue_dlog_reference, whole_group, whole_groups)
 
 
 # ------------------------------------------------------------ residue units
@@ -89,6 +89,19 @@ def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
         assert own.rel_cols == shared.rel_cols
         assert own.structure == shared.structure
         assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
+
+
+@pytest.mark.parametrize("D,p,n", [
+    (-15, 2, 3), (-4, 2, 3), (-3, 3, 2), (5, 5, 2), (8, 2, 1), (13, 2, 3),
+    (-84, 7, 2), (-20, 2, 1), (-15, 5, 2), (229, 3, 4), (-4, 2, 64)])
+def test_ring_hermite_basis_holds_minus_one(D, p, n):
+    # the echelon basis ray_class_group starts from spans the relations
+    # and -1's image, which has order 2 unless q = 2
+    U = pram.units_mod(D, p, n)
+    q = U.ring.q
+    H = [list(h) for h in U.hermite]
+    assert H == zlin.hnf_columns(list(U.rel_cols) + [U.dlog((q - 1, 0))])
+    assert lattice_index(H, len(U.gens)) * (2 if q > 2 else 1) == U.order
 
 
 def _local_type(D, p):
@@ -378,9 +391,9 @@ def _exact_unit(m):
 
 
 def _exact_units(D):
-    """The global units of _ClassData.units, exactly: -1, then zeta
-    (D = -3, -4) or +-eps^(+-1) (D > 0)."""
-    units = [QuadElt.integer(-1, D)]
+    """The global units of _ClassData.units, exactly: zeta (D = -3, -4) or
+    +-eps^(+-1) (D > 0); -1 is the ring's (ResidueUnits.hermite)."""
+    units = []
     if D == -3:
         units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
     elif D == -4:
@@ -402,7 +415,7 @@ def _assert_unit_image(D, p, top):
     frame = pram._LocalFrame(D, p, top)
     exact = pram.fundamental_unit(D, QuadElt.one(D))
     assert exact.norm() in (1, -1) and exact.y != 0, D
-    assert frame.image(pram.fundamental_unit(D, frame.one), 1) == \
+    assert pram.fundamental_unit(D, frame.one).unit() == \
         _from_quadelt(frame.ring, exact), (D, p)
 
 
@@ -514,6 +527,64 @@ def test_relation_images_match_exact_lift(seed, sign, p, data):
     _assert_images_exact(pram._class_data(D, p), [n])
 
 
+class _DeepestC:
+    """A gamma carrier that keeps only the largest v_p(c) of the rho
+    steps its walk took: v_p(c) >= 2 takes _Gamma.rho's eps-power branch
+    with e >= 2."""
+
+    def __init__(self, p, top=0):
+        self.p, self.top = p, top
+
+    def mul(self, other):
+        return _DeepestC(self.p, max(self.top, other.top))
+
+    def scale(self, n):
+        return self
+
+    def rho(self, b, c):
+        return _DeepestC(self.p, max(self.top, arith.vp(c, self.p)))
+
+
+def _deepest_c(cd):
+    """The largest v_p(c) over the walks of cd's relations and unit."""
+    forms = [pram._coprime_rep(f, cd.p) for f in cd.pres.gens]
+    one = _DeepestC(cd.p)
+    walks = [pram._lift_relation(forms, col, one)[0]
+             for col, _ in cd.relations]
+    if cd.D > 0:
+        walks.append(pram.fundamental_unit(cd.D, one))
+    return max((w.top for w in walks), default=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), sign=st.sampled_from([-1, 1]),
+       p=st.sampled_from([2, 3, 5]), deep=st.integers(0, 3),
+       D=st.none())
+@example(seed=0, sign=-1, p=2, deep=0, D=-3)
+@example(seed=0, sign=-1, p=3, deep=0, D=-3)
+@example(seed=0, sign=-1, p=5, deep=0, D=-3)
+@example(seed=0, sign=-1, p=2, deep=0, D=-4)
+@example(seed=0, sign=-1, p=3, deep=0, D=-4)
+@example(seed=0, sign=-1, p=5, deep=0, D=-4)
+def test_gamma_walks_match_exact_walks(seed, sign, p, deep, D):
+    # the _Gamma walks' images of the unit and the relation generators
+    # are the exact QuadElt walks' reduced mod p^n, for |D| <= 10^6; three
+    # fields in four are drawn again until a walk meets a c with
+    # v_p(c) >= 2, the eps-power branch of _Gamma.rho
+    rng = random.Random(seed)
+    tries = 200
+    while D is None:
+        try:
+            D = quadclass.as_disc(sign * rng.randrange(5, 10 ** 6)).value
+        except ValueError:
+            continue
+        tries -= 1
+        if deep and tries and _deepest_c(pram._class_data(D, p)) < 2:
+            D = None
+    top = pram.top_level(p)
+    _assert_images_exact(pram._class_data(D, p), [1 + seed % top, top])
+
+
 def _assert_local_walk_rejects_non_principal_column(D, p):
     # the class of the generator is not trivial, so its column has no
     # generator to give an image of
@@ -525,7 +596,7 @@ def _assert_local_walk_rejects_non_principal_column(D, p):
         pram._lift_relation(forms, [1] + [0] * (len(forms) - 1), frame.one)
     # nor is an element with a valuation above p an image
     with pytest.raises(pram.PramError, match="valuation"):
-        frame.image(frame.one.scale(p), 1)
+        frame.one.scale(p).unit()
 
 
 @pytest.mark.usefixtures("whole_group")
@@ -910,6 +981,45 @@ def test_ray_class_group_level_zero_is_ordinary():
     # imaginary class data hold the p-Sylow subgroup alone: h(-119) = 10
     assert pram._class_data(-119, 2).structure == \
         quadclass.class_group_imaginary(-119).p_part(2)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """zlin.smith_diagonal calls, and zlin.hnf_columns calls made outside
+    one, in call order."""
+    calls, depth = [], [0]
+    smith, hnf = zlin.smith_diagonal, zlin.hnf_columns
+
+    def counted_smith(vectors):
+        calls.append("smith_diagonal")
+        depth[0] += 1
+        try:
+            return smith(vectors)
+        finally:
+            depth[0] -= 1
+
+    def counted_hnf(vectors):
+        if not depth[0]:
+            calls.append("hnf_columns")
+        return hnf(vectors)
+    monkeypatch.setattr(zlin, "smith_diagonal", counted_smith)
+    monkeypatch.setattr(zlin, "hnf_columns", counted_hnf)
+    return calls
+
+
+@pytest.mark.parametrize("D,p,extra", [
+    (-1155, 2, 0), (-1000011, 2, 0), (-1055, 3, 0), (-23, 5, 0),
+    (-3, 3, 1), (-4, 2, 1), (221, 2, 1), (229, 3, 1)])
+def test_ray_class_group_eliminates_once_per_level(eliminations, D, p,
+                                                   extra):
+    # with its ring built, a field adds to the ring's Hermite basis (which
+    # holds -1) only zeta or eps and its class relations: one Smith form
+    # per level, and one more Hermite form where zeta or eps comes in
+    for n in (1, 2, 3, pram.top_level(p)):
+        want = pram.ray_class_group(D, p, n)
+        del eliminations[:]
+        assert pram.ray_class_group(D, p, n) == want
+        assert eliminations == ["hnf_columns"] * extra + ["smith_diagonal"]
 
 
 def test_prime_over_forms():
