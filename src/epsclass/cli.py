@@ -211,6 +211,7 @@ def cmd_filtration_mc(args) -> int:
 
 
 def cmd_tor_scan(args) -> int:
+    pram.tor_scan_budget(args.min_d, args.max_d)    # before any shard
     n = args.n or pram.scan_level(args.p)
     jobs = [(lo, hi, args.p, n)
             for lo, hi in _shards(args.min_d, args.max_d, args.workers)]

@@ -182,8 +182,8 @@ class ResidueUnits:
     by one exact division each.
 
     `hermite` is the Hermite basis of the relation columns and of the
-    image of -1, a unit of every field: ray_class_group starts its Smith
-    form there, and Z^ng over it is (O/p^n)^x / <-1>.
+    image of -1, a unit of every field: ray_class_group puts it into its
+    Smith form, and Z^ng over it is (O/p^n)^x / <-1>.
 
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
@@ -573,27 +573,29 @@ def ray_class_group(D, p: int, n: int) -> AbelianGroupStructure:
     top_level(p) (ValueError otherwise, before any class group is built).
     (O/p^n)^x comes from `units_mod`, built once per ring D mod 4p^n per
     process and shared with its Hermite basis of the relations and -1;
-    the Smith form starts from that basis, with zeta or eps added when the
-    field has one (one Hermite form more), then the class relations, whose
-    generators' images mod p^top_level(p), from _class_data, are reduced
-    mod p^n.  The index [(O/p^n)^x : image of the units] is the product of
-    the units' Hermite diagonal, and the order identity of the ray class
-    sequence is checked exactly."""
+    one Smith form takes that basis, zeta or eps when the field has one,
+    and the class relations, whose generators' images mod p^top_level(p),
+    from _class_data, are reduced mod p^n.  The index [(O/p^n)^x : image
+    of the units] is the product of the basis's diagonal divided by the
+    order of zeta's or eps's image modulo the basis, and the order
+    identity of the ray class sequence is checked exactly."""
     _check_modulus(p, n)
     d = as_disc(D)
     cd = _class_data(d, p)
     G = units_mod(d.value, p, n)
     q = G.ring.q
     ng, t = len(G.gens), len(cd.pres.gens)
-    # the Hermite basis of the units' image in (O/p^n)^x, from the ring's
-    # (which holds -1) and zeta or eps; full rank, so its diagonal is the
-    # index [(O/p^n)^x : image of the units]
+    # the ring's basis holds -1 and is full rank, so its diagonal is the
+    # index of -1's image; zeta or eps, at most one, divides it by its
+    # order modulo the basis
     local = G.hermite
-    if cd.units:
-        local = zlin.hnf_columns(
-            list(local) + [G.dlog((x % q, y % q)) for x, y in cd.units])
     index = prod(local[i][i] for i in range(ng))
     cols = [list(c) + [0] * t for c in local]
+    if cd.units:
+        (x, y), = cd.units
+        u = G.dlog((x % q, y % q))
+        index //= zlin.order_modulo(local, u)
+        cols.append(list(u) + [0] * t)
     for col, (x, y) in cd.relations:
         cols.append([-e for e in G.dlog((x % q, y % q))] + col)
     st = AbelianGroupStructure.from_relation_matrix(cols, ng + t)
@@ -767,18 +769,42 @@ def scan_level(p: int) -> int:
     return 20 if p == 2 else 8
 
 
+# The widest window of |D| one tor_scan takes, counted from |D| = 3.  At
+# p = 2, on one core of a 2-core machine, a window costs about 0.2 ms per
+# |D| near 10^6 (0.65 ms per fundamental field), 1.2 ms near 10^7, and
+# 4 ms above SERIES_CAP, where every fundamental field is an error row
+# and every error row is kept.  So the budget is about 7 min of one
+# worker near 10^6, 40 min near 10^7, and 2.2 h and 6 * 10^5 error rows
+# above 10^13; the window [10^6, 2 * 10^6] fits.
+TOR_SCAN_SPAN = 2 * 10 ** 6
+
+
+def tor_scan_budget(lo: int, hi: int) -> None:
+    """ClassNumberCapError if the window max(lo, 3) <= |D| <= hi is wider
+    than TOR_SCAN_SPAN."""
+    span = hi - max(lo, 3) + 1
+    if span > TOR_SCAN_SPAN:
+        raise ClassNumberCapError(f"a tor-scan window of {span} values of "
+                                  f"|D| exceeds the budget {TOR_SCAN_SPAN}")
+
+
 def tor_scan(lo: int, hi: int, p: int,
              n: int | None = None) -> list[TorRecord]:
+    """The rows tor-scan prints for lo <= |D| <= hi: each fundamental
+    field whose statistic reaches the running maximum, and every error
+    row.  ValueError for a bad p or n and ClassNumberCapError for a window
+    above TOR_SCAN_SPAN, both before any field."""
     if n is None:
         n = scan_level(p)
     _check_modulus(p, n)
+    tor_scan_budget(lo, hi)
     return merge_tor_maxima([_tor_records(lo, hi, p, n)])
 
 
 def _tor_records(lo: int, hi: int, p: int, n: int) -> Iterator[TorRecord]:
     """A TorRecord for each fundamental -d, lo <= d <= hi, one at a time,
     so that tor_scan holds only the rows it keeps."""
-    for d in range(lo, hi + 1):
+    for d in range(max(lo, 3), hi + 1):
         disc = is_fundamental_neg(d)
         if disc is None:
             continue

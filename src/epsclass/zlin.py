@@ -8,12 +8,16 @@ arithmetic are fine.  Matrices, as `mat_mul` multiplies them, are lists
 of rows.
 
 A basis is echelon: `hnf_columns` returns vectors whose first nonzero
-coordinates strictly increase, and `solve_lattice` accepts only such a
-basis, solving by integer forward substitution.
+coordinates strictly increase, and `solve_lattice` and `order_modulo`
+accept only such a basis, solving by integer forward substitution.
+`smith_diagonal` takes no Hermite form: it is one elimination in place,
+with no alternation of Hermite forms of the vectors and of their
+transpose (Kannan and Bachem).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 
@@ -138,20 +142,81 @@ def smith_diagonal(vectors) -> list[int]:
     """Nonzero elementary divisors of the vectors in divisibility order
     d1 | d2 | ...
 
-    The Smith form of a matrix is that of its transpose, so Hermite forms
-    of the vectors and of their coordinates alternate until the basis is
-    diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979); gcd/lcm
-    exchanges then make the diagonal a divisor chain.
+    One elimination in place on the vectors as rows (Cohen, GTM 138,
+    Alg. 2.4.14), with no Hermite form; rows left zero are dropped.
+    - While an entry is +-1, it is the pivot.  Row steps clear its
+      column, and it splits off with its row and column as a divisor 1:
+      a unit pivot needs no column steps.
+    - With no +-1 left, if every row has one nonzero entry, the divisors
+      are the gcds of the entries of each column.
+    - Otherwise the pivot is an entry of least absolute value.  Row steps
+      reduce its column and then column steps its row, which, its column
+      clear, change that row alone.  A nonzero remainder, smaller, is the
+      next pivot; a pivot alone in its row and column splits off.
+    gcd/lcm exchanges then make the divisors a chain, unless sorting
+    already did.
     """
-    A = hnf_columns(vectors)
-    # an echelon basis is diagonal when vector i is zero past coordinate i
-    while not all(a[i] and not any(a[i + 1:]) for i, a in enumerate(A)):
-        A = hnf_columns(list(zip(*A)))
-    d = [a[i] for i, a in enumerate(A)]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
+    A = [list(v) for v in vectors if any(v)]
+    d = []
+    while A:
+        for i, a in enumerate(A):
+            if 1 in a:
+                j = a.index(1)
+                break
+            if -1 in a:
+                j = a.index(-1)
+                break
+        else:
+            w = len(A[0]) - 1
+            if all(r.count(0) == w for r in A):
+                col_gcd = {}
+                for r in A:
+                    x = sum(r)
+                    j = r.index(x)
+                    col_gcd[j] = gcd(col_gcd.get(j, 0), x)
+                d += col_gcd.values()
+                break
+            m = min(map(abs, filter(None, chain.from_iterable(A))))
+            i, a = next((i, a) for i, a in enumerate(A)
+                        if m in a or -m in a)
+            j = a.index(m) if m in a else a.index(-m)
+        while True:
+            a = A[i]
+            p = a[j]
+            # row steps: column j down to remainders, the least one next
+            nxt = None
+            for k, r in enumerate(A):
+                c = r[j]
+                if c and k != i:
+                    q = c // p
+                    if q:
+                        r = A[k] = [x - q * y for x, y in zip(r, a)]
+                        c = r[j]
+                    if c and (nxt is None or abs(c) < abs(A[nxt][j])):
+                        nxt = k
+            if nxt is not None:
+                i = nxt
+                continue
+            if p == 1 or p == -1 or a.count(0) == len(a) - 1:
+                break
+            # column steps: row i's entries reduce mod p
+            a[:] = [x % p for x in a]
+            a[j] = p
+            m = min(map(abs, filter(None, a)))
+            if m == abs(p):
+                break
+            j = a.index(m) if m in a else a.index(-m)
+        d.append(abs(p))
+        del A[i]
+        for r in A:
+            del r[j]
+        A = [r for r in A if any(r)]
+    d.sort()
+    if any(b % a for a, b in zip(d, d[1:])):
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
     return d
 
 
@@ -193,3 +258,34 @@ def solve_lattice(B, v: list[int]) -> list[int] | None:
                 res[i] -= q * b[i]
         x.append(q)
     return None if any(res) else x
+
+
+def order_modulo(B, v: list[int]) -> int:
+    """The least m >= 1 with m*v in the lattice of B: the order of v in
+    Z^n modulo that lattice, n = len(v).
+
+    B must be a full-rank echelon basis of n vectors with its pivots on
+    the diagonal, B[c][c] != 0 and B[c][k] = 0 for k < c, as `hnf_columns`
+    returns for a lattice of finite index; raises ValueError otherwise.
+    One forward pass: at each pivot the multiple m*v, less the basis
+    vectors already taken, is scaled by the least factor that makes its
+    coordinate there a multiple of the pivot, so m is the product of the
+    factors.
+    """
+    n = len(v)
+    if len(B) != n or any(len(b) != n or not b[c] or any(b[:c])
+                          for c, b in enumerate(B)):
+        raise ValueError("order_modulo needs a full-rank echelon basis "
+                         "with its pivots on the diagonal")
+    m, res = 1, list(v)
+    for c, b in enumerate(B):
+        x, piv = res[c], b[c]
+        if not x:
+            continue
+        s = abs(piv) // gcd(x, piv)
+        if s > 1:
+            m *= s
+            res = [s * y for y in res]
+        q = res[c] // piv
+        res = [y - q * z for y, z in zip(res, b)]
+    return m

@@ -530,6 +530,20 @@ def test_normic_search_above_the_budget_exits_3(monkeypatch, capsys):
         "normic-search", "--p", "2", "--rho", "0", "--q", "25000000000000"], 3)
 
 
+def test_tor_scan_above_its_span_budget_exits_3(monkeypatch, capsys):
+    # nothing bounded the window: 2 * 10^6 values of |D| above 10^13
+    # would take hours and keep every error row
+    def no_shard(*args):
+        raise AssertionError("a shard was started")
+    monkeypatch.setattr(cli, "_run_shards", no_shard)
+    t = time.perf_counter()
+    for argv in (["--min-d", "3", "--max-d", "2000003", "--workers", "2"],
+                 ["--min-d", "-5", "--max-d", "2000003"],
+                 ["--min-d", str(10 ** 13), "--max-d", str(10 ** 14)]):
+        _refused_before_any_work(capsys, ["tor-scan", "--p", "2"] + argv, 3)
+    assert time.perf_counter() - t < 1.0
+
+
 def test_filtration_above_p_17_exits_2(monkeypatch, capsys):
     # --p 19 --n 3 once ran past 100 s building its group-ring blocks
     def no_block(*args):

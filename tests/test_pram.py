@@ -844,6 +844,24 @@ def test_tor_scan_error_rows_above_the_class_number_budget():
         assert "exceeds the class-number budget" in r.error
 
 
+def test_tor_scan_refuses_a_window_above_its_budget(monkeypatch):
+    # at the budget the window runs; one |D| more is refused before any
+    # field, counted from |D| = 3 however far below it lo starts
+    monkeypatch.setattr(pram, "TOR_SCAN_SPAN", 98)
+    assert pram.tor_scan(-50, 100, 2) == pram.tor_scan(3, 100, 2) != []
+
+    def no_field(d):
+        raise AssertionError(f"|D| = {d} was read")
+    monkeypatch.setattr(pram, "is_fundamental_neg", no_field)
+    for lo, hi in ((3, 101), (-50, 101), (10 ** 13, 10 ** 13 + 98)):
+        with pytest.raises(quadclass.ClassNumberCapError, match="99 values"):
+            pram.tor_scan(lo, hi, 2)
+    monkeypatch.undo()
+    with pytest.raises(quadclass.ClassNumberCapError,
+                       match="budget 2000000"):
+        pram.tor_scan(10 ** 6, 3 * 10 ** 6, 2)
+
+
 def test_merge_tor_maxima_passes_error_rows_through():
     # an error row between two records is kept, and the records after it
     # are still judged against the maximum before it
@@ -985,41 +1003,37 @@ def test_ray_class_group_level_zero_is_ordinary():
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """zlin.smith_diagonal calls, and zlin.hnf_columns calls made outside
-    one, in call order."""
-    calls, depth = [], [0]
-    smith, hnf = zlin.smith_diagonal, zlin.hnf_columns
+    """zlin.smith_diagonal and zlin.hnf_columns calls, in call order, a
+    Hermite form inside a Smith form included."""
+    calls = []
 
-    def counted_smith(vectors):
-        calls.append("smith_diagonal")
-        depth[0] += 1
-        try:
-            return smith(vectors)
-        finally:
-            depth[0] -= 1
+    def counted(name):
+        real = getattr(zlin, name)
 
-    def counted_hnf(vectors):
-        if not depth[0]:
-            calls.append("hnf_columns")
-        return hnf(vectors)
-    monkeypatch.setattr(zlin, "smith_diagonal", counted_smith)
-    monkeypatch.setattr(zlin, "hnf_columns", counted_hnf)
+        def wrapped(vectors):
+            calls.append(name)
+            return real(vectors)
+        monkeypatch.setattr(zlin, name, wrapped)
+    counted("smith_diagonal")
+    counted("hnf_columns")
     return calls
 
 
-@pytest.mark.parametrize("D,p,extra", [
+@pytest.mark.parametrize("D,p,units", [
     (-1155, 2, 0), (-1000011, 2, 0), (-1055, 3, 0), (-23, 5, 0),
     (-3, 3, 1), (-4, 2, 1), (221, 2, 1), (229, 3, 1)])
 def test_ray_class_group_eliminates_once_per_level(eliminations, D, p,
-                                                   extra):
-    # with its ring built, a field adds to the ring's Hermite basis (which
-    # holds -1) only zeta or eps and its class relations: one Smith form
-    # per level, and one more Hermite form where zeta or eps comes in
+                                                   units):
+    # with its ring built, a field puts the ring's Hermite basis (which
+    # holds -1), its units beyond -1 (zeta or eps, if any) and its class
+    # relations into one Smith form per level, and takes no Hermite form:
+    # zeta's or eps's order modulo the basis needs none
+    assert len(pram._class_data(D, p).units) == units
     for n in (1, 2, 3, pram.top_level(p)):
         want = pram.ray_class_group(D, p, n)
         del eliminations[:]
         assert pram.ray_class_group(D, p, n) == want
-        assert eliminations == ["hnf_columns"] * extra + ["smith_diagonal"]
+        assert eliminations == ["smith_diagonal"]
 
 
 def test_prime_over_forms():

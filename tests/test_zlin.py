@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from epsclass import zlin
@@ -139,6 +139,108 @@ def test_zlin_matches_the_column_layout_reference(M):
     assert zlin.kernel_columns(V) == _columns(K)
     assert zlin.smith_diagonal(V) == smith_diagonal_reference(M)
     assert zlin.smith_diagonal(M) == smith_diagonal_reference(M)
+
+
+@st.composite
+def _smith_inputs(draw):
+    """Matrices (lists of rows) that reach every branch of smith_diagonal:
+    every shape from 1 x 1 to 9 x 9, entries up to 2^64, rank below the
+    shape through a product, zero rows and zero columns put in; either
+    dense in +-1, or scaled by c >= 2 so that no entry is +-1 and every
+    pivot is a least entry whose remainders pivot again."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bound = draw(st.sampled_from([1, 9, 2 ** 16, 2 ** 64]))
+    units = draw(st.booleans())
+    entry = st.integers(-bound, bound)
+    if units:
+        entry = st.sampled_from([-1, 0, 1]) | entry
+
+    def mat(r, c, e):
+        return [draw(st.lists(e, min_size=c, max_size=c)) for _ in range(r)]
+
+    if draw(st.booleans()):
+        M = mat(rows, cols, entry)
+    else:
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        P, Q = mat(rows, k, st.integers(-3, 3)), mat(k, cols, entry)
+        M = [[sum(P[i][t] * Q[t][j] for t in range(k)) for j in range(cols)]
+             for i in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        M[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for r in M:
+            r[j] = 0
+    if not units:
+        c = draw(st.integers(2, 2 ** 16))
+        M = [[c * x for x in r] for r in M]
+    return M
+
+
+@seed(20261020)
+@settings(max_examples=500, deadline=None)
+@given(_smith_inputs())
+@example([[1]])
+@example([[0]])
+@example([[6, 10], [10, 15]])       # no unit, remainders both ways
+@example([[2 ** 64, 0], [0, -(2 ** 64) - 1]])
+def test_smith_diagonal_matches_the_reference(M):
+    want = smith_diagonal_reference(M)
+    assert zlin.smith_diagonal(M) == want
+    assert zlin.smith_diagonal(_columns(M)) == want
+
+
+def test_smith_diagonal_makes_no_hermite_form(monkeypatch):
+    def no_hermite(*args):
+        raise AssertionError("a Hermite form was taken")
+    monkeypatch.setattr(zlin, "hnf_columns", no_hermite)
+    monkeypatch.setattr(zlin, "_eliminate", no_hermite)
+    rng = random.Random(5)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        M = [[rng.choice([0, 1, -1, rng.randint(-99, 99)])
+              for _ in range(cols)] for _ in range(rows)]
+        assert zlin.smith_diagonal(M) == smith_diagonal_reference(M)
+
+
+@st.composite
+def _full_rank_bases(draw):
+    """A Hermite basis of a lattice of finite index in Z^n, n <= 4: random
+    vectors and d_i e_i with d_i <= 6, so the index is at most 6^n."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                  max_size=n), max_size=3))
+    diag = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    vecs += [[d * (i == j) for j in range(n)] for i, d in enumerate(diag)]
+    return zlin.hnf_columns(vecs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_full_rank_bases(), st.data())
+def test_order_modulo_is_the_least_multiple_in_the_lattice(B, data):
+    n = len(B)
+    v = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n,
+                           max_size=n))
+    index = prod(B[i][i] for i in range(n))
+    want = next(m for m in range(1, index + 1)
+                if zlin.solve_lattice(B, [m * x for x in v]) is not None)
+    assert zlin.order_modulo(B, v) == want
+    assert index % want == 0
+
+
+def test_order_modulo_needs_a_full_rank_echelon_basis():
+    for B, v in (([[2, 0], [1, 3]], [1, 1]),      # a coordinate below a pivot
+                 ([[0, 1], [1, 0]], [1, 1]),      # pivots off the diagonal
+                 ([[2, 1], [0, 0]], [1, 1]),      # a zero pivot
+                 ([[2, 1]], [1, 1]),              # rank below n
+                 ([[2, 1], [0, 3], [0, 0]], [1, 1]),
+                 ([[1, 0, 0], [0, 0, 1]], [1, 1, 1]),
+                 ([[2, 1, 0], [0, 3]], [1, 1])):  # a vector of another length
+        with pytest.raises(ValueError, match="full-rank echelon"):
+            zlin.order_modulo(B, v)
+    assert zlin.order_modulo([[2, 1], [0, 3]], [1, 0]) == 6
+    assert zlin.order_modulo([[2, 1], [0, 3]], [2, 1]) == 1
+    assert zlin.order_modulo([[-4]], [2]) == 2
+    assert zlin.order_modulo([], []) == 1
 
 
 @st.composite
