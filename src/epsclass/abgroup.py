@@ -53,9 +53,14 @@ class AbelianGroupStructure:
     @classmethod
     def from_relation_matrix(cls, relations, ngens) -> "AbelianGroupStructure":
         """Z^ngens modulo the lattice of the relations, a list of vectors of
-        length ngens."""
-        divs = zlin.presentation_divisors(relations, ngens)   # d1 | d2 | ...
-        return cls(tuple(reversed(divs)))
+        length ngens: the elementary divisors > 1 of zlin.smith_diagonal,
+        largest first.  ValueError if the quotient is infinite."""
+        if ngens == 0:
+            return cls.trivial()
+        divs = zlin.smith_diagonal(relations)   # d1 | d2 | ...
+        if len(divs) < ngens:
+            raise ValueError("infinite quotient: relation rank < ngens")
+        return cls(tuple(d for d in reversed(divs) if d > 1))
 
 
 def power(x, e: int, op):

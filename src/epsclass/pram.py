@@ -10,7 +10,8 @@ above p (a valuation at each prime above p and a unit mod p^n), never as
 exact elements. (O/p^n)^x has two layers for every splitting type:
 (O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, its top a box
 of p^(2k) points enumerated point by point, its base made additive by
-the p-adic logarithm.
+the p-adic logarithm: a unit is read as coordinates, never rebuilt from
+generators, so no p-adic exponential is taken.
 
 Every result here reads p-parts only, so for imaginary D the class data
 present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
@@ -119,9 +120,9 @@ def _check_modulus(p: int, n: int) -> None:
     the modulus p^n of every (O/p^n)^x and ray class group here.  A ring's
     top (O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, is a
     box of p^(2k) points for every splitting type, and units_mod keeps
-    256 rings: about 0.4 MB each at p = 31 and 4.4 MB at p = 101, and one
-    field at p = 1009 took 690 MB, so a larger p is refused before any
-    ring is built."""
+    256 rings.  At n = 8 one ring holds 0.3-0.5 MB at p = 31, 4.1-4.2 MB
+    at p = 101 and 21 MB at p = 211 (tracemalloc), growing as p^2, so a
+    larger p is refused before any ring is built."""
     if not (is_prime(p) and p <= 31 and 1 <= n <= top_level(p)):
         raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
                          f"with p <= 31 and n <= top_level(p) = "
@@ -130,41 +131,27 @@ def _check_modulus(p: int, n: int) -> None:
 
 @cache
 def _series_terms(p: int, n: int, k: int) -> tuple:
-    """The p-adic log on 1 + p^k O and exp on p^k O mod q = p^n, as sums
-    sum_m c_m x^m / p^v_m over tables of (p^v_m, c_m), m = 1, 2, ...:
-    m = p^v_m * u_m and c_m = +-1/u_m mod q for log(1 + x), m! = p^v_m *
-    u_m and c_m = 1/u_m mod q for exp(x) - 1.  Each table comes as (Q,
-    terms) with Q = q * max p^v_m, the precision `ResidueUnits._series`
-    keeps x^m at.  x^m / p^v lies in p^(m*k - v) O, so a term is dropped
-    once m*k - v >= n, whatever the splitting type; rings share them."""
+    """The p-adic log on 1 + p^k O mod q = p^n, log(1 + x) as the sum
+    sum_m c_m x^m / p^v_m over a table of (p^v_m, c_m), m = 1, 2, ...,
+    with m = p^v_m * u_m and c_m = +-1/u_m mod q.  The table comes as (Q,
+    terms) with Q = q * max p^v_m, the precision `ResidueUnits._log` keeps
+    x^m at.  x^m / p^v lies in p^(m*k - v) O, so a term is dropped once
+    m*k - v >= n, whatever the splitting type; rings share the table."""
     q = p ** n
-
-    def series(terms):
-        return q * max([1] + [pv for pv, _ in terms]), tuple(terms)
-
-    # past kmax every log term has m*k - v_p(m) >= n, so the table ends at
-    # the last m <= kmax that misses it
+    # past kmax every term has m*k - v_p(m) >= n, so the table ends at the
+    # last m <= kmax that misses it
     kmax = (n + 2 * n.bit_length() + 6) // k + 8
     last = max((m for m in range(1, kmax + 1) if m * k - vp(m, p) < n),
                default=0)
-    log_terms = []
+    terms = []
     for m in range(1, last + 1):
         v, u = _split_off(p, m)
-        log_terms.append((p ** v, (-1) ** (m + 1) * pow(u, -1, q)))
-    # every exp term past m = 4n + 10 has m*k - v_p(m!) >= n; that table
-    # ends at the last m <= 4n + 10 that misses it
-    exp_terms, fv, fu, last = [], 0, 1, 0
-    for m in range(1, 4 * n + 11):
-        v, u = _split_off(p, m)
-        fv, fu = fv + v, fu * u % q
-        exp_terms.append((p ** fv, pow(fu, -1, q)))
-        if m * k - fv < n:
-            last = m
-    return series(log_terms), series(exp_terms[:last])
+        terms.append((p ** v, (-1) ** (m + 1) * pow(u, -1, q)))
+    return q * max([1] + [pv for pv, _ in terms]), tuple(terms)
 
 
 class ResidueUnits:
-    """(O/p^n)^x: generators, relation matrix, and discrete logarithm.
+    """(O/p^n)^x as a relation lattice over its dlog coordinates.
 
     Two layers over one base for every splitting type, 1 + p^k O with k =
     2 for p = 2 and 1 otherwise (k = n if n is smaller): the top
@@ -172,8 +159,10 @@ class ResidueUnits:
     enumerated into one ClassGroupPresentation; and the base 1 + p^k O,
     handled additively through the p-adic logarithm, which maps it onto
     p^k O since v_P(p^k) = ek > e/(p - 1) at a prime P of ramification
-    index e.  A top relation holds mod p^k only, so its column carries
-    the base log of the quotient.
+    index e.  A unit's coordinates, `ngens` of them, are its exponents
+    over the top generators and the coordinates of its base log over p^k
+    and p^k omega.  A top relation holds mod p^k only, so its column
+    carries the base coordinates of the quotient.
 
     `dlog` looks the unit's point of the box up in a table built once per
     group, which holds its top exponents and the inverse of their word in
@@ -183,7 +172,10 @@ class ResidueUnits:
 
     `hermite` is the Hermite basis of the relation columns and of the
     image of -1, a unit of every field: ray_class_group puts it into its
-    Smith form, and Z^ng over it is (O/p^n)^x / <-1>.
+    Smith form, and Z^ngens over it is (O/p^n)^x / <-1>, of order `index`,
+    the product of its diagonal.  The build takes no other elimination:
+    `index` times the order of -1 (2 unless q = 2) must be the group's
+    theoretical order.
 
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
@@ -203,18 +195,19 @@ class ResidueUnits:
             self.order = (p * p - 1) * p ** (2 * (n - 1))
         else:
             self.order = (p - 1) * p ** (2 * n - 1)
-        self._log_series, self._exp_series = _series_terms(p, n, k)
+        self._log_terms = _series_terms(p, n, k)
         self._build()
 
-    def _series(self, x, series):
-        """sum_m c_m x^m / p^v_m mod q over the terms (p^v_m, c_m) of
-        series = (Q, terms), with x^m kept mod Q: p^v_m | Q, so p^v_m
-        divides x^m exactly when it divides x^m mod Q, and then their
-        quotients agree mod q.  PramError unless p^v_m divides x^m."""
+    def _log(self, u):
+        """log u mod q: the terms (p^v_m, c_m) of the log table summed over
+        x = u - 1, with x^m kept mod Q: p^v_m | Q, so p^v_m divides x^m
+        exactly when it divides x^m mod Q, and then their quotients agree
+        mod q.  PramError unless p^v_m divides x^m, as it does for u in the
+        base 1 + p^k O."""
         R = self.ring
-        Q, terms = series
-        s, t = R.s, R.t
-        a, b = x0, x1 = x
+        Q, terms = self._log_terms
+        s, t, q = R.s, R.t, R.q
+        a, b = x0, x1 = ((u[0] - 1) % q, u[1] % q)
         s0 = s1 = 0
         for m, (pv, c) in enumerate(terms):
             if m:
@@ -224,25 +217,10 @@ class ResidueUnits:
                 raise PramError("p-adic series lost exactness")
             s0 += a // pv * c
             s1 += b // pv * c
-        return (s0 % R.q, s1 % R.q)
-
-    def _log(self, u):
-        q = self.ring.q
-        return self._series(((u[0] - 1) % q, u[1] % q), self._log_series)
-
-    def _exp(self, b):
-        s0, s1 = self._series(b, self._exp_series)
-        return ((1 + s0) % self.ring.q, s1)
+        return (s0 % q, s1 % q)
 
     def _build(self):
         R, pk, q = self.ring, self.pk, self.ring.q
-        # base: 1 + p^k O, additively p^k O / p^n O through log/exp, over
-        # the columns p^k and p^k omega (both 0 mod q when k = n)
-        b = pk % q
-        g1, g2 = self._exp((b, 0)), self._exp((0, b))
-        if self._log(g1) != (b, 0) or self._log(g2) != (0, b):
-            raise PramError("log/exp round trip failed")
-
         # top: (O/p^k)^x, the unit points of the box [0, p^k)^2
         def canon(u):
             return (u[0] % pk, u[1] % pk)
@@ -265,26 +243,26 @@ class ResidueUnits:
             self._table[c] = (v, R.inv(w))
 
         # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod p^k only, so
-        # each top column carries the base log of the quotient, the base
-        # part of dlog(g_i^{o_i}); tuples, because one group is shared by
-        # every field of the ring
-        self.gens = (*top.gens, g1, g2)
+        # each top column carries the base coordinates of the quotient, the
+        # base part of dlog(g_i^{o_i}); the base p^k O / p^n O has the
+        # columns p^k and p^k omega, both 0 mod q when k = n.  Tuples,
+        # because one group is shared by every field of the ring
         nt = len(top.gens)
+        self.ngens = ng = nt + 2
         cols = [col + [-e for e in self.dlog(power(g, o, R.mul))[nt:]]
                 for col, g, o in zip(top.relation_columns(), top.gens,
                                      top.orders)]
         cols += [[0] * nt + [q // pk, 0], [0] * nt + [0, q // pk]]
         self.rel_cols = tuple(map(tuple, cols))
-        ng = len(self.gens)
         # -1 is a unit of every field of the ring, so ray_class_group
         # starts from the Hermite basis of the relations and its image
-        self.hermite = tuple(map(tuple, zlin.hnf_columns(
+        H = self.hermite = tuple(map(tuple, zlin.hnf_columns(
             cols + [self.dlog((q - 1, 0))])))
-        st = AbelianGroupStructure.from_relation_matrix(cols, ng)
-        if st.order != self.order:
-            raise PramError(f"residue unit group order {st.order} != "
-                            f"theoretical {self.order}")
-        self.structure = st
+        index = prod(h[i] for i, h in enumerate(H)) if len(H) == ng else 0
+        if index * (2 if q > 2 else 1) != self.order:
+            raise PramError(f"residue unit group order {index} * ord(-1) "
+                            f"!= theoretical {self.order}")
+        self.index = index
 
     def dlog(self, u) -> tuple:
         hit = self._table.get(self._top.canon(u))
@@ -314,10 +292,10 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     and the splitting type only D mod 8 (p = 2) or mod p: D mod 4p^n
     fixes both.
     The group is built from that residue, so it holds no field's own D,
-    and callers only read it: its relations, its Hermite basis with -1
-    and its dlog table serve every field of the ring, and nothing of a
-    field's own (eps, relation images) is kept with it. ValueError unless
-    p <= 31 is prime and 1 <= n <= top_level(p).
+    and callers only read it: its coordinate count, its relations, its
+    Hermite basis with -1 and its dlog table serve every field of the
+    ring, and nothing of a field's own (eps, relation images) is kept with
+    it.  ValueError unless p <= 31 is prime and 1 <= n <= top_level(p).
     """
     _check_modulus(p, n)
     return _ring_units(p, n, D % (4 * p ** n))
@@ -584,12 +562,11 @@ def ray_class_group(D, p: int, n: int) -> AbelianGroupStructure:
     cd = _class_data(d, p)
     G = units_mod(d.value, p, n)
     q = G.ring.q
-    ng, t = len(G.gens), len(cd.pres.gens)
-    # the ring's basis holds -1 and is full rank, so its diagonal is the
-    # index of -1's image; zeta or eps, at most one, divides it by its
-    # order modulo the basis
+    ng, t = G.ngens, len(cd.pres.gens)
+    # the ring's basis holds -1, so its index is that of -1's image; zeta
+    # or eps, at most one, divides it by its order modulo the basis
     local = G.hermite
-    index = prod(local[i][i] for i in range(ng))
+    index = G.index
     cols = [list(c) + [0] * t for c in local]
     if cd.units:
         (x, y), = cd.units

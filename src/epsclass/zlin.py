@@ -220,20 +220,6 @@ def smith_diagonal(vectors) -> list[int]:
     return d
 
 
-def presentation_divisors(relations, ngens: int) -> list[int]:
-    """Cyclic decomposition of Z^ngens / (the lattice of the relations).
-
-    Elementary divisors (> 1) in divisibility order d1 | d2 | ...
-    Raises ValueError if the quotient is infinite.
-    """
-    if ngens == 0:
-        return []
-    divs = smith_diagonal(relations)
-    if len(divs) < ngens:
-        raise ValueError("infinite quotient: relation rank < ngens")
-    return [d for d in divs if d > 1]
-
-
 def solve_lattice(B, v: list[int]) -> list[int] | None:
     """Integer x with sum_j x_j B[j] = v, else None.
 

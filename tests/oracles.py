@@ -13,9 +13,11 @@ kernel and Smith form (a second, column Bezout step and a Smith
 elimination of its own) beside zlin over vector lists, and the solution
 lattice read off the whole kernel, a unit coordinate for every vector,
 beside zlin's kernel modulo a lattice, the order of a quotient from the
-Hermite diagonal beside the Smith form's, and the (O/p^n)^x discrete log
+Hermite diagonal beside the Smith form's, the (O/p^n)^x discrete log
 with per-call division, an exact-integer series and lattice solves
-beside pram's table lookup and fixed-precision series.
+beside pram's table lookup and fixed-precision series, and the generators
+of (O/p^n)^x as elements, its base ones from an exact-integer p-adic
+exponential, which pram's coordinates never need.
 """
 
 from __future__ import annotations
@@ -231,9 +233,36 @@ def log_kmax(n: int, k: int) -> int:
     return (n + 2 * n.bit_length() + 6) // k + 8
 
 
+def residue_generators(U: pram.ResidueUnits) -> tuple:
+    """The units of O/p^n that U.dlog's coordinates count: the top
+    generators, then exp(p^k) and exp(p^k omega), whose logs p^k and p^k
+    omega are the base coordinates (1, 0) and (0, 1).  The exponential is
+    summed in exact integers, x^m / m! = (x^m / p^v) / u for m! = p^v * u,
+    over m up to 4n + 10, past which every term is 0 mod p^n for x in
+    p^k O; k = 2 for p = 2 and 1 otherwise (k <= n)."""
+    R, p, n, q = U.ring, U.p, U.n, U.ring.q
+    pk = p ** min(2 if p == 2 else 1, n)
+
+    def exp(x):
+        s, xm, fac = [1, 0], x, 1
+        for m in range(1, 4 * n + 11):
+            if m > 1:
+                xm = R.mul_exact(xm, x)
+            fac *= m
+            pv = p ** vp(fac, p)
+            if xm[0] % pv or xm[1] % pv:
+                raise pram.PramError("p-adic series lost exactness")
+            c = pow(fac // pv, -1, q)
+            s = [a + b // pv * c for a, b in zip(s, xm)]
+        return (s[0] % q, s[1] % q)
+
+    return (*U._top.gens, exp((pk, 0)), exp((0, pk)))
+
+
 def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
     """U.dlog(u) the way pram took it before its top table: the top dlog,
-    u divided by that word in U.gens with fresh powers and an inverse, and
+    u divided by that word in the top generators with fresh powers and an
+    inverse, and
     the base log summed in exact integers over every term up to kmax,
     whose coordinates over p^k O come from zlin.solve_lattice; the base
     1 + p^k O, k = 2 for p = 2 and 1 otherwise (k <= n), is the units on
@@ -243,7 +272,7 @@ def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
         raise pram.PramError(f"not a unit mod p^n: {u}")
     v = U._top.dlog(u)
     d = R.one
-    for g, e in zip(U.gens, v):
+    for g, e in zip(U._top.gens, v):
         if e:
             d = R.mul(d, power(g, e, R.mul))
     x, y = R.mul(u, R.inv(d))
@@ -417,7 +446,7 @@ def lattice_index(relations, ngens: int) -> int:
     The product of the Hermite pivots: an echelon basis of full rank
     ngens has them on its diagonal.  Raises ValueError if the quotient is
     infinite.  The reference for the orders of
-    zlin.presentation_divisors and filtration.module_order.
+    AbelianGroupStructure.from_relation_matrix and filtration.module_order.
     """
     if ngens == 0:
         return 1

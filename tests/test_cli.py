@@ -644,6 +644,11 @@ GOLDEN_STDOUT = [
      "98313c148b099bba4a46e2ba1bcf17530508fc2371a6875b9f0ec83d0c3c5d30"),
     (["tor-scan", "--p", "7", "--min-d", "3", "--max-d", "3000"],
      "a5a107e28ad130ff9e4d93ae36883787e596c6f0152b193b25a7ed65a118bf31"),
+    # the largest p, whose (O/31^n)^x tops are boxes of 961 points: no
+    # field up to 600 reaches v_31(#T) >= 1, so this pins that no row, not
+    # even an error row, is printed
+    (["tor-scan", "--p", "31", "--min-d", "3", "--max-d", "600"],
+     "9066a08ef326e967cd684b5e2f90a74df7ed4dfc015aa81675e10b8aedc8c596"),
     # the successive maxima at 10^6 of the two statistics above not yet
     # pinned: a float filter margin and an exact h_p
     (["quad-maxima", "--stat", "raw", "--eps", "0.1", "--max-d", "1000000"],

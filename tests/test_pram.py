@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
-from epsclass.abgroup import power
+from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import kronecker
 from epsclass.quadforms import TrackedIdeal
 from epsclass.quadclass import isqrt_float
 from oracles import (QuadElt, lattice_index, log_kmax,  # noqa: F401
-                     residue_dlog_reference, whole_group, whole_groups)
+                     residue_dlog_reference, residue_generators,
+                     whole_group, whole_groups)
 
 
 # ------------------------------------------------------------ residue units
@@ -35,26 +36,34 @@ def brute_unit_elements(D, p, n):
 def test_residue_units_against_brute_force(D, p, n):
     U = pram.ResidueUnits(D, p, n)
     R, els = brute_unit_elements(D, p, n)
-    assert len(els) == U.order == U.structure.order
+    assert len(els) == U.order == lattice_index(list(U.rel_cols), U.ngens)
+    gens = residue_generators(U)
+    assert len(gens) == U.ngens
     random.seed(7)
     sample = els if len(els) <= 150 else random.sample(els, 80)
     for u in sample:
         v = U.dlog(u)
         w = R.one
-        for g, e in zip(U.gens, v):
+        for g, e in zip(gens, v):
             x = g if e >= 0 else R.inv(g)
             for _ in range(abs(e)):
                 w = R.mul(w, x)
         assert w == u
 
 
+def _ring_structure(D, p, n):
+    U = pram.units_mod(D, p, n)
+    return str(AbelianGroupStructure.from_relation_matrix(U.rel_cols,
+                                                          U.ngens))
+
+
 def test_residue_units_known_structures():
     # split 2: (O/8)^x = (Z/8)^x x (Z/8)^x
-    assert str(pram.units_mod(-15, 2, 3).structure) == "[2,2,2,2]"
+    assert _ring_structure(-15, 2, 3) == "[2,2,2,2]"
     # ramified 3 at level 1: order (p-1)p = 6
-    assert str(pram.units_mod(-15, 3, 1).structure) == "[6]"
+    assert _ring_structure(-15, 3, 1) == "[6]"
     # inert 3 at level 1: the residue field F_9, cyclic of order 8
-    assert str(pram.units_mod(-4, 3, 1).structure) == "[8]"
+    assert _ring_structure(-4, 3, 1) == "[8]"
 
 
 def _fundamental(lo, hi):
@@ -85,15 +94,19 @@ def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
                          for _ in range(40)) if R.is_unit(u)][:12]
     for own in (pram.ResidueUnits(D, p, n),
                 pram.ResidueUnits(D + 4 * q * k, p, n)):
-        assert own.gens == shared.gens
+        assert own._top.gens == shared._top.gens
+        assert own.ngens == shared.ngens
         assert own.rel_cols == shared.rel_cols
-        assert own.structure == shared.structure
+        assert own.hermite == shared.hermite
         assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
 
 
-@pytest.mark.parametrize("D,p,n", [
+HERMITE_RINGS = [
     (-15, 2, 3), (-4, 2, 3), (-3, 3, 2), (5, 5, 2), (8, 2, 1), (13, 2, 3),
-    (-84, 7, 2), (-20, 2, 1), (-15, 5, 2), (229, 3, 4), (-4, 2, 64)])
+    (-84, 7, 2), (-20, 2, 1), (-15, 5, 2), (229, 3, 4), (-4, 2, 64)]
+
+
+@pytest.mark.parametrize("D,p,n", HERMITE_RINGS)
 def test_ring_hermite_basis_holds_minus_one(D, p, n):
     # the echelon basis ray_class_group starts from spans the relations
     # and -1's image, which has order 2 unless q = 2
@@ -101,7 +114,42 @@ def test_ring_hermite_basis_holds_minus_one(D, p, n):
     q = U.ring.q
     H = [list(h) for h in U.hermite]
     assert H == zlin.hnf_columns(list(U.rel_cols) + [U.dlog((q - 1, 0))])
-    assert lattice_index(H, len(U.gens)) * (2 if q > 2 else 1) == U.order
+    assert lattice_index(H, U.ngens) == U.index
+    assert U.index * (2 if q > 2 else 1) == U.order
+
+
+def test_ring_build_takes_one_elimination(monkeypatch):
+    # one Hermite form per ring, of its relations and -1, and no Smith
+    # form: the order check reads the Hermite diagonal
+    calls = {"hnf_columns": 0, "smith_diagonal": 0}
+
+    def counted(name):
+        f = getattr(zlin, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(zlin, name, counted(name))
+    for D, p, n in HERMITE_RINGS:
+        pram.ResidueUnits(D, p, n)
+    assert calls == {"hnf_columns": len(HERMITE_RINGS), "smith_diagonal": 0}
+
+
+@pytest.mark.parametrize("D,p,n,claim", [
+    (D, p, n, claim)
+    for D, p, n in [(-15, 2, 3), (-4, 2, 3), (-3, 3, 2), (-15, 3, 2),
+                    (-11, 3, 2), (5, 5, 2)]
+    for claim in ("split", "inert", "ramified")
+    if claim != pram.splitting_type(D, p)])
+def test_ring_order_check_refuses_a_wrong_order(monkeypatch, D, p, n, claim):
+    # a splitting type the ring does not have sets a theoretical order its
+    # relations do not meet: the Hermite diagonal times ord(-1) differs
+    monkeypatch.setattr(pram, "splitting_type", lambda D, p: claim)
+    with pytest.raises(pram.PramError, match="theoretical"):
+        pram.ResidueUnits(D, p, n)
 
 
 def _local_type(D, p):
@@ -124,11 +172,10 @@ for _D in _fundamental(-600, 600):
                                  []).append(_D)
 
 
-def _recombine(U, v):
-    """prod_j U.gens[j]^v_j in O/p^n."""
-    R = U.ring
+def _recombine(R, gens, v):
+    """prod_j gens[j]^v_j in O/p^n."""
     w = R.one
-    for g, e in zip(U.gens, v):
+    for g, e in zip(gens, v):
         if e:
             w = R.mul(w, power(g if e > 0 else R.inv(g), abs(e), R.mul))
     return w
@@ -161,10 +208,11 @@ def test_dlog_matches_reference(key, data, seed):
         q = U.ring.q
         units = [u for u in ((rng.randrange(q), rng.randrange(q))
                              for _ in range(16)) if U.ring.is_unit(u)]
-        for u in units + [U.ring.one, *U.gens]:
+        gens = residue_generators(U)
+        for u in units + [U.ring.one, *gens]:
             v = U.dlog(u)
             assert v == residue_dlog_reference(U, u), (D, p, n, u)
-            assert _recombine(U, v) == u
+            assert _recombine(U.ring, gens, v) == u
 
 
 def _base_draws(p, rng):
@@ -188,7 +236,7 @@ def test_log_terms_past_the_cut_vanish(p):
     # integers, for each log term past the table's end, for x in p^k O
     for R, k, x in _base_draws(p, random.Random(p)):
         n = R.n
-        (_, log_terms), _ = pram._series_terms(p, n, k)
+        _, log_terms = pram._series_terms(p, n, k)
         last = len(log_terms)
         kmax = log_kmax(n, k)
         assert last <= kmax
@@ -200,38 +248,18 @@ def test_log_terms_past_the_cut_vanish(p):
                 assert xm[0] % mod == xm[1] % mod == 0, (R.D, p, n, m)
 
 
-@pytest.mark.parametrize("p", LOCAL_PRIMES)
-def test_exp_terms_past_the_cut_vanish(p):
-    # every local class of p: x^m / m! = 0 mod p^n, on exact integers, for
-    # each exp term the table drops before 4n + 10, for x in p^k O
-    for R, k, x in _base_draws(p, random.Random(p)):
-        n = R.n
-        _, (_, exp_terms) = pram._series_terms(p, n, k)
-        last = len(exp_terms)
-        assert last <= 4 * n + 10
-        xm, vm = x, 0
-        for m in range(1, 4 * n + 11):
-            if m > 1:
-                xm = R.mul_exact(xm, x)
-            vm += arith.vp(m, p)
-            if m > last:
-                mod = p ** (n + vm)
-                assert xm[0] % mod == xm[1] % mod == 0, (R.D, p, n, m)
-
-
 @pytest.mark.parametrize("D,p,n", [(-7, 2, 20), (-4, 2, 20), (-8, 2, 20),
                                    (-3, 2, 5), (-11, 3, 8), (-3, 3, 8),
                                    (-20, 5, 8), (-56, 7, 8)])
 def test_series_refuses_x_outside_p_c0(D, p, n):
-    # x = 1 is a unit, off the base p^k O (the old P^c0 base, whence the
-    # name): some term of each series has p^v_m not dividing x^m
+    # u = 2 is off the base 1 + p^k O (the old P^c0 base, whence the name):
+    # x = u - 1 = 1 is a unit, and some log term has p^v_m not dividing x^m
     U = pram.units_mod(D, p, n)
-    for series in (U._log_series, U._exp_series):
-        with pytest.raises(pram.PramError, match="lost exactness"):
-            U._series((1, 0), series)
+    with pytest.raises(pram.PramError, match="lost exactness"):
+        U._log((2, 0))
 
 
-def test_dlog_refusals(monkeypatch):
+def test_dlog_refusals():
     U = pram.ResidueUnits(-7, 3, 4)
     with pytest.raises(pram.PramError, match="not a unit mod p"):
         U.dlog((3, 0))
@@ -240,12 +268,6 @@ def test_dlog_refusals(monkeypatch):
     U._table[c] = (v, U.ring.one)
     with pytest.raises(pram.PramError, match="not in the base layer"):
         U.dlog(c)
-    # an exp series cut short breaks the log/exp round trip
-    terms = pram._series_terms
-    monkeypatch.setattr(pram, "_series_terms", lambda p, n, k: (
-        terms(p, n, k)[0], (p ** n, ())))
-    with pytest.raises(pram.PramError, match="round trip"):
-        pram.ResidueUnits(-7, 3, 4)
 
 
 RAY_CASES = [(D, p, n)
@@ -279,7 +301,8 @@ def test_ring_cache_is_bounded():
 @pytest.mark.parametrize("p,n", [(1, 8), (4, 3), (6, 2), (0, 2), (-2, 3),
                                  (2, 0)])
 def test_residue_units_rejects_bad_modulus(p, n):
-    # p = 1 used to loop forever in the exp series
+    # p = 1 once looped forever in a p-adic series: a p that is not
+    # prime, or a level below 1, is refused before any ring is built
     with pytest.raises(ValueError):
         pram.ResidueUnits(-3, p, n)
 
