@@ -5,13 +5,16 @@ pro-p-extension is read off ray class groups mod p^n: at stabilization the
 p-part of Cl_{p^n} splits into r = r_2 + 1 growing cyclic lines plus T.
 Ray class groups are presented exactly from (O/p^n)^x together with the
 images in (O/p^n)^x of the global units and of the generator of each
-class-group relation, which the cycle and relation walks carry locally
-above p (a valuation at each prime above p and a unit mod p^n), never as
-exact elements. (O/p^n)^x has two layers for every splitting type:
-(O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, its top a box
-of p^(2k) points enumerated point by point, its base made additive by
-the p-adic logarithm: a unit is read as coordinates, never rebuilt from
-generators, so no p-adic exponential is taken.
+class-group relation, carried locally above p (a valuation at each prime
+above p and a unit mod p^n), never as exact elements.  A real field
+walks its principal cycle once: the walk gives eps and a table of the
+gamma of every reduced principal ideal, and a relation's generator is
+its reduced product's gamma divided by its entry there.  (O/p^n)^x has
+two layers for every splitting type: (O/p^k)^x over 1 + p^k O, k = 2
+for p = 2 and 1 otherwise, its top a box of p^(2k) points enumerated
+point by point, its base made additive by the p-adic logarithm: a unit
+is read as coordinates, never rebuilt from generators, so no p-adic
+exponential is taken.
 
 Every result here reads p-parts only, so for imaginary D the class data
 present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import gcd, log, prod
+from math import gcd, isqrt, log, prod
 from typing import Iterable, Iterator
 
 from . import zlin
@@ -46,7 +49,8 @@ from .quadclass import (
     radicand_of,
     ramified_principal_form,
 )
-from .quadforms import QuadForm, TrackedIdeal, principal_form
+from .quadforms import (QuadForm, TrackedIdeal, principal_form,
+                        translate_indefinite)
 
 
 class PramError(RuntimeError):
@@ -115,6 +119,10 @@ def top_level(p: int) -> int:
     return 64 if p == 2 else (32 if p == 3 else 16)
 
 
+# the primes a modulus p^n may have, tested once per process
+_MODULUS_PRIMES = frozenset(filter(is_prime, range(32)))
+
+
 def _check_modulus(p: int, n: int) -> None:
     """ValueError unless p is a prime up to 31 and 1 <= n <= top_level(p):
     the modulus p^n of every (O/p^n)^x and ray class group here.  A ring's
@@ -123,7 +131,7 @@ def _check_modulus(p: int, n: int) -> None:
     256 rings.  At n = 8 one ring holds 0.3-0.5 MB at p = 31, 4.1-4.2 MB
     at p = 101 and 21 MB at p = 211 (tracemalloc), growing as p^2, so a
     larger p is refused before any ring is built."""
-    if not (is_prime(p) and p <= 31 and 1 <= n <= top_level(p)):
+    if not (p in _MODULUS_PRIMES and 1 <= n <= top_level(p)):
         raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
                          f"with p <= 31 and n <= top_level(p) = "
                          f"{top_level(p)}, got p={p}, n={n}")
@@ -303,14 +311,25 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
 
 # --------------------------------------------------- units and class data
 
-def fundamental_unit(D: int, one):
-    """+-eps^(+-1) for the fundamental unit eps of the real field D, in the
-    carrier of `one` (see TrackedIdeal): the generator at the first form
-    with |a| = 1 after the principal form on its cycle. Ray class groups
-    read only the group -1 and eps generate, whatever the sign and
-    exponent."""
-    return TrackedIdeal(principal_form(D), one).reduce() \
-        .rho_step().principal_generator()
+def fundamental_unit(D: int, one) -> tuple:
+    """(+-eps^(+-1), table) for the fundamental unit eps of the real field
+    D, in the carrier of `one` (see TrackedIdeal): one walk of the
+    principal cycle, stepped as integers, from the principal form to the
+    next form with |a| = 1; ray class groups read only the group -1 and
+    eps generate.  The table maps (|a|, b, |c|) of each form the walk
+    passes to its gamma, gamma * I(a, b, c) = O: (-a, b, -c) is the same
+    ideal, so the walk's one period of ideals covers every reduced
+    principal ideal, on the negated cycle too."""
+    cur = TrackedIdeal(principal_form(D), one).reduce()
+    (a, b, c), gamma = cur.form, cur.gamma
+    sqD = isqrt(D)
+    table = {}
+    while True:
+        table[abs(a), b, abs(c)] = gamma
+        gamma = gamma.rho(b, c)
+        a, b, c = translate_indefinite(c, -b, a, sqD)
+        if abs(a) == 1:
+            return gamma, table
 
 
 def _coprime_rep(f: QuadForm, p: int) -> QuadForm:
@@ -357,8 +376,8 @@ def _transform(f: QuadForm, M) -> QuadForm:
 class _Gamma:
     """gamma above p: prod_i pi_i^v_i times x + y*omega over an integer d
     prime to p, mod q, with v the tuple of valuations at the primes above
-    p.  rho and mul multiply d rather than invert it; `unit` divides by
-    it once, at the end of the walk."""
+    p.  rho, mul and div multiply d rather than invert it; `unit` divides
+    by it once, at the end of the walk."""
     __slots__ = ("k", "v", "u", "d")
 
     def __init__(self, k, v, u, d):
@@ -368,6 +387,15 @@ class _Gamma:
         k = self.k
         return _Gamma(k, tuple(a + b for a, b in zip(self.v, o.v)),
                       k.ring.mul(self.u, o.u), self.d * o.d % k.q)
+
+    def div(self, o):
+        # u / d over u' / d' is u d' conj(u') over d N(u'), N(u') prime to p
+        k = self.k
+        R = k.ring
+        x, y = o.u
+        u = R.mul(self.u, ((x + k.t * y) * o.d, -y * o.d))
+        return _Gamma(k, tuple(a - b for a, b in zip(self.v, o.v)), u,
+                      self.d * R.norm(o.u) % k.q)
 
     def scale(self, n: int):
         k = self.k
@@ -460,11 +488,14 @@ def _tracked_mul(s: TrackedIdeal, t: TrackedIdeal) -> TrackedIdeal:
     return a.mul(a if t is s else _tracked_pos(t)).reduce()
 
 
-def _lift_relation(forms: list, col: list, one) -> tuple:
+def _lift_relation(forms: list, col: list, one, cycle) -> tuple:
     """(beta, den) with prod_j I_j^{c_j} = (beta / den), beta in the
-    carrier of `one` (see TrackedIdeal): walks I_j^{c_j} for c_j > 0 and
-    conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j} for c_j < 0 to the
-    generator beta, and den = prod_{c_j < 0} a_j^{-c_j}. PramError if the
+    carrier of `one` (see TrackedIdeal): multiplies out I_j^{c_j} for
+    c_j > 0 and conj(I_j)^{-c_j} = (a_j)^{-c_j} I_j^{c_j} for c_j < 0,
+    reduced, to gamma * I(f), and den = prod_{c_j < 0} a_j^{-c_j}.  For
+    imaginary D (cycle None), f is the principal form and beta = gamma;
+    for real D, beta = gamma / cycle[f], cycle the principal cycle's table
+    from fundamental_unit, one division and no walk.  PramError if the
     product is not principal."""
     t = None
     den = 1
@@ -477,10 +508,16 @@ def _lift_relation(forms: list, col: list, one) -> tuple:
             t = tj if t is None else _tracked_mul(t, tj)
     if t is None:
         return one, den
-    try:
-        return t.principal_generator(), den
-    except ValueError as exc:
-        raise PramError(f"relation {col} is not principal") from exc
+    if cycle is None:
+        try:
+            return t.principal_generator(), den
+        except ValueError as exc:
+            raise PramError(f"relation {col} is not principal") from exc
+    a, b, c = t.form
+    gamma = cycle.get((abs(a), b, abs(c)))
+    if gamma is None:
+        raise PramError(f"relation {col} is not principal")
+    return t.gamma.div(gamma), den
 
 
 @dataclass(frozen=True)
@@ -518,7 +555,7 @@ def _class_data(D, p: int) -> _ClassData:
     d = as_disc(D)
     D = d.value
     frame = _LocalFrame(D, p, top_level(p))
-    units, k = [], 1
+    units, k, cycle = [], 1, None
     if D < 0:
         h, pres = full_imaginary_presentation(d, p)
         k = h // pres.h
@@ -533,11 +570,12 @@ def _class_data(D, p: int) -> _ClassData:
         # the ramified principal class is ordinary-trivial: one more
         # relation, with an explicit generator
         cols = pres.relation_columns() + [list(pres.dlog(ram))]
-        units.append(fundamental_unit(D, frame.one).unit())
+        eps, cycle = fundamental_unit(D, frame.one)
+        units.append(eps.unit())
     forms = [_coprime_rep(f, p) for f in pres.gens]
     relations = []
     for col in cols:
-        beta, den = _lift_relation(forms, col, frame.one)
+        beta, den = _lift_relation(forms, col, frame.one, cycle)
         relations.append((col, beta.unit(den)))
     return _ClassData(D, p, pres, k, structure, relations, units)
 

@@ -276,7 +276,7 @@ def _red_ind(a: int, b: int, D: int) -> bool:
     return True
 
 
-def _translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
+def translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
     """(a, b', c') on the lattice of (a, b, c), b' = b mod 2a in
     (-|a|, |a|] when |a| > sqD, else in (sqD - 2|a|, sqD]."""
     ta = 2 * abs(a)
@@ -291,49 +291,45 @@ def _translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
     return a, r, c
 
 
-def normalize_indefinite(f: QuadForm, sqD: int) -> QuadForm:
-    return QuadForm(*_translate_indefinite(f.a, f.b, f.c, sqD))
-
-
 def rho_indefinite(f: QuadForm, sqD: int) -> QuadForm:
-    return normalize_indefinite(QuadForm(f.c, -f.b, f.a), sqD)
+    return QuadForm(*translate_indefinite(f.c, -f.b, f.a, sqD))
 
 
 def reduce_indefinite(f: QuadForm) -> QuadForm:
+    """The first reduced form on f's way to its cycle: its b-translation,
+    then rho steps, taken as integers (a, b, c)."""
     D = f.disc()
     sqD = isqrt(D)
-    g = normalize_indefinite(f, sqD)
+    a, b, c = translate_indefinite(*f, sqD)
     for _ in range(100000):
-        if _red_ind(g.a, g.b, D):
-            return g
-        g = rho_indefinite(g, sqD)
+        if _red_ind(a, b, D):
+            return QuadForm(a, b, c)
+        a, b, c = translate_indefinite(c, -b, a, sqD)
     raise RuntimeError(f"indefinite reduction stuck on {f}")
 
 
 def cycle_indefinite(f: QuadForm) -> list[QuadForm]:
-    """The reduction cycle through (the reduction of) f."""
+    """The reduction cycle through (the reduction of) f, stepped as
+    integers (a, b, c) and built into a QuadForm per form returned."""
     D = f.disc()
     sqD = isqrt(D)
     start = f if _red_ind(f.a, f.b, D) else reduce_indefinite(f)
     out = [start]
-    g = rho_indefinite(start, sqD)
-    while g != start:
-        out.append(g)
-        g = rho_indefinite(g, sqD)
+    a, b, c = translate_indefinite(start.c, -start.b, start.a, sqD)
+    while (a, b, c) != start:
+        out.append(QuadForm(a, b, c))
+        a, b, c = translate_indefinite(c, -b, a, sqD)
     return out
 
 
 # ------------------------------------------------------- ideals with history
 
-PRINCIPAL_WALK_STEPS = 200000   # rho steps before principal_generator gives up
-
-
 def _translate(a: int, b: int, c: int, sqD: int | None) -> tuple:
     """(a, b', c') on the lattice of (a, b, c): b' = b mod 2a in (-a, a]
-    for D < 0 (sqD None), as normalize_indefinite puts it for D > 0
+    for D < 0 (sqD None), as translate_indefinite puts it for D > 0
     (sqD = isqrt(D))."""
     if sqD is not None:
-        return _translate_indefinite(a, b, c, sqD)
+        return translate_indefinite(a, b, c, sqD)
     r = b % (2 * a)
     if r > a:
         r -= 2 * a
@@ -351,13 +347,14 @@ class TrackedIdeal:
     the tracked ideal is (gamma).
 
     A walk starts as TrackedIdeal(f, one), and gamma stays in the carrier
-    of `one`: any value with mul(other), scale(n) for an integer n, and
-    rho(b, c), the product with (b - sqrt(D)) / (2c), will do. pram
-    carries gamma locally above p that way (its _Gamma, for every
-    splitting type), for relation generators and fundamental units alike.
-    `reduce` and `principal_generator` step the form as integers (a, b, c)
-    beside the carrier, with isqrt(D) taken once per walk, and build no
-    TrackedIdeal on the way.
+    of `one`: any value with mul(other), div(other), scale(n) for an
+    integer n, and rho(b, c), the product with (b - sqrt(D)) / (2c), will
+    do. pram carries gamma locally above p that way (its _Gamma, for every
+    splitting type), for relation generators and fundamental units alike,
+    and takes a real relation's generator as one div by the gamma its
+    reduced form has on the principal cycle.  `reduce` steps the form as
+    integers (a, b, c) beside the carrier, with isqrt(D) taken once per
+    walk, and builds no TrackedIdeal on the way.
     """
     form: QuadForm
     gamma: object
@@ -394,22 +391,16 @@ class TrackedIdeal:
         raise RuntimeError(f"reduction stuck on {self.form}")
 
     def principal_generator(self):
-        """Generator of the tracked ideal, in gamma's carrier; ValueError
-        if the ideal is not principal."""
+        """Generator of the tracked ideal for D < 0, in gamma's carrier:
+        the one reduced principal form is the principal form, a = 1.
+        ValueError if the ideal is not principal, or if D > 0: a real
+        ideal's generator is its reduced form's entry in the table of its
+        principal cycle (pram.fundamental_unit)."""
+        if self.form.disc() > 0:
+            raise ValueError("a real ideal's generator comes from the table "
+                             "of its principal cycle")
         cur = self.reduce()
-        start, gamma = cur.form, cur.gamma
-        a, b, c = start
-        D = start.disc()
-        sqD = isqrt(D) if D > 0 else None
-        steps = 0
-        while abs(a) != 1:
-            if D < 0 or steps > PRINCIPAL_WALK_STEPS:
-                raise ValueError("ideal is not principal (or walk exhausted)")
-            gamma = gamma.rho(b, c)
-            a, b, c = _translate(c, -b, a, sqD)
-            steps += 1
-            if (a, b, c) == start:
-                # back at the start of the reduced cycle without |a| = 1
-                raise ValueError("ideal is not principal")
+        if cur.form.a != 1:
+            raise ValueError("ideal is not principal")
         # value = gamma * ideal(form) = gamma * O = (gamma)
-        return gamma
+        return cur.gamma

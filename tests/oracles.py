@@ -15,9 +15,12 @@ lattice read off the whole kernel, a unit coordinate for every vector,
 beside zlin's kernel modulo a lattice, the order of a quotient from the
 Hermite diagonal beside the Smith form's, the (O/p^n)^x discrete log
 with per-call division, an exact-integer series and lattice solves
-beside pram's table lookup and fixed-precision series, and the generators
+beside pram's table lookup and fixed-precision series, the generators
 of (O/p^n)^x as elements, its base ones from an exact-integer p-adic
-exponential, which pram's coordinates never need.
+exponential, which pram's coordinates never need, and a real ideal's
+generator walked along its cycle to the next |a| = 1, from a product
+taken one factor at a time, beside pram's one walk of the principal
+cycle and its table of every reduced principal ideal.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import pytest
 from epsclass import pram, quadclass
 from epsclass.abgroup import power
 from epsclass.arith import factor, prime_sieve, vp
-from epsclass.quadforms import QuadForm
+from epsclass.quadforms import QuadForm, TrackedIdeal, principal_form
 from epsclass.zlin import (hnf_columns, identity, kernel_columns,
                            solve_lattice, xgcd)
 
@@ -52,6 +55,11 @@ class QuadElt:
         return QuadElt(self.x * other.x + self.y * other.y * self.D,
                        self.x * other.y + self.y * other.x, self.D)
 
+    def div(self, other: "QuadElt") -> "QuadElt":
+        n = other.norm()
+        return QuadElt((self.x * other.x - self.y * other.y * self.D) / n,
+                       (self.y * other.x - self.x * other.y) / n, self.D)
+
     def scale(self, n) -> "QuadElt":
         return QuadElt(self.x * n, self.y * n, self.D)
 
@@ -63,6 +71,10 @@ class QuadElt:
     def norm(self) -> Fraction:
         return self.x * self.x - self.y * self.y * self.D
 
+    def is_unit(self) -> bool:
+        """Integral (trace and norm in Z) with norm +-1."""
+        return (2 * self.x).denominator == 1 and abs(self.norm()) == 1
+
     @classmethod
     def one(cls, D: int) -> "QuadElt":
         return cls(Fraction(1), Fraction(0), D)
@@ -70,6 +82,46 @@ class QuadElt:
     @classmethod
     def integer(cls, n, D: int) -> "QuadElt":
         return cls(Fraction(n), Fraction(0), D)
+
+
+# ------------------------------------------ real generators by cycle walks
+
+PRINCIPAL_WALK_STEPS = 200000   # rho steps before walk_generator gives up
+
+
+def walk_generator(t: TrackedIdeal):
+    """The generator of t's ideal, D > 0, in gamma's carrier, the way
+    TrackedIdeal.principal_generator found it before pram's principal
+    cycle table: from t's reduced form along its cycle to the next form
+    with |a| = 1, whose ideal is O.  ValueError if the walk comes back to
+    its start first (the ideal is not principal) or runs out of steps."""
+    cur = t.reduce()
+    start = cur.form
+    for _ in range(PRINCIPAL_WALK_STEPS):
+        if abs(cur.form.a) == 1:
+            return cur.gamma
+        cur = cur.rho_step()
+        if cur.form == start:
+            raise ValueError("ideal is not principal")
+    raise ValueError("walk exhausted")
+
+
+def walk_relation(forms, col, D: int) -> tuple:
+    """(beta, den) with prod_j I_j^{c_j} = (beta / den) exactly, for the
+    forms I_j (a > 0) of real D: the product taken one factor at a time
+    from O, conj(I_j) = (a_j) / I_j for c_j < 0 as in pram._lift_relation,
+    and its generator walked (walk_generator) rather than looked up."""
+    one = QuadElt.one(D)
+    t, den = TrackedIdeal(principal_form(D), one), 1
+    for f, c in zip(forms, col):
+        if c < 0:
+            f = f.inverse()
+            den *= f.a ** -c
+        for _ in range(abs(c)):
+            if t.form.a < 0:
+                t = t.rho_step()
+            t = t.mul(TrackedIdeal(f, one)).reduce()
+    return walk_generator(t), den
 
 
 def squarefree_core(n: int) -> tuple[int, int]:

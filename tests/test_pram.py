@@ -5,17 +5,18 @@ from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from epsclass import arith, pram, quadclass, zlin
 from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import kronecker
-from epsclass.quadforms import TrackedIdeal
+from epsclass.quadforms import (QuadForm, TrackedIdeal, cycle_indefinite,
+                                principal_form, reduce_indefinite)
 from epsclass.quadclass import isqrt_float
 from oracles import (QuadElt, lattice_index, log_kmax,  # noqa: F401
                      residue_dlog_reference, residue_generators,
-                     whole_group, whole_groups)
+                     walk_relation, whole_group, whole_groups)
 
 
 # ------------------------------------------------------------ residue units
@@ -405,7 +406,7 @@ def _exact_unit(m):
     """(x, y, norm) with eps = (x + y*sqrt(m))/2 the fundamental unit > 1,
     from the cycle walk with the exact carrier."""
     D = quadclass.fundamental_discriminant(m).value
-    g = pram.fundamental_unit(D, QuadElt.one(D))
+    g, _ = pram.fundamental_unit(D, QuadElt.one(D))
     # +-eps^(+-1) = +-(x +- y*sqrt(m))/2 for eps > 1, x, y > 0
     x, y = abs(2 * g.x), abs(2 * g.y if m % 4 == 1 else 4 * g.y)
     assert x.denominator == y.denominator == 1
@@ -422,7 +423,7 @@ def _exact_units(D):
     elif D == -4:
         units.append(QuadElt(Fraction(0), Fraction(1, 2), D))
     elif D > 0:
-        units.append(pram.fundamental_unit(D, QuadElt.one(D)))
+        units.append(pram.fundamental_unit(D, QuadElt.one(D))[0])
     return units
 
 
@@ -436,9 +437,9 @@ def test_fundamental_unit():
 
 def _assert_unit_image(D, p, top):
     frame = pram._LocalFrame(D, p, top)
-    exact = pram.fundamental_unit(D, QuadElt.one(D))
+    exact, _ = pram.fundamental_unit(D, QuadElt.one(D))
     assert exact.norm() in (1, -1) and exact.y != 0, D
-    assert pram.fundamental_unit(D, frame.one).unit() == \
+    assert pram.fundamental_unit(D, frame.one)[0].unit() == \
         _from_quadelt(frame.ring, exact), (D, p)
 
 
@@ -457,16 +458,114 @@ def test_unit_images_at_large_regulators(m):
                        pram.top_level(2))
 
 
+# ------------------------------------------------ the principal cycle table
+
+class _RhoSteps:
+    """A gamma carrier that logs the rho steps taken on it."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def mul(self, other):
+        return self
+
+    div = mul
+
+    def scale(self, n):
+        return self
+
+    def rho(self, b, c):
+        self.log.append((b, c))
+        return self
+
+
+def _cycle(D, one):
+    """The principal cycle's table of real D in the carrier of `one`,
+    None for imaginary D: the last argument of pram._lift_relation."""
+    return pram.fundamental_unit(D, one)[1] if D > 0 else None
+
+
+def test_principal_cycle_table_covers_the_principal_ideals():
+    # the walk passes one period of the principal ideals: its table holds
+    # every reduced form of the principal cycle and of the negated one,
+    # as (|a|, b, |c|), and it stops at the first |a| = 1 after the start
+    for D in _fundamental(5, 5001):
+        log = []
+        _, table = pram.fundamental_unit(D, _RhoSteps(log))
+        P = reduce_indefinite(principal_form(D))
+        cyc = cycle_indefinite(P)
+        neg = cycle_indefinite(QuadForm(-P.a, P.b, -P.c))
+        assert set(table) == \
+            {(abs(a), b, abs(c)) for a, b, c in cyc + neg}, D
+        first = next((i for i, f in enumerate(cyc) if i and abs(f.a) == 1),
+                     len(cyc))
+        assert len(log) == first == len(table) <= len(cyc), D
+
+
+@seed(44)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), p=st.sampled_from([2, 3, 5]))
+@example(seed=0, p=2)
+def test_table_generators_match_the_reference_walk(seed, p):
+    # every relation generator of a real field, as its product's gamma over
+    # the table's, generates the ideal the reference walk's generator does
+    # (a product one factor at a time, walked to the next |a| = 1): their
+    # quotient is a unit
+    rng = random.Random(seed)
+    while True:
+        try:
+            D = quadclass.as_disc(rng.randrange(5, 10 ** 6 + 1)).value
+            break
+        except ValueError:
+            pass
+    cd = pram._class_data(D, p)
+    forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
+    one = QuadElt.one(D)
+    cycle = _cycle(D, one)
+    for col, _ in cd.relations:
+        beta, den = pram._lift_relation(forms, col, one, cycle)
+        walked, wden = walk_relation(forms, col, D)
+        assert den == wden and beta.div(walked).is_unit(), (D, p, col)
+
+
+def test_real_class_data_walk_the_principal_cycle_once(monkeypatch):
+    # one gamma walk per real field, the unit's, and no principal_generator
+    # call: every relation generator is one lookup in its table
+    calls = {"fundamental_unit": 0, "principal_generator": 0}
+
+    def counted(owner, name):
+        f = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(pram, "fundamental_unit",
+                        counted(pram, "fundamental_unit"))
+    monkeypatch.setattr(TrackedIdeal, "principal_generator",
+                        counted(TrackedIdeal, "principal_generator"))
+    fields = [(D, p) for D in (5, 40, 229, 1365, 1969) for p in (2, 3)]
+    for D, p in fields:
+        pram._class_data.cache_clear()
+        assert pram._class_data(D, p).relations
+    assert calls == {"fundamental_unit": len(fields),
+                     "principal_generator": 0}
+
+
 # ----------------------------------------------------- class-group relations
 
 def _exact_relations(cd):
     """The exact generator alpha of each relation of cd, prod I^c = (alpha):
-    the relation walk run with the exact QuadElt carrier, the reference
-    for the images pram takes from its local walk."""
+    the relation products and the principal cycle's table run with the
+    exact QuadElt carrier, the reference for the images pram takes from
+    its local ones."""
     forms = [pram._coprime_rep(f, cd.p) for f in cd.pres.gens]
+    one = QuadElt.one(cd.D)
+    cycle = _cycle(cd.D, one)
     out = []
     for col, _ in cd.relations:
-        beta, den = pram._lift_relation(forms, col, QuadElt.one(cd.D))
+        beta, den = pram._lift_relation(forms, col, one, cycle)
         out.append(beta.scale(Fraction(1, den)))
     return forms, out
 
@@ -561,6 +660,8 @@ class _DeepestC:
     def mul(self, other):
         return _DeepestC(self.p, max(self.top, other.top))
 
+    div = mul
+
     def scale(self, n):
         return self
 
@@ -572,10 +673,11 @@ def _deepest_c(cd):
     """The largest v_p(c) over the walks of cd's relations and unit."""
     forms = [pram._coprime_rep(f, cd.p) for f in cd.pres.gens]
     one = _DeepestC(cd.p)
-    walks = [pram._lift_relation(forms, col, one)[0]
+    cycle = _cycle(cd.D, one)
+    walks = [pram._lift_relation(forms, col, one, cycle)[0]
              for col, _ in cd.relations]
     if cd.D > 0:
-        walks.append(pram.fundamental_unit(cd.D, one))
+        walks.append(pram.fundamental_unit(cd.D, one)[0])
     return max((w.top for w in walks), default=0)
 
 
@@ -614,9 +716,23 @@ def _assert_local_walk_rejects_non_principal_column(D, p):
     cd = pram._class_data(D, p)
     forms = [pram._coprime_rep(f, p) for f in cd.pres.gens]
     assert cd.pres.orders[0] > 1
+    col = [1] + [0] * (len(forms) - 1)
     frame = pram._LocalFrame(D, p, 4)
     with pytest.raises(pram.PramError, match="not principal"):
-        pram._lift_relation(forms, [1] + [0] * (len(forms) - 1), frame.one)
+        pram._lift_relation(forms, col, frame.one, _cycle(D, frame.one))
+    # a real product missing from the principal cycle's table is refused
+    # with the rho steps of its own reduction and no walk beyond them
+    if D > 0:
+        log = []
+        one = _RhoSteps(log)
+        cycle = _cycle(D, one)
+        del log[:]
+        TrackedIdeal(forms[0], one).reduce()
+        steps = len(log)
+        del log[:]
+        with pytest.raises(pram.PramError, match="not principal"):
+            pram._lift_relation(forms, col, one, cycle)
+        assert len(log) == steps
     # nor is an element with a valuation above p an image
     with pytest.raises(pram.PramError, match="valuation"):
         frame.one.scale(p).unit()
@@ -1129,16 +1245,20 @@ def _pow_reductions(e):
 @pytest.mark.parametrize("D", [-1000036, -1000011, -1155, 221])
 def test_relation_walk_reduces_each_form_once(reduce_calls, D):
     # each power reduces its entry, each square and each product once,
-    # every product of powers once, and principal_generator the end once
-    # more
+    # every product of powers once, and for imaginary D principal_generator
+    # the end once more; a real product is looked up in the principal
+    # cycle's table as it is
     cd = pram._class_data(D, 2)
     forms = [pram._coprime_rep(f, 2) for f in cd.pres.gens]
+    one = QuadElt.one(D)
+    cycle = _cycle(D, one)
     for col, _ in cd.relations:
         nonzero = [abs(c) for c in col if c]
         reduce_calls[0] = 0
-        pram._lift_relation(forms, col, QuadElt.one(D))
+        pram._lift_relation(forms, col, one, cycle)
+        want = sum(map(_pow_reductions, nonzero)) + len(nonzero) - 1
         assert reduce_calls[0] == \
-            sum(map(_pow_reductions, nonzero)) + len(nonzero), (D, col)
+            (want + (D < 0) if nonzero else 0), (D, col)
 
 
 @pytest.fixture
@@ -1147,9 +1267,9 @@ def walks(monkeypatch):
     calls = []
     real = pram._lift_relation
 
-    def wrapped(forms, col, one):
+    def wrapped(forms, col, one, cycle):
         calls.append(list(col))
-        return real(forms, col, one)
+        return real(forms, col, one, cycle)
     monkeypatch.setattr(pram, "_lift_relation", wrapped)
     return calls
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epsclass import quadforms, zlin
+from epsclass import pram, quadforms, zlin
 from epsclass.quadclass import ENUM_CAP, scan_arrays
 from epsclass.quadforms import (
     ENUM_INT64_LIMIT,
@@ -23,7 +23,8 @@ from epsclass.quadforms import (
     reduce_indefinite,
     reduced_forms_imaginary,
 )
-from oracles import QuadElt, is_reduced_indefinite, reduced_forms_indefinite
+from oracles import (QuadElt, is_reduced_indefinite, reduced_forms_indefinite,
+                     walk_generator)
 
 
 def _assert_matches_loop(D):
@@ -330,11 +331,20 @@ def test_principal_generator_imaginary():
 
 
 def test_principal_generator_real():
-    # D=316 (m=79): class number 3 (ordinary h=3), narrow h=6?
-    # use D=40 (m=10): h=2, form (2, 4, -3)^2 principal
+    # D=40 (m=10): h=2, form (2, 4, -3)^2 principal.  TrackedIdeal refuses
+    # a real ideal, whose generator is its reduced form's entry in pram's
+    # table of the principal cycle: that generator and the reference
+    # walk's both have the ideal's norm 4, and differ by a unit
     f = QuadForm(2, 4, -3)
     assert f.disc() == 40
-    t = TrackedIdeal(f, QuadElt.one(f.disc()))
+    one = QuadElt.one(40)
+    t = TrackedIdeal(f, one)
     sq = t.mul(t)
-    gen = sq.principal_generator()
-    assert abs(gen.norm()) == 4
+    with pytest.raises(ValueError, match="principal cycle"):
+        sq.principal_generator()
+    walked = walk_generator(sq)
+    r = sq.reduce()
+    a, b, c = r.form
+    gen = r.gamma.div(pram.fundamental_unit(40, one)[1][abs(a), b, abs(c)])
+    assert abs(walked.norm()) == abs(gen.norm()) == 4
+    assert gen.div(walked).is_unit()
