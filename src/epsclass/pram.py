@@ -14,7 +14,10 @@ two layers for every splitting type: (O/p^k)^x over 1 + p^k O, k = 2
 for p = 2 and 1 otherwise, its top a box of p^(2k) points enumerated
 point by point, its base made additive by the p-adic logarithm: a unit
 is read as coordinates, never rebuilt from generators, so no p-adic
-exponential is taken.
+exponential is taken.  Each ring keeps (O/p^n)^x / <-1> as its cyclic
+factors (Cohen, GTM 193, 4.2), from one Smith form with its transform,
+so that a ray class level stacks those few factors, not every
+coordinate of the two layers.
 
 Every result here reads p-parts only, so for imaginary D the class data
 present only the p-Sylow subgroup Cl_p of Cl: its preimage in Cl_{p^n}
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import gcd, isqrt, log, prod
+from itertools import accumulate, repeat
+from math import gcd, isqrt, lcm, log, prod
+from operator import mul as times
 from typing import Iterable, Iterator
 
 from . import zlin
@@ -128,9 +133,11 @@ def _check_modulus(p: int, n: int) -> None:
     the modulus p^n of every (O/p^n)^x and ray class group here.  A ring's
     top (O/p^k)^x over 1 + p^k O, k = 2 for p = 2 and 1 otherwise, is a
     box of p^(2k) points for every splitting type, and units_mod keeps
-    256 rings.  At n = 8 one ring holds 0.3-0.5 MB at p = 31, 4.1-4.2 MB
-    at p = 101 and 21 MB at p = 211 (tracemalloc), growing as p^2, so a
-    larger p is refused before any ring is built."""
+    256 rings.  At n = 8 one ring holds 0.21-0.23 MB at p = 31, 3.5-3.8
+    MB at p = 101 and 18-19 MB at p = 211 beyond its top, which the rings
+    of one D mod 4p^k share and which about doubles the first ring's
+    (tracemalloc), growing as p^2, so a larger p is refused before any
+    ring is built."""
     if not (p in _MODULUS_PRIMES and 1 <= n <= top_level(p)):
         raise ValueError(f"the modulus p^n needs a prime p and n >= 1, "
                          f"with p <= 31 and n <= top_level(p) = "
@@ -159,31 +166,32 @@ def _series_terms(p: int, n: int, k: int) -> tuple:
 
 
 class ResidueUnits:
-    """(O/p^n)^x as a relation lattice over its dlog coordinates.
+    """(O/p^n)^x / <-1> as its cyclic factors, with a dlog onto them.
 
     Two layers over one base for every splitting type, 1 + p^k O with k =
     2 for p = 2 and 1 otherwise (k = n if n is smaller): the top
-    (O/p^k)^x, the unit points of the box [0, p^k)^2 of p^(2k) points,
-    enumerated into one ClassGroupPresentation; and the base 1 + p^k O,
-    handled additively through the p-adic logarithm, which maps it onto
-    p^k O since v_P(p^k) = ek > e/(p - 1) at a prime P of ramification
-    index e.  A unit's coordinates, `ngens` of them, are its exponents
-    over the top generators and the coordinates of its base log over p^k
-    and p^k omega.  A top relation holds mod p^k only, so its column
-    carries the base coordinates of the quotient.
+    (O/p^k)^x, the unit points of the box [0, p^k)^2 (_box_units); and the
+    base 1 + p^k O, handled additively through the p-adic logarithm, which
+    maps it onto p^k O since v_P(p^k) = ek > e/(p - 1) at a prime P of
+    ramification index e.  Over the layers a unit has `ngens` coordinates,
+    its exponents over the top generators, as units mod q `lifts` (-1
+    itself for -1's point, the first), and its base log over p^k and p^k
+    omega; `rel_cols` are their relations, a top one carrying the base
+    coordinates of its quotient, since it holds mod p^k only.
 
-    `dlog` looks the unit's point of the box up in a table built once per
-    group, which holds its top exponents and the inverse of their word in
-    the top generators; one product takes the unit into the base, whose
-    log, a short series at fixed precision, has its coordinates over p^k O
-    by one exact division each.
-
-    `hermite` is the Hermite basis of the relation columns and of the
-    image of -1, a unit of every field: ray_class_group puts it into its
-    Smith form, and Z^ngens over it is (O/p^n)^x / <-1>, of order `index`,
-    the product of its diagonal.  The build takes no other elimination:
-    `index` times the order of -1 (2 unless q = 2) must be the group's
+    The build takes one elimination, the Smith form of -1's coordinates
+    and `rel_cols` with its column transform V (Cohen, GTM 193, 4.2): x ->
+    x V takes the coordinates onto the cyclic factors s_1 | s_2 | ... of
+    (O/p^n)^x / <-1>, and `factors` keeps those above 1.  `index`, their
+    product, times the order of -1 (2 unless q = 2) must be the group's
     theoretical order.
+
+    `dlog` gives a unit's coordinates over `factors`, each reduced mod its
+    factor: a table built once per group holds each point of the box with
+    its top exponents already taken through V and the inverse of their
+    word; one product takes the unit into the base, whose log, a short
+    series at fixed precision, has its coordinates over p^k O by one exact
+    division each, and they enter through V's two base rows.
 
     The group depends only on the ring O/p^n, hence only on D mod 4p^n;
     `units_mod` builds it once per ring per process.
@@ -193,7 +201,7 @@ class ResidueUnits:
         _check_modulus(p, n)
         self.ring = ResidueRing(D, p, n)
         self.D, self.p, self.n = D, p, n
-        k = min(2 if p == 2 else 1, n)
+        self.k = k = min(2 if p == 2 else 1, n)
         self.pk = p ** k
         st = splitting_type(D, p)
         # theoretical order
@@ -227,62 +235,100 @@ class ResidueUnits:
             s1 += b // pv * c
         return (s0 % q, s1 % q)
 
+    def _base(self, x: int, y: int) -> tuple:
+        """The coordinates of x + y*omega in the base 1 + p^k O over p^k
+        and p^k omega: its log divided by p^k."""
+        if x == 1 and y == 0:
+            return 0, 0
+        pk = self.pk
+        if (x - 1) % pk or y % pk:
+            raise PramError("element is not in the base layer")
+        a, b = self._log((x, y))
+        return a // pk, b // pk
+
     def _build(self):
         R, pk, q = self.ring, self.pk, self.ring.q
-        # top: (O/p^k)^x, the unit points of the box [0, p^k)^2
-        def canon(u):
-            return (u[0] % pk, u[1] % pk)
-
-        def op(a, b):
-            return canon(R.mul(a, b))
-
-        units = [(i, j) for i in range(pk) for j in range(pk)
-                 if R.is_unit((i, j))]
-        top = ClassGroupPresentation.staircase(canon(R.one), canon, op, units)
+        mul = R.mul
+        top, points = _box_units(self.p, self.k, self.D % (4 * pk))
         self._top = top
-        # each unit point -> (its top exponents v, 1 / prod_j top.gens[j]^v_j
-        # mod q), which takes a unit on that point into the base
-        self._table = {}
-        for c in units:
-            v, w = top.dlog(c), R.one
-            for g, e in zip(top.gens, v):
+        # the top generators as units mod q: -1 itself for -1's point, so
+        # that neither -1 nor its relation (-1)^2 = 1 sums a series
+        self.lifts = tuple((q - 1, 0) if g == (pk - 1, 0) else g
+                           for g in top.gens)
+        # each unit point -> (its top exponents v, 1 / prod_j lifts[j]^v_j
+        # mod q), which takes a unit on that point into the base; with the
+        # powers g^-e of each lift at hand, a product per letter
+        inv_powers = [list(accumulate(repeat(R.inv(g), o - 1), mul,
+                                      initial=R.one))
+                      for g, o in zip(self.lifts, top.orders)]
+        table = self._table = {}
+        for c, v in points:
+            w = R.one
+            for e, row in zip(v, inv_powers):
                 if e:
-                    w = R.mul(w, power(g, e, R.mul))
-            self._table[c] = (v, R.inv(w))
+                    w = mul(w, row[e])
+            table[c] = (v, w)
+
+        def coords(u):
+            v, w = table[top.canon(u)]
+            return [*v, *self._base(*mul(u, w))]
 
         # relations: g_i^{o_i} = prod_j g_j^{w_ij} holds mod p^k only, so
-        # each top column carries the base coordinates of the quotient, the
-        # base part of dlog(g_i^{o_i}); the base p^k O / p^n O has the
-        # columns p^k and p^k omega, both 0 mod q when k = n.  Tuples,
-        # because one group is shared by every field of the ring
+        # each top column carries the base coordinates of the quotient; the
+        # base p^k O / p^n O has the columns p^k and p^k omega, both 0 mod
+        # q when k = n.  Tuples, because one group is shared by every field
+        # of the ring
         nt = len(top.gens)
         self.ngens = ng = nt + 2
-        cols = [col + [-e for e in self.dlog(power(g, o, R.mul))[nt:]]
-                for col, g, o in zip(top.relation_columns(), top.gens,
+        cols = [col + [-e for e in coords(power(g, o, mul))[nt:]]
+                for col, g, o in zip(top.relation_columns(), self.lifts,
                                      top.orders)]
         cols += [[0] * nt + [q // pk, 0], [0] * nt + [0, q // pk]]
         self.rel_cols = tuple(map(tuple, cols))
-        # -1 is a unit of every field of the ring, so ray_class_group
-        # starts from the Hermite basis of the relations and its image
-        H = self.hermite = tuple(map(tuple, zlin.hnf_columns(
-            cols + [self.dlog((q - 1, 0))])))
-        index = prod(h[i] for i, h in enumerate(H)) if len(H) == ng else 0
+        # -1 is a unit of every field of the ring, so the factors are
+        # those of the group modulo -1
+        s, forms = zlin.smith_diagonal([coords((q - 1, 0)), *cols],
+                                       transform=True)
+        lo = s.count(1)
+        self.factors = fs = tuple(s[lo:])
+        index = prod(fs) if len(s) == ng else 0
         if index * (2 if q > 2 else 1) != self.order:
             raise PramError(f"residue unit group order {index} * ord(-1) "
                             f"!= theoretical {self.order}")
         self.index = index
+        forms = forms[lo:ng]
+        self._base_rows = [[f[nt] for f in forms], [f[nt + 1] for f in forms]]
+        # the top exponents taken through V's top rows, unreduced
+        self._table = {c: (tuple(sum(map(times, v, f)) for f in forms), w)
+                       for c, (v, w) in table.items()}
 
     def dlog(self, u) -> tuple:
         hit = self._table.get(self._top.canon(u))
         if hit is None:
             raise PramError(f"not a unit mod p^n: {u}")
         v, w = hit
-        x, y = self.ring.mul(u, w)
-        pk = self.pk
-        if (x - 1) % pk or y % pk:
-            raise PramError("element is not in the base layer")
-        a, b = self._log((x, y))
-        return v + (a // pk, b // pk)
+        a, b = self._base(*self.ring.mul(u, w))
+        r, t = self._base_rows
+        return tuple([(x + a * y + b * z) % f
+                      for x, y, z, f in zip(v, r, t, self.factors)])
+
+
+@lru_cache(maxsize=256)
+def _box_units(p: int, k: int, r: int) -> tuple:
+    """(top, points) for every ring whose D = r mod 4p^k, which fixes the
+    product mod p^k: (O/p^k)^x, the unit points of the box [0, p^k)^2, in
+    one staircase bounded by their count, -1's point its first generator
+    unless p^k = 2, and each point with its exponents."""
+    R = ResidueRing(r, p, k)
+    pk = R.q
+
+    def canon(u):
+        return (u[0] % pk, u[1] % pk)
+
+    units = [(i, j) for i in range(pk) for j in range(pk) if R.is_unit((i, j))]
+    top = ClassGroupPresentation.staircase(R.one, canon, R.mul,
+                                           [(pk - 1, 0), *units], len(units))
+    return top, tuple((c, top.dlog(c)) for c in units)
 
 
 # bounded: where 4p^n exceeds the scanned range of D, as in tor-scan
@@ -300,10 +346,10 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
     and the splitting type only D mod 8 (p = 2) or mod p: D mod 4p^n
     fixes both.
     The group is built from that residue, so it holds no field's own D,
-    and callers only read it: its coordinate count, its relations, its
-    Hermite basis with -1 and its dlog table serve every field of the
-    ring, and nothing of a field's own (eps, relation images) is kept with
-    it.  ValueError unless p <= 31 is prime and 1 <= n <= top_level(p).
+    and callers only read it: its cyclic factors modulo -1 and its dlog
+    onto them serve every field of the ring, and nothing of a field's own
+    (eps, relation images) is kept with it.  ValueError unless p <= 31 is
+    prime and 1 <= n <= top_level(p).
     """
     _check_modulus(p, n)
     return _ring_units(p, n, D % (4 * p ** n))
@@ -531,7 +577,7 @@ class _ClassData:
     #                   with alpha = x + y*omega mod p^top_level(p)
     units: list       # (x, y) mod p^top_level(p), the images of zeta
     #                   (D = -3, -4) or eps (D > 0): the units beyond -1,
-    #                   which every ring's ResidueUnits.hermite holds
+    #                   which every ring's ResidueUnits.factors leave out
 
 
 @lru_cache(maxsize=1)
@@ -588,32 +634,37 @@ def ray_class_group(D, p: int, n: int) -> AbelianGroupStructure:
     the global units and the class-group relations, for 1 <= n <=
     top_level(p) (ValueError otherwise, before any class group is built).
     (O/p^n)^x comes from `units_mod`, built once per ring D mod 4p^n per
-    process and shared with its Hermite basis of the relations and -1;
-    one Smith form takes that basis, zeta or eps when the field has one,
-    and the class relations, whose generators' images mod p^top_level(p),
-    from _class_data, are reduced mod p^n.  The index [(O/p^n)^x : image
-    of the units] is the product of the basis's diagonal divided by the
-    order of zeta's or eps's image modulo the basis, and the order
+    process, as its cyclic factors s_1 | ... | s_m modulo -1.  One Smith
+    form over m + t coordinates, t the class group's generators, takes
+    diag(s), zeta or eps when the field has one, and the class relations,
+    whose generators' images mod p^top_level(p), from _class_data, are
+    reduced mod p^n; with neither, the group is the ring's chain.  The
+    index [(O/p^n)^x : image of the units] is prod s over the order of
+    zeta's or eps's image u, lcm s_i / gcd(u_i, s_i), and the order
     identity of the ray class sequence is checked exactly."""
     _check_modulus(p, n)
     d = as_disc(D)
     cd = _class_data(d, p)
     G = units_mod(d.value, p, n)
     q = G.ring.q
-    ng, t = G.ngens, len(cd.pres.gens)
-    # the ring's basis holds -1, so its index is that of -1's image; zeta
-    # or eps, at most one, divides it by its order modulo the basis
-    local = G.hermite
+    fs, t = G.factors, len(cd.pres.gens)
+    m = len(fs)
     index = G.index
-    cols = [list(c) + [0] * t for c in local]
-    if cd.units:
-        (x, y), = cd.units
-        u = G.dlog((x % q, y % q))
-        index //= zlin.order_modulo(local, u)
-        cols.append(list(u) + [0] * t)
-    for col, (x, y) in cd.relations:
-        cols.append([-e for e in G.dlog((x % q, y % q))] + col)
-    st = AbelianGroupStructure.from_relation_matrix(cols, ng + t)
+    if not (cd.units or cd.relations):
+        st = AbelianGroupStructure(fs[::-1])
+    else:
+        cols = [[0] * i + [f] + [0] * (m - 1 - i + t)
+                for i, f in enumerate(fs)]
+        # the factors leave -1 out; zeta or eps, at most one, divides the
+        # index by its order
+        if cd.units:
+            (x, y), = cd.units
+            u = G.dlog((x % q, y % q))
+            index //= lcm(*(f // gcd(e, f) for e, f in zip(u, fs)))
+            cols.append(list(u) + [0] * t)
+        for col, (x, y) in cd.relations:
+            cols.append([-e for e in G.dlog((x % q, y % q))] + col)
+        st = AbelianGroupStructure.from_relation_matrix(cols, m + t)
     # exact order identity of the ray class sequence
     # 1 -> (O/p^n)^x / image of the units -> Cl_{p^n} -> Cl -> 1
     if st.order != cd.structure.order * index:

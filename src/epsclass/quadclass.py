@@ -33,7 +33,7 @@ Both presentations give pram the same interface, Presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from math import ceil, erfc, exp, fsum, gcd, isqrt, log, pi, prod, sqrt
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -183,12 +183,14 @@ class ClassGroupPresentation(Presentation):
         adjoined in order when not yet in the closure; identity is
         canonical too.  It stops once it holds `order` classes, before it
         draws another element, so a lazy iterable computes no element
-        more; with no order it draws every one."""
+        more; with no order it draws every one.  With an order, adjoin
+        raises ValueError where the closure would outgrow it, as it does
+        for a set that is not a group."""
         pres = cls([], [], [], {identity: ()}, canon, op)
         elements = iter(elements)
         while pres.h != order and (e := next(elements, None)) is not None:
             if e not in pres.dlog_table:
-                pres.adjoin(e)
+                pres.adjoin(e, order)
         return pres
 
     @property
@@ -202,16 +204,26 @@ class ClassGroupPresentation(Presentation):
     # a name of its own, under which perfbench's layer trace times it
     structure = Presentation.structure
 
-    def adjoin(self, e) -> None:
+    def adjoin(self, e, order: Optional[int] = None) -> None:
         """Add the canonical generator e: find its order o over the current
         closure (e^o = word in earlier gens) and extend the dlog table.
+        ValueError once the walk passes order // h, the most that o can be
+        in a group of `order` classes: the closure would outgrow it.
 
         Costs one op per new class: a single walk gives e^2, ..., e^o, and
         e, ..., e^(o-1) are the identity's row."""
         dlog, op = self.dlog_table, self.op
-        powers = [e]
-        while powers[-1] not in dlog:
-            powers.append(op(powers[-1], e))
+        x, powers = e, [e]
+        for _ in (repeat(None) if order is None else
+                  repeat(None, order // len(dlog) - 1)):
+            if x in dlog:
+                break
+            x = op(x, e)
+            powers.append(x)
+        else:
+            if x not in dlog:
+                raise ValueError(f"a power walk passed {len(powers)} steps "
+                                 f"in a group of order {order}")
         k = len(powers)
         word = dlog[powers.pop()]
         idx = len(self.gens)

@@ -8,8 +8,8 @@ arithmetic are fine.  Matrices, as `mat_mul` multiplies them, are lists
 of rows.
 
 A basis is echelon: `hnf_columns` returns vectors whose first nonzero
-coordinates strictly increase, and `solve_lattice` and `order_modulo`
-accept only such a basis, solving by integer forward substitution.
+coordinates strictly increase, and `solve_lattice` accepts only such a
+basis, solving by integer forward substitution.
 `smith_diagonal` takes no Hermite form: it is one elimination in place,
 with no alternation of Hermite forms of the vectors and of their
 transpose (Kannan and Bachem).
@@ -22,7 +22,7 @@ from math import gcd
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -138,7 +138,7 @@ def solution_lattice(A, B) -> list[list[int]]:
     return hnf_columns(kernel_columns(A, B))
 
 
-def smith_diagonal(vectors) -> list[int]:
+def smith_diagonal(vectors, transform: bool = False):
     """Nonzero elementary divisors of the vectors in divisibility order
     d1 | d2 | ...
 
@@ -155,9 +155,21 @@ def smith_diagonal(vectors) -> list[int]:
       next pivot; a pivot alone in its row and column splits off.
     gcd/lcm exchanges then make the divisors a chain, unless sorting
     already did.
+
+    With transform, (divisors, forms): for vectors of n coordinates, the
+    n columns w_1, ..., w_n of a unimodular matrix, such that x -> (x.w_1,
+    ..., x.w_n) maps the lattice of the vectors onto d1 Z + ... + dr Z in
+    its first r coordinates: Z^n modulo that lattice is sum Z/d_i plus the
+    last n - r coordinates, free.  The same elimination, with every column
+    step (a unit pivot's too, which clear its row) and every gcd/lcm
+    exchange applied to the forms.
     """
     A = [list(v) for v in vectors if any(v)]
     d = []
+    if transform:
+        n = len(vectors[0]) if vectors else 0
+        # the forms: W beside A's columns, split beside d
+        W, split = identity(n), []
     while A:
         for i, a in enumerate(A):
             if 1 in a:
@@ -175,6 +187,9 @@ def smith_diagonal(vectors) -> list[int]:
                     j = r.index(x)
                     col_gcd[j] = gcd(col_gcd.get(j, 0), x)
                 d += col_gcd.values()
+                if transform:
+                    split += [W[j] for j in col_gcd]
+                    W = [c for j, c in enumerate(W) if j not in col_gcd]
                 break
             m = min(map(abs, filter(None, chain.from_iterable(A))))
             i, a = next((i, a) for i, a in enumerate(A)
@@ -197,27 +212,56 @@ def smith_diagonal(vectors) -> list[int]:
             if nxt is not None:
                 i = nxt
                 continue
-            if p == 1 or p == -1 or a.count(0) == len(a) - 1:
+            if (p == 1 or p == -1) and not transform or \
+                    a.count(0) == len(a) - 1:
                 break
-            # column steps: row i's entries reduce mod p
+            # column steps: row i's entries reduce mod p (to 0 for a unit
+            # pivot, which only the transform needs)
+            if transform:
+                wj = W[j]
+                for k, x in enumerate(a):
+                    q = x // p
+                    if q and k != j:
+                        W[k] = [y - q * z for y, z in zip(W[k], wj)]
+                if p == 1 or p == -1:
+                    break
             a[:] = [x % p for x in a]
             a[j] = p
             m = min(map(abs, filter(None, a)))
             if m == abs(p):
                 break
             j = a.index(m) if m in a else a.index(-m)
+        if transform:
+            split.append(W.pop(j))
         d.append(abs(p))
         del A[i]
         for r in A:
             del r[j]
         A = [r for r in A if any(r)]
-    d.sort()
+    if not transform:
+        d.sort()
+    elif any(a > b for a, b in zip(d, d[1:])):
+        order = sorted(range(len(d)), key=d.__getitem__)
+        d, split = [d[i] for i in order], [split[i] for i in order]
     if any(b % a for a, b in zip(d, d[1:])):
         for i in range(len(d)):
             for j in range(i + 1, len(d)):
-                g = gcd(d[i], d[j])
-                d[i], d[j] = g, d[i] // g * d[j]
-    return d
+                a, b = d[i], d[j]
+                if b % a == 0:
+                    continue
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
+                if transform:
+                    # Z/a + Z/b -> Z/g + Z/lcm by (x, y) -> (x + y,
+                    # -v (b/g) x + u (a/g) y), of determinant 1
+                    _, u, v = xgcd(a, b)
+                    wi, wj = split[i], split[j]
+                    s, t = -v * (b // g), u * (a // g)
+                    split[i] = [x + y for x, y in zip(wi, wj)]
+                    split[j] = [s * x + t * y for x, y in zip(wi, wj)]
+    if not transform:
+        return d
+    return d, split + W
 
 
 def solve_lattice(B, v: list[int]) -> list[int] | None:
@@ -244,34 +288,3 @@ def solve_lattice(B, v: list[int]) -> list[int] | None:
                 res[i] -= q * b[i]
         x.append(q)
     return None if any(res) else x
-
-
-def order_modulo(B, v: list[int]) -> int:
-    """The least m >= 1 with m*v in the lattice of B: the order of v in
-    Z^n modulo that lattice, n = len(v).
-
-    B must be a full-rank echelon basis of n vectors with its pivots on
-    the diagonal, B[c][c] != 0 and B[c][k] = 0 for k < c, as `hnf_columns`
-    returns for a lattice of finite index; raises ValueError otherwise.
-    One forward pass: at each pivot the multiple m*v, less the basis
-    vectors already taken, is scaled by the least factor that makes its
-    coordinate there a multiple of the pivot, so m is the product of the
-    factors.
-    """
-    n = len(v)
-    if len(B) != n or any(len(b) != n or not b[c] or any(b[:c])
-                          for c, b in enumerate(B)):
-        raise ValueError("order_modulo needs a full-rank echelon basis "
-                         "with its pivots on the diagonal")
-    m, res = 1, list(v)
-    for c, b in enumerate(B):
-        x, piv = res[c], b[c]
-        if not x:
-            continue
-        s = abs(piv) // gcd(x, piv)
-        if s > 1:
-            m *= s
-            res = [s * y for y in res]
-        q = res[c] // piv
-        res = [y - q * z for y, z in zip(res, b)]
-    return m

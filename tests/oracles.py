@@ -17,10 +17,13 @@ Hermite diagonal beside the Smith form's, the (O/p^n)^x discrete log
 with per-call division, an exact-integer series and lattice solves
 beside pram's table lookup and fixed-precision series, the generators
 of (O/p^n)^x as elements, its base ones from an exact-integer p-adic
-exponential, which pram's coordinates never need, and a real ideal's
+exponential, which pram's coordinates never need, a real ideal's
 generator walked along its cycle to the next |a| = 1, from a product
 taken one factor at a time, beside pram's one walk of the principal
-cycle and its table of every reduced principal ideal.
+cycle and its table of every reduced principal ideal, the ray class group
+stacked over every coordinate of (O/p^n)^x beside pram's over its cyclic
+factors, and a vector's order modulo an echelon lattice, in one forward
+pass, beside pram's lcm over those factors.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 import pytest
 
 from epsclass import pram, quadclass
-from epsclass.abgroup import power
+from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import factor, prime_sieve, vp
 from epsclass.quadforms import QuadForm, TrackedIdeal, principal_form
 from epsclass.zlin import (hnf_columns, identity, kernel_columns,
@@ -286,12 +289,13 @@ def log_kmax(n: int, k: int) -> int:
 
 
 def residue_generators(U: pram.ResidueUnits) -> tuple:
-    """The units of O/p^n that U.dlog's coordinates count: the top
-    generators, then exp(p^k) and exp(p^k omega), whose logs p^k and p^k
-    omega are the base coordinates (1, 0) and (0, 1).  The exponential is
-    summed in exact integers, x^m / m! = (x^m / p^v) / u for m! = p^v * u,
-    over m up to 4n + 10, past which every term is 0 mod p^n for x in
-    p^k O; k = 2 for p = 2 and 1 otherwise (k <= n)."""
+    """The units of O/p^n that the coordinates over U's two layers count:
+    the top generators as U lifts them (-1 for -1's point), then exp(p^k)
+    and exp(p^k omega), whose logs p^k and p^k omega are the base
+    coordinates (1, 0) and (0, 1).  The exponential is summed in exact
+    integers, x^m / m! = (x^m / p^v) / u for m! = p^v * u, over m up to
+    4n + 10, past which every term is 0 mod p^n for x in p^k O; k = 2 for
+    p = 2 and 1 otherwise (k <= n)."""
     R, p, n, q = U.ring, U.p, U.n, U.ring.q
     pk = p ** min(2 if p == 2 else 1, n)
 
@@ -308,23 +312,23 @@ def residue_generators(U: pram.ResidueUnits) -> tuple:
             s = [a + b // pv * c for a, b in zip(s, xm)]
         return (s[0] % q, s[1] % q)
 
-    return (*U._top.gens, exp((pk, 0)), exp((0, pk)))
+    return (*U.lifts, exp((pk, 0)), exp((0, pk)))
 
 
 def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
-    """U.dlog(u) the way pram took it before its top table: the top dlog,
-    u divided by that word in the top generators with fresh powers and an
-    inverse, and
-    the base log summed in exact integers over every term up to kmax,
-    whose coordinates over p^k O come from zlin.solve_lattice; the base
-    1 + p^k O, k = 2 for p = 2 and 1 otherwise (k <= n), is the units on
-    the point (1, 0) of the p^k box."""
+    """u's coordinates over U's two layers, which pram's dlog took before
+    its top table and its cyclic factors: the top dlog, u divided by that
+    word in the top generators as U lifts them, with fresh powers and an
+    inverse, and the base log summed in exact integers over every term up
+    to kmax, whose coordinates over p^k O come from zlin.solve_lattice;
+    the base 1 + p^k O, k = 2 for p = 2 and 1 otherwise (k <= n), is the
+    units on the point (1, 0) of the p^k box."""
     R, p, n, q = U.ring, U.p, U.n, U.ring.q
     if not R.is_unit(u):
         raise pram.PramError(f"not a unit mod p^n: {u}")
     v = U._top.dlog(u)
     d = R.one
-    for g, e in zip(U._top.gens, v):
+    for g, e in zip(U.lifts, v):
         if e:
             d = R.mul(d, power(g, e, R.mul))
     x, y = R.mul(u, R.inv(d))
@@ -343,6 +347,26 @@ def residue_dlog_reference(U: pram.ResidueUnits, u) -> tuple:
         c = (-1) ** (m + 1) * pow(m // p ** e, -1, q)
         s = [a + b // p ** e * c for a, b in zip(s, zk)]
     return v + tuple(solve_lattice([[pk, 0], [0, pk]], [a % q for a in s]))
+
+
+def ray_class_group_reference(D, p: int, n: int):
+    """pram.ray_class_group(D, p, n) as it was stacked before the ring kept
+    its cyclic factors: one Smith form over the ring's ngens coordinates
+    and the class group's t generators, of the ring's relation columns, the
+    image of -1, zeta's or eps's, and the class relations, every image
+    from residue_dlog_reference."""
+    d = quadclass.as_disc(D)
+    cd = pram._class_data(d, p)
+    U = pram.ResidueUnits(d.value, p, n)
+    q, t = U.ring.q, len(cd.pres.gens)
+
+    def image(x, y):
+        return list(residue_dlog_reference(U, (x % q, y % q)))
+
+    cols = [list(c) + [0] * t for c in U.rel_cols]
+    cols += [image(x, y) + [0] * t for x, y in [(-1, 0), *cd.units]]
+    cols += [[-e for e in image(x, y)] + col for col, (x, y) in cd.relations]
+    return AbelianGroupStructure.from_relation_matrix(cols, U.ngens + t)
 
 
 # ------------------------------------------- zlin in the column layout
@@ -492,6 +516,25 @@ def smith_diagonal_reference(M):
     return divs
 
 
+def determinant(M) -> Fraction:
+    """det M for a square list of rows M, by exact rational elimination."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if A[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            A[j], A[piv] = A[piv], A[j]
+            det = -det
+        det *= A[j][j]
+        for i in range(j + 1, n):
+            f = A[i][j] / A[j][j]
+            A[i] = [x - f * y for x, y in zip(A[i], A[j])]
+    return det
+
+
 def lattice_index(relations, ngens: int) -> int:
     """Order of Z^ngens / (the lattice of the relations).
 
@@ -506,3 +549,35 @@ def lattice_index(relations, ngens: int) -> int:
     if len(H) < ngens:
         raise ValueError("infinite quotient: relation rank < ngens")
     return prod(H[i][i] for i in range(ngens))
+
+
+def order_modulo(B, v: list[int]) -> int:
+    """The least m >= 1 with m*v in the lattice of B: the order of v in
+    Z^n modulo that lattice, n = len(v).  The reference for the order of a
+    unit's image, beside pram's lcm over the ring's cyclic factors.
+
+    B must be a full-rank echelon basis of n vectors with its pivots on
+    the diagonal, B[c][c] != 0 and B[c][k] = 0 for k < c, as `hnf_columns`
+    returns for a lattice of finite index; raises ValueError otherwise.
+    One forward pass: at each pivot the multiple m*v, less the basis
+    vectors already taken, is scaled by the least factor that makes its
+    coordinate there a multiple of the pivot, so m is the product of the
+    factors.
+    """
+    n = len(v)
+    if len(B) != n or any(len(b) != n or not b[c] or any(b[:c])
+                          for c, b in enumerate(B)):
+        raise ValueError("order_modulo needs a full-rank echelon basis "
+                         "with its pivots on the diagonal")
+    m, res = 1, list(v)
+    for c, b in enumerate(B):
+        x, piv = res[c], b[c]
+        if not x:
+            continue
+        s = abs(piv) // gcd(x, piv)
+        if s > 1:
+            m *= s
+            res = [s * y for y in res]
+        q = res[c] // piv
+        res = [y - q * z for y, z in zip(res, b)]
+    return m

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, log, prod
 
@@ -14,7 +15,8 @@ from epsclass.arith import kronecker
 from epsclass.quadforms import (QuadForm, TrackedIdeal, cycle_indefinite,
                                 principal_form, reduce_indefinite)
 from epsclass.quadclass import isqrt_float
-from oracles import (QuadElt, lattice_index, log_kmax,  # noqa: F401
+from oracles import (QuadElt, determinant, lattice_index,  # noqa: F401
+                     log_kmax, order_modulo, ray_class_group_reference,
                      residue_dlog_reference, residue_generators,
                      walk_relation, whole_group, whole_groups)
 
@@ -40,16 +42,44 @@ def test_residue_units_against_brute_force(D, p, n):
     assert len(els) == U.order == lattice_index(list(U.rel_cols), U.ngens)
     gens = residue_generators(U)
     assert len(gens) == U.ngens
+    V = _ring_smith(U)[1]
     random.seed(7)
     sample = els if len(els) <= 150 else random.sample(els, 80)
     for u in sample:
-        v = U.dlog(u)
-        w = R.one
-        for g, e in zip(gens, v):
-            x = g if e >= 0 else R.inv(g)
-            for _ in range(abs(e)):
-                w = R.mul(w, x)
-        assert w == u
+        # the layers' coordinates recombine to u, and dlog is those
+        # coordinates taken through V
+        v = residue_dlog_reference(U, u)
+        assert _recombine(R, gens, v) == u
+        assert U.dlog(u) == _through_v(U, V, v)
+    # and over every unit dlog is a homomorphism onto the factors whose
+    # kernel is {+-1}: each of the index images has ord(-1) units
+    fibres = Counter(map(U.dlog, els))
+    assert len(fibres) == U.index
+    assert set(fibres.values()) == {U.order // U.index}
+    assert fibres[U.dlog((R.q - 1, 0))] == U.order // U.index
+    for u, w in zip(sample, sample[1:]):
+        assert U.dlog(R.mul(u, w)) == _add(U, U.dlog(u), U.dlog(w))
+
+
+def _ring_smith(U):
+    """(d, forms): the Smith form of -1's image and the ring's relation
+    columns, in the ring's order, over the layers' coordinates from
+    residue_dlog_reference, with its transform V as V's columns."""
+    minus = list(residue_dlog_reference(U, (U.ring.q - 1, 0)))
+    return zlin.smith_diagonal([minus, *U.rel_cols], transform=True)
+
+
+def _through_v(U, V, v):
+    """v, over the layers' coordinates, taken through V, given as its
+    columns, onto the ring's factors, its last columns (of full rank, the
+    1s come first)."""
+    lo = len(V) - len(U.factors)
+    return tuple(sum(x * y for x, y in zip(v, w)) % f
+                 for w, f in zip(V[lo:], U.factors))
+
+
+def _add(U, a, b):
+    return tuple((x + y) % f for x, y, f in zip(a, b, U.factors))
 
 
 def _ring_structure(D, p, n):
@@ -98,7 +128,8 @@ def test_residue_units_depend_on_d_mod_4q(D, pn, k, seed):
         assert own._top.gens == shared._top.gens
         assert own.ngens == shared.ngens
         assert own.rel_cols == shared.rel_cols
-        assert own.hermite == shared.hermite
+        assert own.factors == shared.factors
+        assert own._base_rows == shared._base_rows
         assert [own.dlog(u) for u in units] == [shared.dlog(u) for u in units]
 
 
@@ -109,34 +140,52 @@ HERMITE_RINGS = [
 
 @pytest.mark.parametrize("D,p,n", HERMITE_RINGS)
 def test_ring_hermite_basis_holds_minus_one(D, p, n):
-    # the echelon basis ray_class_group starts from spans the relations
-    # and -1's image, which has order 2 unless q = 2
+    # the factors ray_class_group starts from leave out -1: the Smith
+    # form of the relation columns and -1's image has a unimodular
+    # transform V that takes each of them into the lattice of its
+    # divisors, the ring keeps the divisors above 1 and V's two base rows,
+    # and their product times the order of -1 (2 unless q = 2) is the
+    # group's order
     U = pram.units_mod(D, p, n)
     q = U.ring.q
-    H = [list(h) for h in U.hermite]
-    assert H == zlin.hnf_columns(list(U.rel_cols) + [U.dlog((q - 1, 0))])
-    assert lattice_index(H, U.ngens) == U.index
-    assert U.index * (2 if q > 2 else 1) == U.order
+    minus = list(residue_dlog_reference(U, (q - 1, 0)))
+    d, V = _ring_smith(U)
+    assert len(d) == len(V) == U.ngens and abs(determinant(V)) == 1
+    for c in list(U.rel_cols) + [minus]:
+        image = [sum(x * y for x, y in zip(c, w)) for w in V]
+        assert all(y % e == 0 for y, e in zip(image, d)), (c, V)
+    # -1's point is the top's first generator, lifted to -1 itself
+    assert minus == ([1] + [0] * (U.ngens - 1) if U.pk > 2 else
+                     [0] * U.ngens)
+    lo = d.count(1)
+    assert U.factors == tuple(d[lo:])
+    assert U._base_rows == [[w[-2] for w in V[lo:]], [w[-1] for w in V[lo:]]]
+    assert U.dlog((q - 1, 0)) == (0,) * len(U.factors)
+    ord_minus = order_modulo(zlin.hnf_columns(list(U.rel_cols)), minus)
+    assert ord_minus == (2 if q > 2 else 1)
+    assert prod(U.factors) * ord_minus == U.index * ord_minus == U.order
 
 
 def test_ring_build_takes_one_elimination(monkeypatch):
-    # one Hermite form per ring, of its relations and -1, and no Smith
-    # form: the order check reads the Hermite diagonal
-    calls = {"hnf_columns": 0, "smith_diagonal": 0}
+    # one Smith form per ring, of its relations and -1, with its
+    # transform, and no Hermite form: the order check reads its divisors
+    calls = {"hnf_columns": [], "smith_diagonal": []}
 
     def counted(name):
         f = getattr(zlin, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
+        def wrapper(*args, **kwargs):
+            calls[name].append(kwargs)
+            return f(*args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(zlin, name, counted(name))
     for D, p, n in HERMITE_RINGS:
         pram.ResidueUnits(D, p, n)
-    assert calls == {"hnf_columns": len(HERMITE_RINGS), "smith_diagonal": 0}
+    assert calls == {"hnf_columns": [],
+                     "smith_diagonal": [{"transform": True}] * len(
+                         HERMITE_RINGS)}
 
 
 @pytest.mark.parametrize("D,p,n,claim", [
@@ -147,7 +196,7 @@ def test_ring_build_takes_one_elimination(monkeypatch):
     if claim != pram.splitting_type(D, p)])
 def test_ring_order_check_refuses_a_wrong_order(monkeypatch, D, p, n, claim):
     # a splitting type the ring does not have sets a theoretical order its
-    # relations do not meet: the Hermite diagonal times ord(-1) differs
+    # relations do not meet: the factors' product times ord(-1) differs
     monkeypatch.setattr(pram, "splitting_type", lambda D, p: claim)
     with pytest.raises(pram.PramError, match="theoretical"):
         pram.ResidueUnits(D, p, n)
@@ -199,21 +248,26 @@ def _class_id(key):
 @given(data=st.data(), seed=st.integers(0, 10 ** 9))
 def test_dlog_matches_reference(key, data, seed):
     # the table lookup and the fixed-precision series give the dlog of the
-    # per-call division and the exact-integer series, at the levels the
-    # scans and the torsion reports use, and it recombines to u
+    # per-call division and the exact-integer series, which recombines to
+    # u, taken through V onto the factors, at the levels the scans and the
+    # torsion reports use; and dlog adds as the units multiply
     p = key[0]
     D = data.draw(st.sampled_from(LOCAL_CLASSES[key]))
     rng = random.Random(seed)
     for n in sorted({1, 2, pram.scan_level(p), pram.top_level(p)}):
         U = pram.units_mod(D, p, n)
         q = U.ring.q
+        V = _ring_smith(U)[1]
         units = [u for u in ((rng.randrange(q), rng.randrange(q))
                              for _ in range(16)) if U.ring.is_unit(u)]
         gens = residue_generators(U)
         for u in units + [U.ring.one, *gens]:
-            v = U.dlog(u)
-            assert v == residue_dlog_reference(U, u), (D, p, n, u)
+            v = residue_dlog_reference(U, u)
             assert _recombine(U.ring, gens, v) == u
+            assert U.dlog(u) == _through_v(U, V, v), (D, p, n, u)
+        for u, w in zip(units, units[1:]):
+            assert U.dlog(U.ring.mul(u, w)) == \
+                _add(U, U.dlog(u), U.dlog(w)), (D, p, n, u, w)
 
 
 def _base_draws(p, rng):
@@ -292,6 +346,26 @@ def test_ray_class_group_cold_and_warm_cache(monkeypatch):
     monkeypatch.setattr(pram, "units_mod", pram.ResidueUnits)
     own = [pram.ray_class_group(D, p, n) for D, p, n in RAY_CASES]
     assert own == cold
+
+
+# the local types of LOCAL_CLASSES at the primes of the scans and tables
+RAY_CLASSES = sorted((k for k in LOCAL_CLASSES if k[0] <= 7), key=repr)
+
+
+@pytest.mark.parametrize("key", RAY_CLASSES, ids=_class_id)
+@seed(45)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_ray_class_group_matches_the_full_stack(key, data):
+    # over the ring's cyclic factors, the ray class group is the one
+    # stacked over all of (O/p^n)^x's coordinates and the class group's:
+    # the ring's relation columns, -1, zeta or eps, and the class
+    # relations, every image from the reference dlog
+    p = key[0]
+    D = data.draw(st.sampled_from(LOCAL_CLASSES[key]))
+    for n in sorted({1, 2, 3, pram.scan_level(p)}):
+        assert pram.ray_class_group(D, p, n) == \
+            ray_class_group_reference(D, p, n), (D, p, n)
 
 
 def test_ring_cache_is_bounded():
@@ -416,7 +490,7 @@ def _exact_unit(m):
 
 def _exact_units(D):
     """The global units of _ClassData.units, exactly: zeta (D = -3, -4) or
-    +-eps^(+-1) (D > 0); -1 is the ring's (ResidueUnits.hermite)."""
+    +-eps^(+-1) (D > 0); -1 the ring's factors leave out."""
     units = []
     if D == -3:
         units.append(QuadElt(Fraction(1, 2), Fraction(1, 2), D))
@@ -1149,9 +1223,9 @@ def eliminations(monkeypatch):
     def counted(name):
         real = getattr(zlin, name)
 
-        def wrapped(vectors):
+        def wrapped(vectors, **kwargs):
             calls.append(name)
-            return real(vectors)
+            return real(vectors, **kwargs)
         monkeypatch.setattr(zlin, name, wrapped)
     counted("smith_diagonal")
     counted("hnf_columns")
@@ -1163,16 +1237,23 @@ def eliminations(monkeypatch):
     (-3, 3, 1), (-4, 2, 1), (221, 2, 1), (229, 3, 1)])
 def test_ray_class_group_eliminates_once_per_level(eliminations, D, p,
                                                    units):
-    # with its ring built, a field puts the ring's Hermite basis (which
-    # holds -1), its units beyond -1 (zeta or eps, if any) and its class
-    # relations into one Smith form per level, and takes no Hermite form:
-    # zeta's or eps's order modulo the basis needs none
-    assert len(pram._class_data(D, p).units) == units
+    # with its ring built, a field puts the ring's cyclic factors (which
+    # leave out -1), its units beyond -1 (zeta or eps, if any) and its
+    # class relations into one Smith form per level, and takes no Hermite
+    # form: zeta's or eps's order over the factors needs none.  A field
+    # with neither, (-23, 5) here (Cl(-23) has order 3), takes none: its
+    # group is the ring's chain
+    cd = pram._class_data(D, p)
+    assert len(cd.units) == units
+    alone = not (cd.units or cd.relations)
+    assert alone == ((D, p) == (-23, 5))
     for n in (1, 2, 3, pram.top_level(p)):
         want = pram.ray_class_group(D, p, n)
         del eliminations[:]
         assert pram.ray_class_group(D, p, n) == want
-        assert eliminations == ["smith_diagonal"]
+        assert eliminations == ([] if alone else ["smith_diagonal"])
+        if alone:
+            assert want.divisors == pram.units_mod(D, p, n).factors[::-1]
 
 
 def test_prime_over_forms():

@@ -891,7 +891,7 @@ def test_one_prime_sieve():
 
 # --------------------------------------- staircase adjoin against the old loop
 
-def _adjoin_reference(self, e):
+def _adjoin_reference(self, e, order=None):
     # the adjoin before the powers of e were kept: it walks them twice and
     # composes every identity-row entry with the identity
     dlog, op = self.dlog_table, self.op
@@ -909,6 +909,45 @@ def _adjoin_reference(self, e):
         cur = op(cur, e)
         for elt, vec in base:
             dlog[op(elt, cur)] = vec + (0,) * (idx - len(vec)) + (j,)
+
+
+def test_staircase_refuses_a_set_that_is_not_a_group():
+    # 1 + 1 + ... never returns to 0: with no bound the power walk of 1
+    # would never end, with the order 6 it ends past 6 // 1 steps
+    calls = []
+
+    def op(a, b):
+        calls.append(a)
+        assert len(calls) < 100, "the power walk went on unbounded"
+        return a + b
+
+    with pytest.raises(ValueError, match="power walk passed 6 steps"):
+        qc.ClassGroupPresentation.staircase(0, lambda x: x, op, [1], 6)
+    assert len(calls) == 5
+    # a closed first generator, then one whose walk leaves the group: past
+    # 6 // 2 = 3 steps over the closure {0, 3}
+    del calls[:]
+    with pytest.raises(ValueError, match="power walk passed 3 steps"):
+        qc.ClassGroupPresentation.staircase(
+            0, lambda x: x, lambda a, b: op(a, b) % 6 if a < 6 else a + b,
+            [3, 7], 6)
+
+
+def test_residue_units_refuse_a_box_that_is_not_a_group(monkeypatch):
+    # with the prime check gone, the units of the box mod 6 are no group
+    # and the top staircase once walked forever: its order, the box's
+    # unit count, bounds every walk
+    monkeypatch.setattr(pram, "_check_modulus", lambda p, n: None)
+    real, calls = pram.ResidueRing.mul, []
+
+    def mul(self, u, v):
+        calls.append(u)
+        assert len(calls) < 10 ** 5, "the power walk went on unbounded"
+        return real(self, u, v)
+
+    monkeypatch.setattr(pram.ResidueRing, "mul", mul)
+    with pytest.raises(ValueError, match="power walk"):
+        pram.ResidueUnits(-3, 6, 2)
 
 
 def _snapshot(pres):
@@ -1019,9 +1058,15 @@ def test_narrow_presentation_matches_reference_adjoin():
         _assert_matches_reference(qc.narrow_presentation, D)
 
 
+def _fresh_top(D, p, n):
+    # rings share their top by D mod 4p^k: built anew, with the adjoin in
+    # force
+    pram._box_units.cache_clear()
+    return pram.ResidueUnits(D, p, n)._top
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_residue_units_top_matches_reference_adjoin(p):
     for D in (-3, -4, -7, -8, -15, -20, -23, -1155, 5, 8, 12, 13, 105):
         for n in (1, 2, 4):
-            _assert_matches_reference(
-                lambda *a: pram.ResidueUnits(*a)._top, D, p, n)
+            _assert_matches_reference(_fresh_top, D, p, n)

@@ -15,9 +15,11 @@ from epsclass.quadforms import (
     reduced_forms_imaginary,
 )
 from oracles import (
+    determinant,
     hnf_columns_reference,
     kernel_columns_reference,
     lattice_index,
+    order_modulo,
     smith_diagonal_reference,
     solution_lattice_reference,
 )
@@ -35,7 +37,7 @@ def test_smith_diagonal_random_det_invariant():
         n = rng.randrange(1, 5)
         M = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         divs = zlin.smith_diagonal(M)
-        det = _det(M)
+        det = determinant(M)
         if det:
             prod = 1
             for d in divs:
@@ -44,24 +46,6 @@ def test_smith_diagonal_random_det_invariant():
             # chain divisibility
             for a, b in zip(divs, divs[1:]):
                 assert b % a == 0
-
-
-def _det(M):
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if A[i][j]), None)
-        if piv is None:
-            return 0
-        if piv != j:
-            A[j], A[piv] = A[piv], A[j]
-            det = -det
-        det *= A[j][j]
-        for i in range(j + 1, n):
-            f = A[i][j] / A[j][j]
-            A[i] = [x - f * y for x, y in zip(A[i], A[j])]
-    return det
 
 
 def test_kernel_columns():
@@ -189,6 +173,36 @@ def test_smith_diagonal_matches_the_reference(M):
     assert zlin.smith_diagonal(_columns(M)) == want
 
 
+def _assert_smith_transform(M):
+    """smith_diagonal(M, transform=True) gives the divisors d of the plain
+    call and n forms, the columns of a unimodular matrix, taking every
+    vector of M into d_1 Z + ... + d_r Z on the first r forms and to 0 on
+    the rest: with |det| = 1 and the same divisors, M's lattice goes onto
+    that one."""
+    d, forms = zlin.smith_diagonal(M, transform=True)
+    assert d == zlin.smith_diagonal(M)
+    n = len(M[0])
+    assert len(forms) == n and all(len(w) == n for w in forms)
+    assert abs(determinant(forms)) == 1
+    for r in M:
+        image = [sum(x * y for x, y in zip(r, w)) for w in forms]
+        assert all(y % e == 0 for y, e in zip(image, d)), (M, forms)
+        assert not any(image[len(d):]), (M, forms)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(_smith_inputs())
+@example([[1]])
+@example([[0]])
+@example([[6, 10], [10, 15]])       # no unit, remainders both ways
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 0]])    # [2, 3] exchanged to [1, 6]
+@example([[1, 4, 6], [0, 6, 0]])    # a unit pivot with its row to clear
+def test_smith_transform_takes_the_lattice_onto_the_diagonal(M):
+    _assert_smith_transform(M)
+    _assert_smith_transform(_columns(M))
+
+
 def test_smith_diagonal_makes_no_hermite_form(monkeypatch):
     def no_hermite(*args):
         raise AssertionError("a Hermite form was taken")
@@ -200,6 +214,8 @@ def test_smith_diagonal_makes_no_hermite_form(monkeypatch):
         M = [[rng.choice([0, 1, -1, rng.randint(-99, 99)])
               for _ in range(cols)] for _ in range(rows)]
         assert zlin.smith_diagonal(M) == smith_diagonal_reference(M)
+        assert zlin.smith_diagonal(M, transform=True)[0] == \
+            smith_diagonal_reference(M)
 
 
 @st.composite
@@ -223,7 +239,7 @@ def test_order_modulo_is_the_least_multiple_in_the_lattice(B, data):
     index = prod(B[i][i] for i in range(n))
     want = next(m for m in range(1, index + 1)
                 if zlin.solve_lattice(B, [m * x for x in v]) is not None)
-    assert zlin.order_modulo(B, v) == want
+    assert order_modulo(B, v) == want
     assert index % want == 0
 
 
@@ -236,11 +252,11 @@ def test_order_modulo_needs_a_full_rank_echelon_basis():
                  ([[1, 0, 0], [0, 0, 1]], [1, 1, 1]),
                  ([[2, 1, 0], [0, 3]], [1, 1])):  # a vector of another length
         with pytest.raises(ValueError, match="full-rank echelon"):
-            zlin.order_modulo(B, v)
-    assert zlin.order_modulo([[2, 1], [0, 3]], [1, 0]) == 6
-    assert zlin.order_modulo([[2, 1], [0, 3]], [2, 1]) == 1
-    assert zlin.order_modulo([[-4]], [2]) == 2
-    assert zlin.order_modulo([], []) == 1
+            order_modulo(B, v)
+    assert order_modulo([[2, 1], [0, 3]], [1, 0]) == 6
+    assert order_modulo([[2, 1], [0, 3]], [2, 1]) == 1
+    assert order_modulo([[-4]], [2]) == 2
+    assert order_modulo([], []) == 1
 
 
 @st.composite
