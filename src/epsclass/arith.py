@@ -18,7 +18,12 @@ _RHO_ITER_CAP = 1 << 22
 _small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class FactorBudgetError(RuntimeError):
+class BudgetError(Exception):
+    """Work above its budget, refused before it starts wherever its size
+    is known: the CLI's exit code 3."""
+
+
+class FactorBudgetError(BudgetError):
     """A cofactor resisted the configured factorization effort."""
 
 

@@ -17,11 +17,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from math import ceil, isfinite, log10
 
 from . import __version__, cubic, epsanalysis, filtration, pram, quadclass
-from .arith import FactorBudgetError, is_prime, mv_bounds_hold, primes_in_class
-from .quadclass import ClassNumberCapError
+from .arith import BudgetError, is_prime, mv_bounds_hold, primes_in_class
 
 _STATS = {"genus": "genus_normalized", "raw": "raw",
           "p-exponent": "p_exponent"}
@@ -42,9 +42,11 @@ def _config_items(args, extra=None):
     return {k: _fmt(v) for k, v in sorted(cfg.items())}
 
 
-def _emit(args, fieldnames, rows, extra=None) -> None:
+def _emit(args, fieldnames, rows, extra=None, flush=False) -> None:
     cfg = _config_items(args, extra)
     out = open(args.output, "w", newline="") if args.output else sys.stdout
+    if flush:   # rows slow to make: pass each on before the next one's wait
+        rows = _flushing(out, rows)
     try:
         if args.format == "json":
             # json.dump(doc, sort_keys=True)'s bytes, a row at a time; the
@@ -70,30 +72,29 @@ def _emit(args, fieldnames, rows, extra=None) -> None:
             out.close()
 
 
+def _flushing(out, rows):
+    out.flush()
+    for r in rows:
+        yield r
+        out.flush()
+
+
 def _shards(lo: int, hi: int, k: int):
     step = max(1, (hi - lo + 1 + k - 1) // k)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+    los = range(lo, hi + 1, step)
+    return los, [min(a + step - 1, hi) for a in los]
 
 
-# module-level shard workers so ProcessPoolExecutor can pickle them
-
-def _sieve_shard(t):
-    X, shard, shards = t
-    return quadclass.batch_class_numbers_imaginary(X, shard, shards)
-
-
-def _tor_shard(t):
-    lo, hi, p, n = t
-    return pram.tor_scan(lo, hi, p, n)
-
-
-def _run_shards(worker, jobs, workers: int) -> list:
+def _run_shards(worker, workers: int, *jobs):
+    """map(worker, *jobs) over at most workers processes, lazily."""
     # a fork pool starts every process at its first submit: none idle
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
+    workers = min(workers, len(jobs[0]), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(worker, *jobs)
+    else:
+        # closed early, map cancels the queued jobs; the pool waits for the rest
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(worker, jobs))
-    return [worker(j) for j in jobs]
+            yield from ex.map(worker, *jobs)
 
 
 def _scan_rows(records):
@@ -132,7 +133,8 @@ def _quad_arrays(args):
         raise ValueError(f"--eps {args.eps} is out of range for --max-d {X}:"
                          f" {X}^(|eps|/2 + 1) overflows a float") from None
     k = min(args.workers, os.cpu_count() or 1)
-    h, *rest = _run_shards(_sieve_shard, [(X, j, k) for j in range(k)], k)
+    h, *rest = _run_shards(quadclass.batch_class_numbers_imaginary, k,
+                           [X] * k, range(k), [k] * k)
     for t in rest:
         h += t
     return quadclass.scan_arrays(X, h)
@@ -211,36 +213,31 @@ def cmd_filtration_mc(args) -> int:
 
 
 def cmd_tor_scan(args) -> int:
-    pram.tor_scan_budget(args.min_d, args.max_d)    # before any shard
-    n = args.n or pram.scan_level(args.p)
-    jobs = [(lo, hi, args.p, n)
-            for lo, hi in _shards(args.min_d, args.max_d, args.workers)]
-    recs = pram.merge_tor_maxima(_run_shards(_tor_shard, jobs, args.workers))
-    rows = [(r.D, r.m, r.vptor, r.cp, r.error or "") for r in recs]
-    _emit(args, ("D", "m", "vptor", "cp", "error"), rows, {"n": n})
+    # every refusal before the header
+    n = pram.tor_scan_level(args.min_d, args.max_d, args.p, args.n)
+    los, his = _shards(args.min_d, args.max_d, args.workers)
+    shards = _run_shards(pram.tor_scan, args.workers, los, his,
+                         repeat(args.p), repeat(n))
+    _emit(args, ("D", "m", "vptor", "cp", "error"),
+          ((r.D, r.m, r.vptor, r.cp, r.error or "")
+           for r in pram.merge_tor_maxima(shards)), {"n": n}, flush=True)
     return 0
 
 
 def cmd_tor_family(args) -> int:
-    reps = pram.tor_family(args.p, args.count)
-    rows = [(i, m, str(rep.tor_structure), rep.vp, rep.w_order,
+    # every m_N = 1 mod 4, so D = m_N
+    rows = [(i, rep.D, str(rep.tor_structure), rep.vp, rep.w_order,
              rep.c_tilde, rep.stabilized_level)
-            for i, (m, rep) in
-            enumerate(zip(pram.family_radicands(args.count), reps), start=1)]
+            for i, rep in enumerate(pram.tor_family(args.p, args.count),
+                                    start=1)]
     _emit(args, ("N", "m", "structure", "vp", "w", "c_tilde", "level"), rows)
     return 0
 
 
 def cmd_reflection_check(args) -> int:
-    rows = []
-    bad = 0
-    for d in range(3, args.max_d + 1):
-        disc = pram.is_fundamental_neg(d)
-        if disc is None:
-            continue
-        ok = pram.reflection_check(disc, args.p)
-        bad += not ok
-        rows.append((-d, int(ok)))
+    rows = [(D, int(ok))
+            for D, ok in pram.reflection_scan(args.max_d, args.p)]
+    bad = sum(not ok for _, ok in rows)
     _emit(args, ("D", "ok"), rows, {"checked": len(rows), "failures": bad})
     return 0 if bad == 0 else 1
 
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (FactorBudgetError, ClassNumberCapError) as exc:
+    except BudgetError as exc:
         print(f"epsclass: budget exceeded: {exc}", file=sys.stderr)
         return 3
     except cubic.FixtureParseError as exc:  # a malformed fixture tree

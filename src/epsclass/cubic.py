@@ -14,7 +14,7 @@ from math import floor, isfinite, isqrt, log, log10, prod
 from pathlib import Path
 
 from .abgroup import AbelianGroupStructure
-from .arith import factor, vp
+from .arith import BudgetError, factor, vp
 
 
 class FixtureParseError(ValueError):
@@ -126,7 +126,20 @@ def rank_window(N: int, p: int) -> tuple[int, int]:
     return N - 1, (p - 1) * (N - 1)
 
 
+# The largest max_f of enumerate_conductors, which factors every f <= max_f,
+# and of cubic-enum, which also solves 4f = a^2 + 27b^2 at each conductor.
+# On one core of a 2-core machine cubic-enum costs about 0.006 ms per f
+# below 10^5, 0.02 ms near 10^6 and 0.05 ms near 10^7: about 5 min at the
+# budget.
+ENUM_MAX_F = 10 ** 7
+
+
 def enumerate_conductors(max_f: int) -> list[int]:
+    """The cyclic cubic conductors f <= max_f; BudgetError before any f is
+    factored for max_f above ENUM_MAX_F."""
+    if max_f > ENUM_MAX_F:
+        raise BudgetError(f"cubic conductors up to {max_f} exceed the "
+                          f"budget {ENUM_MAX_F}")
     return [f for f in range(7, max_f + 1) if is_cubic_conductor(f)]
 
 

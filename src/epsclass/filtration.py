@@ -18,7 +18,7 @@ from math import comb, prod
 
 from . import quadclass, zlin
 from .abgroup import AbelianGroupStructure, power
-from .arith import vp
+from .arith import BudgetError, vp
 
 
 MAX_STEPS = 500          # filtration length before a route gives up
@@ -27,6 +27,10 @@ MAX_ATTEMPTS = 500       # draws before synthesize gives up
 # synthesize's largest p: the slowest block's fixed subgroup takes 0.5 s at
 # p = 17 and 7 s at p = 19 (2-core Xeon), on thousand-bit intermediates
 MAX_SYNTH_P = 17
+# mc_delta_histogram's most samples: once the blocks are cached one costs
+# 0.04-0.15 ms at N <= 5 for p <= 5 and N = 3 for p = 17, and 0.5 ms at
+# p = 17, N = 5, on one core of a 2-core machine: 1-9 min at the budget
+MC_SAMPLES = 10 ** 6
 
 
 class FiltrationError(ValueError):
@@ -279,7 +283,10 @@ def synthesize(p: int, N: int, seed: int) -> FinitePModule:
 
 
 def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0) -> dict:
-    """Monte-Carlo distribution of Delta(N) = v_p(#M) - (N-1)."""
+    """Monte-Carlo distribution of Delta(N) = v_p(#M) - (N-1); BudgetError
+    before any module for samples above MC_SAMPLES."""
+    if samples > MC_SAMPLES:
+        raise BudgetError(f"{samples} samples exceed the budget {MC_SAMPLES}")
     hist: dict[int, int] = {}
     for i in range(samples):
         M = synthesize(p, N, seed + i)

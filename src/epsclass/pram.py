@@ -41,6 +41,8 @@ from . import zlin
 from .abgroup import AbelianGroupStructure, power
 from .arith import is_prime, kronecker, sqrt_mod_prime, vp
 from .quadclass import (
+    ENUM_CAP,
+    SERIES_CAP,
     ClassGroupPresentation,
     ClassNumberCapError,
     Discriminant,
@@ -733,7 +735,9 @@ def tor_report(D, p: int) -> TorsionReport:
 def ktilde_index(D, p: int) -> int:
     """[K~ cap H : K] = #Cl_p * #W / #T for imaginary D."""
     d = as_disc(D)
-    assert d.value < 0
+    if d.value >= 0:
+        raise ValueError(f"ktilde_index needs an imaginary field, got D = "
+                         f"{d.value}")
     rep = tor_report(d, p)
     clp = _class_data(d, p).structure.p_part(p).order
     num = clp * rep.w_order
@@ -758,7 +762,9 @@ def s_class_group(D, p: int) -> SClassGroup:
     p-part is that of the S-class group, S the primes above p: the class
     P^k of a prime P above p generates the image of <P> in Cl_p."""
     d = as_disc(D)
-    assert d.value < 0, "S-class groups implemented for imaginary fields"
+    if d.value >= 0:
+        raise ValueError(f"S-class groups are implemented for imaginary "
+                         f"fields, got D = {d.value}")
     cd = _class_data(d, p)
     st = splitting_type(d.value, p)
     if st == "inert":
@@ -775,6 +781,23 @@ def reflection_check(D, p: int = 2) -> bool:
     s = s_class_group(d, p)
     return rep.tor_structure.p_rank(p) == \
         s.structure.p_rank(p) + s.s_count - 1
+
+
+# The largest |D| of reflection_scan, which walks every |D| from 3: at
+# p = 2, on one core of a 2-core machine, it costs about 0.1 ms per |D|
+# below 10^4, 0.13 ms near 10^5 and 0.19 ms near 2 * 10^6, so about 5 min
+# and 6 * 10^5 fields (the CLI holds each one's row) at the budget.
+REFLECTION_MAX_D = 2 * 10 ** 6
+
+
+def reflection_scan(hi: int, p: int = 2) -> Iterator[tuple[int, bool]]:
+    """(D, reflection_check(D, p)) for each fundamental D = -d, d <= hi, in
+    order of d; ClassNumberCapError before any field for hi above
+    REFLECTION_MAX_D."""
+    if hi > REFLECTION_MAX_D:
+        raise ClassNumberCapError(f"a reflection check up to |D| = {hi} "
+                                  f"exceeds the budget {REFLECTION_MAX_D}")
+    return ((d.value, reflection_check(d, p)) for d in fundamental_negs(3, hi))
 
 
 @dataclass
@@ -830,11 +853,6 @@ def program_vptor(D, p: int, n: int) -> int:
     return vp(ray.order, p) - vp(top, p) - (n - 1)
 
 
-def scan_level(p: int) -> int:
-    """The ray class level n that tor_scan uses by default."""
-    return 20 if p == 2 else 8
-
-
 # The widest window of |D| one tor_scan takes, counted from |D| = 3.  At
 # p = 2, on one core of a 2-core machine, a window costs about 0.2 ms per
 # |D| near 10^6 (0.65 ms per fundamental field), 1.2 ms near 10^7, and
@@ -845,63 +863,67 @@ def scan_level(p: int) -> int:
 TOR_SCAN_SPAN = 2 * 10 ** 6
 
 
-def tor_scan_budget(lo: int, hi: int) -> None:
-    """ClassNumberCapError if the window max(lo, 3) <= |D| <= hi is wider
-    than TOR_SCAN_SPAN."""
+def tor_scan_level(lo: int, hi: int, p: int, n: int | None = None) -> int:
+    """The level n (for None 20 at p = 2 and 8 above) after every check a
+    tor_scan of lo <= |D| <= hi makes before any field: ValueError for a
+    bad p or n, ClassNumberCapError for a window max(lo, 3) <= |D| <= hi
+    wider than TOR_SCAN_SPAN."""
+    n = (20 if p == 2 else 8) if n is None else n
+    _check_modulus(p, n)
     span = hi - max(lo, 3) + 1
     if span > TOR_SCAN_SPAN:
         raise ClassNumberCapError(f"a tor-scan window of {span} values of "
                                   f"|D| exceeds the budget {TOR_SCAN_SPAN}")
+    return n
 
 
 def tor_scan(lo: int, hi: int, p: int,
              n: int | None = None) -> list[TorRecord]:
     """The rows tor-scan prints for lo <= |D| <= hi: each fundamental
     field whose statistic reaches the running maximum, and every error
-    row.  ValueError for a bad p or n and ClassNumberCapError for a window
-    above TOR_SCAN_SPAN, both before any field."""
-    if n is None:
-        n = scan_level(p)
-    _check_modulus(p, n)
-    tor_scan_budget(lo, hi)
-    return merge_tor_maxima([_tor_records(lo, hi, p, n)])
+    row, after tor_scan_level's checks."""
+    n = tor_scan_level(lo, hi, p, n)
+    return list(merge_tor_maxima([_tor_records(lo, hi, p, n)]))
+
+
+def fundamental_negs(lo: int, hi: int) -> Iterator[Discriminant]:
+    """Each fundamental discriminant -d, max(lo, 3) <= d <= hi, in order."""
+    for d in range(max(lo, 3), hi + 1):
+        disc = is_fundamental_neg(d)
+        if disc is not None:
+            yield disc
 
 
 def _tor_records(lo: int, hi: int, p: int, n: int) -> Iterator[TorRecord]:
     """A TorRecord for each fundamental -d, lo <= d <= hi, one at a time,
     so that tor_scan holds only the rows it keeps."""
-    for d in range(max(lo, 3), hi + 1):
-        disc = is_fundamental_neg(d)
-        if disc is None:
-            continue
+    for disc in fundamental_negs(lo, hi):
         D, m = disc.value, disc.radicand
         try:
             v = program_vptor(disc, p, n)
         except (PramError, ClassNumberCapError) as exc:
             yield TorRecord(D, m, 0, 0.0, str(exc))
             continue
-        yield TorRecord(D, m, v, _c_tilde(v, p, d))
+        yield TorRecord(D, m, v, _c_tilde(v, p, D))
 
 
 def merge_tor_maxima(shards: Iterable[Iterable[TorRecord]]
-                     ) -> list[TorRecord]:
-    out = []
+                     ) -> Iterator[TorRecord]:
+    """The records of consecutive shards that reach the running maximum,
+    and every error row, each once the shards up to its own are read."""
     vp_max = 0
     for shard in shards:
         for r in shard:
-            if r.error is not None:
-                out.append(r)
-                continue
-            if r.vptor > vp_max:
-                vp_max = r.vptor
-            if r.vptor >= max(vp_max, 1):
-                out.append(r)
-    return out
+            if r.error is None:
+                vp_max = max(vp_max, r.vptor)
+                if r.vptor < max(vp_max, 1):
+                    continue
+            yield r
 
 
-def family_radicands(count: int) -> list[int]:
-    """m_N = +/- product of the first N odd primes, sign making m = 1 mod 4."""
-    out = []
+def family_radicands(count: int) -> Iterator[int]:
+    """m_N = +/- product of the first N odd primes, sign making m = 1 mod 4,
+    for N = 1..count, one at a time."""
     primorial = 1
     ell = 1
     for _ in range(count):
@@ -909,11 +931,21 @@ def family_radicands(count: int) -> list[int]:
         while not is_prime(ell):
             ell += 2
         primorial *= ell
-        out.append(primorial if primorial % 4 == 1 else -primorial)
-    return out
+        yield primorial if primorial % 4 == 1 else -primorial
 
 
 def tor_family(p: int, count: int) -> list[TorsionReport]:
-    """Torsion along the odd-primorial family, N = 1..count."""
-    assert p == 2, "the tabulated family is the p = 2 one"
-    return [tor_report(m, p) for m in family_radicands(count)]
+    """Torsion along the odd-primorial family, N = 1..count (D = m_N).
+    ValueError unless p = 2, and ClassNumberCapError before any field at
+    the first m_N above the budget of its sign: ENUM_CAP for a real
+    field, SERIES_CAP for an imaginary one."""
+    if p != 2:
+        raise ValueError(f"the tabulated family is the p = 2 one, got p={p}")
+    ms = []
+    for m in family_radicands(count):
+        cap = ENUM_CAP if m > 0 else SERIES_CAP
+        if abs(m) > cap:
+            raise ClassNumberCapError(f"m_{len(ms) + 1} = {m} exceeds the "
+                                      f"class-number budget {cap}")
+        ms.append(m)
+    return [tor_report(m, p) for m in ms]

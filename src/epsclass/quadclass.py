@@ -41,6 +41,7 @@ import numpy as np
 
 from .abgroup import AbelianGroupStructure, power
 from .arith import (
+    BudgetError,
     FactorBudgetError,
     factor,
     is_prime,
@@ -68,7 +69,7 @@ SERIES_CAP = 10 ** 13
 NORMIC_TERMS = 10 ** 9
 
 
-class ClassNumberCapError(Exception):
+class ClassNumberCapError(BudgetError):
     pass
 
 

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import epsclass
-from epsclass import cli, quadclass
+from epsclass import cli, cubic, pram, quadclass
 from epsclass import filtration as fl
 from epsclass.quadclass import ClassNumberCapError
 from oracles import quad_scan_rows_loop, scan_windows
@@ -304,8 +304,8 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("argv,jobs", [
@@ -542,6 +542,76 @@ def test_tor_scan_above_its_span_budget_exits_3(monkeypatch, capsys):
                  ["--min-d", str(10 ** 13), "--max-d", str(10 ** 14)]):
         _refused_before_any_work(capsys, ["tor-scan", "--p", "2"] + argv, 3)
     assert time.perf_counter() - t < 1.0
+
+
+def test_tor_scan_refuses_p_and_n_before_any_shard(monkeypatch, capsys):
+    # p and n were left to each shard to check
+    def no_shard(*args):
+        raise AssertionError("a shard was started")
+    monkeypatch.setattr(cli, "_run_shards", no_shard)
+    for argv in (["--p", "37"], ["--p", "2", "--n", "65"],
+                 ["--p", "3", "--n", "33"]):
+        _refused_before_any_work(capsys, ["tor-scan", "--min-d", "3",
+                                          "--max-d", "40", "--workers", "2"]
+                                 + argv, 2)
+
+
+def test_tor_scan_writes_each_shard_as_it_is_done(monkeypatch, capsys):
+    # every row was held until the last shard ended, so that a killed or
+    # piped run printed none
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    tor_scan, written = pram.tor_scan, []
+
+    def shard(lo, hi, p, n):
+        written.append(sys.stdout.getvalue())   # the output at its start
+        return tor_scan(lo, hi, p, n)
+    monkeypatch.setattr(pram, "tor_scan", shard)
+    code, out = run(["tor-scan", "--p", "2", "--min-d", "1000000",
+                     "--max-d", "1000200", "--workers", "2"], capsys)
+    assert code == 0 and len(written) == 2
+    header, rows = rows_of(out)
+    # the shards are 10^6..1000100 and 1000101..1000200
+    assert rows_of(written[0]) == (header, [])
+    assert rows_of(written[1]) == (header, rows[:3])
+    assert [r[0] for r in rows] == ["-1000011", "-1000020", "-1000036",
+                                    "-1000132"]
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["tor-family", "--p", "2", "--count", "100000"], pram, "tor_report"),
+    (["tor-family", "--p", "2", "--count", "10"], pram, "tor_report"),
+    (["reflection-check", "--max-d", "100000000000"], pram,
+     "reflection_check"),
+    (["cubic-enum", "--max-f", "100000000000000"], cubic,
+     "is_cubic_conductor"),
+    (["filtration-mc", "--p", "3", "--n", "4", "--samples", "1000000000"],
+     fl, "synthesize"),
+], ids=["tor-family", "tor-family-10", "reflection-check", "cubic-enum",
+        "filtration-mc"])
+def test_budget_exits_3_before_any_work(monkeypatch, capsys, argv, module,
+                                        name):
+    # each ran until it was killed, printing no row; tor-family multiplied
+    # out every primorial first, and --count 10 reached its budget only
+    # after nine fields
+    def no_work(*args):
+        raise AssertionError(f"{name}{args} was called")
+    monkeypatch.setattr(module, name, no_work)
+    t = time.perf_counter()
+    _refused_before_any_work(capsys, argv, 3)
+    assert time.perf_counter() - t < 1.0
+
+
+@pytest.mark.parametrize("argv,module,budget", [
+    (["reflection-check", "--max-d"], pram, "REFLECTION_MAX_D"),
+    (["cubic-enum", "--max-f"], cubic, "ENUM_MAX_F"),
+    (["filtration-mc", "--p", "3", "--n", "3", "--samples"], fl,
+     "MC_SAMPLES"),
+], ids=["reflection-check", "cubic-enum", "filtration-mc"])
+def test_budget_runs_at_its_bound(monkeypatch, capsys, argv, module, budget):
+    monkeypatch.setattr(module, budget, 100)
+    assert run(argv + ["100"], capsys)[0] == 0
+    _refused_before_any_work(capsys, argv + ["101"], 3)
 
 
 def test_filtration_above_p_17_exits_2(monkeypatch, capsys):

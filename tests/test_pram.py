@@ -254,7 +254,7 @@ def test_dlog_matches_reference(key, data, seed):
     p = key[0]
     D = data.draw(st.sampled_from(LOCAL_CLASSES[key]))
     rng = random.Random(seed)
-    for n in sorted({1, 2, pram.scan_level(p), pram.top_level(p)}):
+    for n in sorted({1, 2, pram.tor_scan_level(3, 3, p), pram.top_level(p)}):
         U = pram.units_mod(D, p, n)
         q = U.ring.q
         V = _ring_smith(U)[1]
@@ -363,7 +363,7 @@ def test_ray_class_group_matches_the_full_stack(key, data):
     # relations, every image from the reference dlog
     p = key[0]
     D = data.draw(st.sampled_from(LOCAL_CLASSES[key]))
-    for n in sorted({1, 2, 3, pram.scan_level(p)}):
+    for n in sorted({1, 2, 3, pram.tor_scan_level(3, 3, p)}):
         assert pram.ray_class_group(D, p, n) == \
             ray_class_group_reference(D, p, n), (D, p, n)
 
@@ -986,7 +986,7 @@ def test_tor_report_large_anchors():
 
 
 def test_family_radicands():
-    assert pram.family_radicands(5) == [-3, -15, 105, -1155, -15015]
+    assert list(pram.family_radicands(5)) == [-3, -15, 105, -1155, -15015]
 
 
 def test_w_group():
@@ -1083,11 +1083,23 @@ def test_merge_tor_maxima_passes_error_rows_through():
     shards = [[rec(-7, -7, 2, 0.5)],
               [err, rec(-11, -11, 1, 0.2), rec(-15, -15, 2, 0.3),
                rec(-19, -19, 3, 0.4)]]
-    assert pram.merge_tor_maxima(shards) == [
+    assert list(pram.merge_tor_maxima(shards)) == [
         rec(-7, -7, 2, 0.5), err, rec(-15, -15, 2, 0.3), rec(-19, -19, 3, 0.4)]
 
 
 # ------------------------------------------------------ reflection and ranks
+
+@pytest.mark.parametrize("call", [
+    lambda: pram.ktilde_index(5, 2),
+    lambda: pram.s_class_group(5, 2),
+    lambda: pram.tor_family(3, 1),
+], ids=["ktilde_index", "s_class_group", "tor_family"])
+def test_argument_checks_raise_value_error(call):
+    # they were asserts, gone under python -O: s_class_group(5, 2) then
+    # returned a group for a real field
+    with pytest.raises(ValueError):
+        call()
+
 
 def test_s_class_group():
     s = pram.s_class_group(-15, 2)
