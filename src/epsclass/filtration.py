@@ -267,7 +267,8 @@ def synthesize(p: int, N: int, seed: int) -> FinitePModule:
     Each of MAX_ATTEMPTS attempts draws N-1 blocks (a, b).  sigma acts
     block by block, so (+B_j)^G = +B_j^G and a draw is accepted when the
     cached orders #B_j^G multiply to p^(N-1); only the accepted draw is
-    summed.  p above MAX_SYNTH_P is refused before any block is built.
+    summed.  p above MAX_SYNTH_P is refused before any block is built,
+    and MAX_ATTEMPTS draws that all miss end in BudgetError.
     """
     if N < 2 or p > MAX_SYNTH_P:
         raise ValueError(f"synthesize needs N >= 2 and p <= {MAX_SYNTH_P}, "
@@ -278,8 +279,8 @@ def synthesize(p: int, N: int, seed: int) -> FinitePModule:
                 for _ in range(N - 1)]
         if prod(_block_fixed_order(p, a, b) for a, b in draw) == p ** (N - 1):
             return direct_sum([group_ring_block(p, a, b) for a, b in draw])
-    raise FiltrationError(f"synthesize: no module with #M^G = {p}^{N - 1} "
-                          f"found in {MAX_ATTEMPTS} attempts")
+    raise BudgetError(f"synthesize: no module with #M^G = {p}^{N - 1} "
+                      f"found in {MAX_ATTEMPTS} attempts")
 
 
 def mc_delta_histogram(p: int, N: int, samples: int, seed: int = 0) -> dict:

@@ -258,6 +258,15 @@ def quad_scan_rows_loop(lo, hi, statistic, eps, p, arrays):
     return rows
 
 
+def redei_kind(d) -> str:
+    """Which basis of Cl_2 = Cl[2] a field of Redei 4-rank 0 takes: none
+    for omega = 1, else by D: odd, 8 | D, or D = 4 mod 8, the one that
+    holds the prime above 2."""
+    D = d.value
+    return "omega=1" if d.ramified_count == 1 else \
+        "odd" if D % 2 else "8|D" if D % 8 == 0 else "4 mod 8"
+
+
 @contextmanager
 def whole_groups():
     """pram's imaginary class data over the whole class group, as before

@@ -626,6 +626,20 @@ def test_filtration_above_p_17_exits_2(monkeypatch, capsys):
         _refused_before_any_work(capsys, argv, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["filtration-mc", "--p", "2", "--n", "12", "--samples", "2"],
+    ["filtration-run", "--p", "2", "--n", "12"],
+])
+def test_synthesize_giving_up_exits_3(capsys, argv):
+    # valid arguments whose MAX_ATTEMPTS draws all miss #M^G = 2^11: a
+    # budget overrun, exit 3 on one stderr line, no longer the usage
+    # error 2 of a ValueError
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "no module with #M^G = 2^11 found in 500 attempts" in err
+
+
 def test_budget_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise ClassNumberCapError("cap")
@@ -726,16 +740,23 @@ GOLDEN_STDOUT = [
     (["quad-maxima", "--stat", "p-exponent", "--p", "2", "--max-d",
       "1000000"],
      "344c6e124d2c7bdfec25fe109165ab1bceb0cc92ffb6fb633752bbc01b992755"),
+    # 912 fields of every kind that Redei's 4-rank sorts (510 with Delta =
+    # 0: D odd, 8 | D and D = 4 mod 8), hashed before that route skipped h
+    (["tor-scan", "--p", "2", "--min-d", "1000000", "--max-d", "1003000"],
+     "1cf6f467ff805a971f8f2e01ce566bbaef667b6b8a62bd3488eb105886ecdf69"),
 ]
 
 
 def _golden_ids():
     # a command's first entry is named by the command alone, later ones
-    # by their first option too: tor-scan, tor-scan-p-3
+    # by their first option too (tor-scan, tor-scan-p-3), and by as many
+    # more options as tell them apart: tor-scan-p-2-min-d-1000000
     ids = []
     for argv, _ in GOLDEN_STDOUT:
-        later = "-".join(a.lstrip("-") for a in argv[:3])
-        ids.append(argv[0] if argv[0] not in ids else later)
+        k = 1
+        while (name := "-".join(a.lstrip("-") for a in argv[:k])) in ids:
+            k += 2
+        ids.append(name)
     return ids
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from epsclass import filtration as fl
 from epsclass import zlin
-from epsclass.arith import vp
+from epsclass.arith import BudgetError, vp
 from oracles import lattice_index
 
 
@@ -119,7 +119,7 @@ def test_dual_routes_and_brute_force():
         N = rng.randint(2, 3)
         try:
             M = fl.synthesize(p, N, seed=i)
-        except fl.FiltrationError:
+        except BudgetError:
             continue
         if fl.module_order(M) > 3 ** 6:
             continue
@@ -172,6 +172,14 @@ def test_synthesize_refuses_p_above_17_before_any_block(monkeypatch):
     for p in (19, 31):
         with pytest.raises(ValueError):
             fl.synthesize(p, 3, 0)
+
+
+def test_synthesize_gives_up_as_a_budget_overrun():
+    # no draw of MAX_ATTEMPTS has #M^G = 2^11: BudgetError (the CLI's exit
+    # 3), not the FiltrationError of a bad module (a ValueError, exit 2)
+    with pytest.raises(BudgetError, match="in 500 attempts") as info:
+        fl.synthesize(2, 12, 0)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_synthesize_deterministic():

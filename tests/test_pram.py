@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, log, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -17,7 +18,7 @@ from epsclass.quadforms import (QuadForm, TrackedIdeal, cycle_indefinite,
 from epsclass.quadclass import isqrt_float
 from oracles import (QuadElt, determinant, lattice_index,  # noqa: F401
                      log_kmax, order_modulo, ray_class_group_reference,
-                     residue_dlog_reference, residue_generators,
+                     redei_kind, residue_dlog_reference, residue_generators,
                      walk_relation, whole_group, whole_groups)
 
 
@@ -1161,22 +1162,28 @@ def _program_vptor_4(D, p):
 
 
 @pytest.mark.parametrize("call,D,builder", [
-    # an even h: Cl_2 on its genus basis
+    # an even h: Cl_2 on its genus basis; h(-84) = 4 = 2^(3 - 1), Delta =
+    # 0, so Redei's 4-rank 0 takes the ramified prime forms with no h
     (pram.reflection_check, -84, "genus_presentation"),
     (pram.rank_inequalities, -84, "genus_presentation"),
     (pram.rank_inequalities, 105, "narrow_presentation"),
     (pram.rank_inequalities, 229, "narrow_presentation"),
     (pram.ktilde_index, -84, "genus_presentation"),
     # one builder on both sides of ENUM_CAP = 10^7, which chooses only
-    # how h is found; h(-10000004) = 1648 = 2^4 * 103: one Sylow presented
+    # how h is found; h(-10000004) = 1648 = 2^4 * 103: one Sylow presented.
+    # Delta = 1, 0 and 0 for -400003, -9999995 and -10000003, 3, 1 and 1
+    # for -9999903, -9999915 and -10000011: with and without h
     (pram.ktilde_index, -400003, "genus_presentation"),
     (pram.ktilde_index, -9999995, "genus_presentation"),
     (pram.ktilde_index, -10000003, "genus_presentation"),
+    (pram.ktilde_index, -9999903, "genus_presentation"),
+    (pram.ktilde_index, -9999915, "genus_presentation"),
+    (pram.ktilde_index, -10000011, "genus_presentation"),
     (_class_group, -10000004, "imaginary_presentation"),
-    # h(-23) = 3 is odd: the trivial Cl_2 is the staircase's, with no
-    # genus work
-    (pram.ktilde_index, -23, "imaginary_presentation"),
-    (_program_vptor_4, -23, "imaginary_presentation"),
+    # h(-23) = 3 is odd, so omega = 1: Redei's 4-rank is 0 and the
+    # trivial Cl_2 = Cl[2] is the genus route's, with no h and no staircase
+    (pram.ktilde_index, -23, "genus_presentation"),
+    (_program_vptor_4, -23, "genus_presentation"),
     (pram.tor_report, 229, "narrow_presentation"),
     (_ray_class_group_0, 229, "narrow_presentation"),
 ])
@@ -1194,10 +1201,14 @@ def test_class_data_built_once_per_field(builds):
     pram.s_class_group(-1155, 2)
     pram.tor_report(-1155, 2)
     assert builds == ["genus_presentation"] * 2
+    # over a counted h too (Delta = 3; -84 and -1155 have Delta = 0)
+    pram.s_class_group(-1000036, 2)
+    pram.tor_report(-1000036, 2)
+    assert builds == ["genus_presentation"] * 3
     # and at an odd p, over the staircase
     pram.tor_report(-84, 3)
     pram.s_class_group(-84, 3)
-    assert builds == ["genus_presentation"] * 2 + ["imaginary_presentation"]
+    assert builds == ["genus_presentation"] * 3 + ["imaginary_presentation"]
     assert pram._class_data.cache_info().maxsize == 1
 
 
@@ -1335,23 +1346,38 @@ def _pow_reductions(e):
     return 1 + (e.bit_length() - 1) + (bin(e).count("1") - 1)
 
 
+def _ambiguous_square(forms, col):
+    """Whether col is +-2 e_j on a form with a | b, I = conj(I): I^2 =
+    (a), whose generator _lift_relation takes with no walk."""
+    nonzero = [(f, c) for f, c in zip(forms, col) if c]
+    return len(nonzero) == 1 and abs(nonzero[0][1]) == 2 and \
+        nonzero[0][0].b % nonzero[0][0].a == 0
+
+
 @pytest.mark.parametrize("D", [-1000036, -1000011, -1155, 221])
 def test_relation_walk_reduces_each_form_once(reduce_calls, D):
     # each power reduces its entry, each square and each product once,
     # every product of powers once, and for imaginary D principal_generator
     # the end once more; a real product is looked up in the principal
-    # cycle's table as it is
+    # cycle's table as it is.  A square of an ambiguous ideal reduces
+    # nothing: Cl_2(-1155) = Cl[2] has three, on ramified prime forms
     cd = pram._class_data(D, 2)
     forms = [pram._coprime_rep(f, 2) for f in cd.pres.gens]
     one = QuadElt.one(D)
     cycle = _cycle(D, one)
+    seen = 0
     for col, _ in cd.relations:
         nonzero = [abs(c) for c in col if c]
         reduce_calls[0] = 0
         pram._lift_relation(forms, col, one, cycle)
         want = sum(map(_pow_reductions, nonzero)) + len(nonzero) - 1
-        assert reduce_calls[0] == \
-            (want + (D < 0) if nonzero else 0), (D, col)
+        if _ambiguous_square(forms, col):
+            seen += 1
+            want = 0
+        elif nonzero:
+            want += D < 0
+        assert reduce_calls[0] == want, (D, col)
+    assert seen == (3 if D == -1155 else 0), D
 
 
 @pytest.fixture
@@ -1426,6 +1452,80 @@ def test_tor_scan_validates_each_field_once(factor_calls):
     recs = pram.tor_scan(10 ** 6, 1000200, 2)
     assert len(recs) == 4
     assert len(factor_calls) == 76
+
+
+# ------------------------------------- Delta = 0 at p = 2, with no h
+
+def _delta_zero_outputs(d):
+    """What pram gives for d at p = 2 from its class data, each from a
+    fresh build: the ray class groups at n = 1, ..., 6 and 20, tor_report,
+    s_class_group, reflection_check, rank_inequalities and ktilde_index."""
+    pram._class_data.cache_clear()
+    return ([pram.ray_class_group(d, 2, n) for n in (*range(1, 7), 20)],
+            pram.tor_report(d, 2), pram.s_class_group(d, 2),
+            pram.reflection_check(d, 2), pram.rank_inequalities(d, 2),
+            pram.ktilde_index(d, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9),
+       kind=st.sampled_from(["odd", "8|D", "4 mod 8", "omega=1"]))
+@example(seed=0, kind="odd")
+@example(seed=0, kind="8|D")
+@example(seed=0, kind="4 mod 8")
+@example(seed=0, kind="omega=1")
+def test_delta_zero_route_matches_the_h_route(seed, kind):
+    # a seeded field of Redei 4-rank 0 (Delta = 0) of each kind, |D| < 2 *
+    # 10^6: every output from Cl_2 = Cl[2] on ramified prime forms, with no
+    # h, equals the one from the counted h and the genus (or, for omega =
+    # 1, the staircase) presentation, which a nonzero 4-rank forces
+    rng = random.Random(seed)
+    while True:
+        d = pram.is_fundamental_neg(rng.randrange(3, 2 * 10 ** 6))
+        if d is not None and redei_kind(d) == kind and \
+                quadclass.redei_4rank(d) == 0:
+            break
+    got = _delta_zero_outputs(d)
+    assert pram._class_data(d, 2).k is None, d.value
+    with mock.patch.object(quadclass, "redei_4rank", lambda d: 1):
+        want = _delta_zero_outputs(d)
+        assert pram._class_data(d, 2).k is not None, d.value
+    assert got == want, d.value
+
+
+@pytest.mark.parametrize("D,walked", [
+    (-1155, 0), (-1000027, 0),      # D odd
+    (-1000104, 0), (-24, 0),        # 8 | D
+    (-10000003, 0),                 # above ENUM_CAP: no L-series either
+    (-23, 0), (-4, 0),              # omega = 1: no relation at all
+    (-1000164, 1), (-84, 1),        # D = 4 mod 8: P_2's column alone
+])
+def test_delta_zero_class_data_count_no_h(monkeypatch, reduce_calls, D,
+                                          walked):
+    # Redei's 4-rank 0: no class number, by count or L-series, and no walk
+    # but the one relation of the prime above 2 when D = 4 mod 8, whose
+    # form _coprime_rep moves off a | b; the others are I^2 = (q)
+    def no_h(*args):
+        raise AssertionError(f"h counted for {args}")
+    monkeypatch.setattr(quadclass, "_class_number", no_h)
+    monkeypatch.setattr(quadclass, "class_number_imaginary", no_h)
+    per_column = []
+    real = pram._lift_relation
+
+    def lift(forms, col, one, cycle):
+        before = reduce_calls[0]
+        out = real(forms, col, one, cycle)
+        per_column.append(reduce_calls[0] - before)
+        return out
+    monkeypatch.setattr(pram, "_lift_relation", lift)
+    d = quadclass.as_disc(D)
+    cd = pram._class_data(d, 2)
+    assert cd.k is None
+    assert len(per_column) == len(cd.relations) == d.ramified_count - 1
+    assert sum(n > 0 for n in per_column) == walked
+    assert reduce_calls[0] == sum(per_column)
+    if walked:      # the prime above 2 comes last
+        assert per_column[-1] > 0 and cd.pres.gens[-1].a == 2
 
 
 # ------------------------------------------------ p-Sylow class data

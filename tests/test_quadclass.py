@@ -22,6 +22,7 @@ from epsclass.quadforms import (
 from oracles import (
     batch_ambiguous_counts,
     omega_loop,
+    redei_kind,
     reduced_forms_indefinite,
     scan_candidates_loop,
     scan_windows,
@@ -181,20 +182,23 @@ def test_class_group_imaginary_above_enum_cap():
 
 def _assert_genus_route(D, rng, samples=20):
     """full_imaginary_presentation(D, 2) against the staircase over Cl_2 =
-    Cl^h', imaginary_presentation(D, h', 2^v): the same h, structure and
-    quotient by P^h' for the prime P above 2 (unless 2 is inert), and for
-    classes x of Cl_2 drawn by rng, dlog coordinates that give x back
-    through op.  Returns the genus presentation, or None when v = 0."""
-    h, pres = qc.full_imaginary_presentation(D, 2)
-    v = arith.vp(h, 2)
+    Cl^h', imaginary_presentation(D, h', 2^v), h counted here: the same h
+    when one is returned, which is exactly when Delta > 0 (None, with no
+    count, when Redei's 4-rank is 0), the same structure and quotient by
+    P^h' for the prime P above 2 (unless 2 is inert), and for classes x of
+    Cl_2 drawn by rng, dlog coordinates that give x back through op.
+    Returns the genus presentation, or None when v = 0."""
+    got, pres = qc.full_imaginary_presentation(D, 2)
+    h = qc._class_number(D)
+    v, r = arith.vp(h, 2), qc.as_disc(D).ramified_count - 1
+    assert got == (h if v > r else None), D
     ref = qc.imaginary_presentation(D, h >> v, 1 << v)
     assert pres.h == ref.h == 1 << v, D
     assert pres.structure() == ref.structure(), D
-    if v == 0:
-        assert isinstance(pres, qc.ClassGroupPresentation), D
-        return None
     assert isinstance(pres, qc.GenusPresentation), D
-    assert len(pres.gens) == qc.as_disc(D).ramified_count - 1, D
+    assert len(pres.gens) == r, D
+    if v == 0:
+        return None
     P = qc.prime_form(D, 2)
     if P is not None:
         Pk = power(P, h >> v, pres.op)
@@ -262,20 +266,27 @@ def test_genus_route_everywhere():
 
 def test_genus_route_ramified_generators_compose_nothing():
     # v = r: the ramified prime forms alone span Cl/Cl^2, each its own
-    # h'-th power, and 2Cl_2 is trivial, so nothing is composed; from
-    # -1000007 on a prime below the ramified ones splits (2 for -1000007
-    # and -1000055, 5 for -1000051, 7 for -10000003), whose h'-th power an
-    # ascending walk would compose
+    # h'-th power, and 2Cl_2 is trivial, so nothing is composed, neither
+    # on the genus basis over a counted h nor where Redei's 4-rank 0 skips
+    # h; from -1000007 on a prime below the ramified ones splits (2 for
+    # -1000007 and -1000055, 5 for -1000051, 7 for -10000003), whose
+    # h'-th power an ascending walk would compose
     compose_calls = [0]
 
     def counted(f, g):
         compose_calls[0] += 1
         return compose(f, g)
+    fields = (-84, -1155, -20, -24, -40, -1000007, -1000055, -1000051,
+              -10000003)
+    hs = {D: qc._class_number(D) for D in fields}
     with mock.patch.object(qc, "compose", counted):
-        for D in (-84, -1155, -20, -24, -40, -1000007, -1000055, -1000051,
-                  -10000003):
-            h, pres = qc.full_imaginary_presentation(D, 2)
-            assert arith.vp(h, 2) == len(pres.gens), D
+        for D in fields:
+            r = qc.as_disc(D).ramified_count - 1
+            none, pres = qc.full_imaginary_presentation(D, 2)
+            assert none is None and len(pres.gens) == r, D
+            assert all(D % g.a == 0 for g in pres.gens), D
+            pres = qc.genus_presentation(D, hs[D])
+            assert arith.vp(hs[D], 2) == len(pres.gens) == r, D
             assert all(D % g.a == 0 for g in pres.gens), D
     assert compose_calls[0] == 0
 
@@ -297,6 +308,41 @@ def test_genus_route_compositions_on_the_golden_window():
         for disc in fields:
             qc.full_imaginary_presentation(disc, 2)
     assert compose_calls[0] <= 5 * len(fields)
+
+
+def _four_rank(g: AbelianGroupStructure) -> int:
+    return sum(e % 4 == 0 for e in g.divisors)
+
+
+def test_redei_4rank_matches_the_class_group():
+    # Redei's 4-rank against the 4-rank of the class group's chain, on
+    # every fundamental D < 0 with |D| < 2 * 10^4 (6079 fields) and in
+    # [10^6, 10^6 + 3000) (912), each of the four types of D (odd, 8 | D,
+    # D = 4 mod 8, omega = 1) at 4-rank 0 and above, about 1 s on a
+    # 2-core machine
+    fields = [qc.as_disc(-d) for d in np.flatnonzero(
+        qc.scan_arrays(2 * 10 ** 4 - 1)[1]).tolist()]
+    fields += list(pram.fundamental_negs(10 ** 6, 10 ** 6 + 2999))
+    assert len(fields) == 6079 + 912
+    kinds = Counter()
+    for d in fields:
+        e4 = qc.redei_4rank(d)
+        assert e4 == _four_rank(qc.class_group_imaginary(d)), d.value
+        kinds[redei_kind(d), e4 > 0] += 1
+    assert {k for k, e4 in kinds if e4} == {"odd", "8|D", "4 mod 8"}
+    assert {k for k, e4 in kinds if not e4} == \
+        {"odd", "8|D", "4 mod 8", "omega=1"}
+
+
+def test_redei_4rank_of_real_narrow_groups():
+    # the narrow class group's 4-rank for real D, 5 <= D < 3000
+    for D in range(5, 3000):
+        try:
+            d = qc.as_disc(D)
+        except ValueError:
+            continue
+        assert qc.redei_4rank(d) == \
+            _four_rank(qc.narrow_class_group_real(d)), D
 
 
 @pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
