@@ -30,7 +30,12 @@ and an odd Cl_p or a real narrow group from a staircase.  Where Redei's
 comes from the factorization alone, with no h: its basis is ramified
 prime forms I = conj(I) of odd norm q, except the one above 2 when D = 4
 mod 8, and each relation I^2 = (q) has the integer q as its generator,
-so only that one relation above 2 is walked.
+so only that one relation above 2 is walked.  A real field of narrow
+4-rank 0 (554 of the 607 with D <= 2000) takes the same route at p = 2:
+its narrow Cl+_2 = Cl+[2] on ramified prime forms, the one above 2 kept
+wherever the genera call for it (for D = 1032 = 8 * 3 * 43, say), with no
+narrow staircase, and one more relation, the genus of (sqrt(m)), which is
+multiplied out through the table of its one principal-cycle walk.
 """
 
 from __future__ import annotations
@@ -56,12 +61,13 @@ from .quadclass import (
     discriminant_from_value,
     full_imaginary_presentation,
     isqrt_float,
-    narrow_presentation,
     prime_form,
     radicand_of,
     ramified_principal_form,
+    real_presentation,
 )
 from .quadforms import (QuadForm, TrackedIdeal, principal_form,
+                        reduce_imaginary, reduce_indefinite,
                         translate_indefinite)
 
 
@@ -386,19 +392,25 @@ def fundamental_unit(D: int, one) -> tuple:
 
 
 def _coprime_rep(f: QuadForm, p: int) -> QuadForm:
-    """SL2-equivalent form with positive first coefficient coprime to p."""
+    """SL2-equivalent form with positive first coefficient coprime to p:
+    f itself, or f moved to a value f(x, y) with x, y < 3p + 3.  Where
+    that box holds none, as for the unreduced real form (2, 0, -129) of
+    D = 1032, whose positive values need x >= 9, f is reduced in its
+    class and the box searched again."""
     if f.a % p and f.a > 0:
         return f
-    for x in range(1, 3 * p + 3):
-        for y in range(0, 3 * p + 3):
-            if gcd(x, y) != 1:
-                continue
-            a2 = f.a * x * x + f.b * x * y + f.c * y * y
-            if a2 > 0 and a2 % p:
-                _, u, v = zlin.xgcd(x, y)
-                # matrix ((x, -v), (y, u)) has det x*u + y*v = 1
-                M = (x, -v, y, u)
-                return _transform(f, M)
+    reduce = reduce_indefinite if f.disc() > 0 else reduce_imaginary
+    for again in (False, True):
+        g = reduce(f) if again else f
+        for x in range(1, 3 * p + 3):
+            for y in range(0, 3 * p + 3):
+                if gcd(x, y) != 1:
+                    continue
+                a2 = g.a * x * x + g.b * x * y + g.c * y * y
+                if a2 > 0 and a2 % p:
+                    _, u, v = zlin.xgcd(x, y)
+                    # matrix ((x, -v), (y, u)) has det x*u + y*v = 1
+                    return _transform(g, (x, -v, y, u))
     raise PramError(f"no representation coprime to {p} found for {f}")
 
 
@@ -584,8 +596,9 @@ class _ClassData:
     D: int
     p: int
     pres: Presentation                 # Cl_p or Cl, as _class_data says
-    k: int | None                      # Cl_p = Cl^k, k = 1 for real D;
-    #                                    None where no h was counted
+    k: int | None                      # Cl_p = Cl^k over a counted h;
+    #                                    None for real D and where no h was
+    #                                    counted
     structure: AbelianGroupStructure   # pres's ordinary group
     relations: list   # (column c over pres.gens, (x, y)): prod I^c = (alpha)
     #                   with alpha = x + y*omega mod p^top_level(p)
@@ -597,11 +610,20 @@ class _ClassData:
 @lru_cache(maxsize=1)
 def _class_data(D, p: int) -> _ClassData:
     """A subgroup of index prime to p of the ordinary class group of D (the
-    p-Sylow subgroup for imaginary D, the whole group for real D) and its
-    relations, their generators' and the global units' images mod
-    p^top_level(p), which reduce to the images mod p^n at every level n.
-    D is an int or the Discriminant validated on entry, passed on so that
-    |D| is factored once.  They build no ring, so p is any prime.
+    p-Sylow subgroup for imaginary D; for real D the image of the narrow
+    group, or at p = 2 of its 2-Sylow subgroup where the narrow 4-rank is
+    0, see real_presentation) and its relations, their generators' and the
+    global units' images mod p^top_level(p), which reduce to the images
+    mod p^n at every level n.  D is an int or the Discriminant validated
+    on entry, passed on so that |D| is factored once.  They build no ring,
+    so p is any prime.
+
+    A real field's relations are the narrow ones and one more, the ram
+    column: the dlog of (sqrt(m)), whose narrow class is ordinary-trivial.
+    On the 2-Sylow route the narrow relations are I^2 = (q) of ramified
+    prime forms, generated by the integer q, and only the ram column is
+    multiplied out; each product is looked up in the table of the one
+    fundamental_unit walk, which gives eps too.
 
     Built once per field behind a one-entry cache, keyed by (D, p) as
     passed (pram's entry points pass their Discriminant), so that the
@@ -615,7 +637,7 @@ def _class_data(D, p: int) -> _ClassData:
     d = as_disc(D)
     D = d.value
     frame = _LocalFrame(D, p, top_level(p))
-    units, k, cycle = [], 1, None
+    units, k, cycle = [], None, None
     if D < 0:
         h, pres = full_imaginary_presentation(d, p)
         k = None if h is None else h // pres.h
@@ -624,7 +646,7 @@ def _class_data(D, p: int) -> _ClassData:
         if D in (-3, -4):
             units.append((0, 1))      # omega = (1 + sqrt(-3))/2 or i
     else:
-        pres = narrow_presentation(d)
+        pres = real_presentation(d, p)
         ram = ramified_principal_form(D)
         structure = pres.quotient(ram)
         # the ramified principal class is ordinary-trivial: one more

@@ -269,14 +269,18 @@ def redei_kind(d) -> str:
 
 @contextmanager
 def whole_groups():
-    """pram's imaginary class data over the whole class group, as before
-    they presented the p-Sylow subgroup alone (enumerated h only); the
+    """pram's class data over the whole class group, as before they
+    presented the p-Sylow subgroup alone: the imaginary ones over an
+    enumerated h, the real ones over the narrow staircase at every p; the
     cached class data are dropped on entry and exit, so that neither side
     reads the other's."""
+    real = mock.patch.object(pram, "real_presentation",
+                             lambda D, p: quadclass.narrow_presentation(D))
     pram._class_data.cache_clear()
     try:
         with mock.patch.object(pram, "full_imaginary_presentation",
-                               lambda D, p: quadclass.class_number_bsgs(D)):
+                               lambda D, p: quadclass.class_number_bsgs(D)), \
+                real:
             yield
     finally:
         pram._class_data.cache_clear()

@@ -444,7 +444,8 @@ def test_pram_entry_points_reject_a_level_past_the_top(monkeypatch, call,
                       (pram, "ResidueRing"), (pram, "_ring_units"),
                       (quadclass, "imaginary_presentation"),
                       (quadclass, "class_number_bsgs"),
-                      (pram, "narrow_presentation")):
+                      (pram, "real_presentation"),
+                      (quadclass, "narrow_presentation")):
         monkeypatch.setattr(mod, name, no_field)
     with pytest.raises(ValueError, match=r"n <= top_level\(p\) = "):
         call(*args)
@@ -1166,8 +1167,13 @@ def _program_vptor_4(D, p):
     # 0, so Redei's 4-rank 0 takes the ramified prime forms with no h
     (pram.reflection_check, -84, "genus_presentation"),
     (pram.rank_inequalities, -84, "genus_presentation"),
-    (pram.rank_inequalities, 105, "narrow_presentation"),
-    (pram.rank_inequalities, 229, "narrow_presentation"),
+    # a real field of narrow 4-rank 0 (105 = 3 * 5 * 7, and the prime 229)
+    # takes Cl+_2 = Cl+[2] on ramified prime forms at p = 2; 136 and 145
+    # (narrow 4-rank 1, Cl+ = [4] for both) keep the narrow staircase
+    (pram.rank_inequalities, 105, "genus_presentation"),
+    (pram.rank_inequalities, 229, "genus_presentation"),
+    (pram.rank_inequalities, 136, "narrow_presentation"),
+    (pram.rank_inequalities, 145, "narrow_presentation"),
     (pram.ktilde_index, -84, "genus_presentation"),
     # one builder on both sides of ENUM_CAP = 10^7, which chooses only
     # how h is found; h(-10000004) = 1648 = 2^4 * 103: one Sylow presented.
@@ -1184,8 +1190,10 @@ def _program_vptor_4(D, p):
     # trivial Cl_2 = Cl[2] is the genus route's, with no h and no staircase
     (pram.ktilde_index, -23, "genus_presentation"),
     (_program_vptor_4, -23, "genus_presentation"),
-    (pram.tor_report, 229, "narrow_presentation"),
-    (_ray_class_group_0, 229, "narrow_presentation"),
+    (pram.tor_report, 229, "genus_presentation"),
+    (_ray_class_group_0, 229, "genus_presentation"),
+    (pram.tor_report, 136, "narrow_presentation"),
+    (_ray_class_group_0, 145, "narrow_presentation"),
 ])
 def test_one_presentation_build_per_call(builds, call, D, builder):
     call(D, 2)
@@ -1226,9 +1234,19 @@ def test_class_group_presents_each_sylow_of_square_order(builds, D, sylows):
 
 def test_ray_class_group_level_zero_is_ordinary():
     # modulus p^0 = 1: the class data's group
-    for D in (5, 12, 105, 136, 145, 221, 229, 321, 473):
-        assert pram._class_data(D, 2).structure == \
-            quadclass.ordinary_class_group_real(D), D
+    real = (5, 12, 105, 136, 145, 221, 229, 321, 473, 1032)
+    with whole_groups():
+        for D in real:
+            assert pram._class_data(D, 2).structure == \
+                quadclass.ordinary_class_group_real(D), D
+    # at p = 2 a real field of narrow 4-rank 0 holds the image of Cl+_2
+    # alone: h(229) = 3, h(321) = 3 and h(473) = 3
+    for D in real:
+        ordinary = quadclass.ordinary_class_group_real(D)
+        if quadclass.redei_4rank(D) == 0:
+            ordinary = ordinary.p_part(2)
+        assert pram._class_data(D, 2).structure == ordinary, D
+    assert pram._class_data(229, 2).structure.order == 1
     for D in (-84, -1155):
         assert pram._class_data(D, 2).structure == \
             quadclass.class_group_imaginary(D), D
@@ -1526,6 +1544,154 @@ def test_delta_zero_class_data_count_no_h(monkeypatch, reduce_calls, D,
     assert reduce_calls[0] == sum(per_column)
     if walked:      # the prime above 2 comes last
         assert per_column[-1] > 0 and cd.pres.gens[-1].a == 2
+
+
+# ------------------------- real fields of narrow 4-rank 0 at p = 2
+
+def _real_outputs(d):
+    """What pram gives for real d at p = 2, each from a fresh build: the
+    2-parts of the ray class groups at n = 1, ..., 6 and 20 and of the
+    class data's ordinary group, tor_report and rank_inequalities."""
+    pram._class_data.cache_clear()
+    return ([pram.ray_class_group(d, 2, n).p_part(2)
+             for n in (*range(1, 7), 20)],
+            pram._class_data(d, 2).structure.p_part(2),
+            pram.tor_report(d, 2), pram.rank_inequalities(d, 2))
+
+
+def _assert_real_route(d):
+    """The route's outputs for d equal the narrow staircase's, which a
+    nonzero 4-rank forces."""
+    got = _real_outputs(d)
+    assert isinstance(pram._class_data(d, 2).pres,
+                      quadclass.GenusPresentation), d.value
+    with mock.patch.object(quadclass, "redei_4rank", lambda d: 1):
+        want = _real_outputs(d)
+        assert isinstance(pram._class_data(d, 2).pres,
+                          quadclass.ClassGroupPresentation), d.value
+    assert got == want, d.value
+
+
+def _eps_norm(D: int) -> int:
+    """N(eps) of real D: -1 when the principal cycle holds (-1, b, c)."""
+    return -1 if any(f.a == -1 for f in
+                     cycle_indefinite(principal_form(D))) else 1
+
+
+def _real_kind(D: int) -> str:
+    return "odd" if D % 2 else "8|D" if D % 8 == 0 else "4 mod 8"
+
+
+# N(eps) = -1 needs every prime discriminant positive, so never -4
+_REAL_KINDS = [("odd", 1), ("odd", -1), ("8|D", 1), ("8|D", -1),
+               ("4 mod 8", 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), kind=st.sampled_from(_REAL_KINDS))
+@example(seed=0, kind=("odd", 1))
+@example(seed=0, kind=("odd", -1))
+@example(seed=0, kind=("8|D", 1))
+@example(seed=0, kind=("8|D", -1))
+@example(seed=0, kind=("4 mod 8", 1))
+def test_real_route_matches_the_narrow_route(seed, kind):
+    # a seeded real field D < 10^6 of narrow 4-rank 0 of each kind, by D
+    # mod 8 and N(eps): Cl+_2 = Cl+[2] on ramified prime forms gives every
+    # 2-part the narrow staircase gives
+    rng = random.Random(seed)
+    while True:
+        D = rng.randrange(5, 10 ** 6)
+        if _real_kind(D) != kind[0]:
+            continue
+        try:
+            d = quadclass.as_disc(D)
+        except ValueError:
+            continue
+        if kind[1] < 0 and min(d.prime_discs) < 0:
+            continue
+        if quadclass.redei_4rank(d) == 0 and _eps_norm(D) == kind[1]:
+            break
+    _assert_real_route(d)
+
+
+def test_real_route_matches_the_narrow_route_everywhere():
+    # every real fundamental D <= 2000: 607 fields, 554 of narrow 4-rank
+    # 0, each kind of _REAL_KINDS among them
+    fields = []
+    for D in range(5, 2001):
+        try:
+            fields.append(quadclass.as_disc(D))
+        except ValueError:
+            pass
+    route = [d for d in fields if quadclass.redei_4rank(d) == 0]
+    assert (len(fields), len(route)) == (607, 554)
+    assert {(_real_kind(d.value), _eps_norm(d.value))
+            for d in route} == set(_REAL_KINDS)
+    for d in route:
+        _assert_real_route(d)
+
+
+@pytest.mark.parametrize("D,walked", [
+    (5, 0), (65, 0), (105, 1), (1365, 1),   # D odd; 105, 1365 N(eps) = 1
+    (8, 0), (40, 0), (1032, 2),             # 8 | D, 1032 with P_2
+    (60, 1), (156, 2), (229, 0),            # D = 4 mod 8, 156 with P_2
+])
+def test_real_route_walks_the_principal_cycle_alone(monkeypatch,
+                                                    reduce_calls, D,
+                                                    walked):
+    # no narrow staircase and no cycle of forms: one fundamental_unit walk
+    # gives eps and the table, each I^2 = (q) of an odd ramified q takes
+    # no walk, and only the ram column, when (sqrt(m)) is not narrowly
+    # principal, and P_2's, which _coprime_rep moves off a | b, are
+    # multiplied out
+    calls = Counter()
+
+    def counted(owner, name):
+        f = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(pram, "fundamental_unit")
+    counted(quadclass, "narrow_presentation")
+    counted(quadclass, "cycle_indefinite")
+    per_column = []
+    real = pram._lift_relation
+
+    def lift(forms, col, one, cycle):
+        before = reduce_calls[0]
+        out = real(forms, col, one, cycle)
+        per_column.append(reduce_calls[0] - before)
+        return out
+    monkeypatch.setattr(pram, "_lift_relation", lift)
+    d = quadclass.as_disc(D)
+    cd = pram._class_data(d, 2)
+    assert calls == {"fundamental_unit": 1}
+    gens = cd.pres.gens
+    assert len(gens) == d.ramified_count - 1 and \
+        all(D % g.a == 0 for g in gens)
+    # t - 1 columns I^2 = (q) and the ram column, last
+    assert len(per_column) == len(cd.relations) == len(gens) + 1
+    assert sum(n > 0 for n in per_column) == walked
+    ram = any(cd.relations[-1][0])
+    assert walked == ram + (2 in [g.a for g in gens])
+    assert (per_column[-1] > 0) == ram
+
+
+def test_coprime_rep_reduces_a_form_its_box_misses():
+    # the prime above 2 of D = 1032 = 8 * 3 * 43 is a generator of the
+    # real route; (2, 0, -129) is odd and positive only at x >= 9 (y odd),
+    # past the box x, y < 3p + 3 = 9, so it is reduced in its class first
+    f = QuadForm(2, 0, -129)
+    assert not any(v > 0 and v % 2 for v in (
+        2 * x * x - 129 * y * y for x in range(1, 9) for y in range(9)
+        if gcd(x, y) == 1))
+    g = pram._coprime_rep(f, 2)
+    assert g.a > 0 and g.a % 2 and g.disc() == 1032
+    narrow = quadclass.narrow_presentation(1032)
+    assert narrow.dlog(g) == narrow.dlog(f)
+    assert f in pram._class_data(1032, 2).pres.gens
 
 
 # ------------------------------------------------ p-Sylow class data

@@ -345,6 +345,61 @@ def test_redei_4rank_of_real_narrow_groups():
             _four_rank(qc.narrow_class_group_real(d)), D
 
 
+@pytest.mark.parametrize("D", [-84, -1155, -1000104, -1000164, 12, 105,
+                               840, 1032, 1365, 2604])
+def test_redei_symbols_are_taken_once_per_field(D):
+    # a field of 4-rank 0 (Delta = 0, or narrow 4-rank 0 for D > 0) at p =
+    # 2, of each type of D: the route's choice and its presentation take
+    # Redei's t(t - 1) symbols kronecker(d_j, p_i), j != i, once each, and
+    # no other genus character; the only other symbols are prime_form's
+    # kronecker(D, q)
+    d = qc.as_disc(D)
+    ps = [abs(q) if q % 2 else 2 for q in d.prime_discs]
+    calls = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return arith.kronecker(a, n)
+    with mock.patch.object(qc, "kronecker", counted):
+        if D < 0:
+            assert qc.full_imaginary_presentation(d, 2)[0] is None
+        else:
+            assert isinstance(qc.real_presentation(d, 2),
+                              qc.GenusPresentation)
+    symbols = Counter(c for c in calls if c[0] != D)
+    assert symbols == Counter((q, p) for i, p in enumerate(ps)
+                              for j, q in enumerate(d.prime_discs) if j != i)
+    assert sum(symbols.values()) == len(ps) * (len(ps) - 1)
+
+
+def test_real_presentation_checks_enum_cap_first(monkeypatch):
+    # a real D above ENUM_CAP is refused on either route before it is
+    # factored, before any Redei symbol and before any cycle
+    def boom(*args):
+        raise AssertionError("a factorization, symbol or cycle was started")
+    for name in ("factor", "kronecker", "cycle_indefinite"):
+        monkeypatch.setattr(qc, name, boom)
+    for D in (100280245065, qc.ENUM_CAP + 1):
+        for p in (2, 3):
+            with pytest.raises(qc.ClassNumberCapError, match="real budget"):
+                qc.real_presentation(D, p)
+
+
+def test_real_genus_presentation_is_the_narrow_2_sylow():
+    # with no h and narrow 4-rank 0, the t - 1 ramified prime forms kept
+    # generate Cl+_2 = Cl+[2], the narrow staircase's 2-part, and
+    # (sqrt(m)) takes it to the ordinary group's
+    for D in (12, 105, 840, 1032, 1365, 2604):
+        pres = qc.genus_presentation(D)
+        narrow = qc.narrow_presentation(D)
+        assert len(pres.gens) == qc.as_disc(D).ramified_count - 1
+        assert pres.structure() == narrow.structure().p_part(2), D
+        assert narrow.quotient(*pres.gens).p_part(2).order == 1, D
+        ram = qc.ramified_principal_form(D)
+        assert pres.quotient(ram) == \
+            qc.ordinary_class_group_real(D).p_part(2), D
+
+
 @pytest.mark.parametrize("D", [-23, -119, -356, -1055, -3299, -15015])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sylow_canon_projects_every_class(D, p):
