@@ -164,11 +164,11 @@ def cmd_cubic_enum(args) -> int:
                  int(cubic.discriminant_filter(f))) for f in flds]
         _emit(args, ("f", "a", "b", "poly", "disc_ok"), rows)
         return 0
-    rows = []
-    for f in cubic.enumerate_conductors(args.max_f):
-        n = len(cubic.cubic_polynomials(f))
-        rows.append((f, n, cubic.ambiguous_number(f, 3)))
-    _emit(args, ("f", "count", "ambiguous"), rows)
+    conductors = cubic.enumerate_conductors(args.max_f)  # the budget first
+    # a generator: _emit writes each row as it is made
+    _emit(args, ("f", "count", "ambiguous"), (
+        (f, len(cubic.cubic_polynomials(f)), cubic.ambiguous_number(f, 3))
+        for f in conductors))
     return 0
 
 

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from math import floor, isfinite, isqrt, log, log10, prod
 from pathlib import Path
+from typing import Iterator
 
 from .abgroup import AbelianGroupStructure
 from .arith import BudgetError, factor, vp
@@ -134,13 +135,13 @@ def rank_window(N: int, p: int) -> tuple[int, int]:
 ENUM_MAX_F = 10 ** 7
 
 
-def enumerate_conductors(max_f: int) -> list[int]:
-    """The cyclic cubic conductors f <= max_f; BudgetError before any f is
-    factored for max_f above ENUM_MAX_F."""
+def enumerate_conductors(max_f: int) -> Iterator[int]:
+    """The cyclic cubic conductors f <= max_f, lazily; BudgetError at the
+    call, before any f is factored, for max_f above ENUM_MAX_F."""
     if max_f > ENUM_MAX_F:
         raise BudgetError(f"cubic conductors up to {max_f} exceed the "
                           f"budget {ENUM_MAX_F}")
-    return [f for f in range(7, max_f + 1) if is_cubic_conductor(f)]
+    return (f for f in range(7, max_f + 1) if is_cubic_conductor(f))
 
 
 # ---------------------------------------------------------------- fixtures

@@ -25,12 +25,12 @@ has index [Cl : Cl_p], prime to p, so the two share their p-part (Cohen,
 GTM 138, ch. 5).  They read a presentation only through its generators,
 relation columns, structure and quotient by one class (quadclass's
 Presentation): Cl_2 comes on a genus basis, with only 2Cl_2 tabulated,
-and an odd Cl_p or a real narrow group from a staircase.  Where Redei's
-4-rank is 0 (Delta = 0, 56% of the fields near |D| = 10^6), Cl_2 = Cl[2]
-comes from the factorization alone, with no h: its basis is ramified
-prime forms I = conj(I) of odd norm q, except the one above 2 when D = 4
-mod 8, and each relation I^2 = (q) has the integer q as its generator,
-so only that one relation above 2 is walked.  A real field of narrow
+and an odd Cl_p or a real narrow group from a staircase.  Cl_2's basis
+starts from ramified prime forms I = conj(I), whose relation I^2 = (q),
+for odd q, has the integer q as its generator and is not walked.  Where
+Redei's 4-rank is 0 (Delta = 0, 56% of the fields near |D| = 10^6), Cl_2
+= Cl[2] comes from the factorization alone, with no h, on those forms
+(the one above 2 among them when D = 4 mod 8).  A real field of narrow
 4-rank 0 (554 of the 607 with D <= 2000) takes the same route at p = 2:
 its narrow Cl+_2 = Cl+[2] on ramified prime forms, the one above 2 kept
 wherever the genera call for it (for D = 1032 = 8 * 3 * 43, say), with no

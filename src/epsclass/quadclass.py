@@ -27,20 +27,22 @@ p-parts, so full_imaginary_presentation gives it h and Cl_p = Cl^(h/p^v).
 For p = 2 that is a genus presentation: a basis of Cl_2 whose genera span
 Cl/Cl^2, and a staircase over 2Cl_2 alone, whose 2^Delta classes are the
 only ones tabulated; a dlog is solved by genus, then looked up in 2Cl_2.
-Where Redei's matrix of Kronecker symbols between the prime discriminants
-gives a 4-rank of 0, Delta = 0 and Cl_2 = Cl[2] is spanned by ramified
-prime forms (Gauss), so that presentation needs no h at all: no count, no
-L-series and no staircase, only the factorization the Discriminant holds.
-A real field of narrow 4-rank 0 takes that presentation of its narrow
-Cl+_2 = Cl+[2] at p = 2 (real_presentation), with no cycle walk.  Both
-presentations give pram the same interface, Presentation.
+Each basis starts from the ramified prime forms whose rows of Redei's
+matrix of Kronecker symbols between the prime discriminants are
+independent, made once per Discriminant.  Where it gives a 4-rank of 0,
+Delta = 0 and those forms span Cl_2 = Cl[2] (Gauss), so that
+presentation needs no h at all: no count, no L-series and no staircase,
+only the factorization the Discriminant holds.  A real field of narrow
+4-rank 0 takes that presentation of its narrow Cl+_2 = Cl+[2] at p = 2
+(real_presentation), with no cycle walk.  Both presentations give pram
+the same interface, Presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
+from itertools import repeat, zip_longest
 from math import ceil, erfc, exp, fsum, gcd, isqrt, log, pi, prod, sqrt
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -101,22 +103,30 @@ class Discriminant:
         return len(self.prime_discs)
 
     @cached_property
-    def genera(self) -> tuple[int, ...]:
-        """Redei's matrix by rows: row i is the genus of the prime above
-        p_i, the prime of d_i, as a bit mask whose bit j is set when the
-        character of d_j is -1 on it, kronecker(d_j, p_i) for j != i, and
-        whose bit i makes the row's sum 0, since the t characters multiply
-        to 1 on every class.  Its t(t - 1) symbols are taken once per
-        Discriminant, for redei_4rank and genus_presentation alike."""
-        ps = [abs(q) if q % 2 else 2 for q in self.prime_discs]
-        rows = []
-        for i, p in enumerate(ps):
+    def genus_basis(self) -> tuple[tuple[QuadForm, ...], tuple]:
+        """(forms, echelon): the ramified prime forms (q, b, c), q | b,
+        the odd q ascending and the one above 2 last, each kept when its
+        genus is independent of those before, and the kept genera as
+        _reduce_genus's echelon.  A genus is a row of Redei's matrix: the
+        prime above p_i, the prime of d_i, has bit j set when
+        kronecker(d_j, p_i) = -1, j != i, and bit i their parity (the t
+        characters multiply to 1), less the last character's bit.  Made
+        once per Discriminant, for redei_4rank and genus_presentation."""
+        D, discs = self.value, self.prime_discs
+        t = len(discs)
+        forms, echelon = [], []
+        for i in range(t) if D % 2 else [*range(1, t), 0]:
+            p = abs(discs[i]) if discs[i] % 2 else 2
             row = 0
-            for j, q in enumerate(self.prime_discs):
+            for j, q in enumerate(discs):
                 if j != i and kronecker(q, p) < 0:
                     row ^= 1 << j | 1 << i
-            rows.append(row)
-        return tuple(rows)
+            rest, e = _reduce_genus(row & ~(1 << t - 1), echelon)
+            if rest:
+                echelon.append((1 << rest.bit_length() - 1, rest,
+                                e ^ 1 << len(forms)))
+                forms.append(_ramified_form(D, p))
+        return tuple(forms), tuple(echelon)
 
 
 def fundamental_discriminant(m: int) -> Discriminant:
@@ -270,13 +280,19 @@ def prime_form(D: int, q: int) -> Optional[QuadForm]:
     k = kronecker(D, q)
     if k == -1:
         return None
-    if k == 1:
-        if q == 2:
-            return QuadForm(2, 1, (1 - D) // 8)
-        b = sqrt_mod_prime(D, q)
-        if (b - D) % 2:
-            b += q
-        return QuadForm(q, b, (b * b - D) // (4 * q))
+    if k == 0:
+        return _ramified_form(D, q)
+    if q == 2:
+        return QuadForm(2, 1, (1 - D) // 8)
+    b = sqrt_mod_prime(D, q)
+    if (b - D) % 2:
+        b += q
+    return QuadForm(q, b, (b * b - D) // (4 * q))
+
+
+def _ramified_form(D: int, q: int) -> QuadForm:
+    """Form (q, b, c), q | b, of the prime above q, which ramifies: I =
+    conj(I), so I^2 = (q)."""
     m = radicand_of(D)
     if q == 2:
         if m % 2 == 0:
@@ -419,9 +435,9 @@ def _reduce_genus(v: int, echelon: list) -> tuple[int, int]:
 @dataclass
 class GenusPresentation(Presentation):
     """Cl_2 of an imaginary field on a genus basis g_0, ..., g_(r-1), r =
-    omega(|D|) - 1, whose genera span Cl/Cl^2; 2Cl_2 is the staircase
-    `squares` over the squares g_i^2 other than 1, squares.gens[k] =
-    g_(spots[k])^2.
+    omega(|D|) - 1, whose genera span Cl/Cl^2: the Discriminant's ramified
+    basis, then split g_i, whose squares are the generators of `squares`,
+    the staircase over 2Cl_2, in order.
     A dlog is the genus coordinates e of a class x over the basis, and
     twice the staircase's dlog of x prod g_i^(-e_i), which lies in the
     principal genus of Cl_2, that is 2Cl_2: only 2Cl_2's 2^Delta classes
@@ -430,9 +446,8 @@ class GenusPresentation(Presentation):
     class: they are those of its odd power in Cl_2.  That is the one case
     a real field takes, its narrow Cl+_2 = Cl+[2] on ramified forms."""
     squares: ClassGroupPresentation
-    spots: list
     chars: tuple          # the genus characters read: all but the last
-    echelon: list         # the basis genera, for _reduce_genus
+    echelon: tuple        # the basis genera, for _reduce_genus
     op = staticmethod(_compose_imaginary)
 
     @property
@@ -443,95 +458,70 @@ class GenusPresentation(Presentation):
         rest, e = _reduce_genus(_genus_vector(f, self.chars), self.echelon)
         assert rest == 0
         out = [e >> i & 1 for i in range(len(self.gens))]
-        if self.spots:
+        if self.squares.gens:
             y = reduce_imaginary(f)
             for i, g in enumerate(self.gens):
                 if e >> i & 1:
                     y = self.op(y, g.inverse())
-            for i, c in zip(self.spots, self.squares.dlog(y)):
+            k = len(self.gens) - len(self.squares.gens)
+            for i, c in enumerate(self.squares.dlog(y), k):
                 out[i] += 2 * c
         return tuple(out)
 
 
 def genus_presentation(D, h: Optional[int] = None) -> GenusPresentation:
     """Cl_2 = Cl(D)^h' of fundamental D < 0 on a genus basis, for its class
-    number h = 2^v h' with v >= 1; with no h, for a 4-rank of 0
-    (redei_4rank), the narrow one for D > 0, where Cl+_2 = Cl+[2].
+    number h = 2^v h'; with no h, for a 4-rank of 0 (redei_4rank), the
+    narrow one for D > 0, where Cl+_2 = Cl+[2].
 
-    Its r = omega - 1 generators are g_i = P_i^h' for the first r prime
-    forms P_i whose genera are independent of the ones kept before: the
-    ramified ones first, each its own h'-th power at no composition (they
-    span Cl/Cl^2 whenever Cl_2 is elementary), then the split ones up to
-    sqrt(|D|/3), ascending.  These prime forms generate Cl, so the kept
-    genera span Cl/Cl^2 = Cl_2/2Cl_2, and the g_i generate Cl_2 (Burnside's
-    basis theorem).  A relation among the g_i is even, by genus, and half
-    of it is one among their squares: so Cl_2's relations are g_i^2 = 1 for
-    a ramified g_i and twice the staircase's.  The prime discriminants are
-    the Discriminant's, so |D| is not factored again.
+    The basis starts from the Discriminant's genus_basis, ramified prime
+    forms (q, b, c) as they are, unreduced, each its own h'-th power.  q |
+    b is I = conj(I), so I^2 = (q): pram takes the integer q as that
+    relation's generator, with no walk.  With no h they are the whole
+    basis: a 4-rank of 0 makes the genus map injective on Cl+[2], every
+    class of which holds an ambiguous ideal in the narrow sense, and the
+    one relation among the r + 1 ramified classes is whichever product of
+    them is narrowly principal, (sqrt(m)) for D < 0.
 
-    With no h the g_i are ramified prime forms (q, b, c) as they are,
-    unreduced, the odd q ascending and the one above 2 last, and their
-    genera are the Discriminant's Redei rows less the last character's
-    bit, so no Kronecker symbol is taken again.  A 4-rank of 0 makes the
-    genus map injective on Cl+[2], and in the narrow sense every class of
-    Cl+[2] holds an ambiguous ideal, a product of ramified primes: so the
-    kept ones are a basis, and the one relation among the r + 1 ramified
-    classes is whichever product of them is narrowly principal, (sqrt(m))
-    for D < 0.  q | b is I = conj(I), so I^2 = I conj(I) = (q): pram takes
-    the integer q as that relation's generator, with no walk."""
+    With h, the split prime forms P up to sqrt(|D|/3), ascending, whose
+    genera are independent of those kept, fill the basis to r = omega - 1,
+    each as P^h'.  These generate Cl, so the kept genera span Cl/Cl^2 =
+    Cl_2/2Cl_2 and the basis generates Cl_2 (Burnside's basis theorem).  A
+    split g_i is not in Cl[2], the ramified classes (Gauss), its genus
+    being independent of theirs: so their squares are a minimal generating
+    set of 2Cl_2, which the staircase adjoins each, in order.  A relation
+    among the g_i is even, by genus, and half of it is one among their
+    squares: so Cl_2's relations are g_i^2 = 1 for a ramified g_i and
+    twice the staircase's."""
     d = as_disc(D)
     D = d.value
     r = d.ramified_count - 1
     chars = d.prime_discs[:r]
-    one = principal_form(D)     # reduced, for D < 0
-    ramified = [prime_form(D, abs(q) if q % 2 else 2) for q in d.prime_discs]
-    if h is None:
-        v, odd = r, 1
-        # bit r, the last character's, is the parity of the others
-        forms = list(zip(ramified, [g & ~(1 << r) for g in d.genera]))
-        if D % 2 == 0:
-            forms = forms[1:] + forms[:1]
-    else:
-        assert D < 0
-        v = vp(h, 2)
-        odd = h >> v
-        assert 1 <= r <= v, (D, h, r)
-        forms = ((P, _genus_vector(P, chars)) for P in chain(
-            ramified, (P for P in _prime_forms(D, isqrt(-D // 3))
-                       if D % P.a)))
-    gens, sq, echelon = [], [], []
-    for P, genus in forms:
-        rest, e = _reduce_genus(genus, echelon)
-        if not rest:
-            continue
-        echelon.append((1 << rest.bit_length() - 1, rest,
-                        e ^ 1 << len(gens)))
-        if D % P.a:
-            g = power(reduce_imaginary(P), odd, _compose_imaginary)
-            gens.append(g)
-            sq.append(_compose_imaginary(g, g))
-        else:           # ramified: P^odd = P and P^2 = 1
-            gens.append(P if h is None else reduce_imaginary(P))
-            sq.append(one)
-        if len(gens) == r:
-            break
+    gens, echelon = map(list, d.genus_basis)
+    k = len(gens)       # the ramified basis; the split g_i follow it
+    v = r if h is None else vp(h, 2)
+    if h is not None:
+        assert D < 0 and r <= v, (D, h, r)
+        split = (P for P in _prime_forms(D, isqrt(-D // 3)) if D % P.a)
+        while len(gens) < r:
+            P = next(split)
+            rest, e = _reduce_genus(_genus_vector(P, chars), echelon)
+            if rest:
+                echelon.append((1 << rest.bit_length() - 1, rest,
+                                e ^ 1 << len(gens)))
+                gens.append(power(reduce_imaginary(P), h >> v,
+                                  _compose_imaginary))
     assert len(gens) == r, (D, gens)
+    sq = [_compose_imaginary(g, g) for g in gens[k:]]
     squares = ClassGroupPresentation.staircase(
-        one, reduce_imaginary, _compose_imaginary, sq, 1 << v - r)
-    # the ramified classes are Cl[2] (Gauss), so the split g_i fill the
-    # 4-rank's dimensions of Cl/Cl^2, and their squares are a minimal
-    # generating set of 2Cl_2: the staircase adjoins each, in order
-    spots = [i for i, s in enumerate(sq) if s != one]
-    assert squares.h == 1 << v - r and \
-        squares.gens == [sq[i] for i in spots], (D, h)
-    orders, words = [2] * r, [()] * r
-    for i, o, w in zip(spots, squares.orders, squares.words):
-        word = [0] * r
-        for j, c in zip(spots, w):
-            word[j] = 2 * c
-        orders[i], words[i] = 2 * o, tuple(word)
-    return GenusPresentation(gens, orders, words, squares, spots, chars,
-                             echelon)
+        principal_form(D), reduce_imaginary, _compose_imaginary, sq,
+        1 << v - r)
+    assert squares.h == 1 << v - r and squares.gens == sq, (D, h)
+    orders = [2] * k + [2 * o for o in squares.orders]
+    words = [()] * k + [(0,) * k + tuple(2 * c for c in w)
+                        for w in squares.words]
+    return GenusPresentation(gens, orders, words, squares, chars,
+                             tuple(echelon))
 
 
 def redei_4rank(D) -> int:
@@ -539,16 +529,9 @@ def redei_4rank(D) -> int:
     0, from its prime discriminants d_1, ..., d_t alone, which the
     Discriminant holds, so nothing is factored (Redei, J. Reine Angew.
     Math. 171, 1934; Stevenhagen, LMS Lecture Note Ser. 215, 1995): t - 1
-    minus the rank over F_2 of Redei's matrix, the Discriminant's genera,
-    whose entry (i, j), i != j, is 1 when kronecker(d_j, p_i) = -1, p_i
-    the prime of d_i, and whose diagonal makes each row sum to 0."""
+    minus the rank over F_2 of Redei's matrix, that of genus_basis."""
     d = as_disc(D)
-    echelon = []
-    for row in d.genera:
-        rest, _ = _reduce_genus(row, echelon)
-        if rest:
-            echelon.append((1 << rest.bit_length() - 1, rest, 0))
-    return d.ramified_count - 1 - len(echelon)
+    return d.ramified_count - 1 - len(d.genus_basis[0])
 
 
 def narrow_presentation(D) -> ClassGroupPresentation:
@@ -624,9 +607,9 @@ def full_imaginary_presentation(D, p: int
     if p == 2 and redei_4rank(d) == 0:
         return None, genus_presentation(d)
     h = _class_number(d)
-    q = p ** vp(h, p)
-    if p == 2 and q > 1:
+    if p == 2:
         return h, genus_presentation(d, h)
+    q = p ** vp(h, p)
     return h, imaginary_presentation(d, h // q, q)
 
 

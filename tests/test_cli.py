@@ -578,6 +578,27 @@ def test_tor_scan_writes_each_shard_as_it_is_done(monkeypatch, capsys):
                                     "-1000132"]
 
 
+def test_cubic_enum_writes_each_row_as_it_is_made(monkeypatch, capsys):
+    # every row was held until the last conductor was examined; now, as
+    # each f is examined, the output holds the header and the row of each
+    # conductor below f
+    examined, real = [], cubic.is_cubic_conductor
+
+    def conductor(f):
+        examined.append((f, sys.stdout.getvalue()))
+        return real(f)
+    monkeypatch.setattr(cubic, "is_cubic_conductor", conductor)
+    code, out = run(["cubic-enum", "--max-f", "100"], capsys)
+    header, rows = rows_of(out)
+    assert code == 0 and header == ["f", "count", "ambiguous"]
+    assert [int(r[0]) for r in rows] == [7, 9, 13, 19, 31, 37, 43, 61, 63,
+                                         67, 73, 79, 91, 97]
+    assert [f for f, _ in examined] == list(range(7, 101))
+    for f, written in examined:
+        assert rows_of(written) == (header, [r for r in rows
+                                             if int(r[0]) < f]), f
+
+
 @pytest.mark.parametrize("argv,module,name", [
     (["tor-family", "--p", "2", "--count", "100000"], pram, "tor_report"),
     (["tor-family", "--p", "2", "--count", "10"], pram, "tor_report"),

@@ -1378,7 +1378,9 @@ def test_relation_walk_reduces_each_form_once(reduce_calls, D):
     # every product of powers once, and for imaginary D principal_generator
     # the end once more; a real product is looked up in the principal
     # cycle's table as it is.  A square of an ambiguous ideal reduces
-    # nothing: Cl_2(-1155) = Cl[2] has three, on ramified prime forms
+    # nothing: Cl_2(-1155) = Cl[2] has three, on ramified prime forms, and
+    # Cl_2(-1000036) = [8,4,2], of 4-rank 2, one, its ramified basis's
+    # prime above 29, (29, 58, 8650), which the basis keeps unreduced
     cd = pram._class_data(D, 2)
     forms = [pram._coprime_rep(f, 2) for f in cd.pres.gens]
     one = QuadElt.one(D)
@@ -1395,7 +1397,33 @@ def test_relation_walk_reduces_each_form_once(reduce_calls, D):
         elif nonzero:
             want += D < 0
         assert reduce_calls[0] == want, (D, col)
-    assert seen == (3 if D == -1155 else 0), D
+    assert seen == {-1155: 3, -1000036: 1}.get(D, 0), D
+
+
+def test_relation_walks_on_the_golden_window(reduce_calls, monkeypatch):
+    # the 402 fields with Delta > 0 of tor-scan --p 2 --min-d 1000000
+    # --max-d 1003000, whose Cl_2 is presented over a counted h; a
+    # relation walks when its lift reduces a form.  With the ramified
+    # generators reduced, the prime above 2 first, 528 of the 791
+    # relations walked; on the ramified basis's unreduced (q, b, c), q | b,
+    # the odd q first, each ramified relation I^2 = (q) of odd q walks none
+    walked = []
+    real = pram._lift_relation
+
+    def lift(forms, col, one, cycle):
+        before = reduce_calls[0]
+        out = real(forms, col, one, cycle)
+        walked.append(reduce_calls[0] > before)
+        return out
+    monkeypatch.setattr(pram, "_lift_relation", lift)
+    fields = [d for d in pram.fundamental_negs(10 ** 6, 1003000)
+              if quadclass.redei_4rank(d) > 0]
+    assert len(fields) == 402
+    pram._class_data.cache_clear()
+    for d in fields:
+        assert pram._class_data(d, 2).k is not None, d.value
+    assert len(walked) == 791
+    assert sum(walked) <= 443
 
 
 @pytest.fixture
@@ -1495,8 +1523,8 @@ def _delta_zero_outputs(d):
 def test_delta_zero_route_matches_the_h_route(seed, kind):
     # a seeded field of Redei 4-rank 0 (Delta = 0) of each kind, |D| < 2 *
     # 10^6: every output from Cl_2 = Cl[2] on ramified prime forms, with no
-    # h, equals the one from the counted h and the genus (or, for omega =
-    # 1, the staircase) presentation, which a nonzero 4-rank forces
+    # h, equals the one from the counted h and the genus presentation over
+    # it, which a nonzero 4-rank forces (with no generator for omega = 1)
     rng = random.Random(seed)
     while True:
         d = pram.is_fundamental_neg(rng.randrange(3, 2 * 10 ** 6))

@@ -351,8 +351,8 @@ def test_redei_symbols_are_taken_once_per_field(D):
     # a field of 4-rank 0 (Delta = 0, or narrow 4-rank 0 for D > 0) at p =
     # 2, of each type of D: the route's choice and its presentation take
     # Redei's t(t - 1) symbols kronecker(d_j, p_i), j != i, once each, and
-    # no other genus character; the only other symbols are prime_form's
-    # kronecker(D, q)
+    # no other symbol: no genus character, and no kronecker(D, q) for a
+    # prime q known to ramify
     d = qc.as_disc(D)
     ps = [abs(q) if q % 2 else 2 for q in d.prime_discs]
     calls = []
@@ -366,10 +366,47 @@ def test_redei_symbols_are_taken_once_per_field(D):
         else:
             assert isinstance(qc.real_presentation(d, 2),
                               qc.GenusPresentation)
-    symbols = Counter(c for c in calls if c[0] != D)
+    symbols = Counter(calls)
     assert symbols == Counter((q, p) for i, p in enumerate(ps)
                               for j, q in enumerate(d.prime_discs) if j != i)
     assert sum(symbols.values()) == len(ps) * (len(ps) - 1)
+
+
+@pytest.mark.parametrize("D", [-84, -1155, -1000104, -1000164, -1000036,
+                               -4895, 105, 1032])
+def test_redei_rows_are_eliminated_once_per_field(monkeypatch, D):
+    # redei_4rank and genus_presentation, with h or without, start from the
+    # Discriminant's one ramified basis: Redei's t rows are eliminated
+    # once, however often they are read, and a presentation over h reduces
+    # only the genus of each split form it draws (-1000036 and -4895 have
+    # Delta > 0, the others 4-rank 0)
+    d = qc.as_disc(D)
+    t = d.ramified_count
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(qc, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(qc, name, wrapped)
+    for name in ("_reduce_genus", "_genus_vector"):
+        counted(name)
+    e4 = qc.redei_4rank(d)
+    assert counts == {"_reduce_genus": t}
+    for _ in range(2):
+        assert qc.redei_4rank(d) == e4
+        if D > 0:
+            assert isinstance(qc.real_presentation(d, 2),
+                              qc.GenusPresentation)
+        elif e4:
+            assert qc.full_imaginary_presentation(d, 2)[0] is not None
+        else:
+            qc.genus_presentation(d)
+    drawn = counts["_genus_vector"]
+    assert (drawn > 0) == (e4 > 0)
+    assert counts["_reduce_genus"] == t + drawn
 
 
 def test_real_presentation_checks_enum_cap_first(monkeypatch):
