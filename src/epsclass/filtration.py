@@ -6,14 +6,17 @@ sigma given by the images sigma(e_j) of the generators.  The filtration is
 M_i = ker (1-sigma)^i, computed two independent ways (direct matrix powers
 vs iterated fixed-point pullbacks); quotient orders #(M_{i+1}/M_i) =
 p^(N-1-t_i) give the t-sequence, from which p-ranks and the exceptional
-exponent delta follow.
+exponent delta follow.  A direct sum is filtered summand by summand, as
+sigma acts on each alone: each route multiplies its own chains of the
+summands, and these are remembered on the shared group-ring blocks, so
+each block is eliminated once per process and route.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from . import quadclass, zlin
@@ -44,10 +47,16 @@ class FinitePModule:
     zlin takes as they are.  A list of images is the transpose of a
     matrix, but only powers of the one map sigma are multiplied, and they
     commute.  `relations` is the Hermite basis of the lattice, made once
-    when the module is, as tuples: `group_ring_block` modules are shared."""
+    when the module is, as tuples: `group_ring_block` modules are shared.
+
+    A `direct_sum` keeps its `summands`, which take no part in ==, hash or
+    repr.  #M^G and the two chains of orders #M_i are cached properties:
+    a module with summands multiplies theirs, one without eliminates
+    itself.  So a shared block's are computed once per process."""
     p: int
     relations: tuple      # Hermite basis vectors, each of length g
     sigma: tuple          # sigma(e_j) for j < g, each of length g
+    summands: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         hnf = zlin.hnf_columns(self.relations)
@@ -77,6 +86,57 @@ class FinitePModule:
     @property
     def ngens(self) -> int:
         return len(self.sigma)
+
+    @cached_property
+    def fixed_order(self) -> int:
+        """#M^G, that of fixed_subgroup."""
+        if self.summands:
+            return prod(S.fixed_order for S in self.summands)
+        return fixed_subgroup(self).order
+
+    @cached_property
+    def direct_orders(self) -> tuple:
+        """(#M_0 = 1, #M_1, ..., #M), M_i = ker (1-sigma)^i from the
+        matrix powers (1-sigma)^i: the direct route."""
+        if self.summands:
+            return _sum_chain([S.direct_orders for S in self.summands])
+        total = module_order(self)
+        A = _one_minus_sigma(self)
+        orders = [1]
+        Ai = zlin.identity(self.ngens)
+        while orders[-1] != total:
+            if len(orders) > MAX_STEPS:
+                raise FiltrationError("filtration did not stabilize")
+            Ai = zlin.mat_mul(A, Ai)
+            K = zlin.solution_lattice(Ai, self.relations)
+            orders.append(total // _index(K, self.ngens))
+        return tuple(orders)
+
+    @cached_property
+    def iterated_orders(self) -> tuple:
+        """The chain of direct_orders, M_{i+1} the pullback of (M/M_i)^G:
+        the iterated route."""
+        if self.summands:
+            return _sum_chain([S.iterated_orders for S in self.summands])
+        total = module_order(self)
+        A = _one_minus_sigma(self)
+        K = self.relations
+        orders = [1]
+        while orders[-1] != total:
+            if len(orders) > MAX_STEPS:
+                raise FiltrationError("filtration did not stabilize")
+            K = zlin.solution_lattice(A, K)
+            orders.append(total // _index(K, self.ngens))
+        return tuple(orders)
+
+
+def _sum_chain(chains: list[tuple]) -> tuple:
+    """The chain of a direct sum from its summands' chains: #M_i =
+    prod_j #(B_j)_min(i, m_j), a summand's order held once its chain has
+    stopped, and the sum's stops with its longest."""
+    m = max(map(len, chains))
+    return tuple(prod(c[min(i, len(c) - 1)] for c in chains)
+                 for i in range(m))
 
 
 def _index(L, g: int) -> int:
@@ -126,7 +186,7 @@ class FiltrationResult:
         return self.chain[-1]
 
 
-def _chain_to_result(p: int, N: int, orders: list[int]) -> FiltrationResult:
+def _chain_to_result(p: int, N: int, orders: tuple) -> FiltrationResult:
     t = []
     for i in range(len(orders) - 1):
         q = orders[i + 1] // orders[i]
@@ -151,31 +211,12 @@ def _chain_to_result(p: int, N: int, orders: list[int]) -> FiltrationResult:
 
 def filtration(M: FinitePModule, N: int) -> FiltrationResult:
     """Direct route: M_i = ker (1-sigma)^i via matrix powers."""
-    total = module_order(M)
-    A = _one_minus_sigma(M)
-    orders = [1]
-    Ai = zlin.identity(M.ngens)
-    while orders[-1] != total:
-        if len(orders) > MAX_STEPS:
-            raise FiltrationError("filtration did not stabilize")
-        Ai = zlin.mat_mul(A, Ai)
-        K = zlin.solution_lattice(Ai, M.relations)
-        orders.append(total // _index(K, M.ngens))
-    return _chain_to_result(M.p, N, orders)
+    return _chain_to_result(M.p, N, M.direct_orders)
 
 
 def filtration_iterated(M: FinitePModule, N: int) -> FiltrationResult:
     """Iterated route: M_{i+1} is the pullback of (M/M_i)^G."""
-    total = module_order(M)
-    A = _one_minus_sigma(M)
-    K = M.relations
-    orders = [1]
-    while orders[-1] != total:
-        if len(orders) > MAX_STEPS:
-            raise FiltrationError("filtration did not stabilize")
-        K = zlin.solution_lattice(A, K)
-        orders.append(total // _index(K, M.ngens))
-    return _chain_to_result(M.p, N, orders)
+    return _chain_to_result(M.p, N, M.iterated_orders)
 
 
 def _t_at(t, i: int, N: int) -> int:
@@ -242,6 +283,8 @@ def group_ring_block(p: int, a: int, b: int) -> FinitePModule:
 
 
 def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
+    """The modules side by side, sigma acting on each alone; the sum keeps
+    them as its summands, whose #M^G and chains it multiplies."""
     p = mods[0].p
     g = sum(m.ngens for m in mods)
     rels, sigma = [], []
@@ -253,12 +296,7 @@ def direct_sum(mods: list[FinitePModule]) -> FinitePModule:
         off += m.ngens
     # the blocks' Hermite bases in turn are the sum's, reduced with no
     # Bezout step; a sum of valid blocks is valid: no need to go through build
-    return FinitePModule(p, tuple(rels), tuple(sigma))
-
-
-@lru_cache(maxsize=64)
-def _block_fixed_order(p: int, a: int, b: int) -> int:
-    return fixed_subgroup(group_ring_block(p, a, b)).order
+    return FinitePModule(p, tuple(rels), tuple(sigma), tuple(mods))
 
 
 def synthesize(p: int, N: int, seed: int) -> FinitePModule:
@@ -266,9 +304,9 @@ def synthesize(p: int, N: int, seed: int) -> FinitePModule:
 
     Each of MAX_ATTEMPTS attempts draws N-1 blocks (a, b).  sigma acts
     block by block, so (+B_j)^G = +B_j^G and a draw is accepted when the
-    cached orders #B_j^G multiply to p^(N-1); only the accepted draw is
-    summed.  p above MAX_SYNTH_P is refused before any block is built,
-    and MAX_ATTEMPTS draws that all miss end in BudgetError.
+    blocks' cached orders #B_j^G multiply to p^(N-1); only the accepted
+    draw is summed.  p above MAX_SYNTH_P is refused before any block is
+    built, and MAX_ATTEMPTS draws that all miss end in BudgetError.
     """
     if N < 2 or p > MAX_SYNTH_P:
         raise ValueError(f"synthesize needs N >= 2 and p <= {MAX_SYNTH_P}, "
@@ -277,8 +315,9 @@ def synthesize(p: int, N: int, seed: int) -> FinitePModule:
     for _ in range(MAX_ATTEMPTS):
         draw = [(rng.randint(1, MAX_BLOCK_EXPONENT), rng.randint(1, p))
                 for _ in range(N - 1)]
-        if prod(_block_fixed_order(p, a, b) for a, b in draw) == p ** (N - 1):
-            return direct_sum([group_ring_block(p, a, b) for a, b in draw])
+        blocks = [group_ring_block(p, a, b) for a, b in draw]
+        if prod(B.fixed_order for B in blocks) == p ** (N - 1):
+            return direct_sum(blocks)
     raise BudgetError(f"synthesize: no module with #M^G = {p}^{N - 1} "
                       f"found in {MAX_ATTEMPTS} attempts")
 

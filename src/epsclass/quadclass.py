@@ -502,7 +502,10 @@ def genus_presentation(D, h: Optional[int] = None) -> GenusPresentation:
     v = r if h is None else vp(h, 2)
     if h is not None:
         assert D < 0 and r <= v, (D, h, r)
-        split = (P for P in _prime_forms(D, isqrt(-D // 3)) if D % P.a)
+        # a q | D ramifies, its genus in the span of genus_basis's: its
+        # form is never built
+        primes = np.flatnonzero(prime_sieve(isqrt(-D // 3))).tolist()
+        split = filter(None, (prime_form(D, q) for q in primes if D % q))
         while len(gens) < r:
             P = next(split)
             rest, e = _reduce_genus(_genus_vector(P, chars), echelon)

@@ -640,7 +640,6 @@ def test_filtration_above_p_17_exits_2(monkeypatch, capsys):
     def no_block(*args):
         raise AssertionError(f"block {args} was built")
     monkeypatch.setattr(fl, "group_ring_block", no_block)
-    monkeypatch.setattr(fl, "_block_fixed_order", no_block)
     for argv in (["filtration-run", "--p", "19", "--n", "3"],
                  ["filtration-run", "--p", "31", "--n", "3"],
                  ["filtration-mc", "--p", "19", "--n", "3"]):

@@ -168,7 +168,6 @@ def test_synthesize_refuses_p_above_17_before_any_block(monkeypatch):
     def no_block(*args):
         raise AssertionError(f"block {args} was built")
     monkeypatch.setattr(fl, "group_ring_block", no_block)
-    monkeypatch.setattr(fl, "_block_fixed_order", no_block)
     for p in (19, 31):
         with pytest.raises(ValueError):
             fl.synthesize(p, 3, 0)
@@ -344,3 +343,66 @@ def test_direct_sum_is_the_build_over_raw_block_relations(p, N,
         assert summed == built
         for route in (fl.filtration, fl.filtration_iterated):
             assert route(summed, N) == route(built, N), (seed, route)
+
+
+@st.composite
+def _block_lists(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ab = st.tuples(st.integers(1, fl.MAX_BLOCK_EXPONENT), st.integers(1, p))
+    blocks = draw(st.lists(ab, min_size=1, max_size=3))
+    # a block twice: its remembered chains are read twice
+    return p, blocks + draw(st.lists(st.sampled_from(blocks), max_size=1))
+
+
+@given(_block_lists())
+@settings(max_examples=40, deadline=None)
+def test_sum_chains_are_the_whole_module_chains(pblocks):
+    # a sum multiplies its summands' chains; the build over the raw
+    # relations has no summands and eliminates the whole module
+    p, ab = pblocks
+    summed = fl.direct_sum([fl.group_ring_block(p, a, b) for a, b in ab])
+    built = fl.FinitePModule.build(p, *_raw_sum(p, ab))
+    assert built.summands == () and len(summed.summands) == len(ab)
+    assert summed == built and hash(summed) == hash(built)
+    assert repr(summed) == repr(built)
+    assert summed.fixed_order == built.fixed_order == \
+        fl.fixed_subgroup(built).order
+    N = vp(built.fixed_order, p) + 1
+    for M in (summed, built):
+        assert fl.filtration(M, N) == fl.filtration_iterated(M, N)
+    assert fl.filtration(summed, N) == fl.filtration(built, N)
+
+
+def test_sum_of_filtered_blocks_eliminates_nothing(monkeypatch):
+    blocks = [fl.group_ring_block(3, a, b) for a, b in
+              [(2, 3), (1, 2), (2, 3), (1, 1)]]
+    for B in blocks:
+        B.direct_orders, B.iterated_orders, B.fixed_order
+    calls = [0]
+    real = zlin.solution_lattice
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(zlin, "solution_lattice", counted)
+    M = fl.direct_sum(blocks)
+    N = vp(M.fixed_order, 3) + 1
+    summed = fl.filtration(M, N), fl.filtration_iterated(M, N)
+    assert calls[0] == 0
+    # the same module without summands eliminates itself, once per step
+    built = fl.FinitePModule.build(3, M.relations, M.sigma)
+    assert (fl.filtration(built, N), fl.filtration_iterated(built, N)) \
+        == summed
+    assert calls[0] == 2 * summed[0].m
+
+
+def test_filtration_gives_up_through_a_sum(monkeypatch):
+    # a block's chains are remembered once made, so the blocks here are
+    # unshared ones, each filtered afresh under the lowered bound
+    fresh = fl.group_ring_block.__wrapped__
+    assert len(fl.group_ring_block(3, 2, 3).direct_orders) > 2
+    monkeypatch.setattr(fl, "MAX_STEPS", 1)
+    M = fl.direct_sum([fresh(3, 1, 1), fresh(3, 2, 3)])
+    for route in (fl.filtration, fl.filtration_iterated):
+        with pytest.raises(fl.FiltrationError, match="did not stabilize"):
+            route(M, 3)

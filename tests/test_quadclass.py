@@ -409,6 +409,30 @@ def test_redei_rows_are_eliminated_once_per_field(monkeypatch, D):
     assert counts["_reduce_genus"] == t + drawn
 
 
+def test_split_loop_builds_no_ramified_form(monkeypatch):
+    # the 402 fields of [10^6, 10^6 + 3000] with Delta > 0 draw split
+    # forms over h; a q | D below sqrt(|D|/3) ramifies, and its form,
+    # built once in genus_basis, was built again and dropped 349 times
+    fields = []
+    for d in pram.fundamental_negs(10 ** 6, 10 ** 6 + 3000):
+        h = qc._class_number(d)
+        if arith.vp(h, 2) > d.ramified_count - 1:
+            d.genus_basis
+            fields.append((d, h))
+    assert len(fields) == 402
+    built = Counter()
+    real = qc._ramified_form
+
+    def counted(D, q):
+        built[D] += 1
+        return real(D, q)
+    monkeypatch.setattr(qc, "_ramified_form", counted)
+    for d, h in fields:
+        pres = qc.genus_presentation(d, h)
+        assert len(pres.gens) == d.ramified_count - 1
+    assert not built
+
+
 def test_real_presentation_checks_enum_cap_first(monkeypatch):
     # a real D above ENUM_CAP is refused on either route before it is
     # factored, before any Redei symbol and before any cycle
