@@ -44,14 +44,10 @@ class CubicField:
 def is_cubic_conductor(f: int) -> bool:
     if f < 7:
         return False
-    e = 0
-    F = f
-    while F % 3 == 0:
-        F //= 3
-        e += 1
+    e = vp(f, 3)
     if e not in (0, 2):
         return False
-    if any(k > 1 or q % 3 != 1 for q, k in factor(F).factors):
+    if any(k > 1 or q % 3 != 1 for q, k in factor(f // 3 ** e).factors):
         return False
     # at least one representation 4f = a^2 + 27 b^2
     return next(_representations(f, e), None) is not None

@@ -49,10 +49,8 @@ from typing import Iterable, Iterator
 
 from . import zlin
 from .abgroup import AbelianGroupStructure, power
-from .arith import is_prime, kronecker, sqrt_mod_prime, vp
+from .arith import BudgetError, is_prime, kronecker, sqrt_mod_prime, vp
 from .quadclass import (
-    ENUM_CAP,
-    SERIES_CAP,
     ClassGroupPresentation,
     ClassNumberCapError,
     Discriminant,
@@ -65,6 +63,7 @@ from .quadclass import (
     radicand_of,
     ramified_principal_form,
     real_presentation,
+    within_budget,
 )
 from .quadforms import (QuadForm, TrackedIdeal, principal_form,
                         reduce_imaginary, reduce_indefinite,
@@ -934,15 +933,21 @@ def fundamental_negs(lo: int, hi: int) -> Iterator[Discriminant]:
 
 def _tor_records(lo: int, hi: int, p: int, n: int) -> Iterator[TorRecord]:
     """A TorRecord for each fundamental -d, lo <= d <= hi, one at a time,
-    so that tor_scan holds only the rows it keeps."""
-    for disc in fundamental_negs(lo, hi):
-        D, m = disc.value, disc.radicand
+    so that tor_scan holds only the rows it keeps.  A d whose fundamental
+    test or ray class group overruns a budget (a factorization of d, the
+    class-number caps) or fails is an error row (-d, radicand_of(-d), 0,
+    0.0, message); where the test itself overran, -d may not be
+    fundamental."""
+    for d in range(max(lo, 3), hi + 1):
         try:
+            disc = is_fundamental_neg(d)
+            if disc is None:
+                continue
             v = program_vptor(disc, p, n)
-        except (PramError, ClassNumberCapError) as exc:
-            yield TorRecord(D, m, 0, 0.0, str(exc))
+        except (PramError, BudgetError) as exc:
+            yield TorRecord(-d, radicand_of(-d), 0, 0.0, str(exc))
             continue
-        yield TorRecord(D, m, v, _c_tilde(v, p, D))
+        yield TorRecord(disc.value, disc.radicand, v, _c_tilde(v, p, -d))
 
 
 def merge_tor_maxima(shards: Iterable[Iterable[TorRecord]]
@@ -975,15 +980,8 @@ def family_radicands(count: int) -> Iterator[int]:
 def tor_family(p: int, count: int) -> list[TorsionReport]:
     """Torsion along the odd-primorial family, N = 1..count (D = m_N).
     ValueError unless p = 2, and ClassNumberCapError before any field at
-    the first m_N above the budget of its sign: ENUM_CAP for a real
-    field, SERIES_CAP for an imaginary one."""
+    the first m_N above the budget of its sign (within_budget)."""
     if p != 2:
         raise ValueError(f"the tabulated family is the p = 2 one, got p={p}")
-    ms = []
-    for m in family_radicands(count):
-        cap = ENUM_CAP if m > 0 else SERIES_CAP
-        if abs(m) > cap:
-            raise ClassNumberCapError(f"m_{len(ms) + 1} = {m} exceeds the "
-                                      f"class-number budget {cap}")
-        ms.append(m)
-    return [tor_report(m, p) for m in ms]
+    discs = [within_budget(m) for m in family_radicands(count)]
+    return [tor_report(d, p) for d in discs]

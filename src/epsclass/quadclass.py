@@ -19,7 +19,8 @@ the staircase is unconditional and stops at an exact h, counted up to
 |D| = ENUM_CAP and summed from L(1, chi) above it, up to SERIES_CAP.  Real:
 sqrt(D), since every narrow class holds a reduced form with 0 < a <
 sqrt(D), so the narrow group is unconditional with no count of h+;
-ENUM_CAP bounds D, for the cycle and unit walks.  class_group_imaginary
+ENUM_CAP bounds D, for the cycle and unit walks.  within_budget applies
+the cap of D's sign, before D is factored.  class_group_imaginary
 reads Cl_2's 2-rank from genus theory and presents only 2Cl_2 and the
 odd Sylow subgroups of order p^v >= p^2.  An imaginary presentation
 presents only its subgroup Cl^k, its canon reduce_imaginary: pram reads
@@ -303,19 +304,27 @@ def _ramified_form(D: int, q: int) -> QuadForm:
     return QuadForm(q, q, (q * q - D) // (4 * q))
 
 
-def _prime_forms(D: int, bound: int) -> Iterator[QuadForm]:
-    """prime_form(D, q) for each split or ramified prime q <= bound, q
-    ascending; lazily, so that a staircase that stops draws no more."""
+def _prime_forms(D: int, bound: int,
+                 ramified: bool = True) -> Iterator[QuadForm]:
+    """prime_form(D, q) for each split prime q <= bound, and each ramified
+    one unless ramified is false, q ascending; a q | D then is skipped
+    before its form or symbol is made.  Lazily, so that a staircase that
+    stops draws no more."""
     for q in np.flatnonzero(prime_sieve(bound)).tolist():
-        f = prime_form(D, q)
-        if f is not None:
-            yield f
+        if ramified or D % q:
+            f = prime_form(D, q)
+            if f is not None:
+                yield f
 
 
-def _within_cap(D, cap: int, what: str) -> Discriminant:
-    """as_disc(D), after the cap check, so that |D| above cap raises
-    ClassNumberCapError unfactored; a Discriminant is not factored again."""
+def within_budget(D) -> Discriminant:
+    """as_disc(D), after the budget of D's sign: SERIES_CAP, the
+    class-number budget, for D < 0, ENUM_CAP, the real budget, for D > 0.
+    |D| above it raises ClassNumberCapError before D is factored; a
+    Discriminant is not factored again."""
     value = D.value if isinstance(D, Discriminant) else D
+    cap, what = ((SERIES_CAP, "the class-number budget") if value < 0 else
+                 (ENUM_CAP, "the real budget"))
     if abs(value) > cap:
         raise ClassNumberCapError(f"|D| = {abs(value)} exceeds {what} {cap}")
     return as_disc(D)
@@ -335,8 +344,8 @@ _SERIES_BLOCK = 1 << 18         # terms per fsum
 def _class_number(D) -> int:
     """h(D) for fundamental D < 0: counted up to |D| = ENUM_CAP, from
     L(1, chi) above it; above SERIES_CAP ClassNumberCapError, before D is
-    factored.  A Discriminant is not factored again."""
-    d = _within_cap(D, SERIES_CAP, "the class-number budget")
+    factored (within_budget).  A Discriminant is not factored again."""
+    d = within_budget(D)
     assert d.value < 0
     if d.abs <= ENUM_CAP:
         return class_number_imaginary(d.value)
@@ -390,14 +399,14 @@ def imaginary_presentation(D, k: int = 1, order: Optional[int] = None
     The prime forms up to sqrt(|D|/3) generate Cl(D) unconditionally, so
     the staircase over their k-th powers stops at order; they hold for
     the maximal order only, so D is validated as _class_number does."""
-    d = _within_cap(D, SERIES_CAP, "the class-number budget")
+    d = within_budget(D)
     D = d.value
     assert D < 0
     order = order or _class_number(d)
     # a ramified class has order <= 2, so for even k its k-th power is
     # the identity the staircase already holds
     powers = (power(reduce_imaginary(f), k, _compose_imaginary)
-              for f in _prime_forms(D, isqrt(-D // 3)) if k % 2 or D % f.a)
+              for f in _prime_forms(D, isqrt(-D // 3), k % 2 == 1))
     pres = ClassGroupPresentation.staircase(
         reduce_imaginary(principal_form(D)), reduce_imaginary,
         _compose_imaginary, powers, order)
@@ -504,8 +513,7 @@ def genus_presentation(D, h: Optional[int] = None) -> GenusPresentation:
         assert D < 0 and r <= v, (D, h, r)
         # a q | D ramifies, its genus in the span of genus_basis's: its
         # form is never built
-        primes = np.flatnonzero(prime_sieve(isqrt(-D // 3))).tolist()
-        split = filter(None, (prime_form(D, q) for q in primes if D % q))
+        split = _prime_forms(D, isqrt(-D // 3), ramified=False)
         while len(gens) < r:
             P = next(split)
             rest, e = _reduce_genus(_genus_vector(P, chars), echelon)
@@ -550,7 +558,7 @@ def narrow_presentation(D) -> ClassGroupPresentation:
     fundamental-unit walk: D above it raises ClassNumberCapError, before
     D is factored.
     """
-    D = _within_cap(D, ENUM_CAP, "the real budget").value
+    D = within_budget(D).value
     assert D > 0
     rep_of = {}     # reduced form -> its cycle's least form
     sqD = isqrt(D)
@@ -580,7 +588,7 @@ def real_presentation(D, p: int) -> Presentation:
     ramified prime forms (genus_presentation), with no cycle walk, else
     narrow_presentation's staircase over the whole group.  The ENUM_CAP
     check comes first on either route, before D is factored."""
-    d = _within_cap(D, ENUM_CAP, "the real budget")
+    d = within_budget(D)
     assert d.value > 0
     if p == 2 and redei_4rank(d) == 0:
         return genus_presentation(d)
@@ -606,7 +614,7 @@ def full_imaginary_presentation(D, p: int
     (None, Cl_2 = Cl[2] on ramified prime forms): no h is counted.  D is
     validated once, after the SERIES_CAP check, which comes first on
     either route."""
-    d = _within_cap(D, SERIES_CAP, "the class-number budget")
+    d = within_budget(D)
     if p == 2 and redei_4rank(d) == 0:
         return None, genus_presentation(d)
     h = _class_number(d)
@@ -616,27 +624,15 @@ def full_imaginary_presentation(D, p: int
     return h, imaginary_presentation(d, h // q, q)
 
 
-def _square_sylow_orders(h: int) -> list[int]:
-    """p^v = p^vp(h, p) for each prime p with p^2 | h, by trial division up
-    to isqrt of the cofactor left."""
-    out, p = [], 2
-    while p * p <= h:
-        v = vp(h, p)
-        h //= p ** v
-        if v > 1:
-            out.append(p ** v)
-        p += 1
-    return out
-
-
 def class_group_imaginary(D) -> AbelianGroupStructure:
     """Cl(D) as a divisor chain, read off the Sylow subgroups over the
     exact h = 2^v h'.  Cl_2 has 2-rank r = omega(|D|) - 1 (Gauss), so
     only 2Cl_2 = Cl(D)^(2h'), of order 2^(v-r), is presented, and none
     when v = r: Cl_2's chain is 2e for each e of 2Cl_2's, then 2s.  An
-    odd Sylow subgroup of order p is Z/p, and one of order p^v >= p^2 is
-    presented alone, as the image of x -> x^(h/p^v) (Cohen, GTM 138,
-    ch. 5).  Cl's i-th factor is the product of the Sylow chains' i-th."""
+    odd Sylow subgroup of order p is Z/p, and one of order p^v >= p^2,
+    read off factor(h'), is presented alone, as the image of x ->
+    x^(h/p^v) (Cohen, GTM 138, ch. 5).  Cl's i-th factor is the product
+    of the Sylow chains' i-th."""
     d = as_disc(D)
     h = _class_number(d)
     v, r = vp(h, 2), d.ramified_count - 1
@@ -644,7 +640,7 @@ def class_group_imaginary(D) -> AbelianGroupStructure:
         .structure().divisors if v > r else ()
     assert len(squares) <= r, (d.value, squares, r)
     chains = [[2 * e for e in squares] + [2] * (r - len(squares))]
-    sylows = _square_sylow_orders(h >> v)
+    sylows = [q ** e for q, e in factor(h >> v).factors if e > 1]
     chains += [imaginary_presentation(d, h // q, q).structure().divisors
                for q in sylows]
     rest = (h >> v) // prod(sylows)

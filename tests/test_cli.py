@@ -13,6 +13,7 @@ import pytest
 import epsclass
 from epsclass import cli, cubic, pram, quadclass
 from epsclass import filtration as fl
+from epsclass.arith import FactorBudgetError
 from epsclass.quadclass import ClassNumberCapError
 from oracles import quad_scan_rows_loop, scan_windows
 
@@ -357,6 +358,27 @@ def test_tor_scan_below_three(capsys):
     _, ref = run(["tor-scan", "--p", "2", "--min-d", "3", "--max-d", "100"],
                  capsys)
     assert rows_of(out)[1] == rows_of(ref)[1] != []
+
+
+def test_tor_scan_factor_budget_exits_0_with_an_error_row(monkeypatch,
+                                                        capsys):
+    # |D| = p q with p, q about 10^15 exhausts the factoring budget (about
+    # 7 s, so the overrun is simulated here): one error row and exit 0,
+    # where the scan once stopped with exit 3 after its header
+    d = 1000000000001040000000000037111
+    real = quadclass.factor
+
+    def exhausted(n, *args):
+        if n == d:
+            raise FactorBudgetError(f"rho budget exhausted on {n}")
+        return real(n, *args)
+    monkeypatch.setattr(quadclass, "factor", exhausted)
+    code, out = run(["tor-scan", "--p", "2", "--min-d", str(d),
+                     "--max-d", str(d)], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert rows == [[str(-d), str(-d), "0", "0",
+                     f"rho budget exhausted on {d}"]]
 
 
 def test_tor_scan_workers_deterministic(capsys):

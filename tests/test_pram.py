@@ -1059,6 +1059,24 @@ def test_tor_scan_error_rows_above_the_class_number_budget():
         assert "exceeds the class-number budget" in r.error
 
 
+def test_tor_scan_factor_budget_is_an_error_row(monkeypatch):
+    # a |D| whose fundamental test exhausts the factoring budget (a
+    # semiprime of two 15-digit primes, say) once ended the whole scan
+    # with exit 3; now it is one error row, and every other row stays
+    ref = pram.tor_scan(10 ** 6, 1000200, 2)
+    real = quadclass.factor
+
+    def exhausted(n, *args):
+        if n == 1000003:
+            raise arith.FactorBudgetError(f"rho budget exhausted on {n}")
+        return real(n, *args)
+    monkeypatch.setattr(quadclass, "factor", exhausted)
+    recs = pram.tor_scan(10 ** 6, 1000200, 2)
+    err = pram.TorRecord(-1000003, -1000003, 0, 0.0,
+                         "rho budget exhausted on 1000003")
+    assert recs == [err] + ref
+
+
 def test_tor_scan_refuses_a_window_above_its_budget(monkeypatch):
     # at the budget the window runs; one |D| more is refused before any
     # field, counted from |D| = 3 however far below it lo starts
@@ -1341,9 +1359,12 @@ def factor_calls(monkeypatch):
     (pram.s_class_group, -1000036),
 ])
 def test_one_factorization_per_call(factor_calls, call, D):
-    # the Discriminant validated on entry is passed on, never rebuilt
+    # the Discriminant validated on entry is passed on, never rebuilt;
+    # class_group_imaginary factors h' as well, for its square Sylow
+    # orders: h(-10000003) = 706 = 2 * 353
     call(D, 2)
-    assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)]
+    h_odd = [353] if call is _class_group else []
+    assert factor_calls == [abs(D) // (4 if D % 4 == 0 else 1)] + h_odd
 
 
 @pytest.fixture

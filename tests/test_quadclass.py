@@ -126,10 +126,11 @@ def _assert_matches_full_staircase(D):
     full = qc.imaginary_presentation(D).structure()
     assert qc.class_group_imaginary(D) == full, D
     h = len(reduced_forms_imaginary(D))
-    for q in qc._square_sylow_orders(h):
-        p = min(f for f in range(2, q + 1) if q % f == 0)
-        assert qc.imaginary_presentation(D, h // q, q).structure() == \
-            full.p_part(p), (D, q)
+    for p, e in arith.factor(h).factors:
+        if e > 1:
+            q = p ** e
+            assert qc.imaginary_presentation(D, h // q, q).structure() == \
+                full.p_part(p), (D, q)
     return full
 
 
@@ -431,6 +432,25 @@ def test_split_loop_builds_no_ramified_form(monkeypatch):
         pres = qc.genus_presentation(d, h)
         assert len(pres.gens) == d.ramified_count - 1
     assert not built
+
+
+def test_even_power_staircase_builds_no_ramified_form(monkeypatch):
+    # at p = 3 each of the 912 fields of [10^6, 10^6 + 3000] presents
+    # Cl^k, k = h / 3^v; for even k a ramified class's k-th power is the
+    # identity, and its form was built and dropped 265 times
+    fields = list(pram.fundamental_negs(10 ** 6, 10 ** 6 + 3000))
+    assert len(fields) == 912
+    built = [0]
+    real = qc._ramified_form
+
+    def counted(D, q):
+        built[0] += 1
+        return real(D, q)
+    monkeypatch.setattr(qc, "_ramified_form", counted)
+    for d in fields:
+        h, pres = qc.full_imaginary_presentation(d, 3)
+        assert pres.h == 3 ** arith.vp(h, 3)
+    assert built == [0]
 
 
 def test_real_presentation_checks_enum_cap_first(monkeypatch):
@@ -922,6 +942,25 @@ def test_narrow_enumeration_cap():
             qc.narrow_presentation(D)
 
 
+def test_within_budget_is_the_cap_of_the_sign(monkeypatch):
+    # SERIES_CAP for D < 0 and ENUM_CAP for D > 0: |D| = cap is factored,
+    # cap + 1 refused before anything is
+    class Factored(Exception):
+        pass
+
+    def no_factor(n, *args):
+        raise Factored(n)
+    d, e = qc.as_disc(-23), qc.as_disc(5)
+    monkeypatch.setattr(qc, "factor", no_factor)
+    assert qc.within_budget(d) is d and qc.within_budget(e) is e
+    for sign, cap, what in ((-1, qc.SERIES_CAP, "class-number budget"),
+                            (1, qc.ENUM_CAP, "real budget")):
+        with pytest.raises(Factored):
+            qc.within_budget(sign * cap)
+        with pytest.raises(qc.ClassNumberCapError, match=what):
+            qc.within_budget(sign * (cap + 1))
+
+
 def test_normic_search_desk_scale():
     recs = qc.normic_search(2, 3, 2)
     assert recs
@@ -943,8 +982,10 @@ def test_normic_search_factors_each_candidate_once(monkeypatch):
     monkeypatch.setattr(qc, "factor", counting_factor)
     monkeypatch.setattr(arith, "factor", counting_factor)
     recs = qc.normic_search(2, 1, 3, 50)
-    # 4 * 3^2 - a^2 > 0 for a = 1..5: one factorization per B
-    assert calls == [35, 32, 27, 20, 11]
+    # 4 * 3^2 - a^2 > 0 for a = 1..5: one factorization per B, and one of
+    # h' for each field class_group_imaginary builds (B = 27 = 3 * 3^2
+    # has gcd(a, b) = 3 and is skipped); h' = 1 for -35, -8, -20 and -11
+    assert calls == [35, 1, 32, 1, 27, 20, 1, 11, 1]
     assert [(r.d, r.h, r.hp) for r in recs] == [(-35, 2, 2)]
 
 
