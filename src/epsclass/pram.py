@@ -66,8 +66,7 @@ from .quadclass import (
     within_budget,
 )
 from .quadforms import (QuadForm, TrackedIdeal, principal_form,
-                        reduce_imaginary, reduce_indefinite,
-                        translate_indefinite)
+                        reduce_imaginary, reduce_indefinite, rho_walk)
 
 
 class PramError(RuntimeError):
@@ -371,21 +370,22 @@ def units_mod(D: int, p: int, n: int) -> ResidueUnits:
 
 def fundamental_unit(D: int, one) -> tuple:
     """(+-eps^(+-1), table) for the fundamental unit eps of the real field
-    D, in the carrier of `one` (see TrackedIdeal): one walk of the
+    D, in the carrier of `one` (see TrackedIdeal): one rho_walk of the
     principal cycle, stepped as integers, from the principal form to the
-    next form with |a| = 1; ray class groups read only the group -1 and
-    eps generate.  The table maps (|a|, b, |c|) of each form the walk
-    passes to its gamma, gamma * I(a, b, c) = O: (-a, b, -c) is the same
-    ideal, so the walk's one period of ideals covers every reduced
-    principal ideal, on the negated cycle too."""
+    next form with |a| = 1, BudgetError past quadforms.RHO_STEPS forms;
+    ray class groups read only the group -1 and eps generate.  The table
+    maps (|a|, b, |c|) of each form the walk passes to its gamma, gamma *
+    I(a, b, c) = O: (-a, b, -c) is the same ideal, so the walk's one
+    period of ideals covers every reduced principal ideal, on the negated
+    cycle too."""
     cur = TrackedIdeal(principal_form(D), one).reduce()
-    (a, b, c), gamma = cur.form, cur.gamma
-    sqD = isqrt(D)
+    walk = rho_walk(*cur.form, isqrt(D))
+    (a, b, c), gamma = next(walk), cur.gamma
     table = {}
-    while True:
+    for nxt in walk:
         table[abs(a), b, abs(c)] = gamma
         gamma = gamma.rho(b, c)
-        a, b, c = translate_indefinite(c, -b, a, sqD)
+        a, b, c = nxt
         if abs(a) == 1:
             return gamma, table
 
@@ -541,15 +541,9 @@ class _LocalFrame:
         self.one = _Gamma(self, (0,) * len(self.pis), R.one, 1)
 
 
-def _tracked_pos(t: TrackedIdeal) -> TrackedIdeal:
-    return t if t.form.a > 0 else t.rho_step()
-
-
 def _tracked_mul(s: TrackedIdeal, t: TrackedIdeal) -> TrackedIdeal:
-    """s * t, reduced, for reduced s and t; a square (t is s) takes s to
-    a > 0 once."""
-    a = _tracked_pos(s)
-    return a.mul(a if t is s else _tracked_pos(t)).reduce()
+    """s * t, reduced, for reduced s and t (a > 0, as reduce leaves them)."""
+    return s.mul(t).reduce()
 
 
 def _lift_relation(forms: list, col: list, one, cycle) -> tuple:
@@ -893,10 +887,13 @@ def program_vptor(D, p: int, n: int) -> int:
 # The widest window of |D| one tor_scan takes, counted from |D| = 3.  At
 # p = 2, on one core of a 2-core machine, a window costs about 0.2 ms per
 # |D| near 10^6 (0.65 ms per fundamental field), 1.2 ms near 10^7, and
-# 4 ms above SERIES_CAP, where every fundamental field is an error row
-# and every error row is kept.  So the budget is about 7 min of one
+# 4 ms just above SERIES_CAP, where every fundamental field is an error
+# row and every error row is kept.  So the budget is about 7 min of one
 # worker near 10^6, 40 min near 10^7, and 2.2 h and 6 * 10^5 error rows
-# above 10^13; the window [10^6, 2 * 10^6] fits.
+# just above 10^13; the window [10^6, 2 * 10^6] fits.  Far above the cap
+# each |D| pays for its own factorization in the fundamental test: the 41
+# |D| from 10^30 took 7.7 s (14 error rows), so a whole window there
+# would run for days; the width alone does not price it.
 TOR_SCAN_SPAN = 2 * 10 ** 6
 
 

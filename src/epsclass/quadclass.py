@@ -68,7 +68,6 @@ from .quadforms import (
     principal_form,
     reduce_imaginary,
     reduce_indefinite,
-    rho_indefinite,
 )
 
 ENUM_CAP = 10 ** 7
@@ -547,7 +546,8 @@ def redei_4rank(D) -> int:
 
 def narrow_presentation(D) -> ClassGroupPresentation:
     """Narrow (restricted) class group of real D: its classes are the
-    cycles of reduced forms, each named by its least form.
+    cycles of reduced forms, each named by its least form with a > 0, so
+    that names compose as they are.
 
     The sign of a alternates along a cycle, so every class holds a reduced
     form with 0 < a < sqrt(D), whose ideal of norm a is a product of prime
@@ -560,25 +560,21 @@ def narrow_presentation(D) -> ClassGroupPresentation:
     """
     D = within_budget(D).value
     assert D > 0
-    rep_of = {}     # reduced form -> its cycle's least form
-    sqD = isqrt(D)
+    rep_of = {}     # reduced form, a > 0 -> its cycle's least such form
 
     def canon(f):
         f = reduce_indefinite(f)
         if f not in rep_of:
-            cyc = cycle_indefinite(f)
+            cyc = [g for g in cycle_indefinite(f) if g.a > 0]
             rep_of.update(dict.fromkeys(cyc, min(cyc)))
         return rep_of[f]
 
-    def pos(f):
-        return f if f.a > 0 else rho_indefinite(f, sqD)
-
     def op(f, g):
-        return canon(compose(pos(f), pos(g)))
+        return canon(compose(f, g))
 
     return ClassGroupPresentation.staircase(
         canon(principal_form(D)), canon, op,
-        map(canon, _prime_forms(D, sqD)))
+        map(canon, _prime_forms(D, isqrt(D))))
 
 
 def real_presentation(D, p: int) -> Presentation:

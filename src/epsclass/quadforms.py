@@ -5,20 +5,23 @@ A form (a, b, c) of discriminant D = b^2 - 4ac corresponds to the lattice
 ideal [a, (-b + sqrt(D))/2].  Imaginary discriminants have unique reduced
 representatives; real (indefinite) discriminants reduce onto cycles.
 
-Composition inputs are expected with a > 0 (every class, also indefinite,
-has such representatives: the sign of a alternates along a cycle).
+Composition inputs need a > 0, and every reduction ends on such a form;
+an indefinite one at most one rho step past the first reduced form, as
+the sign of a alternates along a cycle.  Every rho walk stops with
+BudgetError after RHO_STEPS forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import prime_sieve
+from .arith import BudgetError, prime_sieve
 from .zlin import xgcd
 
 
@@ -264,6 +267,12 @@ def class_number_imaginary(D: int) -> int:
 
 # ---------------------------------------------------------------- indefinite
 
+# Forms one rho walk passes before BudgetError, the bound of every walk and
+# reduction: the longest principal cycle of a real fundamental D in
+# [10^7 - 2 * 10^4, 10^7], just below quadclass.ENUM_CAP, has 15,274.
+RHO_STEPS = 100000
+
+
 def _red_ind(a: int, b: int, D: int) -> bool:
     # 0 < b < sqrt(D)  and  sqrt(D) - b < 2|a| < sqrt(D) + b
     if b <= 0 or b * b >= D:
@@ -276,13 +285,15 @@ def _red_ind(a: int, b: int, D: int) -> bool:
     return True
 
 
-def translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
-    """(a, b', c') on the lattice of (a, b, c), b' = b mod 2a in
-    (-|a|, |a|] when |a| > sqD, else in (sqD - 2|a|, sqD]."""
-    ta = 2 * abs(a)
+def _translate(a: int, b: int, c: int, sqD: int | None) -> tuple:
+    """(a, b', c') on the lattice of (a, b, c): b' = b mod 2a in (-a, a]
+    for D < 0 (sqD None); for D > 0 (sqD = isqrt(D)) in (-|a|, |a|] when
+    |a| > sqD, else in (sqD - 2|a|, sqD]."""
+    n = abs(a)
+    ta = 2 * n
     r = b % ta
-    if abs(a) > sqD:
-        if r > abs(a):
+    if sqD is None or n > sqD:
+        if r > n:
             r -= ta
     else:
         r += ta * ((sqD - r) // ta)
@@ -291,52 +302,43 @@ def translate_indefinite(a: int, b: int, c: int, sqD: int) -> tuple:
     return a, r, c
 
 
-def rho_indefinite(f: QuadForm, sqD: int) -> QuadForm:
-    return QuadForm(*translate_indefinite(f.c, -f.b, f.a, sqD))
+def rho_walk(a: int, b: int, c: int, sqD: int | None) -> Iterator[tuple]:
+    """(a, b, c), then each rho step after it, (a, b, c) -> (c, -b, a)
+    b-translated by _translate (sqD = isqrt(D) for D > 0, None for D < 0),
+    as integers: RHO_STEPS forms, then BudgetError."""
+    start = a, b, c
+    for _ in range(RHO_STEPS):
+        yield a, b, c
+        a, b, c = _translate(c, -b, a, sqD)
+    raise BudgetError(f"the rho walk from {start} exceeds the budget of "
+                      f"{RHO_STEPS} forms")
 
 
 def reduce_indefinite(f: QuadForm) -> QuadForm:
-    """The first reduced form on f's way to its cycle: its b-translation,
-    then rho steps, taken as integers (a, b, c)."""
+    """The first reduced form with a > 0 on f's way to its cycle: its
+    b-translation, then its rho walk, at most one step past the first
+    reduced form, as the sign of a alternates along a cycle."""
     D = f.disc()
     sqD = isqrt(D)
-    a, b, c = translate_indefinite(*f, sqD)
-    for _ in range(100000):
-        if _red_ind(a, b, D):
+    for a, b, c in rho_walk(*_translate(*f, sqD), sqD):
+        if a > 0 and _red_ind(a, b, D):
             return QuadForm(a, b, c)
-        a, b, c = translate_indefinite(c, -b, a, sqD)
-    raise RuntimeError(f"indefinite reduction stuck on {f}")
 
 
 def cycle_indefinite(f: QuadForm) -> list[QuadForm]:
-    """The reduction cycle through (the reduction of) f, stepped as
-    integers (a, b, c) and built into a QuadForm per form returned."""
+    """The reduction cycle through f, or through reduce_indefinite(f) if
+    f is not reduced: its rho walk up to the start again, with a QuadForm
+    built per form returned."""
     D = f.disc()
-    sqD = isqrt(D)
     start = f if _red_ind(f.a, f.b, D) else reduce_indefinite(f)
     out = [start]
-    a, b, c = translate_indefinite(start.c, -start.b, start.a, sqD)
-    while (a, b, c) != start:
-        out.append(QuadForm(a, b, c))
-        a, b, c = translate_indefinite(c, -b, a, sqD)
-    return out
+    for g in islice(rho_walk(*start, isqrt(D)), 1, None):
+        if g == start:
+            return out
+        out.append(QuadForm(*g))
 
 
 # ------------------------------------------------------- ideals with history
-
-def _translate(a: int, b: int, c: int, sqD: int | None) -> tuple:
-    """(a, b', c') on the lattice of (a, b, c): b' = b mod 2a in (-a, a]
-    for D < 0 (sqD None), as translate_indefinite puts it for D > 0
-    (sqD = isqrt(D))."""
-    if sqD is not None:
-        return translate_indefinite(a, b, c, sqD)
-    r = b % (2 * a)
-    if r > a:
-        r -= 2 * a
-    if r != b:
-        c += (r * r - b * b) // (4 * a)
-    return a, r, c
-
 
 @dataclass(frozen=True)
 class TrackedIdeal:
@@ -354,7 +356,8 @@ class TrackedIdeal:
     and takes a real relation's generator as one div by the gamma its
     reduced form has on the principal cycle.  `reduce` steps the form as
     integers (a, b, c) beside the carrier, with isqrt(D) taken once per
-    walk, and builds no TrackedIdeal on the way.
+    walk, builds no TrackedIdeal on the way, and ends on a > 0 (for
+    D > 0 the first reduced such form), so its result composes as it is.
     """
     form: QuadForm
     gamma: object
@@ -368,27 +371,23 @@ class TrackedIdeal:
             gam = gam.scale(w)
         return TrackedIdeal(compose(f, g), gam)
 
-    def rho_step(self) -> "TrackedIdeal":
-        # ideal(a,b,c) = mu * ideal(c,-b,a), mu = (b - sqrt(D)) / (2c),
-        # then the b-translation, which keeps the lattice
-        a, b, c = self.form
-        D = self.form.disc()
-        form = _translate(c, -b, a, isqrt(D) if D > 0 else None)
-        return TrackedIdeal(QuadForm(*form), self.gamma.rho(b, c))
-
     def reduce(self) -> "TrackedIdeal":
-        # the b-translation, then rho steps until the form is reduced
+        # the b-translation, then rho steps, ideal(a, b, c) = mu *
+        # ideal(c, -b, a) with mu = (b - sqrt(D)) / (2c), to the first
+        # reduced form with a > 0; inline rather than through rho_walk, as
+        # every relation walk takes it, under the same RHO_STEPS
         D = self.form.disc()
         sqD = isqrt(D) if D > 0 else None
         a, b, c = _translate(*self.form, sqD)
         gamma = self.gamma
-        for _ in range(100000):
-            if (_red_ind(a, b, D) if D > 0
+        for _ in range(RHO_STEPS):
+            if (a > 0 and _red_ind(a, b, D) if D > 0
                     else a < c or (a == c and b >= 0)):
                 return TrackedIdeal(QuadForm(a, b, c), gamma)
             gamma = gamma.rho(b, c)
             a, b, c = _translate(c, -b, a, sqD)
-        raise RuntimeError(f"reduction stuck on {self.form}")
+        raise BudgetError(f"the reduction of {self.form} exceeds the budget "
+                          f"of {RHO_STEPS} rho steps")
 
     def principal_generator(self):
         """Generator of the tracked ideal for D < 0, in gamma's carrier:

@@ -18,12 +18,13 @@ with per-call division, an exact-integer series and lattice solves
 beside pram's table lookup and fixed-precision series, the generators
 of (O/p^n)^x as elements, its base ones from an exact-integer p-adic
 exponential, which pram's coordinates never need, a real ideal's
-generator walked along its cycle to the next |a| = 1, from a product
-taken one factor at a time, beside pram's one walk of the principal
-cycle and its table of every reduced principal ideal, the ray class group
-stacked over every coordinate of (O/p^n)^x beside pram's over its cyclic
-factors, and a vector's order modulo an echelon lattice, in one forward
-pass, beside pram's lcm over those factors.
+generator walked along its cycle to the next |a| = 1 by a rho step of
+its own, from a product taken one factor at a time, beside pram's one
+walk of the principal cycle and its table of every reduced principal
+ideal, the ray class group stacked over every coordinate of (O/p^n)^x
+beside pram's over its cyclic factors, and a vector's order modulo an
+echelon lattice, in one forward pass, beside pram's lcm over those
+factors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from epsclass import pram, quadclass
+from epsclass import pram, quadclass, quadforms
 from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import factor, prime_sieve, vp
 from epsclass.quadforms import QuadForm, TrackedIdeal, principal_form
@@ -92,6 +93,16 @@ class QuadElt:
 PRINCIPAL_WALK_STEPS = 200000   # rho steps before walk_generator gives up
 
 
+def rho_step(t: TrackedIdeal) -> TrackedIdeal:
+    """One exact rho step of t, which keeps its lattice: ideal(a, b, c) =
+    mu * ideal(c, -b, a) with mu = (b - sqrt(D)) / (2c), then the
+    b-translation of (c, -b, a)."""
+    a, b, c = t.form
+    D = t.form.disc()
+    form = quadforms._translate(c, -b, a, isqrt(D) if D > 0 else None)
+    return TrackedIdeal(QuadForm(*form), t.gamma.rho(b, c))
+
+
 def walk_generator(t: TrackedIdeal):
     """The generator of t's ideal, D > 0, in gamma's carrier, the way
     TrackedIdeal.principal_generator found it before pram's principal
@@ -103,7 +114,7 @@ def walk_generator(t: TrackedIdeal):
     for _ in range(PRINCIPAL_WALK_STEPS):
         if abs(cur.form.a) == 1:
             return cur.gamma
-        cur = cur.rho_step()
+        cur = rho_step(cur)
         if cur.form == start:
             raise ValueError("ideal is not principal")
     raise ValueError("walk exhausted")
@@ -122,7 +133,7 @@ def walk_relation(forms, col, D: int) -> tuple:
             den *= f.a ** -c
         for _ in range(abs(c)):
             if t.form.a < 0:
-                t = t.rho_step()
+                t = rho_step(t)
             t = t.mul(TrackedIdeal(f, one)).reduce()
     return walk_generator(t), den
 

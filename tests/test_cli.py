@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import epsclass
-from epsclass import cli, cubic, pram, quadclass
+from epsclass import cli, cubic, pram, quadclass, quadforms
 from epsclass import filtration as fl
 from epsclass.arith import FactorBudgetError
 from epsclass.quadclass import ClassNumberCapError
@@ -528,6 +528,28 @@ def test_output_file(tmp_path, capsys):
 def test_tor_family_beyond_enumeration_cap_exits_3(capsys):
     code, out = run(["tor-family", "--p", "2", "--count", "10"], capsys)
     assert code == 3 and out == ""
+
+
+def test_rho_walk_overrun_exits_3(monkeypatch, capsys):
+    # m = -3 and -15 need no walk of 2 forms; m = 105 is real, and its
+    # fundamental-unit walk overruns RHO_STEPS: exit 3 on one stderr line
+    monkeypatch.setattr(quadforms, "RHO_STEPS", 2)
+    assert cli.main(["tor-family", "--p", "2", "--count", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert "the rho walk from (1, 9, -6) exceeds the budget of 2" in err
+
+
+def test_rho_walk_overrun_is_a_tor_scan_error_row(monkeypatch, capsys):
+    # the relation walks of tor-scan's imaginary fields reduce under the
+    # same RHO_STEPS: an overrun is an error row, and the scan exits 0
+    monkeypatch.setattr(quadforms, "RHO_STEPS", 1)
+    code, out = run(["tor-scan", "--p", "3", "--min-d", "3",
+                     "--max-d", "300"], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    errors = [r for r in rows if r[4]]
+    assert errors and all("budget of 1 rho steps" in r[4] for r in errors)
 
 
 def _refused_before_any_work(capsys, argv, code):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from epsclass import arith, pram, quadclass, zlin
+from epsclass import arith, pram, quadclass, quadforms, zlin
 from epsclass.abgroup import AbelianGroupStructure, power
 from epsclass.arith import kronecker
 from epsclass.quadforms import (QuadForm, TrackedIdeal, cycle_indefinite,
@@ -576,6 +576,40 @@ def test_principal_cycle_table_covers_the_principal_ideals():
         first = next((i for i, f in enumerate(cyc) if i and abs(f.a) == 1),
                      len(cyc))
         assert len(log) == first == len(table) <= len(cyc), D
+
+
+def test_fundamental_unit_walk_is_bounded_by_rho_steps(monkeypatch):
+    # the principal-cycle walk reads len(table) + 1 forms, its start and
+    # the next |a| = 1 included: that many run it, one fewer ends in
+    # BudgetError, the class the CLI maps to exit 3
+    D = 376                                    # x^2 - 94 y^2 = 1
+    eps, table = pram.fundamental_unit(D, QuadElt.one(D))
+    assert len(table) == 16 and eps.is_unit()
+    monkeypatch.setattr(quadforms, "RHO_STEPS", len(table) + 1)
+    assert pram.fundamental_unit(D, QuadElt.one(D)) == (eps, table)
+    monkeypatch.setattr(quadforms, "RHO_STEPS", len(table))
+    with pytest.raises(arith.BudgetError, match="rho walk"):
+        pram.fundamental_unit(D, QuadElt.one(D))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_real_class_data_composes_positive_forms(monkeypatch, p):
+    # reductions end on a > 0 and narrow classes are named by positive
+    # forms, so the narrow staircase and the relation walks (_lift_relation)
+    # hand compose only forms with a > 0, with no step of their own to
+    # make them so
+    real, calls, bad = quadforms.compose, [0], []
+
+    def checked(f, g):
+        calls[0] += 1
+        if f.a <= 0 or g.a <= 0:
+            bad.append((f, g))
+        return real(f, g)
+    monkeypatch.setattr(quadclass, "compose", checked)
+    monkeypatch.setattr(quadforms, "compose", checked)
+    for D in _fundamental(5, 2001):
+        pram._class_data(D, p)
+    assert calls[0] > 500 and bad == []
 
 
 @seed(44)

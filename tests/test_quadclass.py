@@ -596,6 +596,19 @@ def test_narrow_class_number_counts_the_cycles(k, r):
     assert qc.narrow_presentation(d).h == cycles
 
 
+def test_narrow_classes_are_named_by_their_least_positive_form():
+    # each generator the narrow staircase holds is the least form with
+    # a > 0 of its cycle, so that names compose as they are
+    for D in range(5, 2001):
+        try:
+            gens = qc.narrow_presentation(D).gens
+        except ValueError:
+            continue
+        for f in gens:
+            assert f == min(g for g in quadforms.cycle_indefinite(f)
+                            if g.a > 0), (D, f)
+
+
 def test_narrow_vs_ordinary_factor():
     # h+ in {h, 2h}
     for m in (2, 3, 5, 10, 79, 105, 221, 229):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsclass import pram, quadforms, zlin
+from epsclass.arith import BudgetError
 from epsclass.quadclass import ENUM_CAP, scan_arrays
 from epsclass.quadforms import (
     ENUM_INT64_LIMIT,
@@ -24,7 +25,7 @@ from epsclass.quadforms import (
     reduced_forms_imaginary,
 )
 from oracles import (QuadElt, is_reduced_indefinite, reduced_forms_indefinite,
-                     walk_generator)
+                     rho_step, walk_generator)
 
 
 def _assert_matches_loop(D):
@@ -289,10 +290,56 @@ def test_tracked_rho_preserves_lattice():
             if f.a < 0:
                 continue
             t = TrackedIdeal(f, QuadElt.one(f.disc()))
-            t2 = t.rho_step()
+            t2 = rho_step(t)
             assert lattices_equal(lattice_of(t), lattice_of(t2))
             t3 = t2.reduce()
             assert lattices_equal(lattice_of(t), lattice_of(t3))
+
+
+@pytest.mark.parametrize("D", [73, 316, 221, 1365])
+def test_reductions_end_on_positive_a(D):
+    # reduce_indefinite and TrackedIdeal.reduce stop at the first reduced
+    # form with a > 0: a reduced form with a < 0 goes one rho step on, to
+    # the next form of its cycle, and the tracked ideal keeps its lattice;
+    # a product of two such forms reduces to the same form both ways
+    one = QuadElt.one(D)
+    forms = reduced_forms_indefinite(D)
+    for f in forms:
+        want = f if f.a > 0 else cycle_indefinite(f)[1]
+        assert want.a > 0 and reduce_indefinite(f) == want, (D, f)
+        t = TrackedIdeal(f, one)
+        r = t.reduce()
+        assert r.form == want, (D, f)
+        assert lattices_equal(lattice_of(t), lattice_of(r)), (D, f)
+    positive = [f for f in forms if f.a > 0]
+    for f in positive:
+        for g in positive[:4]:
+            h = compose(f, g)
+            r = reduce_indefinite(h)
+            assert r.a > 0 and is_reduced_indefinite(r), (D, f, g)
+            assert TrackedIdeal(h, one).reduce().form == r, (D, f, g)
+
+
+def test_rho_walks_stop_at_rho_steps(monkeypatch):
+    # a walk of n forms runs under RHO_STEPS = n and ends in BudgetError
+    # under n - 1: the cycle (its start is read twice), the reduction and
+    # the tracked reduction (one check per form)
+    f = QuadForm(3, 7, -2)
+    cyc = cycle_indefinite(f)
+    monkeypatch.setattr(quadforms, "RHO_STEPS", len(cyc) + 1)
+    assert cycle_indefinite(f) == cyc
+    monkeypatch.setattr(quadforms, "RHO_STEPS", len(cyc))
+    with pytest.raises(BudgetError, match=f"budget of {len(cyc)} forms"):
+        cycle_indefinite(f)
+    g = QuadForm(3508, 4333, 1338)    # (1, 7, -6) under an SL2 matrix
+    monkeypatch.setattr(quadforms, "RHO_STEPS", 5)
+    assert reduce_indefinite(g) == QuadForm(1, 7, -6) == \
+        TrackedIdeal(g, QuadElt.one(73)).reduce().form
+    monkeypatch.setattr(quadforms, "RHO_STEPS", 4)
+    with pytest.raises(BudgetError, match="budget of 4 forms"):
+        reduce_indefinite(g)
+    with pytest.raises(BudgetError, match="budget of 4 rho steps"):
+        TrackedIdeal(g, QuadElt.one(73)).reduce()
 
 
 def test_tracked_mul_matches_lattice_product():
